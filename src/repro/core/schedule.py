@@ -6,9 +6,11 @@ timestep respects the arc capacities and the possession rule (a vertex may
 only send tokens it held at the *start* of the timestep), and successful
 when every vertex ends up holding everything it wants.
 
-This module is the single authority on those rules.  The polynomial-time
-verifier used in the NP-completeness argument (Theorem 3) is exactly
-:meth:`Schedule.validate` followed by :meth:`Schedule.is_successful`.
+This module is the single authority on those rules: :func:`check_sends`
+is the one per-send validator, shared by :meth:`Schedule.validate` and
+every simulation driver.  The polynomial-time verifier used in the
+NP-completeness argument (Theorem 3) is exactly :meth:`Schedule.validate`
+followed by :meth:`Schedule.is_successful`.
 """
 
 from __future__ import annotations
@@ -19,11 +21,64 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 from repro.core.problem import Problem
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 
-__all__ = ["Move", "Timestep", "Schedule", "ScheduleError"]
+__all__ = ["Move", "Timestep", "Schedule", "ScheduleError", "MoveError", "check_sends"]
 
 
 class ScheduleError(ValueError):
     """Raised when a schedule violates the model constraints."""
+
+
+class MoveError(ValueError):
+    """One send breaks a §3.1 rule; callers say where the send came from."""
+
+    @classmethod
+    def over_capacity(cls, src: int, dst: int, count: int, cap: int) -> "MoveError":
+        return cls(f"arc ({src}, {dst}) carries {count} tokens, capacity {cap}")
+
+    @classmethod
+    def unpossessed(cls, src: int, missing: int) -> "MoveError":
+        return cls(f"vertex {src} sends tokens {sorted(TokenSet(missing))} it does not possess")
+
+
+def check_sends(
+    problem: Problem,
+    sends: Mapping[Tuple[int, int], TokenSet],
+    possession_masks: Sequence[int],
+) -> Tuple[Dict[Tuple[int, int], TokenSet], Dict[int, int]]:
+    """Check one timestep's sends against the §3.1 rules.
+
+    Each non-empty send must use an arc of ``problem``, carry only tokens
+    of its universe, fit the arc's capacity, and carry only tokens the
+    sender held at the start of the step; the first that does not raises
+    :class:`MoveError`.  Returns the non-empty sends (a fresh dict, for
+    :meth:`Timestep.from_validated`) and the arrival masks per
+    destination, folded in send order.
+    """
+    capacities = problem._capacity
+    num_tokens = problem.num_tokens
+    valid: Dict[Tuple[int, int], TokenSet] = {}
+    arrivals: Dict[int, int] = {}
+    for (src, dst), tokens in sends.items():
+        mask = tokens.mask
+        if not mask:
+            continue
+        cap = capacities.get((src, dst))
+        if cap is None:
+            raise MoveError(f"no arc ({src}, {dst}) in the graph")
+        if mask >> num_tokens:
+            raise MoveError(
+                f"arc ({src}, {dst}) carries tokens outside 0..{num_tokens - 1}"
+            )
+        count = mask.bit_count()
+        if count > cap:
+            raise MoveError.over_capacity(src, dst, count, cap)
+        missing = mask & ~possession_masks[src]
+        if missing:
+            raise MoveError.unpossessed(src, missing)
+        valid[(src, dst)] = tokens
+        prev = arrivals.get(dst)
+        arrivals[dst] = mask if prev is None else prev | mask
+    return valid, arrivals
 
 
 @dataclass(frozen=True, order=True)
@@ -161,38 +216,22 @@ class Schedule:
     def validate(self, problem: Problem) -> List[List[TokenSet]]:
         """Check every model constraint; return the possession history.
 
-        Raises :class:`ScheduleError` on the first violation: an unknown
-        arc, a capacity overflow, a send of an unpossessed token, or a
-        token id outside the universe.  This is the polynomial-time
-        verifier from the proof of Theorem 3.
+        Raises :class:`ScheduleError` on the first violation that
+        :func:`check_sends` finds: an unknown arc, a token id outside the
+        universe, a capacity overflow, or a send of an unpossessed token.
+        This is the polynomial-time verifier from the proof of Theorem 3.
         """
-        universe = problem.all_tokens()
+        masks = [tokens.mask for tokens in problem.have]
         possession: List[List[TokenSet]] = [list(problem.have)]
         for i, step in enumerate(self.steps):
-            before = possession[-1]
-            current = list(before)
-            for (src, dst), tokens in step.sends.items():
-                if not problem.has_arc(src, dst):
-                    raise ScheduleError(
-                        f"timestep {i}: no arc ({src}, {dst}) in the graph"
-                    )
-                if not tokens <= universe:
-                    raise ScheduleError(
-                        f"timestep {i}: arc ({src}, {dst}) carries tokens outside "
-                        f"0..{problem.num_tokens - 1}"
-                    )
-                if len(tokens) > problem.capacity(src, dst):
-                    raise ScheduleError(
-                        f"timestep {i}: arc ({src}, {dst}) carries {len(tokens)} "
-                        f"tokens, capacity {problem.capacity(src, dst)}"
-                    )
-                if not tokens <= before[src]:
-                    lacking = tokens - before[src]
-                    raise ScheduleError(
-                        f"timestep {i}: vertex {src} sends tokens "
-                        f"{sorted(lacking)} it does not possess"
-                    )
-                current[dst] = current[dst] | tokens
+            try:
+                _sends, arrivals = check_sends(problem, step.sends, masks)
+            except MoveError as err:
+                raise ScheduleError(f"timestep {i}: {err}") from None
+            current = list(possession[-1])
+            for dst, mask in arrivals.items():
+                masks[dst] |= mask
+                current[dst] = TokenSet(masks[dst])
             possession.append(current)
         return possession
 

@@ -10,8 +10,8 @@
     current and future network conditions."
 
 A :class:`CapacitySchedule` maps ``(timestep, arc) -> capacity`` (0 =
-the arc is absent that turn).  :class:`DynamicEngine` reruns the standard
-simulator with the per-step capacities, re-validating every heuristic
+the arc is absent that turn).  :class:`DynamicEngine` runs the standard
+driver loop with the per-step capacities, re-validating every heuristic
 proposal against the *current* turn's graph; heuristics see the current
 capacities through a per-step :class:`repro.core.Problem` view, i.e. they
 are "robust" in the paper's sense of adapting each turn but having no
@@ -29,21 +29,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.problem import Arc, Problem
-from repro.core.schedule import Schedule, Timestep
+from repro.core.schedule import Timestep
 from repro.core.tokenset import TokenSet
-from repro.obs.metrics import MetricsRegistry, current_metrics
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.sim.engine import (
     HeuristicProtocol,
-    HeuristicViolation,
+    Proposal,
     RunResult,
     StepContext,
-    emit_run_start,
+    StepDriver,
     emit_step_event,
-    resolve_state_factory,
 )
 from repro.sim.state import SimState
 
@@ -173,14 +172,17 @@ def churn_schedule(
     return CapacitySchedule(problem, capacity, name="churn")
 
 
-class DynamicEngine:
+class DynamicEngine(StepDriver):
     """The synchronous simulator under changing network conditions.
 
     Each turn, the heuristic receives a :class:`StepContext` built on the
     *current* turn's graph, so it adapts to conditions as they are — an
     online algorithm with a present-only network view.  Proposals are
-    validated against the current capacities.
+    validated against the current capacities.  There is no stall
+    detection: a dead network may come back next turn.
     """
+
+    engine_name = "dynamic"
 
     def __init__(
         self,
@@ -193,126 +195,63 @@ class DynamicEngine:
         metrics: Optional[MetricsRegistry] = None,
         kernel: Union[str, Callable[[Problem], SimState], None] = None,
     ) -> None:
-        self.conditions = conditions
-        self.heuristic = heuristic
-        self.rng = rng if rng is not None else random.Random(0)
         base = conditions.problem
         if max_steps is None:
             max_steps = 8 * max(base.move_bound(), 1) + 64
-        self.max_steps = max_steps
+        # The kernel is built on the *base* problem: per-turn graphs share
+        # its have/want vectors and only differ in arcs, which SimState
+        # never consults for state updates.  Heuristics see per-turn
+        # graphs, so batched reads keyed to the base problem's arcs do
+        # not apply; kernel choice still must not change behavior
+        # (proposals run through the dict path, and heuristics guard
+        # supply reads with a problem-identity check).
+        super().__init__(base, rng, max_steps, tracer, metrics, kernel)
+        self.conditions = conditions
+        self.heuristic = heuristic
         # As in repro.sim.Engine: the default is the paper's predicate;
         # the coding extension substitutes threshold reconstruction.
         self.success_predicate = success_predicate
-        self.tracer: Tracer = tracer if tracer is not None else current_tracer()
-        self.metrics = metrics if metrics is not None else current_metrics()
-        # Heuristics see per-turn graphs here, so batched reads keyed to
-        # the base problem's arcs do not apply; kernel choice still must
-        # not change behavior (proposals run through the dict path, and
-        # heuristics guard supply reads with a problem-identity check).
-        self._state_factory = resolve_state_factory(kernel)
 
-    def run(self) -> RunResult:
-        base = self.conditions.problem
-        # The kernel is built on the *base* problem: per-turn graphs share
-        # its have/want vectors and only differ in arcs, which SimState
-        # never consults for state updates.
-        state = self._state_factory(base)
-        possession = state.possession  # live list; read-only here
-        tracer = self.tracer
-        tracing = tracer.enabled
-        metrics = self.metrics
-        steps: List[Timestep] = []
-        predicate = self.success_predicate
+    def _start(self, state: SimState) -> str:
+        self._arcs: Optional[Set[Arc]] = None
+        return f"{self.heuristic.name}@{self.conditions.name}"
 
-        def satisfied() -> bool:
-            if predicate is not None:
-                return predicate(possession)
-            return state.satisfied()
-
-        heuristic_name = f"{self.heuristic.name}@{self.conditions.name}"
-        if tracing:
-            emit_run_start(
-                tracer, "dynamic", base, heuristic_name, state, self.max_steps
-            )
-        success = satisfied()
-        reset_for: Optional[Problem] = None
-        while not success and len(steps) < self.max_steps:
-            step_index = len(steps)
-            current = self.conditions.problem_at(step_index)
-            # Heuristics keep per-run state keyed to a problem; reset when
-            # the turn's graph changes shape.
-            if reset_for is None or set(current.arcs) != set(reset_for.arcs):
-                self.heuristic.reset(current, self.rng)
-                reset_for = current
-            ctx = StepContext(
-                current,
-                step_index,
-                possession,
-                state.holder_counts,
-                self.rng,
-                state=state,
-            )
-            if metrics is not None:
-                with metrics.timer("heuristic_select"):
-                    proposal = self.heuristic.propose(ctx)
-            else:
-                proposal = self.heuristic.propose(ctx)
-            sends: Dict[Tuple[int, int], TokenSet] = {}
-            for (src, dst), tokens in proposal.items():
-                if not tokens:
-                    continue
-                if not current.has_arc(src, dst):
-                    raise HeuristicViolation(
-                        f"step {step_index}: arc ({src}, {dst}) is down this turn"
-                    )
-                if len(tokens) > current.capacity(src, dst):
-                    raise HeuristicViolation(
-                        f"step {step_index}: arc ({src}, {dst}) over its "
-                        f"current capacity {current.capacity(src, dst)}"
-                    )
-                if not tokens <= possession[src]:
-                    raise HeuristicViolation(
-                        f"step {step_index}: vertex {src} sent unpossessed tokens"
-                    )
-                sends[(src, dst)] = tokens
-            timestep = Timestep(sends)
-            steps.append(timestep)
-            version_before = state.version
-            if metrics is not None:
-                with metrics.timer("kernel_apply"):
-                    state.apply_timestep(timestep)
-            else:
-                state.apply_timestep(timestep)
-            if tracing:
-                emit_step_event(
-                    tracer,
-                    current,
-                    state,
-                    timestep,
-                    step_index,
-                    version_before,
-                    extra={"arcs_up": len(current.arcs)},
-                )
-            if metrics is not None:
-                metrics.counter("steps").inc()
-                metrics.gauge("deficit").set(state.total_deficit)
-            success = satisfied()
-        result = RunResult(
-            problem=base,
-            heuristic_name=heuristic_name,
-            schedule=Schedule(steps),
-            success=success,
+    def _propose(self, state: SimState, step: int) -> Proposal:
+        current = self._turn = self.conditions.problem_at(step)
+        # Heuristics keep per-run state keyed to a problem; reset when
+        # the turn's graph changes shape.
+        arcs = set(current.arcs)
+        if arcs != self._arcs:
+            self.heuristic.reset(current, self.rng)
+            self._arcs = arcs
+        ctx = StepContext(
+            current,
+            step,
+            state.possession,
+            state.holder_counts,
+            self.rng,
+            state=state,
         )
-        if tracing:
-            tracer.emit(
-                "run_end",
-                {
-                    "success": result.success,
-                    "makespan": result.makespan,
-                    "bandwidth": result.bandwidth,
-                },
+        return self.heuristic.propose(ctx)
+
+    def _finish_step(
+        self,
+        state: SimState,
+        timestep: Timestep,
+        arrivals: Dict[int, int],
+        step: int,
+        version_before: int,
+    ) -> None:
+        if self.tracer.enabled:
+            emit_step_event(
+                self.tracer,
+                self._turn,
+                state,
+                timestep,
+                step,
+                version_before,
+                extra={"arcs_up": len(self._turn.arcs)},
             )
-        return result
 
 
 def run_dynamic(

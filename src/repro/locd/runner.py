@@ -8,7 +8,9 @@ timestep ``i``:
 
 1. every vertex ``v`` computes its sends from ``k_i(v)`` (and optionally
    randomness, per Section 4.1);
-2. sends are validated against the true state and applied;
+2. sends are validated against the true state and applied (the shared
+   :class:`repro.sim.engine.StepDriver` loop, after an owner check: a
+   vertex may only send out of itself);
 3. ``k_{i+1}(v)`` merges the step-``i`` knowledge of ``v``'s gossip
    neighbors (both arc directions) into ``k_i(v)``, then records what
    ``v`` itself just received.
@@ -17,20 +19,19 @@ timestep ``i``:
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
+from typing import Callable, Dict, Optional, Protocol, Tuple, Union
 
 from repro.core.problem import Problem
-from repro.core.schedule import Schedule, Timestep
+from repro.core.schedule import Timestep
 from repro.core.tokenset import TokenSet
 from repro.locd.knowledge import Knowledge, initial_knowledge
-from repro.obs.metrics import MetricsRegistry, current_metrics
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.sim.engine import (
     HeuristicViolation,
     RunResult,
-    emit_run_start,
+    StepDriver,
     emit_step_event,
-    resolve_state_factory,
 )
 from repro.sim.state import SimState
 
@@ -54,7 +55,7 @@ class LocalAlgorithm(Protocol):
         arc.  Every arc must leave the owner."""
 
 
-class LocalEngine:
+class LocalEngine(StepDriver):
     """Synchronous LOCD simulation with per-vertex knowledge.
 
     ``tracer``/``metrics`` mirror :class:`repro.sim.Engine`: the tracer
@@ -62,7 +63,10 @@ class LocalEngine:
     metrics registry — when given — receives the ``heuristic_select`` /
     ``kernel_apply`` / ``knowledge_flood`` phase timers.  Step events
     additionally carry ``facts_learned``, the gossip cost of the step.
+    There is no stall detection: runs go to ``max_steps``.
     """
+
+    engine_name = "locd"
 
     def __init__(
         self,
@@ -74,153 +78,72 @@ class LocalEngine:
         metrics: Optional[MetricsRegistry] = None,
         kernel: Union[str, Callable[[Problem], SimState], None] = None,
     ) -> None:
-        self.problem = problem
-        self.algorithm = algorithm
-        self.rng = rng if rng is not None else random.Random(0)
         if max_steps is None:
             max_steps = 4 * max(problem.move_bound(), 1) + 4 * problem.num_vertices + 64
-        self.max_steps = max_steps
-        self.tracer: Tracer = tracer if tracer is not None else current_tracer()
-        self.metrics = metrics if metrics is not None else current_metrics()
         # LOCD algorithms only ever see per-vertex Knowledge, so the
         # kernel choice cannot change decisions; the batch kernel's
         # matrix stays unsynced (lazy) and costs nothing here.
-        self._state_factory = resolve_state_factory(kernel)
+        super().__init__(problem, rng, max_steps, tracer, metrics, kernel)
+        self.algorithm = algorithm
 
-    def _decide_step(
-        self,
-        step_index: int,
-        knowledge: List[Knowledge],
-        possession: List[TokenSet],
-    ) -> Dict[Tuple[int, int], TokenSet]:
-        """Collect and validate every vertex's sends for one timestep."""
-        problem = self.problem
+    def _start(self, state: SimState) -> str:
+        n = self.problem.num_vertices
+        self._knowledge = [initial_knowledge(self.problem, v) for v in range(n)]
+        self._knowledge_cost = 0
+        self.algorithm.reset(n, self.rng)
+        return self.algorithm.name
+
+    def _propose(self, state: SimState, step: int) -> Dict[Tuple[int, int], TokenSet]:
+        """Every vertex's sends, decided from its own knowledge only."""
         sends: Dict[Tuple[int, int], TokenSet] = {}
-        for v in range(problem.num_vertices):
-            proposal = self.algorithm.decide(step_index, knowledge[v], self.rng)
+        for v, knowledge in enumerate(self._knowledge):
+            proposal = self.algorithm.decide(step, knowledge, self.rng)
             for (src, dst), tokens in proposal.items():
                 if not tokens:
                     continue
                 if src != v:
                     raise HeuristicViolation(
-                        f"step {step_index}: vertex {v} proposed a send "
-                        f"out of vertex {src}"
-                    )
-                if not problem.has_arc(src, dst):
-                    raise HeuristicViolation(
-                        f"step {step_index}: no arc ({src}, {dst})"
-                    )
-                if len(tokens) > problem.capacity(src, dst):
-                    raise HeuristicViolation(
-                        f"step {step_index}: arc ({src}, {dst}) over capacity"
-                    )
-                if not tokens <= possession[src]:
-                    raise HeuristicViolation(
-                        f"step {step_index}: vertex {src} sent unpossessed "
-                        f"tokens {sorted(tokens - possession[src])}"
+                        f"step {step}: vertex {v} proposed a send out of vertex {src}"
                     )
                 sends[(src, dst)] = tokens
         return sends
 
-    def _flood_knowledge(
+    def _finish_step(
         self,
-        knowledge: List[Knowledge],
+        state: SimState,
+        timestep: Timestep,
         arrivals: Dict[int, int],
-    ) -> int:
-        """Merge neighbor knowledge and record arrivals; return new facts."""
-        problem = self.problem
-        learned = 0
-        snapshots = [k.snapshot() for k in knowledge]
-        for v in range(problem.num_vertices):
-            before = knowledge[v].size_facts()
-            for u in problem.neighbors(v):
-                knowledge[v].merge_from(snapshots[u])
-            learned += knowledge[v].size_facts() - before
-            if v in arrivals:
-                knowledge[v].record_own_possession(TokenSet(arrivals[v]))
-        return learned
-
-    def run(self) -> RunResult:
-        problem = self.problem
-        state = self._state_factory(problem)
-        possession = state.possession  # live list; read-only here
-        tracer = self.tracer
-        tracing = tracer.enabled
-        metrics = self.metrics
-        knowledge: List[Knowledge] = [
-            initial_knowledge(problem, v) for v in range(problem.num_vertices)
-        ]
-        self.algorithm.reset(problem.num_vertices, self.rng)
-        steps: List[Timestep] = []
-        knowledge_cost = 0
-        if tracing:
-            emit_run_start(
-                tracer, "locd", problem, self.algorithm.name, state, self.max_steps
+        step: int,
+        version_before: int,
+    ) -> None:
+        # Gossip: merge the *previous* knowledge of both-direction
+        # neighbors, then record own arrivals — everything a vertex was
+        # sent, not just gains.
+        with self._timer("knowledge_flood"):
+            knowledge = self._knowledge
+            neighbors = self.problem.neighbors
+            snapshots = [k.snapshot() for k in knowledge]
+            learned = 0
+            for v, known in enumerate(knowledge):
+                before = known.size_facts()
+                for u in neighbors(v):
+                    known.merge_from(snapshots[u])
+                learned += known.size_facts() - before
+                if v in arrivals:
+                    known.record_own_possession(TokenSet(arrivals[v]))
+        self._knowledge_cost += learned
+        if self.metrics is not None:
+            self.metrics.counter("facts_learned").inc(learned)
+        if self.tracer.enabled:
+            emit_step_event(
+                self.tracer,
+                self.problem,
+                state,
+                timestep,
+                step,
+                version_before,
+                extra={"facts_learned": learned},
             )
-
-        success = state.satisfied()
-        while not success and len(steps) < self.max_steps:
-            step_index = len(steps)
-            # 1. Decisions from local knowledge only.
-            if metrics is not None:
-                with metrics.timer("heuristic_select"):
-                    sends = self._decide_step(step_index, knowledge, possession)
-            else:
-                sends = self._decide_step(step_index, knowledge, possession)
-            timestep = Timestep(sends)
-            steps.append(timestep)
-
-            # 2. Apply token movement through the shared kernel.  The
-            # raw arrivals (including already-held tokens) feed step 3:
-            # a vertex records everything it was sent, not just gains.
-            version_before = state.version
-            if metrics is not None:
-                with metrics.timer("kernel_apply"):
-                    arrivals = state.apply_timestep(timestep)
-            else:
-                arrivals = state.apply_timestep(timestep)
-
-            # 3. Gossip: merge the *previous* knowledge of both-direction
-            # neighbors, then record own arrivals.
-            if metrics is not None:
-                with metrics.timer("knowledge_flood"):
-                    learned = self._flood_knowledge(knowledge, arrivals)
-            else:
-                learned = self._flood_knowledge(knowledge, arrivals)
-            knowledge_cost += learned
-            if tracing:
-                emit_step_event(
-                    tracer,
-                    problem,
-                    state,
-                    timestep,
-                    step_index,
-                    version_before,
-                    extra={"facts_learned": learned},
-                )
-            if metrics is not None:
-                metrics.counter("steps").inc()
-                metrics.counter("facts_learned").inc(learned)
-
-            success = state.satisfied()
-        result = RunResult(
-            problem=problem,
-            heuristic_name=self.algorithm.name,
-            schedule=Schedule(steps),
-            success=success,
-            knowledge_cost=knowledge_cost,
-        )
-        if tracing:
-            tracer.emit(
-                "run_end",
-                {
-                    "success": result.success,
-                    "makespan": result.makespan,
-                    "bandwidth": result.bandwidth,
-                    "knowledge_cost": knowledge_cost,
-                },
-            )
-        return result
 
 
 def run_local(

@@ -6,8 +6,9 @@ a reference *trace* to diff against a live engine trace.  The bridge is
 :func:`retrace_run`: replay a completed :class:`~repro.core.schedule.
 Schedule` through a fresh :class:`~repro.sim.state.SimState` and emit
 events through the exact same helpers (:func:`repro.sim.engine.
-emit_run_start` / :func:`~repro.sim.engine.emit_step_event`) in the
-exact control-flow order of :meth:`repro.sim.Engine.run`.  Because the
+emit_run_start` / :func:`~repro.sim.engine.emit_step_event` /
+:func:`~repro.sim.engine.count_stall`) in the exact control-flow order
+of :meth:`repro.sim.engine.StepDriver.run`.  Because the
 incremental engine's schedules are byte-identical to the oracle's, the
 re-trace of an oracle schedule is byte-identical to a live engine trace
 of the same (problem, heuristic, seed) — except for the ``engine``
@@ -17,12 +18,12 @@ label, which honestly records where the schedule came from
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule
 from repro.obs.tracer import Tracer
-from repro.sim.engine import emit_run_start, emit_step_event
+from repro.sim.engine import StallError, count_stall, emit_run_start, emit_step_event
 from repro.sim.state import SimState
 
 __all__ = ["retrace_run"]
@@ -53,37 +54,21 @@ def retrace_run(
     stalled_for = 0
     for step, timestep in enumerate(schedule.steps):
         version_before = state.version
-        arrivals: Dict[int, int] = {}
-        for (_src, dst), tokens in timestep.sends.items():
-            prev = arrivals.get(dst)
-            arrivals[dst] = tokens.mask if prev is None else prev | tokens.mask
-        state.apply_arrivals(arrivals)
-        progressed = state.version != version_before
+        state.apply_timestep(timestep)
         emit_step_event(tracer, problem, state, timestep, step, version_before)
         if state.satisfied():
             break
-        if progressed:
+        if state.version != version_before:
             stalled_for = 0
             continue
-        if not state.any_useful_arc():
-            # The live engine raises StallError right after this emit, so
-            # its trace ends here too (no run_end follows a terminal
-            # stall) — but replayed schedules come from *completed* runs,
-            # which never reach this state; emit and stop for parity.
-            tracer.emit(
-                "stall",
-                {
-                    "step": step,
-                    "consecutive": stalled_for + 1,
-                    "terminal": True,
-                },
-            )
+        try:
+            empty = count_stall(tracer, state, timestep, step, stalled_for)
+        except StallError:
+            # The live engine's trace ends at the terminal stall too (no
+            # run_end follows it) — but replayed schedules come from
+            # *completed* runs, which never reach this state.
             return
-        if timestep:
-            stalled_for = 0
-        else:
-            stalled_for += 1
-            tracer.emit("stall", {"step": step, "consecutive": stalled_for})
+        stalled_for = stalled_for + 1 if empty else 0
     tracer.emit(
         "run_end",
         {

@@ -12,16 +12,14 @@ integers).  All timing therefore lives *here*, behind the
 
 .. code-block:: python
 
-    if metrics is not None:
-        with metrics.timer("heuristic_select"):
-            proposal = heuristic.propose(ctx)
-    else:
+    timer = null_timer if metrics is None else metrics.timer
+    with timer("heuristic_select"):
         proposal = heuristic.propose(ctx)
 
-so the unprofiled path never touches a clock and the profiled path
-attributes wall time to named phases.  The standard phase names used by
-the engines are ``heuristic_select`` (proposal construction),
-``kernel_apply`` (validation + possession update), and
+so the unprofiled path never touches a clock (:func:`null_timer`) and
+the profiled path attributes wall time to named phases.  The standard
+phase names used by the engines are ``heuristic_select`` (proposal
+construction), ``kernel_apply`` (validation + possession update), and
 ``knowledge_flood`` (LOCD gossip merge).
 
 Timings are wall-clock and therefore nondeterministic; they belong in
@@ -44,8 +42,8 @@ is ``None`` — the unprofiled path stays clock-free.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Any, ContextManager, Dict, Iterator, List, Mapping, Optional
 
 __all__ = [
     "Counter",
@@ -55,6 +53,7 @@ __all__ = [
     "PhaseTimer",
     "current_metrics",
     "metrics_active",
+    "null_timer",
 ]
 
 
@@ -276,6 +275,14 @@ class MetricsRegistry:
                     f"min={h.min:g} max={h.max:g}"
                 )
         return "\n".join(lines) if lines else "(no metrics recorded)"
+
+
+_NULL_TIMER: ContextManager[None] = nullcontext()
+
+
+def null_timer(_name: str) -> ContextManager[None]:
+    """The unprofiled phase timer: records nothing, never reads a clock."""
+    return _NULL_TIMER
 
 
 # ----------------------------------------------------------------------

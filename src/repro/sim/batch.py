@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.problem import Problem
-from repro.core.schedule import Timestep
+from repro.core.schedule import MoveError, Timestep
 from repro.core.tokenset import TokenSet
 from repro.sim.bitplanes import (
     HAVE_NUMPY,
@@ -59,7 +59,7 @@ from repro.sim.bitplanes import (
     popcount_cols,
     require_numpy,
 )
-from repro.sim.engine import HeuristicViolation
+from repro.sim.engine import violation
 from repro.sim.state import SimState
 
 __all__ = [
@@ -559,15 +559,19 @@ class BatchState(SimState):
     def validate_vector(
         self, vec: VectorProposal, heuristic_name: str, step: int
     ) -> Tuple[Timestep, Dict[int, int]]:
-        """Batched equivalent of ``Engine._validated_timestep``.
+        """Batched equivalent of :func:`repro.core.schedule.check_sends`.
 
         Checks every send's capacity and sender possession as array ops,
         then materializes the validated :class:`Timestep` and the per-
         vertex arrival masks in one pass over the nonzero sends.  Raises
         :class:`HeuristicViolation` with the same message the scalar
-        validator produces for the same offense (capacity violations are
-        all reported before possession violations; a well-behaved vector
-        heuristic never triggers either).
+        validator produces for the same offense, built by the same
+        :class:`~repro.core.schedule.MoveError` constructors (capacity
+        violations are all reported before possession violations; a
+        well-behaved vector heuristic never triggers either).  Arc
+        existence holds by construction, since a vector proposal indexes
+        the problem's arcs; tokens outside the universe fail the
+        possession check, since no vertex holds them.
         """
         np = self.np
         self._ensure_arc_arrays()
@@ -585,10 +589,10 @@ class BatchState(SimState):
         if over.any():
             i = int(np.argmax(over))
             src, dst = arc_keys[int(idx[i])]
-            raise HeuristicViolation(
-                f"step {step}: heuristic {heuristic_name!r} sent "
-                f"{int(counts[i])} tokens on arc ({src}, {dst}) of capacity "
-                f"{int(caps[i])}"
+            raise violation(
+                heuristic_name,
+                step,
+                MoveError.over_capacity(src, dst, int(counts[i]), int(caps[i])),
             )
         if multi:
             bad = masks & ~self.matrix[self._arc_src[idx]]
@@ -599,11 +603,8 @@ class BatchState(SimState):
         if bad_rows.any():
             i = int(np.argmax(bad_rows))
             src, _dst = arc_keys[int(idx[i])]
-            missing = TokenSet(planes_to_mask(bad[i]) if multi else int(bad[i]))
-            raise HeuristicViolation(
-                f"step {step}: heuristic {heuristic_name!r} sent tokens "
-                f"{sorted(missing)} that vertex {src} does not possess"
-            )
+            missing = planes_to_mask(bad[i]) if multi else int(bad[i])
+            raise violation(heuristic_name, step, MoveError.unpossessed(src, missing))
         arrivals: Dict[int, int] = {}
         if len(idx):
             # Per-destination arrival masks as one grouped OR over the

@@ -5,9 +5,13 @@ The engine owns the ground-truth state of one run: the possession vector
 :class:`repro.sim.state.SimState`.  Each timestep it hands the current
 state to a heuristic as a read-only :class:`StepContext`, receives a
 proposed set of sends, *validates the proposal against the model
-constraints* (capacity and possession — a buggy heuristic raises
-:class:`HeuristicViolation` instead of silently cheating), applies it,
-and checks for success.
+constraints* (:func:`repro.core.schedule.check_sends` — a buggy
+heuristic raises :class:`HeuristicViolation` instead of silently
+cheating), applies it, and checks for success.  That loop is written
+once, in :class:`StepDriver`; :class:`Engine`, the LOCD
+:class:`repro.locd.LocalEngine` and the changing-conditions
+:class:`repro.extensions.dynamic.DynamicEngine` differ only in where
+their proposals come from.
 
 The engine presents a global view of the state.  Heuristics differ in how
 much of that view they are allowed to read — e.g. Round-Robin only reads
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -42,9 +47,9 @@ from typing import (
 
 from repro.core.metrics import ScheduleMetrics, evaluate_schedule
 from repro.core.problem import Problem
-from repro.core.schedule import Schedule, Timestep
+from repro.core.schedule import MoveError, Schedule, Timestep, check_sends
 from repro.core.tokenset import TokenSet
-from repro.obs.metrics import MetricsRegistry, current_metrics
+from repro.obs.metrics import MetricsRegistry, current_metrics, null_timer
 from repro.obs.tracer import Tracer, current_tracer
 from repro.sim.bitplanes import plane_count
 from repro.sim.state import SimState
@@ -55,12 +60,15 @@ __all__ = [
     "HeuristicProtocol",
     "HeuristicViolation",
     "StallError",
+    "count_stall",
     "RunResult",
+    "StepDriver",
     "Engine",
     "run_heuristic",
     "emit_run_start",
     "emit_step_event",
     "resolve_state_factory",
+    "violation",
 ]
 
 Proposal = Mapping[Tuple[int, int], TokenSet]
@@ -281,7 +289,171 @@ def emit_step_event(
     tracer.emit("step", fields)
 
 
-class Engine:
+def count_stall(
+    tracer: Tracer, state: SimState, timestep: Timestep, step: int, stalled_for: int
+) -> bool:
+    """The stall test after a step that gained nothing: whether it was
+    one more empty step, emitting its ``stall`` event.  Raises
+    :class:`StallError`, after a terminal ``stall`` event, when no arc
+    carries a useful token any more — possession only grows, so that
+    state can never change again."""
+    if not state.any_useful_arc():
+        if tracer.enabled:
+            tracer.emit(
+                "stall",
+                {"step": step, "consecutive": stalled_for + 1, "terminal": True},
+            )
+        raise StallError(
+            f"no arc carries a useful token at step {step + 1} while "
+            f"demand remains; the instance is unsatisfiable from this state"
+        )
+    if timestep:
+        return False
+    if tracer.enabled:
+        tracer.emit("stall", {"step": step, "consecutive": stalled_for + 1})
+    return True
+
+
+def violation(label: str, step: int, err: MoveError) -> HeuristicViolation:
+    """Name the heuristic and step of a send :func:`check_sends` rejected."""
+    return HeuristicViolation(f"step {step}: heuristic {label!r}: {err}")
+
+
+class StepDriver:
+    """The one synchronous step loop behind every simulator (§3.1).
+
+    Per timestep :meth:`run` proposes (:meth:`_propose`, timed as
+    ``heuristic_select``), validates and applies (:meth:`_validate` plus
+    ``SimState.apply_arrivals``, timed as ``kernel_apply``), emits the
+    ``step`` event (:meth:`_finish_step`), counts, and tests success;
+    with a ``stall_limit`` (:class:`Engine` only) it then runs the stall
+    test.  Drivers differ only in those hooks (DESIGN.md §4c).
+    """
+
+    engine_name = "sim"  # the ``engine`` field of ``run_start``
+    stall_limit: Optional[int] = None
+    success_predicate: Optional[Callable[[Sequence[TokenSet]], bool]] = None
+    #: Gossip facts learned so far; only LOCD runs track and report it.
+    _knowledge_cost: Optional[int] = None
+
+    def __init__(
+        self,
+        problem: Problem,
+        rng: Optional[random.Random],
+        max_steps: int,
+        tracer: Optional[Tracer],
+        metrics: Optional[MetricsRegistry],
+        kernel: Union[str, Callable[[Problem], SimState], None],
+    ) -> None:
+        self.problem = problem
+        self.rng = rng if rng is not None else random.Random(0)
+        self.max_steps = max_steps
+        self.tracer = tracer if tracer is not None else current_tracer()
+        self.metrics = metrics if metrics is not None else current_metrics()
+        self._state_factory = resolve_state_factory(kernel)
+
+    def run(self) -> RunResult:
+        problem = self.problem
+        state = self._state_factory(problem)
+        predicate = self.success_predicate
+        stall_limit = self.stall_limit
+        # Hoisted once per run: the untraced/unprofiled loop below never
+        # builds an event payload and never consults a clock.
+        tracer = self.tracer
+        tracing = tracer.enabled
+        metrics = self.metrics
+        timer = self._timer = null_timer if metrics is None else metrics.timer
+        self._turn = problem  # the graph proposals are validated against
+        label = self._label = self._start(state)
+        # ``possession`` is the kernel's live list, so binding it once is safe.
+        satisfied = state.satisfied if predicate is None else partial(predicate, state.possession)
+        steps: List[Timestep] = []
+        stalled_for = 0
+        if tracing:
+            emit_run_start(
+                tracer, self.engine_name, problem, label, state, self.max_steps
+            )
+        success = satisfied()
+        while not success and len(steps) < self.max_steps:
+            step = len(steps)
+            with timer("heuristic_select"):
+                proposal = self._propose(state, step)
+            version_before = state.version
+            with timer("kernel_apply"):
+                timestep, arrivals = self._validate(proposal, state, step)
+                state.apply_arrivals(arrivals)
+            steps.append(timestep)
+            self._finish_step(state, timestep, arrivals, step, version_before)
+            if metrics is not None:
+                metrics.counter("steps").inc()
+                metrics.gauge("deficit").set(state.total_deficit)
+            success = satisfied()
+            if success or stall_limit is None:
+                continue
+            if state.version != version_before:
+                stalled_for = 0
+            elif count_stall(tracer, state, timestep, step, stalled_for):
+                stalled_for += 1
+                if stalled_for >= stall_limit:
+                    raise StallError(
+                        f"heuristic {label!r} proposed nothing for {stalled_for} "
+                        f"consecutive timesteps at step {len(steps)} with demand "
+                        f"remaining"
+                    )
+            else:
+                stalled_for = 0
+        result = RunResult(
+            problem=problem,
+            heuristic_name=label,
+            schedule=Schedule(steps),
+            success=success,
+            knowledge_cost=self._knowledge_cost or 0,
+        )
+        if tracing:
+            end = {
+                "success": success,
+                "makespan": result.makespan,
+                "bandwidth": result.bandwidth,
+            }
+            if self._knowledge_cost is not None:
+                end["knowledge_cost"] = self._knowledge_cost
+            tracer.emit("run_end", end)
+        return result
+
+    def _start(self, state: SimState) -> str:
+        """Reset per-run state; return the run's heuristic label."""
+        raise NotImplementedError
+
+    def _propose(self, state: SimState, step: int) -> Any:
+        """This step's sends, in the form :meth:`_validate` accepts."""
+        raise NotImplementedError
+
+    def _validate(
+        self, proposal: Proposal, state: SimState, step: int
+    ) -> Tuple[Timestep, Dict[int, int]]:
+        """Check ``proposal`` against this turn's graph (:func:`check_sends`)."""
+        try:
+            sends, arrivals = check_sends(self._turn, proposal, state.possession_masks)
+        except MoveError as err:
+            raise violation(self._label, step, err) from None
+        return Timestep.from_validated(sends), arrivals
+
+    def _finish_step(
+        self,
+        state: SimState,
+        timestep: Timestep,
+        arrivals: Dict[int, int],
+        step: int,
+        version_before: int,
+    ) -> None:
+        """React to the applied step and emit its ``step`` event."""
+        if self.tracer.enabled:
+            emit_step_event(
+                self.tracer, self.problem, state, timestep, step, version_before
+            )
+
+
+class Engine(StepDriver):
     """Drives one heuristic over one problem to completion.
 
     Parameters
@@ -325,8 +497,9 @@ class Engine:
         Kernels are interchangeable: schedules and traces are
         byte-identical whichever one runs (the batch-equivalence suite
         enforces this).  With the batch kernel, heuristics exposing
-        ``propose_vector`` (Round-Robin) skip the per-arc Python
-        proposal/validation loops entirely.
+        ``propose_vector`` (Round-Robin, local-rarest, random and
+        sequential) skip the per-arc Python proposal/validation loops
+        entirely.
     """
 
     def __init__(
@@ -343,206 +516,54 @@ class Engine:
         metrics: Optional[MetricsRegistry] = None,
         kernel: Union[str, Callable[[Problem], SimState], None] = None,
     ) -> None:
-        self.problem = problem
-        self.heuristic = heuristic
-        self.rng = rng if rng is not None else random.Random(0)
         if max_steps is None:
             max_steps = 4 * max(problem.move_bound(), 1) + 64
-        self.max_steps = max_steps
+        super().__init__(problem, rng, max_steps, tracer, metrics, kernel)
+        self.heuristic = heuristic
         self.stall_limit = stall_limit
-        self.tracer: Tracer = tracer if tracer is not None else current_tracer()
-        self.metrics = metrics if metrics is not None else current_metrics()
         # The default predicate is the paper's: w(v) ⊆ p_t(v) everywhere.
         # Extensions (e.g. threshold coding, §6) substitute their own.
         self.success_predicate = success_predicate
-        # Arc capacities keyed for one-lookup proposal validation.
-        self._capacities: Dict[Tuple[int, int], int] = {
-            (arc.src, arc.dst): arc.capacity for arc in problem.arcs
-        }
-        self._state_factory = resolve_state_factory(kernel)
 
-    def run(self) -> RunResult:
-        problem = self.problem
-        state = self._state_factory(problem)
-        predicate = self.success_predicate
-        # Hoisted once per run: the untraced/unprofiled loop below never
-        # touches the tracer again and never consults a clock.
-        tracer = self.tracer
-        tracing = tracer.enabled
-        metrics = self.metrics
-
-        def satisfied() -> bool:
-            if predicate is not None:
-                return predicate(state.possession)
-            return state.satisfied()
-
-        self.heuristic.reset(problem, self.rng)
-        steps: List[Timestep] = []
-        stalled_for = 0
-        if tracing:
-            emit_run_start(
-                tracer, "sim", problem, self.heuristic.name, state, self.max_steps
-            )
+    def _start(self, state: SimState) -> str:
+        self.heuristic.reset(self.problem, self.rng)
         # Vector fast path: a batch kernel plus a heuristic that can
         # propose as arrays.  ``propose_vector`` returning None means the
         # configuration is unsupported (e.g. tokens exceed one bitplane);
         # the condition is static per run, so fall back permanently.
-        vector_fn: Optional[Callable[[SimState], Any]] = (
+        self._vector_fn: Optional[Callable[[SimState], Any]] = (
             getattr(self.heuristic, "propose_vector", None)
             if getattr(state, "supports_vector", False)
             else None
         )
-        # Any-typed alias: ``validate_vector`` only exists on the batch
-        # kernel, and the fast path only runs when the probe above found
-        # one.
-        vector_state: Any = state
+        return self.heuristic.name
 
-        success = satisfied()
-        while not success and len(steps) < self.max_steps:
-            vec = None
-            if vector_fn is not None:
-                if metrics is not None:
-                    with metrics.timer("heuristic_select"):
-                        vec = vector_fn(state)
-                else:
-                    vec = vector_fn(state)
-                if vec is None:
-                    vector_fn = None
-            if vec is None:
-                ctx = StepContext(
-                    problem,
-                    len(steps),
-                    state.possession,
-                    state.holder_counts,
-                    self.rng,
-                    state=state,
-                )
-                if metrics is not None:
-                    with metrics.timer("heuristic_select"):
-                        proposal = self.heuristic.propose(ctx)
-                else:
-                    proposal = self.heuristic.propose(ctx)
-            version_before = state.version
-            if metrics is not None:
-                with metrics.timer("kernel_apply"):
-                    if vec is not None:
-                        timestep, arrivals = vector_state.validate_vector(
-                            vec, self.heuristic.name, len(steps)
-                        )
-                    else:
-                        timestep, arrivals = self._validated_timestep(
-                            proposal, state.possession_masks, len(steps)
-                        )
-                    state.apply_arrivals(arrivals)
-            else:
-                if vec is not None:
-                    timestep, arrivals = vector_state.validate_vector(
-                        vec, self.heuristic.name, len(steps)
-                    )
-                else:
-                    timestep, arrivals = self._validated_timestep(
-                        proposal, state.possession_masks, len(steps)
-                    )
-                state.apply_arrivals(arrivals)
-            progressed = state.version != version_before
-            steps.append(timestep)
-            if tracing:
-                emit_step_event(
-                    tracer, problem, state, timestep, len(steps) - 1, version_before
-                )
-            if metrics is not None:
-                metrics.counter("steps").inc()
-                metrics.gauge("deficit").set(state.total_deficit)
-            success = satisfied()
-            if success:
-                break
-            if progressed:
-                stalled_for = 0
-                continue
-            if not state.any_useful_arc():
-                if tracing:
-                    tracer.emit(
-                        "stall",
-                        {
-                            "step": len(steps) - 1,
-                            "consecutive": stalled_for + 1,
-                            "terminal": True,
-                        },
-                    )
-                raise StallError(
-                    f"no arc carries a useful token at step {len(steps)} while "
-                    f"demand remains; the instance is unsatisfiable from this state"
-                )
-            if timestep:
-                stalled_for = 0
-            else:
-                stalled_for += 1
-                if tracing:
-                    tracer.emit(
-                        "stall",
-                        {"step": len(steps) - 1, "consecutive": stalled_for},
-                    )
-                if stalled_for >= self.stall_limit:
-                    raise StallError(
-                        f"heuristic {self.heuristic.name!r} proposed nothing for "
-                        f"{stalled_for} consecutive timesteps at step {len(steps)} "
-                        f"with demand remaining"
-                    )
-        result = RunResult(
-            problem=problem,
-            heuristic_name=self.heuristic.name,
-            schedule=Schedule(steps),
-            success=success,
+    def _propose(self, state: SimState, step: int) -> Any:
+        if self._vector_fn is not None:
+            vec = self._vector_fn(state)
+            if vec is not None:
+                return vec
+            self._vector_fn = None
+        ctx = StepContext(
+            self.problem,
+            step,
+            state.possession,
+            state.holder_counts,
+            self.rng,
+            state=state,
         )
-        if tracing:
-            tracer.emit(
-                "run_end",
-                {
-                    "success": result.success,
-                    "makespan": result.makespan,
-                    "bandwidth": result.bandwidth,
-                },
-            )
-        return result
+        return self.heuristic.propose(ctx)
 
-    # ------------------------------------------------------------------
-    def _validated_timestep(
-        self,
-        proposal: Proposal,
-        possession_masks: Sequence[int],
-        step: int,
+    def _validate(
+        self, proposal: Any, state: SimState, step: int
     ) -> Tuple[Timestep, Dict[int, int]]:
-        """Validate a proposal; return the timestep and the per-vertex
-        arrival masks aggregated during the same walk over the sends."""
-        capacities = self._capacities
-        sends: Dict[Tuple[int, int], TokenSet] = {}
-        arrivals: Dict[int, int] = {}
-        for (src, dst), tokens in proposal.items():
-            mask = tokens.mask
-            if not mask:
-                continue
-            cap = capacities.get((src, dst))
-            if cap is None:
-                raise HeuristicViolation(
-                    f"step {step}: heuristic {self.heuristic.name!r} sent on "
-                    f"missing arc ({src}, {dst})"
-                )
-            if mask.bit_count() > cap:
-                raise HeuristicViolation(
-                    f"step {step}: heuristic {self.heuristic.name!r} sent "
-                    f"{len(tokens)} tokens on arc ({src}, {dst}) of capacity "
-                    f"{cap}"
-                )
-            if mask & ~possession_masks[src]:
-                missing = TokenSet(mask & ~possession_masks[src])
-                raise HeuristicViolation(
-                    f"step {step}: heuristic {self.heuristic.name!r} sent tokens "
-                    f"{sorted(missing)} that vertex {src} does not possess"
-                )
-            sends[(src, dst)] = tokens
-            prev = arrivals.get(dst)
-            arrivals[dst] = mask if prev is None else prev | mask
-        return Timestep.from_validated(sends), arrivals
+        if self._vector_fn is not None:
+            vector_state: Any = state  # the batch kernel ``_start`` probed
+            checked: Tuple[Timestep, Dict[int, int]] = vector_state.validate_vector(
+                proposal, self._label, step
+            )
+            return checked
+        return super()._validate(proposal, state, step)
 
 
 def run_heuristic(

@@ -55,10 +55,10 @@ class SimState:
     possession:
         Optional starting possession (defaults to ``problem.have``).
 
-    Mutation flows exclusively through :meth:`apply_timestep` (or
-    :meth:`apply_arrival`); everything else is a read.  ``possession``
-    and ``holder_counts`` are deliberately exposed as the live lists so
-    engines can hand out zero-copy views — treat them as read-only.
+    Mutation flows exclusively through the ``apply_*`` methods;
+    everything else is a read.  ``possession`` and ``holder_counts``
+    are deliberately exposed as the live lists so engines can hand out
+    zero-copy views — treat them as read-only.
     """
 
     __slots__ = (
@@ -191,9 +191,10 @@ class SimState:
     def apply_arrivals(self, arrivals: Dict[int, int]) -> None:
         """Apply pre-aggregated per-vertex arrival masks.
 
-        The engine's proposal validation already walks every send, so it
-        aggregates arrivals as it validates and hands them here directly
-        rather than paying a second pass in :meth:`apply_timestep`.
+        The move validator (:func:`repro.core.schedule.check_sends`)
+        already walks every send, so it aggregates arrivals as it
+        validates and the driver hands them here directly rather than
+        paying a second pass in :meth:`apply_timestep`.
         """
         possession_masks = self.possession_masks
         for dst, mask in arrivals.items():

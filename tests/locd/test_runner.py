@@ -62,7 +62,7 @@ class TestEnforcement:
             run_local(path3, _Misbehaving("over_capacity"))
 
     def test_unpossessed_send_rejected(self, path3):
-        with pytest.raises(HeuristicViolation, match="unpossessed"):
+        with pytest.raises(HeuristicViolation, match="does not possess"):
             run_local(path3, _Misbehaving("unpossessed"))
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.core.problem import Problem
+from repro.extensions.dynamic import periodic_outages, run_dynamic
 from repro.heuristics import standard_heuristics
 from repro.locd.algorithms import LocalRarest
 from repro.locd.runner import run_local
@@ -181,6 +182,38 @@ class TestEngineProfiling:
     def test_unprofiled_run_records_nothing(self):
         result = run_heuristic(_problem(), standard_heuristics()[0], seed=7)
         assert result.success  # and no registry anywhere to pollute
+
+    def test_dynamic_engine_phase_timers_and_counters(self):
+        metrics = MetricsRegistry()
+        conditions = periodic_outages(_problem(), period=3, down_for=1, seed=2)
+        result = run_dynamic(
+            conditions, standard_heuristics()[0], seed=7, metrics=metrics
+        )
+        snap = metrics.snapshot()
+        assert result.success
+        assert snap["phases"]["heuristic_select"]["calls"] == result.makespan
+        assert snap["phases"]["kernel_apply"]["calls"] == result.makespan
+        assert snap["counters"]["steps"] == result.makespan
+        assert snap["gauges"]["deficit"] == 0
+
+    @pytest.mark.parametrize("driver", ["engine", "locd", "dynamic"])
+    def test_unprofiled_runs_never_read_the_clock(self, monkeypatch, driver):
+        import repro.obs.metrics as metrics_module
+
+        def no_clock() -> float:
+            raise AssertionError("an unprofiled run read the clock")
+
+        monkeypatch.setattr(metrics_module.time, "perf_counter", no_clock)
+        assert current_metrics() is None
+        problem = _problem()
+        if driver == "engine":
+            result = run_heuristic(problem, standard_heuristics()[0], seed=7)
+        elif driver == "locd":
+            result = run_local(problem, LocalRarest(), seed=5)
+        else:
+            conditions = periodic_outages(problem, period=3, down_for=1, seed=2)
+            result = run_dynamic(conditions, standard_heuristics()[0], seed=7)
+        assert result.success and result.makespan > 0
 
     def test_render_mentions_phases_and_shares(self):
         metrics = MetricsRegistry()

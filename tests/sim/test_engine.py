@@ -62,7 +62,7 @@ class TestStepContext:
 class TestConstraintEnforcement:
     def test_missing_arc_rejected(self, path_problem):
         engine = Engine(path_problem, _ScriptedHeuristic({(2, 0): TokenSet.of(0)}))
-        with pytest.raises(HeuristicViolation, match="missing arc"):
+        with pytest.raises(HeuristicViolation, match="no arc"):
             engine.run()
 
     def test_capacity_violation_rejected(self, path_problem):
