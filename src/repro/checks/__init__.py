@@ -6,17 +6,22 @@ runtime), but a violation is only caught if some test happens to execute
 the offending path.  This package is the static counterpart, in two
 layers:
 
-* Per-file rules (``OCD001``–``OCD008``): AST checks over one module at
-  a time — seeded randomness, :class:`~repro.core.problem.Problem`
-  immutability, deterministic schedule emission, integral timesteps,
-  engine/heuristic layering, typed public surfaces, trace emission
-  hygiene.
-* Whole-program rules (``OCD010``–``OCD014``): a symbol table and call
-  graph over the whole tree (:mod:`repro.checks.program`) powering
-  taint analysis (nondeterminism reaching model code through any call
-  chain), the static trace-contract check against
-  :data:`repro.obs.events.EVENT_SCHEMAS`, and multiprocessing-safety
-  analysis of sweep worker code.
+* Per-file rules (``OCD001``, ``OCD002``, ``OCD004``, ``OCD005``): AST
+  checks over one module at a time — seeded randomness,
+  :class:`~repro.core.problem.Problem` immutability, integral
+  timesteps, engine/heuristic layering.
+* Whole-program rules (``OCD003``, ``OCD010``, ``OCD011``, ``OCD013``,
+  ``OCD014``, ``OCD016``): a symbol table and call graph over the
+  whole tree (:mod:`repro.checks.program`) powering deterministic set
+  iteration across call boundaries, taint
+  analysis (nondeterminism reaching model code through any call chain),
+  the static trace-contract check against
+  :data:`repro.obs.events.EVENT_SCHEMAS`, multiprocessing-safety
+  analysis of sweep worker code, and canonical trace reading.
+
+Type annotations (mypy), bare ``print()`` (ruff ``T20``) and the
+vector-path RNG stream (``tests/heuristics/test_vector_rng_stream.py``)
+are enforced by those tools and tests, not here.
 
 Run it as ``python -m repro.checks [paths...]`` (defaults to ``src`` and
 ``examples``) or via the ``ocdlint`` console script; the tier-1 test
@@ -25,9 +30,8 @@ every rule, the suppression syntax, the baseline workflow, and the
 output formats (text, JSON, SARIF, GitHub annotations).
 
 Suppressions: append ``# ocd: ignore[OCD003] -- <justification>`` to the
-offending line (the legacy ``# ocdlint: disable=OCD003`` spelling still
-works), or ``# ocd: ignore-file[OCD003]`` on its own line for a whole
-file.  Pre-existing findings can be parked in a committed baseline file
+offending line, or ``# ocd: ignore-file[OCD003]`` on its own line for a
+whole file.  Pre-existing findings can be parked in a committed baseline file
 (``ocdlint --write-baseline``) instead.
 """
 

@@ -3,19 +3,17 @@
 A *rule* is a class with a stable code (``OCD001``…), a short name, the
 Section 3.1 invariant it guards, and a package scope.  Per-file rules
 (:class:`Rule`) inspect one parsed module at a time through a
-:class:`LintContext`; whole-program rules (:class:`ProgramRule`,
-OCD010+) see every module at once through a
+:class:`LintContext`; whole-program rules (:class:`ProgramRule`) see
+every module at once through a
 :class:`repro.checks.program.ProgramIndex`.  The runner applies line-
 and file-level suppression comments and emits the survivors in a
 deterministic order.
 
-Two suppression spellings are accepted, on the offending line or the
-whole file::
+Suppressions go on the offending line or anywhere in the file::
 
     x = draw()          # ocd: ignore[OCD010] -- vetted: test-only path
-    y = helper()        # ocdlint: disable=OCD003
+    y = helper()        # ocd: ignore -- every rule on this line
     # ocd: ignore-file[OCD013]
-    # ocdlint: disable-file=OCD007
 
 The framework is dependency-free (``ast`` + ``re`` only) so the gate can
 run on any machine that can run the code it checks.
@@ -130,7 +128,7 @@ class Rule:
 
 
 class ProgramRule:
-    """Base class for whole-program rules (OCD010+).
+    """Base class for whole-program rules.
 
     Program rules see the entire analyzed tree at once through a
     :class:`repro.checks.program.ProgramIndex` and may emit diagnostics
@@ -238,14 +236,8 @@ def package_of(path: str) -> str:
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
-_LINE_SUPPRESS_RE = re.compile(
-    r"#\s*ocdlint:\s*disable(?:=([A-Za-z0-9_,\s]+?))?\s*(?:--.*)?$"
-)
-_FILE_SUPPRESS_RE = re.compile(
-    r"#\s*ocdlint:\s*disable-file=([A-Za-z0-9_,\s]+?)\s*(?:--.*)?$"
-)
-#: The v2 spelling: ``# ocd: ignore[OCD010, OCD013] -- reason`` (codes
-#: optional — bare ``# ocd: ignore`` silences every rule on the line).
+#: ``# ocd: ignore[OCD010, OCD013] -- reason`` (codes optional — bare
+#: ``# ocd: ignore`` silences every rule on the line).
 _LINE_IGNORE_RE = re.compile(
     r"#\s*ocd:\s*ignore(?:\[([A-Za-z0-9_,\s]+?)\])?\s*(?:--.*)?$"
 )
@@ -269,17 +261,6 @@ def suppressions_for(
     per_line: Dict[int, Set[str]] = {}
     whole_file: Set[str] = set()
     for i, line in enumerate(lines, start=1):
-        if "ocdlint" in line:
-            file_match = _FILE_SUPPRESS_RE.search(line)
-            if file_match:
-                whole_file |= _parse_codes(file_match.group(1))
-                continue
-            line_match = _LINE_SUPPRESS_RE.search(line)
-            if line_match:
-                per_line.setdefault(i, set()).update(
-                    _parse_codes(line_match.group(1))
-                )
-                continue
         if "ocd:" in line:
             file_match = _FILE_IGNORE_RE.search(line)
             if file_match:
@@ -291,10 +272,6 @@ def suppressions_for(
                     _parse_codes(line_match.group(1))
                 )
     return per_line, whole_file
-
-
-#: Back-compat alias (pre-v2 internal name).
-_suppressions = suppressions_for
 
 
 def _is_suppressed(

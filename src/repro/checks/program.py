@@ -1,9 +1,10 @@
 """Whole-program model for ocdlint v2.
 
-The per-file rules (OCD001–OCD008) see one module at a time; the v2
-rules (OCD010–OCD014) reason about the *program*: an unseeded RNG three
-calls below an engine entry point, a trace emission site whose fields
-drift from the schema registry, a sweep worker mutating a module global.
+The per-file rules see one module at a time; the program rules (OCD003,
+OCD010+) reason about the *program*: an unseeded RNG three calls below
+an engine entry point, a set returned by a helper and iterated in hash
+order, a trace emission site whose fields drift from the schema
+registry, a sweep worker mutating a module global.
 This module builds everything those rules need, in two layers:
 
 :func:`summarize_module`
@@ -11,9 +12,9 @@ This module builds everything those rules need, in two layers:
     plain-data (JSON-round-trippable) digest: the import-alias map, every
     function with its nondeterminism sources, outgoing calls, trace
     emission sites (with statically resolved field shapes), global
-    mutations, and executor submissions.  Summaries are *per-file facts
-    only*, which is what makes the incremental cache sound: a file's
-    summary is a pure function of its bytes.
+    mutations, executor submissions, and set iterations.  Summaries are
+    *per-file facts only*, which is what makes the incremental cache
+    sound: a file's summary is a pure function of its bytes.
 
 :class:`ProgramIndex`
     The cross-module layer: a symbol table over all summaries, call
@@ -30,9 +31,10 @@ with a concrete chain, so every diagnostic carries an actionable path.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.checks.framework import package_of
 
@@ -50,7 +52,7 @@ __all__ = [
 
 #: Bump when summary extraction changes shape or semantics; the cache
 #: embeds it, so stale summaries can never feed the program rules.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +305,8 @@ class FunctionSummary:
     returns_set: bool = False
     #: Call results iterated without an ordering wrapper: (ref, line, col).
     call_iterations: Tuple[CallSite, ...] = ()
+    #: Iterations over a set this scope builds, names or is handed: (line, col).
+    set_iterations: Tuple[Tuple[int, int], ...] = ()
     emits: Tuple[EmitSite, ...] = ()
     #: Module-global names this function assigns/mutates: (name, how, line, col).
     global_mutations: Tuple[Tuple[str, str, int, int], ...] = ()
@@ -323,6 +327,7 @@ class FunctionSummary:
             "calls": [c.to_json() for c in self.calls],
             "returns_set": self.returns_set,
             "call_iterations": [c.to_json() for c in self.call_iterations],
+            "set_iterations": [list(s) for s in self.set_iterations],
             "emits": [e.to_json() for e in self.emits],
             "global_mutations": [list(m) for m in self.global_mutations],
             "global_reads": list(self.global_reads),
@@ -344,6 +349,7 @@ class FunctionSummary:
             call_iterations=tuple(
                 CallSite.from_json(c) for c in data.get("call_iterations", ())
             ),
+            set_iterations=_positions(data.get("set_iterations", ())),
             emits=tuple(EmitSite.from_json(e) for e in data.get("emits", ())),
             global_mutations=tuple(
                 (m[0], m[1], m[2], m[3]) for m in data.get("global_mutations", ())
@@ -368,6 +374,8 @@ class ModuleSummary:
     #: Module globals bound to fork-unsafe constructors: name -> what.
     unsafe_globals: Dict[str, str] = field(default_factory=dict)
     functions: Tuple[FunctionSummary, ...] = ()
+    #: Set iterations in module-level code: (line, col).
+    set_iterations: Tuple[Tuple[int, int], ...] = ()
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -379,6 +387,7 @@ class ModuleSummary:
             "module_globals": list(self.module_globals),
             "unsafe_globals": dict(self.unsafe_globals),
             "functions": [f.to_json() for f in self.functions],
+            "set_iterations": [list(s) for s in self.set_iterations],
         }
 
     @classmethod
@@ -395,7 +404,12 @@ class ModuleSummary:
             functions=tuple(
                 FunctionSummary.from_json(f) for f in data.get("functions", ())
             ),
+            set_iterations=_positions(data.get("set_iterations", ())),
         )
+
+
+def _positions(data: Iterable[Sequence[int]]) -> Tuple[Tuple[int, int], ...]:
+    return tuple((line, col) for line, col in data)
 
 
 # ----------------------------------------------------------------------
@@ -472,6 +486,97 @@ def _dotted_chain(expr: ast.expr) -> Optional[List[str]]:
         parts.append(current.id)
         return parts[::-1]
     return None
+
+
+def annotation_tokens(node: Optional[ast.expr]) -> Set[str]:
+    """Identifier tokens anywhere in an annotation, including string
+    annotations such as ``"Optional[Set[int]]"``."""
+    tokens: Set[str] = set()
+    if node is None:
+        return tokens
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            tokens.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            tokens.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            tokens.update(re.findall(r"\w+", sub.value))
+    return tokens
+
+
+def _scope_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node of one scope, without descending into nested function
+    or class definitions (each of those is a scope of its own)."""
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _iterables(node: ast.AST) -> List[ast.expr]:
+    """The expressions a ``for`` loop or a comprehension iterates."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return [gen.iter for gen in node.generators]
+    return []
+
+
+def _is_set_expr(expr: ast.expr, set_names: Set[str]) -> bool:
+    """Whether ``expr`` is syntactically a set: a literal, a comprehension,
+    a ``set()``/``frozenset()`` call, a name in ``set_names``, or set
+    algebra with such an operand (so ``TokenSet`` algebra, which iterates
+    in token order, stays clean)."""
+    if isinstance(expr, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
+        return expr.func.id in {"set", "frozenset"}
+    if isinstance(expr, ast.Name):
+        return expr.id in set_names
+    if isinstance(expr, ast.BinOp) and isinstance(
+        expr.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return _is_set_expr(expr.left, set_names) or _is_set_expr(
+            expr.right, set_names
+        )
+    return False
+
+
+def _set_iterations(
+    args: Optional[ast.arguments], nodes: Sequence[ast.AST]
+) -> Tuple[Tuple[int, int], ...]:
+    """(line, col) of every iteration over a set within one scope.
+
+    A name counts as a set when a set-annotated parameter, a set-valued
+    assignment or a set annotation binds it, and no assignment in the
+    scope rebinds it to anything else (``edges = sorted(edges)``).
+    """
+    params: List[ast.arg] = (
+        [] if args is None else args.posonlyargs + args.args + args.kwonlyargs
+    )
+    names = {
+        a.arg for a in params if annotation_tokens(a.annotation) & _SET_ANNOTATION_TOKENS
+    }
+    demoted: Set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bucket = names if _is_set_expr(node.value, names) else demoted
+                    bucket.add(target.id)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if annotation_tokens(node.annotation) & _SET_ANNOTATION_TOKENS:
+                names.add(node.target.id)
+    names -= demoted
+    return tuple(
+        (it.lineno, it.col_offset)
+        for node in nodes
+        for it in _iterables(node)
+        if _is_set_expr(it, names)
+    )
 
 
 def _literal_type(expr: ast.expr) -> str:
@@ -589,13 +694,7 @@ class _FunctionExtractor:
 
     # -- scope walk -----------------------------------------------------
     def body_nodes(self) -> Iterable[ast.AST]:
-        stack: List[ast.AST] = list(self.node.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
+        return _scope_nodes(self.node.body)
 
     # -- call reference resolution (lexical, this module only) ----------
     def _call_ref(self, func: ast.expr) -> Optional[str]:
@@ -659,15 +758,10 @@ class _FunctionExtractor:
         self._local_names |= self.param_names
 
         for node in self.body_nodes():
+            for it in _iterables(node):
+                self._visit_iteration(it)
             if isinstance(node, ast.Call):
                 self._visit_call(node)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._visit_iteration(node.iter)
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in node.generators:
-                    self._visit_iteration(gen.iter)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 if (
                     node.id in self.module.module_globals
@@ -686,6 +780,7 @@ class _FunctionExtractor:
             calls=tuple(self.calls),
             returns_set=self._returns_set(),
             call_iterations=tuple(self.call_iterations),
+            set_iterations=_set_iterations(self.node.args, list(self.body_nodes())),
             emits=tuple(self.emits),
             global_mutations=tuple(self.global_mutations),
             global_reads=tuple(sorted(self.global_reads)),
@@ -703,27 +798,14 @@ class _FunctionExtractor:
         return False
 
     def _returns_set(self) -> bool:
-        tokens: Set[str] = set()
-        if self.node.returns is not None:
-            for sub in ast.walk(self.node.returns):
-                if isinstance(sub, ast.Name):
-                    tokens.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    tokens.add(sub.attr)
-        if tokens & _SET_ANNOTATION_TOKENS:
+        if annotation_tokens(self.node.returns) & _SET_ANNOTATION_TOKENS:
             return True
-        for node in self.body_nodes():
-            if isinstance(node, ast.Return) and node.value is not None:
-                value = node.value
-                if isinstance(value, (ast.Set, ast.SetComp)):
-                    return True
-                if (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id in {"set", "frozenset"}
-                ):
-                    return True
-        return False
+        return any(
+            isinstance(node, ast.Return)
+            and node.value is not None
+            and _is_set_expr(node.value, set())
+            for node in self.body_nodes()
+        )
 
     # -- nondeterminism sources + calls ---------------------------------
     def _visit_call(self, node: ast.Call) -> None:
@@ -1017,7 +1099,12 @@ class _FunctionExtractor:
 
 
 def _receiver_is_tracer(expr: ast.expr) -> bool:
-    """Same naming-convention match the per-file OCD008 rule uses."""
+    """Whether an ``.emit`` receiver looks like a tracer.
+
+    Matched by naming convention (``tracer``, ``self._tracer``,
+    ``run_tracer``), which is how every sink in the tree is bound; the
+    Tracer protocol has no marker at the AST level.
+    """
     for sub in ast.walk(expr):
         if isinstance(sub, ast.Name) and "tracer" in sub.id.lower():
             return True
@@ -1159,6 +1246,7 @@ class _ModuleExtractor:
             module_globals=tuple(sorted(self.module_globals)),
             unsafe_globals=self._unsafe_globals(),
             functions=tuple(functions),
+            set_iterations=_set_iterations(None, list(_scope_nodes(self.tree.body))),
         )
 
 

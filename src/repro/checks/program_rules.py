@@ -1,34 +1,30 @@
-"""The whole-program ocdlint rules (OCD010–OCD016).
+"""The whole-program ocdlint rules.
 
-Where OCD001–OCD008 inspect one module at a time, these rules consume
-the :class:`repro.checks.program.ProgramIndex` — symbol table, call
-graph, taint propagation — so a violation hidden behind any number of
-call boundaries still surfaces, with the witnessing chain in the
-message.
+Where the per-file rules in :mod:`repro.checks.rules` inspect one
+module's AST at a time, these rules consume the
+:class:`repro.checks.program.ProgramIndex` — symbol table, call graph,
+taint propagation — so a violation hidden behind any number of call
+boundaries still surfaces, with the witnessing chain in the message.
 
+* OCD003 — hash-ordered iteration over a set, whether the set is built
+  in the same scope or returned by another function.
 * OCD010 — unseeded randomness reaching model code through a call chain.
 * OCD011 — wall-clock, process-identity, or filesystem-order
   nondeterminism reaching model code through a call chain.
-* OCD012 — hash-ordered iteration over a set returned by another
-  function (the cross-function form of OCD003).
-* OCD013 — trace emission sites whose fields drift from the versioned
-  schema registry in :mod:`repro.obs.events`.
+* OCD013 — trace emission sites whose kind or fields drift from the
+  versioned schema registry in :mod:`repro.obs.events`.
 * OCD014 — multiprocessing hazards in sweep worker code: unpicklable
   submissions, worker-side module-global mutation, fork-unsafe capture.
-* OCD015 — ``propose_vector`` fast paths drawing RNG outside the
-  documented stream-order protocol (scalar-identical draw methods on
-  the engine RNG; no fresh or numpy streams).
 * OCD016 — trace JSONL parsed with raw ``json.loads`` instead of the
   canonical schema readers in :mod:`repro.obs.events`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.checks.framework import Diagnostic, ProgramRule, register_rule
 from repro.checks.program import (
-    CallSite,
     EmitSite,
     FunctionSummary,
     ModuleSummary,
@@ -38,12 +34,11 @@ from repro.checks.program import (
 from repro.checks.rules import MODEL_PACKAGES
 
 __all__ = [
+    "UnsortedSetIterationRule",
     "CallChainRandomRule",
     "CallChainEnvironmentRule",
-    "CrossFunctionSetIterationRule",
     "TraceContractRule",
     "MultiprocessingSafetyRule",
-    "VectorStreamOrderRule",
     "TraceRawReadRule",
 ]
 
@@ -58,6 +53,62 @@ def _short_chain(fn: FunctionSummary, witness: TaintWitness) -> str:
         f"{arrow} ({witness.what} at "
         f"{witness.source_path}:{witness.source_line})"
     )
+
+
+# ======================================================================
+# OCD003 — no hash-ordered set iteration, local or across calls
+# ======================================================================
+@register_rule
+class UnsortedSetIterationRule(ProgramRule):
+    """Iterating a ``set``/``frozenset`` yields hash order, which varies
+    across runs and Python builds.  Every loop or comprehension over a
+    set must go through ``sorted(...)``, whether the set is built, named
+    or handed in within the same scope, or returned by another program
+    function (resolved through the call graph).
+    """
+
+    code = "OCD003"
+    name = "unsorted-set-iteration"
+    summary = "iteration over an unordered set without sorted(...)"
+    invariant = (
+        "§3.1 determinism of emitted schedules: no move order may "
+        "depend on hash iteration order, even across call boundaries"
+    )
+
+    def check_program(self, index: ProgramIndex) -> List[Diagnostic]:
+        diags: List[Diagnostic] = []
+        for mod in index.modules:
+            if not self.reports_in(mod.package):
+                continue
+            local_sites = list(mod.set_iterations)
+            for fn in mod.functions:
+                local_sites.extend(fn.set_iterations)
+                for site in fn.call_iterations:
+                    target = index.resolve_call(mod, fn, site.ref)
+                    if target is None or not index.functions[target].returns_set:
+                        continue
+                    diags.append(
+                        self.diagnostic(
+                            mod.path,
+                            site.line,
+                            site.col,
+                            f"iterating the set returned by {target}() in "
+                            f"hash order; wrap the call in sorted(...) so "
+                            f"downstream schedules are deterministic",
+                        )
+                    )
+            for line, col in local_sites:
+                diags.append(
+                    self.diagnostic(
+                        mod.path,
+                        line,
+                        col,
+                        "iteration over an unordered set; wrap the iterable "
+                        "in sorted(...) so downstream schedules are "
+                        "deterministic",
+                    )
+                )
+        return diags
 
 
 class _CallChainTaintRule(ProgramRule):
@@ -160,63 +211,15 @@ class CallChainEnvironmentRule(_CallChainTaintRule):
 
 
 # ======================================================================
-# OCD012 — hash-order iteration across a call boundary
-# ======================================================================
-@register_rule
-class CrossFunctionSetIterationRule(ProgramRule):
-    """OCD003 catches ``for x in some_set`` inside one module, but a
-    function that *returns* a set reintroduces hash order at every call
-    site.  This rule resolves iterated calls through the program index
-    and flags unsorted iteration over any program function's set result.
-    """
-
-    code = "OCD012"
-    name = "set-iteration-call-chain"
-    summary = "unsorted iteration over a set returned by another function"
-    invariant = (
-        "§3.1 determinism of emitted schedules: no move order may "
-        "depend on hash iteration order, even across call boundaries"
-    )
-    packages = MODEL_PACKAGES
-
-    def check_program(self, index: ProgramIndex) -> List[Diagnostic]:
-        diags: List[Diagnostic] = []
-        for mod in index.modules:
-            if not self.reports_in(mod.package):
-                continue
-            for fn in mod.functions:
-                for site in fn.call_iterations:
-                    target = index.resolve_call(mod, fn, site.ref)
-                    if target is None:
-                        continue
-                    callee = index.functions[target]
-                    if not callee.returns_set:
-                        continue
-                    diags.append(
-                        self.diagnostic(
-                            mod.path,
-                            site.line,
-                            site.col,
-                            f"iterating the set returned by "
-                            f"{callee.qname}() in hash order; wrap the "
-                            f"call in sorted(...) so downstream schedules "
-                            f"are deterministic",
-                        )
-                    )
-        return diags
-
-
-# ======================================================================
 # OCD013 — trace emissions match the versioned schema registry
 # ======================================================================
 @register_rule
 class TraceContractRule(ProgramRule):
     """Every ``tracer.emit(kind, fields)`` / ``make_event(kind, fields)``
     site is cross-referenced against ``repro.obs.events.EVENT_SCHEMAS``:
-    unknown kinds (``make_event`` sites — OCD008 already covers
-    ``emit``), undeclared fields, missing required fields, and literal
-    values of the wrong JSON type all fail at lint time instead of in a
-    rarely-traced branch.  Emission *wrappers* — functions that fold a
+    unknown kinds, undeclared fields, missing required fields, and
+    literal values of the wrong JSON type all fail at lint time instead
+    of in a rarely-traced branch.  Emission *wrappers* — functions that fold a
     caller-supplied dict into the fields (``emit_step_event``'s
     ``extra``) — are checked at their call sites too.
     """
@@ -292,18 +295,15 @@ class TraceContractRule(ProgramRule):
             return []
         schema = schemas.get(site.kind)
         if schema is None:
-            if site.via == "make_event":
-                return [
-                    self.diagnostic(
-                        mod.path,
-                        site.line,
-                        site.col,
-                        f"make_event({site.kind!r}, ...): unknown event "
-                        f"kind; declare it in repro.obs.events.EVENT_SCHEMAS "
-                        f"first",
-                    )
-                ]
-            return []  # emit sites: OCD008 reports unknown kinds
+            return [
+                self.diagnostic(
+                    mod.path,
+                    site.line,
+                    site.col,
+                    f"{site.via}({site.kind!r}, ...): unknown event kind; "
+                    f"declare it in repro.obs.events.EVENT_SCHEMAS first",
+                )
+            ]
         return self._check_fields(
             mod.path,
             site.line,
@@ -511,99 +511,6 @@ class MultiprocessingSafetyRule(ProgramRule):
                     )
                 )
         return diags
-
-
-# ======================================================================
-# OCD015 — vector proposal paths draw RNG in the scalar stream order
-# ======================================================================
-@register_rule
-class VectorStreamOrderRule(ProgramRule):
-    """``propose_vector`` fast paths are only byte-compatible with their
-    scalar twins if they consume the engine RNG through the *identical
-    call sequence* — the documented stream-order protocol allows exactly
-    the draw methods the scalar loops make (``rng.random``,
-    ``rng.shuffle``, ``rng.sample``), in scalar order.  Any other draw
-    (``getrandbits``, ``randrange``, ``choice``, ...) consumes a
-    different number of Mersenne words, and constructing a fresh stream
-    (``random.Random(...)``, ``np.random.default_rng(...)``) silently
-    decouples the vector path from the engine seed.  Either way the
-    schedules may still *look* right for many instances — the
-    divergence only shows up as a trace mismatch far downstream, which
-    is why the protocol is linted here and property-tested in
-    ``tests/heuristics/test_vector_rng_stream.py``.
-    """
-
-    code = "OCD015"
-    name = "vector-stream-order"
-    summary = "propose_vector draws RNG outside the stream-order protocol"
-    invariant = (
-        "vector/scalar equivalence: propose_vector consumes the engine "
-        "RNG through the exact scalar call sequence (docs/MODEL.md §8), "
-        "so schedules, traces, and rng.getstate() stay byte-identical"
-    )
-    packages = MODEL_PACKAGES
-
-    #: The draw methods the scalar proposal loops themselves make.
-    _ALLOWED: FrozenSet[str] = frozenset({"random", "shuffle", "sample"})
-
-    def check_program(self, index: ProgramIndex) -> List[Diagnostic]:
-        diags: List[Diagnostic] = []
-        for mod in index.modules:
-            if not self.reports_in(mod.package):
-                continue
-            for fn in mod.functions:
-                if "propose_vector" not in fn.qname.split("."):
-                    continue
-                for call in fn.calls:
-                    message = self._violation(call.ref)
-                    if message is not None:
-                        diags.append(
-                            self.diagnostic(
-                                mod.path, call.line, call.col, message
-                            )
-                        )
-        return diags
-
-    def _violation(self, ref: str) -> Optional[str]:
-        kind, _, path = ref.partition(":")
-        parts = path.split(".")
-        method = parts[-1]
-        # Fresh RNG streams are never stream-order-exact: the engine
-        # seed no longer reaches the draws at all.
-        if method == "Random" and len(parts) > 1 and parts[-2] == "random":
-            return (
-                "propose_vector constructs a fresh random.Random; draw "
-                "from the engine RNG (self.rng) in scalar call order "
-                "instead (docs/MODEL.md §8)"
-            )
-        if method == "default_rng" or ".random." in f".{'.'.join(parts[:-1])}.":
-            if "random" in parts[:-1]:
-                return (
-                    f"propose_vector draws from a numpy RNG "
-                    f"({path}); numpy streams cannot replay the scalar "
-                    f"loop's Mersenne word sequence — use the engine "
-                    f"RNG's scalar call order (docs/MODEL.md §8)"
-                )
-        if kind == "a" and len(parts) > 1:
-            receiver = parts[-2]
-            if receiver == "rng" or receiver.endswith("_rng"):
-                if method not in self._ALLOWED:
-                    return self._bad_method(f"{receiver}.{method}")
-        elif kind == "n" and method.startswith("rng_"):
-            # The bound-method alias convention of the hot loops
-            # (``rng_random = rng.random``).
-            if method[len("rng_"):] not in self._ALLOWED:
-                return self._bad_method(method)
-        return None
-
-    def _bad_method(self, what: str) -> str:
-        allowed = ", ".join(f"rng.{m}" for m in sorted(self._ALLOWED))
-        return (
-            f"propose_vector draws {what}() outside the documented "
-            f"stream-order protocol; only the scalar loops' draw methods "
-            f"({allowed}) keep the word stream byte-identical "
-            f"(docs/MODEL.md §8)"
-        )
 
 
 # ======================================================================

@@ -1,27 +1,25 @@
-"""The repo-grounded ocdlint rules (OCD001–OCD008).
+"""The per-file ocdlint rules (OCD001, OCD002, OCD004, OCD005).
 
 Each rule guards one invariant of the Section 3.1 model or of the
 engine/heuristic layering built on top of it; the mapping is recorded in
-each rule's ``invariant`` attribute and in ``docs/MODEL.md``.
+each rule's ``invariant`` attribute and in ``docs/CHECKS.md``.  Checks
+that need more than one module (set iteration, trace contracts, call
+chains) live in :mod:`repro.checks.program_rules`.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Set
 
 from repro.checks.framework import Diagnostic, LintContext, Rule, register_rule
+from repro.checks.program import annotation_tokens
 
 __all__ = [
     "UnseededRandomRule",
     "ModelMutationRule",
-    "UnsortedSetIterationRule",
     "WallClockTimestepRule",
     "EngineEncapsulationRule",
-    "PublicAnnotationRule",
-    "BarePrintRule",
-    "UnknownTraceEventKindRule",
 ]
 
 #: Packages whose code defines or executes the model itself (as opposed
@@ -58,39 +56,6 @@ def _chain_attr_names(node: ast.expr) -> Set[str]:
             names.add(current.attr)
         current = current.value
     return names
-
-
-def _annotation_tokens(node: Optional[ast.expr]) -> Set[str]:
-    """Identifier-ish tokens mentioned anywhere in an annotation."""
-    if node is None:
-        return set()
-    tokens: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            tokens.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            tokens.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            # String annotations: "Problem", "Optional[TokenSet]", ...
-            tokens.update(
-                t for t in _split_identifierish(sub.value) if t
-            )
-    return tokens
-
-
-def _split_identifierish(text: str) -> List[str]:
-    out: List[str] = []
-    word = []
-    for ch in text:
-        if ch.isalnum() or ch == "_":
-            word.append(ch)
-        else:
-            if word:
-                out.append("".join(word))
-                word = []
-    if word:
-        out.append("".join(word))
-    return out
 
 
 def _function_args(node: ast.FunctionDef | ast.AsyncFunctionDef) -> List[ast.arg]:
@@ -376,139 +341,6 @@ class ModelMutationRule(Rule):
 
 
 # ======================================================================
-# OCD003 — no unordered iteration feeding emitted structures
-# ======================================================================
-@register_rule
-class UnsortedSetIterationRule(Rule):
-    """Iterating a ``set``/``frozenset`` yields hash order, which varies
-    across runs and Python builds; any loop or comprehension over one
-    must go through ``sorted(...)`` so emitted schedules (and everything
-    derived from them) are deterministic.
-    """
-
-    code = "OCD003"
-    name = "unsorted-set-iteration"
-    summary = "iteration over an unordered set without sorted(...)"
-    invariant = (
-        "§3.1 determinism of emitted schedules: the move sequence of a "
-        "Schedule/Timestep must not depend on hash iteration order"
-    )
-
-    _SET_ANNOTATIONS = frozenset({"set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"})
-    _ORDER_WRAPPERS = frozenset({"enumerate", "list", "reversed", "sorted", "tuple"})
-
-    # -- scope handling -------------------------------------------------
-    def _scopes(
-        self, tree: ast.Module
-    ) -> List[Tuple[Optional[ast.arguments], List[ast.stmt]]]:
-        """(own args, body) for the module and every function, each a
-        separate scope so set-typed names never leak across functions."""
-        scopes: List[Tuple[Optional[ast.arguments], List[ast.stmt]]] = [
-            (None, list(tree.body))
-        ]
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append((node.args, list(node.body)))
-        return scopes
-
-    def _scope_nodes(self, body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
-        """All AST nodes in a scope, without descending into nested
-        function or class definitions (those are their own scopes)."""
-        stack: List[ast.AST] = list(body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _set_typed_names(
-        self, args: Optional[ast.arguments], body: Sequence[ast.stmt]
-    ) -> Set[str]:
-        """Names bound to set values in this scope (conservatively).
-
-        A name is tracked if it is ever assigned a set expression or
-        annotated as a set, and *untracked* if any assignment gives it a
-        non-set value (e.g. ``edges = sorted(edges)``).
-        """
-        tracked: Set[str] = set()
-        demoted: Set[str] = set()
-        if args is not None:
-            for arg in (
-                list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-            ):
-                if _annotation_tokens(arg.annotation) & self._SET_ANNOTATIONS:
-                    tracked.add(arg.arg)
-        for node in self._scope_nodes(body):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        if self._is_set_expr(node.value, tracked):
-                            tracked.add(target.id)
-                        else:
-                            demoted.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if _annotation_tokens(node.annotation) & self._SET_ANNOTATIONS:
-                    tracked.add(node.target.id)
-        return tracked - demoted
-
-    def _is_set_expr(self, expr: ast.expr, tracked: Set[str]) -> bool:
-        if isinstance(expr, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            if expr.func.id in {"set", "frozenset"}:
-                return True
-        if isinstance(expr, ast.Name):
-            return expr.id in tracked
-        if isinstance(expr, ast.BinOp) and isinstance(
-            expr.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            # Set algebra: flag only when a side is *syntactically* a set,
-            # so TokenSet algebra (ordered iteration) stays clean.
-            return self._is_set_expr(expr.left, tracked) or self._is_set_expr(
-                expr.right, tracked
-            )
-        return False
-
-    def _is_ordered(self, expr: ast.expr) -> bool:
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-            if expr.func.id == "sorted":
-                return True
-            if expr.func.id in self._ORDER_WRAPPERS and expr.args:
-                return self._is_ordered(expr.args[0])
-        return False
-
-    def check(self, ctx: LintContext) -> List[Diagnostic]:
-        diags: List[Diagnostic] = []
-        for args, body in self._scopes(ctx.tree):
-            tracked = self._set_typed_names(args, body)
-            for node in self._scope_nodes(body):
-                iters: List[ast.expr] = []
-                if isinstance(node, (ast.For, ast.AsyncFor)):
-                    iters.append(node.iter)
-                elif isinstance(
-                    node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-                ):
-                    iters.extend(gen.iter for gen in node.generators)
-                for it in iters:
-                    if self._is_ordered(it):
-                        continue
-                    if self._is_set_expr(it, tracked):
-                        diags.append(
-                            self.diagnostic(
-                                ctx,
-                                it,
-                                "iteration over an unordered set; wrap the "
-                                "iterable in sorted(...) so downstream "
-                                "schedules are deterministic",
-                            )
-                        )
-        return diags
-
-
-# ======================================================================
 # OCD004 — timesteps are integers, never wall-clock or floats
 # ======================================================================
 @register_rule
@@ -605,7 +437,7 @@ class WallClockTimestepRule(Rule):
                     )
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for arg in _function_args(node):
-                    if arg.arg in self._STEP_NAMES and "float" in _annotation_tokens(
+                    if arg.arg in self._STEP_NAMES and "float" in annotation_tokens(
                         arg.annotation
                     ):
                         diags.append(
@@ -617,7 +449,7 @@ class WallClockTimestepRule(Rule):
                             )
                         )
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                if node.target.id in self._STEP_NAMES and "float" in _annotation_tokens(
+                if node.target.id in self._STEP_NAMES and "float" in annotation_tokens(
                     node.annotation
                 ):
                     diags.append(
@@ -715,186 +547,4 @@ class EngineEncapsulationRule(Rule):
                                     f"{alias.name!r} in a heuristic",
                                 )
                             )
-        return diags
-
-
-# ======================================================================
-# OCD006 — public core/exact functions carry complete annotations
-# ======================================================================
-@register_rule
-class PublicAnnotationRule(Rule):
-    """Every public function or method in ``core``/``exact`` must have a
-    return annotation and an annotation on every parameter (``self`` and
-    ``cls`` excepted) — the strict-typing gate depends on it, and future
-    refactors of the hot paths rely on the checked signatures.
-    """
-
-    code = "OCD006"
-    name = "untyped-public-api"
-    summary = "public core/exact function missing type annotations"
-    invariant = (
-        "refactor safety: the model's public surfaces are fully typed so "
-        "aggressive optimisation PRs cannot silently change semantics"
-    )
-    packages = frozenset({"core", "exact"})
-
-    def _check_function(
-        self,
-        ctx: LintContext,
-        node: ast.FunctionDef | ast.AsyncFunctionDef,
-        is_method: bool,
-    ) -> Iterator[Diagnostic]:
-        if node.name.startswith("_"):
-            return
-        decorators = {
-            d.id if isinstance(d, ast.Name) else getattr(d, "attr", "")
-            for d in node.decorator_list
-        }
-        if "overload" in decorators:
-            return
-        if node.returns is None:
-            yield self.diagnostic(
-                ctx,
-                node,
-                f"public function {node.name!r} is missing a return annotation",
-            )
-        args = _function_args(node)
-        skip_first = is_method and "staticmethod" not in decorators
-        for i, arg in enumerate(args):
-            if skip_first and i == 0 and arg.arg in {"self", "cls"}:
-                continue
-            if arg.annotation is None:
-                yield self.diagnostic(
-                    ctx,
-                    arg,
-                    f"parameter {arg.arg!r} of public function {node.name!r} "
-                    f"is missing a type annotation",
-                )
-
-    def check(self, ctx: LintContext) -> List[Diagnostic]:
-        diags: List[Diagnostic] = []
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                diags.extend(self._check_function(ctx, stmt, is_method=False))
-            elif isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
-                for sub in stmt.body:
-                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        diags.extend(self._check_function(ctx, sub, is_method=True))
-        return diags
-
-
-# ======================================================================
-# OCD007 — library code never prints; observability goes through obs
-# ======================================================================
-@register_rule
-class BarePrintRule(Rule):
-    """Library code under ``src/repro/`` must not call bare ``print()``:
-    stdout belongs to the user-facing command surfaces, and ad-hoc
-    prints are invisible to the structured observability layer.  CLI
-    modules, the trace-report renderer, examples, and tests are exempt —
-    printing *is* their job.
-    """
-
-    code = "OCD007"
-    name = "bare-print"
-    summary = "bare print() in library code"
-    invariant = (
-        "observability: library diagnostics flow through repro.obs "
-        "(get_logger / Tracer / MetricsRegistry), never raw stdout"
-    )
-    exclude_packages = frozenset({"checks", "cli", "examples", "tests"})
-
-    #: Module stems whose whole purpose is terminal output, exempt even
-    #: inside otherwise-covered packages (``repro/obs/report.py``, a
-    #: package-local ``cli.py``, ``__main__.py``).
-    _EXEMPT_STEMS = frozenset({"__main__", "cli", "report"})
-
-    def applies(self, ctx: LintContext) -> bool:
-        if Path(ctx.path).stem in self._EXEMPT_STEMS:
-            return False
-        return super().applies(ctx)
-
-    def check(self, ctx: LintContext) -> List[Diagnostic]:
-        diags: List[Diagnostic] = []
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                diags.append(
-                    self.diagnostic(
-                        ctx,
-                        node,
-                        "print() in library code; use "
-                        "`_logger = repro.obs.get_logger(__name__)` and "
-                        "`_logger.info(...)` (or write to an injected stream)",
-                    )
-                )
-        return diags
-
-
-# ======================================================================
-# OCD008 — tracer.emit() kinds come from the event schema
-# ======================================================================
-@register_rule
-class UnknownTraceEventKindRule(Rule):
-    """Every ``tracer.emit("<kind>", ...)`` call must name a kind from
-    ``repro.obs.events.EVENT_KINDS``.  ``make_event`` rejects unknown
-    kinds at runtime, but a mistyped kind in a rarely-exercised branch
-    (a stall path, a new engine) only surfaces when that branch finally
-    runs under tracing — this rule moves the failure to lint time.
-    """
-
-    code = "OCD008"
-    name = "unknown-trace-event-kind"
-    summary = "tracer.emit() with an event kind outside the schema"
-    invariant = (
-        "observability schema: every emitted event kind is declared in "
-        "repro.obs.events.EVENT_KINDS, so trace consumers can rely on a "
-        "closed vocabulary"
-    )
-
-    @staticmethod
-    def _receiver_is_tracer(expr: ast.expr) -> bool:
-        """Whether an ``.emit`` receiver looks like a tracer.
-
-        Matched by naming convention — ``tracer``, ``self.tracer``,
-        ``self._tracer``, ``run_tracer`` — which is how every sink in the
-        tree is bound (the Tracer protocol has no marker at the AST level).
-        """
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Name) and "tracer" in sub.id.lower():
-                return True
-            if isinstance(sub, ast.Attribute) and "tracer" in sub.attr.lower():
-                return True
-        return False
-
-    def check(self, ctx: LintContext) -> List[Diagnostic]:
-        from repro.obs.events import EVENT_KINDS
-
-        diags: List[Diagnostic] = []
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-                and self._receiver_is_tracer(node.func.value)
-                and node.args
-            ):
-                continue
-            kind = node.args[0]
-            if not isinstance(kind, ast.Constant) or not isinstance(kind.value, str):
-                continue
-            if kind.value not in EVENT_KINDS:
-                diags.append(
-                    self.diagnostic(
-                        ctx,
-                        node,
-                        f"tracer.emit({kind.value!r}, ...): unknown event kind; "
-                        f"the schema (repro.obs.events.EVENT_KINDS) declares "
-                        f"{', '.join(EVENT_KINDS)} — add the kind there first "
-                        f"if it is intentional",
-                    )
-                )
         return diags

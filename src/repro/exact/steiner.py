@@ -33,7 +33,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep
@@ -61,11 +61,13 @@ class SteinerResult:
     arcs: Tuple[Tuple[int, int], ...]
 
 
-def _out_edges(problem: Problem, holders: Sequence[int]):
+def _out_edges(
+    problem: Problem, holders: Sequence[int]
+) -> Callable[[int], Iterator[Tuple[int, int]]]:
     """Adjacency of the augmented graph: the super-root reaches every
     holder at cost 0; real arcs cost 1."""
 
-    def edges(v: int):
+    def edges(v: int) -> Iterator[Tuple[int, int]]:
         if v == _ROOT:
             for h in holders:
                 yield h, 0

@@ -15,7 +15,7 @@ The observability layer for every simulation loop in the repository
   engines' phase timers (``heuristic_select``, ``kernel_apply``,
   ``knowledge_flood``) behind ``--profile``.
 * :func:`get_logger` — library logging instead of ``print()``
-  (enforced by ocdlint OCD007).
+  (enforced by ruff ``T20``).
 * :func:`render_trace_file` / :func:`render_report` — the
   ``ocd-repro report`` timeline renderer.
 * :func:`convert_telemetry` — one-shot upgrade of pre-schema sweep

@@ -18,10 +18,10 @@ split*. :func:`diff_traces` answers it at three resolutions:
    ``run B stalls at step 7 (no transfers); run A transferred t3 on
    (v2, v5)``.
 
-Fields can be excluded from comparison with ``ignore_fields`` — the CI
-smoke job uses ``ignore_fields=("engine",)`` to compare a live engine
-trace against a replayed reference trace that differs only in its
-engine label.
+Fields can be excluded from comparison with ``ignore_fields`` — the
+engine-vs-oracle tests use ``ignore_fields=("engine",)`` to compare a
+live engine trace against a replayed reference trace that differs only
+in its engine label.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Library logging for ``repro``: the alternative to ``print()``.
 
-ocdlint OCD007 forbids bare ``print()`` in library code — printed output
+Ruff's ``T20`` rules forbid bare ``print()`` in library code — printed output
 cannot be captured, silenced, or correlated with a run.  Library modules
 instead write
 

@@ -68,29 +68,29 @@ class TestSuppressions:
         assert [d.code for d in diags] == ["OCD001"]
 
     def test_line_suppression(self):
-        src = "import random\nrandom.random()  # ocdlint: disable=OCD001\n"
+        src = "import random\nrandom.random()  # ocd: ignore[OCD001]\n"
         assert run_source(src, path=HEUR_PATH) == []
 
     def test_line_suppression_with_justification(self):
         src = (
             "import random\n"
-            "random.random()  # ocdlint: disable=OCD001 -- fixture needs raw entropy\n"
+            "random.random()  # ocd: ignore[OCD001] -- fixture needs raw entropy\n"
         )
         assert run_source(src, path=HEUR_PATH) == []
 
     def test_bare_disable_suppresses_all_codes_on_line(self):
-        src = "import random\nrandom.random()  # ocdlint: disable\n"
+        src = "import random\nrandom.random()  # ocd: ignore\n"
         assert run_source(src, path=HEUR_PATH) == []
 
     def test_suppression_of_other_code_does_not_apply(self):
-        src = "import random\nrandom.random()  # ocdlint: disable=OCD002\n"
+        src = "import random\nrandom.random()  # ocd: ignore[OCD002]\n"
         diags = run_source(src, path=HEUR_PATH)
         assert [d.code for d in diags] == ["OCD001"]
 
     def test_suppression_on_other_line_does_not_apply(self):
         src = (
             "import random\n"
-            "x = 1  # ocdlint: disable=OCD001\n"
+            "x = 1  # ocd: ignore[OCD001]\n"
             "random.random()\n"
         )
         diags = run_source(src, path=HEUR_PATH)
@@ -98,7 +98,7 @@ class TestSuppressions:
 
     def test_file_level_suppression(self):
         src = (
-            "# ocdlint: disable-file=OCD001 -- stress fixture\n"
+            "# ocd: ignore-file[OCD001] -- stress fixture\n"
             "import random\n"
             "random.random()\n"
             "random.choice([1])\n"

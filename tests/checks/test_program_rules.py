@@ -1,4 +1,5 @@
-"""Fixture packages for the whole-program rules (OCD010–OCD016).
+"""Fixture packages for the whole-program rules (OCD003, OCD010, OCD011,
+OCD013, OCD014, OCD016).
 
 Each fixture is a tiny multi-module "package": sources linted together
 under impersonated paths, so cross-module resolution, re-export chasing,
@@ -278,7 +279,7 @@ class TestEnvironmentCallChain:
 
 
 # ======================================================================
-# OCD012 — set iteration across call boundaries
+# OCD003 — set iteration across call boundaries
 # ======================================================================
 class TestCrossFunctionSetIteration:
     def test_iterating_set_returning_function_flagged(self):
@@ -292,7 +293,7 @@ class TestCrossFunctionSetIteration:
                         return [h for h in holders()]
                     """
             },
-            select=["OCD012"],
+            select=["OCD003"],
         )
         assert len(diags) == 1
         assert "holders()" in diags[0].message
@@ -316,7 +317,7 @@ class TestCrossFunctionSetIteration:
                         return out
                     """,
             },
-            select=["OCD012"],
+            select=["OCD003"],
         )
         assert [d.path for d in diags] == [HEUR]
 
@@ -331,7 +332,7 @@ class TestCrossFunctionSetIteration:
                         return [h for h in sorted(holders())]
                     """
             },
-            select=["OCD012"],
+            select=["OCD003"],
         )
         assert diags == []
 
@@ -346,7 +347,7 @@ class TestCrossFunctionSetIteration:
                         return [h for h in holders()]
                     """
             },
-            select=["OCD012"],
+            select=["OCD003"],
         )
         assert diags == []
 
@@ -771,124 +772,6 @@ class TestProgramIndex:
         tainted = index.taint(["rng"])
         assert "repro.heuristics.fake.ping" in tainted
         assert "repro.heuristics.fake.pong" in tainted
-
-
-# ======================================================================
-# OCD015 — propose_vector stream-order protocol
-# ======================================================================
-class TestVectorStreamOrder:
-    def test_flags_getrandbits_in_propose_vector(self):
-        diags = program_lint(
-            {
-                HEUR: """
-                    class H:
-                        def propose_vector(self, state):
-                            rng = self.rng
-                            return rng.getrandbits(32)
-                    """
-            },
-            select=["OCD015"],
-        )
-        assert len(diags) == 1
-        assert diags[0].code == "OCD015"
-        assert "getrandbits" in diags[0].message
-        assert "stream-order" in diags[0].message
-
-    def test_flags_fresh_random_stream(self):
-        diags = program_lint(
-            {
-                HEUR: """
-                    import random
-
-                    class H:
-                        def propose_vector(self, state):
-                            local = random.Random(0)  # ocd: ignore[OCD001] -- seeded; OCD015 is under test
-                            return local.random()
-                    """
-            },
-            select=["OCD015"],
-        )
-        assert [d.code for d in diags] == ["OCD015"]
-        assert "fresh random.Random" in diags[0].message
-
-    def test_flags_numpy_generator(self):
-        diags = program_lint(
-            {
-                HEUR: """
-                    class H:
-                        def propose_vector(self, state):
-                            g = state.np.random.default_rng(0)
-                            return g
-                    """
-            },
-            select=["OCD015"],
-        )
-        assert [d.code for d in diags] == ["OCD015"]
-        assert "numpy RNG" in diags[0].message
-
-    def test_flags_disallowed_bound_method_alias(self):
-        diags = program_lint(
-            {
-                HEUR: """
-                    class H:
-                        def propose_vector(self, state):
-                            rng_getrandbits = self.rng.getrandbits
-                            return rng_getrandbits(8)
-                    """
-            },
-            select=["OCD015"],
-        )
-        # Both the bound-method access and the aliased call are sites.
-        assert diags
-        assert all(d.code == "OCD015" for d in diags)
-
-    def test_scalar_order_draws_are_clean(self):
-        diags = program_lint(
-            {
-                HEUR: """
-                    class H:
-                        def propose_vector(self, state):
-                            rng = self.rng
-                            rng_random = rng.random
-                            order = [2, 1]
-                            rng.shuffle(order)
-                            rng.sample(order, 1)
-                            return rng_random()
-                    """
-            },
-            select=["OCD015"],
-        )
-        assert diags == []
-
-    def test_other_methods_free_to_draw_anything(self):
-        # The protocol binds propose_vector only; scalar propose()
-        # defines the stream and may use any engine-RNG method.
-        diags = program_lint(
-            {
-                HEUR: """
-                    class H:
-                        def propose(self, ctx):
-                            return ctx.rng.getrandbits(8)
-                    """
-            },
-            select=["OCD015"],
-        )
-        assert diags == []
-
-    def test_non_rng_receivers_are_clean(self):
-        diags = program_lint(
-            {
-                HEUR: """
-                    class H:
-                        def propose_vector(self, state):
-                            order = state.np.argsort([1])
-                            state.np.shuffle_like(order)
-                            return order
-                    """
-            },
-            select=["OCD015"],
-        )
-        assert diags == []
 
 
 # ======================================================================

@@ -1,7 +1,10 @@
-"""Positive and negative fixtures for every ocdlint rule (OCD001–OCD008).
+"""Positive and negative fixtures for the single-module ocdlint checks.
 
 Each fixture is a small source string linted under an impersonated path so
 the rule's package scoping applies exactly as it does on the real tree.
+It is linted as a one-module program: the per-file rules plus the program
+rules, so OCD003 (set iteration) and OCD013 (unknown trace event kinds)
+fire here just as they do on the whole tree.
 """
 
 from __future__ import annotations
@@ -9,20 +12,24 @@ from __future__ import annotations
 import textwrap
 from typing import List
 
-from repro.checks import run_source
-from repro.checks.framework import Diagnostic
+from repro.checks import run_source, summarize_source
+from repro.checks.framework import Diagnostic, run_program_pass, suppressions_for
 
 HEUR = "src/repro/heuristics/fake.py"
 SIM = "src/repro/sim/fake.py"
 CORE = "src/repro/core/fake.py"
-EXACT = "src/repro/exact/fake.py"
 TOPO = "src/repro/topology/fake.py"
 EXPERIMENTS = "src/repro/experiments/fake.py"
 
 
 def lint(code: str, path: str = HEUR, select: str | None = None) -> List[Diagnostic]:
     src = textwrap.dedent(code)
-    diags = run_source(src, path=path)
+    summary = summarize_source(src, path)
+    assert summary is not None, f"fixture {path} does not parse"
+    suppressions = {path: suppressions_for(src.splitlines())}
+    diags = sorted(
+        run_source(src, path=path) + run_program_pass([summary], suppressions)
+    )
     if select is not None:
         diags = [d for d in diags if d.code == select]
     return diags
@@ -318,122 +325,7 @@ class TestEngineEncapsulation:
 
 
 # ======================================================================
-# OCD006 — untyped-public-api
-# ======================================================================
-class TestPublicAnnotation:
-    def test_missing_return_annotation(self):
-        src = """
-        def makespan(schedule: "Schedule"):
-            return len(schedule.steps)
-        """
-        assert codes(src, path=CORE) == ["OCD006"]
-
-    def test_missing_param_annotation(self):
-        src = """
-        def makespan(schedule) -> int:
-            return len(schedule.steps)
-        """
-        assert codes(src, path=CORE) == ["OCD006"]
-
-    def test_method_self_exempt(self):
-        src = """
-        class Schedule:
-            def makespan(self) -> int:
-                return 0
-        """
-        assert codes(src, path=CORE) == []
-
-    def test_method_params_checked(self):
-        src = """
-        class Schedule:
-            def extend(self, moves) -> None:
-                pass
-        """
-        assert codes(src, path=CORE) == ["OCD006"]
-
-    def test_private_functions_exempt(self):
-        src = """
-        def _helper(x):
-            return x
-        """
-        assert codes(src, path=CORE) == []
-
-    def test_fully_annotated_ok(self):
-        src = """
-        def solve(problem: "Problem", limit: int = 10) -> "Schedule":
-            ...
-        """
-        assert codes(src, path=EXACT) == []
-
-    def test_out_of_scope_package_ok(self):
-        src = """
-        def helper(x):
-            return x
-        """
-        assert codes(src, path=HEUR) == []
-
-
-# ======================================================================
-# OCD007 — bare-print
-# ======================================================================
-class TestBarePrint:
-    def test_library_print_flagged(self):
-        src = """
-        def solve(problem):
-            print("solving", problem)
-        """
-        assert codes(src, path=SIM) == ["OCD007"]
-
-    def test_message_suggests_obs_logger(self):
-        diags = lint("print('hi')\n", path=EXPERIMENTS, select="OCD007")
-        assert len(diags) == 1
-        assert "repro.obs.get_logger" in diags[0].message
-
-    def test_print_with_stream_still_flagged(self):
-        src = """
-        import sys
-
-        def emit(msg):
-            print(msg, file=sys.stderr)
-        """
-        assert codes(src, path=EXPERIMENTS) == ["OCD007"]
-
-    def test_obs_library_module_covered(self):
-        assert codes("print('x')\n", path="src/repro/obs/metrics.py") == ["OCD007"]
-
-    def test_cli_module_exempt(self):
-        assert codes("print('usage: ...')\n", path="src/repro/cli.py") == []
-
-    def test_package_local_cli_exempt(self):
-        assert codes("print('x')\n", path="src/repro/checks/cli.py") == []
-
-    def test_report_renderer_exempt(self):
-        assert codes("print('x')\n", path="src/repro/obs/report.py") == []
-
-    def test_dunder_main_exempt(self):
-        assert codes("print('x')\n", path="src/repro/__main__.py") == []
-
-    def test_examples_exempt(self):
-        assert codes("print('x')\n", path="examples/quickstart.py") == []
-
-    def test_suppression_honored(self):
-        src = "print('debug')  # ocdlint: disable=OCD007\n"
-        assert codes(src, path=SIM) == []
-
-    def test_logger_calls_ok(self):
-        src = """
-        from repro.obs import get_logger
-
-        _logger = get_logger(__name__)
-
-        def solve(problem):
-            _logger.info("solving %s", problem)
-        """
-        assert codes(src, path=SIM) == []
-
-
-# ======================================================================
-# OCD008 — unknown-trace-event-kind
+# OCD013 — trace-contract: emitted kinds come from the schema
 # ======================================================================
 class TestUnknownTraceEventKind:
     def test_unknown_kind_flagged(self):
@@ -441,7 +333,7 @@ class TestUnknownTraceEventKind:
         def run(tracer):
             tracer.emit("run_started", {"n": 3})
         """
-        assert codes(src, path=SIM) == ["OCD008"]
+        assert codes(src, path=SIM) == ["OCD013"]
 
     def test_self_tracer_attribute_flagged(self):
         src = """
@@ -449,7 +341,7 @@ class TestUnknownTraceEventKind:
             def run(self):
                 self.tracer.emit("step_done", {})
         """
-        assert codes(src, path=SIM) == ["OCD008"]
+        assert codes(src, path=SIM) == ["OCD013"]
 
     def test_private_tracer_attribute_flagged(self):
         src = """
@@ -457,25 +349,25 @@ class TestUnknownTraceEventKind:
             def run(self):
                 self._tracer.emit("checkpoint", {})
         """
-        assert codes(src, path=SIM) == ["OCD008"]
+        assert codes(src, path=SIM) == ["OCD013"]
 
     def test_message_names_schema(self):
         diags = lint(
             "def f(tracer):\n    tracer.emit('oops', {})\n",
             path=SIM,
-            select="OCD008",
+            select="OCD013",
         )
         assert len(diags) == 1
-        assert "EVENT_KINDS" in diags[0].message
-        assert "run_start" in diags[0].message
+        assert "unknown event kind" in diags[0].message
+        assert "EVENT_SCHEMAS" in diags[0].message
 
     def test_every_schema_kind_ok(self):
         from repro.obs.events import EVENT_KINDS
 
         body = "\n".join(
-            f"    tracer.emit({kind!r}, {{}})" for kind in EVENT_KINDS
+            f"    tracer.emit({kind!r}, {{**fields}})" for kind in EVENT_KINDS
         )
-        assert codes(f"def f(tracer):\n{body}\n", path=SIM) == []
+        assert codes(f"def f(tracer, fields):\n{body}\n", path=SIM) == []
 
     def test_non_tracer_emit_ignored(self):
         src = """
@@ -496,11 +388,11 @@ class TestUnknownTraceEventKind:
         def f(tracer):
             tracer.emit("bogus_kind", {})
         """
-        assert codes(src, path=EXPERIMENTS) == ["OCD008"]
+        assert codes(src, path=EXPERIMENTS) == ["OCD013"]
 
     def test_suppression_honored(self):
         src = (
             "def f(tracer):\n"
-            "    tracer.emit('bogus', {})  # ocdlint: disable=OCD008\n"
+            "    tracer.emit('bogus', {})  # ocd: ignore[OCD013]\n"
         )
         assert codes(src, path=SIM) == []

@@ -8,12 +8,15 @@ This property is checked directly: a recording wrapper snapshots
 state sequences must match element for element (a schedule comparison
 alone could mask compensating divergences).
 
-Covers the direct-draw heuristics (local rarest, sequential — one
-``rng.shuffle`` plus per-eligible-supplier ``rng.random()`` calls in
-scalar order) and the random heuristic (real ``rng.sample`` calls from
-the vector path).  Hypothesis supplies
-shrinking topologies when a divergence appears; a seeded >64-token grid
-covers the multi-plane layout hypothesis would be slow to reach.
+Covers every heuristic with a ``propose_vector`` fast path: the
+direct-draw heuristics (local rarest, sequential — one ``rng.shuffle``
+plus per-eligible-supplier ``rng.random()`` calls in scalar order), the
+random heuristic (real ``rng.sample`` calls from the vector path) and
+round robin (no draws at all, so any stray draw shows).  This suite is
+the enforcement point for the vector stream-order contract
+(``docs/MODEL.md`` §8).  Hypothesis supplies shrinking topologies when a
+divergence appears; a seeded >64-token grid covers the multi-plane
+layout hypothesis would be slow to reach.
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ from tests.conftest import make_random_problem, problems
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
-STREAM_HEURISTICS = ("local", "random", "sequential")
+FACTORIES = {**HEURISTIC_FACTORIES, "sequential": SequentialHeuristic}
+STREAM_HEURISTICS = tuple(
+    name for name, factory in FACTORIES.items() if hasattr(factory(), "propose_vector")
+)
 
 
 def new_heuristic(name: str):
-    if name == "sequential":
-        return SequentialHeuristic()
-    return HEURISTIC_FACTORIES[name]()
+    return FACTORIES[name]()
 
 
 def recording(name: str, states):

@@ -6,7 +6,7 @@ import random
 
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.obs import JsonlTracer
-from repro.obs.analyze import diff_traces, retrace_run
+from repro.obs.analyze import attribute_trace, diff_traces, retrace_run
 from repro.sim import run_heuristic
 from repro.sim.reference import make_reference_heuristic, reference_run_heuristic
 from repro.topology import random_graph
@@ -22,6 +22,20 @@ def _trace(path, problem, seed: int, heuristic: str = "random") -> None:
         run_heuristic(
             problem, HEURISTIC_FACTORIES[heuristic](), seed=seed, tracer=tracer
         )
+
+
+def _live_and_oracle(tmp_path, problem, name: str, seed: int = 6):
+    """Trace a live run and the retraced reference-oracle run of the
+    same seed; returns the two trace paths."""
+    live, oracle = tmp_path / "live.jsonl", tmp_path / "oracle.jsonl"
+    _trace(live, problem, seed=seed, heuristic=name)
+    ref = reference_run_heuristic(problem, make_reference_heuristic(name), seed=seed)
+    with JsonlTracer(path=str(oracle)) as tracer:
+        retrace_run(
+            tracer, problem, ref.schedule, ref.success,
+            heuristic_name=name, engine="reference",
+        )
+    return str(live), str(oracle)
 
 
 class TestDiffTraces:
@@ -128,30 +142,30 @@ class TestRetrace:
     def test_reference_retrace_matches_live_modulo_engine_label(self, tmp_path):
         """Engine vs frozen oracle: same seed, divergence only in 'engine'."""
         problem = _problem()
-        live, oracle = tmp_path / "live.jsonl", tmp_path / "oracle.jsonl"
         for name in ("round_robin", "local"):
-            with JsonlTracer(path=str(live)) as tracer:
-                run_heuristic(
-                    problem, HEURISTIC_FACTORIES[name](), seed=6, tracer=tracer
-                )
-            ref = reference_run_heuristic(
-                problem, make_reference_heuristic(name), seed=6
-            )
-            with JsonlTracer(path=str(oracle)) as tracer:
-                retrace_run(
-                    tracer,
-                    problem,
-                    ref.schedule,
-                    ref.success,
-                    heuristic_name=name,
-                    engine="reference",
-                )
-            strict = diff_traces(str(live), str(oracle))
+            live, oracle = _live_and_oracle(tmp_path, problem, name)
+            strict = diff_traces(live, oracle)
             assert strict.divergence.field == "engine"
-            relaxed = diff_traces(
-                str(live), str(oracle), ignore_fields=("engine",)
-            )
+            relaxed = diff_traces(live, oracle, ignore_fields=("engine",))
             assert relaxed.identical, relaxed.render()
+
+    def test_reference_retrace_attribution_matches_live(self, tmp_path):
+        """Attribution is a function of the trace alone: the live run and
+        the oracle retrace agree once the engine label and path go."""
+
+        def scrubbed(path):
+            report = attribute_trace(path).as_dict()
+            del report["path"]
+            for run in report["runs"] + report["skipped"]:
+                del run["engine"]
+            return report
+
+        problem = _problem()
+        for name in ("round_robin", "local"):
+            live, oracle = _live_and_oracle(tmp_path, problem, name)
+            live_report = scrubbed(live)
+            assert live_report["runs"], name
+            assert live_report == scrubbed(oracle), name
 
     def test_disabled_tracer_is_noop(self):
         from repro.obs import NULL_TRACER
