@@ -19,9 +19,9 @@ from repro.heuristics import standard_heuristics
 from repro.obs import (
     JsonlTracer,
     MetricsRegistry,
-    load_timelines,
     read_events,
     render_trace_file,
+    split_runs,
 )
 from repro.workloads import single_file
 from repro.topology import random_graph
@@ -49,15 +49,15 @@ def main() -> None:
         # Programmatic analysis straight off the event stream: how close
         # did each heuristic come to starving on its rarest token?
         print(f"\n{'heuristic':<12} {'makespan':>8} {'rarest-token holders':>21}")
-        for timeline in load_timelines(events):
+        _header, runs = split_runs(events)
+        for run in runs:
             rarest = min(
                 count
-                for step in timeline.steps
+                for step in run.steps
                 for count, _freq in step["holder_hist"]
             )
-            name = timeline.start.get("heuristic", "?")
-            makespan = timeline.end["makespan"]
-            print(f"{name:<12} {makespan:>8} {rarest:>21}")
+            makespan = run.end["makespan"]
+            print(f"{run.heuristic:<12} {makespan:>8} {rarest:>21}")
 
         # --- the same file as the `ocd-repro report` timeline
         print("\n" + render_trace_file(path), end="")

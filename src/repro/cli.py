@@ -898,28 +898,25 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.obs import render_trace_file
+    from repro.obs import render_report, split_runs
     from repro.obs.events import read_events
-    from repro.obs.report import load_timelines
 
+    try:
+        events = read_events(args.trace)
+    except (OSError, ValueError) as error:
+        print(f"report failed: {error}", file=sys.stderr)
+        return 2
     if args.format == "json":
-        try:
-            events = read_events(args.trace)
-        except (OSError, ValueError) as error:
-            print(f"report failed: {error}", file=sys.stderr)
-            return 2
-        header = next(
-            (e for e in events if e["event"] == "trace_header"), None
-        )
+        header, runs = split_runs(events)
         _emit_json(
             {
                 "path": args.trace,
                 "header": header,
-                "runs": [t.as_dict() for t in load_timelines(events)],
+                "runs": [run.as_dict() for run in runs],
             }
         )
         return 0
-    print(render_trace_file(args.trace), end="")
+    print(render_report(events, title=args.trace), end="")
     return 0
 
 

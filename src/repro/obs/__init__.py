@@ -16,6 +16,9 @@ The observability layer for every simulation loop in the repository
   ``knowledge_flood``) behind ``--profile``.
 * :func:`get_logger` — library logging instead of ``print()``
   (enforced by ruff ``T20``).
+* :func:`split_runs` / :class:`TraceRun` — a trace's events grouped
+  per run, with the timeline views (deficit curve, stall spans,
+  phases) every report and analyzer reads.
 * :func:`render_trace_file` / :func:`render_report` — the
   ``ocd-repro report`` timeline renderer.
 * :func:`convert_telemetry` — one-shot upgrade of pre-schema sweep
@@ -47,12 +50,8 @@ from repro.obs.metrics import (
     current_metrics,
     metrics_active,
 )
-from repro.obs.report import (
-    RunTimeline,
-    load_timelines,
-    render_report,
-    render_trace_file,
-)
+from repro.obs.report import render_report, render_trace_file
+from repro.obs.runs import TraceRun, split_runs
 from repro.obs.tracer import (
     NULL_TRACER,
     JsonlTracer,
@@ -77,8 +76,8 @@ __all__ = [
     "NullTracer",
     "PhaseTimer",
     "RecordingTracer",
-    "RunTimeline",
     "SCHEMA_VERSION",
+    "TraceRun",
     "Tracer",
     "activated",
     "convert_telemetry",
@@ -89,13 +88,13 @@ __all__ = [
     "get_logger",
     "is_event",
     "iter_events",
-    "load_timelines",
     "make_event",
     "metrics_active",
     "read_events",
     "read_events_tail",
     "render_report",
     "render_trace_file",
+    "split_runs",
     "upgrade_record",
     "validate_event",
 ]

@@ -45,7 +45,6 @@ from repro.obs.analyze.attribution import (
     RunAttribution,
     SkippedRun,
     attribute_events,
-    attribute_run,
     attribute_trace,
     summary_event,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "Violation",
     "WaitSegment",
     "attribute_events",
-    "attribute_run",
     "attribute_trace",
     "blocking_table",
     "build_forest",

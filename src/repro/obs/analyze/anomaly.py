@@ -31,9 +31,10 @@ cause* — the most frequent :data:`repro.obs.analyze.causal.
 BLOCKING_CATEGORIES` entry among the span's idle vertex-steps, derived
 from the same forest replay ``trace-attribute`` uses — so the scan (and
 the ``watch`` dashboard on top of it) says not just *where* a run went
-quiet but *why*.  Cause derivation is best-effort: traces that cannot
-be replayed (pre-analytics schema, dynamic-conditions runs) simply
-yield ``cause: None`` and the anomaly stands on its own.
+quiet but *why*.  A run without a forest yields ``cause: None`` and the
+anomaly stands on its own: dynamic-conditions runs, and runs the forest
+refuses (:class:`~repro.obs.analyze.causal.CausalError` — no instance
+payload, no transfers, or any other step-level §2 violation).
 
 Streaming scans (:class:`repro.obs.live.IncrementalScanner`) pass
 ``open_tail=True``: the *final* run of a still-growing trace is treated
@@ -55,9 +56,8 @@ from repro.obs.analyze.causal import (
     build_forest,
     dominant_category,
 )
-from repro.obs.analyze.runs import TraceRun
 from repro.obs.events import read_events
-from repro.obs.report import RunTimeline, load_timelines
+from repro.obs.runs import TraceRun, split_runs
 
 __all__ = ["Anomaly", "ScanThresholds", "scan_events", "scan_paths", "scan_trace"]
 
@@ -124,31 +124,23 @@ def _constant_spans(values: Sequence[int]) -> List[tuple[int, int, int]]:
     return spans
 
 
-def _run_blocking(timeline: RunTimeline) -> Dict[Tuple[int, int], str]:
-    """Best-effort blocking table for one timeline; empty on any gap.
+def _run_blocking(run: TraceRun) -> Dict[Tuple[int, int], str]:
+    """Blocking table for one run; empty when it has no forest.
 
     Dynamic-conditions runs are excluded up front: their arc-level
     categories would be computed against the declared (static) arc set
     and could name the wrong cause with confidence.
     """
-    if str(timeline.start.get("engine", "?")) == "dynamic":
+    if run.engine == "dynamic":
         return {}
     try:
-        forest = build_forest(
-            TraceRun(
-                run=timeline.run,
-                start=timeline.start or None,
-                steps=list(timeline.steps),
-                end=timeline.end,
-            )
-        )
-        return blocking_table(forest)
-    except (CausalError, ValueError, KeyError, IndexError, TypeError):
+        return blocking_table(build_forest(run))
+    except CausalError:
         return {}
 
 
 def _scan_run(
-    timeline: RunTimeline,
+    run: TraceRun,
     path: str,
     thresholds: ScanThresholds,
     open_tail: bool = False,
@@ -159,7 +151,7 @@ def _scan_run(
     def span_cause(lo: int, hi: int) -> str | None:
         nonlocal blocking
         if blocking is None:
-            blocking = _run_blocking(timeline)
+            blocking = _run_blocking(run)
         counts: Dict[str, int] = {}
         for (_vertex, step), category in blocking.items():
             if lo <= step <= hi:
@@ -172,8 +164,8 @@ def _scan_run(
         found.append(
             Anomaly(
                 path=path,
-                run=timeline.run,
-                heuristic=timeline.heuristic,
+                run=run.run,
+                heuristic=run.heuristic,
                 kind=kind,
                 step=step,
                 detail=detail,
@@ -181,7 +173,7 @@ def _scan_run(
             )
         )
 
-    for lo, hi in timeline.stall_spans():
+    for lo, hi in run.stall_spans():
         length = hi - lo + 1
         if length >= thresholds.stall_span:
             flag(
@@ -190,8 +182,8 @@ def _scan_run(
                 f"{length} consecutive zero-gain steps [{lo}..{hi}]",
                 cause=span_cause(lo, hi),
             )
-    deficits = [d for _, d in timeline.deficit_curve()]
-    steps = [s for s, _ in timeline.deficit_curve()]
+    deficits = [d for _, d in run.deficit_curve()]
+    steps = [s for s, _ in run.deficit_curve()]
     for lo, hi, value in _constant_spans(deficits):
         length = hi - lo + 1
         if value > 0 and length >= thresholds.plateau_span:
@@ -202,7 +194,7 @@ def _scan_run(
                 f"[{steps[lo]}..{steps[hi]}]",
                 cause=span_cause(steps[lo], steps[hi]),
             )
-    utils = [float(s.get("arc_util", 0.0)) for s in timeline.steps]
+    utils = [float(s.get("arc_util", 0.0)) for s in run.steps]
     quiet_lo: int | None = None
     for i, u in enumerate(utils + [1.0]):  # sentinel closes a trailing span
         if u <= thresholds.util_floor and deficits[i : i + 1] != [0]:
@@ -221,19 +213,19 @@ def _scan_run(
                     cause=span_cause(steps[quiet_lo], steps[i - 1]),
                 )
             quiet_lo = None
-    if timeline.end is None:
+    if run.end is None:
         if not open_tail:
             flag(
                 "truncated-run",
                 None,
                 "no run_end event (crashed or interrupted?)",
             )
-    elif not timeline.end.get("success"):
+    elif not run.end.get("success"):
         flag(
             "failed-run",
             None,
-            f"run ended unsatisfied after {timeline.end.get('makespan')} steps",
-            cause=span_cause(0, len(timeline.steps)),
+            f"run ended unsatisfied after {run.end.get('makespan')} steps",
+            cause=span_cause(0, len(run.steps)),
         )
     return found
 
@@ -250,12 +242,10 @@ def scan_events(
     missing ``run_end`` is not flagged as ``truncated-run``.
     """
     found: List[Anomaly] = []
-    timelines = load_timelines(events)
-    for i, timeline in enumerate(timelines):
-        last = i == len(timelines) - 1
-        found.extend(
-            _scan_run(timeline, path, thresholds, open_tail=open_tail and last)
-        )
+    _header, runs = split_runs(events)
+    for i, run in enumerate(runs):
+        last = i == len(runs) - 1
+        found.extend(_scan_run(run, path, thresholds, open_tail=open_tail and last))
     return found
 
 

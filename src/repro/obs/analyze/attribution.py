@@ -22,13 +22,13 @@ telescopes, so the terms sum to the gap **exactly**, for failed runs and
 for negative gaps (diameter above makespan) alike; the property suite
 pins this down.
 
-Attribution is *refusal-first*: the event stream is replay-validated
-against the §2 invariants (:mod:`repro.obs.analyze.validate`) before any
-causal structure is derived, and a corrupted or truncated trace raises
-:class:`AttributionError` naming the first broken invariant and the
-fault step.  Unlike the validator, this module deliberately imports
-:mod:`repro.core` (bounds need graph distances), but still never touches
-:mod:`repro.sim` — attribution is a pure function of the trace.
+Attribution is *refusal-first*: the walk that records each run's forest
+is the §2 replay validator's (:mod:`repro.obs.analyze.validate`), and a
+corrupted or truncated trace raises :class:`AttributionError` naming
+the first broken invariant and the fault step.  Unlike the validator,
+this module deliberately imports :mod:`repro.core` (bounds need graph
+distances), but still never touches :mod:`repro.sim` — attribution is
+a pure function of the trace.
 """
 
 from __future__ import annotations
@@ -46,15 +46,15 @@ from repro.core.tokenset import TokenSet
 from repro.obs.analyze.causal import (
     BLOCKING_CATEGORIES,
     CriticalPath,
+    ForestReplay,
     RunForest,
     blocking_table,
-    build_forest,
     critical_path,
     dominant_category,
     transfer_slack,
 )
 from repro.obs.analyze.runs import JsonDict, TraceRun, split_runs
-from repro.obs.analyze.validate import validate_events
+from repro.obs.analyze.validate import ValidationReport
 from repro.obs.events import make_event, read_events
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "RunAttribution",
     "SkippedRun",
     "attribute_events",
-    "attribute_run",
     "attribute_trace",
     "summary_event",
 ]
@@ -323,15 +322,10 @@ def _decompose_gap(
     return out
 
 
-def attribute_run(run: TraceRun) -> RunAttribution:
-    """Attribute one *already-validated* run.
-
-    Raises :class:`repro.obs.analyze.causal.CausalError` on structural
-    gaps validation would have caught, and
+def _attribute(run: TraceRun, forest: RunForest) -> RunAttribution:
+    """Attribute one run from its forest; raises
     :class:`repro.core.bounds.InfeasibleBoundError` when the instance
-    admits no finite bound — callers turn the latter into a skip.
-    """
-    forest = build_forest(run)
+    admits no finite bound (the caller turns that into a skip)."""
     problem = Problem.from_dict(run.start["instance"])
     bound_curve = _bound_trajectory(problem, forest)
     diameter = diameter_knowledge_bound(problem)
@@ -367,29 +361,24 @@ def attribute_run(run: TraceRun) -> RunAttribution:
 def attribute_events(
     events: Sequence[JsonDict], path: str = "<events>"
 ) -> AttributionReport:
-    """Validate, then attribute, every run of an event stream.
+    """Validate and attribute every run of an event stream.
 
-    Replay validation runs first; any §2 violation aborts the whole
-    attribution with :class:`AttributionError` naming the fault step —
-    a forest built over corrupt transfers would be confidently wrong.
-    Dynamic-conditions runs and infeasible instances are *skipped* (with
-    the reason recorded), not errors: the trace is fine, the analysis
-    just does not apply.
+    Each run is replayed once: the same :class:`ForestReplay` walk both
+    validates it and records its forest.  Any §2 violation anywhere in
+    the trace aborts the whole attribution with :class:`AttributionError`
+    naming the first fault — a forest built over corrupt transfers would
+    be confidently wrong.  Dynamic-conditions runs and infeasible
+    instances are *skipped* (with the reason recorded), not errors: the
+    trace is fine, the analysis just does not apply.
     """
-    verdict = validate_events(events, path=path)
-    if not verdict.ok:
-        first = verdict.violations[0]
-        raise AttributionError(
-            f"refusing to attribute an invalid trace: {first.message} "
-            f"({len(verdict.violations)} violation(s) total)",
-            path=path,
-            run=first.run,
-            step=first.step,
-            invariant=first.invariant,
-        )
     _header, runs = split_runs(events)
+    verdict = ValidationReport(path=path)
     report = AttributionReport(path=path)
     for run in runs:
+        replay = ForestReplay(run, verdict)
+        replay.walk()
+        if not verdict.ok:
+            continue  # keep validating: the refusal counts every violation
         if run.engine == "dynamic":
             report.skipped.append(
                 SkippedRun(
@@ -403,7 +392,7 @@ def attribute_events(
             )
             continue
         try:
-            report.runs.append(attribute_run(run))
+            report.runs.append(_attribute(run, replay.forest()))
         except InfeasibleBoundError as exc:
             report.skipped.append(
                 SkippedRun(
@@ -413,6 +402,16 @@ def attribute_events(
                     reason=f"no finite lower bound: {exc}",
                 )
             )
+    if not verdict.ok:
+        first = verdict.violations[0]
+        raise AttributionError(
+            f"refusing to attribute an invalid trace: {first.message} "
+            f"({len(verdict.violations)} violation(s) total)",
+            path=path,
+            run=first.run,
+            step=first.step,
+            invariant=first.invariant,
+        )
     return report
 
 

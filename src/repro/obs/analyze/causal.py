@@ -2,10 +2,11 @@
 path, per-transfer slack, and per-vertex-step blocking attribution.
 
 A validated trace says *what* moved each timestep; this module derives
-*why the run took as long as it did*.  Three structures, all computed by
-replaying ``step.transfers`` with the same integer-mask arithmetic the
-replay validator uses (and, like the validator, importing nothing from
-the simulation kernel — see :mod:`repro.obs.analyze.runs`):
+*why the run took as long as it did*.  Three structures, all computed
+from one walk of the replay validator (:class:`ForestReplay` is its
+recording consumer, so the forest and the verdict cannot disagree) and,
+like the validator, importing nothing from the simulation kernel — see
+:mod:`repro.obs.analyze.runs`:
 
 **Dissemination forest.**  Every *useful arrival* — a vertex gaining a
 token it did not yet possess — has exactly one causal parent: the first
@@ -55,12 +56,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.analyze.runs import DecodedInstance, TraceRun, tokens_of
+from repro.obs.analyze.validate import ArcLoad, RunReplay, Transfer, ValidationReport
 
 __all__ = [
     "BLOCKING_CATEGORIES",
     "Arrival",
     "CausalError",
     "CriticalPath",
+    "ForestReplay",
     "PathHop",
     "RunForest",
     "WaitSegment",
@@ -69,7 +72,6 @@ __all__ = [
     "classify_block",
     "critical_path",
     "dominant_category",
-    "run_blocking_summary",
     "transfer_slack",
 ]
 
@@ -86,17 +88,22 @@ BLOCKING_CATEGORIES = (
 class CausalError(ValueError):
     """A trace is too malformed to derive causal structure from.
 
-    Carries the run index and, when localizable, the fault step —
-    attribution fails loudly *at* the corruption, never past it.
+    Carries the run index, the fault step when localizable, and the
+    broken invariant — the forest fails loudly *at* the corruption,
+    never past it.
     """
 
-    def __init__(self, message: str, run: int, step: Optional[int] = None):
+    def __init__(
+        self, message: str, run: int, step: Optional[int] = None, invariant: Optional[str] = None
+    ):
         where = f"run {run}"
         if step is not None:
             where += f" step {step}"
-        super().__init__(f"{where}: {message}")
+        tag = f"[{invariant}] " if invariant else ""
+        super().__init__(f"{where}: {tag}{message}")
         self.run = run
         self.step = step
+        self.invariant = invariant
 
 
 @dataclass(frozen=True)
@@ -125,9 +132,9 @@ class RunForest:
     #: holds the final state.
     have_before: List[List[int]]
     #: Per step: tokens carried per arc, ``(src, dst) -> count``.
-    arc_load: List[Dict[Tuple[int, int], int]]
+    arc_load: List[ArcLoad]
     #: Per step: the recorded ``[src, dst, [tokens]]`` triples.
-    transfers: List[List[Tuple[int, int, Tuple[int, ...]]]]
+    transfers: List[List[Transfer]]
     makespan: int
     success: bool
     #: ``(src, cap)`` per vertex, from the declared arcs.
@@ -204,87 +211,71 @@ class CriticalPath:
         return {c: n for c, n in counts.items() if n}
 
 
+class ForestReplay(RunReplay):
+    """The replay consumer that records a run's dissemination forest.
+
+    Walk it, then take :meth:`forest`.  An arrival's parent is the
+    transfer whose *fresh* mask carries the token: the emission-order
+    first sender.
+    """
+
+    def __init__(self, run: TraceRun, report: ValidationReport) -> None:
+        super().__init__(run, report)
+        self.have_before: List[List[int]] = []
+        self.arc_load: List[ArcLoad] = []
+        self.transfers: List[List[Transfer]] = []
+        self.arrivals: Dict[Tuple[int, int], Arrival] = {}
+
+    def on_step(
+        self, step: int, transfers: List[Transfer], arc_load: ArcLoad, fresh: List[int]
+    ) -> None:
+        self.have_before.append(list(self.have))
+        self.arc_load.append(arc_load)
+        self.transfers.append(transfers)
+        arrivals = self.arrivals
+        for (src, dst, sent), mask in zip(transfers, fresh):
+            for token in sent:
+                if mask >> token & 1:
+                    arrivals[(dst, token)] = Arrival(dst, token, step, src)
+
+    def forest(self) -> RunForest:
+        """The walked run's forest; raises :class:`CausalError` at the
+        first violation recorded at a step, or if the run did not decode.
+        Run-level verdicts (``run_end`` claims, a missing ``run_end``) do
+        not block a forest, so open runs still get one."""
+        run, instance = self.run, self.instance
+        for v in self.report.violations:
+            if v.run == run.run and (v.step is not None or instance is None):
+                raise CausalError(v.message, v.run, v.step, v.invariant)
+        assert instance is not None  # walk() flags every decode failure
+        in_arcs: List[List[Tuple[int, int]]] = [[] for _ in range(instance.num_vertices)]
+        for (src, dst), cap in sorted(instance.capacities.items()):
+            in_arcs[dst].append((src, cap))
+        return RunForest(
+            run=run.run,
+            engine=run.engine,
+            heuristic=run.heuristic,
+            instance=instance,
+            arrivals=self.arrivals,
+            have_before=self.have_before + [list(self.have)],
+            arc_load=self.arc_load,
+            transfers=self.transfers,
+            makespan=len(run.steps),
+            success=run.end is not None and bool(run.end.get("success")),
+            in_arcs=in_arcs,
+        )
+
+
 def build_forest(run: TraceRun) -> RunForest:
     """Replay one run's transfers into its dissemination forest.
 
-    Assumes the run already passed :func:`repro.obs.analyze.validate.
-    validate_events` — structural gaps here raise :class:`CausalError`
-    with the fault localized rather than producing a wrong forest.
+    Any step-level §2 violation raises :class:`CausalError` with the run,
+    step and invariant :func:`~repro.obs.analyze.validate.validate_events`
+    reports first, rather than producing a wrong forest.
     """
-    if run.start is None:
-        raise CausalError("run has no run_start event", run.run)
-    payload = run.start.get("instance")
-    if payload is None:
-        raise CausalError("run_start carries no instance payload", run.run)
-    try:
-        instance = DecodedInstance.from_payload(payload)
-    except ValueError as exc:
-        raise CausalError(f"undecodable instance payload: {exc}", run.run)
-
-    in_arcs: List[List[Tuple[int, int]]] = [
-        [] for _ in range(instance.num_vertices)
-    ]
-    for (src, dst), cap in sorted(instance.capacities.items()):
-        in_arcs[dst].append((src, cap))
-
-    have = list(instance.have_masks)
-    have_before: List[List[int]] = [list(have)]
-    arrivals: Dict[Tuple[int, int], Arrival] = {}
-    arc_load: List[Dict[Tuple[int, int], int]] = []
-    transfers: List[List[Tuple[int, int, Tuple[int, ...]]]] = []
-    for step_index, event in enumerate(run.steps):
-        raw = event.get("transfers")
-        if not isinstance(raw, list):
-            raise CausalError(
-                "step event carries no transfers list", run.run, step_index
-            )
-        load: Dict[Tuple[int, int], int] = {}
-        triples: List[Tuple[int, int, Tuple[int, ...]]] = []
-        new_this_step: Dict[int, int] = {}
-        for entry in raw:
-            src, dst, sent = int(entry[0]), int(entry[1]), entry[2]
-            tokens = tuple(int(t) for t in sent)
-            triples.append((src, dst, tokens))
-            load[(src, dst)] = load.get((src, dst), 0) + len(tokens)
-            for token in tokens:
-                if have[dst] >> token & 1:
-                    continue  # already possessed: a redundant send
-                key = (dst, token)
-                if key in arrivals:
-                    continue  # a same-step duplicate; first sender is parent
-                if not (have[src] >> token & 1):
-                    raise CausalError(
-                        f"transfer ({src}, {dst}) sends token {token} the "
-                        f"sender did not hold (run the replay validator "
-                        f"first)",
-                        run.run,
-                        step_index,
-                    )
-                arrivals[key] = Arrival(
-                    vertex=dst, token=token, step=step_index, src=src
-                )
-                new_this_step[dst] = new_this_step.get(dst, 0) | (1 << token)
-        for dst, mask in new_this_step.items():
-            have[dst] |= mask
-        have_before.append(list(have))
-        arc_load.append(load)
-        transfers.append(triples)
-
-    end = run.end
-    success = bool(end.get("success")) if end is not None else False
-    return RunForest(
-        run=run.run,
-        engine=run.engine,
-        heuristic=run.heuristic,
-        instance=instance,
-        arrivals=arrivals,
-        have_before=have_before,
-        arc_load=arc_load,
-        transfers=transfers,
-        makespan=len(run.steps),
-        success=success,
-        in_arcs=in_arcs,
-    )
+    replay = ForestReplay(run, ValidationReport(path=f"run {run.run}"))
+    replay.walk()
+    return replay.forest()
 
 
 def classify_block(forest: RunForest, vertex: int, step: int, needed: int) -> str:
@@ -529,14 +520,3 @@ def dominant_category(
         if n > best_count:
             best, best_count = category, n
     return best
-
-
-# Re-exported for the anomaly scanner, which needs only the blocking
-# table of one timeline, not the full attribution (no bounds, no core).
-def run_blocking_summary(run: TraceRun) -> Dict[str, int]:
-    """Idle vertex-steps per category for one run (forest + table)."""
-    forest = build_forest(run)
-    counts: Dict[str, int] = {}
-    for category in blocking_table(forest).values():
-        counts[category] = counts.get(category, 0) + 1
-    return counts

@@ -1,11 +1,11 @@
-"""Shared trace-analytics plumbing: run splitting and instance decoding.
+"""Shared trace-analytics plumbing: run grouping and instance decoding.
 
 Every analyzer in this package starts the same way: take the flat event
 stream of one trace file (:func:`repro.obs.read_events`) and regroup it
-into per-run event sequences, then — for the replay validator and the
-differ — decode the ``instance`` payload that ``run_start`` events carry
-(the ``Problem.to_dict`` form) into the integer-mask representation the
-analyzers compute with.
+into per-run event sequences with :func:`repro.obs.runs.split_runs`,
+then — for the replay — decode the ``instance`` payload that
+``run_start`` events carry (the ``Problem.to_dict`` form) into the
+integer-mask representation the analyzers compute with.
 
 The decoder is deliberately *independent* of :mod:`repro.core` and
 :mod:`repro.sim`: the replay validator re-implements the paper's §2
@@ -15,13 +15,14 @@ cannot hide by also corrupting the checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-JsonDict = Dict[str, Any]
+from repro.obs.runs import JsonDict, TraceRun, split_runs
 
 __all__ = [
     "DecodedInstance",
+    "JsonDict",
     "TraceRun",
     "mask_of",
     "split_runs",
@@ -49,67 +50,6 @@ def tokens_of(mask: int) -> List[int]:
     return out
 
 
-@dataclass
-class TraceRun:
-    """The events of one run within a trace, in emission order."""
-
-    run: int
-    start: Optional[JsonDict] = None
-    steps: List[JsonDict] = field(default_factory=list)
-    stalls: List[JsonDict] = field(default_factory=list)
-    end: Optional[JsonDict] = None
-    #: Run-scoped events in exact emission order (steps and stalls
-    #: interleaved as recorded) — the differ compares this sequence.
-    events: List[JsonDict] = field(default_factory=list)
-
-    @property
-    def heuristic(self) -> str:
-        if self.start is None:
-            return "?"
-        return str(self.start.get("heuristic", "?"))
-
-    @property
-    def engine(self) -> str:
-        if self.start is None:
-            return "?"
-        return str(self.start.get("engine", "?"))
-
-
-def split_runs(
-    events: Sequence[JsonDict],
-) -> Tuple[Optional[JsonDict], List[TraceRun]]:
-    """Group a trace's events into ``(trace_header, per-run sequences)``.
-
-    Mirrors the grouping of :func:`repro.obs.report.load_timelines` but
-    keeps the exact emission order per run, which the differ needs.
-    ``sweep_point`` telemetry and run-ledger rows are ignored.
-    """
-    header: Optional[JsonDict] = None
-    runs: Dict[int, TraceRun] = {}
-    for event in events:
-        kind = event["event"]
-        if kind == "trace_header":
-            if header is None:
-                header = event
-            continue
-        if kind not in ("run_start", "step", "stall", "run_end"):
-            continue
-        run_index = int(event.get("run", 0))
-        run = runs.get(run_index)
-        if run is None:
-            run = runs[run_index] = TraceRun(run=run_index)
-        run.events.append(event)
-        if kind == "run_start":
-            run.start = event
-        elif kind == "step":
-            run.steps.append(event)
-        elif kind == "stall":
-            run.stalls.append(event)
-        elif kind == "run_end":
-            run.end = event
-    return header, [runs[k] for k in sorted(runs)]
-
-
 @dataclass(frozen=True)
 class DecodedInstance:
     """The ``run_start`` instance payload in analyzer-native form."""
@@ -133,18 +73,21 @@ class DecodedInstance:
         try:
             n = int(data["num_vertices"])
             m = int(data["num_tokens"])
-            arcs = data["arcs"]
-        except (KeyError, TypeError, ValueError) as exc:
+            capacities: Dict[Tuple[int, int], int] = {}
+            for arc in data["arcs"]:
+                src, dst, cap = (int(x) for x in arc)
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise IndexError(f"arc ({src}, {dst}) out of range")
+                capacities[(src, dst)] = cap
+            have = [0] * n
+            want = [0] * n
+            for target, key in ((have, "have"), (want, "want")):
+                for v, tokens in data.get(key, {}).items():
+                    if not 0 <= int(v) < n:
+                        raise IndexError(f"vertex {v} out of range")
+                    target[int(v)] = mask_of(tokens)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"instance payload malformed: {exc}") from None
-        capacities: Dict[Tuple[int, int], int] = {}
-        for arc in arcs:
-            src, dst, cap = (int(x) for x in arc)
-            capacities[(src, dst)] = cap
-        have = [0] * n
-        want = [0] * n
-        for target, key in ((have, "have"), (want, "want")):
-            for v, tokens in data.get(key, {}).items():
-                target[int(v)] = mask_of(tokens)
         return cls(
             name=str(data.get("name", "")),
             num_vertices=n,

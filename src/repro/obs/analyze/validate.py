@@ -23,7 +23,16 @@ schedule-validity invariants without re-running the simulator:
 ``trace-structure``
     The trace is well-formed enough to replay at all: ``run_start``
     carries an instance, steps are contiguously numbered and carry
-    transfers, and every run is closed by a ``run_end``.
+    transfers, every transfer is a ``[src, dst, [tokens]]`` entry over
+    the instance's vertices and tokens, and every run is closed by a
+    ``run_end``.
+
+:class:`RunReplay` is the only possession replay in :mod:`repro.obs`:
+it walks a run's steps once, checks the invariants, and hands every
+step to :meth:`RunReplay.on_step`.  It has two consumers.  Validation
+keeps nothing per step, so ``trace-verify`` memory stays O(n + trace);
+the causal forest (:class:`repro.obs.analyze.causal.ForestReplay`)
+records every step and refuses at the first step-level violation.
 
 The replay is an independent implementation of the semantics — plain
 bitmask arithmetic over the JSON, importing nothing from the simulation
@@ -43,7 +52,7 @@ post-hoc verdict exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.analyze.runs import (
     DecodedInstance,
@@ -55,7 +64,7 @@ from repro.obs.analyze.runs import (
 )
 from repro.obs.events import read_events
 
-__all__ = ["Violation", "ValidationReport", "validate_events", "validate_trace"]
+__all__ = ["RunReplay", "ValidationReport", "Violation", "validate_events", "validate_trace"]
 
 #: Invariant codes in the order the run replay checks them.
 INVARIANTS = (
@@ -66,6 +75,11 @@ INVARIANTS = (
     "step-consistency",
     "final-want",
 )
+
+#: One decoded ``step.transfers`` entry: ``(src, dst, tokens)``.
+Transfer = Tuple[int, int, Tuple[int, ...]]
+#: Tokens carried per arc in one step: ``(src, dst) -> count``.
+ArcLoad = Dict[Tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -135,8 +149,29 @@ class ValidationReport:
         }
 
 
-class _RunValidator:
-    """Replays one run and accumulates violations."""
+def _decode_transfer(entry: Any, instance: DecodedInstance) -> Optional[Transfer]:
+    """One ``[src, dst, [tokens]]`` entry, or ``None`` when it is malformed
+    or names a vertex or token outside the instance."""
+    try:
+        src, dst, sent = entry
+        transfer = (int(src), int(dst), tuple(int(t) for t in sent))
+    except (TypeError, ValueError):
+        return None
+    n, tokens = instance.num_vertices, transfer[2]
+    if not (0 <= transfer[0] < n and 0 <= transfer[1] < n):
+        return None
+    if tokens and not (min(tokens) >= 0 and max(tokens) < instance.num_tokens):
+        return None
+    return transfer
+
+
+class RunReplay:
+    """Replays one run once, recording violations into ``report``.
+
+    :meth:`walk` replays the steps, handing each to :meth:`on_step`, then
+    checks the ``run_end`` verdict.  Validation keeps nothing per step;
+    :class:`repro.obs.analyze.causal.ForestReplay` records every step.
+    """
 
     def __init__(
         self, run: TraceRun, report: ValidationReport, open_tail: bool = False
@@ -144,13 +179,26 @@ class _RunValidator:
         self.run = run
         self.report = report
         self.open_tail = open_tail
+        #: The decoded instance; ``None`` when the run cannot be replayed.
+        self.instance: Optional[DecodedInstance] = None
+        #: Possession masks; the start-of-step state during :meth:`on_step`.
+        self.have: List[int] = []
+        self.moves = 0
+
+    def on_step(
+        self, step: int, transfers: List[Transfer], arc_load: ArcLoad, fresh: List[int]
+    ) -> None:
+        """Consume one step: its well-formed transfers in emission order,
+        the tokens carried per arc, and per transfer the mask of tokens it
+        is the first to deliver to a receiver that lacked them."""
 
     def _flag(self, invariant: str, message: str, step: Optional[int] = None) -> None:
         self.report.violations.append(
             Violation(run=self.run.run, step=step, invariant=invariant, message=message)
         )
 
-    def validate(self) -> None:
+    def walk(self) -> None:
+        """Decode the instance, replay every step, check the verdict."""
         run = self.run
         if run.start is None:
             self._flag(
@@ -171,65 +219,64 @@ class _RunValidator:
         except ValueError as exc:
             self._flag("trace-structure", f"undecodable instance payload: {exc}")
             return
-        dynamic = run.engine == "dynamic"
-        if dynamic:
+        if run.engine == "dynamic":
             self.report.notes.append(
                 f"run {run.run} is a dynamic-conditions run; per-step arc "
                 f"existence/capacity checks are skipped (the arc set changes "
                 f"each turn)"
             )
-        have = list(instance.have_masks)
-        reported = instance.deficits(have)
+        self.instance = instance
+        self.have = list(instance.have_masks)
+        reported = instance.deficits(self.have)
         start_deficit = run.start.get("total_deficit")
-        if start_deficit is not None and int(start_deficit) != sum(reported):
+        if start_deficit is not None and start_deficit != sum(reported):
             self._flag(
                 "step-consistency",
                 f"run_start total_deficit={start_deficit} but the instance's "
                 f"initial wanted-but-missing count is {sum(reported)}",
             )
-        total_moves = 0
         for expected_step, event in enumerate(run.steps):
-            total_moves += self._replay_step(
-                instance, event, expected_step, have, reported, dynamic
-            )
+            self._replay_step(instance, event, expected_step, reported)
             self.report.steps_checked += 1
-        self._check_end(instance, have, len(run.steps), total_moves)
-        self.report.runs_checked += 1
+        self._check_end(instance)
 
     # ------------------------------------------------------------------
     def _replay_step(
-        self,
-        instance: DecodedInstance,
-        event: JsonDict,
-        expected_step: int,
-        have: List[int],
-        reported: List[int],
-        dynamic: bool,
-    ) -> int:
-        step = int(event.get("step", expected_step))
-        if step != expected_step:
+        self, instance: DecodedInstance, event: JsonDict, expected_step: int, reported: List[int]
+    ) -> None:
+        said = event.get("step", expected_step)
+        step = said if isinstance(said, int) else expected_step
+        if said != expected_step:
             self._flag(
                 "trace-structure",
                 f"step events are not contiguous: expected step "
-                f"{expected_step}, event says {step}",
+                f"{expected_step}, event says {said}",
                 step=step,
             )
-        transfers = event.get("transfers")
-        if not isinstance(transfers, list):
+        raw = event.get("transfers")
+        if not isinstance(raw, list):
             self._flag(
                 "trace-structure",
                 "step event carries no transfers list (trace predates the "
                 "analytics schema); re-record the trace to replay-validate it",
                 step=step,
             )
-            return 0
-        moves = 0
-        arrivals: Dict[int, int] = {}
-        for entry in transfers:
-            src, dst, sent = int(entry[0]), int(entry[1]), list(entry[2])
+            return
+        have = self.have
+        check_arcs = self.run.engine != "dynamic"
+        transfers: List[Transfer] = []
+        arc_load: ArcLoad = {}
+        fresh: List[int] = []
+        delivered: Dict[int, int] = {}
+        for entry in raw:
+            transfer = _decode_transfer(entry, instance)
+            if transfer is None:
+                message = f"malformed transfer {entry!r}: expected [src, dst, [tokens]] in range"
+                self._flag("trace-structure", message, step=step)
+                continue
+            src, dst, sent = transfer
             mask = mask_of(sent)
-            moves += len(sent)
-            if not dynamic:
+            if check_arcs:
                 cap = instance.capacities.get((src, dst))
                 if cap is None:
                     self._flag(
@@ -252,44 +299,51 @@ class _RunValidator:
                     f"not possess at the start of the step",
                     step=step,
                 )
-            arrivals[dst] = arrivals.get(dst, 0) | mask
-        gained = 0
-        for dst in sorted(arrivals):
-            new = arrivals[dst] & ~have[dst]
-            gained += new.bit_count()
-            have[dst] |= new
-        self._check_step_report(instance, event, step, have, reported, gained, moves)
-        return moves
+            transfers.append(transfer)
+            arc_load[(src, dst)] = arc_load.get((src, dst), 0) + len(sent)
+            already = have[dst] | delivered.get(dst, 0)
+            fresh.append(mask & ~already)
+            delivered[dst] = already | mask
+        self.on_step(step, transfers, arc_load, fresh)
+        for dst, mask in delivered.items():
+            have[dst] = mask
+        moves = sum(arc_load.values())
+        self.moves += moves
+        gained = sum(mask.bit_count() for mask in fresh)
+        self._check_step_report(instance, event, step, reported, gained, moves)
 
     def _check_step_report(
         self,
         instance: DecodedInstance,
         event: JsonDict,
         step: int,
-        have: Sequence[int],
         reported: List[int],
         gained: int,
         moves: int,
     ) -> None:
         """Check the step's self-reported aggregates against the replay."""
         emitted = event.get("deficit_by_vertex")
-        if isinstance(emitted, list) and len(emitted) == instance.num_vertices:
+        if (
+            isinstance(emitted, list)
+            and len(emitted) == instance.num_vertices
+            and all(isinstance(x, int) for x in emitted)
+        ):
             for v, (prev, now) in enumerate(zip(reported, emitted)):
-                if int(now) > int(prev):
+                if now > prev:
                     self._flag(
                         "monotone-have",
                         f"vertex {v}'s reported deficit rose {prev} -> {now}; "
                         f"have-sets only ever grow",
                         step=step,
                     )
-            reported[:] = [int(x) for x in emitted]
-        replayed = instance.deficits(have)
+            reported[:] = emitted
+        replayed = instance.deficits(self.have)
         checks: List[tuple[str, Any, Any]] = [
             ("deficit_by_vertex", emitted, replayed),
             ("deficit", event.get("deficit"), sum(replayed)),
             ("gained", event.get("gained"), gained),
             ("moves", event.get("moves"), moves),
-            ("sends", event.get("sends"), len(event.get("transfers", []))),
+            ("sends", event.get("sends"), len(event["transfers"])),
         ]
         for name, got, want in checks:
             if got is not None and got != want:
@@ -300,19 +354,15 @@ class _RunValidator:
                     step=step,
                 )
 
-    def _check_end(
-        self,
-        instance: DecodedInstance,
-        have: Sequence[int],
-        makespan: int,
-        total_moves: int,
-    ) -> None:
+    def _check_end(self, instance: DecodedInstance) -> None:
+        have, makespan = self.have, len(self.run.steps)
         end = self.run.end
         unmet = [
             v
             for v in range(instance.num_vertices)
             if instance.want_masks[v] & ~have[v]
         ]
+        self.report.runs_checked += 1
         if end is None:
             if not self.open_tail:
                 self._flag(
@@ -345,9 +395,9 @@ class _RunValidator:
             )
         for name, got, want in (
             ("makespan", end.get("makespan"), makespan),
-            ("bandwidth", end.get("bandwidth"), total_moves),
+            ("bandwidth", end.get("bandwidth"), self.moves),
         ):
-            if got is not None and int(got) != want:
+            if got is not None and got != want:
                 self._flag(
                     "final-want",
                     f"run_end reports {name}={got} but the replay gives {want}",
@@ -370,7 +420,7 @@ def validate_events(
         report.notes.append("trace contains no runs")
     for i, run in enumerate(runs):
         last = i == len(runs) - 1
-        _RunValidator(run, report, open_tail=open_tail and last).validate()
+        RunReplay(run, report, open_tail=open_tail and last).walk()
     return report
 
 

@@ -21,138 +21,16 @@ trace never touches the simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs.events import read_events
+from repro.obs.runs import TraceRun, split_runs
 
-__all__ = ["RunTimeline", "load_timelines", "render_report", "render_trace_file"]
+__all__ = ["render_report", "render_trace_file"]
 
 _BAR = "█"
 _CHART_WIDTH = 40
 _MAX_CURVE_ROWS = 16
-
-
-@dataclass
-class RunTimeline:
-    """The parsed events of one run within a trace."""
-
-    run: int
-    start: Dict[str, Any]
-    steps: List[Dict[str, Any]] = field(default_factory=list)
-    stalls: List[Dict[str, Any]] = field(default_factory=list)
-    end: Optional[Dict[str, Any]] = None
-
-    @property
-    def heuristic(self) -> str:
-        return str(self.start.get("heuristic", "?"))
-
-    @property
-    def initial_deficit(self) -> int:
-        return int(self.start.get("total_deficit", 0))
-
-    def deficit_curve(self) -> List[Tuple[int, int]]:
-        """``(step, remaining deficit)`` per traced timestep."""
-        return [(int(s["step"]), int(s["deficit"])) for s in self.steps]
-
-    def stall_spans(self) -> List[Tuple[int, int]]:
-        """Maximal ``[first, last]`` spans of zero-gain timesteps."""
-        spans: List[Tuple[int, int]] = []
-        for s in self.steps:
-            if int(s.get("gained", 0)) > 0:
-                continue
-            step = int(s["step"])
-            if spans and spans[-1][1] == step - 1:
-                spans[-1] = (spans[-1][0], step)
-            else:
-                spans.append((step, step))
-        return spans
-
-    def phases(self) -> List[Tuple[str, int, int, int]]:
-        """``(name, first_step, last_step, tokens_gained)`` per phase."""
-        gains = [int(s.get("gained", 0)) for s in self.steps]
-        if not gains:
-            return []
-        peak = max(gains)
-        ramp_end = 0
-        for i, g in enumerate(gains):
-            if peak > 0 and g * 2 >= peak:
-                ramp_end = i
-                break
-        initial = self.initial_deficit
-        tail_start = len(gains)
-        for i, s in enumerate(self.steps):
-            if initial > 0 and int(s["deficit"]) * 10 <= initial:
-                tail_start = i
-                break
-        tail_start = max(tail_start, ramp_end + 1)
-        bounds = [
-            ("ramp-up", 0, ramp_end),
-            ("bulk", ramp_end + 1, tail_start - 1),
-            ("tail", tail_start, len(gains) - 1),
-        ]
-        out: List[Tuple[str, int, int, int]] = []
-        for name, lo, hi in bounds:
-            if lo > hi:
-                continue
-            out.append((name, lo, hi, sum(gains[lo : hi + 1])))
-        return out
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-able view for ``report --format json`` consumers."""
-        utils = [float(s.get("arc_util", 0.0)) for s in self.steps]
-        end = self.end
-        return {
-            "run": self.run,
-            "heuristic": self.heuristic,
-            "engine": str(self.start.get("engine", "?")),
-            "problem": str(self.start.get("problem", "?")),
-            "initial_deficit": self.initial_deficit,
-            "end": {
-                "success": bool(end.get("success")),
-                "makespan": end.get("makespan"),
-                "bandwidth": end.get("bandwidth"),
-            }
-            if end is not None
-            else None,
-            "deficit_curve": [list(p) for p in self.deficit_curve()],
-            "stall_spans": [list(s) for s in self.stall_spans()],
-            "phases": [
-                {"name": name, "first": lo, "last": hi, "gained": gain}
-                for name, lo, hi, gain in self.phases()
-            ],
-            "arc_util": {
-                "mean": sum(utils) / len(utils),
-                "peak": max(utils),
-            }
-            if utils
-            else None,
-        }
-
-
-def load_timelines(events: Sequence[Dict[str, Any]]) -> List[RunTimeline]:
-    """Group a trace's events into per-run timelines."""
-    runs: Dict[int, RunTimeline] = {}
-    for event in events:
-        kind = event["event"]
-        if kind not in ("run_start", "step", "stall", "run_end"):
-            # trace_header, sweep_point telemetry, and run-ledger kinds
-            # (sweep_start/point_*/sweep_end) carry no run dynamics.
-            continue
-        run = int(event.get("run", 0))
-        if kind == "run_start":
-            runs[run] = RunTimeline(run=run, start=event)
-            continue
-        timeline = runs.get(run)
-        if timeline is None:
-            timeline = runs[run] = RunTimeline(run=run, start={})
-        if kind == "step":
-            timeline.steps.append(event)
-        elif kind == "stall":
-            timeline.stalls.append(event)
-        elif kind == "run_end":
-            timeline.end = event
-    return [runs[k] for k in sorted(runs)]
 
 
 def _downsample(curve: Sequence[Tuple[int, int]], rows: int) -> List[Tuple[int, int]]:
@@ -166,7 +44,7 @@ def _downsample(curve: Sequence[Tuple[int, int]], rows: int) -> List[Tuple[int, 
     return out
 
 
-def _render_curve(timeline: RunTimeline, lines: List[str]) -> None:
+def _render_curve(timeline: TraceRun, lines: List[str]) -> None:
     curve = timeline.deficit_curve()
     if not curve:
         lines.append("  (no step events)")
@@ -183,7 +61,7 @@ def render_report(
 ) -> str:
     """Render every run in an event stream as a text timeline."""
     lines: List[str] = []
-    header = next((e for e in events if e["event"] == "trace_header"), None)
+    header, timelines = split_runs(events)
     if title:
         lines.append(f"=== trace report: {title} ===")
     if header is not None:
@@ -195,7 +73,6 @@ def render_report(
         lines.append(
             "scenario: " + ", ".join(f"{k}={v}" for k, v in meta.items())
         )
-    timelines = load_timelines(events)
     if not timelines:
         lines.append("(no runs in trace)")
         return "\n".join(lines) + "\n"
@@ -204,13 +81,12 @@ def render_report(
     return "\n".join(lines) + "\n"
 
 
-def _render_run(timeline: RunTimeline, lines: List[str]) -> None:
-    start, end = timeline.start, timeline.end
+def _render_run(timeline: TraceRun, lines: List[str]) -> None:
+    end = timeline.end
     lines.append("")
-    engine = start.get("engine", "?")
     lines.append(
         f"--- run {timeline.run}: {timeline.heuristic} "
-        f"on {start.get('problem', '?')} [{engine}] ---"
+        f"on {timeline.problem} [{timeline.engine}] ---"
     )
     if end is not None:
         outcome = "success" if end.get("success") else "FAILED"

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from typing import Any, Dict, List
 
 from repro.heuristics import HEURISTIC_FACTORIES
-from repro.obs import JsonlTracer
-from repro.obs.analyze import ScanThresholds, scan_events, scan_paths
+from repro.locd.algorithms import FloodThenOptimal
+from repro.locd.runner import run_local
+from repro.obs import JsonlTracer, RecordingTracer, split_runs
+from repro.obs.analyze import (
+    BLOCKING_CATEGORIES,
+    ScanThresholds,
+    blocking_table,
+    build_forest,
+    scan_events,
+    scan_paths,
+)
+from repro.obs.analyze.causal import dominant_category
 from repro.sim import run_heuristic
 from repro.topology import random_graph
+from repro.topology.named import path_topology
 from repro.workloads import single_file
 
 
@@ -161,3 +173,52 @@ class TestScanPaths:
     def test_non_jsonl_files_ignored_in_directories(self, tmp_path):
         (tmp_path / "notes.txt").write_text("not a trace")
         assert scan_paths([str(tmp_path)]) == []
+
+
+def _locd_stall_events() -> List[Dict[str, Any]]:
+    """A LOCD run that stalls: FloodThenOptimal floods knowledge across
+    a 6-vertex path before it moves any token."""
+    tracer = RecordingTracer()
+    problem = single_file(path_topology(6), file_tokens=2)
+    run_local(problem, FloodThenOptimal(), tracer=tracer)
+    return tracer.events
+
+
+def _stalls(events) -> List[Any]:
+    found = scan_events(events, thresholds=ScanThresholds(stall_span=1))
+    return [a for a in found if a.kind == "stall-span"]
+
+
+class TestAnomalyCauses:
+    def test_stall_cause_is_dominant_blocking_category(self):
+        events = _locd_stall_events()
+        stalls = _stalls(events)
+        assert stalls
+        _header, (run,) = split_runs(events)
+        table = blocking_table(build_forest(run))
+        spans = dict(run.stall_spans())
+        for anomaly in stalls:
+            lo, hi = anomaly.step, spans[anomaly.step]
+            counts = Counter(
+                category for (_v, step), category in table.items() if lo <= step <= hi
+            )
+            assert anomaly.cause in BLOCKING_CATEGORIES
+            assert anomaly.cause == dominant_category(dict(counts))
+
+    def test_instance_less_trace_has_no_cause(self):
+        events = _run(
+            [4, 3, 3, 3, 3, 0],
+            [1, 0, 0, 0, 0, 3],
+            [0.5, 0.4, 0.4, 0.4, 0.4, 0.5],
+        )
+        stalls = _stalls(events)
+        assert stalls
+        assert all(a.cause is None for a in stalls)
+
+    def test_dynamic_run_has_no_cause(self):
+        events = _locd_stall_events()
+        start = next(e for e in events if e["event"] == "run_start")
+        start["engine"] = "dynamic"
+        stalls = _stalls(events)
+        assert stalls
+        assert all(a.cause is None for a in stalls)

@@ -209,6 +209,47 @@ class TestStructureAndConsistency:
         assert "[arc-capacity]" in text
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            [99, 1, [0]],
+            [0, 99, [0]],
+            [-1, 1, [0]],
+            [0, 1],
+            [0, 1, [5]],
+            [0, 1, [-1]],
+            [0, 1, 0],
+            "0 1 [0]",
+        ],
+    )
+    def test_malformed_transfer_is_a_structure_fault(self, entry):
+        events = _tiny_trace()
+        events[1]["transfers"] = [entry]
+        report = validate_events(events)
+        first = report.violations[0]
+        assert (first.step, first.invariant) == (0, "trace-structure")
+        assert "malformed transfer" in first.message
+
+    def test_negative_vertex_caught_in_dynamic_runs(self):
+        # Dynamic runs skip the arc check that would otherwise catch a
+        # negative sender; the entry check must not depend on it.
+        events = _tiny_trace()
+        events[0]["engine"] = "dynamic"
+        events[1]["transfers"] = [[-2, 1, [0, 1]]]
+        hits = _violations(validate_events(events), "trace-structure")
+        assert [v.step for v in hits] == [0]
+
+    @pytest.mark.parametrize("arc", [[0, 99, 1], [-1, 0, 1]])
+    def test_out_of_range_arc_is_undecodable(self, arc):
+        events = _tiny_trace()
+        events[0]["instance"]["arcs"].append(arc)
+        hits = _violations(validate_events(events), "trace-structure")
+        assert len(hits) == 1
+        assert "undecodable instance payload" in hits[0].message
+        assert "out of range" in hits[0].message
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_multi_run_traces_replay_per_run(seed):
     problem = single_file(random_graph(8, random.Random(seed)), file_tokens=4)

@@ -8,9 +8,9 @@ The acceptance contract of the causal layer, pinned four ways:
 * the gap-decomposition terms sum to ``makespan − max(bounds)``, to
   the integer, for successful, failed, and negative-gap runs alike.
 
-Plus the refusal contract: a mutated transfer and a dropped arrival
-must abort attribution loudly *at the fault step*, never produce a
-confidently wrong forest.
+Plus the refusal contract: a mutated transfer, a dropped arrival and a
+malformed entry must abort attribution loudly *at the fault step*,
+never produce a confidently wrong forest.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from repro.obs.analyze import (
     split_runs,
     summary_event,
     transfer_slack,
+    validate_events,
 )
-from repro.obs.events import validate_event
+from repro.obs.events import read_events, validate_event
 from repro.sim import run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
@@ -226,14 +227,32 @@ class TestHandmadeTraces:
         assert "dynamic" in skip.reason
 
 
+#: Step-0 corruptions of the chain trace, as field updates.
+SEEDED_FAULTS: Dict[str, Dict[str, Any]] = {
+    # Vertex 1 "sends" the token it has not yet received.
+    "mutated-transfer": {"transfers": [[1, 2, [0]]]},
+    # The delivery is deleted and the step kept self-consistent: the
+    # fault first bites at step 1, where the relay sends what it lacks.
+    "dropped-arrival": {"transfers": [], "sends": 0, "moves": 0, "gained": 0},
+    # Malformed entries: out-of-range endpoints and a short entry.
+    "src-out-of-range": {"transfers": [[99, 1, [0]]]},
+    "dst-out-of-range": {"transfers": [[0, 99, [0]]]},
+    "short-entry": {"transfers": [[0, 1]]},
+}
+MALFORMED = ["src-out-of-range", "dst-out-of-range", "short-entry"]
+
+
+def _seeded(fault: str) -> List[Dict[str, Any]]:
+    events = _chain_trace()
+    events[1].update(SEEDED_FAULTS[fault])
+    return events
+
+
 class TestSeededFaults:
     def test_mutated_transfer_fails_at_fault_step(self):
-        # Rewrite step 0's transfer so vertex 1 "sends" the token it has
-        # not yet received: attribution must refuse at step 0.
-        events = _chain_trace()
-        events[1]["transfers"] = [[1, 2, [0]]]
+        # Attribution must refuse at step 0, where the fault is.
         with pytest.raises(AttributionError) as excinfo:
-            attribute_events(events)
+            attribute_events(_seeded("mutated-transfer"))
         error = excinfo.value
         assert error.run == 0
         assert error.step == 0
@@ -241,30 +260,49 @@ class TestSeededFaults:
         assert "did not possess" in str(error)
 
     def test_dropped_arrival_fails_at_first_broken_step(self):
-        # Delete step 0's delivery and keep that step self-consistent:
-        # the corruption now first bites at step 1, where the relay
-        # vertex sends a token it never received.
-        events = _chain_trace()
-        events[1].update(
-            {"transfers": [], "sends": 0, "moves": 0, "gained": 0}
-        )
         with pytest.raises(AttributionError) as excinfo:
-            attribute_events(events)
+            attribute_events(_seeded("dropped-arrival"))
         error = excinfo.value
         assert error.run == 0
         assert error.step == 1
         assert error.invariant == "sender-possession"
 
-    def test_forest_builder_localizes_without_validation(self):
+    @pytest.mark.parametrize("fault", sorted(SEEDED_FAULTS))
+    def test_forest_builder_localizes_without_validation(self, fault):
         # build_forest is the last line of defense when callers skip
-        # validate_events: same fault, same localization.
-        events = _chain_trace()
-        events[1]["transfers"] = [[1, 2, [0]]]
+        # validate_events: it refuses at the validator's first step fault.
+        events = _seeded(fault)
+        first = next(
+            v for v in validate_events(events).violations if v.step is not None
+        )
         _header, (run,) = split_runs(events)
         with pytest.raises(CausalError) as excinfo:
             build_forest(run)
-        assert excinfo.value.run == 0
-        assert excinfo.value.step == 0
+        error = excinfo.value
+        assert (error.run, error.step, error.invariant) == (
+            first.run,
+            first.step,
+            first.invariant,
+        )
+
+    @pytest.mark.parametrize("fault", MALFORMED)
+    def test_malformed_transfer_is_a_structure_fault(self, fault):
+        events = _seeded(fault)
+        first = validate_events(events).violations[0]
+        assert (first.run, first.step, first.invariant) == (0, 0, "trace-structure")
+        assert "malformed transfer" in first.message
+        with pytest.raises(AttributionError) as excinfo:
+            attribute_events(events)
+        error = excinfo.value
+        assert (error.run, error.step, error.invariant) == (0, 0, "trace-structure")
+
+    def test_open_run_still_has_a_forest(self):
+        # A missing run_end is a run-level fault: it does not block the
+        # forest, so scans of a run still being written get causes.
+        _header, (run,) = split_runs(_chain_trace()[:-1])
+        forest = build_forest(run)
+        assert forest.makespan == 2 and not forest.success
+        assert critical_path(forest).length == 2
 
     def test_truncated_trace_refused(self):
         events = _chain_trace()[:-1]
@@ -382,6 +420,38 @@ class TestCliTraceAttribute:
         err = capsys.readouterr().err
         assert "trace-attribute refused" in err
         assert "run" in err
+
+
+class TestCliMalformedTrace:
+    @pytest.fixture
+    def malformed(self, trace_file, tmp_path):
+        events = read_events(trace_file)
+        step = next(e for e in events if e["event"] == "step")
+        step["transfers"] = [[99, 1, [0]]]
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        return str(path)
+
+    def test_verify_names_the_fault(self, malformed, capsys):
+        capsys.readouterr()
+        assert main(["trace-verify", malformed]) == 1
+        captured = capsys.readouterr()
+        assert "step 0: [trace-structure] malformed transfer" in captured.out
+        assert "Traceback" not in captured.err
+
+    def test_attribute_refuses(self, malformed, capsys):
+        capsys.readouterr()
+        assert main(["trace-attribute", malformed]) == 2
+        err = capsys.readouterr().err
+        assert "trace-attribute refused" in err
+        assert "[trace-structure]" in err
+
+    def test_export_fails_at_the_fault(self, malformed, capsys):
+        capsys.readouterr()
+        assert main(["trace-export", malformed]) == 2
+        err = capsys.readouterr().err
+        assert "trace-export failed" in err
+        assert "step 0: [trace-structure]" in err
 
 
 class TestCliTraceExport:

@@ -1,19 +1,22 @@
-"""Trace reports: timeline parsing, stall spans, phases, round-trip."""
+"""Trace reports: run grouping, stall spans, phases, round-trip."""
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.cli import main
 from repro.core.problem import Problem
 from repro.heuristics import standard_heuristics
 from repro.obs import (
     JsonlTracer,
     RecordingTracer,
-    load_timelines,
     make_event,
     read_events,
     render_report,
     render_trace_file,
+    split_runs,
 )
 from repro.sim.engine import run_heuristic
 from repro.topology import random_graph
@@ -42,7 +45,7 @@ class TestTimelineAnalysis:
             make_event("run_start", {"run": 0, "total_deficit": 10}),
             *_steps([(4, 6), (0, 6), (0, 6), (2, 4), (0, 4), (4, 0)]),
         ]
-        (timeline,) = load_timelines(events)
+        _header, (timeline,) = split_runs(events)
         assert timeline.stall_spans() == [(1, 2), (4, 4)]
 
     def test_phases_partition_the_run(self):
@@ -50,7 +53,7 @@ class TestTimelineAnalysis:
             make_event("run_start", {"run": 0, "total_deficit": 100}),
             *_steps([(1, 99), (10, 89), (40, 49), (30, 19), (10, 9), (9, 0)]),
         ]
-        (timeline,) = load_timelines(events)
+        _header, (timeline,) = split_runs(events)
         phases = timeline.phases()
         names = [name for name, _lo, _hi, _gain in phases]
         assert names == ["ramp-up", "bulk", "tail"]
@@ -66,7 +69,7 @@ class TestTimelineAnalysis:
         problem = _problem()
         for heuristic in standard_heuristics()[:2]:
             run_heuristic(problem, heuristic, seed=7, tracer=tracer)
-        timelines = load_timelines(tracer.events)
+        _header, timelines = split_runs(tracer.events)
         assert [t.run for t in timelines] == [0, 1]
         assert all(t.end is not None for t in timelines)
 
@@ -114,3 +117,13 @@ class TestRendering:
         events.append(make_event("sweep_point", {"figure": "f", "ok": True}))
         text = render_report(events)
         assert "run 0" in text
+
+
+class TestReportCli:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_missing_trace_exits_two(self, tmp_path, capsys, fmt):
+        missing = str(tmp_path / "absent.jsonl")
+        assert main(["report", missing, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert "report failed:" in captured.err
+        assert captured.out == ""
