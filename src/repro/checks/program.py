@@ -1181,7 +1181,7 @@ class _ModuleExtractor:
 
         Handles ``return {literal}`` and ``return name`` where ``name``
         is a locally assigned dict literal plus item assignments — which
-        covers builder methods like ``PointOutcome.as_row``.
+        covers builder methods that assemble a payload before returning it.
         """
         class_name = self._class_for_node.get(id(node))
         sub = _FunctionExtractor(

@@ -530,9 +530,8 @@ class TraceRawReadRule(ProgramRule):
     ``import json as j``, ``from json import loads``).
 
     ``json.load`` (whole-file, e.g. bench snapshots) is deliberately not
-    flagged: the contract covers line-oriented *trace* records.  Vetted
-    exceptions (the legacy-telemetry converter, which exists precisely
-    to parse pre-schema lines) carry ``# ocd: ignore[OCD016]``.
+    flagged: the contract covers line-oriented *trace* records.  A vetted
+    exception would carry ``# ocd: ignore[OCD016]``; the tree has none.
     """
 
     code = "OCD016"

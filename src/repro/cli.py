@@ -21,7 +21,6 @@ Two halves:
       ocd-repro trace problem.json --heuristic all --out trace.jsonl
       ocd-repro trace random --size 20 --tokens 8 --profile
       ocd-repro report trace.jsonl
-      ocd-repro convert-telemetry old-telemetry.jsonl upgraded.jsonl
       ocd-repro run fig2 --trace-dir traces/
 
 * trace analytics — consume traces (``repro.obs.analyze``)::
@@ -114,12 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result cache root (default results/cache, or $REPRO_CACHE_DIR)",
     )
     run.add_argument(
-        "--telemetry",
-        default=None,
-        help="append per-point telemetry JSONL here "
-        "(default <cache-dir>/telemetry.jsonl)",
-    )
-    run.add_argument(
         "--trace-dir",
         default=None,
         help="write one run-trace JSONL per computed sweep point into this "
@@ -129,8 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--ledger",
         default=None,
-        help="append the live run ledger (sweep/point status + heartbeat "
-        "events) here, for 'ocd-repro watch' (or $REPRO_LEDGER)",
+        help="append the run ledger (sweep/point status + heartbeat "
+        "events) here, for 'ocd-repro watch' (or $REPRO_LEDGER; default "
+        "<cache-dir>/ledger.jsonl while the cache is on)",
     )
     run.add_argument(
         "--heartbeat-s",
@@ -449,13 +443,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "deterministic sorted-key JSON",
     )
 
-    convert = sub.add_parser(
-        "convert-telemetry",
-        help="upgrade pre-schema sweep telemetry JSONL to the event schema",
-    )
-    convert.add_argument("src", help="legacy telemetry JSONL file")
-    convert.add_argument("dst", help="output path (must differ from src)")
-
     compare = sub.add_parser(
         "compare", help="all heuristics x all metrics on an instance"
     )
@@ -492,8 +479,6 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    from dataclasses import replace
-
     from repro.experiments import (
         ALL_EXPERIMENTS,
         PAPER,
@@ -511,20 +496,20 @@ def _cmd_run(args) -> int:
         )
         return 2
     scale = PAPER if args.paper_scale else QUICK
-    config = default_executor_config(
-        workers=args.workers,
-        use_cache=False if args.no_cache else None,
-        force=True if args.force else None,
-        cache_dir=args.cache_dir,
-        trace_dir=args.trace_dir,
-        ledger_path=args.ledger,
-        heartbeat_s=args.heartbeat_s,
-        profile=True if args.profile_sweep else None,
-    )
-    if args.telemetry is not None:
-        config = replace(config, telemetry_path=args.telemetry)
-    elif config.use_cache:
-        config = config.with_telemetry_default()
+    try:
+        config = default_executor_config(
+            workers=args.workers,
+            use_cache=False if args.no_cache else None,
+            force=True if args.force else None,
+            cache_dir=args.cache_dir,
+            trace_dir=args.trace_dir,
+            ledger_path=args.ledger,
+            heartbeat_s=args.heartbeat_s,
+            profile=True if args.profile_sweep else None,
+        )
+    except ValueError as error:
+        print(f"run: {error}", file=sys.stderr)
+        return 2
     executor = Executor(config)
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
@@ -975,21 +960,6 @@ def _cmd_trace_export(args) -> int:
     return 0
 
 
-def _cmd_convert_telemetry(args) -> int:
-    from repro.obs import convert_telemetry
-
-    try:
-        total, upgraded = convert_telemetry(args.src, args.dst)
-    except (OSError, ValueError) as error:
-        print(f"convert-telemetry failed: {error}", file=sys.stderr)
-        return 1
-    print(
-        f"wrote {args.dst}: {total} record(s), {upgraded} upgraded, "
-        f"{total - upgraded} already on the event schema"
-    )
-    return 0
-
-
 def _cmd_compare(args) -> int:
     from repro.analysis import compare_heuristics
     from repro.experiments.report import format_table
@@ -1037,8 +1007,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace_scan(args)
     if args.command == "watch":
         return _cmd_watch(args)
-    if args.command == "convert-telemetry":
-        return _cmd_convert_telemetry(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

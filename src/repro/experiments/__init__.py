@@ -8,7 +8,7 @@ the Theorem 4 measurements (not a numbered figure).
 Drivers declare their sweeps as grids of
 :class:`~repro.experiments.sweep.PointSpec` values handed to an
 :class:`~repro.experiments.sweep.Executor` (parallel fan-out, result
-caching, telemetry); calling a driver with no executor runs serially
+caching, run ledger); calling a driver with no executor runs serially
 with caching off, which reproduces the historical behaviour exactly.
 Importing this package registers every driver's point function, which
 is how spawn-started worker processes find them.

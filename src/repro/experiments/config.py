@@ -11,17 +11,19 @@ configuration: ``REPRO_WORKERS`` (process count; <=1 means serial),
 ``REPRO_NO_CACHE=1`` (disable the result cache), ``REPRO_FORCE=1``
 (recompute despite cached entries), ``REPRO_CACHE_DIR`` (cache root,
 default ``results/cache``), ``REPRO_TRACE_DIR`` (write per-point run
-traces there; off by default), ``REPRO_LEDGER`` (append the live run
-ledger there; off by default), ``REPRO_HEARTBEAT_S`` (seconds between
-worker heartbeats, default 5), ``REPRO_PROFILE_SWEEP=1`` (aggregate a
-sweep-level metrics profile).
+traces there; off by default), ``REPRO_LEDGER`` (append the run
+ledger there; default ``<cache-dir>/ledger.jsonl`` while the cache is
+on, off without it), ``REPRO_HEARTBEAT_S`` (seconds between worker
+heartbeats, default 5), ``REPRO_PROFILE_SWEEP=1`` (aggregate a
+sweep-level metrics profile).  A malformed ``REPRO_WORKERS`` or
+``REPRO_HEARTBEAT_S`` raises ``ValueError`` naming the variable.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from repro.experiments.sweep import ExecutorConfig
 
@@ -85,6 +87,20 @@ def default_scale() -> Scale:
     return PAPER if os.environ.get("REPRO_PAPER_SCALE") == "1" else QUICK
 
 
+_Number = TypeVar("_Number", int, float)
+
+
+def _env_number(name: str, parse: Callable[[str], _Number], default: _Number) -> _Number:
+    """``parse`` of environment variable ``name``, or ``default`` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{name}={raw!r} is not a valid {parse.__name__}") from None
+
+
 def default_executor_config(
     workers: Optional[int] = None,
     use_cache: Optional[bool] = None,
@@ -101,15 +117,14 @@ def default_executor_config(
     ``REPRO_NO_CACHE`` / ``REPRO_FORCE`` / ``REPRO_CACHE_DIR`` /
     ``REPRO_TRACE_DIR`` / ``REPRO_LEDGER`` / ``REPRO_HEARTBEAT_S`` /
     ``REPRO_PROFILE_SWEEP`` environment variables, then to the library
-    defaults (serial, cache on, no tracing, no ledger — this is the
-    CLI-facing default; programmatic driver calls that construct a bare
-    ``Executor()`` stay cache-free).
+    defaults (serial, cache on, no tracing, the run ledger at
+    ``<cache-dir>/ledger.jsonl`` — this is the CLI-facing default;
+    programmatic driver calls that construct a bare ``Executor()`` stay
+    cache- and ledger-free).  A ``--no-cache`` run without an explicit
+    ledger path writes no ledger.
     """
     if workers is None:
-        try:
-            workers = int(os.environ.get("REPRO_WORKERS", "1"))
-        except ValueError:
-            workers = 1
+        workers = _env_number("REPRO_WORKERS", int, 1)
     if use_cache is None:
         use_cache = os.environ.get("REPRO_NO_CACHE") != "1"
     if force is None:
@@ -122,11 +137,10 @@ def default_executor_config(
         trace_dir = os.environ.get("REPRO_TRACE_DIR") or None
     if ledger_path is None:
         ledger_path = os.environ.get("REPRO_LEDGER") or None
+    if ledger_path is None and use_cache:
+        ledger_path = os.path.join(cache_dir, "ledger.jsonl")
     if heartbeat_s is None:
-        try:
-            heartbeat_s = float(os.environ.get("REPRO_HEARTBEAT_S", "5"))
-        except ValueError:
-            heartbeat_s = 5.0
+        heartbeat_s = _env_number("REPRO_HEARTBEAT_S", float, 5.0)
     if profile is None:
         profile = os.environ.get("REPRO_PROFILE_SWEEP") == "1"
     return ExecutorConfig(

@@ -164,7 +164,7 @@ def run_configuration(
 
 
 def trial_stats(records: Sequence[TrialRecord]) -> Dict[str, int]:
-    """Per-point telemetry summary: total moves/bandwidth over a trial."""
+    """Per-point stats: total moves/bandwidth over a trial."""
     return {
         "moves": sum(r.makespan for r in records),
         "bandwidth": sum(r.bandwidth for r in records),

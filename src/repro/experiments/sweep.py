@@ -16,11 +16,6 @@ grid:
   ``results/cache/`` keyed by a stable hash of (point kind, params,
   seed, cache version), so re-running a figure only computes the
   missing points;
-* **telemetry** — one ``sweep_point`` event per point (wall time,
-  worker pid, cache hit/miss, retries, point-reported stats), written
-  as schema-versioned JSONL through the shared
-  :class:`repro.obs.events.EventWriter` (pre-schema files upgrade with
-  ``ocd-repro convert-telemetry``), plus a progress line;
 * **tracing** — with ``trace_dir`` set, every computed point activates
   a :class:`repro.obs.JsonlTracer` around its point function, writing a
   per-point run trace to ``trace_dir/<figure>-<kind>-<index>.jsonl``;
@@ -29,20 +24,24 @@ grid:
 * **failure policy** — a failing point is retried once and then
   *reported* via :class:`SweepError` with the worker-side traceback
   attached; points are never silently dropped;
-* **live monitoring** — with ``ledger_path`` set, the executor appends
-  a run ledger (:mod:`repro.obs.live`): the parent writes
-  ``sweep_start``/``sweep_end`` (and ``point_end`` rows for cache
-  hits), and every worker writes ``point_start``, periodic
-  ``point_heartbeat`` (wall time plus ``getrusage`` peaks from a
-  daemon thread), and ``point_end`` for the points it computes.
-  Wall-clock and resource fields live *only* in the ledger — trace
-  files stay byte-identical with monitoring on or off — and a retried
-  point's stale ledger events are superseded by ``attempt`` index;
+* **the run ledger** — the executor's one per-point record.  With
+  ``ledger_path`` set, the executor appends a run ledger
+  (:mod:`repro.obs.live`): the parent writes ``sweep_start``/
+  ``sweep_end`` (and ``point_end`` rows for cache hits), and every
+  worker writes ``point_start``, periodic ``point_heartbeat`` (wall
+  time plus ``getrusage`` peaks from a daemon thread), and
+  ``point_end`` for the points it computes.  Every ``point_end``
+  carries the cache ``key`` and the point's reported ``stats``; a
+  failed attempt's carries ``error`` and ``traceback``.  Wall-clock
+  and resource fields live *only* in the ledger — trace files stay
+  byte-identical with monitoring on or off — and a retried point's
+  stale ledger events are superseded by ``attempt`` index;
 * **profiling** — with ``profile`` set, each computed point activates
   an ambient :class:`repro.obs.MetricsRegistry` around its point
-  function; workers ship their snapshots home and the executor merges
-  them into one sweep-level profile (``Executor.profile``), embedded
-  in the ledger's ``sweep_end`` event.
+  function; workers ship their snapshots home, each sweep's snapshots
+  merge into that sweep's profile (embedded in the ledger's
+  ``sweep_end`` event), and every sweep's profile folds into
+  ``Executor.profile``.
 
 Parallel output is bit-identical to serial output by construction:
 results are returned in grid order regardless of completion order, and
@@ -64,7 +63,7 @@ import sys
 import threading
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -77,7 +76,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.events import EventWriter, make_event
+from repro.obs.events import make_event
 from repro.obs.live.ledger import LedgerWriter
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, metrics_active
@@ -161,7 +160,7 @@ def _jsonify(value: Any) -> Any:
 class PointSpec:
     """One grid point of a sweep.
 
-    ``figure`` labels the sweep for telemetry/progress; ``kind`` selects
+    ``figure`` labels the sweep for the ledger/progress; ``kind`` selects
     the registered point function; ``index`` is the point's position in
     the grid (results are emitted in this order); ``params`` carries the
     point's JSON-able inputs in canonical sorted-key form; ``seed`` is
@@ -276,23 +275,34 @@ def _ledger_point_end(
     ok: bool,
     cache: str,
     wall_s: float,
-    error: Optional[str] = None,
+    stats: Any = None,
+    error: Optional[BaseException] = None,
     resources: bool = True,
 ) -> None:
-    """Append one ``point_end`` ledger row for ``spec``."""
+    """Append one ``point_end`` ledger row for ``spec``.
+
+    ``stats`` is the point result's ``stats`` entry (recorded when it is
+    a dict); ``error`` is the exception a failed attempt raised.
+    """
     fields: JsonDict = {
         "figure": spec.figure,
         "kind": spec.kind,
         "index": spec.index,
         "seed": spec.seed,
+        "key": spec.cache_key(),
         "attempt": attempt,
         "worker": os.getpid(),
         "ok": ok,
         "cache": cache,
         "wall_s": round(wall_s, 6),
     }
+    if isinstance(stats, dict):
+        fields["stats"] = stats
     if error is not None:
-        fields["error"] = error
+        fields["error"] = f"{type(error).__name__}: {error}"
+        fields["traceback"] = "".join(
+            traceback_module.format_exception(type(error), error, error.__traceback__)
+        )
     if resources:
         rss, cpu = _rusage()
         if rss is not None:
@@ -322,7 +332,7 @@ class _PointHeartbeat:
         self._ledger = ledger
         self._spec = spec
         self._attempt = attempt
-        self._interval = max(0.05, interval_s)
+        self._interval = interval_s
         self._started = started
         self._halt = threading.Event()
         self._thread = threading.Thread(
@@ -433,7 +443,7 @@ def _compute_point(
                 ok=False,
                 cache="miss",
                 wall_s=time.perf_counter() - started,
-                error=f"{type(exc).__name__}: {exc}",
+                error=exc,
             )
             ledger.close()
         raise
@@ -441,7 +451,15 @@ def _compute_point(
     if heartbeat is not None:
         heartbeat.stop()
     if ledger is not None:
-        _ledger_point_end(ledger, spec, attempt, ok=True, cache="miss", wall_s=wall_s)
+        _ledger_point_end(
+            ledger,
+            spec,
+            attempt,
+            ok=True,
+            cache="miss",
+            wall_s=wall_s,
+            stats=result.get("stats"),
+        )
         ledger.close()
     snapshot = registry.snapshot() if registry is not None else None
     return result, wall_s, os.getpid(), snapshot
@@ -454,7 +472,7 @@ def _compute_point(
 
 @dataclass(frozen=True)
 class PointOutcome:
-    """Telemetry record for one executed (or cache-served) point."""
+    """In-memory record of one executed (or cache-served) point."""
 
     spec: PointSpec
     cache_hit: bool
@@ -465,31 +483,6 @@ class PointOutcome:
     error: str = ""
     traceback: str = ""
     stats: Optional[JsonDict] = None
-
-    def as_row(self) -> JsonDict:
-        row: JsonDict = {
-            "figure": self.spec.figure,
-            "kind": self.spec.kind,
-            "index": self.spec.index,
-            "seed": self.spec.seed,
-            "key": self.spec.cache_key(),
-            "cache": "hit" if self.cache_hit else "miss",
-            "wall_s": round(self.wall_s, 6),
-            "worker": self.worker,
-            "retries": self.retries,
-            "ok": self.ok,
-        }
-        if self.error:
-            row["error"] = self.error
-        if self.traceback:
-            row["traceback"] = self.traceback
-        if self.stats is not None:
-            row["stats"] = self.stats
-        return row
-
-    def as_event(self) -> JsonDict:
-        """This outcome as a schema-versioned ``sweep_point`` event."""
-        return make_event("sweep_point", self.as_row())
 
 
 class SweepError(RuntimeError):
@@ -529,7 +522,6 @@ class ExecutorConfig:
     use_cache: bool = False
     force: bool = False
     cache_dir: str = os.path.join("results", "cache")
-    telemetry_path: Optional[str] = None
     progress: bool = False
     retries: int = 1
     #: When set, every computed point writes a run trace to
@@ -539,31 +531,32 @@ class ExecutorConfig:
     #: When set, the executor appends the run ledger
     #: (:mod:`repro.obs.live`) there: ``sweep_start``, per-point
     #: ``point_start``/``point_heartbeat``/``point_end``, ``sweep_end``.
-    #: Off by default — disabled monitoring adds no work to any path.
+    #: Off by default (the CLI puts it under ``cache_dir`` when caching)
+    #: — disabled monitoring adds no work to any path.
     ledger_path: Optional[str] = None
     #: Seconds between ``point_heartbeat`` rows from in-flight workers.
     heartbeat_s: float = 5.0
     #: Activate an ambient :class:`repro.obs.MetricsRegistry` around
     #: every computed point and merge the per-worker snapshots into one
-    #: sweep-level profile (``Executor.profile``).
+    #: profile per sweep (``sweep_end``) and one across sweeps
+    #: (``Executor.profile``).
     profile: bool = False
 
-    def with_telemetry_default(self) -> "ExecutorConfig":
-        """Fill in the default telemetry path under the cache dir."""
-        if self.telemetry_path is not None:
-            return self
-        return replace(
-            self, telemetry_path=os.path.join(self.cache_dir, "telemetry.jsonl")
-        )
+    def __post_init__(self) -> None:
+        if not self.heartbeat_s > 0:
+            raise ValueError(
+                f"heartbeat_s (--heartbeat-s, REPRO_HEARTBEAT_S) must be "
+                f"positive, got {self.heartbeat_s!r}"
+            )
 
 
 class Executor:
-    """Runs sweeps: fan-out, cache, telemetry, retry, ordered results.
+    """Runs sweeps: fan-out, cache, ledger, retry, ordered results.
 
     One executor may run many sweeps; outcomes accumulate on
-    ``self.outcomes`` (and stream to the telemetry JSONL when
-    configured).  ``run`` always returns results in grid order, so a
-    parallel run is byte-identical to a serial one.
+    ``self.outcomes`` (and stream to the run ledger when configured).
+    ``run`` always returns results in grid order, so a parallel run is
+    byte-identical to a serial one.
     """
 
     def __init__(
@@ -574,8 +567,8 @@ class Executor:
     ) -> None:
         self.config = config or ExecutorConfig()
         self.outcomes: List[PointOutcome] = []
-        #: Sweep-level metrics, merged from per-worker snapshots when
-        #: ``config.profile`` is set (empty otherwise).
+        #: Metrics of every sweep run so far, merged from per-worker
+        #: snapshots when ``config.profile`` is set (empty otherwise).
         self.profile = MetricsRegistry()
         self._stream = stream if stream is not None else sys.stderr
 
@@ -616,20 +609,6 @@ class Executor:
             json.dump(payload, handle, sort_keys=True)
         os.replace(tmp, path)
 
-    # -- telemetry ------------------------------------------------------
-    def _emit(self, outcomes: Sequence[PointOutcome]) -> None:
-        self.outcomes.extend(outcomes)
-        path = self.config.telemetry_path
-        if not path:
-            return
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            writer = EventWriter(handle)
-            for outcome in outcomes:
-                writer.write(outcome.as_event())
-
     # -- ledger ---------------------------------------------------------
     def _open_ledger(self, specs: Sequence[PointSpec]) -> Optional[LedgerWriter]:
         """Open the run ledger and announce the sweep, when configured."""
@@ -652,13 +631,14 @@ class Executor:
         ledger.write(make_event("sweep_start", fields))
         return ledger
 
-    def _merge_profile(self, snapshot: Optional[JsonDict]) -> None:
+    @staticmethod
+    def _merge_profile(profile: MetricsRegistry, snapshot: Optional[JsonDict]) -> None:
         if snapshot is not None:
-            self.profile.merge(MetricsRegistry.from_snapshot(snapshot))
+            profile.merge(MetricsRegistry.from_snapshot(snapshot))
 
     # -- execution ------------------------------------------------------
     def _serial_point(
-        self, spec: PointSpec
+        self, spec: PointSpec, profile: MetricsRegistry
     ) -> Tuple[Optional[JsonDict], PointOutcome]:
         """Compute one point in-process, retrying on failure."""
         last_error = ""
@@ -677,7 +657,7 @@ class Executor:
                 last_error = f"{type(exc).__name__}: {exc}"
                 last_traceback = traceback_module.format_exc()
                 continue
-            self._merge_profile(snapshot)
+            self._merge_profile(profile, snapshot)
             return result, PointOutcome(
                 spec=spec,
                 cache_hit=False,
@@ -704,6 +684,7 @@ class Executor:
         pending: Sequence[int],
         results: List[Optional[JsonDict]],
         outcomes: List[Optional[PointOutcome]],
+        profile: MetricsRegistry,
     ) -> None:
         """Fan pending points out over a process pool, retrying failures.
 
@@ -759,7 +740,7 @@ class Executor:
                             ),
                         )
                         continue
-                    self._merge_profile(snapshot)
+                    self._merge_profile(profile, snapshot)
                     results[i] = result
                     outcomes[i] = PointOutcome(
                         spec=specs[i],
@@ -783,6 +764,9 @@ class Executor:
         started = time.perf_counter()
         results: List[Optional[JsonDict]] = [None] * len(specs)
         outcomes: List[Optional[PointOutcome]] = [None] * len(specs)
+        # This sweep's merged worker snapshots; folded into
+        # ``self.profile`` once the sweep ends.
+        profile = MetricsRegistry()
         ledger = self._open_ledger(specs)
 
         pending: List[int] = []
@@ -809,16 +793,17 @@ class Executor:
                         ok=True,
                         cache="hit",
                         wall_s=0.0,
+                        stats=cached.get("stats"),
                         resources=False,
                     )
             else:
                 pending.append(i)
 
         if pending and self.config.workers > 1:
-            self._parallel_points(specs, pending, results, outcomes)
+            self._parallel_points(specs, pending, results, outcomes, profile)
         else:
             for i in pending:
-                results[i], outcomes[i] = self._serial_point(specs[i])
+                results[i], outcomes[i] = self._serial_point(specs[i], profile)
 
         for i in pending:
             outcome = outcomes[i]
@@ -828,7 +813,8 @@ class Executor:
 
         final_outcomes = [o for o in outcomes if o is not None]
         failures = [o for o in final_outcomes if not o.ok]
-        self._emit(final_outcomes)
+        self.outcomes.extend(final_outcomes)
+        self.profile.merge(profile)
         if specs:
             hits = sum(1 for o in final_outcomes if o.cache_hit)
             elapsed = time.perf_counter() - started
@@ -851,12 +837,12 @@ class Executor:
                     "wall_s": round(elapsed, 6),
                 }
                 if self.config.profile:
-                    end_fields["profile"] = self.profile.snapshot()
+                    end_fields["profile"] = profile.snapshot()
                 ledger.write(make_event("sweep_end", end_fields))
                 ledger.close()
             if self.config.profile and self.config.progress:
                 self._stream.write(
-                    "[sweep profile]\n" + self.profile.render() + "\n"
+                    "[sweep profile]\n" + profile.render() + "\n"
                 )
         if failures:
             raise SweepError(failures)

@@ -9,7 +9,7 @@ The observability layer for every simulation loop in the repository
   the ambient tracer (:func:`current_tracer`, :func:`activated`) unless
   given one explicitly.
 * :mod:`repro.obs.events` — the versioned JSONL event schema shared by
-  run traces and sweep telemetry (:data:`SCHEMA_VERSION`,
+  run traces and the sweep run ledger (:data:`SCHEMA_VERSION`,
   :func:`make_event`, :class:`EventWriter`, :func:`read_events`).
 * :class:`MetricsRegistry` — counters/gauges/histograms plus the
   engines' phase timers (``heuristic_select``, ``kernel_apply``,
@@ -21,11 +21,8 @@ The observability layer for every simulation loop in the repository
   phases) every report and analyzer reads.
 * :func:`render_trace_file` / :func:`render_report` — the
   ``ocd-repro report`` timeline renderer.
-* :func:`convert_telemetry` — one-shot upgrade of pre-schema sweep
-  telemetry files.
 """
 
-from repro.obs.convert import convert_telemetry, upgrade_record
 from repro.obs.events import (
     EVENT_KINDS,
     EVENT_SCHEMAS,
@@ -80,7 +77,6 @@ __all__ = [
     "TraceRun",
     "Tracer",
     "activated",
-    "convert_telemetry",
     "current_metrics",
     "current_tracer",
     "dump_event",
@@ -95,6 +91,5 @@ __all__ = [
     "render_report",
     "render_trace_file",
     "split_runs",
-    "upgrade_record",
     "validate_event",
 ]

@@ -1,18 +1,18 @@
 """The versioned observability event schema and its one canonical writer.
 
 Every JSONL record the repository emits — per-timestep run traces from
-the engines, per-point telemetry from the sweep executor — is an *event*:
-a flat JSON object carrying ``schema_version`` (the integer schema
-revision) and ``event`` (the record kind), plus kind-specific fields.
-One schema means one toolchain: ``repro report`` renders traces, the
-telemetry analysis notebooks read sweep rows, and both can live in the
-same file without ambiguity.
+the engines, the sweep executor's run ledger — is an *event*: a flat
+JSON object carrying ``schema_version`` (the integer schema revision)
+and ``event`` (the record kind), plus kind-specific fields.  One schema
+means one toolchain: ``repro report`` renders traces, ``ocd-repro
+watch`` folds ledgers, and both can live in the same file without
+ambiguity.
 
 Serialization is canonical — sorted keys, compact separators, ``\\n``
 terminated — so an event stream is a deterministic function of its
 payloads and byte-comparison of two traces is meaningful.  Nothing here
 may reach for wall-clock time or process identity; events that need
-those (sweep telemetry) receive them as explicit payload fields, and
+those (the run ledger) receive them as explicit payload fields, and
 run-trace events carry none so identical seeds yield identical bytes.
 
 Event kinds
@@ -24,9 +24,6 @@ Event kinds
     One simulated run.  ``step`` carries the per-timestep dynamics the
     paper argues from: tokens moved and gained, the remaining per-vertex
     deficit, the holder-count histogram, and arc utilization.
-``sweep_point``
-    One executed (or cache-served) sweep grid point — the executor's
-    telemetry row (see :mod:`repro.experiments.sweep`).
 ``run_attribution``
     One run's *derived* makespan attribution — critical-path shape,
     blocking-cause totals, and the lower-bound gap decomposition — as
@@ -35,8 +32,8 @@ Event kinds
     appears only in ``trace-attribute`` output streams.
 ``sweep_start`` / ``point_start`` / ``point_heartbeat`` / ``point_end``
     / ``sweep_end``
-    The live *run ledger* (:mod:`repro.obs.live`): the sweep executor's
-    append-only status stream for in-flight monitoring.  Ledger events
+    The *run ledger* (:mod:`repro.obs.live`): the sweep executor's
+    append-only status stream and its one per-point record.  Ledger events
     are the one place wall-clock and resource fields are allowed —
     they never appear in trace files, which stay byte-identical with
     monitoring on or off.
@@ -63,8 +60,7 @@ __all__ = [
     "validate_event",
 ]
 
-#: Bump when a field changes meaning or is removed; readers dispatch on
-#: it, and the converter in :mod:`repro.obs.convert` upgrades old files.
+#: Bump when a field changes meaning or is removed; readers dispatch on it.
 SCHEMA_VERSION = 1
 
 #: The known event kinds, for validation and docs.
@@ -74,7 +70,6 @@ EVENT_KINDS = (
     "step",
     "stall",
     "run_end",
-    "sweep_point",
     "sweep_start",
     "point_start",
     "point_heartbeat",
@@ -240,7 +235,14 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
                 "cache": "str",
                 "wall_s": "float",
             },
-            optional={"error": "str", "maxrss_kb": "int", "cpu_s": "float"},
+            optional={
+                "key": "str",
+                "stats": "dict",
+                "error": "str",
+                "traceback": "str",
+                "maxrss_kb": "int",
+                "cpu_s": "float",
+            },
         ),
         EventSchema(
             kind="sweep_end",
@@ -279,26 +281,6 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
                 "arrivals": "int",
                 "zero_slack": "int",
                 "max_slack": "int",
-            },
-        ),
-        EventSchema(
-            kind="sweep_point",
-            required={
-                "figure": "str",
-                "kind": "str",
-                "index": "int",
-                "seed": "int",
-                "key": "str",
-                "cache": "str",
-                "wall_s": "float",
-                "worker": "int",
-                "retries": "int",
-                "ok": "bool",
-            },
-            optional={
-                "error": "str",
-                "traceback": "str",
-                "stats": "dict",
             },
         ),
     )
@@ -421,8 +403,7 @@ def read_events(
 ) -> List[JsonDict]:
     """Load every event from a JSONL file (optionally one kind).
 
-    Raises ``ValueError`` on a line that is not a schema-versioned event
-    — feed legacy telemetry through :mod:`repro.obs.convert` first.
+    Raises ``ValueError`` on a line that is not a schema-versioned event.
     With ``tail=True`` a trailing *partial* line (no terminating
     newline — a writer mid-append, or a killed run's truncated flush)
     is silently ignored instead of raising, so followers and analytics
@@ -454,8 +435,7 @@ def iter_events(
             if not is_event(obj):
                 raise ValueError(
                     f"{path}:{lineno}: record lacks the schema envelope "
-                    f"(schema_version/event); convert legacy telemetry with "
-                    f"`ocd-repro convert-telemetry`"
+                    f"(schema_version/event)"
                 )
             if kind is None or obj["event"] == kind:
                 yield obj

@@ -21,7 +21,9 @@ wall-clock input is the explicit ``now`` argument of the derived views.
 Retried points supersede their stale events by ``attempt`` index: a
 ``point_start`` with a higher attempt replaces the failed attempt's
 state, and events from a lower attempt than the one already seen are
-ignored.
+ignored.  One ledger may hold many sweeps (appended across runs, or
+several ``Executor.run`` calls of one figure): each ``sweep_start``
+opens a fresh picture, so the state always describes the latest sweep.
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ class LedgerState:
         kind = event.get("event")
         if kind == "sweep_start":
             self.start = dict(event)
+            self.end = None
+            self.points = {}
         elif kind == "sweep_end":
             self.end = dict(event)
         elif kind == "point_start":

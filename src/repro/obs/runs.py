@@ -132,8 +132,8 @@ def split_runs(
 ) -> Tuple[Optional[JsonDict], List[TraceRun]]:
     """Group a trace's events into ``(trace_header, per-run sequences)``.
 
-    Keeps the exact emission order per run.  ``sweep_point`` telemetry
-    and run-ledger rows carry no run dynamics and are ignored.
+    Keeps the exact emission order per run.  Run-ledger rows carry no
+    run dynamics and are ignored.
     """
     header: Optional[JsonDict] = None
     runs: Dict[int, TraceRun] = {}

@@ -201,25 +201,6 @@ class TestSimulateProfile:
         assert "heuristic_select" in out
 
 
-class TestConvertTelemetry:
-    def test_upgrades_legacy_file(self, tmp_path, capsys):
-        src = tmp_path / "legacy.jsonl"
-        src.write_text(
-            json.dumps({"figure": "f", "kind": "k", "index": 0, "ok": True}) + "\n"
-        )
-        dst = str(tmp_path / "new.jsonl")
-        assert main(["convert-telemetry", str(src), dst]) == 0
-        assert "1 upgraded" in capsys.readouterr().out
-        row = json.loads(open(dst).read())
-        assert row["event"] == "sweep_point"
-
-    def test_in_place_refused(self, tmp_path, capsys):
-        src = tmp_path / "t.jsonl"
-        src.write_text("{}\n")
-        assert main(["convert-telemetry", str(src), str(src)]) == 1
-        assert "in place" in capsys.readouterr().err
-
-
 class TestRunTraceDir:
     def test_run_writes_per_point_traces(self, tmp_path, capsys):
         trace_dir = tmp_path / "traces"
@@ -242,6 +223,39 @@ class TestRunTraceDir:
 
         events = read_events(str(files[0]))
         assert events[0]["event"] == "trace_header"
+
+
+class TestRunLedgerDefault:
+    def test_cached_run_appends_ledger_under_cache_dir(self, tmp_path, capsys, monkeypatch):
+        from repro.obs import read_events
+
+        for var in ("REPRO_LEDGER", "REPRO_NO_CACHE"):
+            monkeypatch.delenv(var, raising=False)
+        cache = tmp_path / "cache"
+        assert main(["run", "fig1", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        events = read_events(str(cache / "ledger.jsonl"))
+        kinds = {e["event"] for e in events}
+        assert {"sweep_start", "point_start", "point_end", "sweep_end"} <= kinds
+        ends = [e for e in events if e["event"] == "point_end"]
+        assert ends and all(len(e["key"]) == 64 for e in ends)
+
+    def test_no_cache_without_ledger_writes_none(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        cache = tmp_path / "cache"
+        assert main(["run", "fig1", "--no-cache", "--cache-dir", str(cache)]) == 0
+        capsys.readouterr()
+        assert not cache.exists()
+
+    def test_non_positive_heartbeat_exits_two(self, capsys):
+        assert main(["run", "fig1", "--no-cache", "--heartbeat-s", "0"]) == 2
+        assert "--heartbeat-s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("var", ["REPRO_WORKERS", "REPRO_HEARTBEAT_S"])
+    def test_malformed_env_exits_two(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "many")
+        assert main(["run", "fig1", "--no-cache"]) == 2
+        assert var in capsys.readouterr().err
 
 
 class TestLiveMonitoringCli:

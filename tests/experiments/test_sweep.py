@@ -1,4 +1,4 @@
-"""Sweep executor: specs, caching, retries, telemetry, determinism.
+"""Sweep executor: specs, caching, retries, the run ledger, determinism.
 
 Includes the tentpole's determinism regression: a serial and a 4-worker
 sweep of a small fig2 grid must produce byte-identical JSON, and a warm
@@ -185,25 +185,29 @@ class TestCache:
         assert not again.outcomes[0].cache_hit
 
     def test_telemetry_jsonl_schema(self, tmp_path):
+        # The run ledger is the per-point JSONL record: every point_end
+        # carries the cache key and the point's stats, on a hit as on a
+        # miss.
+        from repro.obs import read_events
+
+        path = tmp_path / "ledger.jsonl"
         config = ExecutorConfig(
-            use_cache=True, cache_dir=str(tmp_path)
-        ).with_telemetry_default()
+            use_cache=True, cache_dir=str(tmp_path), ledger_path=str(path)
+        )
         Executor(config).run(_specs([2]))
         Executor(config).run(_specs([2]))
-        lines = [
-            json.loads(line)
-            for line in (tmp_path / "telemetry.jsonl").read_text().splitlines()
-        ]
-        assert [row["cache"] for row in lines] == ["miss", "hit"]
-        for row in lines:
+        rows = read_events(str(path), kind="point_end")
+        assert [row["cache"] for row in rows] == ["miss", "hit"]
+        for row in rows:
             assert row["figure"] == "testfig"
             assert row["kind"] == "_test_square"
             assert row["ok"] is True
-            assert row["retries"] == 0
+            assert row["attempt"] == 0
             assert isinstance(row["wall_s"], float)
             assert isinstance(row["worker"], int)
             assert row["key"] == _specs([2])[0].cache_key()
             assert row["stats"] == {"value": 2}
+            assert "traceback" not in row
 
 
 class TestDeterminismRegression:
@@ -272,11 +276,29 @@ class TestConfig:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert default_executor_config(workers=5).workers == 5
 
-    def test_with_telemetry_default(self):
-        config = ExecutorConfig(cache_dir="c").with_telemetry_default()
-        assert config.telemetry_path == os.path.join("c", "telemetry.jsonl")
-        explicit = ExecutorConfig(telemetry_path="t.jsonl").with_telemetry_default()
-        assert explicit.telemetry_path == "t.jsonl"
+    def test_default_ledger_under_cache_dir(self, monkeypatch):
+        for var in ("REPRO_LEDGER", "REPRO_NO_CACHE"):
+            monkeypatch.delenv(var, raising=False)
+        config = default_executor_config(cache_dir="c")
+        assert config.ledger_path == os.path.join("c", "ledger.jsonl")
+        # No cache, no default ledger; an explicit path always wins.
+        assert default_executor_config(use_cache=False).ledger_path is None
+        explicit = default_executor_config(use_cache=False, ledger_path="l.jsonl")
+        assert explicit.ledger_path == "l.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", "env.jsonl")
+        assert default_executor_config(cache_dir="c").ledger_path == "env.jsonl"
+
+    def test_malformed_workers_env_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "four")
+        with pytest.raises(ValueError, match="REPRO_WORKERS='four'"):
+            default_executor_config()
+
+    @pytest.mark.parametrize("heartbeat_s", [0.0, -1.0, float("nan")])
+    def test_non_positive_heartbeat_raises(self, heartbeat_s):
+        with pytest.raises(ValueError, match="--heartbeat-s"):
+            ExecutorConfig(heartbeat_s=heartbeat_s)
+        with pytest.raises(ValueError, match="--heartbeat-s"):
+            default_executor_config(heartbeat_s=heartbeat_s)
 
     def test_specs_survive_pickling(self):
         # Parallel fan-out pickles specs (including nested dict params).
@@ -311,55 +333,27 @@ def test_seed_derivation_is_per_point_not_worker_state():
     assert first == second
 
 
-class TestTelemetryEventSchema:
-    """Satellite: sweep telemetry rides the obs event schema."""
-
-    def test_rows_are_schema_versioned_sweep_point_events(self, tmp_path):
-        from repro.obs import SCHEMA_VERSION, is_event, read_events
-
-        path = tmp_path / "telemetry.jsonl"
-        config = ExecutorConfig(telemetry_path=str(path))
-        Executor(config).run(_specs([3]))
-        (event,) = read_events(str(path))
-        assert is_event(event)
-        assert event["schema_version"] == SCHEMA_VERSION
-        assert event["event"] == "sweep_point"
-        # The legacy flat fields are still right there in the envelope.
-        assert event["figure"] == "testfig"
-        assert event["ok"] is True
-
-    def test_legacy_telemetry_converts_and_new_files_pass_through(self, tmp_path):
-        from repro.obs import convert_telemetry, read_events
-
-        legacy = tmp_path / "legacy.jsonl"
-        legacy.write_text(
-            json.dumps({"figure": "f", "kind": "k", "index": 0, "ok": True}) + "\n"
-        )
-        upgraded = tmp_path / "upgraded.jsonl"
-        assert convert_telemetry(str(legacy), str(upgraded)) == (1, 1)
-        (event,) = read_events(str(upgraded))
-        assert event["event"] == "sweep_point"
-        # Idempotent: converting the converted file upgrades nothing.
-        again = tmp_path / "again.jsonl"
-        assert convert_telemetry(str(upgraded), str(again)) == (1, 0)
-        assert again.read_text() == upgraded.read_text()
-
-
 class TestFailureTracebacks:
     """Satellite: SweepError keeps the worker-side traceback."""
 
     def test_serial_failure_attaches_traceback(self, tmp_path):
-        config = ExecutorConfig(telemetry_path=str(tmp_path / "t.jsonl"))
-        executor = Executor(config)
+        from repro.obs import read_events
+
+        path = tmp_path / "ledger.jsonl"
+        executor = Executor(ExecutorConfig(ledger_path=str(path)))
         with pytest.raises(SweepError) as info:
             executor.run(_specs([9], boom=True))
         (failure,) = info.value.failures
         assert "RuntimeError: boom 9" in failure.traceback
         assert "_square_point" in failure.traceback  # the actual frame
         assert "RuntimeError: boom 9" in str(info.value)
-        # The traceback also lands in telemetry.
-        row = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[-1])
-        assert "RuntimeError: boom 9" in row["traceback"]
+        # Every failed attempt's point_end carries its traceback.
+        rows = read_events(str(path), kind="point_end")
+        assert [row["attempt"] for row in rows] == [0, 1]
+        for row in rows:
+            assert row["error"] == "RuntimeError: boom 9"
+            assert "_square_point" in row["traceback"]
+            assert "RuntimeError: boom 9" in row["traceback"]
 
     def test_parallel_failure_attaches_worker_traceback(self):
         executor = Executor(ExecutorConfig(workers=2, retries=0))
@@ -373,11 +367,15 @@ class TestFailureTracebacks:
         assert "boom 7" in str(info.value)
 
     def test_success_has_no_traceback_field(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        executor = Executor(ExecutorConfig(telemetry_path=str(path)))
+        from repro.obs import read_events
+
+        path = tmp_path / "ledger.jsonl"
+        executor = Executor(ExecutorConfig(ledger_path=str(path)))
         executor.run(_specs([2]))
-        row = json.loads(path.read_text().splitlines()[0])
+        (row,) = read_events(str(path), kind="point_end")
         assert "traceback" not in row
+        assert "error" not in row
+        assert not executor.outcomes[0].traceback
 
 
 class TestRunLedger:
@@ -462,21 +460,15 @@ class TestRunLedger:
         assert point.wall_s == 0.0
         assert state.end["cached"] == 1
 
-    def test_failing_sweep_ledger_matches_sweep_point_telemetry(self, tmp_path):
-        # Satellite: in a seeded failing sweep, the ledger's final state
-        # (after attempt supersession) and the sweep_point telemetry tell
-        # the same story — same verdicts, same error, attempts == retries.
+    def test_failing_sweep_ledger_matches_outcomes(self, tmp_path):
+        # In a seeded failing sweep, the ledger's final state (after
+        # attempt supersession) and the executor's outcomes tell the
+        # same story — same verdicts, same error, attempts == retries.
         from repro.obs import read_events
         from repro.obs.live import LedgerState
 
         ledger_path = tmp_path / "ledger.jsonl"
-        telemetry_path = tmp_path / "telemetry.jsonl"
-        executor = Executor(
-            ExecutorConfig(
-                ledger_path=str(ledger_path),
-                telemetry_path=str(telemetry_path),
-            )
-        )
+        executor = Executor(ExecutorConfig(ledger_path=str(ledger_path)))
         boom = PointSpec.make(
             "testfig",
             "_test_square",
@@ -494,17 +486,17 @@ class TestRunLedger:
         state = LedgerState.from_ledger(str(ledger_path))
         assert state.end["ok"] is False
 
-        rows = {e["index"]: e for e in read_events(str(telemetry_path))}
+        outcomes = {o.spec.index: o for o in executor.outcomes}
         for point in state.points.values():
-            row = rows[point.index]
-            assert (point.status == "done") == row["ok"]
-            assert point.seed == row["seed"]
+            outcome = outcomes[point.index]
+            assert (point.status == "done") == outcome.ok
+            assert point.seed == outcome.spec.seed
             if point.status == "failed":
-                assert point.attempt == row["retries"] == 1
-                assert point.error == row["error"]
+                assert point.attempt == outcome.retries == 1
+                assert point.error == outcome.error
                 assert "boom 9" in point.error
             else:
-                assert point.wall_s == row["wall_s"]
+                assert point.wall_s == round(outcome.wall_s, 6)
 
     def test_heartbeats_from_slow_points(self, tmp_path):
         import time as time_module
@@ -552,6 +544,59 @@ class TestRunLedger:
         (end,) = read_events(str(path), kind="sweep_end")
         assert end["profile"] == snap
 
+    def test_each_sweep_end_profiles_only_its_own_sweep(self, tmp_path):
+        from repro.obs import read_events
+
+        def profiles(path):
+            return [e["profile"] for e in read_events(str(path), kind="sweep_end")]
+
+        sweeps = ([self._fig2_spec()], _specs([4]))
+        shared_path = tmp_path / "shared.jsonl"
+        shared = Executor(ExecutorConfig(ledger_path=str(shared_path), profile=True))
+        alone = []
+        for i, specs in enumerate(sweeps):
+            shared.run(specs)
+            path = tmp_path / f"alone-{i}.jsonl"
+            Executor(ExecutorConfig(ledger_path=str(path), profile=True)).run(specs)
+            alone.extend(profiles(path))
+        together = profiles(shared_path)
+        assert len(together) == len(alone) == 2
+        for mixed, single in zip(together, alone):
+            assert mixed["counters"] == single["counters"]
+            assert {k: v["calls"] for k, v in mixed["phases"].items()} == {
+                k: v["calls"] for k, v in single["phases"].items()
+            }
+        # The second sweep computes no engine steps of its own.
+        assert together[0]["counters"]["steps"] > 0
+        assert "steps" not in together[1]["counters"]
+        # Executor.profile still folds every sweep.
+        assert shared.profile.snapshot()["counters"] == together[0]["counters"]
+
+    def test_two_sweeps_into_one_ledger_fold_to_the_latest(self, tmp_path):
+        from repro.obs import read_events
+        from repro.obs.live import LedgerState
+
+        path = tmp_path / "ledger.jsonl"
+        executor = Executor(ExecutorConfig(ledger_path=str(path)))
+        executor.run(_specs([1]))
+        executor.run(_specs([2, 3, 4, 5]))
+        events = read_events(str(path))
+        state = LedgerState()
+        state.apply_all(events)
+        assert state.expected_points == 4
+        assert state.counts() == {"done": 4, "failed": 0, "running": 0}
+        assert state.end["points"] == 4
+        # Mid-way through the second sweep: one of four points done, and
+        # the first sweep's end and point (same key) are not carried over.
+        second_start = [e["event"] for e in events].index("sweep_start", 1)
+        state = LedgerState()
+        state.apply_all(events[: second_start + 3])
+        assert state.end is None
+        assert state.counts() == {"done": 1, "failed": 0, "running": 0}
+        summary = state.summary(now=state.start["started_unix"] + 1.0)
+        assert summary["finished"] is False
+        assert summary["eta_s"] > 0.0
+
     def test_unprofiled_sweep_keeps_profile_empty(self, tmp_path):
         executor = Executor(
             ExecutorConfig(ledger_path=str(tmp_path / "l.jsonl"))
@@ -562,7 +607,7 @@ class TestRunLedger:
     def test_env_configuration(self, monkeypatch):
         for var in ("REPRO_LEDGER", "REPRO_HEARTBEAT_S", "REPRO_PROFILE_SWEEP"):
             monkeypatch.delenv(var, raising=False)
-        config = default_executor_config()
+        config = default_executor_config(use_cache=False)
         assert config.ledger_path is None
         assert config.heartbeat_s == 5.0
         assert config.profile is False
@@ -573,9 +618,11 @@ class TestRunLedger:
         assert config.ledger_path == "runs/ledger.jsonl"
         assert config.heartbeat_s == 0.5
         assert config.profile is True
-        # A malformed cadence falls back instead of crashing the sweep.
+        # A malformed cadence fails loudly, naming the variable.
         monkeypatch.setenv("REPRO_HEARTBEAT_S", "soon")
-        assert default_executor_config().heartbeat_s == 5.0
+        with pytest.raises(ValueError, match="REPRO_HEARTBEAT_S"):
+            default_executor_config()
+        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.5")
         # Explicit arguments beat the environment.
         assert default_executor_config(heartbeat_s=2.0).heartbeat_s == 2.0
 

@@ -6,19 +6,32 @@ Two layers of regression protection for the trace contract:
   events, and
 * **runtime cross-checks** — drive every engine (Engine, LocalEngine via
   ``run_local``, DynamicEngine via ``run_dynamic``) and the sweep
-  executor, then validate every event they actually emit.  This pins
-  the registry to reality from the dynamic side exactly as the static
-  OCD013 pass pins every emission site from the source side; a field
-  added to an engine without a schema entry fails both.
+  executor's run ledger, then validate every event they actually emit.
+  This pins the registry to reality from the dynamic side exactly as the
+  static OCD013 pass pins every emission site from the source side; a
+  field added to an engine without a schema entry fails both.  The
+  emitters together must cover the registry, so a kind nothing emits
+  cannot linger in it, and the schema table in ``docs/OBSERVABILITY.md``
+  must list exactly the registered kinds.
 """
 
 from __future__ import annotations
 
 import random
+import re
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.problem import Problem
+from repro.experiments.sweep import (
+    Executor,
+    ExecutorConfig,
+    PointSpec,
+    SweepError,
+    point_function,
+)
 from repro.extensions.dynamic import constant_conditions, run_dynamic
 from repro.heuristics import make_heuristic, standard_heuristics
 from repro.locd.algorithms import LocalRarest
@@ -29,15 +42,48 @@ from repro.obs import (
     RecordingTracer,
     activated,
     make_event,
+    read_events,
     validate_event,
 )
+from repro.obs.analyze.attribution import attribute_trace, summary_event
 from repro.sim.engine import Engine, StallError
 from repro.topology import random_graph
 from repro.workloads import single_file
 
+OBSERVABILITY_MD = Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+
 
 def _problem(seed: int = 3, n: int = 10, tokens: int = 6) -> Problem:
     return single_file(random_graph(n, random.Random(seed)), file_tokens=tokens)
+
+
+@point_function("_schema_point")
+def _schema_point(spec: PointSpec):
+    """Sleeps ``nap`` seconds (so heartbeats fire), or fails on ``boom``."""
+    if spec.param("boom", False):
+        raise RuntimeError("boom")
+    time.sleep(spec.param("nap", 0.0))
+    return {"stats": {"nap": spec.param("nap", 0.0)}}
+
+
+def _ledger_sweep(tmp_path) -> list:
+    """One ledger sweep with a cache hit, a twice-failing point and a
+    point slow enough for several 0.05 s heartbeats; its events."""
+    cache_dir = str(tmp_path / "cache")
+    path = tmp_path / "ledger.jsonl"
+    hit = PointSpec.make("schema", "_schema_point", 0, {"nap": 0.0})
+    Executor(ExecutorConfig(use_cache=True, cache_dir=cache_dir)).run([hit])
+    specs = [
+        hit,
+        PointSpec.make("schema", "_schema_point", 1, {"boom": True}),
+        PointSpec.make("schema", "_schema_point", 2, {"nap": 0.3}),
+    ]
+    config = ExecutorConfig(
+        use_cache=True, cache_dir=cache_dir, ledger_path=str(path), heartbeat_s=0.05
+    )
+    with pytest.raises(SweepError):
+        Executor(config).run(specs)
+    return read_events(str(path))
 
 
 class TestRegistryShape:
@@ -54,6 +100,41 @@ class TestRegistryShape:
     def test_required_and_optional_disjoint(self):
         for schema in EVENT_SCHEMAS.values():
             assert not set(schema.required) & set(schema.optional), schema.kind
+
+    def test_docs_schema_table_lists_exactly_the_registry(self):
+        text = OBSERVABILITY_MD.read_text(encoding="utf-8")
+        section = text.split("## The event schema", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        kinds = [k for row in rows for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert tuple(kinds) == EVENT_KINDS
+
+    def test_every_registered_kind_has_an_emitter(self, tmp_path):
+        # Engines (through the ambient tracer), the executor (run ledger
+        # plus per-point trace files) and attribution together must emit
+        # every registered kind.
+        tracer = RecordingTracer()
+        with activated(tracer):
+            Engine(_problem(), make_heuristic("local")).run()
+            p = Problem.build(3, 1, [(0, 1, 1), (2, 1, 1)], {0: [0]}, {2: [0]})
+            with pytest.raises(StallError):
+                Engine(p, make_heuristic("round_robin")).run()
+            run_local(_problem(5), LocalRarest())
+            run_dynamic(
+                constant_conditions(_problem(7)), make_heuristic("local"), seed=0
+            )
+        emitted = {e["event"] for e in tracer.events}
+        emitted |= {e["event"] for e in _ledger_sweep(tmp_path)}
+        trace_dir = tmp_path / "traces"
+        fig2 = PointSpec.make(
+            "fig2", "fig2", 0, {"n": 10, "file_tokens": 8, "trial": 0}, seed=1
+        )
+        Executor(ExecutorConfig(trace_dir=str(trace_dir))).run([fig2])
+        (trace,) = sorted(trace_dir.iterdir())
+        emitted |= {e["event"] for e in read_events(str(trace))}
+        emitted |= {
+            summary_event(run)["event"] for run in attribute_trace(str(trace)).runs
+        }
+        assert emitted == set(EVENT_KINDS)
 
 
 class TestValidateEvent:
@@ -80,10 +161,10 @@ class TestValidateEvent:
     def test_float_field_accepts_int(self):
         fields = {
             "figure": "f", "kind": "k", "index": 0, "seed": 1, "key": "a",
-            "cache": "miss", "wall_s": 0, "worker": 0, "retries": 0,
+            "cache": "miss", "wall_s": 0, "worker": 0, "attempt": 0,
             "ok": True,
         }
-        assert validate_event(make_event("sweep_point", fields)) == []
+        assert validate_event(make_event("point_end", fields)) == []
 
     def test_unknown_kind_reported(self):
         assert validate_event({"schema_version": 1, "event": "nope"}) == [
@@ -134,15 +215,19 @@ class TestRuntimeConformance:
             )
         self._validate_all(tracer)
 
-    def test_sweep_telemetry(self, tmp_path):
-        from repro.obs import read_events
-
-        from tests.experiments.test_sweep import _specs
-        from repro.experiments.sweep import Executor, ExecutorConfig
-
-        path = tmp_path / "telemetry.jsonl"
-        Executor(ExecutorConfig(telemetry_path=str(path))).run(_specs([3, 4]))
-        events = read_events(str(path))
-        assert events
+    def test_sweep_ledger(self, tmp_path):
+        events = _ledger_sweep(tmp_path)
         for event in events:
             assert validate_event(event) == [], event
+        ends = [e for e in events if e["event"] == "point_end"]
+        assert [e["cache"] for e in ends if e["index"] == 0] == ["hit"]
+        failed = [e for e in ends if e["index"] == 1]
+        assert [e["attempt"] for e in failed] == [0, 1]
+        assert all(e["error"] == "RuntimeError: boom" for e in failed)
+        assert all("Traceback" in e["traceback"] for e in failed)
+        assert all("key" in e for e in ends)
+        beats = [e for e in events if e["event"] == "point_heartbeat"]
+        assert beats and {e["index"] for e in beats} == {2}
+        assert {e["event"] for e in events} == {
+            "sweep_start", "point_start", "point_heartbeat", "point_end", "sweep_end"
+        }

@@ -14,7 +14,6 @@ from repro.obs import (
     is_event,
     make_event,
     read_events,
-    upgrade_record,
 )
 
 
@@ -80,10 +79,10 @@ class TestReadEvents:
         assert len(read_events(str(path), kind="step")) == 2
         assert read_events(str(path), kind="stall") == []
 
-    def test_legacy_record_points_at_converter(self, tmp_path):
+    def test_record_without_envelope_rejected_with_location(self, tmp_path):
         path = tmp_path / "legacy.jsonl"
         path.write_text(json.dumps({"figure": "f", "ok": True}) + "\n")
-        with pytest.raises(ValueError, match="convert-telemetry"):
+        with pytest.raises(ValueError, match="legacy.jsonl:1: record lacks"):
             read_events(str(path))
 
     def test_non_json_line_reports_location(self, tmp_path):
@@ -91,19 +90,3 @@ class TestReadEvents:
         path.write_text("{}\nnot json\n")
         with pytest.raises(ValueError, match="bad.jsonl:1"):
             read_events(str(path))
-
-
-class TestUpgradeRecord:
-    def test_event_passes_through_unchanged(self):
-        event = make_event("sweep_point", {"figure": "f"})
-        assert upgrade_record(event) is event
-
-    def test_legacy_row_wrapped(self):
-        row = {"figure": "f", "kind": "k", "index": 0, "ok": True, "wall_s": 0.1}
-        event = upgrade_record(row)
-        assert event["event"] == "sweep_point"
-        assert event["wall_s"] == 0.1
-
-    def test_unrecognisable_record_rejected(self):
-        with pytest.raises(ValueError, match="neither"):
-            upgrade_record({"mystery": 1})

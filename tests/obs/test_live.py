@@ -42,6 +42,7 @@ def _ledger_lines(
     failed: int = 0,
     heartbeat_s: float = 1.0,
     with_end: bool = True,
+    started_unix: float = 100.0,
 ) -> List[str]:
     """A canonical single-worker sweep lifecycle as ledger lines."""
     lines = [
@@ -51,7 +52,7 @@ def _ledger_lines(
                 "figure": "f",
                 "points": points,
                 "workers": 1,
-                "started_unix": 100.0,
+                "started_unix": started_unix,
                 "heartbeat_s": heartbeat_s,
             },
         )
@@ -68,7 +69,7 @@ def _ledger_lines(
                     "seed": i,
                     "attempt": 0,
                     "worker": 42,
-                    "started_unix": 100.0 + i,
+                    "started_unix": started_unix + i,
                 },
             )
         )
@@ -319,6 +320,25 @@ class TestLedgerState:
         (quiet,) = state.stale(now=106.0)
         assert quiet.index == 1
         assert quiet.maxrss_kb == 5000
+
+    def test_second_sweep_start_opens_a_fresh_picture(self):
+        # A finished 1-point sweep, then a 4-point sweep in flight that
+        # reuses the first sweep's point key (figure, kind, index 0).
+        first = _ledger_lines(points=1, done=1)
+        second = _ledger_lines(
+            points=4, done=2, with_end=False, started_unix=200.0
+        )
+        state = self._fold(first + second)
+        assert state.expected_points == 4
+        assert state.end is None
+        assert state.counts() == {"done": 2, "failed": 0, "running": 0}
+        summary = state.summary(now=205.0)
+        assert summary["finished"] is False
+        assert summary["ok"] is None
+        assert summary["elapsed_s"] == 5.0
+        # 2 of 4 done in 5 s -> 2 remaining at 0.4/s.
+        assert summary["eta_s"] == pytest.approx(5.0)
+        assert [p["started_unix"] for p in summary["slowest"]] == [201.0, 200.0]
 
     def test_from_ledger_tolerates_torn_final_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -107,14 +107,14 @@ class TestRendering:
     def test_empty_trace(self):
         assert "no runs" in render_report([])
 
-    def test_report_ignores_sweep_point_events(self, tmp_path):
+    def test_report_ignores_ledger_events(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         with JsonlTracer(path=str(path)) as tracer:
             run_heuristic(
                 _problem(), standard_heuristics()[0], seed=7, tracer=tracer
             )
         events = read_events(str(path))
-        events.append(make_event("sweep_point", {"figure": "f", "ok": True}))
+        events.append(make_event("point_end", {"figure": "f", "ok": True}))
         text = render_report(events)
         assert "run 0" in text
 
