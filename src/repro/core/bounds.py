@@ -24,13 +24,21 @@ heuristic quality on graphs too large for the exact solvers:
 Both functions accept an optional mid-run possession vector so the
 simulator can report bound trajectories, and evaluate the initial state
 when it is omitted.
+
+Cost, for ``n`` vertices, ``m`` arcs and ``k`` outstanding tokens (wanted
+somewhere and missing there): the bandwidth bound is O(n) set
+operations; the timestep bound runs one multi-source BFS per outstanding
+token, seeded from its holders, O(k·(n + m)), then sorts each vertex's
+needed-token distances for the radius sweep; the lookahead bound is
+one pass over the arcs, O(n + m) mask operations.  The diameter bound is
+:meth:`Problem.diameter`, a bit-parallel reach fixpoint of
+``diameter + 1`` rounds of O(m) n-bit ORs.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Sized
 
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
@@ -39,6 +47,7 @@ __all__ = [
     "remaining_bandwidth",
     "remaining_timesteps",
     "lookahead_timestep_bound",
+    "lookahead_bound_of_masks",
     "diameter_knowledge_bound",
     "InfeasibleBoundError",
 ]
@@ -54,12 +63,16 @@ def _possession_or_initial(
 ) -> Sequence[TokenSet]:
     if possession is None:
         return problem.have
+    _check_length(problem, possession)
+    return possession
+
+
+def _check_length(problem: Problem, possession: Sized) -> None:
     if len(possession) != problem.num_vertices:
         raise ValueError(
             f"possession has {len(possession)} entries for "
             f"{problem.num_vertices} vertices"
         )
-    return possession
 
 
 def remaining_bandwidth(
@@ -76,44 +89,9 @@ def remaining_bandwidth(
     )
 
 
-def _reverse_distances_to(problem: Problem, dst: int) -> List[int]:
-    """Hop distances from every vertex *to* ``dst`` (−1 if it cannot reach)."""
-    dist = [-1] * problem.num_vertices
-    dist[dst] = 0
-    queue = deque([dst])
-    while queue:
-        v = queue.popleft()
-        for arc in problem.in_arcs(v):
-            if dist[arc.src] == -1:
-                dist[arc.src] = dist[v] + 1
-                queue.append(arc.src)
-    return dist
-
-
-def _vertex_timestep_bound(
-    problem: Problem, v: int, needed: TokenSet, possession: Sequence[TokenSet]
-) -> int:
-    """``max_i M_i(v)`` for a single vertex ``v`` with ``needed`` tokens."""
-    dist_to_v = _reverse_distances_to(problem, v)
-    token_dist: List[int] = []
-    for token in needed:
-        best = math.inf
-        for u in range(problem.num_vertices):
-            if token in possession[u] and dist_to_v[u] != -1 and dist_to_v[u] < best:
-                best = dist_to_v[u]
-        if best is math.inf:
-            raise InfeasibleBoundError(
-                f"vertex {v} needs token {token}, which no vertex that can "
-                f"reach it possesses"
-            )
-        token_dist.append(int(best))
-    if not token_dist:
-        return 0
-    in_cap = problem.in_capacity(v)
-    if in_cap == 0:
-        raise InfeasibleBoundError(
-            f"vertex {v} still needs tokens but has no incoming arcs"
-        )
+def _radius_sweep(token_dist: List[int], in_cap: int) -> int:
+    """``max_i M_i(v)`` from the distances of ``v``'s needed tokens to
+    their nearest holders."""
     token_dist.sort()
     max_dist = token_dist[-1]
     best_bound = 0
@@ -143,15 +121,64 @@ def remaining_timesteps(
     vertices and radii.
 
     Returns 0 when every want is already satisfied.  Raises
-    :class:`InfeasibleBoundError` when some want can never be satisfied.
+    :class:`InfeasibleBoundError` when some want can never be satisfied,
+    naming the lowest such vertex and its lowest such token.
     """
     possession = _possession_or_initial(problem, possession)
+    masks = [p.mask for p in possession]
+    needs = [want.mask & ~mask for want, mask in zip(problem.want, masks)]
+    outstanding = 0
+    for needed in needs:
+        outstanding |= needed
+    dist_by_token = {
+        token: problem.distances_from_any(
+            u for u, mask in enumerate(masks) if mask >> token & 1
+        )
+        for token in TokenSet(outstanding)
+    }
     best = 0
-    for v in range(problem.num_vertices):
-        needed = problem.want[v] - possession[v]
+    for v, needed in enumerate(needs):
         if not needed:
             continue
-        bound = _vertex_timestep_bound(problem, v, needed, possession)
+        token_dist: List[int] = []
+        for token in TokenSet(needed):
+            dist = dist_by_token[token][v]
+            if dist < 0:
+                raise InfeasibleBoundError(
+                    f"vertex {v} needs token {token}, which no vertex that can "
+                    f"reach it possesses"
+                )
+            token_dist.append(dist)
+        # A vertex with no incoming arcs is reached by no holder of a
+        # token it lacks, so the loop above has raised for it already.
+        bound = _radius_sweep(token_dist, problem.in_capacity(v))
+        if bound > best:
+            best = bound
+    return best
+
+
+def lookahead_bound_of_masks(problem: Problem, masks: Sequence[int]) -> int:
+    """:func:`lookahead_timestep_bound` on possession given as one int
+    bitmask per vertex."""
+    _check_length(problem, masks)
+    best = 0
+    for v, want in enumerate(problem.want):
+        needed = want.mask & ~masks[v]
+        if not needed:
+            continue
+        arcs = problem.in_arcs(v)
+        if not arcs:
+            raise InfeasibleBoundError(
+                f"vertex {v} still needs tokens but has no incoming arcs"
+            )
+        in_cap = 0
+        one_hop = 0
+        for arc in arcs:
+            in_cap += arc.capacity
+            one_hop |= masks[arc.src]
+        receivable = min((one_hop & needed).bit_count(), in_cap)
+        rest = needed.bit_count() - receivable
+        bound = 1 + math.ceil(rest / in_cap) if rest > 0 else 1
         if bound > best:
             best = bound
     return best
@@ -168,25 +195,7 @@ def lookahead_timestep_bound(
     at least ``ceil(rest / in_capacity)`` further steps.
     """
     possession = _possession_or_initial(problem, possession)
-    best = 0
-    for v in range(problem.num_vertices):
-        needed = problem.want[v] - possession[v]
-        if not needed:
-            continue
-        in_cap = problem.in_capacity(v)
-        if in_cap == 0:
-            raise InfeasibleBoundError(
-                f"vertex {v} still needs tokens but has no incoming arcs"
-            )
-        one_hop = TokenSet(0)
-        for arc in problem.in_arcs(v):
-            one_hop = one_hop | (possession[arc.src] & needed)
-        receivable = min(len(one_hop), in_cap)
-        rest = len(needed) - receivable
-        bound = 1 + math.ceil(rest / in_cap) if rest > 0 else 1
-        if bound > best:
-            best = bound
-    return best
+    return lookahead_bound_of_masks(problem, [p.mask for p in possession])
 
 
 def diameter_knowledge_bound(problem: Problem) -> int:

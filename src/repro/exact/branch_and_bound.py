@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.bounds import _reverse_distances_to
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep
 from repro.core.tokenset import TokenSet
@@ -70,9 +69,9 @@ class _Searcher:
         self.budget = budget
         self.want_masks = tuple(w.mask for w in problem.want)
         # dist_to[v][u] = hop distance u -> v, for the admissible bound.
-        self.dist_to = [
-            _reverse_distances_to(problem, v) for v in range(problem.num_vertices)
-        ]
+        self.dist_to = list(
+            zip(*(problem.distances_from(u) for u in range(problem.num_vertices)))
+        )
         self.in_capacity = [
             max(problem.in_capacity(v), 1) for v in range(problem.num_vertices)
         ]

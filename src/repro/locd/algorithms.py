@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.problem import Problem
+from repro.core.problem import Problem, max_eccentricity
 from repro.core.schedule import Schedule
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 from repro.locd.knowledge import Knowledge
@@ -189,27 +189,6 @@ class FloodThenOptimal:
 
         return prune_schedule(problem, schedule)[0]
 
-    @staticmethod
-    def _gossip_diameter(problem: Problem) -> int:
-        """Diameter of the undirected gossip graph (knowledge travels both
-        ways along every arc)."""
-        from collections import deque
-
-        n = problem.num_vertices
-        best = 0
-        for src in range(n):
-            dist = [-1] * n
-            dist[src] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for w in problem.neighbors(u):
-                    if dist[w] == -1:
-                        dist[w] = dist[u] + 1
-                        queue.append(w)
-            best = max(best, max(d for d in dist if d != -1))
-        return best
-
     # ------------------------------------------------------------------
     def decide(self, step: int, knowledge: Knowledge, rng: random.Random) -> Sends:
         v = knowledge.owner
@@ -223,7 +202,11 @@ class FloodThenOptimal:
             # different steps); the common start step D keeps them in sync.
             self._plans[v] = (
                 self._plan_schedule(problem),
-                self._gossip_diameter(problem),
+                # Knowledge travels both ways along every arc, so the
+                # flood takes the diameter of the undirected gossip graph.
+                max_eccentricity(
+                    [problem.neighbors(u) for u in range(problem.num_vertices)]
+                ),
             )
         plan, start = self._plans[v]
         if step < start:

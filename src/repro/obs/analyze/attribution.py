@@ -39,10 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.core.bounds import (
     InfeasibleBoundError,
     diameter_knowledge_bound,
-    lookahead_timestep_bound,
+    lookahead_bound_of_masks,
 )
 from repro.core.problem import Problem
-from repro.core.tokenset import TokenSet
 from repro.obs.analyze.causal import (
     BLOCKING_CATEGORIES,
     CriticalPath,
@@ -277,12 +276,7 @@ def _bound_trajectory(
 ) -> List[int]:
     """Lookahead bound on the replayed possession at each step start
     (index ``makespan`` is the final state)."""
-    return [
-        lookahead_timestep_bound(
-            problem, [TokenSet(mask) for mask in masks]
-        )
-        for masks in forest.have_before
-    ]
+    return [lookahead_bound_of_masks(problem, masks) for masks in forest.have_before]
 
 
 def _decompose_gap(

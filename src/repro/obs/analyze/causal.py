@@ -472,32 +472,29 @@ def transfer_slack(forest: RunForest) -> Dict[Tuple[int, int, int], int]:
 
     Slack is ``makespan − F(arrival)`` where ``F`` is the latest
     completion time the arrival feeds into: its own delivery deadline
-    (``step + 1`` when the receiving vertex wanted the token) and,
-    recursively, the ``F`` of every child arrival it later parented.
-    Ancestors of the completing arrival carry ``F = makespan``, so
-    every on-path transfer has slack exactly zero.
+    ``step + 1`` or, recursively, the ``F`` of every child arrival it
+    later parented, whichever is later.  Ancestors of the completing
+    arrival carry ``F = makespan``, so every on-path transfer has slack
+    exactly zero.
     """
-    want = forest.instance.want_masks
-    children: Dict[Tuple[int, int], List[Arrival]] = {}
-    for arrival in forest.arrivals.values():
-        acquired = forest.acquired_at(arrival.src, arrival.token)
-        if acquired >= 0:
-            parent = forest.arrivals[(arrival.src, arrival.token)]
-            children.setdefault((parent.vertex, parent.token), []).append(
-                arrival
-            )
+    have = forest.instance.have_masks
     f_value: Dict[Tuple[int, int], int] = {}
+    # A child arrives strictly after its parent (the parent's vertex
+    # must hold the token at the start of the child's step), so walking
+    # arrivals by descending step settles every F before it is pushed
+    # up to the parent.
     ordered = sorted(
         forest.arrivals.values(), key=lambda a: a.step, reverse=True
     )
     for arrival in ordered:
         key = (arrival.vertex, arrival.token)
-        candidates = [
-            f_value[(c.vertex, c.token)] for c in children.get(key, ())
-        ]
-        if want[arrival.vertex] >> arrival.token & 1:
-            candidates.append(arrival.step + 1)
-        f_value[key] = max(candidates) if candidates else arrival.step + 1
+        f = f_value.get(key, 0)
+        if f <= arrival.step:
+            f = f_value[key] = arrival.step + 1
+        if not have[arrival.src] >> arrival.token & 1:
+            parent = (arrival.src, arrival.token)
+            if f > f_value.get(parent, 0):
+                f_value[parent] = f
     # Ancestors of the completing arrival reach F == makespan, so every
     # on-path transfer ends up with slack exactly zero; F <= makespan
     # always (a wanted delivery at the final step is step makespan-1,

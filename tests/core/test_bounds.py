@@ -1,19 +1,25 @@
 """Tests for the Section 5.1 lower bounds: exact values on structured
-graphs, and admissibility (bound <= true optimum) on random instances."""
+graphs, admissibility (bound <= true optimum) on random instances, and
+agreement with the all-pairs BFS forms kept here as oracles."""
 
+import math
 import random
+from collections import deque
+from typing import List, Optional, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import (
     InfeasibleBoundError,
     diameter_knowledge_bound,
+    lookahead_bound_of_masks,
     lookahead_timestep_bound,
     remaining_bandwidth,
     remaining_timesteps,
 )
-from repro.core.problem import Problem
+from repro.core.problem import Problem, max_eccentricity
 from repro.core.tokenset import TokenSet
 from repro.exact import solve_focd_bnb
 
@@ -134,3 +140,221 @@ def test_bandwidth_bound_admissible(problem):
 
     pruned, _ = prune_schedule(problem, witness)
     assert remaining_bandwidth(problem) <= pruned.bandwidth or problem.total_demand() == 0
+
+
+# ----------------------------------------------------------------------
+# Differential: the linear-pass bounds and diameters against the
+# all-pairs BFS forms they replaced, kept here as oracles.
+# ----------------------------------------------------------------------
+
+
+def _oracle_reverse_distances_to(problem: Problem, dst: int) -> List[int]:
+    dist = [-1] * problem.num_vertices
+    dist[dst] = 0
+    queue = deque([dst])
+    while queue:
+        v = queue.popleft()
+        for arc in problem.in_arcs(v):
+            if dist[arc.src] == -1:
+                dist[arc.src] = dist[v] + 1
+                queue.append(arc.src)
+    return dist
+
+
+def _oracle_vertex_timestep_bound(
+    problem: Problem, v: int, needed: TokenSet, possession: Sequence[TokenSet]
+) -> int:
+    dist_to_v = _oracle_reverse_distances_to(problem, v)
+    token_dist: List[int] = []
+    for token in needed:
+        best = math.inf
+        for u in range(problem.num_vertices):
+            if token in possession[u] and dist_to_v[u] != -1 and dist_to_v[u] < best:
+                best = dist_to_v[u]
+        if best is math.inf:
+            raise InfeasibleBoundError(
+                f"vertex {v} needs token {token}, which no vertex that can "
+                f"reach it possesses"
+            )
+        token_dist.append(int(best))
+    if not token_dist:
+        return 0
+    in_cap = problem.in_capacity(v)
+    if in_cap == 0:
+        raise InfeasibleBoundError(
+            f"vertex {v} still needs tokens but has no incoming arcs"
+        )
+    token_dist.sort()
+    max_dist = token_dist[-1]
+    best_bound = 0
+    total = len(token_dist)
+    consumed = 0
+    for i in range(max_dist):
+        while consumed < total and token_dist[consumed] <= i:
+            consumed += 1
+        bound = i + math.ceil((total - consumed) / in_cap)
+        if bound > best_bound:
+            best_bound = bound
+    if max_dist > best_bound:
+        best_bound = max_dist
+    return best_bound
+
+
+def _oracle_remaining_timesteps(
+    problem: Problem, possession: Optional[Sequence[TokenSet]] = None
+) -> int:
+    """One reverse BFS per vertex plus an O(n) holder scan per token."""
+    possession = problem.have if possession is None else possession
+    best = 0
+    for v in range(problem.num_vertices):
+        needed = problem.want[v] - possession[v]
+        if needed:
+            best = max(
+                best, _oracle_vertex_timestep_bound(problem, v, needed, possession)
+            )
+    return best
+
+
+def _oracle_lookahead(
+    problem: Problem, possession: Optional[Sequence[TokenSet]] = None
+) -> int:
+    """The lookahead bound in TokenSet algebra."""
+    possession = problem.have if possession is None else possession
+    best = 0
+    for v in range(problem.num_vertices):
+        needed = problem.want[v] - possession[v]
+        if not needed:
+            continue
+        in_cap = problem.in_capacity(v)
+        if in_cap == 0:
+            raise InfeasibleBoundError(
+                f"vertex {v} still needs tokens but has no incoming arcs"
+            )
+        one_hop = TokenSet(0)
+        for arc in problem.in_arcs(v):
+            one_hop = one_hop | (possession[arc.src] & needed)
+        rest = len(needed) - min(len(one_hop), in_cap)
+        best = max(best, 1 + math.ceil(rest / in_cap) if rest > 0 else 1)
+    return best
+
+
+def _oracle_eccentricity(problem: Problem, undirected: bool) -> int:
+    """One BFS per vertex: the old ``Problem.diameter`` (directed) and
+    ``FloodThenOptimal._gossip_diameter`` (undirected)."""
+    n = problem.num_vertices
+    best = 0
+    for src in range(n):
+        dist = [-1] * n
+        dist[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            step = problem.neighbors(u) if undirected else problem.out_neighbors(u)
+            for w in step:
+                if dist[w] == -1:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        best = max(best, max(dist))
+    return best
+
+
+@st.composite
+def instances_with_possession(draw):
+    """Any instance shape the bounds accept, with a mid-run possession.
+
+    Random directed graphs are often disconnected; paths are the worst
+    case for the diameter's round count; wants are drawn independently
+    of haves, so some are infeasible and some vertices need nothing.
+    """
+    shape = draw(st.sampled_from(["random", "path", "two-way path"]))
+    n = draw(st.integers(1, 40 if shape != "random" else 8))
+    m = draw(st.integers(0, 4))
+    if shape == "random":
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    else:
+        links = [(i, i + 1) for i in range(n - 1)]
+        if shape == "two-way path":
+            links += [(i + 1, i) for i in range(n - 1)]
+    arcs = [(u, v, draw(st.integers(1, 3))) for u, v in links]
+    masks = st.integers(0, (1 << m) - 1)
+    have = [TokenSet(draw(masks)) for _ in range(n)]
+    want = [TokenSet(draw(masks)) for _ in range(n)]
+    problem = Problem.build(
+        n,
+        m,
+        arcs,
+        {v: list(have[v]) for v in range(n)},
+        {v: list(want[v]) for v in range(n)},
+    )
+    possession = [have[v] | TokenSet(draw(masks)) for v in range(n)]
+    return problem, possession
+
+
+def _outcome(bound, *args):
+    try:
+        return bound(*args)
+    except InfeasibleBoundError as exc:
+        return f"infeasible: {exc}"
+
+
+# Vertex 2 is the first that cannot be served: it wants token 1, held
+# only at vertex 3, which has no path to it.
+_INFEASIBLE_LATER_VERTEX = Problem.build(
+    4,
+    2,
+    [(0, 1, 1), (1, 2, 1), (2, 3, 1)],
+    {0: [0], 3: [1]},
+    {1: [0], 2: [0, 1], 3: [0, 1]},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_with_possession())
+@example((Problem.build(1, 1, [], {}, {0: [0]}), [TokenSet()]))
+@example((_INFEASIBLE_LATER_VERTEX, list(_INFEASIBLE_LATER_VERTEX.have)))
+def test_remaining_timesteps_matches_oracle(case):
+    problem, possession = case
+    assert _outcome(remaining_timesteps, problem) == _outcome(
+        _oracle_remaining_timesteps, problem
+    )
+    assert _outcome(remaining_timesteps, problem, possession) == _outcome(
+        _oracle_remaining_timesteps, problem, possession
+    )
+
+
+def test_infeasible_message_names_first_vertex_and_token():
+    with pytest.raises(InfeasibleBoundError) as caught:
+        remaining_timesteps(_INFEASIBLE_LATER_VERTEX)
+    assert str(caught.value) == (
+        "vertex 2 needs token 1, which no vertex that can reach it possesses"
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_with_possession())
+def test_lookahead_matches_oracle(case):
+    problem, possession = case
+    expected = _outcome(_oracle_lookahead, problem, possession)
+    assert _outcome(lookahead_timestep_bound, problem, possession) == expected
+    assert (
+        _outcome(lookahead_bound_of_masks, problem, [p.mask for p in possession])
+        == expected
+    )
+    assert _outcome(lookahead_timestep_bound, problem) == _outcome(
+        _oracle_lookahead, problem
+    )
+
+
+def test_lookahead_masks_wrong_length_raises(path_problem):
+    with pytest.raises(ValueError, match="possession has 1 entries for 3"):
+        lookahead_bound_of_masks(path_problem, [0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_with_possession())
+def test_diameters_match_bfs_oracle(case):
+    problem, _possession = case
+    assert problem.diameter() == _oracle_eccentricity(problem, undirected=False)
+    gossip = [problem.neighbors(v) for v in range(problem.num_vertices)]
+    assert max_eccentricity(gossip) == _oracle_eccentricity(problem, undirected=True)

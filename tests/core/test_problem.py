@@ -103,6 +103,10 @@ class TestDistances:
         assert diamond_problem.distance(0, 3) == 2
         assert diamond_problem.distance(3, 0) == -1
 
+    def test_distances_from_any_takes_nearest_source(self, diamond_problem):
+        assert diamond_problem.distances_from_any([1, 2]) == [-1, 0, 0, 1]
+        assert diamond_problem.distances_from_any([]) == [-1, -1, -1, -1]
+
     def test_diameter(self, diamond_problem):
         assert diamond_problem.diameter() == 2
 

@@ -58,6 +58,31 @@ def _engine_events(problem, seed: int, count: int | None = None):
     return tracer.events
 
 
+def _oracle_transfer_slack(forest):
+    """Slack by explicit child lists: ``F`` is the max of the arrival's
+    own deadline (when wanted) and its children's ``F``, else
+    ``step + 1``."""
+    want = forest.instance.want_masks
+    children: Dict[Any, List[Any]] = {}
+    for arrival in forest.arrivals.values():
+        if forest.acquired_at(arrival.src, arrival.token) >= 0:
+            parent = forest.arrivals[(arrival.src, arrival.token)]
+            children.setdefault((parent.vertex, parent.token), []).append(arrival)
+    f_value: Dict[Any, int] = {}
+    for arrival in sorted(
+        forest.arrivals.values(), key=lambda a: a.step, reverse=True
+    ):
+        key = (arrival.vertex, arrival.token)
+        candidates = [f_value[(c.vertex, c.token)] for c in children.get(key, ())]
+        if want[arrival.vertex] >> arrival.token & 1:
+            candidates.append(arrival.step + 1)
+        f_value[key] = max(candidates) if candidates else arrival.step + 1
+    return {
+        (a.vertex, a.token, a.step): forest.makespan - f_value[(a.vertex, a.token)]
+        for a in forest.arrivals.values()
+    }
+
+
 def _check_invariants(events) -> None:
     """Assert the four attribution invariants over every run."""
     report = attribute_events(events)
@@ -73,6 +98,7 @@ def _check_invariants(events) -> None:
 
         # 2. On-path transfers have zero slack; no slack is negative.
         slacks = transfer_slack(forest)
+        assert slacks == _oracle_transfer_slack(forest)
         assert all(s >= 0 for s in slacks.values())
         for hop in att.path.hops:
             assert slacks[(hop.dst, hop.token, hop.step)] == 0
