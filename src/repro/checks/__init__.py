@@ -26,13 +26,12 @@ are enforced by those tools and tests, not here.
 Run it as ``python -m repro.checks [paths...]`` (defaults to ``src`` and
 ``examples``) or via the ``ocdlint`` console script; the tier-1 test
 suite runs the same gate over the tree.  ``docs/CHECKS.md`` documents
-every rule, the suppression syntax, the baseline workflow, and the
-output formats (text, JSON, SARIF, GitHub annotations).
+every rule, the suppression syntax and the two output formats (text and
+JSON).
 
 Suppressions: append ``# ocd: ignore[OCD003] -- <justification>`` to the
 offending line, or ``# ocd: ignore-file[OCD003]`` on its own line for a
-whole file.  Pre-existing findings can be parked in a committed baseline file
-(``ocdlint --write-baseline``) instead.
+whole file.
 """
 
 from __future__ import annotations

@@ -1,48 +1,27 @@
-"""Command-line front ends for the static-analysis layer.
+"""Command-line front end for the static-analysis layer.
 
 ``python -m repro.checks [paths...]`` (or the ``ocdlint`` console script)
-runs the per-file AST rules and the whole-program passes through the
-cached runner; the ``lint`` console script chains ocdlint with ``ruff``
-and ``mypy`` when those tools are installed, skipping them with a notice
-when they are not (the container image may not ship them).
+runs the per-file AST rules and the whole-program passes over ``paths``
+(:func:`repro.checks.framework.run_paths`) and prints the findings::
 
-Workflow flags::
-
-    ocdlint --format sarif > ocdlint.sarif     # code-scanning upload
-    ocdlint --format github                    # inline PR annotations
-    ocdlint --no-cache                         # bypass the content cache
-    ocdlint --baseline ocdlint-baseline.json   # subtract accepted debt
-    ocdlint --write-baseline                   # (re)accept current findings
+    ocdlint --select OCD001,OCD010    # only these rules
+    ocdlint --no-program              # per-file rules only
+    ocdlint --format json             # findings plus a summary block
+    ocdlint --list-rules              # describe every rule and exit
 """
 
 from __future__ import annotations
 
 import argparse
-import shutil
-import subprocess
 import sys
 from typing import List, Optional, Sequence
 
-from repro.checks.cache import DEFAULT_CACHE_PATH
-from repro.checks.framework import all_rules
-from repro.checks.output import (
-    render_github,
-    render_json,
-    render_sarif,
-    render_text,
-)
-from repro.checks.runner import lint
+from repro.checks.framework import all_rules, expand_paths, run_paths
+from repro.checks.output import render_json, render_text
 
-__all__ = ["main", "lint_main"]
+__all__ = ["main"]
 
 DEFAULT_PATHS = ("src", "examples")
-
-#: Packages held to ``mypy --strict`` (the rest run at baseline).
-STRICT_MYPY_PATHS = (
-    "src/repro/core",
-    "src/repro/sim",
-    "src/repro/heuristics",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif", "github"),
+        choices=("text", "json"),
         default="text",
         help="diagnostic output format",
     )
@@ -76,28 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-program",
         action="store_true",
         help="skip the whole-program passes (OCD010+); per-file rules only",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=DEFAULT_CACHE_PATH,
-        help=f"incremental cache file (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental cache",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file of accepted findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0 "
-        "(requires --baseline)",
     )
     return parser
 
@@ -122,100 +79,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(_list_rules())
         return 0
-    if args.write_baseline and not args.baseline:
-        print(
-            "ocdlint: error: --write-baseline requires --baseline PATH",
-            file=sys.stderr,
-        )
-        return 2
-    select = args.select.split(",") if args.select else None
+    select = args.select.split(",") if args.select is not None else None
     try:
-        result = lint(
-            args.paths,
-            select=select,
-            program=not args.no_program,
-            cache_path=None if args.no_cache else args.cache,
-            baseline_path=args.baseline,
-        )
+        files = expand_paths(args.paths)
+        diagnostics = run_paths(files, select=select, program=not args.no_program)
     except (FileNotFoundError, ValueError) as exc:
         print(f"ocdlint: error: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        from repro.checks.baseline import write_baseline
-
-        baseline = write_baseline(args.baseline, result.all_diagnostics)
-        print(
-            f"ocdlint: wrote baseline {args.baseline} "
-            f"({baseline.total} finding(s))",
-            file=sys.stderr,
-        )
-        return 0
-
-    diagnostics = result.diagnostics
     if args.format == "json":
-        print(
-            render_json(
-                diagnostics,
-                files_checked=result.files_checked,
-                baseline_matched=result.baseline_matched,
-                cache_hits=result.cache_hits,
-                cache_misses=result.cache_misses,
-            )
-        )
-    elif args.format == "sarif":
-        print(render_sarif(diagnostics, select=select))
-    elif args.format == "github":
-        output = render_github(diagnostics)
-        if output:
-            print(output)
-    else:
-        output = render_text(diagnostics)
-        if output:
-            print(output)
-    if result.baseline_stale:
-        print(
-            f"ocdlint: note: {len(result.baseline_stale)} baseline "
-            f"entr(y/ies) no longer match any finding; shrink the baseline "
-            f"with --write-baseline",
-            file=sys.stderr,
-        )
+        print(render_json(diagnostics, files_checked=len(files)))
+    elif diagnostics:
+        print(render_text(diagnostics))
     if diagnostics:
-        suffix = (
-            f" ({result.baseline_matched} baselined)"
-            if result.baseline_matched
-            else ""
-        )
-        print(
-            f"ocdlint: {len(diagnostics)} diagnostic(s){suffix}",
-            file=sys.stderr,
-        )
+        print(f"ocdlint: {len(diagnostics)} diagnostic(s)", file=sys.stderr)
         return 1
     return 0
-
-
-def _run_tool(name: str, cmd: Sequence[str]) -> Optional[int]:
-    """Run an external tool if installed; None means it was skipped."""
-    if shutil.which(cmd[0]) is None:
-        print(f"lint: {name} not installed, skipped", file=sys.stderr)
-        return None
-    print(f"lint: running {' '.join(cmd)}", file=sys.stderr)
-    return subprocess.run(list(cmd)).returncode
-
-
-def lint_main(argv: Optional[Sequence[str]] = None) -> int:
-    """ocdlint + ruff + mypy in one gate (missing tools are skipped)."""
-    failures = 0
-    print("lint: running ocdlint", file=sys.stderr)
-    if main(list(argv) if argv else []) != 0:
-        failures += 1
-    ruff_rc = _run_tool("ruff", ("ruff", "check", "src", "examples", "tests"))
-    if ruff_rc not in (None, 0):
-        failures += 1
-    mypy_rc = _run_tool("mypy", ("mypy", "--strict", *STRICT_MYPY_PATHS))
-    if mypy_rc not in (None, 0):
-        failures += 1
-    baseline_rc = _run_tool("mypy", ("mypy", "src/repro"))
-    if baseline_rc not in (None, 0):
-        failures += 1
-    return 1 if failures else 0

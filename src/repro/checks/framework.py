@@ -184,6 +184,8 @@ def _selected_codes(select: Optional[Iterable[str]]) -> List[str]:
     codes = sorted(_REGISTRY)
     if select is not None:
         wanted = {c.strip().upper() for c in select if c.strip()}
+        if not wanted:
+            raise ValueError("rule selection names no code")
         unknown = wanted - set(codes)
         if unknown:
             raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
@@ -389,12 +391,13 @@ def run_paths(
 
     Runs the per-file rules on each file, then — unless ``program`` is
     false — the whole-program passes (taint, trace contracts,
-    multiprocessing safety) over all of them together.  The cached
-    front end (:mod:`repro.checks.runner`) layers content-hash
-    incrementality and the baseline on top of this; results agree.
+    multiprocessing safety) over all of them together.  This is the
+    whole linter: the CLI renders what it returns.  An empty or unknown
+    ``select`` raises :class:`ValueError` before any file is read.
     """
     from repro.checks.program import summarize_source
 
+    _selected_codes(select)
     diagnostics: List[Diagnostic] = []
     summaries = []
     suppressions: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]] = {}

@@ -1,42 +1,26 @@
-"""Output formats for ocdlint: text, JSON, SARIF 2.1.0, GitHub annotations.
+"""Output formats for ocdlint: text and JSON.
 
-All four render the same sorted diagnostics list; the machine formats
-exist so CI can consume findings without scraping text:
+Both render the same sorted diagnostics list:
 
+* ``text`` — the classic ``path:line:col: CODE message`` listing.
 * ``json`` — one object per finding plus a summary block; the shape the
   fixture tests and ad-hoc tooling read.
-* ``sarif`` — SARIF 2.1.0 with full rule metadata, suitable for GitHub
-  code-scanning upload (``ocdlint.sarif``).
-* ``github`` — ``::error``/``::notice`` workflow commands, which GitHub
-  renders as inline PR annotations with no upload step.
 
-Rendering is deterministic: sorted findings, sorted rule metadata, no
-timestamps (SARIF's optional invocation times are deliberately omitted
-so two runs over the same tree are byte-identical).
+Rendering is deterministic: sorted findings, no timestamps, so two runs
+over the same tree are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
-from repro.checks.framework import (
-    Diagnostic,
-    ProgramRule,
-    Rule,
-    all_rules,
-)
+from repro.checks.framework import Diagnostic
 
 __all__ = [
-    "render_github",
     "render_json",
-    "render_sarif",
     "render_text",
 ]
-
-#: Tool identity embedded in SARIF output.
-_TOOL_NAME = "ocdlint"
-_TOOL_URI = "https://github.com/ocd-repro/ocd-repro"
 
 
 def render_text(diagnostics: Sequence[Diagnostic]) -> str:
@@ -48,13 +32,10 @@ def render_json(
     diagnostics: Sequence[Diagnostic],
     *,
     files_checked: int = 0,
-    baseline_matched: int = 0,
-    cache_hits: int = 0,
-    cache_misses: int = 0,
 ) -> str:
     """One JSON document: findings plus run summary."""
     payload: Dict[str, Any] = {
-        "tool": _TOOL_NAME,
+        "tool": "ocdlint",
         "findings": [
             {
                 "path": d.path,
@@ -68,116 +49,6 @@ def render_json(
         "summary": {
             "count": len(diagnostics),
             "files_checked": files_checked,
-            "baseline_matched": baseline_matched,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
         },
     }
     return json.dumps(payload, indent=2, sort_keys=False)
-
-
-def _rule_metadata(select: Optional[Sequence[str]] = None) -> List[Dict[str, Any]]:
-    rules: List[Rule | ProgramRule] = all_rules(select)
-    out: List[Dict[str, Any]] = []
-    for rule in rules:
-        out.append(
-            {
-                "id": rule.code,
-                "name": rule.name,
-                "shortDescription": {"text": rule.summary},
-                "fullDescription": {"text": rule.invariant},
-                "defaultConfiguration": {"level": "error"},
-                "properties": {
-                    "kind": "program"
-                    if isinstance(rule, ProgramRule)
-                    else "file",
-                },
-            }
-        )
-    return out
-
-
-def render_sarif(
-    diagnostics: Sequence[Diagnostic],
-    select: Optional[Sequence[str]] = None,
-) -> str:
-    """SARIF 2.1.0 for code-scanning upload.
-
-    Every registered (or selected) rule appears in the driver's rule
-    table even when it produced no findings, so suppressing a rule is
-    visible as "rule present, zero results" rather than silence.
-    """
-    rules = _rule_metadata(select)
-    rule_index = {r["id"]: i for i, r in enumerate(rules)}
-    results: List[Dict[str, Any]] = []
-    for d in sorted(diagnostics):
-        result: Dict[str, Any] = {
-            "ruleId": d.code,
-            "level": "error",
-            "message": {"text": d.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": d.path.replace("\\", "/"),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": max(d.line, 1),
-                            "startColumn": d.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if d.code in rule_index:
-            result["ruleIndex"] = rule_index[d.code]
-        results.append(result)
-    sarif = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-            "Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": _TOOL_NAME,
-                        "informationUri": _TOOL_URI,
-                        "rules": rules,
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(sarif, indent=2, sort_keys=False)
-
-
-def _escape_annotation(text: str) -> str:
-    """GitHub workflow-command escaping for the message part."""
-    return (
-        text.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
-    )
-
-
-def _escape_property(text: str) -> str:
-    return (
-        _escape_annotation(text).replace(":", "%3A").replace(",", "%2C")
-    )
-
-
-def render_github(diagnostics: Sequence[Diagnostic]) -> str:
-    """``::error`` workflow commands — inline PR annotations."""
-    lines: List[str] = []
-    for d in sorted(diagnostics):
-        lines.append(
-            f"::error file={_escape_property(d.path)},"
-            f"line={d.line},col={d.col + 1},"
-            f"title={_escape_property(d.code)}::"
-            f"{_escape_annotation(d.message)}"
-        )
-    return "\n".join(lines)

@@ -9,18 +9,16 @@ This module builds everything those rules need, in two layers:
 
 :func:`summarize_module`
     One pass over a parsed module producing a :class:`ModuleSummary` — a
-    plain-data (JSON-round-trippable) digest: the import-alias map, every
-    function with its nondeterminism sources, outgoing calls, trace
-    emission sites (with statically resolved field shapes), global
-    mutations, executor submissions, and set iterations.  Summaries are
-    *per-file facts only*, which is what makes the incremental cache
-    sound: a file's summary is a pure function of its bytes.
+    plain-data digest: the import-alias map, every function with its
+    nondeterminism sources, outgoing calls, trace emission sites (with
+    statically resolved field shapes), global mutations, executor
+    submissions, and set iterations.  Summaries are *per-file facts
+    only*: a file's summary is a pure function of its bytes.
 
 :class:`ProgramIndex`
     The cross-module layer: a symbol table over all summaries, call
     resolution (through package re-exports), the call graph, and taint
-    propagation with shortest-chain witnesses.  Rebuilt from summaries
-    on every run — it is cheap; parsing is not.
+    propagation with shortest-chain witnesses.
 
 Resolution is deliberately conservative.  A call the index cannot
 resolve (a duck-typed attribute, an injected callback) creates no edge
@@ -34,7 +32,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.checks.framework import package_of
 
@@ -49,11 +47,6 @@ __all__ = [
     "summarize_module",
     "summarize_source",
 ]
-
-#: Bump when summary extraction changes shape or semantics; the cache
-#: embeds it, so stale summaries can never feed the program rules.
-SUMMARY_VERSION = 3
-
 
 # ----------------------------------------------------------------------
 # Nondeterminism source patterns (by import-resolved qualified name)
@@ -182,7 +175,7 @@ _MAKE_EVENT_NAMES = frozenset(
 
 
 # ----------------------------------------------------------------------
-# Summary dataclasses (all JSON-round-trippable)
+# Summary dataclasses
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SourceSite:
@@ -192,15 +185,6 @@ class SourceSite:
     what: str  # human-readable callable, e.g. "random.random()"
     line: int
     col: int
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "what": self.what, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "SourceSite":
-        return cls(
-            kind=data["kind"], what=data["what"], line=data["line"], col=data["col"]
-        )
 
 
 @dataclass(frozen=True)
@@ -221,28 +205,6 @@ class CallSite:
     col: int
     kwargs_shapes: Dict[str, Dict[str, str]] = field(default_factory=dict)
     args_shapes: Dict[str, Dict[str, str]] = field(default_factory=dict)
-
-    def to_json(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"ref": self.ref, "line": self.line, "col": self.col}
-        if self.kwargs_shapes:
-            data["kwargs_shapes"] = self.kwargs_shapes
-        if self.args_shapes:
-            data["args_shapes"] = self.args_shapes
-        return data
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "CallSite":
-        return cls(
-            ref=data["ref"],
-            line=data["line"],
-            col=data["col"],
-            kwargs_shapes={
-                k: dict(v) for k, v in data.get("kwargs_shapes", {}).items()
-            },
-            args_shapes={
-                k: dict(v) for k, v in data.get("args_shapes", {}).items()
-            },
-        )
 
 
 @dataclass(frozen=True)
@@ -266,29 +228,6 @@ class EmitSite:
     fields: Dict[str, str] = field(default_factory=dict)
     open: bool = False
     open_params: Tuple[str, ...] = ()
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "via": self.via,
-            "line": self.line,
-            "col": self.col,
-            "fields": dict(self.fields),
-            "open": self.open,
-            "open_params": list(self.open_params),
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "EmitSite":
-        return cls(
-            kind=data["kind"],
-            via=data["via"],
-            line=data["line"],
-            col=data["col"],
-            fields=dict(data.get("fields", {})),
-            open=bool(data.get("open", False)),
-            open_params=tuple(data.get("open_params", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -316,51 +255,6 @@ class FunctionSummary:
     submit_targets: Tuple[CallSite, ...] = ()
     is_point_function: bool = False
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "qname": self.qname,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "nested": self.nested,
-            "sources": [s.to_json() for s in self.sources],
-            "calls": [c.to_json() for c in self.calls],
-            "returns_set": self.returns_set,
-            "call_iterations": [c.to_json() for c in self.call_iterations],
-            "set_iterations": [list(s) for s in self.set_iterations],
-            "emits": [e.to_json() for e in self.emits],
-            "global_mutations": [list(m) for m in self.global_mutations],
-            "global_reads": list(self.global_reads),
-            "submit_targets": [c.to_json() for c in self.submit_targets],
-            "is_point_function": self.is_point_function,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            qname=data["qname"],
-            name=data["name"],
-            line=data["line"],
-            col=data["col"],
-            nested=bool(data.get("nested", False)),
-            sources=tuple(SourceSite.from_json(s) for s in data.get("sources", ())),
-            calls=tuple(CallSite.from_json(c) for c in data.get("calls", ())),
-            returns_set=bool(data.get("returns_set", False)),
-            call_iterations=tuple(
-                CallSite.from_json(c) for c in data.get("call_iterations", ())
-            ),
-            set_iterations=_positions(data.get("set_iterations", ())),
-            emits=tuple(EmitSite.from_json(e) for e in data.get("emits", ())),
-            global_mutations=tuple(
-                (m[0], m[1], m[2], m[3]) for m in data.get("global_mutations", ())
-            ),
-            global_reads=tuple(data.get("global_reads", ())),
-            submit_targets=tuple(
-                CallSite.from_json(c) for c in data.get("submit_targets", ())
-            ),
-            is_point_function=bool(data.get("is_point_function", False)),
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
@@ -376,40 +270,6 @@ class ModuleSummary:
     functions: Tuple[FunctionSummary, ...] = ()
     #: Set iterations in module-level code: (line, col).
     set_iterations: Tuple[Tuple[int, int], ...] = ()
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "package": self.package,
-            "aliases": dict(self.aliases),
-            "module_globals": list(self.module_globals),
-            "unsafe_globals": dict(self.unsafe_globals),
-            "functions": [f.to_json() for f in self.functions],
-            "set_iterations": [list(s) for s in self.set_iterations],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> Optional["ModuleSummary"]:
-        if data.get("version") != SUMMARY_VERSION:
-            return None
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            package=data["package"],
-            aliases=dict(data.get("aliases", {})),
-            module_globals=tuple(data.get("module_globals", ())),
-            unsafe_globals=dict(data.get("unsafe_globals", {})),
-            functions=tuple(
-                FunctionSummary.from_json(f) for f in data.get("functions", ())
-            ),
-            set_iterations=_positions(data.get("set_iterations", ())),
-        )
-
-
-def _positions(data: Iterable[Sequence[int]]) -> Tuple[Tuple[int, int], ...]:
-    return tuple((line, col) for line, col in data)
 
 
 # ----------------------------------------------------------------------

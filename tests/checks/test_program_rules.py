@@ -671,37 +671,6 @@ class TestMultiprocessingSafety:
 # The program model itself
 # ======================================================================
 class TestProgramIndex:
-    def test_summary_json_round_trip(self):
-        from repro.checks.program import ModuleSummary
-
-        src = textwrap.dedent(
-            """
-            import random
-
-            _STATE = {}
-
-            def helper():
-                return random.random()
-
-            class Engine:
-                def run(self, tracer):
-                    tracer.emit("stall", {"step": 1, "consecutive": 2})
-                    return helper()
-            """
-        )
-        summary = summarize_source(src, ENGINE)
-        assert summary is not None
-        restored = ModuleSummary.from_json(summary.to_json())
-        assert restored == summary
-
-    def test_version_skew_invalidates(self):
-        from repro.checks.program import ModuleSummary
-
-        summary = summarize_source("x = 1\n", ENGINE)
-        data = summary.to_json()
-        data["version"] = -1
-        assert ModuleSummary.from_json(data) is None
-
     def test_edges_resolve_across_modules(self):
         index = build_index(
             {

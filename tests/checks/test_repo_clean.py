@@ -7,16 +7,19 @@ fails here, with the same diagnostics the CLI prints.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.checks import run_paths
+from repro.checks import Diagnostic, run_paths
 from repro.checks.cli import main
+from repro.checks.output import render_json, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 LINT_SCOPE = ["src", "examples"]
@@ -29,6 +32,29 @@ def _in_repo() -> bool:
 pytestmark = pytest.mark.skipif(
     not _in_repo(), reason="requires the repo checkout layout"
 )
+
+#: A per-file finding (OCD001 in ``_draw``) and a chain finding (OCD010:
+#: ``pick`` reaches it through a call).
+DIRTY = textwrap.dedent(
+    """
+    import random
+
+
+    def _draw():
+        return random.random()
+
+
+    def pick(xs):
+        return xs[int(_draw() * len(xs))]
+    """
+)
+
+
+def _dirty_tree(root: Path) -> str:
+    pkg = root / "src" / "repro" / "heuristics"
+    pkg.mkdir(parents=True)
+    (pkg / "bad.py").write_text(DIRTY, encoding="utf-8")
+    return str(root / "src")
 
 
 class TestTreeIsClean:
@@ -85,18 +111,74 @@ class TestCliContract:
         assert main(["--select", "OCD001", str(bad)]) == 1
 
     def test_json_format(self, tmp_path, capsys):
-        import json
-
         bad = tmp_path / "src" / "repro" / "heuristics" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import random\nx = random.random()\n")
-        rc = main(["--format", "json", "--no-cache", str(bad)])
+        rc = main(["--format", "json", str(bad)])
         out = capsys.readouterr().out
         assert rc == 1
         payload = json.loads(out)
         assert payload["findings"][0]["code"] == "OCD001"
         assert payload["findings"][0]["line"] == 2
         assert payload["summary"]["count"] == 1
+
+    def test_empty_select_exits_two(self, tmp_path, capsys):
+        # A selection naming no code would run zero rules and report a
+        # dirty tree as clean; it is a usage error instead.
+        root = _dirty_tree(tmp_path)
+        for select in (",", ""):
+            assert main(["--select", select, root]) == 2
+            assert "names no code" in capsys.readouterr().err
+
+    def test_no_program_skips_chain_rules(self, tmp_path, capsys):
+        root = _dirty_tree(tmp_path)
+        assert main([root, "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert {f["code"] for f in doc["findings"]} == {"OCD001", "OCD010"}
+        assert main([root, "--no-program", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert {f["code"] for f in doc["findings"]} == {"OCD001"}
+
+    def test_lint_writes_nothing(self, tmp_path, tmp_path_factory, monkeypatch, capsys):
+        root = _dirty_tree(tmp_path_factory.mktemp("tree"))
+        monkeypatch.chdir(tmp_path)
+        assert main([root]) == 1
+        assert main([root, "--format", "json"]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+_SAMPLE = [
+    Diagnostic(
+        path="src/repro/sim/engine.py",
+        line=10,
+        col=4,
+        code="OCD013",
+        message="[trace-contract] step emission carries undeclared field 'x'",
+    ),
+    Diagnostic(
+        path="src/repro/heuristics/base.py",
+        line=3,
+        col=0,
+        code="OCD010",
+        message="[rng-call-chain] pick() reaches unseeded randomness",
+    ),
+]
+
+
+class TestOutputs:
+    def test_text_is_sorted_path_line_col(self):
+        text = render_text(sorted(_SAMPLE))
+        first, second = text.splitlines()
+        assert first.startswith("src/repro/heuristics/base.py:3:0: OCD010")
+        assert second.startswith("src/repro/sim/engine.py:10:4: OCD013")
+
+    def test_json_shape(self):
+        doc = json.loads(render_json(_SAMPLE, files_checked=7))
+        assert doc["summary"] == {"count": 2, "files_checked": 7}
+        assert [f["code"] for f in doc["findings"]] == ["OCD010", "OCD013"]
+
+    def test_deterministic(self):
+        assert render_json(_SAMPLE) == render_json(list(reversed(_SAMPLE)))
 
 
 @pytest.mark.skipif(shutil.which("mypy") is None, reason="mypy not installed")
