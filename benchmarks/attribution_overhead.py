@@ -17,10 +17,10 @@ must cost the *engine* nothing.  Two paired gates:
    :func:`~repro.obs.analyze.attribute_events` over the recorded trace,
    expressed as the machine-robust ratio ``run_wall / attribute_wall``
    and recorded in ``BENCH_engine.json`` under ``attribution/n=1000``
-   (the ``speedup`` field, so ``bench-trend`` gates it like every other
-   case).  ``--check`` re-measures and fails when the ratio falls below
-   half the committed value — i.e. attribution got twice as expensive
-   relative to the run it explains.
+   (the ``speedup`` field, like every other case).  ``--check``
+   re-measures and fails when the ratio falls below half the committed
+   value — i.e. attribution got twice as expensive relative to the run
+   it explains.
 
 Usage::
 

@@ -29,12 +29,11 @@ Two halves:
       ocd-repro trace-verify trace.jsonl [more.jsonl ...]
       ocd-repro trace-attribute trace.jsonl --format json
       ocd-repro trace-export trace.jsonl --format chrome --out run.chrome.json
-      ocd-repro bench-trend BENCH_engine.json new_bench.json --threshold 0.1
       ocd-repro trace-scan traces/ --fail-on-anomaly
 
-  ``report``, ``trace-verify``, ``trace-scan``, ``trace-attribute`` and
-  ``bench-trend`` all take ``--format json`` for deterministic
-  sorted-key JSON output.
+  ``report``, ``trace-verify``, ``trace-scan`` and ``trace-attribute``
+  all take ``--format json`` for deterministic sorted-key JSON output.
+  Every analytic reads finished traces in one post-hoc pass.
 
 * live monitoring — follow a sweep while it runs
   (``repro.obs.live``)::
@@ -42,7 +41,9 @@ Two halves:
       ocd-repro run fig2 --ledger results/ledger.jsonl --trace-dir traces/
       ocd-repro watch results/ledger.jsonl --trace traces/
       ocd-repro watch results/ledger.jsonl --once --fail-on-anomaly
-      ocd-repro trace-scan traces/ --follow --ledger results/ledger.jsonl
+
+  ``watch`` follows the ledger; its ``--trace`` verdict is one
+  ``trace-scan`` pass once the ledger shows ``sweep_end``.
 
 (equivalently ``python -m repro ...``).  Problem files are the
 ``Problem.to_dict`` JSON form.
@@ -306,32 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output path ('-' for stdout, the default)",
     )
 
-    trend = sub.add_parser(
-        "bench-trend",
-        help="compare two BENCH_engine.json snapshots and gate regressions",
-    )
-    trend.add_argument("old", help="baseline bench snapshot (JSON)")
-    trend.add_argument("new", help="candidate bench snapshot (JSON)")
-    trend.add_argument(
-        "--metric",
-        default="speedup",
-        help="per-case metric to pair (default: speedup)",
-    )
-    trend.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="fail when any case's new/old ratio drops below 1 - threshold "
-        "(default: 0.10)",
-    )
-    trend.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format: human-readable text (default) or "
-        "deterministic sorted-key JSON",
-    )
-
     scan = sub.add_parser(
         "trace-scan",
         help="scan trace files or directories for anomalous runs",
@@ -378,25 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format: human-readable text (default) or "
         "deterministic sorted-key JSON",
     )
-    scan.add_argument(
-        "--follow",
-        action="store_true",
-        help="scan incrementally while the traces grow, finishing with a "
-        "strict pass once the sweep's ledger records sweep_end "
-        "(requires --ledger)",
-    )
-    scan.add_argument(
-        "--ledger",
-        default=None,
-        help="run-ledger JSONL announcing the sweep being followed "
-        "(written by run --ledger); --follow stops when it ends",
-    )
-    scan.add_argument(
-        "--interval",
-        type=float,
-        default=0.5,
-        help="poll interval in seconds for --follow (default: 0.5)",
-    )
 
     watch = sub.add_parser(
         "watch",
@@ -411,8 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="PATH",
-        help="also scan these trace files/directories for anomalies as "
-        "they grow (repeatable)",
+        help="also scan these trace files/directories for anomalies once "
+        "the sweep ends (repeatable)",
     )
     watch.add_argument(
         "--once",
@@ -781,23 +737,6 @@ def _cmd_trace_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_trend(args) -> int:
-    from repro.obs.analyze import compare_bench
-
-    try:
-        report = compare_bench(
-            args.old, args.new, metric=args.metric, threshold=args.threshold
-        )
-    except (OSError, ValueError) as error:
-        print(f"bench-trend failed: {error}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        _emit_json(report.as_dict())
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
 def _cmd_trace_scan(args) -> int:
     from repro.obs.analyze import ScanThresholds, scan_paths
 
@@ -808,10 +747,7 @@ def _cmd_trace_scan(args) -> int:
         util_span=args.util_span,
     )
     try:
-        if args.follow:
-            anomalies = _follow_scan(args, thresholds)
-        else:
-            anomalies = scan_paths(args.paths, thresholds)
+        anomalies = scan_paths(args.paths, thresholds)
     except (OSError, ValueError) as error:
         print(f"trace-scan failed: {error}", file=sys.stderr)
         return 2
@@ -824,9 +760,8 @@ def _cmd_trace_scan(args) -> int:
             }
         )
     else:
-        if not args.follow:  # follow mode already streamed each finding
-            for anomaly in anomalies:
-                print(anomaly.render())
+        for anomaly in anomalies:
+            print(anomaly.render())
         print(
             f"trace-scan: {len(anomalies)} anomaly(ies) across "
             f"{len(args.paths)} path(s)"
@@ -834,31 +769,6 @@ def _cmd_trace_scan(args) -> int:
     if anomalies and args.fail_on_anomaly:
         return 1
     return 0
-
-
-def _follow_scan(args, thresholds) -> list:
-    """Incremental trace-scan until the sweep's ledger reaches sweep_end.
-
-    Streams each anomaly as it is discovered (text mode), then runs the
-    strict finalize pass — so the returned findings match a post-hoc
-    ``scan_paths`` over the same files.
-    """
-    from repro.obs.live import IncrementalScanner, LedgerState
-
-    if not args.ledger:
-        raise ValueError("--follow requires --ledger to know when to stop")
-    scanner = IncrementalScanner(args.paths, thresholds=thresholds)
-    while True:
-        fresh = scanner.poll()
-        if args.format != "json":
-            for anomaly in fresh:
-                print(anomaly.render(), flush=True)
-        if os.path.exists(args.ledger):
-            state = LedgerState.from_ledger(args.ledger)
-            if state.end is not None:
-                break
-        time.sleep(args.interval)
-    return scanner.finalize()
 
 
 def _cmd_watch(args) -> int:
@@ -1001,8 +911,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_trace_attribute(args)
     if args.command == "trace-export":
         return _cmd_trace_export(args)
-    if args.command == "bench-trend":
-        return _cmd_bench_trend(args)
     if args.command == "trace-scan":
         return _cmd_trace_scan(args)
     if args.command == "watch":

@@ -1,4 +1,4 @@
-"""Trace analytics: differential debugging, replay validation, trend gates.
+"""Trace analytics: differential debugging, replay validation, attribution.
 
 Consumes the JSONL traces of :mod:`repro.obs` (see
 ``docs/OBSERVABILITY.md``) and answers the questions raw event streams
@@ -14,11 +14,13 @@ cannot:
   :mod:`repro.obs.analyze.attribution`).
 * :func:`chrome_trace` / :func:`dot_forest` — export a trace's causal
   structure for Chrome trace-viewer or Graphviz.
-* :func:`compare_bench` — did any benchmark case regress between two
-  ``BENCH_engine.json`` snapshots?
 * :func:`scan_paths` — which runs of a sweep look pathological?
 * :func:`retrace_run` — re-emit a finished schedule as a trace (the
   bridge that gives the untraced reference oracle a diffable trace).
+
+Each analytic reads finished trace files in one post-hoc pass; none
+follows a trace while it grows.  The ``watch`` dashboard's anomaly
+verdict is one :func:`scan_paths` call once its sweep has ended.
 
 This subpackage is deliberately *not* imported by ``repro.obs``'s
 ``__init__`` — the tracing layer must stay importable by the simulation
@@ -66,12 +68,6 @@ from repro.obs.analyze.diff import Divergence, TraceDiff, diff_traces
 from repro.obs.analyze.export import chrome_trace, dot_forest
 from repro.obs.analyze.retrace import retrace_run
 from repro.obs.analyze.runs import DecodedInstance, TraceRun, split_runs
-from repro.obs.analyze.trend import (
-    CaseTrend,
-    TrendReport,
-    compare_bench,
-    load_bench,
-)
 from repro.obs.analyze.validate import (
     ValidationReport,
     Violation,
@@ -85,7 +81,6 @@ __all__ = [
     "AttributionError",
     "AttributionReport",
     "BLOCKING_CATEGORIES",
-    "CaseTrend",
     "CausalError",
     "CriticalPath",
     "DecodedInstance",
@@ -98,7 +93,6 @@ __all__ = [
     "SkippedRun",
     "TraceDiff",
     "TraceRun",
-    "TrendReport",
     "ValidationReport",
     "Violation",
     "WaitSegment",
@@ -108,11 +102,9 @@ __all__ = [
     "build_forest",
     "chrome_trace",
     "classify_block",
-    "compare_bench",
     "critical_path",
     "diff_traces",
     "dot_forest",
-    "load_bench",
     "retrace_run",
     "scan_events",
     "scan_paths",

@@ -30,18 +30,12 @@ Span and failure anomalies additionally carry a *dominant blocking
 cause* — the most frequent :data:`repro.obs.analyze.causal.
 BLOCKING_CATEGORIES` entry among the span's idle vertex-steps, derived
 from the same forest replay ``trace-attribute`` uses — so the scan (and
-the ``watch`` dashboard on top of it) says not just *where* a run went
-quiet but *why*.  A run without a forest yields ``cause: None`` and the
+the ``watch`` dashboard's end-of-sweep verdict, which is one
+:func:`scan_paths` call) says not just *where* a run went quiet but
+*why*.  A run without a forest yields ``cause: None`` and the
 anomaly stands on its own: dynamic-conditions runs, and runs the forest
 refuses (:class:`~repro.obs.analyze.causal.CausalError` — no instance
 payload, no transfers, or any other step-level §2 violation).
-
-Streaming scans (:class:`repro.obs.live.IncrementalScanner`) pass
-``open_tail=True``: the *final* run of a still-growing trace is treated
-as in progress — its missing ``run_end`` is expected, not a
-``truncated-run`` — while every earlier run in the same file is checked
-strictly.  A finalize pass with ``open_tail=False`` restores the
-post-hoc verdict exactly.
 """
 
 from __future__ import annotations
@@ -139,12 +133,7 @@ def _run_blocking(run: TraceRun) -> Dict[Tuple[int, int], str]:
         return {}
 
 
-def _scan_run(
-    run: TraceRun,
-    path: str,
-    thresholds: ScanThresholds,
-    open_tail: bool = False,
-) -> List[Anomaly]:
+def _scan_run(run: TraceRun, path: str, thresholds: ScanThresholds) -> List[Anomaly]:
     found: List[Anomaly] = []
     blocking: Optional[Dict[Tuple[int, int], str]] = None
 
@@ -214,12 +203,11 @@ def _scan_run(
                 )
             quiet_lo = None
     if run.end is None:
-        if not open_tail:
-            flag(
-                "truncated-run",
-                None,
-                "no run_end event (crashed or interrupted?)",
-            )
+        flag(
+            "truncated-run",
+            None,
+            "no run_end event (crashed or interrupted?)",
+        )
     elif not run.end.get("success"):
         flag(
             "failed-run",
@@ -234,39 +222,24 @@ def scan_events(
     events: Sequence[dict],
     path: str = "<events>",
     thresholds: ScanThresholds = ScanThresholds(),
-    open_tail: bool = False,
 ) -> List[Anomaly]:
-    """Scan one parsed event stream for anomalous runs.
-
-    ``open_tail=True`` treats the final run as still in progress: its
-    missing ``run_end`` is not flagged as ``truncated-run``.
-    """
+    """Scan one parsed event stream for anomalous runs."""
     found: List[Anomaly] = []
     _header, runs = split_runs(events)
-    for i, run in enumerate(runs):
-        last = i == len(runs) - 1
-        found.extend(_scan_run(run, path, thresholds, open_tail=open_tail and last))
+    for run in runs:
+        found.extend(_scan_run(run, path, thresholds))
     return found
 
 
 def scan_trace(
-    path: str,
-    thresholds: ScanThresholds = ScanThresholds(),
-    open_tail: bool = False,
+    path: str, thresholds: ScanThresholds = ScanThresholds()
 ) -> List[Anomaly]:
     """Scan one trace file for anomalous runs."""
-    return scan_events(
-        read_events(path, tail=open_tail),
-        path=path,
-        thresholds=thresholds,
-        open_tail=open_tail,
-    )
+    return scan_events(read_events(path), path=path, thresholds=thresholds)
 
 
 def scan_paths(
-    paths: Sequence[str],
-    thresholds: ScanThresholds = ScanThresholds(),
-    open_tail: bool = False,
+    paths: Sequence[str], thresholds: ScanThresholds = ScanThresholds()
 ) -> List[Anomaly]:
     """Scan trace files and/or directories of ``*.jsonl`` traces."""
     files: List[str] = []
@@ -281,5 +254,5 @@ def scan_paths(
             files.append(path)
     found: List[Anomaly] = []
     for file in files:
-        found.extend(scan_trace(file, thresholds, open_tail=open_tail))
+        found.extend(scan_trace(file, thresholds))
     return found

@@ -40,13 +40,6 @@ kernel — so an engine bug cannot hide by also corrupting the validator.
 Dynamic-conditions traces (``engine: "dynamic"``) skip the two arc-level
 checks: their arc set and capacities change per timestep and only the
 turn's engine knows them; everything state-based is still enforced.
-
-Streaming validation (:class:`repro.obs.live.IncrementalValidator`)
-passes ``open_tail=True``: the *final* run of a still-growing trace may
-legitimately lack its ``run_end`` yet, so only its per-step invariants
-are replayed and the missing-``run_end`` structure violation is
-deferred; a finalize pass with ``open_tail=False`` restores the
-post-hoc verdict exactly.
 """
 
 from __future__ import annotations
@@ -173,12 +166,9 @@ class RunReplay:
     :class:`repro.obs.analyze.causal.ForestReplay` records every step.
     """
 
-    def __init__(
-        self, run: TraceRun, report: ValidationReport, open_tail: bool = False
-    ) -> None:
+    def __init__(self, run: TraceRun, report: ValidationReport) -> None:
         self.run = run
         self.report = report
-        self.open_tail = open_tail
         #: The decoded instance; ``None`` when the run cannot be replayed.
         self.instance: Optional[DecodedInstance] = None
         #: Possession masks; the start-of-step state during :meth:`on_step`.
@@ -364,17 +354,11 @@ class RunReplay:
         ]
         self.report.runs_checked += 1
         if end is None:
-            if not self.open_tail:
-                self._flag(
-                    "trace-structure",
-                    "run has no run_end event (trace truncated); final-state "
-                    "invariants cannot be confirmed",
-                )
-            else:
-                self.report.notes.append(
-                    f"run {self.run.run} is still open (no run_end yet); "
-                    f"final-state invariants deferred to finalize"
-                )
+            self._flag(
+                "trace-structure",
+                "run has no run_end event (trace truncated); final-state "
+                "invariants cannot be confirmed",
+            )
             return
         success = bool(end.get("success"))
         if success and unmet:
@@ -405,27 +389,18 @@ class RunReplay:
 
 
 def validate_events(
-    events: Sequence[JsonDict],
-    path: str = "<events>",
-    open_tail: bool = False,
+    events: Sequence[JsonDict], path: str = "<events>"
 ) -> ValidationReport:
-    """Replay-validate an already-parsed event stream.
-
-    ``open_tail=True`` treats the final run as still in progress: a
-    missing ``run_end`` there becomes a note, not a violation.
-    """
+    """Replay-validate an already-parsed event stream."""
     report = ValidationReport(path=path)
     _header, runs = split_runs(events)
     if not runs:
         report.notes.append("trace contains no runs")
-    for i, run in enumerate(runs):
-        last = i == len(runs) - 1
-        RunReplay(run, report, open_tail=open_tail and last).walk()
+    for run in runs:
+        RunReplay(run, report).walk()
     return report
 
 
-def validate_trace(path: str, open_tail: bool = False) -> ValidationReport:
+def validate_trace(path: str) -> ValidationReport:
     """Load a trace JSONL file and replay-validate every run in it."""
-    return validate_events(
-        read_events(path, tail=open_tail), path=path, open_tail=open_tail
-    )
+    return validate_events(read_events(path), path=path)

@@ -398,33 +398,20 @@ class EventWriter:
         self._handle.flush()
 
 
-def read_events(
-    path: str, kind: Optional[str] = None, tail: bool = False
-) -> List[JsonDict]:
+def read_events(path: str, kind: Optional[str] = None) -> List[JsonDict]:
     """Load every event from a JSONL file (optionally one kind).
 
-    Raises ``ValueError`` on a line that is not a schema-versioned event.
-    With ``tail=True`` a trailing *partial* line (no terminating
-    newline — a writer mid-append, or a killed run's truncated flush)
-    is silently ignored instead of raising, so followers and analytics
-    can read a file that is still growing.
+    Raises ``ValueError`` naming the file and line on a line that is not
+    a schema-versioned event.  A torn final line is no exception: every
+    trace analytic reads a finished file.
     """
-    return list(iter_events(path, kind=kind, tail=tail))
+    return list(iter_events(path, kind=kind))
 
 
-def iter_events(
-    path: str, kind: Optional[str] = None, tail: bool = False
-) -> Iterator[JsonDict]:
-    """Stream events from a JSONL file without loading it whole.
-
-    ``tail=True`` tolerates a trailing partial line (see
-    :func:`read_events`); a newline-*terminated* line that is not valid
-    JSON still raises — that is corruption, not an in-progress write.
-    """
+def iter_events(path: str, kind: Optional[str] = None) -> Iterator[JsonDict]:
+    """Stream events from a JSONL file without loading it whole."""
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            if tail and not raw.endswith("\n"):
-                return  # trailing partial line: still being written
             line = raw.strip()
             if not line:
                 continue
@@ -441,17 +428,16 @@ def iter_events(
                 yield obj
 
 
-def read_events_tail(
-    path: str, start: int = 0, kind: Optional[str] = None
-) -> Tuple[List[JsonDict], int]:
+def read_events_tail(path: str, start: int = 0) -> Tuple[List[JsonDict], int]:
     """Read the complete events appended after byte offset ``start``.
 
-    The follower primitive behind :mod:`repro.obs.live`: returns the
-    events of every newline-terminated line from ``start`` onward plus
-    the *clean* byte offset — the position just past the last complete
-    line, which the caller passes back as the next ``start``.  A
-    trailing partial line is left for the next poll, so incremental
-    reads over a growing file never see a torn record.
+    The ledger reader behind :mod:`repro.obs.live`: returns the events
+    of every newline-terminated line from ``start`` onward plus the
+    *clean* byte offset — the position just past the last complete line,
+    which the caller passes back as the next ``start``.  A trailing
+    partial line is left for the next poll, so reads over a growing
+    ledger never see a torn record.  A complete line that is not an
+    event raises ``ValueError`` naming the byte offset where it starts.
     """
     with open(path, "rb") as handle:
         handle.seek(start)
@@ -459,9 +445,10 @@ def read_events_tail(
     end = blob.rfind(b"\n")
     if end < 0:
         return [], start
-    clean = blob[: end + 1]
     events: List[JsonDict] = []
-    for raw in clean.split(b"\n")[:-1]:
+    offset = start
+    for raw in blob[: end + 1].split(b"\n")[:-1]:
+        at, offset = offset, offset + len(raw) + 1
         line = raw.strip()
         if not line:
             continue
@@ -469,13 +456,12 @@ def read_events_tail(
             obj = json.loads(line.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise ValueError(
-                f"{path}@{start}: complete line is not JSON: {exc}"
+                f"{path}@{at}: complete line is not JSON: {exc}"
             ) from None
         if not is_event(obj):
             raise ValueError(
-                f"{path}@{start}: record lacks the schema envelope "
+                f"{path}@{at}: record lacks the schema envelope "
                 f"(schema_version/event)"
             )
-        if kind is None or obj["event"] == kind:
-            events.append(obj)
-    return events, start + len(clean)
+        events.append(obj)
+    return events, offset

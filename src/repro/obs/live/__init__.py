@@ -1,8 +1,7 @@
-"""``repro.obs.live`` — the run ledger and streaming sweep analytics.
+"""``repro.obs.live`` — the run ledger and the sweep dashboard.
 
-Everything in :mod:`repro.obs` up to here is *post-hoc*: report, diff,
-verify, and scan all read a finished trace.  This package is the
-operational layer for sweeps still in flight:
+Everything else in :mod:`repro.obs` reads a finished trace.  This
+package is the operational layer for sweeps still in flight:
 
 * :class:`LedgerWriter` — the executor's append-only JSONL status
   stream (``sweep_start`` / ``point_start`` / ``point_heartbeat`` /
@@ -13,32 +12,24 @@ operational layer for sweeps still in flight:
   current sweep picture: points done/failed/in-flight, throughput,
   ETA, slowest points, stale workers.  Retried points supersede their
   stale events by ``attempt`` index.
-* :class:`TraceFollower` — byte-offset tail-following over a growing
-  set of JSONL files (built on :func:`repro.obs.events.read_events_tail`).
-* :class:`IncrementalScanner` / :class:`IncrementalValidator` —
-  streaming variants of ``trace-scan`` and ``trace-verify`` that check
-  runs as trace files grow, suppressing open-tail false positives until
-  :meth:`finalize`, at which point their verdicts equal a post-hoc run.
 * :func:`render_dashboard` / :func:`watch` — the ``ocd-repro watch``
   terminal dashboard (injected stream; ``once=True`` for CI snapshots).
+  Only the ledger is followed while the sweep runs; the trace anomaly
+  verdict is one post-hoc :func:`repro.obs.analyze.scan_paths` call once
+  the ledger shows ``sweep_end``.
 
 The determinism contract is unchanged: wall-clock and resource fields
 live only in the ledger, never in trace files, which stay byte-identical
 with monitoring on or off.
 """
 
-from repro.obs.live.follow import TraceFollower
-from repro.obs.live.incremental import IncrementalScanner, IncrementalValidator
 from repro.obs.live.ledger import LedgerState, LedgerWriter, PointState
 from repro.obs.live.watch import WatchResult, render_dashboard, watch
 
 __all__ = [
-    "IncrementalScanner",
-    "IncrementalValidator",
     "LedgerState",
     "LedgerWriter",
     "PointState",
-    "TraceFollower",
     "WatchResult",
     "render_dashboard",
     "watch",

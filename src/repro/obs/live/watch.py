@@ -1,30 +1,37 @@
 """The ``ocd-repro watch`` dashboard: render a sweep's ledger live.
 
 :func:`render_dashboard` is a pure function from a :class:`LedgerState`
-snapshot (plus the anomalies found so far) to the dashboard text, so
+snapshot (plus the sweep's trace anomalies) to the dashboard text, so
 tests assert on exact output; :func:`watch` is the polling loop around
 it.  All output goes to an injected stream — the CLI passes
 ``sys.stdout``, tests pass a buffer — and the clock and sleep functions
 are injectable for deterministic tests.
+
+Only the ledger is followed while the sweep runs.  Once it shows
+``sweep_end``, the traces are scanned once with
+:func:`repro.obs.analyze.scan_paths`, so the dashboard's anomaly verdict
+is ``trace-scan``'s by construction.  A trace root that does not exist
+by then is skipped: a sweep served wholly from the cache writes no
+trace.
 
 Exit semantics (surfaced as :attr:`WatchResult.exit_code`):
 
 * ``0`` — sweep healthy (or still running in ``--once`` mode).
 * ``1`` — the sweep finished with failed points (or ``sweep_end``
   reports ``ok: false``).
-* ``2`` — ``fail_on_anomaly`` was set and the incremental trace scan
-  found at least one anomaly.
+* ``2`` — ``fail_on_anomaly`` was set and the trace scan found at least
+  one anomaly.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TextIO
 
-from repro.obs.analyze.anomaly import Anomaly, ScanThresholds
+from repro.obs.analyze.anomaly import Anomaly, scan_paths
 from repro.obs.events import read_events_tail
-from repro.obs.live.incremental import IncrementalScanner
 from repro.obs.live.ledger import LedgerState, PointState
 
 __all__ = ["WatchResult", "render_dashboard", "watch"]
@@ -149,44 +156,36 @@ def watch(
     once: bool = False,
     interval: float = 1.0,
     fail_on_anomaly: bool = False,
-    thresholds: ScanThresholds = ScanThresholds(),
-    max_polls: Optional[int] = None,
     clock: Callable[[], float] = time.time,
     sleep: Callable[[float], None] = time.sleep,
 ) -> WatchResult:
-    """Follow a sweep's ledger (and optionally its traces) to completion.
+    """Follow a sweep's ledger to completion, then scan its traces.
 
-    Each poll folds newly appended ledger events into the state, runs
-    the incremental anomaly scan over ``trace_paths``, and renders the
-    dashboard to ``stream``.  The loop ends when the ledger shows
-    ``sweep_end`` (the scan then finalizes, so anomaly verdicts equal a
-    post-hoc run), after the first render with ``once=True``, or after
-    ``max_polls`` polls.  ``once`` against an already-finished ledger
-    still finalizes — that is the CI snapshot mode.
+    Each poll folds newly appended ledger events into the state and
+    renders the dashboard to ``stream``.  The loop ends when the ledger
+    shows ``sweep_end`` (the existing ``trace_paths`` are then scanned
+    post hoc) or after the first render with ``once=True``.  ``once``
+    against an already-finished ledger still scans — that is the CI
+    snapshot mode.
     """
     state = LedgerState()
-    scanner = IncrementalScanner(trace_paths, thresholds=thresholds)
-    result = WatchResult(
-        state=state, anomalies=scanner.findings, fail_on_anomaly=fail_on_anomaly
-    )
+    result = WatchResult(state=state, fail_on_anomaly=fail_on_anomaly)
     offset = 0
     while True:
         events, offset = read_events_tail(ledger_path, start=offset)
         state.apply_all(events)
-        scanner.poll()
         result.polls += 1
-        if state.end is not None and not result.finished:
+        if state.end is not None:
             result.finished = True
-            if trace_paths:
-                scanner.finalize()
+            result.anomalies = scan_paths(
+                [path for path in trace_paths if os.path.exists(path)]
+            )
         if stream is not None:
             if not once and result.polls > 1:
                 stream.write("\n")
-            stream.write(render_dashboard(state, scanner.findings, now=clock()))
+            stream.write(render_dashboard(state, result.anomalies, now=clock()))
             stream.write("\n")
             stream.flush()
         if once or result.finished:
-            return result
-        if max_polls is not None and result.polls >= max_polls:
             return result
         sleep(interval)

@@ -805,7 +805,7 @@ class TestTraceRawRead:
                 OBS: """
                     import json
 
-                    def load_bench(path):
+                    def load_snapshot(path):
                         with open(path) as fh:
                             return json.load(fh)
                     """

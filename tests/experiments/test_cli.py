@@ -24,8 +24,8 @@ class TestList:
 
 
 class TestRun:
-    def test_run_fig1(self, capsys):
-        assert main(["run", "fig1"]) == 0
+    def test_run_fig1(self, tmp_path, capsys):
+        assert main(["run", "fig1", "--cache-dir", str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "min_time_steps" in out
         assert "completed" in out
@@ -36,8 +36,18 @@ class TestRun:
 
     def test_csv_output(self, tmp_path, capsys):
         csv_dir = str(tmp_path / "csvs")
-        assert main(["run", "fig1", "--csv-dir", csv_dir]) == 0
+        cache_dir = str(tmp_path / "cache")
+        assert main(["run", "fig1", "--csv-dir", csv_dir, "--cache-dir", cache_dir]) == 0
         assert os.path.exists(os.path.join(csv_dir, "fig1.csv"))
+
+    def test_run_writes_only_its_cache_dir(self, tmp_path, tmp_path_factory, monkeypatch, capsys):
+        for var in ("REPRO_CACHE_DIR", "REPRO_LEDGER", "REPRO_NO_CACHE", "REPRO_TRACE_DIR"):
+            monkeypatch.delenv(var, raising=False)
+        cache = tmp_path_factory.mktemp("elsewhere") / "cache"
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "fig1", "--cache-dir", str(cache)]) == 0
+        assert list(tmp_path.iterdir()) == []
+        assert (cache / "ledger.jsonl").exists()
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -339,35 +349,3 @@ class TestLiveMonitoringCli:
         assert payload["ok"] is True
         assert [r["path"] for r in payload["reports"]] == files
         assert all(r["ok"] for r in payload["reports"])
-
-    def test_follow_requires_ledger(self, monitored_run, capsys):
-        _, traces = monitored_run
-        assert main(["trace-scan", str(traces), "--follow"]) == 2
-        assert "--ledger" in capsys.readouterr().err
-
-    def test_follow_over_finished_sweep_matches_post_hoc(
-        self, monitored_run, capsys
-    ):
-        # The ledger already shows sweep_end, so follow mode does one
-        # poll, finalizes, and must agree with the post-hoc scan.
-        ledger, traces = monitored_run
-        assert (
-            main(
-                [
-                    "trace-scan",
-                    str(traces),
-                    "--follow",
-                    "--ledger",
-                    str(ledger),
-                    "--interval",
-                    "0.01",
-                    "--format",
-                    "json",
-                ]
-            )
-            == 0
-        )
-        followed = json.loads(capsys.readouterr().out)
-        assert main(["trace-scan", str(traces), "--format", "json"]) == 0
-        posthoc = json.loads(capsys.readouterr().out)
-        assert followed["anomalies"] == posthoc["anomalies"]

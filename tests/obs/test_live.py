@@ -1,10 +1,10 @@
-"""Live monitoring: tail reads, ledger reducer, incremental scans, watch."""
+"""Live monitoring: ledger tail reads, ledger reducer, dashboard, watch."""
 
 from __future__ import annotations
 
 import io
 import random
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.obs import (
@@ -14,16 +14,8 @@ from repro.obs import (
     read_events,
     read_events_tail,
 )
-from repro.obs.analyze import scan_paths, validate_trace
-from repro.obs.live import (
-    IncrementalScanner,
-    IncrementalValidator,
-    LedgerState,
-    LedgerWriter,
-    TraceFollower,
-    render_dashboard,
-    watch,
-)
+from repro.obs.analyze import scan_paths
+from repro.obs.live import LedgerState, LedgerWriter, render_dashboard, watch
 from repro.sim import run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
@@ -129,24 +121,32 @@ class TestReadEventsTail:
         events, _ = read_events_tail(str(path), start=clean)
         assert [e["event"] for e in events] == ["run_end"]
 
-    def test_kind_filter_still_advances_offset(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text(_line("run_start", {}) + _line("step", {"step": 0}))
-        events, clean = read_events_tail(str(path), kind="step")
-        assert [e["event"] for e in events] == ["step"]
-        assert clean == len(path.read_bytes())
-
     def test_file_with_no_newline_yet_returns_nothing(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"half')
         assert read_events_tail(str(path)) == ([], 0)
 
-    def test_read_events_tail_flag_tolerates_partial_line(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text(_line("step", {"step": 0}) + '{"half')
-        assert len(read_events(str(path), tail=True)) == 1
-        with pytest.raises(ValueError):
-            read_events(str(path))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ('{"torn\n', "complete line is not JSON"),
+            ('{"no": "envelope"}\n', "record lacks the schema envelope"),
+        ],
+    )
+    def test_corrupt_line_error_names_its_own_offset(self, tmp_path, bad, message):
+        path = tmp_path / "l.jsonl"
+        lines = _ledger_lines(with_end=False)[:3]
+        path.write_text("".join(lines) + bad)
+        # The broken fourth line starts after the three good ones.
+        at = len("".join(lines).encode())
+        where = f"l.jsonl@{at}: {message}"
+        with pytest.raises(ValueError, match=where):
+            read_events_tail(str(path))
+        with pytest.raises(ValueError, match=where):
+            LedgerState.from_ledger(str(path))
+        # Resuming after the first line still names the absolute offset.
+        with pytest.raises(ValueError, match=where):
+            read_events_tail(str(path), start=len(lines[0].encode()))
 
 
 class TestLedgerWriter:
@@ -442,6 +442,14 @@ class TestDashboard:
         assert "[failed-run]" in text
 
 
+def _real_trace(path: str, max_steps: Optional[int] = None) -> None:
+    problem = single_file(random_graph(10, random.Random(2)), file_tokens=5)
+    with JsonlTracer(path=path) as tracer:
+        run_heuristic(
+            problem, HEURISTIC_FACTORIES["local"](), max_steps=max_steps, tracer=tracer
+        )
+
+
 class TestWatch:
     def test_once_snapshot_of_finished_sweep(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -502,108 +510,66 @@ class TestWatch:
         # The final frame reflects the completed sweep.
         assert "sweep f [finished]: 2/2 done" in out.getvalue().split("\n\n")[-1]
 
-
-def _real_trace(path: str, seed: int = 0, n: int = 10, tokens: int = 5) -> None:
-    problem = single_file(random_graph(n, random.Random(2)), file_tokens=tokens)
-    with JsonlTracer(path=path) as tracer:
-        run_heuristic(
-            problem, HEURISTIC_FACTORIES["local"](), seed=seed, tracer=tracer
-        )
-
-
-class TestTraceFollower:
-    def test_discovers_files_appearing_between_polls(self, tmp_path):
-        follower = TraceFollower([str(tmp_path)])
-        assert follower.poll() == []
-        (tmp_path / "a.jsonl").write_text(_line("run_start", {}))
-        assert follower.poll() == [str(tmp_path / "a.jsonl")]
-        # Unchanged files do not report again.
-        assert follower.poll() == []
-
-    def test_missing_roots_are_not_an_error(self, tmp_path):
-        follower = TraceFollower([str(tmp_path / "not-yet")])
-        assert follower.poll() == []
-
-    def test_torn_line_not_consumed_until_complete(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        line = _line("step", {"step": 0})
-        path.write_text(line[:8])
-        follower = TraceFollower([str(path)])
-        assert follower.poll() == []
-        path.write_text(line)
-        assert follower.poll() == [str(path)]
-        assert follower.events[str(path)][0]["step"] == 0
-
-
-class TestIncrementalMatchesPostHoc:
-    def test_scanner_open_tail_defers_truncation_verdict(self, tmp_path):
-        path = tmp_path / "grow.jsonl"
-        lines = [
-            _line("run_start", {"run": 0, "heuristic": "h", "total_deficit": 4}),
-            _line(
-                "step",
-                {"run": 0, "step": 0, "gained": 2, "deficit": 2, "arc_util": 0.5},
-            ),
-            _line(
-                "step",
-                {"run": 0, "step": 1, "gained": 2, "deficit": 0, "arc_util": 0.5},
-            ),
-            _line(
-                "run_end",
-                {"run": 0, "success": False, "makespan": 2, "bandwidth": 4},
-            ),
+    def test_once_on_finished_ledger_equals_scan_paths(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("".join(_ledger_lines()))
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        _real_trace(str(traces / "a.jsonl"))
+        lines = (traces / "a.jsonl").read_text().splitlines(keepends=True)
+        (traces / "b.jsonl").write_text("".join(lines[:-1]))  # no run_end
+        failed = tmp_path / "failed.jsonl"
+        _real_trace(str(failed), max_steps=1)
+        paths = [str(traces), str(failed)]
+        out = io.StringIO()
+        result = watch(str(ledger), trace_paths=paths, stream=out, once=True)
+        posthoc = scan_paths(paths)
+        assert {a.kind for a in posthoc} == {"truncated-run", "failed-run"}
+        assert [a.as_dict() for a in result.anomalies] == [
+            a.as_dict() for a in posthoc
         ]
-        path.write_text("".join(lines[:2]))
-        scanner = IncrementalScanner([str(tmp_path)])
-        # Mid-run the open tail is not "truncated" and nothing is flagged.
-        assert scanner.poll() == []
-        path.write_text("".join(lines))
-        # The failed run_end lands: flagged exactly once, never again.
-        assert [a.kind for a in scanner.poll()] == ["failed-run"]
-        assert scanner.poll() == []
-        final = scanner.finalize()
-        posthoc = scan_paths([str(tmp_path)])
-        assert [a.kind for a in final] == [a.kind for a in posthoc]
-        assert [a.kind for a in scanner.findings] == ["failed-run"]
+        for anomaly in posthoc:
+            assert anomaly.render() in out.getvalue()
 
-    def test_scanner_finalize_flags_genuinely_truncated_run(self, tmp_path):
-        path = tmp_path / "killed.jsonl"
-        path.write_text(
-            _line("run_start", {"run": 0, "heuristic": "h", "total_deficit": 3})
-            + _line(
-                "step",
-                {"run": 0, "step": 0, "gained": 1, "deficit": 2, "arc_util": 0.5},
-            )
+    def test_missing_trace_root_is_not_an_error(self, tmp_path):
+        # A sweep served wholly from the cache writes no trace.
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("".join(_ledger_lines()))
+        out = io.StringIO()
+        result = watch(
+            str(ledger),
+            trace_paths=[str(tmp_path / "never-written")],
+            stream=out,
+            once=True,
+            fail_on_anomaly=True,
         )
-        scanner = IncrementalScanner([str(path)])
-        assert scanner.poll() == []  # still believed to be in progress
-        final = scanner.finalize()  # the worker never came back
-        assert [a.kind for a in final] == ["truncated-run"]
-        assert [a.kind for a in scan_paths([str(path)])] == ["truncated-run"]
+        assert result.anomalies == []
+        assert result.exit_code == 0
+        assert "anomalies: none" in out.getvalue()
 
-    def test_validator_converges_to_post_hoc_reports(self, tmp_path):
-        full = tmp_path / "full.jsonl"
-        _real_trace(str(full))
-        lines = full.read_text().splitlines(keepends=True)
-        grow = tmp_path / "grow.jsonl"
-        grow.write_text("".join(lines[:3]))  # header + run_start + a step
+    def test_no_anomalies_before_sweep_end(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("".join(_ledger_lines(with_end=False)))
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(
+            _line("run_start", {"run": 0, "heuristic": "h", "total_deficit": 3})
+        )
+        result = watch(
+            str(ledger), trace_paths=[str(torn)], once=True, fail_on_anomaly=True
+        )
+        assert not result.finished
+        assert result.anomalies == []
+        assert result.exit_code == 0
 
-        validator = IncrementalValidator([str(grow)])
-        (mid,) = validator.poll()
-        assert mid.ok  # open run: final-state checks deferred, not failed
-        assert any("still open" in note for note in mid.notes)
-
-        grow.write_text("".join(lines))
-        validator.poll()
-        (final,) = validator.finalize()
-        posthoc = validate_trace(str(grow))
-        assert final.as_dict() == posthoc.as_dict()
-        assert validator.ok
-
-    def test_real_trace_scans_clean_incrementally(self, tmp_path):
-        path = tmp_path / "real.jsonl"
-        _real_trace(str(path))
-        scanner = IncrementalScanner([str(path)])
-        assert scanner.poll() == []
-        assert scanner.finalize() == []
-        assert scan_paths([str(path)]) == []
+    def test_torn_trace_line_fails_like_trace_scan(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        ledger.write_text("".join(_ledger_lines()))
+        trace = tmp_path / "t.jsonl"
+        _real_trace(str(trace))
+        lines = trace.read_text().count("\n")
+        with open(trace, "a", encoding="utf-8") as handle:
+            handle.write('{"half')
+        with pytest.raises(ValueError, match=f"t.jsonl:{lines + 1}: not JSON"):
+            scan_paths([str(trace)])
+        with pytest.raises(ValueError, match=f"t.jsonl:{lines + 1}: not JSON"):
+            watch(str(ledger), trace_paths=[str(trace)], once=True)
