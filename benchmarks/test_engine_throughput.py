@@ -65,12 +65,17 @@ def _baseline():
 
 def test_committed_baseline_covers_every_perf_case():
     """BENCH_engine.json must stay in sync with engine_perf.CASES so the
-    CI regression gate (engine_perf.py --check) exercises all of them."""
+    CI regression gate (engine_perf.py --check) exercises all of them.
+    The one other entry is attribution_overhead.py's, which
+    engine_perf.write_baseline keeps on regeneration."""
+    from attribution_overhead import LABEL as ATTRIBUTION_LABEL
     from engine_perf import CASES, ENGINE_SIDES
 
     baseline = _baseline()
-    assert set(baseline["cases"]) == set(CASES)
+    assert set(baseline["cases"]) == set(CASES) | {ATTRIBUTION_LABEL}
     for label, entry in baseline["cases"].items():
+        if label == ATTRIBUTION_LABEL:
+            continue
         case = CASES[label]
         assert entry["moves"] > 0, label
         assert entry["old_moves_per_sec"] > 0, label
@@ -80,6 +85,17 @@ def test_committed_baseline_covers_every_perf_case():
         assert entry["new_engine"] == case.new, label
         assert entry["old_engine"] in ENGINE_SIDES, label
         assert entry["new_engine"] in ENGINE_SIDES, label
+    entry = baseline["cases"][ATTRIBUTION_LABEL]
+    assert entry["moves"] > 0
+    assert entry["timesteps"] > 0
+    assert entry["old_engine"] == "state+tracer"
+    assert entry["new_engine"] == "trace-attribute"
+    assert entry["run_ms"] > 0
+    assert entry["attribute_ms"] > 0
+    # speedup is run/attribute wall time, from the unrounded timings.
+    assert entry["speedup"] == pytest.approx(
+        entry["run_ms"] / entry["attribute_ms"], abs=0.01
+    )
 
 
 def test_committed_speedup_meets_incremental_kernel_target():

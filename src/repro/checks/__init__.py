@@ -6,22 +6,22 @@ runtime), but a violation is only caught if some test happens to execute
 the offending path.  This package is the static counterpart, in two
 layers:
 
-* Per-file rules (``OCD001``, ``OCD002``, ``OCD004``, ``OCD005``): AST
-  checks over one module at a time — seeded randomness,
-  :class:`~repro.core.problem.Problem` immutability, integral
-  timesteps, engine/heuristic layering.
-* Whole-program rules (``OCD003``, ``OCD010``, ``OCD011``, ``OCD013``,
-  ``OCD014``, ``OCD016``): a symbol table and call graph over the
-  whole tree (:mod:`repro.checks.program`) powering deterministic set
-  iteration across call boundaries, taint
-  analysis (nondeterminism reaching model code through any call chain),
-  the static trace-contract check against
-  :data:`repro.obs.events.EVENT_SCHEMAS`, multiprocessing-safety
-  analysis of sweep worker code, and canonical trace reading.
+* Per-file rules (``OCD001``, ``OCD002``, ``OCD004``, ``OCD005``,
+  ``OCD016``): AST checks over one module at a time — seeded
+  randomness, :class:`~repro.core.problem.Problem` immutability,
+  integral timesteps, engine/heuristic layering, and trace reading
+  through the canonical readers of :mod:`repro.obs.events`.
+* Whole-program rules (``OCD003``, ``OCD010``, ``OCD011``): a symbol
+  table and call graph over the whole tree (:mod:`repro.checks.program`)
+  powering deterministic set iteration across call boundaries and taint
+  analysis (nondeterminism reaching model code through any call chain).
 
 Type annotations (mypy), bare ``print()`` (ruff ``T20``) and the
 vector-path RNG stream (``tests/heuristics/test_vector_rng_stream.py``)
-are enforced by those tools and tests, not here.
+are enforced by those tools and tests, not here.  Nor is the trace
+contract: :func:`repro.obs.events.make_event` refuses any event that
+breaks :data:`repro.obs.events.EVENT_SCHEMAS`, and serial-vs-parallel
+sweep identity is asserted by ``tests/experiments/test_sweep.py``.
 
 Run it as ``python -m repro.checks [paths...]`` (defaults to ``src`` and
 ``examples``) or via the ``ocdlint`` console script; the tier-1 test

@@ -54,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-program",
         action="store_true",
-        help="skip the whole-program passes (OCD010+); per-file rules only",
+        help="skip the whole-program passes (OCD003, OCD010, OCD011); "
+        "per-file rules only",
     )
     return parser
 

@@ -9,11 +9,13 @@ every module at once through a
 and file-level suppression comments and emits the survivors in a
 deterministic order.
 
-Suppressions go on the offending line or anywhere in the file::
+Suppressions go on the offending line::
 
     x = draw()          # ocd: ignore[OCD010] -- vetted: test-only path
     y = helper()        # ocd: ignore -- every rule on this line
-    # ocd: ignore-file[OCD013]
+
+or, as ``# ocd: ignore-file[CODE]`` on a line of its own, anywhere in
+the file to silence a code for the whole file.
 
 The framework is dependency-free (``ast`` + ``re`` only) so the gate can
 run on any machine that can run the code it checks.
@@ -238,7 +240,7 @@ def package_of(path: str) -> str:
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
-#: ``# ocd: ignore[OCD010, OCD013] -- reason`` (codes optional — bare
+#: ``# ocd: ignore[OCD010, OCD011] -- reason`` (codes optional — bare
 #: ``# ocd: ignore`` silences every rule on the line).
 _LINE_IGNORE_RE = re.compile(
     r"#\s*ocd:\s*ignore(?:\[([A-Za-z0-9_,\s]+?)\])?\s*(?:--.*)?$"
@@ -390,14 +392,20 @@ def run_paths(
     """Lint files and/or directory trees; returns sorted diagnostics.
 
     Runs the per-file rules on each file, then — unless ``program`` is
-    false — the whole-program passes (taint, trace contracts,
-    multiprocessing safety) over all of them together.  This is the
-    whole linter: the CLI renders what it returns.  An empty or unknown
-    ``select`` raises :class:`ValueError` before any file is read.
+    false — the whole-program passes (set iteration and call-chain
+    taint) over all of them together.  This is the whole linter: the
+    CLI renders what it returns.  A ``select`` that is empty, names an
+    unknown code, or (without ``program``) names no per-file rule
+    raises :class:`ValueError` before any file is read.
     """
     from repro.checks.program import summarize_source
 
     _selected_codes(select)
+    if not program and not file_rules(select):
+        raise ValueError(
+            "the selection has no per-file rule, so --no-program leaves "
+            "nothing to run"
+        )
     diagnostics: List[Diagnostic] = []
     summaries = []
     suppressions: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]] = {}

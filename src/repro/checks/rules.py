@@ -1,25 +1,31 @@
-"""The per-file ocdlint rules (OCD001, OCD002, OCD004, OCD005).
+"""The per-file ocdlint rules (OCD001, OCD002, OCD004, OCD005, OCD016).
 
-Each rule guards one invariant of the Section 3.1 model or of the
-engine/heuristic layering built on top of it; the mapping is recorded in
-each rule's ``invariant`` attribute and in ``docs/CHECKS.md``.  Checks
-that need more than one module (set iteration, trace contracts, call
-chains) live in :mod:`repro.checks.program_rules`.
+Each rule guards one invariant of the Section 3.1 model, of the
+engine/heuristic layering built on top of it, or of the trace readers;
+the mapping is recorded in each rule's ``invariant`` attribute and in
+``docs/CHECKS.md``.  Checks that need more than one module (set
+iteration, call chains) live in :mod:`repro.checks.program_rules`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.checks.framework import Diagnostic, LintContext, Rule, register_rule
-from repro.checks.program import annotation_tokens
+from repro.checks.program import (
+    annotation_tokens,
+    import_aliases,
+    module_name_of,
+    scope_nodes,
+)
 
 __all__ = [
     "UnseededRandomRule",
     "ModelMutationRule",
     "WallClockTimestepRule",
     "EngineEncapsulationRule",
+    "TraceRawReadRule",
 ]
 
 #: Packages whose code defines or executes the model itself (as opposed
@@ -548,3 +554,94 @@ class EngineEncapsulationRule(Rule):
                                 )
                             )
         return diags
+
+
+# ======================================================================
+# OCD016 — trace lines parsed outside the canonical schema readers
+# ======================================================================
+@register_rule
+class TraceRawReadRule(Rule):
+    """The schema contract holds only if every consumer reads traces
+    through :mod:`repro.obs.events` (``read_events`` / ``iter_events`` /
+    ``read_events_tail``), which enforce the envelope, reject unknown
+    records, and own tail/partial-line semantics.  A module in the
+    observability layer calling ``json.loads`` on lines directly gets
+    none of that — it silently accepts records the schema would refuse
+    and breaks the moment ``SCHEMA_VERSION`` bumps.  This rule flags any
+    ``json.loads`` call inside a function in ``repro.obs`` outside the
+    reader module itself, through any import spelling (``import json``,
+    ``import json as j``, ``from json import loads``); a function of the
+    same name defined in scope shadows the import.
+
+    ``json.load`` (whole-file, e.g. bench snapshots) is deliberately not
+    flagged: the contract covers line-oriented *trace* records.  A vetted
+    exception would carry ``# ocd: ignore[OCD016]``; the tree has none.
+    """
+
+    code = "OCD016"
+    name = "trace-raw-read"
+    summary = "trace JSONL parsed directly instead of via repro.obs.events"
+    invariant = (
+        "observability schema: every trace line reaches consumers "
+        "through the canonical readers in repro.obs.events, so envelope "
+        "checks and schema versioning cannot be bypassed"
+    )
+    packages = frozenset({"obs"})
+    exclude_packages = frozenset({"tests"})
+
+    #: The one module allowed to parse raw trace lines.
+    _READER_MODULE = "repro.obs.events"
+
+    def check(self, ctx: LintContext) -> List[Diagnostic]:
+        if module_name_of(ctx.path) == self._READER_MODULE:
+            return []
+        aliases = import_aliases(ctx.tree)
+        diags: List[Diagnostic] = []
+
+        def defs_in(body: Sequence[ast.stmt]) -> Set[str]:
+            return {
+                stmt.name
+                for stmt in body
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+
+        def walk(body: Sequence[ast.stmt], shadowed: Set[str]) -> None:
+            scope = shadowed | defs_in(body)
+            for stmt in body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    own = scope | defs_in(stmt.body)
+                    for node in scope_nodes(stmt.body):
+                        if isinstance(node, ast.Call) and self._is_raw_loads(
+                            node.func, aliases, own
+                        ):
+                            diags.append(
+                                self.diagnostic(
+                                    ctx,
+                                    node,
+                                    f"{stmt.name}() parses JSON lines with "
+                                    f"json.loads; trace records must be read "
+                                    f"via repro.obs.events (read_events / "
+                                    f"iter_events / read_events_tail) so the "
+                                    f"schema envelope is enforced",
+                                )
+                            )
+                    walk(stmt.body, scope)
+                elif isinstance(stmt, ast.ClassDef):
+                    walk(stmt.body, scope)
+
+        walk(ctx.tree.body, set())
+        return diags
+
+    @staticmethod
+    def _is_raw_loads(
+        func: ast.expr, aliases: Dict[str, str], shadowed: Set[str]
+    ) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id not in shadowed and aliases.get(func.id) == "json.loads"
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "loads"
+            and isinstance(func.value, ast.Name)
+        ):
+            return aliases.get(func.value.id, func.value.id) == "json"
+        return False

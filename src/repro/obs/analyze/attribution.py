@@ -418,8 +418,8 @@ def summary_event(attribution: RunAttribution) -> JsonDict:
     """One run's attribution as a schema-valid ``run_attribution`` event.
 
     The compact, flat companion to :meth:`RunAttribution.as_dict`: what
-    ``trace-attribute --format json`` embeds per run, shaped as an event
-    so schema-aware consumers (and OCD013) hold it to the registry.
+    ``trace-attribute --format json`` embeds per run, built through
+    :func:`~repro.obs.events.make_event`, which holds it to the registry.
     """
     fields = {
         "run": attribution.run,

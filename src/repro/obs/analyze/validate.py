@@ -21,11 +21,13 @@ schedule-validity invariants without re-running the simulator:
     (``success`` iff ``w(v) ⊆ p(v)`` everywhere), and its
     ``makespan``/``bandwidth`` aggregates match the replay.
 ``trace-structure``
-    The trace is well-formed enough to replay at all: ``run_start``
-    carries an instance, steps are contiguously numbered and carry
-    transfers, every transfer is a ``[src, dst, [tokens]]`` entry over
-    the instance's vertices and tokens, and every run is closed by a
-    ``run_end``.
+    The trace is well-formed enough to replay at all: every record
+    matches its kind's schema in :data:`repro.obs.events.EVENT_SCHEMAS`
+    (named with its run and, for ``step``/``stall`` records, its step),
+    ``run_start`` carries an instance, steps are contiguously numbered
+    and carry transfers, every transfer is a ``[src, dst, [tokens]]``
+    entry over the instance's vertices and tokens, and every run is
+    closed by a ``run_end``.
 
 :class:`RunReplay` is the only possession replay in :mod:`repro.obs`:
 it walks a run's steps once, checks the invariants, and hands every
@@ -55,7 +57,7 @@ from repro.obs.analyze.runs import (
     split_runs,
     tokens_of,
 )
-from repro.obs.events import read_events
+from repro.obs.events import read_events, validate_event
 
 __all__ = ["RunReplay", "ValidationReport", "Violation", "validate_events", "validate_trace"]
 
@@ -188,8 +190,17 @@ class RunReplay:
         )
 
     def walk(self) -> None:
-        """Decode the instance, replay every step, check the verdict."""
+        """Check every record against the schema, decode the instance,
+        replay every step, check the verdict."""
         run = self.run
+        for event in run.events:
+            step = event.get("step")
+            if event["event"] not in ("step", "stall") or type(step) is not int:
+                step = None
+            for problem in validate_event(event):
+                self._flag(
+                    "trace-structure", f"record breaks the event schema: {problem}", step=step
+                )
         if run.start is None:
             self._flag(
                 "trace-structure",

@@ -93,9 +93,9 @@ class EventSchema:
     ``arc_util`` of exactly 0 serializes as ``0``).
 
     The registry below is the single source of truth for three
-    consumers: :func:`validate_event` (runtime spot checks and tests),
-    the static trace-contract rule OCD013 in :mod:`repro.checks` (every
-    emission site is cross-referenced at lint time), and the schema
+    consumers: :func:`make_event`, which refuses to build an event that
+    breaks it; :func:`validate_event`, which the trace replay
+    (``trace-verify``) applies to every record it reads; and the schema
     table in ``docs/OBSERVABILITY.md``.
     """
 
@@ -117,7 +117,7 @@ ENVELOPE_FIELDS: Dict[str, str] = {
 }
 
 #: kind -> field contract.  Extend here *first* when an engine grows a
-#: new field; OCD013 fails any emission site that drifts from this.
+#: new field; make_event refuses any emission that drifts from this.
 EVENT_SCHEMAS: Dict[str, EventSchema] = {
     schema.kind: schema
     for schema in (
@@ -307,9 +307,8 @@ def validate_event(event: Mapping[str, Any]) -> List[str]:
 
     An empty list means the event conforms: known kind, all required
     fields present, no undeclared fields, every declared field of the
-    declared type.  Off the hot path by design — the engines' emission
-    sites are verified *statically* by OCD013; this function backs
-    tests, fixtures, and ad-hoc trace audits.
+    declared type.  :func:`make_event` raises on any problem listed
+    here, and the trace replay reports them for records read back.
     """
     if not is_event(event):
         return ["record lacks the schema envelope (schema_version/event)"]
@@ -340,19 +339,23 @@ def validate_event(event: Mapping[str, Any]) -> List[str]:
 
 
 def make_event(kind: str, fields: Mapping[str, Any]) -> JsonDict:
-    """Build one schema-stamped event dict.
+    """Build one schema-stamped event dict, holding it to the contract.
 
-    ``fields`` must not shadow the envelope keys; unknown kinds are
-    rejected so typos fail at emission time, not at read time.
+    This is the one enforcement point of :data:`EVENT_SCHEMAS`: every
+    emission in the tree (tracers, the ledger, attribution) builds its
+    event here.  ``fields`` must not shadow the envelope keys, and the
+    result must pass :func:`validate_event` — an unknown kind, a missing
+    required field, an undeclared field or a wrong type raises
+    ``ValueError`` naming the kind and field, at emission time rather
+    than at read time.
     """
-    if kind not in EVENT_KINDS:
-        raise ValueError(
-            f"unknown event kind {kind!r}; known: {', '.join(EVENT_KINDS)}"
-        )
     if "event" in fields or "schema_version" in fields:
         raise ValueError("event fields must not shadow the schema envelope")
     event: JsonDict = {"schema_version": SCHEMA_VERSION, "event": kind}
     event.update(fields)
+    problems = validate_event(event)
+    if problems:
+        raise ValueError("; ".join(problems))
     return event
 
 

@@ -313,8 +313,8 @@ def metrics_active(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     """
     global _ambient_metrics
     previous = _ambient_metrics
-    _ambient_metrics = registry  # ocd: ignore[OCD014] -- each worker process activates its own ambient registry; snapshots travel back explicitly
+    _ambient_metrics = registry
     try:
         yield registry
     finally:
-        _ambient_metrics = previous  # ocd: ignore[OCD014] -- restores the worker-local ambient on exit
+        _ambient_metrics = previous

@@ -175,8 +175,8 @@ def activated(tracer: Tracer) -> Iterator[Tracer]:
     """
     global _ambient
     previous = _ambient
-    _ambient = tracer  # ocd: ignore[OCD014] -- each worker process activates its own ambient tracer; nothing syncs back
+    _ambient = tracer
     try:
         yield tracer
     finally:
-        _ambient = previous  # ocd: ignore[OCD014] -- restores the worker-local ambient on exit
+        _ambient = previous

@@ -100,7 +100,7 @@ class TestCliContract:
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("OCD")]
         assert listed == [
             "OCD001", "OCD002", "OCD003", "OCD004", "OCD005",
-            "OCD010", "OCD011", "OCD013", "OCD014", "OCD016",
+            "OCD010", "OCD011", "OCD016",
         ]
 
     def test_select_narrows(self, tmp_path, capsys):
@@ -139,6 +139,14 @@ class TestCliContract:
         doc = json.loads(capsys.readouterr().out)
         assert {f["code"] for f in doc["findings"]} == {"OCD001"}
 
+    def test_no_program_with_only_program_rules_exits_two(self, tmp_path, capsys):
+        # --no-program drops OCD003, so this selection would run zero
+        # rules and report the OCD001 defect's tree as clean.
+        root = _dirty_tree(tmp_path)
+        assert main(["--no-program", "--select", "OCD003", root]) == 2
+        assert "no per-file rule" in capsys.readouterr().err
+        assert main(["--no-program", "--select", "OCD003,OCD001", root]) == 1
+
     def test_lint_writes_nothing(self, tmp_path, tmp_path_factory, monkeypatch, capsys):
         root = _dirty_tree(tmp_path_factory.mktemp("tree"))
         monkeypatch.chdir(tmp_path)
@@ -152,8 +160,8 @@ _SAMPLE = [
         path="src/repro/sim/engine.py",
         line=10,
         col=4,
-        code="OCD013",
-        message="[trace-contract] step emission carries undeclared field 'x'",
+        code="OCD003",
+        message="[unsorted-set-iteration] iteration over an unordered set",
     ),
     Diagnostic(
         path="src/repro/heuristics/base.py",
@@ -170,12 +178,12 @@ class TestOutputs:
         text = render_text(sorted(_SAMPLE))
         first, second = text.splitlines()
         assert first.startswith("src/repro/heuristics/base.py:3:0: OCD010")
-        assert second.startswith("src/repro/sim/engine.py:10:4: OCD013")
+        assert second.startswith("src/repro/sim/engine.py:10:4: OCD003")
 
     def test_json_shape(self):
         doc = json.loads(render_json(_SAMPLE, files_checked=7))
         assert doc["summary"] == {"count": 2, "files_checked": 7}
-        assert [f["code"] for f in doc["findings"]] == ["OCD010", "OCD013"]
+        assert [f["code"] for f in doc["findings"]] == ["OCD010", "OCD003"]
 
     def test_deterministic(self):
         assert render_json(_SAMPLE) == render_json(list(reversed(_SAMPLE)))

@@ -3,8 +3,8 @@
 Each fixture is a small source string linted under an impersonated path so
 the rule's package scoping applies exactly as it does on the real tree.
 It is linted as a one-module program: the per-file rules plus the program
-rules, so OCD003 (set iteration) and OCD013 (unknown trace event kinds)
-fire here just as they do on the whole tree.
+rules, so OCD003 (set iteration) fires here just as it does on the whole
+tree.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ SIM = "src/repro/sim/fake.py"
 CORE = "src/repro/core/fake.py"
 TOPO = "src/repro/topology/fake.py"
 EXPERIMENTS = "src/repro/experiments/fake.py"
+OBS = "src/repro/obs/fake.py"
 
 
 def lint(code: str, path: str = HEUR, select: str | None = None) -> List[Diagnostic]:
@@ -325,74 +326,76 @@ class TestEngineEncapsulation:
 
 
 # ======================================================================
-# OCD013 — trace-contract: emitted kinds come from the schema
+# OCD016 — trace lines parsed outside the canonical schema readers
 # ======================================================================
-class TestUnknownTraceEventKind:
-    def test_unknown_kind_flagged(self):
+class TestTraceRawRead:
+    def test_direct_json_loads_in_obs_fires(self):
         src = """
-        def run(tracer):
-            tracer.emit("run_started", {"n": 3})
-        """
-        assert codes(src, path=SIM) == ["OCD013"]
+        import json
 
-    def test_self_tracer_attribute_flagged(self):
-        src = """
-        class Engine:
-            def run(self):
-                self.tracer.emit("step_done", {})
+        def read_raw(path):
+            with open(path) as fh:
+                return [json.loads(line) for line in fh]
         """
-        assert codes(src, path=SIM) == ["OCD013"]
-
-    def test_private_tracer_attribute_flagged(self):
-        src = """
-        class Engine:
-            def run(self):
-                self._tracer.emit("checkpoint", {})
-        """
-        assert codes(src, path=SIM) == ["OCD013"]
-
-    def test_message_names_schema(self):
-        diags = lint(
-            "def f(tracer):\n    tracer.emit('oops', {})\n",
-            path=SIM,
-            select="OCD013",
-        )
+        diags = lint(src, path=OBS, select="OCD016")
         assert len(diags) == 1
-        assert "unknown event kind" in diags[0].message
-        assert "EVENT_SCHEMAS" in diags[0].message
+        assert "read_raw() parses JSON lines" in diags[0].message
+        assert "repro.obs.events" in diags[0].message
 
-    def test_every_schema_kind_ok(self):
-        from repro.obs.events import EVENT_KINDS
-
-        body = "\n".join(
-            f"    tracer.emit({kind!r}, {{**fields}})" for kind in EVENT_KINDS
-        )
-        assert codes(f"def f(tracer, fields):\n{body}\n", path=SIM) == []
-
-    def test_non_tracer_emit_ignored(self):
+    def test_from_import_and_alias_spellings_fire(self):
         src = """
-        def f(bus):
-            bus.emit("job_done", {})
-        """
-        assert codes(src, path=SIM) == []
+        import json as j
+        from json import loads
 
-    def test_dynamic_kind_ignored(self):
+        def read_one(line):
+            return loads(line)
+
+        def read_other(line):
+            return j.loads(line)
+        """
+        assert codes(src, path=OBS) == ["OCD016", "OCD016"]
+
+    def test_events_module_itself_is_exempt(self):
         src = """
-        def f(tracer, kind):
-            tracer.emit(kind, {})
-        """
-        assert codes(src, path=SIM) == []
+        import json
 
-    def test_applies_outside_model_packages(self):
+        def iter_events(path):
+            with open(path) as fh:
+                for line in fh:
+                    yield json.loads(line)
+        """
+        assert codes(src, path="src/repro/obs/events.py") == []
+
+    def test_whole_file_json_load_is_not_flagged(self):
+        # Bench snapshots and problem files are whole-document JSON,
+        # not trace lines; only line-oriented json.loads is the hazard.
         src = """
-        def f(tracer):
-            tracer.emit("bogus_kind", {})
-        """
-        assert codes(src, path=EXPERIMENTS) == ["OCD013"]
+        import json
 
-    def test_suppression_honored(self):
-        src = (
-            "def f(tracer):\n"
-            "    tracer.emit('bogus', {})  # ocd: ignore[OCD013]\n"
-        )
-        assert codes(src, path=SIM) == []
+        def load_snapshot(path):
+            with open(path) as fh:
+                return json.load(fh)
+        """
+        assert codes(src, path=OBS) == []
+
+    def test_outside_obs_is_out_of_scope(self):
+        src = """
+        import json
+
+        def read_cache_row(line):
+            return json.loads(line)
+        """
+        assert codes(src, path=EXPERIMENTS) == []
+
+    def test_suppression_comment_silences(self):
+        src = """
+        import json
+
+        def upgrade(line):
+            return json.loads(line)  # ocd: ignore[OCD016] -- legacy
+        """
+        assert codes(src, path=OBS) == []
+
+    def test_runs_without_the_program_pass(self):
+        src = "import json\n\ndef read(line):\n    return json.loads(line)\n"
+        assert [d.code for d in run_source(src, path=OBS)] == ["OCD016"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.problem import Problem
 from repro.core.schedule import Move, Schedule
 from repro.core.tokenset import TokenSet
+from repro.obs.events import EVENT_SCHEMAS, make_event
 
 # ----------------------------------------------------------------------
 # Plain fixtures
@@ -87,6 +88,16 @@ def random_problems() -> List[Problem]:
     """A deterministic batch of varied small instances."""
     rng = random.Random(1234)
     return [make_random_problem(rng) for _ in range(20)]
+
+
+def complete_event(kind: str, /, **fields: Any) -> Dict[str, Any]:
+    """``make_event(kind, fields)`` with every required field the caller
+    leaves out filled by its type's empty value (``0``, ``""``, ``[]``…),
+    for tests that care about a few fields of an otherwise valid event."""
+    empty = {"str": str, "int": int, "float": float, "bool": bool, "list": list, "dict": dict}
+    full = {name: empty[t]() for name, t in EVENT_SCHEMAS[kind].required.items()}
+    full.update(fields)
+    return make_event(kind, full)
 
 
 def make_instance_family(

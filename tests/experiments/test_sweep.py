@@ -245,6 +245,24 @@ class TestDeterminismRegression:
         assert json.dumps(cold.rows) == json.dumps(warm.rows)
         assert all(o.cache_hit for o in warm_executor.outcomes)
 
+    @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
+    def test_every_driver_is_worker_count_invariant(self, name, tmp_path):
+        # Serial and 2-worker sweeps give the same rows, notes and
+        # per-point trace bytes: the direct check that worker code is
+        # process-safe (picklable, no worker-side module state).
+        seen = []
+        for workers in (1, 2):
+            trace_dir = tmp_path / f"workers{workers}"
+            config = ExecutorConfig(workers=workers, trace_dir=str(trace_dir))
+            result = ALL_EXPERIMENTS[name](TINY, executor=Executor(config))
+            traces = (
+                {p.name: p.read_bytes() for p in sorted(trace_dir.iterdir())}
+                if trace_dir.exists()
+                else {}
+            )
+            seen.append((json.dumps(result.rows, sort_keys=True), result.notes, traces))
+        assert seen[0] == seen[1]
+
     def test_pareto_is_worker_count_invariant(self):
         # pareto derives every attempt's instance from its own seed, so
         # batching across workers must not change the reported numbers.

@@ -13,7 +13,8 @@ from typing import Any, Dict, List
 import pytest
 
 from repro.heuristics import standard_heuristics
-from repro.obs import RecordingTracer
+from repro.cli import main
+from repro.obs import RecordingTracer, dump_event, make_event
 from repro.obs.analyze import validate_events
 from repro.sim import run_heuristic
 from repro.topology import random_graph
@@ -41,32 +42,40 @@ def _tiny_instance() -> Dict[str, Any]:
 
 def _tiny_trace() -> List[Dict[str, Any]]:
     return [
-        {
-            "event": "run_start",
-            "run": 0,
-            "engine": "sim",
-            "heuristic": "handmade",
-            "total_deficit": 2,
-            "instance": _tiny_instance(),
-        },
-        {
-            "event": "step",
-            "run": 0,
-            "step": 0,
-            "sends": 1,
-            "moves": 2,
-            "gained": 2,
-            "deficit": 0,
-            "deficit_by_vertex": [0, 0],
-            "transfers": [[0, 1, [0, 1]]],
-        },
-        {
-            "event": "run_end",
-            "run": 0,
-            "success": True,
-            "makespan": 1,
-            "bandwidth": 2,
-        },
+        make_event(
+            "run_start",
+            {
+                "run": 0,
+                "engine": "sim",
+                "heuristic": "handmade",
+                "problem": "tiny",
+                "n": 2,
+                "tokens": 2,
+                "arcs": 2,
+                "max_steps": 10,
+                "total_deficit": 2,
+                "instance": _tiny_instance(),
+            },
+        ),
+        make_event(
+            "step",
+            {
+                "run": 0,
+                "step": 0,
+                "sends": 1,
+                "moves": 2,
+                "gained": 2,
+                "deficit": 0,
+                "deficit_by_vertex": [0, 0],
+                "holder_hist": [[2, 2]],
+                "arc_util": 0.5,
+                "transfers": [[0, 1, [0, 1]]],
+            },
+        ),
+        make_event(
+            "run_end",
+            {"run": 0, "success": True, "makespan": 1, "bandwidth": 2},
+        ),
     ]
 
 
@@ -119,17 +128,21 @@ class TestSeededFaults:
         # Append a second step whose reported deficit *rises* for vertex 1.
         events.insert(
             2,
-            {
-                "event": "step",
-                "run": 0,
-                "step": 1,
-                "sends": 0,
-                "moves": 0,
-                "gained": 0,
-                "deficit": 1,
-                "deficit_by_vertex": [0, 1],
-                "transfers": [],
-            },
+            make_event(
+                "step",
+                {
+                    "run": 0,
+                    "step": 1,
+                    "sends": 0,
+                    "moves": 0,
+                    "gained": 0,
+                    "deficit": 1,
+                    "deficit_by_vertex": [0, 1],
+                    "holder_hist": [[2, 2]],
+                    "arc_util": 0.0,
+                    "transfers": [],
+                },
+            ),
         )
         events[-1]["makespan"] = 2
         report = validate_events(events)
@@ -174,6 +187,35 @@ class TestStructureAndConsistency:
         report = validate_events(events)
         hits = _violations(report, "trace-structure")
         assert any("no run_end" in v.message for v in hits)
+
+    def test_schema_violations_named_with_run_and_step(self):
+        events = _tiny_trace()
+        del events[1]["moves"]
+        events[1]["bogus"] = 1
+        events[2]["success"] = "yes"
+        report = validate_events(events)
+        assert [(v.run, v.step, v.invariant, v.message) for v in report.violations] == [
+            (0, 0, "trace-structure",
+             "record breaks the event schema: step: missing required field 'moves'"),
+            (0, 0, "trace-structure",
+             "record breaks the event schema: step: undeclared field 'bogus'"),
+            (0, None, "trace-structure",
+             "record breaks the event schema: run_end: field 'success' is not bool: 'yes'"),
+        ]
+
+    def test_schema_violation_fails_verify_and_attribute(self, tmp_path, capsys):
+        events = _tiny_trace()
+        del events[1]["moves"]
+        events[1]["bogus"] = 1
+        path = tmp_path / "t.jsonl"
+        path.write_text("".join(dump_event(e) + "\n" for e in events))
+        assert main(["trace-verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "run 0 step 0: [trace-structure] record breaks the event schema: " \
+            "step: missing required field 'moves'" in out
+        assert "step: undeclared field 'bogus'" in out
+        assert main(["trace-attribute", str(path)]) == 2
+        assert "missing required field 'moves'" in capsys.readouterr().err
 
     def test_missing_instance_flagged(self):
         events = _tiny_trace()

@@ -44,7 +44,7 @@ from repro.obs.analyze import (
     transfer_slack,
     validate_events,
 )
-from repro.obs.events import read_events, validate_event
+from repro.obs.events import make_event, read_events, validate_event
 from repro.sim import run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
@@ -174,43 +174,55 @@ def _chain_instance() -> Dict[str, Any]:
 
 def _chain_trace() -> List[Dict[str, Any]]:
     return [
-        {
-            "event": "run_start",
-            "run": 0,
-            "engine": "sim",
-            "heuristic": "handmade",
-            "total_deficit": 1,
-            "instance": _chain_instance(),
-        },
-        {
-            "event": "step",
-            "run": 0,
-            "step": 0,
-            "sends": 1,
-            "moves": 1,
-            "gained": 1,
-            "deficit": 1,
-            "deficit_by_vertex": [0, 0, 1],
-            "transfers": [[0, 1, [0]]],
-        },
-        {
-            "event": "step",
-            "run": 0,
-            "step": 1,
-            "sends": 1,
-            "moves": 1,
-            "gained": 1,
-            "deficit": 0,
-            "deficit_by_vertex": [0, 0, 0],
-            "transfers": [[1, 2, [0]]],
-        },
-        {
-            "event": "run_end",
-            "run": 0,
-            "success": True,
-            "makespan": 2,
-            "bandwidth": 2,
-        },
+        make_event(
+            "run_start",
+            {
+                "run": 0,
+                "engine": "sim",
+                "heuristic": "handmade",
+                "problem": "chain",
+                "n": 3,
+                "tokens": 1,
+                "arcs": 2,
+                "max_steps": 10,
+                "total_deficit": 1,
+                "instance": _chain_instance(),
+            },
+        ),
+        make_event(
+            "step",
+            {
+                "run": 0,
+                "step": 0,
+                "sends": 1,
+                "moves": 1,
+                "gained": 1,
+                "deficit": 1,
+                "deficit_by_vertex": [0, 0, 1],
+                "holder_hist": [[2, 1]],
+                "arc_util": 0.5,
+                "transfers": [[0, 1, [0]]],
+            },
+        ),
+        make_event(
+            "step",
+            {
+                "run": 0,
+                "step": 1,
+                "sends": 1,
+                "moves": 1,
+                "gained": 1,
+                "deficit": 0,
+                "deficit_by_vertex": [0, 0, 0],
+                "holder_hist": [[3, 1]],
+                "arc_util": 0.5,
+                "transfers": [[1, 2, [0]]],
+            },
+        ),
+        make_event(
+            "run_end",
+            {"run": 0, "success": True, "makespan": 2, "bandwidth": 2},
+        ),
     ]
 
 

@@ -3,16 +3,15 @@
 Two layers of regression protection for the trace contract:
 
 * unit tests for :func:`repro.obs.validate_event` against hand-built
-  events, and
+  records (plain dicts, since ``make_event`` refuses malformed ones), and
 * **runtime cross-checks** — drive every engine (Engine, LocalEngine via
   ``run_local``, DynamicEngine via ``run_dynamic``) and the sweep
   executor's run ledger, then validate every event they actually emit.
-  This pins the registry to reality from the dynamic side exactly as the
-  static OCD013 pass pins every emission site from the source side; a
-  field added to an engine without a schema entry fails both.  The
-  emitters together must cover the registry, so a kind nothing emits
-  cannot linger in it, and the schema table in ``docs/OBSERVABILITY.md``
-  must list exactly the registered kinds.
+  ``make_event`` already refuses a nonconforming event at emission, so
+  these pin the registry to reality: the emitters together must cover
+  the registry, so a kind nothing emits cannot linger in it, and the
+  schema table in ``docs/OBSERVABILITY.md`` must list exactly the
+  registered kinds.
 """
 
 from __future__ import annotations
@@ -137,25 +136,31 @@ class TestRegistryShape:
         assert emitted == set(EVENT_KINDS)
 
 
+def _stall(**fields) -> dict:
+    """A ``stall`` record built as a plain dict, bypassing ``make_event``
+    (which refuses anything :func:`validate_event` would flag)."""
+    return {"schema_version": 1, "event": "stall", **fields}
+
+
 class TestValidateEvent:
     def test_conforming_event_passes(self):
         event = make_event("stall", {"step": 3, "consecutive": 2})
         assert validate_event(event) == []
 
     def test_missing_required_reported(self):
-        event = make_event("stall", {"step": 3})
+        event = _stall(step=3)
         assert any("consecutive" in p for p in validate_event(event))
 
     def test_undeclared_field_reported(self):
-        event = make_event("stall", {"step": 3, "consecutive": 2, "zzz": 1})
+        event = _stall(step=3, consecutive=2, zzz=1)
         assert any("undeclared field 'zzz'" in p for p in validate_event(event))
 
     def test_wrong_type_reported(self):
-        event = make_event("stall", {"step": "three", "consecutive": 2})
+        event = _stall(step="three", consecutive=2)
         assert any("'step'" in p for p in validate_event(event))
 
     def test_bool_is_not_an_int(self):
-        event = make_event("stall", {"step": True, "consecutive": 2})
+        event = _stall(step=True, consecutive=2)
         assert any("'step'" in p for p in validate_event(event))
 
     def test_float_field_accepts_int(self):

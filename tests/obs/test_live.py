@@ -19,12 +19,13 @@ from repro.obs.live import LedgerState, LedgerWriter, render_dashboard, watch
 from repro.sim import run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
+from tests.conftest import complete_event
 
 import pytest
 
 
 def _line(kind: str, fields: Dict[str, Any]) -> str:
-    return dump_event(make_event(kind, fields)) + "\n"
+    return dump_event(complete_event(kind, **fields)) + "\n"
 
 
 def _ledger_lines(
@@ -168,8 +169,8 @@ class TestLedgerWriter:
         path = tmp_path / "ledger.jsonl"
         for i in range(2):
             with LedgerWriter(str(path)) as ledger:
-                ledger.write(make_event("point_heartbeat", {"i": i}))
-        assert [e["i"] for e in read_events(str(path))] == [0, 1]
+                ledger.write(complete_event("point_heartbeat", index=i))
+        assert [e["index"] for e in read_events(str(path))] == [0, 1]
 
     def test_rejects_bare_dicts_and_closed_writer(self, tmp_path):
         ledger = LedgerWriter(str(tmp_path / "ledger.jsonl"))
@@ -177,7 +178,7 @@ class TestLedgerWriter:
             ledger.write({"no": "envelope"})
         ledger.close()
         with pytest.raises(ValueError, match="closed"):
-            ledger.write(make_event("sweep_end", {}))
+            ledger.write(complete_event("sweep_end"))
 
 
 class TestLedgerState:
@@ -226,12 +227,12 @@ class TestLedgerState:
         assert top[1].status == "done" or top[0] >= 1.0
 
     def test_retry_supersedes_and_stale_events_drop(self):
-        base = {"figure": "f", "kind": "k", "index": 0, "seed": 9}
+        base = {"figure": "f", "kind": "k", "index": 0}
         state = LedgerState()
         state.apply(
             make_event(
                 "point_start",
-                {**base, "attempt": 0, "worker": 1, "started_unix": 10.0},
+                {**base, "seed": 9, "attempt": 0, "worker": 1, "started_unix": 10.0},
             )
         )
         state.apply(
@@ -239,6 +240,7 @@ class TestLedgerState:
                 "point_end",
                 {
                     **base,
+                    "seed": 9,
                     "attempt": 0,
                     "worker": 1,
                     "ok": False,
@@ -252,7 +254,7 @@ class TestLedgerState:
         state.apply(
             make_event(
                 "point_start",
-                {**base, "attempt": 1, "worker": 2, "started_unix": 12.0},
+                {**base, "seed": 9, "attempt": 1, "worker": 2, "started_unix": 12.0},
             )
         )
         (point,) = state.points.values()
@@ -273,6 +275,7 @@ class TestLedgerState:
                 "point_end",
                 {
                     **base,
+                    "seed": 9,
                     "attempt": 1,
                     "worker": 2,
                     "ok": True,
@@ -349,7 +352,7 @@ class TestLedgerState:
 
     def test_non_ledger_kinds_counted_not_applied(self):
         state = LedgerState()
-        state.apply(make_event("step", {"step": 0}))
+        state.apply(complete_event("step", step=0))
         assert state.points == {}
         assert state.ignored == 1
 

@@ -12,7 +12,6 @@ from repro.heuristics import standard_heuristics
 from repro.obs import (
     JsonlTracer,
     RecordingTracer,
-    make_event,
     read_events,
     render_report,
     render_trace_file,
@@ -21,6 +20,7 @@ from repro.obs import (
 from repro.sim.engine import run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
+from tests.conftest import complete_event
 
 
 def _problem(seed: int = 3, n: int = 10, tokens: int = 6) -> Problem:
@@ -29,11 +29,9 @@ def _problem(seed: int = 3, n: int = 10, tokens: int = 6) -> Problem:
 
 def _steps(gains_and_deficits):
     return [
-        make_event(
-            "step",
-            {"run": 0, "step": i, "gained": g, "deficit": d, "sends": 1,
-             "moves": g, "holder_hist": [], "arc_util": 0.1,
-             "deficit_by_vertex": []},
+        complete_event(
+            "step", run=0, step=i, gained=g, deficit=d, sends=1, moves=g,
+            arc_util=0.1,
         )
         for i, (g, d) in enumerate(gains_and_deficits)
     ]
@@ -42,7 +40,7 @@ def _steps(gains_and_deficits):
 class TestTimelineAnalysis:
     def test_stall_spans_merge_consecutive_zero_gain_steps(self):
         events = [
-            make_event("run_start", {"run": 0, "total_deficit": 10}),
+            complete_event("run_start", run=0, total_deficit=10),
             *_steps([(4, 6), (0, 6), (0, 6), (2, 4), (0, 4), (4, 0)]),
         ]
         _header, (timeline,) = split_runs(events)
@@ -50,7 +48,7 @@ class TestTimelineAnalysis:
 
     def test_phases_partition_the_run(self):
         events = [
-            make_event("run_start", {"run": 0, "total_deficit": 100}),
+            complete_event("run_start", run=0, total_deficit=100),
             *_steps([(1, 99), (10, 89), (40, 49), (30, 19), (10, 9), (9, 0)]),
         ]
         _header, (timeline,) = split_runs(events)
@@ -97,8 +95,9 @@ class TestRendering:
 
     def test_truncated_trace_flagged(self):
         events = [
-            make_event("run_start", {"run": 0, "heuristic": "x",
-                                     "problem": "p", "total_deficit": 4}),
+            complete_event(
+                "run_start", run=0, heuristic="x", problem="p", total_deficit=4
+            ),
             *_steps([(2, 2)]),
         ]
         text = render_report(events)
@@ -114,7 +113,7 @@ class TestRendering:
                 _problem(), standard_heuristics()[0], seed=7, tracer=tracer
             )
         events = read_events(str(path))
-        events.append(make_event("point_end", {"figure": "f", "ok": True}))
+        events.append(complete_event("point_end", figure="f", ok=True))
         text = render_report(events)
         assert "run 0" in text
 
