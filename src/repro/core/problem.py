@@ -16,28 +16,29 @@ those subsystems need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 
-__all__ = ["Arc", "Problem", "ProblemValidationError", "max_eccentricity"]
+__all__ = ["Arc", "Problem", "ProblemValidationError", "max_eccentricity", "reach_rounds"]
 
 _UNREACHABLE = -1
 
 
-def max_eccentricity(adjacency: Sequence[Sequence[int]]) -> int:
-    """Largest finite hop eccentricity of the graph ``adjacency`` describes.
+def reach_rounds(adjacency: Sequence[Sequence[int]]) -> Iterator[List[int]]:
+    """Yield every vertex's reach set at radius 0, 1, 2, ... as int bitmasks.
 
     ``adjacency[v]`` lists the vertices one hop from ``v``.  Each vertex
     keeps the set of vertices it reaches as one int bitmask; a round ORs
-    in the sets of its neighbours, so after round ``r`` the mask holds
-    everything within ``r`` hops.  The rounds that still change some
-    mask number exactly the largest finite distance, at O(m * n / 64)
-    word operations per round instead of one BFS per vertex.
+    in the sets of its neighbours, so the list yielded ``r``-th holds
+    everything within ``r`` hops, at O(m * n / 64) word operations per
+    round instead of one BFS per vertex.  The generator stops after the
+    last radius that grew some mask: it yields one list more than the
+    largest finite eccentricity.
     """
     reach = [1 << v for v in range(len(adjacency))]
-    rounds = 0
     while True:
+        yield reach
         grown = []
         for v, succ in enumerate(adjacency):
             mask = reach[v]
@@ -45,9 +46,17 @@ def max_eccentricity(adjacency: Sequence[Sequence[int]]) -> int:
                 mask |= reach[w]
             grown.append(mask)
         if grown == reach:
-            return rounds
+            return
         reach = grown
+
+
+def max_eccentricity(adjacency: Sequence[Sequence[int]]) -> int:
+    """Largest finite hop eccentricity of the graph ``adjacency`` describes:
+    the number of :func:`reach_rounds` rounds that still change some mask."""
+    rounds = -1
+    for _reach in reach_rounds(adjacency):
         rounds += 1
+    return rounds
 
 
 class ProblemValidationError(ValueError):

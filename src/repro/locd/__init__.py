@@ -1,6 +1,7 @@
 """The Local-knowledge OCD model (Section 4).
 
-Per-vertex :class:`Knowledge` with gossip dynamics, a locality-enforcing
+Per-vertex :class:`Knowledge` (a read-only, distance-lagged view of the
+run's :class:`GossipState`), a locality-enforcing
 :class:`LocalEngine`, LOCD-compliant algorithms (including the
 flood-then-optimal additive-diameter algorithm of §4.2), and the
 Theorem 4 adversarial families with their measurement harness.
@@ -19,13 +20,14 @@ from repro.locd.algorithms import (
     LocalRarest,
     LocalRoundRobin,
 )
-from repro.locd.knowledge import Knowledge, initial_knowledge
+from repro.locd.knowledge import GossipState, Knowledge
 from repro.locd.runner import LocalAlgorithm, LocalEngine, run_local
 from repro.locd.stale import StaleBandwidth, StaleGreedy, view_problem
 
 __all__ = [
     "AdversaryOutcome",
     "FloodThenOptimal",
+    "GossipState",
     "Knowledge",
     "LocalAlgorithm",
     "LocalEngine",
@@ -38,7 +40,6 @@ __all__ = [
     "view_problem",
     "deterministic_lower_bound",
     "guessing_instance",
-    "initial_knowledge",
     "optimal_path_makespan",
     "run_local",
 ]

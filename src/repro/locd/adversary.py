@@ -127,6 +127,10 @@ class AdversaryOutcome:
     worst_token: int
     worst_makespan: int
     optimum: int
+    #: Whether the worst candidate's run hit ``max_steps`` without
+    #: finishing: its true makespan is larger, so ``worst_makespan`` and
+    #: ``ratio`` are only lower bounds.
+    censored: bool = False
 
     @property
     def ratio(self) -> float:
@@ -146,30 +150,31 @@ def adversarial_ratio(
 
     For deterministic algorithms, trying every candidate token realizes
     the true adversarial choice on this family; for randomized ones it is
-    an empirical (seed-fixed) estimate.
+    an empirical (seed-fixed) estimate.  A run that hits ``max_steps``
+    unfinished counts as worse than a finished run of the same length,
+    and makes the outcome :attr:`AdversaryOutcome.censored` when it is
+    the worst.  Raises :class:`ValueError` when ``candidates`` is empty.
     """
-    if candidates is None:
-        candidates = range(num_decoys)
+    tokens = list(range(num_decoys) if candidates is None else candidates)
+    if not tokens:
+        raise ValueError("adversarial_ratio needs at least one candidate token")
     optimum = optimal_path_makespan(separation, 1, capacity)
-    worst: Optional[Tuple[int, int]] = None
-    for token in candidates:
+    worst: Optional[Tuple[int, int, bool]] = None
+    for token in tokens:
         problem = guessing_instance(separation, num_decoys, [token], capacity)
         algorithm = algorithm_factory()
         result = run_local(problem, algorithm, seed=seed, max_steps=max_steps)
-        if not result.success:
-            makespan = result.makespan  # hit max_steps: at least this bad
-        else:
-            makespan = result.makespan
-        if worst is None or makespan > worst[1]:
-            worst = (token, makespan)
+        censored = not result.success
+        if worst is None or (result.makespan, censored) > (worst[1], worst[2]):
+            worst = (token, result.makespan, censored)
     assert worst is not None
-    algo_name = algorithm_factory().name
     return AdversaryOutcome(
-        algorithm=algo_name,
+        algorithm=algorithm_factory().name,
         separation=separation,
         num_decoys=num_decoys,
         capacity=capacity,
         worst_token=worst[0],
         worst_makespan=worst[1],
         optimum=optimum,
+        censored=worst[2],
     )

@@ -11,9 +11,16 @@ timestep ``i``:
 2. sends are validated against the true state and applied (the shared
    :class:`repro.sim.engine.StepDriver` loop, after an owner check: a
    vertex may only send out of itself);
-3. ``k_{i+1}(v)`` merges the step-``i`` knowledge of ``v``'s gossip
-   neighbors (both arc directions) into ``k_i(v)``, then records what
-   ``v`` itself just received.
+3. one gossip round turns every ``k_i(v)`` into ``k_{i+1}(v)``: the
+   knowledge of ``v``'s gossip neighbors (both arc directions) merged
+   in, then what ``v`` itself just received.
+
+The knowledge objects are read-only views of one shared
+:class:`repro.locd.knowledge.GossipState`, which the round advances by
+recording the step's possession and gossiping the arc sets; the view
+derives everything else from gossip distances (``docs/MODEL.md`` §3).
+The step's ``facts_learned`` is counted from that state, not by diffing
+per-vertex copies.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import Callable, Dict, Optional, Protocol, Tuple, Union
 from repro.core.problem import Problem
 from repro.core.schedule import Timestep
 from repro.core.tokenset import TokenSet
-from repro.locd.knowledge import Knowledge, initial_knowledge
+from repro.locd.knowledge import GossipState, Knowledge
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.engine import (
@@ -88,7 +95,8 @@ class LocalEngine(StepDriver):
 
     def _start(self, state: SimState) -> str:
         n = self.problem.num_vertices
-        self._knowledge = [initial_knowledge(self.problem, v) for v in range(n)]
+        gossip = self._gossip = GossipState(self.problem)
+        self._knowledge = [Knowledge(gossip, v) for v in range(n)]
         self._knowledge_cost = 0
         self.algorithm.reset(n, self.rng)
         return self.algorithm.name
@@ -116,21 +124,11 @@ class LocalEngine(StepDriver):
         step: int,
         version_before: int,
     ) -> None:
-        # Gossip: merge the *previous* knowledge of both-direction
-        # neighbors, then record own arrivals — everything a vertex was
-        # sent, not just gains.
+        # Gossip: every view now answers for k_{step+1}.  The count
+        # leaves out the step's own arrivals, as the materialized oracle
+        # records them only after counting.
         with self._timer("knowledge_flood"):
-            knowledge = self._knowledge
-            neighbors = self.problem.neighbors
-            snapshots = [k.snapshot() for k in knowledge]
-            learned = 0
-            for v, known in enumerate(knowledge):
-                before = known.size_facts()
-                for u in neighbors(v):
-                    known.merge_from(snapshots[u])
-                learned += known.size_facts() - before
-                if v in arrivals:
-                    known.record_own_possession(TokenSet(arrivals[v]))
+            learned = self._gossip.advance(state.possession)
         self._knowledge_cost += learned
         if self.metrics is not None:
             self.metrics.counter("facts_learned").inc(learned)

@@ -3,8 +3,10 @@
 This module preserves the simulation hot path exactly as it existed
 *before* the incremental kernel (:mod:`repro.sim.state`) rewrite: the
 engine loop that snapshots possession into fresh tuples every step and
-rescans success/useful-arcs from scratch, the LOCD runner loop, the
-dynamic-conditions loop, and the original ``propose`` bodies of all six
+rescans success/useful-arcs from scratch, the LOCD runner loop with its
+materialized per-vertex :class:`Knowledge` (snapshot and merge every
+step, which :mod:`repro.locd.knowledge` now answers as a lagged view),
+the dynamic-conditions loop, and the original ``propose`` bodies of all six
 heuristics.  It exists for two reasons:
 
 1. **Equivalence** — ``tests/sim/test_incremental_equivalence.py`` proves
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.problem import Problem
@@ -40,7 +43,9 @@ from repro.sim.engine import (
 
 __all__ = [
     "REFERENCE_HEURISTIC_FACTORIES",
+    "Knowledge",
     "ReferenceEngine",
+    "initial_knowledge",
     "make_reference_heuristic",
     "reference_run_heuristic",
     "reference_run_local",
@@ -564,6 +569,136 @@ def make_reference_heuristic(name: str) -> HeuristicProtocol:
 
 
 # ======================================================================
+# The materialized LOCD knowledge (the gossip oracle)
+# ======================================================================
+ArcInfo = Tuple[int, int, int]  # (src, dst, capacity)
+
+
+@dataclass
+class Knowledge:
+    """What one vertex knows about the world at some timestep."""
+
+    owner: int
+    #: Last known possession per vertex (monotone under-approximation of
+    #: the true possession; exact for the owner itself).
+    have: Dict[int, TokenSet] = field(default_factory=dict)
+    #: Known want sets per vertex (static once learned).
+    want: Dict[int, TokenSet] = field(default_factory=dict)
+    #: Known arcs with capacities.
+    arcs: Set[ArcInfo] = field(default_factory=set)
+    #: Vertices whose complete incident-arc list is known.
+    complete_vertices: Set[int] = field(default_factory=set)
+
+    # ------------------------------------------------------------------
+    def known_vertices(self) -> Set[int]:
+        """Every vertex this knowledge has heard of."""
+        known: Set[int] = {self.owner}
+        known.update(self.have)
+        known.update(self.want)
+        for src, dst, _cap in self.arcs:
+            known.add(src)
+            known.add(dst)
+        return known
+
+    def is_topology_complete(self) -> bool:
+        """Whether the whole (gossip-connected) graph is known."""
+        return self.known_vertices() <= self.complete_vertices
+
+    def known_have(self, v: int) -> TokenSet:
+        return self.have.get(v, EMPTY_TOKENSET)
+
+    def known_want(self, v: int) -> TokenSet:
+        return self.want.get(v, EMPTY_TOKENSET)
+
+    def out_arcs_of(self, v: int) -> List[ArcInfo]:
+        return [(src, dst, cap) for (src, dst, cap) in self.arcs if src == v]
+
+    # ------------------------------------------------------------------
+    def merge_from(self, other: "Knowledge") -> None:
+        """Union in a neighbor's knowledge (the gossip step)."""
+        for v, tokens in other.have.items():
+            self.have[v] = self.have.get(v, EMPTY_TOKENSET) | tokens
+        for v, tokens in other.want.items():
+            self.want[v] = self.want.get(v, EMPTY_TOKENSET) | tokens
+        self.arcs.update(other.arcs)
+        self.complete_vertices.update(other.complete_vertices)
+
+    def record_own_possession(self, tokens: TokenSet) -> None:
+        """Fold newly received tokens into the owner's own entry."""
+        self.have[self.owner] = self.have.get(self.owner, EMPTY_TOKENSET) | tokens
+
+    def size_facts(self) -> int:
+        """How many atomic facts this knowledge holds: known
+        (vertex, token) possession pairs, want pairs, arcs, and completed
+        neighbor lists.  The growth of this count over a run is the
+        "bandwidth cost of sending knowledge" the paper's Theorem 4
+        discussion points at for EOCD."""
+        return (
+            sum(len(tokens) for tokens in self.have.values())
+            + sum(len(tokens) for tokens in self.want.values())
+            + len(self.arcs)
+            + len(self.complete_vertices)
+        )
+
+    def snapshot(self) -> "Knowledge":
+        """A deep-enough copy for the synchronous gossip round (merges
+        must read the *previous* step's knowledge)."""
+        return Knowledge(
+            owner=self.owner,
+            have=dict(self.have),
+            want=dict(self.want),
+            arcs=set(self.arcs),
+            complete_vertices=set(self.complete_vertices),
+        )
+
+    # ------------------------------------------------------------------
+    def as_problem(self) -> Optional[Problem]:
+        """Reconstruct the global :class:`Problem` from complete knowledge.
+
+        Returns ``None`` while the topology is still incomplete.  All
+        vertices reconstruct the *identical* problem once their knowledge
+        converges, which is what makes a common deterministic plan
+        possible.  Vertex ids are preserved.
+        """
+        if not self.is_topology_complete():
+            return None
+        vertices = sorted(self.known_vertices())
+        if vertices != list(range(len(vertices))):
+            # Gossip reaches every vertex of a connected instance; partial
+            # id spaces mean the instance was disconnected.
+            return None
+        n = len(vertices)
+        num_tokens = 0
+        for tokens in list(self.have.values()) + list(self.want.values()):
+            if tokens:
+                num_tokens = max(num_tokens, tokens.max() + 1)
+        return Problem.build(
+            n,
+            num_tokens,
+            sorted(self.arcs),
+            {v: list(self.have.get(v, EMPTY_TOKENSET)) for v in vertices},
+            {v: list(self.want.get(v, EMPTY_TOKENSET)) for v in vertices},
+            name=f"knowledge_of_{self.owner}",
+        )
+
+
+def initial_knowledge(problem: Problem, v: int) -> Knowledge:
+    """``k_0(v)``: neighbors, incident-arc capacities, ``h(v)``, ``w(v)``."""
+    arcs: Set[ArcInfo] = set()
+    for arc in problem.out_arcs(v):
+        arcs.add((arc.src, arc.dst, arc.capacity))
+    for arc in problem.in_arcs(v):
+        arcs.add((arc.src, arc.dst, arc.capacity))
+    return Knowledge(
+        owner=v,
+        have={v: problem.have[v]},
+        want={v: problem.want[v]},
+        arcs=arcs,
+        complete_vertices={v},
+    )
+
+
+# ======================================================================
 # The pre-kernel LOCD runner loop
 # ======================================================================
 class _LocalAlgorithmProtocol(Protocol):
@@ -583,8 +718,6 @@ def reference_run_local(
     max_steps: Optional[int] = None,
 ) -> RunResult:
     """The pre-kernel :class:`repro.locd.LocalEngine` loop, verbatim."""
-    from repro.locd.knowledge import Knowledge, initial_knowledge
-
     rng = random.Random(seed)
     if max_steps is None:
         max_steps = 4 * max(problem.move_bound(), 1) + 4 * problem.num_vertices + 64

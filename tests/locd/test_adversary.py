@@ -96,3 +96,25 @@ class TestAdversary:
             LocalRoundRobin, separation=2, num_decoys=8, candidates=[7]
         )
         assert outcome.worst_token == 7
+
+    def test_finished_runs_are_not_censored(self):
+        outcome = adversarial_ratio(LocalRoundRobin, separation=2, num_decoys=4)
+        assert not outcome.censored
+        assert (outcome.worst_token, outcome.worst_makespan) == (3, 6)
+
+    def test_run_hitting_max_steps_is_censored(self):
+        """Under a two-step cap only token 0 arrives in time; an unfinished
+        run of the same length is the worse case, and only a lower bound."""
+        outcome = adversarial_ratio(
+            LocalRoundRobin, separation=2, num_decoys=4, candidates=[0, 3], max_steps=2
+        )
+        assert outcome.censored
+        assert (outcome.worst_token, outcome.worst_makespan) == (3, 2)
+        finished = adversarial_ratio(
+            LocalRoundRobin, separation=2, num_decoys=4, candidates=[0], max_steps=2
+        )
+        assert not finished.censored
+
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(ValueError, match="at least one candidate"):
+            adversarial_ratio(LocalRoundRobin, separation=2, num_decoys=4, candidates=[])

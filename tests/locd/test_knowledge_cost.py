@@ -3,7 +3,8 @@
 import random
 
 from repro.core.problem import Problem
-from repro.locd import LocalRarest, LocalRoundRobin, initial_knowledge, run_local
+from repro.locd import LocalRarest, LocalRoundRobin, run_local
+from repro.sim.reference import initial_knowledge
 from repro.topology import random_graph
 from repro.workloads import single_file
 

@@ -6,13 +6,8 @@ import pytest
 
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
-from repro.locd import (
-    StaleBandwidth,
-    StaleGreedy,
-    initial_knowledge,
-    run_local,
-    view_problem,
-)
+from repro.locd import StaleBandwidth, StaleGreedy, run_local, view_problem
+from repro.sim.reference import initial_knowledge
 from repro.topology import random_graph
 from repro.workloads import receiver_density, single_file
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
+
+from repro.core.problem import Problem
 
 from repro.extensions.dynamic import (
     DynamicEngine,
@@ -28,11 +31,13 @@ from repro.extensions.dynamic import (
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.heuristics.sequential import SequentialHeuristic
 from repro.locd import (
+    FloodThenOptimal,
     LocalRandom,
     LocalRarest,
     LocalRoundRobin,
     StaleBandwidth,
     StaleGreedy,
+    guessing_instance,
     run_local,
 )
 from repro.sim import run_heuristic
@@ -52,6 +57,7 @@ LOCD_ALGORITHMS = {
     "locd_rarest": LocalRarest,
     "locd_bandwidth": StaleBandwidth,
     "locd_global": StaleGreedy,
+    "locd_flood_then_greedy": FloodThenOptimal,
 }
 
 
@@ -99,18 +105,52 @@ class TestEngineEquivalence:
 # ----------------------------------------------------------------------
 # LOCD runner: locality enforcement and knowledge cost preserved
 # ----------------------------------------------------------------------
+def assert_identical_local_runs(problem, seed: int, max_steps=None) -> None:
+    for name, factory in LOCD_ALGORITHMS.items():
+        old = reference_run_local(problem, factory(), seed=seed, max_steps=max_steps)
+        new = run_local(problem, factory(), seed=seed, max_steps=max_steps)
+        assert old.success == new.success, name
+        assert old.knowledge_cost == new.knowledge_cost, name
+        assert signature(old.schedule) == signature(new.schedule), name
+
+
 class TestLocdEquivalence:
     def test_instance_family_all_algorithms(self):
         rng = random.Random(11)
         for i in range(8):
             problem = make_random_problem(rng, max_vertices=10, max_tokens=8)
-            for name, factory in LOCD_ALGORITHMS.items():
-                seed = 500 + i
-                old = reference_run_local(problem, factory(), seed=seed)
-                new = run_local(problem, factory(), seed=seed)
-                assert old.success == new.success, name
-                assert old.knowledge_cost == new.knowledge_cost, name
-                assert signature(old.schedule) == signature(new.schedule), name
+            assert_identical_local_runs(problem, seed=500 + i)
+
+    @pytest.mark.parametrize("separation", range(1, 7))
+    def test_guessing_family(self, separation):
+        """The Theorem 4 paths: the receiver's want reaches the sender
+        with lag ``separation``."""
+        decoys = 2 * separation + 1
+        problem = guessing_instance(separation, decoys, [decoys - 1])
+        assert_identical_local_runs(problem, seed=separation)
+
+    def test_one_way_arcs(self):
+        """Tokens follow arcs; knowledge runs against them too."""
+        problem = Problem.build(
+            6,
+            3,
+            [(0, 1, 1), (1, 2, 1), (2, 3, 2), (3, 4, 1), (4, 5, 1), (5, 0, 1), (0, 3, 1)],
+            {0: [0, 1, 2]},
+            {v: [0, 1, 2] for v in range(1, 6)},
+        )
+        assert_identical_local_runs(problem, seed=3)
+
+    def test_disconnected_capped(self):
+        """Vertex 4's want is unreachable: every run stops at max_steps,
+        and no vertex ever hears of the other component."""
+        problem = Problem.build(
+            5,
+            2,
+            [(0, 1, 1), (1, 0, 1), (1, 2, 1), (2, 1, 1), (3, 4, 1), (4, 3, 1)],
+            {0: [0, 1], 3: [1]},
+            {2: [0, 1], 4: [0]},
+        )
+        assert_identical_local_runs(problem, seed=4, max_steps=12)
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,9 @@ from repro.core.pruning import prune_schedule
 from repro.core.metrics import completion_times
 from repro.analysis.streaming import playback_delays
 from repro.heuristics import standard_heuristics
-from repro.locd.knowledge import initial_knowledge
 from repro.reductions import cleanup_schedule, polynomial_verifier, theorem1_bound
 from repro.sim import run_heuristic
+from repro.sim.reference import initial_knowledge
 
 from tests.conftest import make_random_problem, problems, problems_with_schedules
 
