@@ -1,11 +1,10 @@
 """Command-line front end for the static-analysis layer.
 
 ``python -m repro.checks [paths...]`` (or the ``ocdlint`` console script)
-runs the per-file AST rules and the whole-program passes over ``paths``
-(:func:`repro.checks.framework.run_paths`) and prints the findings::
+runs the AST rules over ``paths`` (:func:`repro.checks.framework.run_paths`)
+and prints the findings::
 
-    ocdlint --select OCD001,OCD010    # only these rules
-    ocdlint --no-program              # per-file rules only
+    ocdlint --select OCD001,OCD004    # only these rules
     ocdlint --format json             # findings plus a summary block
     ocdlint --list-rules              # describe every rule and exit
 """
@@ -51,12 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="diagnostic output format",
     )
-    parser.add_argument(
-        "--no-program",
-        action="store_true",
-        help="skip the whole-program passes (OCD003, OCD010, OCD011); "
-        "per-file rules only",
-    )
     return parser
 
 
@@ -83,7 +76,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     select = args.select.split(",") if args.select is not None else None
     try:
         files = expand_paths(args.paths)
-        diagnostics = run_paths(files, select=select, program=not args.no_program)
+        diagnostics = run_paths(files, select=select)
     except (FileNotFoundError, ValueError) as exc:
         print(f"ocdlint: error: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,14 @@
 """Rule framework for ocdlint: diagnostics, registry, suppressions, runner.
 
 A *rule* is a class with a stable code (``OCD001``…), a short name, the
-Section 3.1 invariant it guards, and a package scope.  Per-file rules
-(:class:`Rule`) inspect one parsed module at a time through a
-:class:`LintContext`; whole-program rules (:class:`ProgramRule`) see
-every module at once through a
-:class:`repro.checks.program.ProgramIndex`.  The runner applies line-
-and file-level suppression comments and emits the survivors in a
-deterministic order.
+Section 3.1 invariant it guards, and a package scope.  Each rule
+(:class:`Rule`) inspects one parsed module at a time through a
+:class:`LintContext`.  The runner applies line- and file-level
+suppression comments and emits the survivors in a deterministic order.
 
 Suppressions go on the offending line::
 
-    x = draw()          # ocd: ignore[OCD010] -- vetted: test-only path
+    x = draw()          # ocd: ignore[OCD001] -- vetted: test-only path
     y = helper()        # ocd: ignore -- every rule on this line
 
 or, as ``# ocd: ignore-file[CODE]`` on a line of its own, anywhere in
@@ -28,7 +25,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -40,23 +36,16 @@ from typing import (
     Type,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.checks.program import ModuleSummary, ProgramIndex
-
 __all__ = [
     "Diagnostic",
     "LintContext",
-    "ProgramRule",
     "Rule",
     "all_rules",
     "expand_paths",
-    "file_rules",
     "package_of",
-    "program_rules",
     "register_rule",
     "run_file",
     "run_paths",
-    "run_program_pass",
     "run_source",
     "suppressions_for",
 ]
@@ -129,51 +118,13 @@ class Rule:
         )
 
 
-class ProgramRule:
-    """Base class for whole-program rules.
-
-    Program rules see the entire analyzed tree at once through a
-    :class:`repro.checks.program.ProgramIndex` and may emit diagnostics
-    in any module.  ``packages`` scopes which modules the rule *reports
-    in* (evidence may come from anywhere — that is the point).
-    """
-
-    code: str = ""
-    name: str = ""
-    summary: str = ""
-    invariant: str = ""
-    packages: Optional[FrozenSet[str]] = None
-    exclude_packages: FrozenSet[str] = frozenset()
-
-    def reports_in(self, package: str) -> bool:
-        if package in self.exclude_packages:
-            return False
-        if self.packages is not None and package not in self.packages:
-            return False
-        return True
-
-    def check_program(self, index: "ProgramIndex") -> List[Diagnostic]:
-        raise NotImplementedError
-
-    def diagnostic(
-        self, path: str, line: int, col: int, message: str
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=path,
-            line=line,
-            col=col,
-            code=self.code,
-            message=f"[{self.name}] {message}",
-        )
-
-
-_REGISTRY: Dict[str, Type[Rule] | Type[ProgramRule]] = {}
+_REGISTRY: Dict[str, Type[Rule]] = {}
 
 _CODE_RE = re.compile(r"^OCD\d{3}$")
 
 
-def register_rule(rule_cls: Type) -> Type:
-    """Class decorator adding a (file or program) rule to the registry."""
+def register_rule(rule_cls: Type[Rule]) -> Type[Rule]:
+    """Class decorator adding a rule to the registry."""
     if not _CODE_RE.match(rule_cls.code):
         raise ValueError(f"rule {rule_cls.__name__} has invalid code {rule_cls.code!r}")
     if rule_cls.code in _REGISTRY:
@@ -195,19 +146,9 @@ def _selected_codes(select: Optional[Iterable[str]]) -> List[str]:
     return codes
 
 
-def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule | ProgramRule]:
+def all_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
     """Instances of every registered rule (or the selected codes), by code."""
     return [_REGISTRY[c]() for c in _selected_codes(select)]
-
-
-def file_rules(select: Optional[Iterable[str]] = None) -> List[Rule]:
-    """The per-file rules among the selection."""
-    return [r for r in all_rules(select) if isinstance(r, Rule)]
-
-
-def program_rules(select: Optional[Iterable[str]] = None) -> List[ProgramRule]:
-    """The whole-program rules among the selection."""
-    return [r for r in all_rules(select) if isinstance(r, ProgramRule)]
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +181,7 @@ def package_of(path: str) -> str:
 # ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
-#: ``# ocd: ignore[OCD010, OCD011] -- reason`` (codes optional — bare
+#: ``# ocd: ignore[OCD001, OCD004] -- reason`` (codes optional — bare
 #: ``# ocd: ignore`` silences every rule on the line).
 _LINE_IGNORE_RE = re.compile(
     r"#\s*ocd:\s*ignore(?:\[([A-Za-z0-9_,\s]+?)\])?\s*(?:--.*)?$"
@@ -324,7 +265,7 @@ def run_source(
     )
     per_line, whole_file = suppressions_for(lines)
     diagnostics: List[Diagnostic] = []
-    for rule in file_rules(select):
+    for rule in all_rules(select):
         if not rule.applies(ctx):
             continue
         for diag in rule.check(ctx):
@@ -334,7 +275,7 @@ def run_source(
 
 
 def run_file(path: str, select: Optional[Iterable[str]] = None) -> List[Diagnostic]:
-    """Lint one file on disk (per-file rules only)."""
+    """Lint one file on disk."""
     source = Path(path).read_text(encoding="utf-8")
     return run_source(source, path=str(path), select=select)
 
@@ -357,66 +298,17 @@ def expand_paths(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(files))
 
 
-def run_program_pass(
-    summaries: Sequence["ModuleSummary"],
-    suppressions: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]],
-    select: Optional[Iterable[str]] = None,
-) -> List[Diagnostic]:
-    """Run the whole-program rules over pre-extracted module summaries.
-
-    ``suppressions`` maps each path to its (per-line, whole-file)
-    suppressed-code sets, so ``# ocd: ignore[...]`` comments silence
-    program diagnostics exactly like per-file ones.
-    """
-    from repro.checks.program import ProgramIndex
-
-    rules = program_rules(select)
-    if not rules or not summaries:
-        return []
-    index = ProgramIndex(list(summaries))
-    diagnostics: List[Diagnostic] = []
-    for rule in rules:
-        for diag in rule.check_program(index):
-            per_line, whole_file = suppressions.get(diag.path, ({}, set()))
-            if not _is_suppressed(diag, per_line, whole_file):
-                diagnostics.append(diag)
-    return diagnostics
-
-
 def run_paths(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    *,
-    program: bool = True,
+    paths: Sequence[str], select: Optional[Iterable[str]] = None
 ) -> List[Diagnostic]:
     """Lint files and/or directory trees; returns sorted diagnostics.
 
-    Runs the per-file rules on each file, then — unless ``program`` is
-    false — the whole-program passes (set iteration and call-chain
-    taint) over all of them together.  This is the whole linter: the
-    CLI renders what it returns.  A ``select`` that is empty, names an
-    unknown code, or (without ``program``) names no per-file rule
-    raises :class:`ValueError` before any file is read.
+    This is the whole linter: the CLI renders what it returns.  A
+    ``select`` that is empty or names an unknown code raises
+    :class:`ValueError` before any file is read.
     """
-    from repro.checks.program import summarize_source
-
     _selected_codes(select)
-    if not program and not file_rules(select):
-        raise ValueError(
-            "the selection has no per-file rule, so --no-program leaves "
-            "nothing to run"
-        )
     diagnostics: List[Diagnostic] = []
-    summaries = []
-    suppressions: Dict[str, Tuple[Dict[int, Set[str]], Set[str]]] = {}
     for f in expand_paths(paths):
-        source = Path(f).read_text(encoding="utf-8")
-        diagnostics.extend(run_source(source, path=f, select=select))
-        if program:
-            summary = summarize_source(source, f)
-            if summary is not None:
-                summaries.append(summary)
-                suppressions[f] = suppressions_for(source.splitlines())
-    if program:
-        diagnostics.extend(run_program_pass(summaries, suppressions, select=select))
+        diagnostics.extend(run_file(f, select=select))
     return sorted(diagnostics)

@@ -3,22 +3,19 @@
 Each rule guards one invariant of the Section 3.1 model, of the
 engine/heuristic layering built on top of it, or of the trace readers;
 the mapping is recorded in each rule's ``invariant`` attribute and in
-``docs/CHECKS.md``.  Checks that need more than one module (set
-iteration, call chains) live in :mod:`repro.checks.program_rules`.
+``docs/CHECKS.md``.  Every rule sees one module at a time.  Whether a
+schedule is a function of (instance, seed) across modules is not linted:
+``tests/test_determinism_env.py`` runs the program and compares outputs.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+import re
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
 
 from repro.checks.framework import Diagnostic, LintContext, Rule, register_rule
-from repro.checks.program import (
-    annotation_tokens,
-    import_aliases,
-    module_name_of,
-    scope_nodes,
-)
 
 __all__ = [
     "UnseededRandomRule",
@@ -43,6 +40,79 @@ MODEL_PACKAGES: FrozenSet[str] = frozenset(
         "reductions",
     }
 )
+
+
+def module_name_of(path: str) -> str:
+    """Dotted module name from a file path, anchored at ``repro``.
+
+    ``src/repro/sim/engine.py`` → ``repro.sim.engine``;
+    ``src/repro/checks/__init__.py`` → ``repro.checks``; paths outside a
+    ``repro`` tree (examples, tests, fixtures) map to their stem.
+    """
+    parts = Path(path).parts
+    if "repro" in parts:
+        idx = len(parts) - 1 - parts[::-1].index("repro")
+        rest = list(parts[idx:])
+    else:
+        rest = [Path(path).name]
+    if rest and rest[-1].endswith(".py"):
+        rest[-1] = rest[-1][: -len(".py")]
+    if rest and rest[-1] == "__init__":
+        rest = rest[:-1]
+    return ".".join(rest)
+
+
+def import_aliases(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> imported qualified name, module-wide.
+
+    ``import a.b`` binds ``a`` (Python semantics), ``import a.b as c``
+    binds ``c`` to ``a.b``; ``from m import x as y`` binds ``y`` to
+    ``m.x``.  Conditional imports (inside ``if TYPE_CHECKING`` etc.) are
+    included — resolution is lexical, not dynamic.
+    """
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    aliases[alias.asname] = alias.name
+                else:
+                    aliases[alias.name.split(".")[0]] = alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname if alias.asname is not None else alias.name
+                aliases[local] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def annotation_tokens(node: Optional[ast.expr]) -> Set[str]:
+    """Identifier tokens anywhere in an annotation, including string
+    annotations such as ``"Optional[Set[int]]"``."""
+    tokens: Set[str] = set()
+    if node is None:
+        return tokens
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            tokens.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            tokens.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            tokens.update(re.findall(r"\w+", sub.value))
+    return tokens
+
+
+def scope_nodes(body: Sequence[ast.stmt]) -> Iterator[ast.AST]:
+    """Every node of one scope, without descending into nested function
+    or class definitions (each of those is a scope of its own)."""
+    stack: List[ast.AST] = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _attribute_chain_base(node: ast.expr) -> Optional[ast.expr]:

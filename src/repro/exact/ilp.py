@@ -41,6 +41,11 @@ from repro.core.tokenset import TokenSet
 __all__ = ["IlpSolution", "solve_eocd_ilp", "min_makespan_ilp", "solve_hybrid_ilp"]
 
 
+#: ``scipy.optimize.milp`` status for a program proven infeasible; status
+#: 1 (time or iteration limit) and the rest prove nothing.
+_MILP_INFEASIBLE = 2
+
+
 @dataclass(frozen=True)
 class IlpSolution:
     """An exact solution extracted from the integer program."""
@@ -217,7 +222,10 @@ def solve_eocd_ilp(
     """Minimum-bandwidth schedule of makespan at most ``horizon``.
 
     Returns an infeasible :class:`IlpSolution` (empty schedule) when no
-    successful schedule of that length exists.
+    successful schedule of that length exists.  Raises
+    :class:`RuntimeError` when HiGHS stops without a verdict (a hit
+    ``time_limit`` or iteration limit): that is not a proof of
+    infeasibility.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
@@ -245,8 +253,13 @@ def solve_eocd_ilp(
         bounds=Bounds(var_lower, np.ones(index.num_vars)),
         options=options,
     )
-    if not result.success:
+    if result.status == _MILP_INFEASIBLE:
         return IlpSolution(Schedule([]), 0, horizon, feasible=False)
+    if not result.success:
+        raise RuntimeError(
+            f"ILP at horizon {horizon} stopped without a verdict "
+            f"(HiGHS status {result.status}: {result.message})"
+        )
     schedule = _extract_schedule(problem, index, result.x)
     return IlpSolution(
         schedule=schedule,
@@ -265,7 +278,8 @@ def min_makespan_ilp(
 
     Starts at the :func:`remaining_timesteps` lower bound and increases
     until the program is feasible.  Returns ``None`` when the instance is
-    unsatisfiable (or ``max_horizon`` is exhausted).
+    unsatisfiable (or ``max_horizon`` is exhausted); a horizon whose
+    solve hits ``time_limit`` raises (see :func:`solve_eocd_ilp`).
     """
     if problem.is_trivially_satisfied():
         return 0

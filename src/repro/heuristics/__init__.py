@@ -7,7 +7,7 @@ the paper introduces them, for sweep drivers that compare all five.
 from typing import Callable, Dict, List
 
 from repro.heuristics.bandwidth import BandwidthHeuristic
-from repro.heuristics.base import Heuristic, rarity_order, sample_tokens
+from repro.heuristics.base import Heuristic, sample_tokens
 from repro.heuristics.global_greedy import GlobalGreedyHeuristic
 from repro.heuristics.local_rarest import LocalRarestHeuristic
 from repro.heuristics.random_heuristic import RandomHeuristic
@@ -24,7 +24,6 @@ __all__ = [
     "RoundRobinHeuristic",
     "SequentialHeuristic",
     "make_heuristic",
-    "rarity_order",
     "sample_tokens",
     "standard_heuristics",
 ]

@@ -10,13 +10,13 @@ reused across trials.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.sim import Proposal, StepContext
 
-__all__ = ["Heuristic", "sample_tokens", "rarity_order"]
+__all__ = ["Heuristic", "sample_tokens"]
 
 
 class Heuristic:
@@ -74,17 +74,3 @@ def sample_tokens(tokens: TokenSet, count: int, rng: random.Random) -> TokenSet:
     if len(members) <= count:
         return tokens
     return TokenSet.from_iterable(rng.sample(members, count))
-
-
-def rarity_order(
-    tokens: TokenSet, holder_counts: Sequence[int], rng: random.Random
-) -> List[int]:
-    """Members of ``tokens`` ordered rarest first, random tie-break.
-
-    "Rarest random" (the Local heuristic's core): diversify what each
-    vertex holds by preferring the tokens fewest vertices possess.
-    """
-    members = list(tokens)
-    rng.shuffle(members)
-    members.sort(key=lambda t: holder_counts[t])
-    return members

@@ -32,8 +32,9 @@ class TestPackageOf:
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_at_least_six_rules(self):
-        assert len(all_rules()) >= 6
+    def test_registry_holds_the_five_rules(self):
+        codes = [r.code for r in all_rules()]
+        assert codes == ["OCD001", "OCD002", "OCD004", "OCD005", "OCD016"]
 
     def test_codes_unique_and_well_formed(self):
         codes = [r.code for r in all_rules()]

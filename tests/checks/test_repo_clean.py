@@ -33,8 +33,8 @@ pytestmark = pytest.mark.skipif(
     not _in_repo(), reason="requires the repo checkout layout"
 )
 
-#: A per-file finding (OCD001 in ``_draw``) and a chain finding (OCD010:
-#: ``pick`` reaches it through a call).
+#: One OCD001 finding in ``_draw``; ``pick`` reaches it through a call,
+#: which no rule follows (cross-process determinism is tested instead).
 DIRTY = textwrap.dedent(
     """
     import random
@@ -98,17 +98,20 @@ class TestCliContract:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line.split()[0] for line in out.splitlines() if line.startswith("OCD")]
-        assert listed == [
-            "OCD001", "OCD002", "OCD003", "OCD004", "OCD005",
-            "OCD010", "OCD011", "OCD016",
-        ]
+        assert listed == ["OCD001", "OCD002", "OCD004", "OCD005", "OCD016"]
 
     def test_select_narrows(self, tmp_path, capsys):
         bad = tmp_path / "src" / "repro" / "heuristics" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import random\nx = random.random()\n")
-        assert main(["--select", "OCD003", str(bad)]) == 0
+        assert main(["--select", "OCD004", str(bad)]) == 0
         assert main(["--select", "OCD001", str(bad)]) == 1
+
+    def test_retired_codes_are_unknown(self, tmp_path, capsys):
+        root = _dirty_tree(tmp_path)
+        for code in ("OCD003", "OCD010", "OCD011"):
+            assert main(["--select", code, root]) == 2
+            assert f"unknown rule code(s): {code}" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path, capsys):
         bad = tmp_path / "src" / "repro" / "heuristics" / "bad.py"
@@ -130,22 +133,18 @@ class TestCliContract:
             assert main(["--select", select, root]) == 2
             assert "names no code" in capsys.readouterr().err
 
-    def test_no_program_skips_chain_rules(self, tmp_path, capsys):
+    def test_dirty_fixture_reports_only_ocd001(self, tmp_path, capsys):
         root = _dirty_tree(tmp_path)
         assert main([root, "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert {f["code"] for f in doc["findings"]} == {"OCD001", "OCD010"}
-        assert main([root, "--no-program", "--format", "json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert {f["code"] for f in doc["findings"]} == {"OCD001"}
+        assert [(f["code"], f["line"]) for f in doc["findings"]] == [("OCD001", 6)]
 
-    def test_no_program_with_only_program_rules_exits_two(self, tmp_path, capsys):
-        # --no-program drops OCD003, so this selection would run zero
-        # rules and report the OCD001 defect's tree as clean.
+    def test_no_program_flag_is_rejected(self, tmp_path, capsys):
         root = _dirty_tree(tmp_path)
-        assert main(["--no-program", "--select", "OCD003", root]) == 2
-        assert "no per-file rule" in capsys.readouterr().err
-        assert main(["--no-program", "--select", "OCD003,OCD001", root]) == 1
+        with pytest.raises(SystemExit) as info:
+            main(["--no-program", root])
+        assert info.value.code == 2
+        assert "--no-program" in capsys.readouterr().err
 
     def test_lint_writes_nothing(self, tmp_path, tmp_path_factory, monkeypatch, capsys):
         root = _dirty_tree(tmp_path_factory.mktemp("tree"))
@@ -160,15 +159,15 @@ _SAMPLE = [
         path="src/repro/sim/engine.py",
         line=10,
         col=4,
-        code="OCD003",
-        message="[unsorted-set-iteration] iteration over an unordered set",
+        code="OCD004",
+        message="[wall-clock-timestep] time.time() is wall-clock time",
     ),
     Diagnostic(
         path="src/repro/heuristics/base.py",
         line=3,
         col=0,
-        code="OCD010",
-        message="[rng-call-chain] pick() reaches unseeded randomness",
+        code="OCD001",
+        message="[unseeded-rng] random.random() uses the shared global RNG",
     ),
 ]
 
@@ -177,13 +176,13 @@ class TestOutputs:
     def test_text_is_sorted_path_line_col(self):
         text = render_text(sorted(_SAMPLE))
         first, second = text.splitlines()
-        assert first.startswith("src/repro/heuristics/base.py:3:0: OCD010")
-        assert second.startswith("src/repro/sim/engine.py:10:4: OCD003")
+        assert first.startswith("src/repro/heuristics/base.py:3:0: OCD001")
+        assert second.startswith("src/repro/sim/engine.py:10:4: OCD004")
 
     def test_json_shape(self):
         doc = json.loads(render_json(_SAMPLE, files_checked=7))
         assert doc["summary"] == {"count": 2, "files_checked": 7}
-        assert [f["code"] for f in doc["findings"]] == ["OCD010", "OCD003"]
+        assert [f["code"] for f in doc["findings"]] == ["OCD001", "OCD004"]
 
     def test_deterministic(self):
         assert render_json(_SAMPLE) == render_json(list(reversed(_SAMPLE)))

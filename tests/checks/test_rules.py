@@ -1,10 +1,7 @@
-"""Positive and negative fixtures for the single-module ocdlint checks.
+"""Positive and negative fixtures for the ocdlint rules.
 
 Each fixture is a small source string linted under an impersonated path so
 the rule's package scoping applies exactly as it does on the real tree.
-It is linted as a one-module program: the per-file rules plus the program
-rules, so OCD003 (set iteration) fires here just as it does on the whole
-tree.
 """
 
 from __future__ import annotations
@@ -12,8 +9,7 @@ from __future__ import annotations
 import textwrap
 from typing import List
 
-from repro.checks import run_source, summarize_source
-from repro.checks.framework import Diagnostic, run_program_pass, suppressions_for
+from repro.checks import Diagnostic, run_source
 
 HEUR = "src/repro/heuristics/fake.py"
 SIM = "src/repro/sim/fake.py"
@@ -24,13 +20,7 @@ OBS = "src/repro/obs/fake.py"
 
 
 def lint(code: str, path: str = HEUR, select: str | None = None) -> List[Diagnostic]:
-    src = textwrap.dedent(code)
-    summary = summarize_source(src, path)
-    assert summary is not None, f"fixture {path} does not parse"
-    suppressions = {path: suppressions_for(src.splitlines())}
-    diags = sorted(
-        run_source(src, path=path) + run_program_pass([summary], suppressions)
-    )
+    diags = run_source(textwrap.dedent(code), path=path)
     if select is not None:
         diags = [d for d in diags if d.code == select]
     return diags
@@ -145,101 +135,6 @@ class TestModelMutation:
             problem.cache = {}
         """
         assert codes(src, path=CORE) == []
-
-
-# ======================================================================
-# OCD003 — unsorted-set-iteration
-# ======================================================================
-class TestUnsortedSetIteration:
-    def test_for_over_set_literal(self):
-        src = """
-        def emit():
-            for v in {3, 1, 2}:
-                consume(v)
-        """
-        assert codes(src) == ["OCD003"]
-
-    def test_for_over_set_call(self):
-        src = """
-        def emit(xs):
-            for v in set(xs):
-                consume(v)
-        """
-        assert codes(src) == ["OCD003"]
-
-    def test_comprehension_over_tracked_set_name(self):
-        src = """
-        def emit(xs):
-            relays = {x for x in xs}
-            return [r + 1 for r in relays]
-        """
-        assert codes(src) == ["OCD003"]
-
-    def test_set_typed_parameter_tracked(self):
-        src = """
-        def emit(relays: "Set[int]"):
-            for r in relays:
-                consume(r)
-        """
-        assert codes(src) == ["OCD003"]
-
-    def test_set_algebra_flagged(self):
-        src = """
-        def emit(xs):
-            have = set(xs)
-            want = set(xs)
-            for v in want - have:
-                consume(v)
-        """
-        assert codes(src) == ["OCD003"]
-
-    def test_sorted_is_ok(self):
-        src = """
-        def emit(xs):
-            relays = set(xs)
-            for r in sorted(relays):
-                consume(r)
-        """
-        assert codes(src) == []
-
-    def test_enumerate_sorted_is_ok(self):
-        src = """
-        def emit(xs):
-            for i, r in enumerate(sorted(set(xs))):
-                consume(i, r)
-        """
-        assert codes(src) == []
-
-    def test_reassignment_demotes(self):
-        src = """
-        def emit(xs):
-            relays = set(xs)
-            relays = sorted(relays)
-            for r in relays:
-                consume(r)
-        """
-        assert codes(src) == []
-
-    def test_no_cross_function_leak(self):
-        src = """
-        def a(xs):
-            edges = set(xs)
-            return sorted(edges)
-
-        def b(edges):
-            for e in edges:
-                consume(e)
-        """
-        assert codes(src) == []
-
-    def test_list_iteration_ok(self):
-        src = """
-        def emit(xs):
-            items = list(xs)
-            for v in items:
-                consume(v)
-        """
-        assert codes(src) == []
 
 
 # ======================================================================
@@ -395,7 +290,3 @@ class TestTraceRawRead:
             return json.loads(line)  # ocd: ignore[OCD016] -- legacy
         """
         assert codes(src, path=OBS) == []
-
-    def test_runs_without_the_program_pass(self):
-        src = "import json\n\ndef read(line):\n    return json.loads(line)\n"
-        assert [d.code for d in run_source(src, path=OBS)] == ["OCD016"]

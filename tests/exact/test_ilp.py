@@ -1,5 +1,7 @@
 """Tests for the Section 3.4 time-indexed integer program."""
 
+import random
+
 import pytest
 
 from repro.core.problem import Problem
@@ -10,6 +12,7 @@ from repro.exact.ilp import (
     solve_hybrid_ilp,
 )
 from repro.topology import figure1_gadget
+from repro.topology.generators import random_instance
 
 
 class TestEocdAtHorizon:
@@ -80,6 +83,14 @@ class TestMinMakespan:
 
     def test_figure1_gadget(self):
         assert min_makespan_ilp(figure1_gadget()) == 2
+
+    def test_hit_time_limit_is_never_infeasible(self):
+        # A solve the limit cuts short proves nothing: the scan must not
+        # step past the optimum (2) or report "unsatisfiable" (None).
+        p = random_instance(random.Random(12), max_vertices=12, max_tokens=6)
+        assert min_makespan_ilp(p) == 2
+        with pytest.raises(RuntimeError, match="horizon 2 .*Time limit"):
+            min_makespan_ilp(p, time_limit=0.0)
 
 
 class TestHybrid:

@@ -1,9 +1,10 @@
 """Determinism regression: same (instance, seed) → byte-identical schedule.
 
-This is the behavioural twin of ocdlint's OCD001/OCD003 rules: the static
-checks forbid the *sources* of nondeterminism (global RNG, hash-order
-iteration); this test pins the *outcome* for every heuristic, including
-the streaming SequentialHeuristic not in ``HEURISTIC_FACTORIES``.
+Within one process: two fresh runs, and a reused heuristic instance,
+must agree for every heuristic, including the streaming
+SequentialHeuristic not in ``HEURISTIC_FACTORIES``.  Agreement across
+processes (hash seed, clocks, listing order) is
+``tests/test_determinism_env.py``.
 """
 
 from __future__ import annotations
