@@ -67,7 +67,6 @@ from repro.core.problem import Problem  # noqa: E402
 from repro.heuristics import HEURISTIC_FACTORIES  # noqa: E402
 from repro.obs import NullTracer, RecordingTracer  # noqa: E402
 from repro.sim import RunResult, run_heuristic  # noqa: E402
-from repro.sim.batch import HAVE_NUMPY  # noqa: E402
 from repro.sim.reference import (  # noqa: E402
     make_reference_heuristic,
     reference_run_heuristic,
@@ -120,12 +119,9 @@ class BenchCase:
     #: early-exhaustion advantage over the scalar inversion is largest.
     unit_caps: bool = False
 
-    def needs_numpy(self) -> bool:
-        return "batch" in (self.old, self.new)
-
     @property
     def tolerance(self) -> float:
-        if self.needs_numpy():
+        if "batch" in (self.old, self.new):
             return BATCH_REGRESSION_TOLERANCE
         return REGRESSION_TOLERANCE
 
@@ -221,13 +217,6 @@ def select_cases(
         }
     if not selected:
         raise SystemExit(f"no benchmark case matches {case_filter!r}")
-    skipped = [
-        label for label, case in selected.items()
-        if case.needs_numpy() and not HAVE_NUMPY
-    ]
-    for label in skipped:
-        print(f"{label}: skipped (numpy unavailable)")
-        del selected[label]
     return selected
 
 
@@ -475,7 +464,7 @@ def main() -> int:
     )
     parser.add_argument(
         "--kernel",
-        choices=("state", "batch", "auto"),
+        choices=("state", "batch"),
         default=None,
         help="override the new-side engine kernel of every non-reference "
         "case (the workload stays label-seeded, so comparisons remain "

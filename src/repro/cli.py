@@ -180,12 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--kernel",
-        choices=("state", "batch", "auto"),
+        choices=("state", "batch"),
         default="state",
-        help="step kernel: state (default scalar), batch (numpy bitplane "
-        "matrices; errors if numpy is missing), or auto (batch when numpy "
-        "is importable, else state) — schedules are byte-identical either "
-        "way",
+        help="step kernel: state (default scalar) or batch (numpy bitplane "
+        "matrices) — schedules are byte-identical either way",
     )
 
     trace = sub.add_parser(
@@ -237,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--kernel",
-        choices=("state", "batch", "auto"),
+        choices=("state", "batch"),
         default="state",
         help="step kernel for the sim engine (ignored with "
         "--engine reference); traces are byte-identical across kernels",
@@ -570,7 +568,7 @@ def _cmd_simulate(args) -> int:
     from repro.core.pruning import prune_schedule
     from repro.heuristics import HEURISTIC_FACTORIES
     from repro.obs import MetricsRegistry
-    from repro.sim import MissingNumpyError, run_heuristic, schedule_to_text
+    from repro.sim import run_heuristic, schedule_to_text
 
     problem = _load_problem(args.problem)
     heuristic = _resolve_heuristic(args.heuristic)
@@ -582,17 +580,13 @@ def _cmd_simulate(args) -> int:
         )
         return 2
     metrics = MetricsRegistry() if args.profile else None
-    try:
-        result = run_heuristic(
-            problem,
-            heuristic,
-            seed=args.seed,
-            metrics=metrics,
-            kernel=args.kernel,
-        )
-    except MissingNumpyError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    result = run_heuristic(
+        problem,
+        heuristic,
+        seed=args.seed,
+        metrics=metrics,
+        kernel=args.kernel,
+    )
     pruned, stats = prune_schedule(problem, result.schedule)
     print(
         f"{heuristic.name} on {problem}: success={result.success} "
@@ -609,7 +603,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.heuristics import HEURISTIC_FACTORIES, standard_heuristics
     from repro.obs import JsonlTracer, MetricsRegistry
-    from repro.sim import MissingNumpyError, StallError, run_heuristic
+    from repro.sim import StallError, run_heuristic
 
     if args.scenario in _GENERATE_FAMILIES:
         problem = _generate_problem(args.scenario, args.seed, args.size, args.tokens)
@@ -661,9 +655,6 @@ def _cmd_trace(args) -> int:
                         metrics=metrics,
                         kernel=args.kernel,
                     )
-            except MissingNumpyError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
             except StallError as error:
                 failures += 1
                 print(f"{heuristic.name}: stalled ({error})", file=sys.stderr)

@@ -34,7 +34,7 @@ are byte-identical to the pre-rewrite implementation (see
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
@@ -47,6 +47,7 @@ from repro.heuristics.vector_common import (
     pack_assignments,
 )
 from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.bitplanes import np
 
 __all__ = ["LocalRarestHeuristic"]
 
@@ -114,21 +115,11 @@ class LocalRarestHeuristic(Heuristic):
         rng_random = rng.random
         holder_counts = ctx.holder_counts
         state = ctx.state
-        supply: Optional[List[int]] = None
         if state is not None:
             # Kernel path: the aggregate need vector is maintained by the
             # kernel's O(delta) gain fold; possession is read as raw ints.
             need_counts = state.token_demand()
             masks = state.possession_masks
-            # Batch kernel: take the per-vertex in-neighbor supply unions
-            # as one grouped array reduction instead of a Python loop per
-            # vertex.  Only when the kernel's arc table is this step's
-            # graph (dynamic engines hand per-turn problems, whose arcs
-            # the kernel does not know).
-            if ctx.problem is state.problem:
-                supply_fn = getattr(state, "in_supply_masks", None)
-                if supply_fn is not None:
-                    supply = supply_fn()
         else:
             need_counts = self._refresh_need_counts(ctx)
             masks = [p.mask for p in ctx.possession]
@@ -149,12 +140,9 @@ class LocalRarestHeuristic(Heuristic):
             srcs = sup_srcs[v]
             if not srcs:
                 continue
-            if supply is not None:
-                available = supply[v]
-            else:
-                available = 0
-                for s in srcs:
-                    available |= masks[s]
+            available = 0
+            for s in srcs:
+                available |= masks[s]
             lacking = available & ~masks[v]
             if not lacking:
                 continue
@@ -232,13 +220,12 @@ class LocalRarestHeuristic(Heuristic):
         problem = self.problem
         if state.problem is not problem or problem.num_tokens == 0:
             return None
-        np = state.np
         tables = self._vec_tables
         if tables is None:
             tables = self._vec_tables = build_in_tables(state)
         grouped = grouped_requests(state, tables)
         if grouped is None:
-            return empty_vector_proposal(np)
+            return empty_vector_proposal()
         rng = self.rng
         rng_random = rng.random
         need_counts = state.token_demand()

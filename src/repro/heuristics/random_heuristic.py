@@ -20,7 +20,7 @@ from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic, sample_tokens
 from repro.sim import Proposal, StepContext
 from repro.sim.batch import BatchState, VectorProposal
-from repro.sim.bitplanes import masks_to_matrix, matrix_to_masks
+from repro.sim.bitplanes import masks_to_matrix, matrix_to_masks, np
 
 __all__ = ["RandomHeuristic"]
 
@@ -55,7 +55,6 @@ class RandomHeuristic(Heuristic):
         problem = self.problem
         if state.problem is not problem:
             return None
-        np = state.np
         matrix = state.matrix
         useful = matrix[state.arc_src] & ~matrix[state.arc_dst]
         active = np.nonzero(useful.any(axis=1))[0]

@@ -41,7 +41,13 @@ from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
 from repro.sim import Proposal, StepContext
 from repro.sim.batch import BatchState, VectorProposal
-from repro.sim.bitplanes import highbit_rows, lowmask_rows, popcount_rows, take_rows
+from repro.sim.bitplanes import (
+    highbit_rows,
+    lowmask_rows,
+    np,
+    popcount_rows,
+    take_rows,
+)
 
 __all__ = ["RoundRobinHeuristic"]
 
@@ -116,7 +122,6 @@ class RoundRobinHeuristic(Heuristic):
         m = self.problem.num_tokens
         if m == 0:
             return None
-        np = state.np
         caps = state.arc_cap
         cursor = self._vec_cursor
         if cursor is None:

@@ -32,7 +32,7 @@ from repro.heuristics.vector_common import (
 )
 from repro.sim import Proposal, StepContext
 from repro.sim.batch import BatchState, VectorProposal
-from repro.sim.bitplanes import masks_to_matrix
+from repro.sim.bitplanes import masks_to_matrix, np
 
 __all__ = ["SequentialHeuristic"]
 
@@ -63,26 +63,15 @@ class SequentialHeuristic(Heuristic):
             if state is not None
             else [p.mask for p in ctx.possession]
         )
-        # Batch kernel: vectorized in-neighbor supply unions (identical
-        # values, so the RNG stream below is untouched).  Guarded by a
-        # problem-identity check as in the Local heuristic.
-        supply: Optional[List[int]] = None
-        if state is not None and ctx.problem is state.problem:
-            supply_fn = getattr(state, "in_supply_masks", None)
-            if supply_fn is not None:
-                supply = supply_fn()
         sup_srcs = self._sup_srcs
         sends: Dict[Tuple[int, int], int] = {}
         for v in range(problem.num_vertices):
             srcs = sup_srcs[v]
             if not srcs:
                 continue
-            if supply is not None:
-                available = supply[v]
-            else:
-                available = 0
-                for s in srcs:
-                    available |= masks[s]
+            available = 0
+            for s in srcs:
+                available |= masks[s]
             lacking = available & ~masks[v]
             if not lacking:
                 continue
@@ -128,13 +117,12 @@ class SequentialHeuristic(Heuristic):
         problem = self.problem
         if state.problem is not problem or problem.num_tokens == 0:
             return None
-        np = state.np
         tables = self._vec_tables
         if tables is None:
             tables = self._vec_tables = build_in_tables(state)
         grouped = grouped_requests(state, tables)
         if grouped is None:
-            return empty_vector_proposal(np)
+            return empty_vector_proposal()
         rng_random = self.rng.random
         sup_caps = self._sup_caps
         arc_ids = tables.arc_ids

@@ -28,9 +28,10 @@ differential grid and the RNG-stream hypothesis suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.bitplanes import np
 
 __all__ = [
     "InArcTables",
@@ -40,24 +41,15 @@ __all__ = [
     "empty_vector_proposal",
 ]
 
-#: Lazily built byte-expansion tables: per byte value, its popcount,
-#: the start of its run in the flattened bit-position table, and the
-#: flattened ascending bit positions themselves (1024 entries total).
-_tables: Optional[Tuple[Any, Any, Any]] = None
-
-
-def _byte_tables(np: Any) -> Tuple[Any, Any, Any]:
-    global _tables
-    if _tables is None:
-        positions = [[b for b in range(8) if v >> b & 1] for v in range(256)]
-        pop8 = np.array([len(p) for p in positions], dtype=np.uint8)
-        bit_start = np.zeros(256, dtype=np.int64)
-        bit_start[1:] = np.cumsum(pop8[:-1])
-        bits_flat = np.array(
-            [b for p in positions for b in p], dtype=np.int64
-        )
-        _tables = (pop8, bit_start, bits_flat)
-    return _tables
+#: Byte-expansion tables: per byte value, its popcount (``_POP8``), the
+#: start of its run in the flattened bit-position table (``_BIT_START``),
+#: and the flattened ascending bit positions themselves (``_BITS_FLAT``,
+#: 1024 entries total).
+_BYTE_POSITIONS = [[b for b in range(8) if v >> b & 1] for v in range(256)]
+_POP8 = np.array([len(p) for p in _BYTE_POSITIONS], dtype=np.uint8)
+_BIT_START = np.zeros(256, dtype=np.int64)
+_BIT_START[1:] = np.cumsum(_POP8[:-1])
+_BITS_FLAT = np.array([b for p in _BYTE_POSITIONS for b in p], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,6 @@ class GroupedRequests:
 
 def build_in_tables(state: BatchState) -> InArcTables:
     """Build the dst-grouped in-arc tables for ``state``'s problem."""
-    np = state.np
     arc_dst = state.arc_dst
     order = np.argsort(arc_dst, kind="stable")
     starts_arr = np.searchsorted(
@@ -135,7 +126,6 @@ def grouped_requests(
     per-candidate group tokens coincide exactly with the scalar loops'
     request lists.
     """
-    np = state.np
     matrix = state.matrix
     lacking = state.in_supply_matrix() & ~matrix
     cand = np.nonzero(lacking.any(axis=1))[0]
@@ -165,7 +155,6 @@ def grouped_requests(
     # single sort of ``comb`` yields the (candidate, token, slot)
     # lexicographic order with slots unpacked by mask/shift — no
     # per-entry pair ids, no second gather, two repeats total.
-    pop8, bit_start, bits_flat = _byte_tables(np)
     nbytes = 8 * state.planes
     width = 64 * state.planes
     stride = tables.slot_stride
@@ -173,7 +162,7 @@ def grouped_requests(
     flat = holders.view(np.uint8).ravel()
     nz = np.flatnonzero(flat)
     vals = flat[nz]
-    counts = pop8[vals].astype(np.int64)
+    counts = _POP8[vals].astype(np.int64)
     num_entries = int(counts.sum())
     ends_e = np.cumsum(counts)
     comb_bound = (cand.size * width) << shift
@@ -189,9 +178,9 @@ def grouped_requests(
             rowbase[nz // nbytes] + ((nz % nbytes) << (shift + 3))
         ).astype(dtype, copy=False)
     idx = np.arange(num_entries, dtype=np.int64) + np.repeat(
-        bit_start[vals] + counts - ends_e, counts
+        _BIT_START[vals] + counts - ends_e, counts
     )
-    comb = np.repeat(comb_b, counts) + (bits_flat << shift).astype(dtype)[idx]
+    comb = np.repeat(comb_b, counts) + (_BITS_FLAT << shift).astype(dtype)[idx]
     # comb values are unique (one entry per (pair, token)), so the
     # default unstable introsort is order-equivalent to a stable sort
     # — and measurably faster than both timsort and a two-pass uint16
@@ -217,7 +206,7 @@ def grouped_requests(
     )
 
 
-def empty_vector_proposal(np: Any) -> VectorProposal:
+def empty_vector_proposal() -> VectorProposal:
     """A zero-send :class:`~repro.sim.batch.VectorProposal`."""
     return VectorProposal(
         arc_indices=np.zeros(0, dtype=np.int64),
@@ -242,9 +231,8 @@ def pack_assignments(
     for heuristics whose dict order is chronological first-touch, like
     Sequential.)
     """
-    np = state.np
     if not asg_pos:
-        return empty_vector_proposal(np)
+        return empty_vector_proposal()
     planes = state.planes
     pos = np.array(asg_pos, dtype=np.int64)
     tok = np.array(asg_tok, dtype=np.int64)

@@ -1,11 +1,6 @@
 """Synchronous round-based simulation of OCD distribution schedules."""
 
-from repro.sim.batch import (
-    KERNEL_NAMES,
-    BatchState,
-    MissingNumpyError,
-    resolve_kernel,
-)
+from repro.sim.batch import BatchState
 from repro.sim.engine import (
     Engine,
     HeuristicProtocol,
@@ -24,15 +19,12 @@ __all__ = [
     "Engine",
     "HeuristicProtocol",
     "HeuristicViolation",
-    "KERNEL_NAMES",
-    "MissingNumpyError",
     "Proposal",
     "RunResult",
     "SimState",
     "StallError",
     "StepContext",
     "possession_timeline",
-    "resolve_kernel",
     "run_heuristic",
     "schedule_to_text",
 ]

@@ -10,9 +10,9 @@ state a plain ``SimState`` would give them, bit for bit.  On top of
 that, the matrix enables batched array ops where per-vertex Python
 loops used to run:
 
-* :meth:`in_supply_masks` — the per-vertex union of in-neighbor
-  possession (the flooding heuristics' supply scan) as one gather plus
-  one ``bitwise_or.reduceat`` over dst-grouped arcs;
+* :meth:`in_supply_matrix` — the per-vertex union of in-neighbor
+  possession (the request-subdividing heuristics' supply scan) as one
+  gather plus one ``bitwise_or.reduceat`` over dst-grouped arcs;
 * :meth:`any_useful_arc` — the stall test as a single vectorized
   comparison over all arcs;
 * :meth:`validate_vector` — batched capacity/possession validation of a
@@ -34,52 +34,34 @@ consume their RNG streams identically; RNG-bound vector proposal paths
 call the engine RNG directly, in the exact order their scalar loops
 do, so ``rng.getstate()`` agrees after every step.
 
-Kernel selection is centralized in :func:`resolve_kernel`: ``"state"``
-(the default everywhere), ``"batch"`` (raises
-:class:`~repro.sim.bitplanes.MissingNumpyError` without numpy),
-``"auto"`` (batch when numpy is importable, else state), or a callable
+Engines select a kernel through
+:func:`repro.sim.engine.resolve_state_factory`: ``"state"`` (the default
+everywhere), ``"batch"`` (this class), or a callable
 ``Problem -> SimState`` for tests that inject instrumented kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.problem import Problem
 from repro.core.schedule import MoveError, Timestep
 from repro.core.tokenset import TokenSet
 from repro.sim.bitplanes import (
-    HAVE_NUMPY,
-    MissingNumpyError,
     masks_to_matrix,
     matrix_to_masks,
+    np,
     plane_count,
     planes_to_mask,
     popcount_cols,
-    require_numpy,
 )
 from repro.sim.engine import violation
 from repro.sim.state import SimState
 
-__all__ = [
-    "BatchState",
-    "VectorProposal",
-    "KernelFactory",
-    "KernelChoice",
-    "KERNEL_NAMES",
-    "HAVE_NUMPY",
-    "MissingNumpyError",
-    "resolve_kernel",
-]
+__all__ = ["BatchState", "VectorProposal"]
 
 _PLANE_MASK = (1 << 64) - 1
-
-#: The engine-facing kernel names, in CLI/docs order.
-KERNEL_NAMES = ("state", "batch", "auto")
-
-KernelFactory = Callable[[Problem], SimState]
-KernelChoice = Union[str, KernelFactory, None]
 
 
 @dataclass(frozen=True)
@@ -187,13 +169,11 @@ class _LazyVectorTimestep(Timestep):
 class BatchState(SimState):
     """A :class:`SimState` with a lazily-synced dense bitplane mirror.
 
-    Construction requires numpy (:func:`resolve_kernel` never hands this
-    class out otherwise).  All inherited state is maintained by the base
-    class exactly as before; the subclass only *adds* reads.
+    All inherited state is maintained by the base class exactly as
+    before; the subclass only *adds* reads.
     """
 
     __slots__ = (
-        "np",
         "planes",
         "_matrix",
         "_matrix_version",
@@ -205,8 +185,6 @@ class BatchState(SimState):
         "_in_starts",
         "_in_dsts",
         "_in_dsts_arr",
-        "_supply_cache",
-        "_supply_version",
         "_supply_mat_cache",
         "_supply_mat_version",
         "_useful_cache",
@@ -215,16 +193,14 @@ class BatchState(SimState):
         "_arrival_fold",
     )
 
-    #: Engines probe this (via getattr, to avoid importing numpy-adjacent
-    #: modules on the scalar path) before offering heuristics the vector
-    #: proposal fast path.
+    #: Engines probe this before offering heuristics the vector proposal
+    #: fast path.
     supports_vector = True
 
     def __init__(
         self, problem: Problem, possession: Optional[Iterable[TokenSet]] = None
     ) -> None:
         super().__init__(problem, possession)
-        self.np = require_numpy()
         self.planes = plane_count(problem.num_tokens)
         self._matrix = masks_to_matrix(self.possession_masks, problem.num_tokens)
         self._matrix_version = self.version
@@ -238,8 +214,6 @@ class BatchState(SimState):
         self._in_starts: Any = None
         self._in_dsts: Optional[List[int]] = None
         self._in_dsts_arr: Any = None
-        self._supply_cache: Optional[List[int]] = None
-        self._supply_version = -1
         self._supply_mat_cache: Any = None
         self._supply_mat_version = -1
         self._useful_cache = False
@@ -282,7 +256,6 @@ class BatchState(SimState):
     def _ensure_arc_arrays(self) -> None:
         if self._arc_keys is not None:
             return
-        np = self.np
         arcs = self.problem.arcs
         n_arcs = len(arcs)
         self._arc_src = np.fromiter(
@@ -321,7 +294,6 @@ class BatchState(SimState):
         """Build the dst-grouped in-arc gather tables on first use."""
         if self._in_dsts is not None:
             return
-        np = self.np
         self._ensure_arc_arrays()
         if len(self._arc_keys or []) == 0:
             self._in_dsts = []
@@ -347,7 +319,6 @@ class BatchState(SimState):
         cached = self._supply_mat_cache
         if cached is not None and self._supply_mat_version == version:
             return cached
-        np = self.np
         matrix = self.matrix
         out = np.zeros_like(matrix)
         self._ensure_in_groups()
@@ -358,22 +329,6 @@ class BatchState(SimState):
             out[self._in_dsts_arr] = unions
         self._supply_mat_cache = out
         self._supply_mat_version = version
-        return out
-
-    def in_supply_masks(self) -> List[int]:
-        """The :meth:`in_supply_matrix` rows as per-vertex int bitmasks.
-
-        The value the scalar heuristics' per-vertex supply union loop
-        computes, for all vertices at once.  Cached per state version,
-        so repeated reads within a quiescent state are free.
-        """
-        version = self.version
-        cached = self._supply_cache
-        if cached is not None and self._supply_version == version:
-            return cached
-        out = matrix_to_masks(self.in_supply_matrix())
-        self._supply_cache = out
-        self._supply_version = version
         return out
 
     def token_demand(self) -> List[int]:
@@ -412,7 +367,6 @@ class BatchState(SimState):
         scatter are computed vectorized; only the per-destination list
         updates remain Python.
         """
-        np = self.np
         matrix = self.matrix  # sync before scattering below
         gained = folded & ~matrix[dsts_arr]
         nonzero = gained.any(axis=1)
@@ -545,7 +499,6 @@ class BatchState(SimState):
         if len(self._arc_keys or []) == 0:
             useful = False
         else:
-            np = self.np
             useful = bool(
                 np.any(matrix[self._arc_src] & ~matrix[self._arc_dst])
             )
@@ -573,7 +526,6 @@ class BatchState(SimState):
         the problem's arcs; tokens outside the universe fail the
         possession check, since no vertex holds them.
         """
-        np = self.np
         self._ensure_arc_arrays()
         arc_keys = self._arc_keys
         assert arc_keys is not None
@@ -650,28 +602,3 @@ class BatchState(SimState):
             f"over {self.problem.num_vertices} vertices x {self.planes} plane(s)>"
         )
 
-
-def resolve_kernel(kernel: KernelChoice) -> KernelFactory:
-    """Map an engine's ``kernel=`` argument to a state factory.
-
-    ``None``/``"state"`` select :class:`SimState`; ``"batch"`` selects
-    :class:`BatchState` and raises :class:`MissingNumpyError` up front
-    when numpy is unavailable (a run that would die on first use should
-    die at configuration time instead); ``"auto"`` degrades gracefully
-    to :class:`SimState` without numpy.  A callable is returned as-is —
-    the hook the seeded-fault tests use to inject instrumented kernels.
-    """
-    if kernel is None:
-        return SimState
-    if callable(kernel):
-        return kernel
-    if kernel == "state":
-        return SimState
-    if kernel == "batch":
-        require_numpy()
-        return BatchState
-    if kernel == "auto":
-        return BatchState if HAVE_NUMPY else SimState
-    raise ValueError(
-        f"unknown kernel {kernel!r}; choose one of {', '.join(KERNEL_NAMES)}"
-    )

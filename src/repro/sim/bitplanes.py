@@ -8,49 +8,45 @@ additional planes, so one matrix row is the exact bit-for-bit image of
 the corresponding :class:`repro.core.tokenset.TokenSet` mask.
 
 This module is the single authority on that layout.  It provides the
-row/mask converters, the batched set algebra (union / intersection /
-difference / popcount) used by the kernel's vectorized reads, and the
-plane-level ``take`` (lowest-``k``-members) that mirrors
-:meth:`TokenSet.take`.  Everything here is proven equivalent to the
-``TokenSet``/frozenset oracle by ``tests/sim/test_bitplanes.py``.
+row/mask converters, the batched popcounts used by the kernel's
+vectorized reads, and the plane-level ``take`` (lowest-``k``-members)
+that mirrors :meth:`TokenSet.take`.  Everything here is proven
+equivalent to the ``TokenSet``/frozenset oracle by
+``tests/sim/test_bitplanes.py``.
 
-numpy is an *optional* dependency of the simulation layer (the exact
-solvers require it regardless).  Import of this module never fails:
-:data:`HAVE_NUMPY` records availability, :func:`require_numpy` raises a
-clear :class:`MissingNumpyError` on use, and setting the environment
-variable ``REPRO_NO_NUMPY=1`` forces the unavailable path (used by CI to
-prove the pure-Python fallback keeps the suite green).
+numpy (>= 2.0, for ``bitwise_count``) is a hard dependency: importing
+this module — and so :mod:`repro.sim` — without it raises
+``ModuleNotFoundError``.  The simulation layer and the heuristics import
+numpy as :data:`np` from here.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Any, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Any, List, Sequence
 
-from repro.core.tokenset import TokenSet
+import numpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy
     import numpy.typing
 
     PlaneArray = numpy.typing.NDArray[numpy.uint64]
 else:  # pragma: no cover - alias for runtime annotations
     PlaneArray = Any
 
+#: The numpy module, bound as ``Any``.  Array values in :mod:`repro.sim`
+#: and :mod:`repro.heuristics` are untyped today, and both packages run
+#: under strict mypy (``warn_return_any``); importing numpy through this
+#: alias keeps the checked surface what it was rather than switching on
+#: numpy's stubs for every kernel and vector-proposal body at once.
+np: Any = numpy
+
 __all__ = [
-    "HAVE_NUMPY",
-    "MissingNumpyError",
-    "require_numpy",
+    "np",
     "plane_count",
     "mask_to_planes",
     "planes_to_mask",
     "masks_to_matrix",
     "matrix_to_masks",
-    "tokensets_to_matrix",
-    "matrix_to_tokensets",
-    "planes_union",
-    "planes_intersection",
-    "planes_difference",
     "popcount_rows",
     "popcount_cols",
     "take_rows",
@@ -60,39 +56,6 @@ __all__ = [
 
 _PLANE_BITS = 64
 _PLANE_MASK = (1 << _PLANE_BITS) - 1
-
-
-class MissingNumpyError(RuntimeError):
-    """The batch kernel was requested but numpy is not importable."""
-
-
-def _import_numpy() -> Any:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-        return None
-    return numpy
-
-
-_np = _import_numpy()
-
-#: Whether the dense bitplane backend can be used in this process.
-#: ``False`` either because numpy is genuinely absent or because
-#: ``REPRO_NO_NUMPY=1`` forces the fallback path for testing.
-HAVE_NUMPY: bool = _np is not None
-
-
-def require_numpy() -> Any:
-    """Return the numpy module, or raise a clear, actionable error."""
-    if _np is None:
-        raise MissingNumpyError(
-            "the batch simulation kernel needs numpy, which is not available "
-            "in this environment (or is disabled via REPRO_NO_NUMPY); "
-            "install numpy or select kernel='state' / kernel='auto'"
-        )
-    return _np
 
 
 def plane_count(num_tokens: int) -> int:
@@ -135,7 +98,6 @@ def masks_to_matrix(masks: Sequence[int], num_tokens: int) -> PlaneArray:
     send masks (or an n=10^5 possession vector) stays a small fraction
     of the batched work it feeds.
     """
-    np = require_numpy()
     planes = plane_count(num_tokens)
     nbytes = planes * _PLANE_BITS // 8
     try:
@@ -168,37 +130,8 @@ def matrix_to_masks(matrix: PlaneArray) -> List[int]:
     return masks
 
 
-def tokensets_to_matrix(sets: Iterable[TokenSet], num_tokens: int) -> PlaneArray:
-    """Pack an iterable of :class:`TokenSet` into a ``(V, P)`` matrix."""
-    return masks_to_matrix([s.mask for s in sets], num_tokens)
-
-
-def matrix_to_tokensets(matrix: PlaneArray) -> List[TokenSet]:
-    """Unpack a ``(V, P)`` matrix into a list of :class:`TokenSet`."""
-    return [TokenSet(mask) for mask in matrix_to_masks(matrix)]
-
-
-# ----------------------------------------------------------------------
-# Batched set algebra (row-wise; shapes follow numpy broadcasting)
-# ----------------------------------------------------------------------
-def planes_union(a: PlaneArray, b: PlaneArray) -> PlaneArray:
-    """Element-wise union of two plane arrays."""
-    return a | b
-
-
-def planes_intersection(a: PlaneArray, b: PlaneArray) -> PlaneArray:
-    """Element-wise intersection of two plane arrays."""
-    return a & b
-
-
-def planes_difference(a: PlaneArray, b: PlaneArray) -> PlaneArray:
-    """Element-wise difference ``a - b`` of two plane arrays."""
-    return a & ~b
-
-
 def popcount_rows(matrix: PlaneArray) -> PlaneArray:
     """Per-row popcount of a ``(V, P)`` matrix (i.e. ``len(TokenSet)``)."""
-    np = require_numpy()
     return np.bitwise_count(matrix).sum(axis=1, dtype=np.int64)
 
 
@@ -211,7 +144,6 @@ def popcount_cols(matrix: PlaneArray) -> List[int]:
     list has ``64 * P`` entries; trailing entries beyond the universe
     are zero by construction.
     """
-    np = require_numpy()
     if matrix.ndim != 2:
         raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
     bits = np.unpackbits(
@@ -233,7 +165,6 @@ def take_rows(matrix: PlaneArray, counts: PlaneArray) -> PlaneArray:
     keeps earlier planes whole, masks the boundary plane down to its
     quota, and zeroes later planes.
     """
-    np = require_numpy()
     if matrix.ndim != 2:
         raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
     remaining = np.asarray(counts, dtype=np.int64).copy()
@@ -280,7 +211,6 @@ def lowmask_rows(counts: Any, planes: int) -> PlaneArray:
     big-int shifts.  ``counts`` may be any integer array in
     ``[0, 64 * planes]``.
     """
-    np = require_numpy()
     c = np.asarray(counts, dtype=np.int64)
     if c.ndim != 1:
         raise ValueError(f"expected 1-D counts, got shape {c.shape}")
@@ -307,7 +237,6 @@ def highbit_rows(matrix: PlaneArray) -> Any:
     fill turns the top set bit into a solid low mask whose popcount is
     the bit length; the highest nonzero plane wins.  Returns int64.
     """
-    np = require_numpy()
     if matrix.ndim != 2:
         raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
     out = np.full(matrix.shape[0], -1, dtype=np.int64)

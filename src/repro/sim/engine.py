@@ -79,15 +79,21 @@ def resolve_state_factory(
 ) -> Callable[[Problem], SimState]:
     """Resolve an engine ``kernel=`` argument to a state factory.
 
-    The default scalar kernel resolves without touching
-    :mod:`repro.sim.batch` at all, so the classic path stays import-free;
-    anything else defers to :func:`repro.sim.batch.resolve_kernel`.
+    ``None`` and ``"state"`` select :class:`SimState`; ``"batch"``
+    selects the numpy bitplane :class:`repro.sim.batch.BatchState`.  A
+    callable is returned as-is — the hook the seeded-fault tests use to
+    inject instrumented kernels.  Any other value raises ``ValueError``.
     """
     if kernel is None or kernel == "state":
         return SimState
-    from repro.sim.batch import resolve_kernel
+    if kernel == "batch":
+        # Function-local: repro.sim.batch imports ``violation`` from here.
+        from repro.sim.batch import BatchState
 
-    return resolve_kernel(kernel)
+        return BatchState
+    if callable(kernel):
+        return kernel
+    raise ValueError(f"unknown kernel {kernel!r}; choose one of state, batch")
 
 
 class HeuristicViolation(RuntimeError):
@@ -188,7 +194,8 @@ class RunResult:
     schedule: Schedule
     success: bool
     #: Total gossip facts learned over the run (LOCD runs only; 0 for the
-    #: global-view engine).  See Knowledge.size_facts.
+    #: global-view engine), summed from
+    #: :meth:`repro.locd.knowledge.GossipState.advance`; see docs/MODEL.md §3.
     knowledge_cost: int = 0
 
     @property
@@ -491,9 +498,9 @@ class Engine(StepDriver):
     kernel:
         Which step kernel holds the run's state: ``"state"`` (the
         default :class:`SimState`), ``"batch"`` (the numpy bitplane
-        :class:`repro.sim.batch.BatchState`; raises a clear error when
-        numpy is unavailable), ``"auto"`` (batch when numpy is
-        importable, else state), or a ``Problem -> SimState`` callable.
+        :class:`repro.sim.batch.BatchState`), or a
+        ``Problem -> SimState`` callable
+        (:func:`resolve_state_factory`).
         Kernels are interchangeable: schedules and traces are
         byte-identical whichever one runs (the batch-equivalence suite
         enforces this).  With the batch kernel, heuristics exposing

@@ -125,7 +125,6 @@ def digests() -> Dict[str, str]:
         run_local,
     )
     from repro.sim import run_heuristic
-    from repro.sim.bitplanes import HAVE_NUMPY
     from repro.topology import random_graph
     from repro.topology.generators import random_instance
     from repro.workloads import single_file
@@ -148,9 +147,8 @@ def digests() -> Dict[str, str]:
 
     problem = random_instance(random.Random(7), max_vertices=16, max_tokens=8)
     factories = dict(HEURISTIC_FACTORIES, sequential=SequentialHeuristic)
-    kernels = ("state", "batch") if HAVE_NUMPY else ("state",)
     for name in sorted(factories):
-        for kernel in kernels:
+        for kernel in ("state", "batch"):
             key = f"heuristic/{name}/{kernel}"
             out[key] = _traced(
                 key,

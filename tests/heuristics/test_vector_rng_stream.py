@@ -29,11 +29,8 @@ from hypothesis import given, settings
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.heuristics.sequential import SequentialHeuristic
 from repro.sim import Engine
-from repro.sim.batch import HAVE_NUMPY
 
 from tests.conftest import make_random_problem, problems
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 FACTORIES = {**HEURISTIC_FACTORIES, "sequential": SequentialHeuristic}
 STREAM_HEURISTICS = tuple(

@@ -35,8 +35,9 @@ from repro.heuristics.sequential import SequentialHeuristic
 from repro.locd import LocalRarest, StaleGreedy, run_local
 from repro.obs import JsonlTracer
 from repro.obs.analyze import diff_traces
-from repro.sim import Engine, MissingNumpyError, run_heuristic
-from repro.sim.batch import HAVE_NUMPY, BatchState, resolve_kernel
+from repro.sim import Engine, run_heuristic
+from repro.sim.batch import BatchState
+from repro.sim.engine import resolve_state_factory
 from repro.sim.reference import (
     make_reference_heuristic,
     reference_run_heuristic,
@@ -44,8 +45,6 @@ from repro.sim.reference import (
 from repro.sim.state import SimState
 
 from tests.conftest import make_random_problem, problems
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ALL_HEURISTICS = tuple(HEURISTIC_FACTORIES) + ("sequential",)
 
@@ -90,7 +89,6 @@ def grid_instances():
 # ----------------------------------------------------------------------
 # Engine: batch vs scalar vs reference oracle across the full grid
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestEngineEquivalence:
     def test_grid_batch_vs_state_vs_reference(self):
         checked = 0
@@ -193,7 +191,6 @@ class TestEngineEquivalence:
 # ----------------------------------------------------------------------
 # Traces: byte-identical JSONL vs scalar, label-equivalent vs oracle
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestTraceEquivalence:
     def test_traces_byte_identical_vs_state(self, tmp_path):
         rng = random.Random(21)
@@ -258,7 +255,6 @@ class TestTraceEquivalence:
 # ----------------------------------------------------------------------
 # Lazy vector timesteps: dict order pinned to the eager fold
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestLazyTimestepOrder:
     def test_lazy_order_matches_eager_fold(self):
         """The lazy timestep's sends/arrivals reproduce eager dict order.
@@ -315,7 +311,6 @@ class TestLazyTimestepOrder:
 # ----------------------------------------------------------------------
 # LOCD runner and dynamic engine on the batch kernel
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestDriverEquivalence:
     def test_locd_batch_vs_state(self):
         rng = random.Random(29)
@@ -360,20 +355,22 @@ class TestDriverEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Kernel resolution and the optional-numpy contract (run in both modes)
+# Kernel resolution
 # ----------------------------------------------------------------------
 class TestKernelResolution:
-    def test_state_and_none_never_need_numpy(self, path_problem):
-        assert resolve_kernel(None) is SimState
-        assert resolve_kernel("state") is SimState
+    def test_kernel_names_resolve(self, path_problem):
+        assert resolve_state_factory(None) is SimState
+        assert resolve_state_factory("state") is SimState
+        assert resolve_state_factory("batch") is BatchState
         result = run_heuristic(
             path_problem, new_heuristic("round_robin"), kernel="state"
         )
         assert result.success
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("bogus")
+        for kernel in ("bogus", "auto"):
+            with pytest.raises(ValueError, match="choose one of state, batch"):
+                resolve_state_factory(kernel)
 
     def test_callable_passthrough(self, path_problem):
         made = []
@@ -388,76 +385,3 @@ class TestKernelResolution:
         )
         assert result.success
         assert len(made) == 1
-
-    def test_batch_and_auto_honour_availability(self, path_problem):
-        if HAVE_NUMPY:
-            assert resolve_kernel("batch") is BatchState
-            assert resolve_kernel("auto") is BatchState
-        else:
-            with pytest.raises(MissingNumpyError):
-                resolve_kernel("batch")
-            assert resolve_kernel("auto") is SimState
-            # The fallback still runs end to end.
-            result = run_heuristic(
-                path_problem, new_heuristic("round_robin"), kernel="auto"
-            )
-            assert result.success
-
-    def test_no_numpy_subprocess_contract(self, tmp_path):
-        """Under REPRO_NO_NUMPY: 'batch' raises, 'auto' falls back, and
-        the schedule matches the numpy-enabled scalar kernel."""
-        import os
-        import subprocess
-        import sys
-
-        out = str(tmp_path / "sig.txt")
-        code = f"""
-import random, sys
-from repro.sim import MissingNumpyError, run_heuristic
-from repro.sim.batch import HAVE_NUMPY, resolve_kernel
-from repro.sim.state import SimState
-from repro.heuristics import HEURISTIC_FACTORIES
-from tests.conftest import make_random_problem
-
-assert not HAVE_NUMPY
-try:
-    resolve_kernel("batch")
-except MissingNumpyError:
-    pass
-else:
-    raise SystemExit("batch kernel resolved without numpy")
-assert resolve_kernel("auto") is SimState
-problem = make_random_problem(random.Random(77), max_vertices=8, max_tokens=6)
-result = run_heuristic(
-    problem, HEURISTIC_FACTORIES["round_robin"](), seed=5, kernel="auto"
-)
-sig = [
-    sorted((key, ts.sends[key].mask) for key in ts.sends)
-    for ts in result.schedule.steps
-]
-with open({out!r}, "w") as handle:
-    handle.write(repr((result.success, sig)))
-"""
-        env = dict(os.environ, REPRO_NO_NUMPY="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", ".", env.get("PYTHONPATH", "")) if p
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            cwd=os.getcwd(),
-        )
-        assert result.returncode == 0, result.stderr
-        problem = make_random_problem(
-            random.Random(77), max_vertices=8, max_tokens=6
-        )
-        here = run_heuristic(
-            problem, new_heuristic("round_robin"), seed=5, kernel="state"
-        )
-        with open(out) as handle:
-            no_numpy_sig = handle.read()
-        assert no_numpy_sig == repr(
-            (here.success, signature(here.schedule))
-        )

@@ -24,18 +24,14 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.tokenset import TokenSet
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.obs import JsonlTracer
 from repro.obs.analyze import diff_traces, validate_trace
 from repro.sim import run_heuristic
-from repro.sim.batch import HAVE_NUMPY, BatchState
+from repro.sim.batch import BatchState
 
 from tests.conftest import make_random_problem
-
-pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 TARGET_STEP = 1
 SEED = 404

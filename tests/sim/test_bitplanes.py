@@ -1,49 +1,38 @@
-"""Bitplane layout round-trips and set algebra vs the TokenSet oracle.
+"""Bitplane layout round-trips and batched reads vs the TokenSet oracle.
 
 :mod:`repro.sim.bitplanes` is the single authority on the batch kernel's
 dense layout (bit ``t % 64`` of plane ``t // 64`` in row ``v``).  These
-tests pin the conversions and the batched algebra against the
+tests pin the conversions and the batched reads against the
 ``TokenSet``/frozenset oracle on handwritten edges (empty, full,
 single-token, >64-token spill) and fuzzed universes up to three planes.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from repro.core.tokenset import TokenSet
 from repro.sim.bitplanes import (
-    HAVE_NUMPY,
-    MissingNumpyError,
+    highbit_rows,
+    lowmask_rows,
     mask_to_planes,
+    masks_to_matrix,
+    matrix_to_masks,
     plane_count,
     planes_to_mask,
+    popcount_rows,
+    take_rows,
 )
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
-if HAVE_NUMPY:
-    import numpy as np
-
-    from repro.sim.bitplanes import (
-        highbit_rows,
-        lowmask_rows,
-        masks_to_matrix,
-        matrix_to_masks,
-        matrix_to_tokensets,
-        planes_difference,
-        planes_intersection,
-        planes_union,
-        popcount_rows,
-        take_rows,
-        tokensets_to_matrix,
-    )
 
 
 # ----------------------------------------------------------------------
-# Pure-python pieces (run even without numpy)
+# Pure-python pieces
 # ----------------------------------------------------------------------
 class TestPlaneCount:
     def test_edges(self):
@@ -97,38 +86,36 @@ class TestMaskPlaneRoundTrip:
 # ----------------------------------------------------------------------
 # Matrix round-trips
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestMatrixRoundTrip:
     def test_empty_sets(self):
-        sets = [TokenSet(0)] * 4
-        matrix = tokensets_to_matrix(sets, 10)
+        matrix = masks_to_matrix([0] * 4, 10)
         assert matrix.shape == (4, 1)
         assert not matrix.any()
-        assert matrix_to_tokensets(matrix) == sets
+        assert matrix_to_masks(matrix) == [0] * 4
 
     def test_full_single_plane(self):
-        full = TokenSet((1 << 64) - 1)
-        matrix = tokensets_to_matrix([full], 64)
+        full = (1 << 64) - 1
+        matrix = masks_to_matrix([full], 64)
         assert matrix.shape == (1, 1)
-        assert matrix_to_tokensets(matrix) == [full]
+        assert matrix_to_masks(matrix) == [full]
 
     def test_single_token_positions(self):
         for t in (0, 1, 63, 64, 65, 127, 128, 150):
             s = TokenSet.from_iterable([t])
-            matrix = tokensets_to_matrix([s], t + 1)
+            matrix = masks_to_matrix([s.mask], t + 1)
             assert matrix.shape == (1, plane_count(t + 1))
             # layout: bit t % 64 of plane t // 64
             assert int(matrix[0, t // 64]) == 1 << (t % 64)
-            assert matrix_to_tokensets(matrix) == [s]
+            assert matrix_to_masks(matrix) == [s.mask]
 
     def test_spill_beyond_64_tokens(self):
         # 70-token universe: two planes, tokens straddling the boundary.
         tokens = [0, 5, 63, 64, 66, 69]
         s = TokenSet.from_iterable(tokens)
-        matrix = tokensets_to_matrix([s, TokenSet(0)], 70)
+        matrix = masks_to_matrix([s.mask, 0], 70)
         assert matrix.shape == (2, 2)
-        assert matrix_to_tokensets(matrix) == [s, TokenSet(0)]
-        assert sorted(matrix_to_tokensets(matrix)[0]) == tokens
+        assert matrix_to_masks(matrix) == [s.mask, 0]
+        assert sorted(TokenSet(matrix_to_masks(matrix)[0])) == tokens
 
     def test_zero_token_universe_has_one_plane(self):
         matrix = masks_to_matrix([0, 0, 0], 0)
@@ -150,42 +137,19 @@ class TestMatrixRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Batched set algebra vs the frozenset oracle
+# Batched popcount vs the TokenSet oracle
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestPlaneAlgebra:
-    @staticmethod
-    def _pairs(seed, rounds=120, max_tokens=190):
-        rng = random.Random(seed)
-        for _ in range(rounds):
-            m = rng.randint(1, max_tokens)
-            rows = rng.randint(1, 6)
-            a_masks = [rng.getrandbits(m) for _ in range(rows)]
-            b_masks = [rng.getrandbits(m) for _ in range(rows)]
-            yield m, a_masks, b_masks
-
-    def test_union_intersection_difference(self):
-        for m, a_masks, b_masks in self._pairs(seed=11):
-            a = masks_to_matrix(a_masks, m)
-            b = masks_to_matrix(b_masks, m)
-            got_union = matrix_to_masks(planes_union(a, b))
-            got_inter = matrix_to_masks(planes_intersection(a, b))
-            got_diff = matrix_to_masks(planes_difference(a, b))
-            for i, (am, bm) in enumerate(zip(a_masks, b_masks)):
-                sa = frozenset(TokenSet(am))
-                sb = frozenset(TokenSet(bm))
-                assert frozenset(TokenSet(got_union[i])) == sa | sb
-                assert frozenset(TokenSet(got_inter[i])) == sa & sb
-                assert frozenset(TokenSet(got_diff[i])) == sa - sb
-
     def test_popcount_rows(self):
-        for m, a_masks, _ in self._pairs(seed=13, rounds=60):
+        rng = random.Random(13)
+        for _ in range(60):
+            m = rng.randint(1, 190)
+            a_masks = [rng.getrandbits(m) for _ in range(rng.randint(1, 6))]
             a = masks_to_matrix(a_masks, m)
             counts = popcount_rows(a)
             assert counts.tolist() == [len(TokenSet(x)) for x in a_masks]
 
 
-@needs_numpy
 class TestTakeRows:
     def test_edges(self):
         m = 70  # two planes
@@ -232,7 +196,6 @@ class TestTakeRows:
             take_rows(matrix, np.array([1], dtype=np.int64))
 
 
-@needs_numpy
 class TestLowmaskRows:
     def test_edges(self):
         planes = 3
@@ -254,7 +217,6 @@ class TestLowmaskRows:
                 assert got[i] == (1 << c) - 1, (planes, c)
 
 
-@needs_numpy
 class TestHighbitRows:
     def test_edges(self):
         m = 130  # three planes
@@ -273,36 +235,26 @@ class TestHighbitRows:
 
 
 # ----------------------------------------------------------------------
-# Optional-dependency contract
+# numpy is a hard dependency
 # ----------------------------------------------------------------------
-class TestNumpyGate:
-    def test_require_numpy_matches_flag(self):
-        from repro.sim.bitplanes import require_numpy
-
-        if HAVE_NUMPY:
-            assert require_numpy() is not None
-        else:
-            with pytest.raises(MissingNumpyError):
-                require_numpy()
-
-    def test_no_numpy_subprocess_flag_and_error(self):
-        """REPRO_NO_NUMPY forces the fallback even when numpy exists."""
-        import os
-        import subprocess
-        import sys
-
+class TestNumpyRequired:
+    def test_import_without_numpy_fails(self):
+        """A process that cannot import numpy cannot import repro.sim."""
         code = (
-            "from repro.sim.bitplanes import HAVE_NUMPY, require_numpy, "
-            "MissingNumpyError\n"
-            "assert not HAVE_NUMPY\n"
+            "import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' or name.startswith('numpy.'):\n"
+            "            raise ModuleNotFoundError(name=name)\n"
+            "sys.meta_path.insert(0, Block())\n"
             "try:\n"
-            "    require_numpy()\n"
-            "except MissingNumpyError as e:\n"
-            "    assert 'numpy' in str(e)\n"
+            "    import repro.sim\n"
+            "except ModuleNotFoundError as e:\n"
+            "    assert e.name == 'numpy', e.name\n"
             "else:\n"
-            "    raise SystemExit('require_numpy did not raise')\n"
+            "    raise SystemExit('repro.sim imported without numpy')\n"
         )
-        env = dict(os.environ, REPRO_NO_NUMPY="1")
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p
         )

@@ -18,7 +18,6 @@ from repro.core.tokenset import TokenSet
 from repro.extensions.dynamic import CapacitySchedule, DynamicEngine
 from repro.heuristics.base import Heuristic
 from repro.locd.runner import LocalEngine
-from repro.sim.batch import HAVE_NUMPY
 from repro.sim.engine import Engine, HeuristicViolation, violation
 
 Sends = Dict[Tuple[int, int], TokenSet]
@@ -137,9 +136,6 @@ def test_check_sends_folds_arrivals_in_send_order():
 # ----------------------------------------------------------------------
 # Vector/scalar message parity
 # ----------------------------------------------------------------------
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
-
-
 def _scalar_message(problem: Problem, sends: Sends) -> str:
     masks = [tokens.mask for tokens in problem.have]
     with pytest.raises(MoveError) as info:
@@ -166,7 +162,6 @@ def _vector_message(problem: Problem, sends: Sends) -> str:
     return str(info.value)
 
 
-@needs_numpy
 @pytest.mark.parametrize("num_tokens", [8, 100], ids=["one-plane", "two-planes"])
 @pytest.mark.parametrize("offense", ["over-capacity", "unpossessed"])
 def test_vector_and_scalar_validators_word_offenses_alike(num_tokens, offense):
