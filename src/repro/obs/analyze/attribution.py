@@ -34,7 +34,7 @@ a pure function of the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import (
     InfeasibleBoundError,
@@ -50,9 +50,9 @@ from repro.obs.analyze.causal import (
     blocking_table,
     critical_path,
     dominant_category,
-    transfer_slack,
+    finish_times,
 )
-from repro.obs.analyze.runs import JsonDict, TraceRun, split_runs
+from repro.obs.analyze.runs import DecodedInstance, InstanceDecoder, JsonDict, TraceRun, split_runs
 from repro.obs.analyze.validate import ValidationReport
 from repro.obs.events import make_event, read_events
 
@@ -316,13 +316,14 @@ def _decompose_gap(
     return out
 
 
-def _attribute(run: TraceRun, forest: RunForest) -> RunAttribution:
-    """Attribute one run from its forest; raises
+def _attribute(
+    run: TraceRun, forest: RunForest, problem: Problem, diameter: int
+) -> RunAttribution:
+    """Attribute one run from its forest, its decoded ``problem`` and that
+    problem's diameter bound; raises
     :class:`repro.core.bounds.InfeasibleBoundError` when the instance
     admits no finite bound (the caller turns that into a skip)."""
-    problem = Problem.from_dict(run.start["instance"])
     bound_curve = _bound_trajectory(problem, forest)
-    diameter = diameter_knowledge_bound(problem)
 
     table = blocking_table(forest)
     blocking: Dict[str, int] = {}
@@ -333,7 +334,7 @@ def _attribute(run: TraceRun, forest: RunForest) -> RunAttribution:
         bucket[category] = bucket.get(category, 0) + 1
 
     path = critical_path(forest)
-    slacks = transfer_slack(forest)
+    finish = finish_times(forest)
     return RunAttribution(
         run=forest.run,
         engine=forest.engine,
@@ -347,8 +348,8 @@ def _attribute(run: TraceRun, forest: RunForest) -> RunAttribution:
         blocking=blocking,
         path=path,
         arrivals=len(forest.arrivals),
-        zero_slack=sum(1 for s in slacks.values() if s == 0),
-        max_slack=max(slacks.values(), default=0),
+        zero_slack=finish.count(forest.makespan),
+        max_slack=forest.makespan - min(finish, default=forest.makespan),
     )
 
 
@@ -368,8 +369,13 @@ def attribute_events(
     _header, runs = split_runs(events)
     verdict = ValidationReport(path=path)
     report = AttributionReport(path=path)
+    decode = InstanceDecoder()
+    # The runs of a sweep trace share one instance: ``decode`` returns
+    # the same object for each, and its problem and diameter bound are
+    # built once.
+    shared: Optional[Tuple[DecodedInstance, Problem, int]] = None
     for run in runs:
-        replay = ForestReplay(run, verdict)
+        replay = ForestReplay(run, verdict, decode)
         replay.walk()
         if not verdict.ok:
             continue  # keep validating: the refusal counts every violation
@@ -385,8 +391,12 @@ def attribute_events(
                 )
             )
             continue
+        forest = replay.forest()
         try:
-            report.runs.append(_attribute(run, replay.forest()))
+            if shared is None or shared[0] is not forest.instance:
+                problem = Problem.from_dict(run.start["instance"])
+                shared = (forest.instance, problem, diameter_knowledge_bound(problem))
+            report.runs.append(_attribute(run, forest, shared[1], shared[2]))
         except InfeasibleBoundError as exc:
             report.skipped.append(
                 SkippedRun(

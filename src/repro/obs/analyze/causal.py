@@ -13,7 +13,10 @@ token it did not yet possess — has exactly one causal parent: the first
 transfer, in the step's recorded emission order, that delivered the
 token.  Chaining parents reaches an initial holder, so arrivals form a
 forest rooted at the ``have`` sets (the critical-path view of optimal
-dissemination in Mundinger/Weber/Weiss, arXiv:cs/0606110).
+dissemination in Mundinger/Weber/Weiss, arXiv:cs/0606110).  The replay
+hands over each transfer's *fresh* mask (the tokens it is first to
+deliver), and the forest records one :class:`Arrival` named tuple per
+set bit, so a step costs its useful arrivals, not every token sent.
 
 **Critical path.**  For a successful run the engine stops the moment
 the last want is met, so the final step always delivers a wanted
@@ -53,9 +56,9 @@ should skip those runs (see :mod:`repro.obs.analyze.attribution`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from repro.obs.analyze.runs import DecodedInstance, TraceRun, tokens_of
+from repro.obs.analyze.runs import DecodedInstance, InstanceDecoder, TraceRun, tokens_of
 from repro.obs.analyze.validate import ArcLoad, RunReplay, Transfer, ValidationReport
 
 __all__ = [
@@ -72,6 +75,7 @@ __all__ = [
     "classify_block",
     "critical_path",
     "dominant_category",
+    "finish_times",
     "transfer_slack",
 ]
 
@@ -106,11 +110,11 @@ class CausalError(ValueError):
         self.invariant = invariant
 
 
-@dataclass(frozen=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One useful arrival: ``vertex`` gained ``token`` at ``step`` via
     the parent transfer from ``src`` (emission-order-first, so the
-    parent choice is deterministic and kernel-independent)."""
+    parent choice is deterministic and kernel-independent).  A named
+    tuple: a run records one per useful arrival."""
 
     vertex: int
     token: int
@@ -126,18 +130,21 @@ class RunForest:
     engine: str
     heuristic: str
     instance: DecodedInstance
-    #: ``(vertex, token) -> Arrival`` for every useful arrival.
+    #: ``(vertex, token) -> Arrival`` for every useful arrival, in step
+    #: order (within a step, by transfer, then by token id).
     arrivals: Dict[Tuple[int, int], Arrival]
     #: Possession masks at the *start* of each step; index ``makespan``
     #: holds the final state.
     have_before: List[List[int]]
     #: Per step: tokens carried per arc, ``(src, dst) -> count``.
     arc_load: List[ArcLoad]
-    #: Per step: the recorded ``[src, dst, [tokens]]`` triples.
+    #: Per step: the well-formed ``(src, dst, tokens)`` transfers in
+    #: emission order; ``tokens`` is the trace's own list, as sent.
     transfers: List[List[Transfer]]
     makespan: int
     success: bool
-    #: ``(src, cap)`` per vertex, from the declared arcs.
+    #: ``(src, cap)`` per vertex, from the declared arcs (the instance's,
+    #: shared by every forest over it).
     in_arcs: List[List[Tuple[int, int]]]
 
     def acquired_at(self, vertex: int, token: int) -> int:
@@ -219,8 +226,10 @@ class ForestReplay(RunReplay):
     first sender.
     """
 
-    def __init__(self, run: TraceRun, report: ValidationReport) -> None:
-        super().__init__(run, report)
+    def __init__(
+        self, run: TraceRun, report: ValidationReport, decode: InstanceDecoder
+    ) -> None:
+        super().__init__(run, report, decode)
         self.have_before: List[List[int]] = []
         self.arc_load: List[ArcLoad] = []
         self.transfers: List[List[Transfer]] = []
@@ -229,14 +238,16 @@ class ForestReplay(RunReplay):
     def on_step(
         self, step: int, transfers: List[Transfer], arc_load: ArcLoad, fresh: List[int]
     ) -> None:
-        self.have_before.append(list(self.have))
+        self.have_before.append(self.have)
         self.arc_load.append(arc_load)
         self.transfers.append(transfers)
         arrivals = self.arrivals
-        for (src, dst, sent), mask in zip(transfers, fresh):
-            for token in sent:
-                if mask >> token & 1:
-                    arrivals[(dst, token)] = Arrival(dst, token, step, src)
+        for (src, dst, _sent), mask in zip(transfers, fresh):
+            while mask:
+                low = mask & -mask
+                token = low.bit_length() - 1
+                arrivals[(dst, token)] = Arrival(dst, token, step, src)
+                mask ^= low
 
     def forest(self) -> RunForest:
         """The walked run's forest; raises :class:`CausalError` at the
@@ -248,21 +259,18 @@ class ForestReplay(RunReplay):
             if v.run == run.run and (v.step is not None or instance is None):
                 raise CausalError(v.message, v.run, v.step, v.invariant)
         assert instance is not None  # walk() flags every decode failure
-        in_arcs: List[List[Tuple[int, int]]] = [[] for _ in range(instance.num_vertices)]
-        for (src, dst), cap in sorted(instance.capacities.items()):
-            in_arcs[dst].append((src, cap))
         return RunForest(
             run=run.run,
             engine=run.engine,
             heuristic=run.heuristic,
             instance=instance,
             arrivals=self.arrivals,
-            have_before=self.have_before + [list(self.have)],
+            have_before=self.have_before + [self.have],
             arc_load=self.arc_load,
             transfers=self.transfers,
             makespan=len(run.steps),
             success=run.end is not None and bool(run.end.get("success")),
-            in_arcs=in_arcs,
+            in_arcs=instance.in_arcs,
         )
 
 
@@ -273,7 +281,7 @@ def build_forest(run: TraceRun) -> RunForest:
     step and invariant :func:`~repro.obs.analyze.validate.validate_events`
     reports first, rather than producing a wrong forest.
     """
-    replay = ForestReplay(run, ValidationReport(path=f"run {run.run}"))
+    replay = ForestReplay(run, ValidationReport(path=f"run {run.run}"), InstanceDecoder())
     replay.walk()
     return replay.forest()
 
@@ -467,42 +475,50 @@ def _backward_chain(
     return elements
 
 
+def finish_times(forest: RunForest) -> List[int]:
+    """``F`` of every useful arrival, in ``forest.arrivals`` order.
+
+    ``F`` is the latest completion time the arrival feeds into: its own
+    delivery deadline ``step + 1`` or, recursively, the ``F`` of every
+    child arrival it later parented, whichever is later.  Ancestors of
+    the completing arrival reach ``F == makespan``; ``F <= makespan``
+    always (a wanted delivery at the final step has deadline
+    ``makespan``).
+    """
+    have, m = forest.instance.have_masks, forest.instance.num_tokens
+    # Arrivals are recorded in step order, and a child arrives strictly
+    # after its parent (the parent's vertex must hold the token at the
+    # start of the child's step), so walking them backwards meets every
+    # child first: an arrival's F is final when the walk reaches it, and
+    # only what its children pushed up needs keeping, keyed
+    # ``vertex * m + token``.
+    pushed: Dict[int, int] = {}
+    out: List[int] = []
+    for vertex, token, step, src in reversed(forest.arrivals.values()):
+        f = pushed.pop(vertex * m + token, 0)
+        if f <= step:
+            f = step + 1
+        out.append(f)
+        if not have[src] >> token & 1:
+            parent = src * m + token
+            if f > pushed.get(parent, 0):
+                pushed[parent] = f
+    out.reverse()
+    return out
+
+
 def transfer_slack(forest: RunForest) -> Dict[Tuple[int, int, int], int]:
     """``(vertex, token, step) -> slack`` for every useful arrival.
 
-    Slack is ``makespan − F(arrival)`` where ``F`` is the latest
-    completion time the arrival feeds into: its own delivery deadline
-    ``step + 1`` or, recursively, the ``F`` of every child arrival it
-    later parented, whichever is later.  Ancestors of the completing
-    arrival carry ``F = makespan``, so every on-path transfer has slack
-    exactly zero.
+    Slack is ``makespan − F`` (see :func:`finish_times`), so every
+    on-path transfer has slack exactly zero and no slack is negative.
     """
-    have = forest.instance.have_masks
-    f_value: Dict[Tuple[int, int], int] = {}
-    # A child arrives strictly after its parent (the parent's vertex
-    # must hold the token at the start of the child's step), so walking
-    # arrivals by descending step settles every F before it is pushed
-    # up to the parent.
-    ordered = sorted(
-        forest.arrivals.values(), key=lambda a: a.step, reverse=True
-    )
-    for arrival in ordered:
-        key = (arrival.vertex, arrival.token)
-        f = f_value.get(key, 0)
-        if f <= arrival.step:
-            f = f_value[key] = arrival.step + 1
-        if not have[arrival.src] >> arrival.token & 1:
-            parent = (arrival.src, arrival.token)
-            if f > f_value.get(parent, 0):
-                f_value[parent] = f
-    # Ancestors of the completing arrival reach F == makespan, so every
-    # on-path transfer ends up with slack exactly zero; F <= makespan
-    # always (a wanted delivery at the final step is step makespan-1,
-    # giving deadline makespan), so slacks are non-negative.
+    makespan = forest.makespan
     return {
-        (a.vertex, a.token, a.step): forest.makespan
-        - f_value[(a.vertex, a.token)]
-        for a in forest.arrivals.values()
+        (vertex, token, step): makespan - f
+        for (vertex, token, step, _src), f in zip(
+            forest.arrivals.values(), finish_times(forest)
+        )
     }
 
 

@@ -36,9 +36,16 @@ keeps nothing per step, so ``trace-verify`` memory stays O(n + trace);
 the causal forest (:class:`repro.obs.analyze.causal.ForestReplay`)
 records every step and refuses at the first step-level violation.
 
-The replay is an independent implementation of the semantics — plain
-bitmask arithmetic over the JSON, importing nothing from the simulation
-kernel — so an engine bug cannot hide by also corrupting the validator.
+The replay is an independent implementation of the semantics, importing
+nothing from the simulation kernel, so an engine bug cannot hide by also
+corrupting the validator.  It reads the JSON as parsed, checking each
+transfer once: ``src`` and ``dst`` must be JSON integers naming vertices
+and the tokens a list of JSON integers naming tokens (a float, a string
+or ``true`` is malformed, never read as some other id), folded into a
+bitmask through the per-run table ``bits[t] == 1 << t``.  Possession,
+first deliveries and the step aggregates are int mask arithmetic from
+there.  The runs of a trace over one instance share one decode of it
+(:class:`~repro.obs.analyze.runs.InstanceDecoder`).
 Dynamic-conditions traces (``engine: "dynamic"``) skip the two arc-level
 checks: their arc set and capacities change per timestep and only the
 turn's engine knows them; everything state-based is still enforced.
@@ -51,10 +58,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.analyze.runs import (
     DecodedInstance,
+    InstanceDecoder,
     JsonDict,
     TraceRun,
-    mask_of,
     split_runs,
+    token_mask,
     tokens_of,
 )
 from repro.obs.events import read_events, validate_event
@@ -71,8 +79,9 @@ INVARIANTS = (
     "final-want",
 )
 
-#: One decoded ``step.transfers`` entry: ``(src, dst, tokens)``.
-Transfer = Tuple[int, int, Tuple[int, ...]]
+#: One checked ``step.transfers`` entry: ``(src, dst, tokens)``, with the
+#: trace's own token list (not copied).
+Transfer = Tuple[int, int, List[int]]
 #: Tokens carried per arc in one step: ``(src, dst) -> count``.
 ArcLoad = Dict[Tuple[int, int], int]
 
@@ -144,22 +153,6 @@ class ValidationReport:
         }
 
 
-def _decode_transfer(entry: Any, instance: DecodedInstance) -> Optional[Transfer]:
-    """One ``[src, dst, [tokens]]`` entry, or ``None`` when it is malformed
-    or names a vertex or token outside the instance."""
-    try:
-        src, dst, sent = entry
-        transfer = (int(src), int(dst), tuple(int(t) for t in sent))
-    except (TypeError, ValueError):
-        return None
-    n, tokens = instance.num_vertices, transfer[2]
-    if not (0 <= transfer[0] < n and 0 <= transfer[1] < n):
-        return None
-    if tokens and not (min(tokens) >= 0 and max(tokens) < instance.num_tokens):
-        return None
-    return transfer
-
-
 class RunReplay:
     """Replays one run once, recording violations into ``report``.
 
@@ -168,12 +161,20 @@ class RunReplay:
     :class:`repro.obs.analyze.causal.ForestReplay` records every step.
     """
 
-    def __init__(self, run: TraceRun, report: ValidationReport) -> None:
+    def __init__(
+        self, run: TraceRun, report: ValidationReport, decode: InstanceDecoder
+    ) -> None:
         self.run = run
         self.report = report
+        #: Decodes the ``run_start`` payload; one decoder serves all the
+        #: runs of a call, so runs over one instance share its decode.
+        self.decode = decode
         #: The decoded instance; ``None`` when the run cannot be replayed.
         self.instance: Optional[DecodedInstance] = None
+        #: ``bits[t] == 1 << t`` for the instance's tokens.
+        self.bits: List[int] = []
         #: Possession masks; the start-of-step state during :meth:`on_step`.
+        #: Each step replaces the list rather than mutating it.
         self.have: List[int] = []
         self.moves = 0
 
@@ -216,7 +217,7 @@ class RunReplay:
             )
             return
         try:
-            instance = DecodedInstance.from_payload(payload)
+            instance = self.decode(payload)
         except ValueError as exc:
             self._flag("trace-structure", f"undecodable instance payload: {exc}")
             return
@@ -227,6 +228,7 @@ class RunReplay:
                 f"each turn)"
             )
         self.instance = instance
+        self.bits = [1 << t for t in range(instance.num_tokens)]
         self.have = list(instance.have_masks)
         reported = instance.deficits(self.have)
         start_deficit = run.start.get("total_deficit")
@@ -263,32 +265,36 @@ class RunReplay:
                 step=step,
             )
             return
-        have = self.have
+        have, bits, n = self.have, self.bits, instance.num_vertices
+        capacities = instance.capacities
         check_arcs = self.run.engine != "dynamic"
         transfers: List[Transfer] = []
         arc_load: ArcLoad = {}
         fresh: List[int] = []
-        delivered: Dict[int, int] = {}
+        after = list(have)
         for entry in raw:
-            transfer = _decode_transfer(entry, instance)
-            if transfer is None:
+            try:
+                src, dst, sent = entry
+                if not (type(src) is int and type(dst) is int and 0 <= src < n and 0 <= dst < n):
+                    raise ValueError
+                mask = token_mask(sent, bits)
+            except (TypeError, ValueError):
                 message = f"malformed transfer {entry!r}: expected [src, dst, [tokens]] in range"
                 self._flag("trace-structure", message, step=step)
                 continue
-            src, dst, sent = transfer
-            mask = mask_of(sent)
+            arc, count = (src, dst), len(sent)
             if check_arcs:
-                cap = instance.capacities.get((src, dst))
+                cap = capacities.get(arc)
                 if cap is None:
                     self._flag(
                         "arc-capacity",
                         f"transfer on undeclared arc ({src}, {dst})",
                         step=step,
                     )
-                elif len(sent) > cap:
+                elif count > cap:
                     self._flag(
                         "arc-capacity",
-                        f"{len(sent)} tokens sent on arc ({src}, {dst}) of "
+                        f"{count} tokens sent on arc ({src}, {dst}) of "
                         f"capacity {cap}",
                         step=step,
                     )
@@ -300,17 +306,16 @@ class RunReplay:
                     f"not possess at the start of the step",
                     step=step,
                 )
-            transfers.append(transfer)
-            arc_load[(src, dst)] = arc_load.get((src, dst), 0) + len(sent)
-            already = have[dst] | delivered.get(dst, 0)
+            transfers.append((src, dst, sent))
+            arc_load[arc] = arc_load.get(arc, 0) + count
+            already = after[dst]
             fresh.append(mask & ~already)
-            delivered[dst] = already | mask
+            after[dst] = already | mask
         self.on_step(step, transfers, arc_load, fresh)
-        for dst, mask in delivered.items():
-            have[dst] = mask
+        self.have = after
         moves = sum(arc_load.values())
         self.moves += moves
-        gained = sum(mask.bit_count() for mask in fresh)
+        gained = sum(map(int.bit_count, fresh))
         self._check_step_report(instance, event, step, reported, gained, moves)
 
     def _check_step_report(
@@ -407,8 +412,9 @@ def validate_events(
     _header, runs = split_runs(events)
     if not runs:
         report.notes.append("trace contains no runs")
+    decode = InstanceDecoder()
     for run in runs:
-        RunReplay(run, report).walk()
+        RunReplay(run, report, decode).walk()
     return report
 
 

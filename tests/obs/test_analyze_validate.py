@@ -263,6 +263,14 @@ class TestMalformedInput:
             [0, 1, [-1]],
             [0, 1, 0],
             "0 1 [0]",
+            # Non-integer fields are never read as some other vertex or
+            # token: 0.7 is not token 0, "01" is not tokens 0 and 1.
+            [0, 1, [0.7, 1]],
+            [0, 1, "01"],
+            ["0", 1, [0, 1]],
+            [0.0, 1, [0, 1]],
+            [True, 1, [0, 1]],
+            [0, 1, [0, True]],
         ],
     )
     def test_malformed_transfer_is_a_structure_fault(self, entry):
@@ -281,6 +289,26 @@ class TestMalformedInput:
         events[1]["transfers"] = [[-2, 1, [0, 1]]]
         hits = _violations(validate_events(events), "trace-structure")
         assert [v.step for v in hits] == [0]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("arcs", [[0, 1, 2.5], [1, 0, 2]]),
+            ("arcs", [[0, 1, True], [1, 0, 2]]),
+            ("have", {"0": [0, 1.9]}),
+            ("have", {"0": [0, True]}),
+            ("have", {"0": [0, 2]}),
+            ("want", {"1": "01"}),
+            ("num_tokens", 2.0),
+        ],
+    )
+    def test_non_integer_instance_field_is_undecodable(self, key, value):
+        events = _tiny_trace()
+        events[0]["instance"][key] = value
+        hits = _violations(validate_events(events), "trace-structure")
+        assert len(hits) == 1
+        assert hits[0].step is None
+        assert "undecodable instance payload" in hits[0].message
 
     @pytest.mark.parametrize("arc", [[0, 99, 1], [-1, 0, 1]])
     def test_out_of_range_arc_is_undecodable(self, arc):

@@ -26,13 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.problem import Problem
 from repro.heuristics import standard_heuristics
 from repro.obs import RecordingTracer
 from repro.obs.analyze import (
     BLOCKING_CATEGORIES,
     GAP_SLACK_KEY,
+    Arrival,
     AttributionError,
     CausalError,
+    DecodedInstance,
     attribute_events,
     blocking_table,
     build_forest,
@@ -83,6 +86,26 @@ def _oracle_transfer_slack(forest):
     }
 
 
+def _oracle_arrivals(run):
+    """Arrivals recomputed token by token: every token of every transfer
+    in emission order, the first delivery to a vertex that lacked it."""
+    instance = run.start["instance"]
+    have = [0] * instance["num_vertices"]
+    for v, tokens in instance.get("have", {}).items():
+        for token in tokens:
+            have[int(v)] |= 1 << token
+    arrivals = {}
+    for step, event in enumerate(run.steps):
+        after = list(have)
+        for src, dst, sent in event["transfers"]:
+            for token in sent:
+                if not after[dst] >> token & 1:
+                    after[dst] |= 1 << token
+                    arrivals[(dst, token)] = Arrival(dst, token, step, src)
+        have = after
+    return arrivals
+
+
 def _check_invariants(events) -> None:
     """Assert the four attribution invariants over every run."""
     report = attribute_events(events)
@@ -91,6 +114,7 @@ def _check_invariants(events) -> None:
     assert len(report.runs) == len(runs)
     for att, run in zip(report.runs, runs):
         forest = build_forest(run)
+        assert forest.arrivals == _oracle_arrivals(run)
 
         # 1. The critical path tiles the timesteps exactly once.
         assert att.makespan == forest.makespan
@@ -102,6 +126,8 @@ def _check_invariants(events) -> None:
         assert all(s >= 0 for s in slacks.values())
         for hop in att.path.hops:
             assert slacks[(hop.dst, hop.token, hop.step)] == 0
+        assert att.zero_slack == sum(1 for s in slacks.values() if s == 0)
+        assert att.max_slack == max(slacks.values(), default=0)
 
         # 3. The blocking table covers each idle vertex-step exactly
         #    once (idleness re-derived here from the possession
@@ -226,6 +252,67 @@ def _chain_trace() -> List[Dict[str, Any]]:
     ]
 
 
+# ----------------------------------------------------------------------
+# Two senders, token lists in descending order: vertices 0 and 1 both
+# send token 2 (and 1) to vertex 2 in step 0, and vertex 2 relays token
+# 2 to vertex 3 in step 1.  The first sender in emission order parents
+# each arrival, whatever order its token list is in.
+# ----------------------------------------------------------------------
+def _two_sender_trace() -> List[Dict[str, Any]]:
+    instance = {
+        "name": "two-senders",
+        "num_vertices": 4,
+        "num_tokens": 3,
+        "arcs": [[0, 2, 3], [1, 2, 3], [2, 3, 1]],
+        "have": {"0": [0, 1, 2], "1": [1, 2]},
+        "want": {"2": [0, 1, 2], "3": [2]},
+    }
+    start = {
+        "run": 0,
+        "engine": "sim",
+        "heuristic": "handmade",
+        "problem": "two-senders",
+        "n": 4,
+        "tokens": 3,
+        "arcs": 3,
+        "max_steps": 10,
+        "total_deficit": 4,
+        "instance": instance,
+    }
+    steps = [
+        {
+            "sends": 2,
+            "moves": 5,
+            "gained": 3,
+            "deficit": 1,
+            "deficit_by_vertex": [0, 0, 0, 1],
+            "holder_hist": [[2, 1], [3, 2]],
+            "arc_util": 5 / 7,
+            "transfers": [[1, 2, [2, 1]], [0, 2, [2, 1, 0]]],
+        },
+        {
+            "sends": 1,
+            "moves": 1,
+            "gained": 1,
+            "deficit": 0,
+            "deficit_by_vertex": [0, 0, 0, 0],
+            "holder_hist": [[2, 1], [3, 1], [4, 1]],
+            "arc_util": 1 / 7,
+            "transfers": [[2, 3, [2]]],
+        },
+    ]
+    return (
+        [make_event("run_start", start)]
+        + [make_event("step", {"run": 0, "step": i, **f}) for i, f in enumerate(steps)]
+        + [
+            make_event(
+                "run_end",
+                {"run": 0, "success": True, "makespan": 2, "bandwidth": 6},
+            )
+        ]
+    )
+
+
 class TestHandmadeTraces:
     def test_chain_is_all_critical_path(self):
         report = attribute_events(_chain_trace())
@@ -254,6 +341,23 @@ class TestHandmadeTraces:
         assert att.path.hops == []
         assert att.path.wait_steps == 1
         assert sum(att.gap_terms.values()) == att.gap
+
+    def test_first_sender_parents_regardless_of_token_order(self):
+        events = _two_sender_trace()
+        _check_invariants(events)
+        _header, (run,) = split_runs(events)
+        forest = build_forest(run)
+        assert forest.arrivals == {
+            (2, 2): Arrival(2, 2, 0, 1),
+            (2, 1): Arrival(2, 1, 0, 1),
+            (2, 0): Arrival(2, 0, 0, 0),
+            (3, 2): Arrival(3, 2, 1, 2),
+        }
+        (att,) = attribute_events(events).runs
+        assert [(h.src, h.dst, h.token) for h in att.path.hops] == [(1, 2, 2), (2, 3, 2)]
+        # Every token sent is one span, the redundant ones included.
+        spans = [e for e in chrome_trace(events)["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == 6
 
     def test_dynamic_run_is_skipped_not_errored(self):
         events = _chain_trace()
@@ -348,6 +452,66 @@ class TestSeededFaults:
             attribute_events(events)
         assert excinfo.value.invariant == "trace-structure"
         assert "no run_end" in str(excinfo.value)
+
+
+class TestInstanceDecodes:
+    """A trace's runs over one instance share one decode of it."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        counts: Counter = Counter()
+        from_payload = DecodedInstance.from_payload
+        from_dict = Problem.from_dict
+
+        def counted_payload(data):
+            counts["instance"] += 1
+            return from_payload(data)
+
+        def counted_dict(data):
+            counts["problem"] += 1
+            return from_dict(data)
+
+        monkeypatch.setattr(DecodedInstance, "from_payload", staticmethod(counted_payload))
+        monkeypatch.setattr(Problem, "from_dict", staticmethod(counted_dict))
+        return counts
+
+    def test_one_instance_decodes_once(self, decodes):
+        problem = single_file(random_graph(10, random.Random(2)), file_tokens=4)
+        events = _engine_events(problem, seed=2)
+        assert len(split_runs(events)[1]) == 5
+        assert validate_events(events).ok
+        assert decodes == {"instance": 1}
+        decodes.clear()
+        assert len(attribute_events(events).runs) == 5
+        assert decodes == {"instance": 1, "problem": 1}
+
+    def test_alternating_instances_attribute_as_alone(self, decodes):
+        problems = [
+            single_file(random_graph(10, random.Random(seed)), file_tokens=4)
+            for seed in (4, 5)
+        ]
+        heuristics = standard_heuristics()[:2]
+        tracer = RecordingTracer()
+        for heuristic in heuristics:
+            for problem in problems:
+                run_heuristic(problem, heuristic, seed=4, tracer=tracer)
+        mixed = attribute_events(tracer.events).runs
+        assert decodes == {"instance": 4, "problem": 4}
+        alone = []
+        for problem in problems:
+            alone.append(attribute_events(_engine_events(problem, seed=4, count=2)).runs)
+        expected = [alone[0][0], alone[1][0], alone[0][1], alone[1][1]]
+        for got, want in zip(mixed, expected):
+            assert {**got.as_dict(), "run": 0} == {**want.as_dict(), "run": 0}
+
+    def test_equal_payload_is_still_type_checked(self):
+        problem = single_file(random_graph(8, random.Random(6)), file_tokens=3)
+        events = _engine_events(problem, seed=6, count=2)
+        second = [e for e in events if e["event"] == "run_start"][1]
+        second["instance"]["num_tokens"] = float(second["instance"]["num_tokens"])
+        (first,) = validate_events(events).violations
+        assert (first.run, first.invariant) == (1, "trace-structure")
+        assert "undecodable instance payload" in first.message
 
 
 class TestExports:
