@@ -3,8 +3,9 @@
 Each benchmark regenerates one of the paper's figures at QUICK scale
 (every series present, reduced sweep sizes; see
 ``repro.experiments.config``) and asserts the *shape* findings the paper
-reports.  Set ``REPRO_PAPER_SCALE=1`` and run the ``repro.experiments``
-drivers directly for the full-parameter runs recorded in EXPERIMENTS.md.
+reports.  Pass ``PAPER`` to the ``repro.experiments`` drivers (or run
+``ocd-repro run --paper-scale``) for the full-parameter runs recorded in
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations

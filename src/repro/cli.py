@@ -94,9 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="fan sweep points out over N worker processes (default: serial; "
-        "output is bit-identical either way)",
+        default=1,
+        help="fan sweep points out over N worker processes (default 1: "
+        "serial; output is bit-identical either way)",
     )
     run.add_argument(
         "--no-cache",
@@ -110,29 +110,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--cache-dir",
-        default=None,
-        help="result cache root (default results/cache, or $REPRO_CACHE_DIR)",
+        default=os.path.join("results", "cache"),
+        help="result cache root (default results/cache)",
     )
     run.add_argument(
         "--trace-dir",
         default=None,
         help="write one run-trace JSONL per computed sweep point into this "
-        "directory (or $REPRO_TRACE_DIR; cache hits compute nothing and "
-        "leave no trace)",
+        "directory (cache hits compute nothing and leave no trace)",
     )
     run.add_argument(
         "--ledger",
         default=None,
         help="append the run ledger (sweep/point status + heartbeat "
-        "events) here, for 'ocd-repro watch' (or $REPRO_LEDGER; default "
-        "<cache-dir>/ledger.jsonl while the cache is on)",
-    )
-    run.add_argument(
-        "--heartbeat-s",
-        type=float,
-        default=None,
-        help="seconds between in-flight worker heartbeats in the ledger "
-        "(default 5, or $REPRO_HEARTBEAT_S)",
+        "events) here, for 'ocd-repro watch' (default "
+        "<cache-dir>/ledger.jsonl while the cache is on, none without it)",
     )
     run.add_argument(
         "--profile-sweep",
@@ -432,6 +424,29 @@ def _cmd_list() -> int:
     return 0
 
 
+def _executor_config(args):
+    """The ``run`` flags as an :class:`ExecutorConfig`.
+
+    The run ledger goes to ``<cache-dir>/ledger.jsonl`` while the cache
+    is on and no ``--ledger`` is given; ``--no-cache`` alone writes none.
+    """
+    from repro.experiments import ExecutorConfig
+
+    ledger = args.ledger
+    if ledger is None and not args.no_cache:
+        ledger = os.path.join(args.cache_dir, "ledger.jsonl")
+    return ExecutorConfig(
+        workers=args.workers,
+        use_cache=not args.no_cache,
+        force=args.force,
+        cache_dir=args.cache_dir,
+        progress=True,
+        trace_dir=args.trace_dir,
+        ledger_path=ledger,
+        profile=args.profile_sweep,
+    )
+
+
 def _cmd_run(args) -> int:
     from repro.experiments import (
         ALL_EXPERIMENTS,
@@ -439,7 +454,6 @@ def _cmd_run(args) -> int:
         QUICK,
         Executor,
         SweepError,
-        default_executor_config,
     )
 
     if args.experiment != "all" and args.experiment not in ALL_EXPERIMENTS:
@@ -451,16 +465,7 @@ def _cmd_run(args) -> int:
         return 2
     scale = PAPER if args.paper_scale else QUICK
     try:
-        config = default_executor_config(
-            workers=args.workers,
-            use_cache=False if args.no_cache else None,
-            force=True if args.force else None,
-            cache_dir=args.cache_dir,
-            trace_dir=args.trace_dir,
-            ledger_path=args.ledger,
-            heartbeat_s=args.heartbeat_s,
-            profile=True if args.profile_sweep else None,
-        )
+        config = _executor_config(args)
     except ValueError as error:
         print(f"run: {error}", file=sys.stderr)
         return 2

@@ -30,13 +30,7 @@ from repro.experiments import (
     locd_exp,
     pareto_exp,
 )
-from repro.experiments.config import (
-    PAPER,
-    QUICK,
-    Scale,
-    default_executor_config,
-    default_scale,
-)
+from repro.experiments.config import PAPER, QUICK, Scale
 from repro.experiments.report import FigureResult, format_table
 from repro.experiments.runner import (
     SeriesPoint,
@@ -86,8 +80,6 @@ __all__ = [
     "SweepError",
     "TrialRecord",
     "aggregate",
-    "default_executor_config",
-    "default_scale",
     "format_table",
     "point_function",
     "run_configuration",

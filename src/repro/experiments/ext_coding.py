@@ -21,7 +21,7 @@ import random
 import statistics
 from typing import Any, Dict, Optional
 
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec, point_function
 from repro.extensions.coding import (
@@ -62,9 +62,8 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     n = max(15, scale.medium_n // 4)
     data_tokens = max(8, scale.file_tokens // 5)

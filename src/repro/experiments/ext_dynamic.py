@@ -12,7 +12,7 @@ import random
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.problem import Problem
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec, point_function
 from repro.extensions.dynamic import (
@@ -64,9 +64,8 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     n = max(20, scale.medium_n // 2)
     tokens = max(10, scale.file_tokens // 2)

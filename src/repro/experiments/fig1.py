@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.experiments.config import Scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec, point_function
 
@@ -53,7 +53,7 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
     """Compute both optima exactly and compare with the caption."""
     del scale  # the gadget is fixed-size; scale does not apply

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional
 
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.runner import (
     collect_trial_sweep,
@@ -51,9 +51,8 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     n = scale.medium_n
     result = FigureResult(

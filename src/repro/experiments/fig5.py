@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Optional
 
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.runner import (
     collect_trial_sweep,
@@ -56,11 +56,10 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None,
+    scale: Scale = QUICK,
     multi_sender: bool = False,
     executor: Optional[Executor] = None,
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     n = scale.medium_n
     kind = "multi-sender" if multi_sender else "single-sender"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.experiments.config import Scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.fig5 import run as _run_fig5
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor
@@ -19,6 +19,6 @@ __all__ = ["run"]
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
     return _run_fig5(scale, multi_sender=True, executor=executor)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec, point_function
 from repro.reductions import DominatingSetInstance
@@ -86,9 +86,8 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     count = 20 if scale.name == "quick" else 60
     result = FigureResult(

@@ -23,7 +23,7 @@ import statistics
 from typing import Any, Dict, List, Optional
 
 from repro.core.problem import Problem
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec, point_function
 from repro.heuristics import HEURISTIC_FACTORIES
@@ -91,9 +91,8 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     count = 12 if scale.name == "quick" else 40
     rng = random.Random(scale.base_seed)

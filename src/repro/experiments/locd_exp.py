@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-from repro.experiments.config import Scale, default_scale
+from repro.experiments.config import QUICK, Scale
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec, point_function
 from repro.locd import (
@@ -57,9 +57,8 @@ def _point(spec: PointSpec) -> Dict[str, Any]:
 
 
 def run(
-    scale: Optional[Scale] = None, executor: Optional[Executor] = None
+    scale: Scale = QUICK, executor: Optional[Executor] = None
 ) -> FigureResult:
-    scale = scale or default_scale()
     executor = executor or Executor()
     separation = 3
     decoy_counts = (4, 8, 16) if scale.name == "quick" else (4, 8, 16, 32, 64)

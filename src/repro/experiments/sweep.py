@@ -9,9 +9,10 @@ function mapping a spec to a JSON-able result dict.  The
 grid:
 
 * **fan-out** — grid points run on a ``concurrent.futures``
-  ``ProcessPoolExecutor`` when ``workers > 1`` (serial in-process when
-  ``workers <= 1``, the default, so plain driver calls behave exactly
-  as before);
+  ``ProcessPoolExecutor`` when ``workers > 1``, and in-process when
+  ``workers == 1`` (the default, so plain driver calls stay serial);
+  both feed the same futures loop, so retry and outcome handling are
+  one code path;
 * **caching** — results are stored content-addressed under
   ``results/cache/`` keyed by a stable hash of (point kind, params,
   seed, cache version), so re-running a figure only computes the
@@ -21,13 +22,17 @@ grid:
   per-point run trace to ``trace_dir/<figure>-<kind>-<index>.jsonl``;
   traces are per-process and deterministic, so serial and parallel
   sweeps produce byte-identical trace files;
-* **failure policy** — a failing point is retried once and then
-  *reported* via :class:`SweepError` with the worker-side traceback
-  attached; points are never silently dropped;
+* **failure policy** — a failing point is retried :data:`RETRIES`
+  times and then *reported* via :class:`SweepError` with the
+  worker-side traceback attached; points are never silently dropped.
+  A worker that dies breaks the pool: every unfinished point fails
+  with the pool's error (no retry), and the sweep still ends with a
+  ``sweep_end`` in the ledger;
 * **the run ledger** — the executor's one per-point record.  With
   ``ledger_path`` set, the executor appends a run ledger
   (:mod:`repro.obs.live`): the parent writes ``sweep_start``/
-  ``sweep_end`` (and ``point_end`` rows for cache hits), and every
+  ``sweep_end`` (and ``point_end`` rows for cache hits and for points
+  a dead worker left open), and every
   worker writes ``point_start``, periodic ``point_heartbeat`` (wall
   time plus ``getrusage`` peaks from a daemon thread), and
   ``point_end`` for the points it computes.  Every ``point_end``
@@ -89,6 +94,7 @@ except ImportError:  # pragma: no cover — non-POSIX platform
 
 __all__ = [
     "CACHE_VERSION",
+    "RETRIES",
     "PointSpec",
     "point_function",
     "resolve_point_function",
@@ -102,6 +108,9 @@ __all__ = [
 #: mean; every cache key embeds this, so old entries become unreachable
 #: rather than silently wrong.
 CACHE_VERSION = "1"
+
+#: Extra attempts a failing point gets before the sweep reports it.
+RETRIES = 1
 
 _logger = get_logger(__name__)
 
@@ -486,7 +495,7 @@ class PointOutcome:
 
 
 class SweepError(RuntimeError):
-    """One or more grid points failed after retrying.
+    """One or more grid points failed: after their retry, or with the pool.
 
     Carries the failing outcomes so callers can report exactly which
     points died instead of losing them in a pool traceback.
@@ -494,7 +503,7 @@ class SweepError(RuntimeError):
 
     def __init__(self, failures: Sequence[PointOutcome]) -> None:
         self.failures = list(failures)
-        lines = [f"{len(self.failures)} sweep point(s) failed after retry:"]
+        lines = [f"{len(self.failures)} sweep point(s) failed:"]
         for outcome in self.failures:
             lines.append(
                 f"  {outcome.spec.figure}/{outcome.spec.kind}"
@@ -512,7 +521,7 @@ class SweepError(RuntimeError):
 class ExecutorConfig:
     """Operational knobs for one :class:`Executor`.
 
-    ``workers <= 1`` runs points serially in-process (the default, and
+    ``workers == 1`` runs points serially in-process (the default, and
     what reproduces pre-executor invocations exactly); higher values fan
     out over a process pool.  Caching is opt-in so programmatic driver
     calls stay pure; the CLI turns it on.
@@ -523,7 +532,6 @@ class ExecutorConfig:
     force: bool = False
     cache_dir: str = os.path.join("results", "cache")
     progress: bool = False
-    retries: int = 1
     #: When set, every computed point writes a run trace to
     #: ``trace_dir/<figure>-<kind>-<index>.jsonl`` (cache hits compute
     #: nothing and therefore trace nothing).
@@ -543,11 +551,34 @@ class ExecutorConfig:
     profile: bool = False
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(
+                f"workers (--workers) must be at least 1, got {self.workers!r}"
+            )
         if not self.heartbeat_s > 0:
             raise ValueError(
-                f"heartbeat_s (--heartbeat-s, REPRO_HEARTBEAT_S) must be "
-                f"positive, got {self.heartbeat_s!r}"
+                f"heartbeat_s must be positive, got {self.heartbeat_s!r}"
             )
+
+
+class _InProcessExecutor(concurrent.futures.Executor):
+    """The ``workers == 1`` pool: runs each call at once, in this process.
+
+    ``submit`` returns an already-finished future holding the call's
+    result or the ``Exception`` it raised, so serial sweeps go through
+    the same futures loop as pool sweeps.  A ``BaseException`` (say,
+    ``KeyboardInterrupt``) still propagates.
+    """
+
+    def submit(
+        self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
+    ) -> concurrent.futures.Future[Any]:
+        future: concurrent.futures.Future[Any] = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # noqa: BLE001 — the loop reports it
+            future.set_exception(exc)
+        return future
 
 
 class Executor:
@@ -584,6 +615,8 @@ class Executor:
             with open(path, encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
+            return None
+        if not isinstance(payload, dict):
             return None
         if payload.get("version") != CACHE_VERSION or payload.get("kind") != spec.kind:
             return None
@@ -622,7 +655,7 @@ class Executor:
         fields: JsonDict = {
             "figure": specs[0].figure,
             "points": len(specs),
-            "workers": max(1, self.config.workers),
+            "workers": self.config.workers,
             "started_unix": time.time(),
             "heartbeat_s": self.config.heartbeat_s,
         }
@@ -637,91 +670,77 @@ class Executor:
             profile.merge(MetricsRegistry.from_snapshot(snapshot))
 
     # -- execution ------------------------------------------------------
-    def _serial_point(
-        self, spec: PointSpec, profile: MetricsRegistry
-    ) -> Tuple[Optional[JsonDict], PointOutcome]:
-        """Compute one point in-process, retrying on failure."""
-        last_error = ""
-        last_traceback = ""
-        for attempt in range(self.config.retries + 1):
-            try:
-                result, wall_s, worker, snapshot = _compute_point(
-                    spec,
-                    self.config.trace_dir,
-                    self.config.ledger_path,
-                    attempt,
-                    self.config.heartbeat_s,
-                    self.config.profile,
-                )
-            except Exception as exc:  # noqa: BLE001 — reported, never dropped
-                last_error = f"{type(exc).__name__}: {exc}"
-                last_traceback = traceback_module.format_exc()
-                continue
-            self._merge_profile(profile, snapshot)
-            return result, PointOutcome(
-                spec=spec,
-                cache_hit=False,
-                wall_s=wall_s,
-                worker=worker,
-                retries=attempt,
-                ok=True,
-                stats=result.get("stats"),
-            )
-        return None, PointOutcome(
-            spec=spec,
-            cache_hit=False,
-            wall_s=0.0,
-            worker=os.getpid(),
-            retries=self.config.retries,
-            ok=False,
-            error=last_error,
-            traceback=last_traceback,
-        )
-
-    def _parallel_points(
+    def _compute(
         self,
         specs: Sequence[PointSpec],
         pending: Sequence[int],
         results: List[Optional[JsonDict]],
         outcomes: List[Optional[PointOutcome]],
         profile: MetricsRegistry,
+        ledger: Optional[LedgerWriter],
     ) -> None:
-        """Fan pending points out over a process pool, retrying failures.
+        """Compute the pending points, retrying failures.
 
-        A failed future is resubmitted once; results land in ``results``
-        by grid index, so completion order never affects output order.
+        Results land in ``results`` by grid index, so completion order
+        never affects output order; finished futures are handled in
+        submission order, so a serial sweep merges its profile in grid
+        order.  Once the pool breaks (a worker died), every unfinished
+        future holds the pool's error: those points fail without a retry,
+        and the parent closes them in the ledger, since no worker will.
         """
-        attempts: Dict[int, int] = {i: 0 for i in pending}
         config = self.config
+        attempts: Dict[int, int] = {i: 0 for i in pending}
+        pool: concurrent.futures.Executor = (
+            concurrent.futures.ProcessPoolExecutor(max_workers=config.workers)
+            if config.workers > 1
+            else _InProcessExecutor()
+        )
 
-        def submit(pool: concurrent.futures.ProcessPoolExecutor, i: int) -> Any:
-            return pool.submit(
-                _compute_point,
-                specs[i],
-                config.trace_dir,
-                config.ledger_path,
-                attempts[i],
-                config.heartbeat_s,
-                config.profile,
-            )
+        def submit(i: int) -> concurrent.futures.Future[Any]:
+            try:
+                return pool.submit(
+                    _compute_point,
+                    specs[i],
+                    config.trace_dir,
+                    config.ledger_path,
+                    attempts[i],
+                    config.heartbeat_s,
+                    config.profile,
+                )
+            except concurrent.futures.BrokenExecutor as exc:
+                # The pool broke before this (re)submission: the point
+                # fails with the pool's error like every other one.
+                failed: concurrent.futures.Future[Any] = concurrent.futures.Future()
+                failed.set_exception(exc)
+                return failed
 
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.config.workers
-        ) as pool:
-            futures = {submit(pool, i): i for i in pending}
+        with pool:
+            futures = {submit(i): i for i in pending}
             while futures:
                 done, _ = concurrent.futures.wait(
                     futures, return_when=concurrent.futures.FIRST_COMPLETED
                 )
-                for future in done:
+                for future in [f for f in futures if f in done]:
                     i = futures.pop(future)
                     try:
                         result, wall_s, worker, snapshot = future.result()
-                    except Exception as exc:  # noqa: BLE001
-                        if attempts[i] < self.config.retries:
+                    except Exception as exc:  # noqa: BLE001 — reported, never dropped
+                        broken = isinstance(exc, concurrent.futures.BrokenExecutor)
+                        if attempts[i] < RETRIES and not broken:
                             attempts[i] += 1
-                            futures[submit(pool, i)] = i
+                            futures[submit(i)] = i
                             continue
+                        if broken and ledger is not None:
+                            _ledger_point_end(
+                                ledger,
+                                specs[i],
+                                attempts[i],
+                                ok=False,
+                                cache="miss",
+                                wall_s=0.0,
+                                error=exc,
+                                resources=False,
+                            )
                         # format_exception follows the __cause__ chain, so
                         # the pool's _RemoteTraceback — the worker-side
                         # stack — survives into the outcome.
@@ -799,11 +818,8 @@ class Executor:
             else:
                 pending.append(i)
 
-        if pending and self.config.workers > 1:
-            self._parallel_points(specs, pending, results, outcomes, profile)
-        else:
-            for i in pending:
-                results[i], outcomes[i] = self._serial_point(specs[i], profile)
+        if pending:
+            self._compute(specs, pending, results, outcomes, profile, ledger)
 
         for i in pending:
             outcome = outcomes[i]
@@ -821,7 +837,7 @@ class Executor:
             message = (
                 f"[sweep] {specs[0].figure}: {len(specs)} points "
                 f"({hits} cached, {len(specs) - hits} computed, "
-                f"workers={max(1, self.config.workers)}) in {elapsed:.1f}s"
+                f"workers={self.config.workers}) in {elapsed:.1f}s"
             )
             _logger.debug("%s", message)
             if self.config.progress:

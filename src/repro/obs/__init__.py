@@ -11,7 +11,7 @@ The observability layer for every simulation loop in the repository
 * :mod:`repro.obs.events` — the versioned JSONL event schema shared by
   run traces and the sweep run ledger (:data:`SCHEMA_VERSION`,
   :func:`make_event`, :class:`EventWriter`, :func:`read_events`).
-* :class:`MetricsRegistry` — counters/gauges/histograms plus the
+* :class:`MetricsRegistry` — counters/gauges plus the
   engines' phase timers (``heuristic_select``, ``kernel_apply``,
   ``knowledge_flood``) behind ``--profile``.
 * :func:`get_logger` — library logging instead of ``print()``
@@ -41,7 +41,6 @@ from repro.obs.log import enable_console_logging, get_logger
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     PhaseTimer,
     current_metrics,
@@ -66,7 +65,6 @@ __all__ = [
     "EventSchema",
     "EventWriter",
     "Gauge",
-    "Histogram",
     "JsonlTracer",
     "MetricsRegistry",
     "NULL_TRACER",

@@ -2,7 +2,7 @@
 
 The ledger is an append-only JSONL file next to a sweep's outputs.  The
 parent executor writes ``sweep_start`` / ``sweep_end`` (and ``point_end``
-rows for cache hits); each worker process appends ``point_start``,
+rows for cache hits and for points a dead worker left open); each worker process appends ``point_start``,
 periodic ``point_heartbeat``, and ``point_end`` for the points it
 computes.  Every record is one :func:`repro.obs.events.dump_event` line
 written with a single ``write()`` call on a handle opened in append

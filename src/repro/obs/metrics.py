@@ -1,4 +1,4 @@
-"""Counters, gauges, histograms, and phase timers for profiling runs.
+"""Counters, gauges, and phase timers for profiling runs.
 
 A :class:`MetricsRegistry` is an explicit, injectable bag of named
 instruments — no process-global state, so two concurrent profiled runs
@@ -48,7 +48,6 @@ from typing import Any, ContextManager, Dict, Iterator, List, Mapping, Optional
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "PhaseTimer",
     "current_metrics",
@@ -85,35 +84,6 @@ class Gauge:
         self.value = value
 
 
-class Histogram:
-    """Streaming summary of observed values: count/sum/min/max.
-
-    Deliberately bucketless — the per-timestep distributions worth
-    plotting live in the trace events; this is for profile summaries.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
 class PhaseTimer:
     """Accumulated wall time and entry count for one named phase."""
 
@@ -135,7 +105,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._timers: Dict[str, PhaseTimer] = {}
 
     # -- instrument access (get-or-create, stable identity) -------------
@@ -149,12 +118,6 @@ class MetricsRegistry:
         inst = self._gauges.get(name)
         if inst is None:
             inst = self._gauges[name] = Gauge(name)
-        return inst
-
-    def histogram(self, name: str) -> Histogram:
-        inst = self._histograms.get(name)
-        if inst is None:
-            inst = self._histograms[name] = Histogram(name)
         return inst
 
     def phase(self, name: str) -> PhaseTimer:
@@ -177,8 +140,7 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Fold ``other``'s instruments into this registry, in place.
 
-        Counters and phase timers add; histograms combine their
-        count/sum/min/max summaries; gauges are last-write-wins (the
+        Counters and phase timers add; gauges are last-write-wins (the
         merged-in registry's level replaces ours, matching
         :meth:`Gauge.set` semantics).  Returns ``self`` so sweeps can
         chain ``profile.merge(worker_a).merge(worker_b)``.
@@ -187,13 +149,6 @@ class MetricsRegistry:
             self.counter(name).inc(counter.value)
         for name, gauge in other._gauges.items():
             self.gauge(name).set(gauge.value)
-        for name, hist in other._histograms.items():
-            mine = self.histogram(name)
-            mine.count += hist.count
-            mine.total += hist.total
-            if hist.count:
-                mine.min = min(mine.min, hist.min)
-                mine.max = max(mine.max, hist.max)
         for name, phase in other._timers.items():
             mine_phase = self.phase(name)
             mine_phase.calls += phase.calls
@@ -213,13 +168,6 @@ class MetricsRegistry:
             registry.counter(name).inc(int(value))
         for name, value in snap.get("gauges", {}).items():
             registry.gauge(name).set(float(value))
-        for name, fields in snap.get("histograms", {}).items():
-            hist = registry.histogram(name)
-            hist.count = int(fields.get("count", 0))
-            hist.total = float(fields.get("sum", 0.0))
-            if hist.count:
-                hist.min = float(fields["min"])
-                hist.max = float(fields["max"])
         for name, fields in snap.get("phases", {}).items():
             phase = registry.phase(name)
             phase.calls = int(fields.get("calls", 0))
@@ -232,16 +180,6 @@ class MetricsRegistry:
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: {
-                    "count": h.count,
-                    "sum": h.total,
-                    "min": h.min if h.count else None,
-                    "max": h.max if h.count else None,
-                    "mean": h.mean,
-                }
-                for n, h in sorted(self._histograms.items())
-            },
             "phases": {
                 n: {"calls": t.calls, "seconds": t.seconds}
                 for n, t in sorted(self._timers.items())
@@ -268,12 +206,6 @@ class MetricsRegistry:
             lines.append(f"counter {name} = {c.value}")
         for name, g in sorted(self._gauges.items()):
             lines.append(f"gauge {name} = {g.value:g}")
-        for name, h in sorted(self._histograms.items()):
-            if h.count:
-                lines.append(
-                    f"hist {name}: n={h.count} mean={h.mean:g} "
-                    f"min={h.min:g} max={h.max:g}"
-                )
         return "\n".join(lines) if lines else "(no metrics recorded)"
 
 

@@ -41,8 +41,6 @@ class TestRun:
         assert os.path.exists(os.path.join(csv_dir, "fig1.csv"))
 
     def test_run_writes_only_its_cache_dir(self, tmp_path, tmp_path_factory, monkeypatch, capsys):
-        for var in ("REPRO_CACHE_DIR", "REPRO_LEDGER", "REPRO_NO_CACHE", "REPRO_TRACE_DIR"):
-            monkeypatch.delenv(var, raising=False)
         cache = tmp_path_factory.mktemp("elsewhere") / "cache"
         monkeypatch.chdir(tmp_path)
         assert main(["run", "fig1", "--cache-dir", str(cache)]) == 0
@@ -236,11 +234,9 @@ class TestRunTraceDir:
 
 
 class TestRunLedgerDefault:
-    def test_cached_run_appends_ledger_under_cache_dir(self, tmp_path, capsys, monkeypatch):
+    def test_cached_run_appends_ledger_under_cache_dir(self, tmp_path, capsys):
         from repro.obs import read_events
 
-        for var in ("REPRO_LEDGER", "REPRO_NO_CACHE"):
-            monkeypatch.delenv(var, raising=False)
         cache = tmp_path / "cache"
         assert main(["run", "fig1", "--cache-dir", str(cache)]) == 0
         capsys.readouterr()
@@ -250,22 +246,41 @@ class TestRunLedgerDefault:
         ends = [e for e in events if e["event"] == "point_end"]
         assert ends and all(len(e["key"]) == 64 for e in ends)
 
-    def test_no_cache_without_ledger_writes_none(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+    def test_no_cache_without_ledger_writes_none(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["run", "fig1", "--no-cache", "--cache-dir", str(cache)]) == 0
         capsys.readouterr()
         assert not cache.exists()
 
-    def test_non_positive_heartbeat_exits_two(self, capsys):
-        assert main(["run", "fig1", "--no-cache", "--heartbeat-s", "0"]) == 2
-        assert "--heartbeat-s" in capsys.readouterr().err
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_two(self, capsys, workers):
+        assert main(["run", "fig1", "--no-cache", "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("var", ["REPRO_WORKERS", "REPRO_HEARTBEAT_S"])
-    def test_malformed_env_exits_two(self, capsys, monkeypatch, var):
-        monkeypatch.setenv(var, "many")
-        assert main(["run", "fig1", "--no-cache"]) == 2
-        assert var in capsys.readouterr().err
+    def test_environment_does_not_configure_run(self, tmp_path, capsys, monkeypatch):
+        # A run is set by its flags alone: variables that once doubled
+        # the flags change neither the output nor what is written.
+        def rows():
+            assert main(["run", "fig1", "--no-cache"]) == 0
+            out = capsys.readouterr().out
+            return [line for line in out.splitlines() if "completed in" not in line]
+
+        monkeypatch.chdir(tmp_path)
+        plain = rows()
+        for var in (
+            "REPRO_WORKERS",
+            "REPRO_NO_CACHE",
+            "REPRO_FORCE",
+            "REPRO_CACHE_DIR",
+            "REPRO_TRACE_DIR",
+            "REPRO_LEDGER",
+            "REPRO_HEARTBEAT_S",
+            "REPRO_PROFILE_SWEEP",
+            "REPRO_PAPER_SCALE",
+        ):
+            monkeypatch.setenv(var, "garbage")
+        assert rows() == plain
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLiveMonitoringCli:
@@ -284,8 +299,6 @@ class TestLiveMonitoringCli:
                     str(ledger),
                     "--trace-dir",
                     str(traces),
-                    "--heartbeat-s",
-                    "0.2",
                 ]
             )
             == 0

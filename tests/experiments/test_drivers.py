@@ -1,6 +1,7 @@
 """Smoke and contract tests for the figure drivers, runner, and report."""
 
 import csv
+import inspect
 import os
 import random
 
@@ -13,7 +14,6 @@ from repro.experiments import (
     FigureResult,
     Scale,
     aggregate,
-    default_scale,
     format_table,
     run_configuration,
 )
@@ -50,11 +50,11 @@ class TestRegistry:
             "pareto",
         ]
 
-    def test_default_scale_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
-        assert default_scale() is QUICK
-        monkeypatch.setenv("REPRO_PAPER_SCALE", "1")
-        assert default_scale() is PAPER
+    def test_every_driver_defaults_to_quick_scale(self):
+        # The scale is an argument, not ambient state: no environment
+        # variable switches a driver to PAPER.
+        for name, driver in ALL_EXPERIMENTS.items():
+            assert inspect.signature(driver).parameters["scale"].default is QUICK, name
 
     def test_paper_scale_matches_paper_parameters(self):
         assert PAPER.file_tokens == 200

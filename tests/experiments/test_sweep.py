@@ -14,9 +14,9 @@ import random
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, Scale
-from repro.experiments.config import default_executor_config
 from repro.experiments.sweep import (
     CACHE_VERSION,
+    RETRIES,
     Executor,
     ExecutorConfig,
     PointSpec,
@@ -43,6 +43,13 @@ def _square_point(spec: PointSpec):
     if spec.param("boom", False):
         raise RuntimeError(f"boom {value}")
     return {"square": value * value, "stats": {"value": value}}
+
+
+@point_function("_test_exit")
+def _exit_point(spec: PointSpec):
+    if spec.param("die", False):
+        os._exit(3)  # a worker that dies without raising
+    return {"index": spec.index}
 
 
 def _specs(values, **extra):
@@ -133,9 +140,9 @@ class TestExecutorSerial:
         executor = Executor()
         with pytest.raises(SweepError) as info:
             executor.run([PointSpec.make("f", "_test_flaky", 0, {"x": 1})])
-        assert len(calls) == 2  # first attempt + one retry
+        assert len(calls) == 1 + RETRIES == 2  # first attempt + one retry
         (failure,) = info.value.failures
-        assert failure.retries == 1
+        assert failure.retries == RETRIES
         assert "always down" in failure.error
         assert "always down" in str(info.value)
 
@@ -180,6 +187,17 @@ class TestCache:
         Executor(config).run([spec])
         key = spec.cache_key()
         (tmp_path / key[:2] / f"{key}.json").write_text("{not json")
+        again = Executor(config)
+        assert again.run([spec]) == [{"square": 25, "stats": {"value": 5}}]
+        assert not again.outcomes[0].cache_hit
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", "7", "null", '"text"'])
+    def test_non_object_cache_entry_is_recomputed(self, tmp_path, payload):
+        config = ExecutorConfig(use_cache=True, cache_dir=str(tmp_path))
+        (spec,) = _specs([5])
+        Executor(config).run([spec])
+        key = spec.cache_key()
+        (tmp_path / key[:2] / f"{key}.json").write_text(payload)
         again = Executor(config)
         assert again.run([spec]) == [{"square": 25, "stats": {"value": 5}}]
         assert not again.outcomes[0].cache_hit
@@ -274,49 +292,28 @@ class TestDeterminismRegression:
 
 
 class TestConfig:
-    def test_default_executor_config_env(self, monkeypatch):
-        for var in ("REPRO_WORKERS", "REPRO_NO_CACHE", "REPRO_FORCE", "REPRO_CACHE_DIR"):
-            monkeypatch.delenv(var, raising=False)
-        config = default_executor_config()
-        assert config.workers == 1
-        assert config.use_cache and not config.force
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        monkeypatch.setenv("REPRO_FORCE", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/elsewhere")
-        config = default_executor_config()
-        assert config.workers == 3
-        assert not config.use_cache
-        assert config.force
-        assert config.cache_dir == "/tmp/elsewhere"
+    def test_default_ledger_under_cache_dir(self):
+        # ``ocd-repro run`` builds its config from its flags alone: the
+        # ledger sits under the cache dir while caching, and an explicit
+        # --ledger always wins.
+        from repro.cli import _build_parser, _executor_config
 
-    def test_explicit_arguments_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert default_executor_config(workers=5).workers == 5
+        def config(*flags):
+            return _executor_config(_build_parser().parse_args(["run", "fig1", *flags]))
 
-    def test_default_ledger_under_cache_dir(self, monkeypatch):
-        for var in ("REPRO_LEDGER", "REPRO_NO_CACHE"):
-            monkeypatch.delenv(var, raising=False)
-        config = default_executor_config(cache_dir="c")
-        assert config.ledger_path == os.path.join("c", "ledger.jsonl")
-        # No cache, no default ledger; an explicit path always wins.
-        assert default_executor_config(use_cache=False).ledger_path is None
-        explicit = default_executor_config(use_cache=False, ledger_path="l.jsonl")
-        assert explicit.ledger_path == "l.jsonl"
-        monkeypatch.setenv("REPRO_LEDGER", "env.jsonl")
-        assert default_executor_config(cache_dir="c").ledger_path == "env.jsonl"
-
-    def test_malformed_workers_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "four")
-        with pytest.raises(ValueError, match="REPRO_WORKERS='four'"):
-            default_executor_config()
+        default = config()
+        assert default.workers == 1
+        assert default.use_cache and not default.force
+        assert default.ledger_path == os.path.join("results", "cache", "ledger.jsonl")
+        assert config("--cache-dir", "c").ledger_path == os.path.join("c", "ledger.jsonl")
+        assert config("--no-cache").ledger_path is None
+        assert config("--no-cache", "--ledger", "l.jsonl").ledger_path == "l.jsonl"
+        assert config("--cache-dir", "c", "--ledger", "l.jsonl").ledger_path == "l.jsonl"
 
     @pytest.mark.parametrize("heartbeat_s", [0.0, -1.0, float("nan")])
     def test_non_positive_heartbeat_raises(self, heartbeat_s):
-        with pytest.raises(ValueError, match="--heartbeat-s"):
+        with pytest.raises(ValueError, match="heartbeat_s"):
             ExecutorConfig(heartbeat_s=heartbeat_s)
-        with pytest.raises(ValueError, match="--heartbeat-s"):
-            default_executor_config(heartbeat_s=heartbeat_s)
 
     def test_specs_survive_pickling(self):
         # Parallel fan-out pickles specs (including nested dict params).
@@ -354,17 +351,22 @@ def test_seed_derivation_is_per_point_not_worker_state():
 class TestFailureTracebacks:
     """Satellite: SweepError keeps the worker-side traceback."""
 
-    def test_serial_failure_attaches_traceback(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_attaches_worker_traceback(self, tmp_path, workers):
         from repro.obs import read_events
 
         path = tmp_path / "ledger.jsonl"
-        executor = Executor(ExecutorConfig(ledger_path=str(path)))
+        executor = Executor(ExecutorConfig(workers=workers, ledger_path=str(path)))
         with pytest.raises(SweepError) as info:
             executor.run(_specs([9], boom=True))
         (failure,) = info.value.failures
+        # One outcome path for both pools: format_exception follows the
+        # __cause__ chain, so a worker-side stack survives the pool.
         assert "RuntimeError: boom 9" in failure.traceback
         assert "_square_point" in failure.traceback  # the actual frame
         assert "RuntimeError: boom 9" in str(info.value)
+        assert failure.worker == 0
+        assert failure.retries == RETRIES
         # Every failed attempt's point_end carries its traceback.
         rows = read_events(str(path), kind="point_end")
         assert [row["attempt"] for row in rows] == [0, 1]
@@ -372,17 +374,6 @@ class TestFailureTracebacks:
             assert row["error"] == "RuntimeError: boom 9"
             assert "_square_point" in row["traceback"]
             assert "RuntimeError: boom 9" in row["traceback"]
-
-    def test_parallel_failure_attaches_worker_traceback(self):
-        executor = Executor(ExecutorConfig(workers=2, retries=0))
-        with pytest.raises(SweepError) as info:
-            executor.run(_specs([7], boom=True))
-        (failure,) = info.value.failures
-        # format_exception follows the __cause__ chain, so the remote
-        # (worker-side) stack survives into the message.
-        assert "RuntimeError: boom 7" in failure.traceback
-        assert "Traceback" in failure.traceback
-        assert "boom 7" in str(info.value)
 
     def test_success_has_no_traceback_field(self, tmp_path):
         from repro.obs import read_events
@@ -622,27 +613,68 @@ class TestRunLedger:
         executor.run([self._fig2_spec()])
         assert executor.profile.snapshot()["phases"] == {}
 
-    def test_env_configuration(self, monkeypatch):
-        for var in ("REPRO_LEDGER", "REPRO_HEARTBEAT_S", "REPRO_PROFILE_SWEEP"):
-            monkeypatch.delenv(var, raising=False)
-        config = default_executor_config(use_cache=False)
-        assert config.ledger_path is None
-        assert config.heartbeat_s == 5.0
-        assert config.profile is False
-        monkeypatch.setenv("REPRO_LEDGER", "runs/ledger.jsonl")
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.5")
-        monkeypatch.setenv("REPRO_PROFILE_SWEEP", "1")
-        config = default_executor_config()
-        assert config.ledger_path == "runs/ledger.jsonl"
-        assert config.heartbeat_s == 0.5
-        assert config.profile is True
-        # A malformed cadence fails loudly, naming the variable.
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "soon")
-        with pytest.raises(ValueError, match="REPRO_HEARTBEAT_S"):
-            default_executor_config()
-        monkeypatch.setenv("REPRO_HEARTBEAT_S", "0.5")
-        # Explicit arguments beat the environment.
-        assert default_executor_config(heartbeat_s=2.0).heartbeat_s == 2.0
+    def test_dead_worker_fails_unfinished_points_and_ends_sweep(self, tmp_path):
+        # A worker that exits without raising breaks the whole pool: no
+        # retry can run, so every unfinished point fails with the pool's
+        # error, run() raises SweepError, and the ledger still ends.
+        from repro.obs import read_events
+        from repro.obs.live import LedgerState
+
+        path = tmp_path / "ledger.jsonl"
+        specs = [
+            PointSpec.make("testfig", "_test_exit", i, {"die": i == 1}, seed=i)
+            for i in range(3)
+        ]
+        executor = Executor(ExecutorConfig(workers=2, ledger_path=str(path)))
+        with pytest.raises(SweepError) as info:
+            executor.run(specs)
+        failed = {o.spec.index for o in info.value.failures}
+        assert 1 in failed
+        for outcome in info.value.failures:
+            assert outcome.error.startswith("BrokenProcessPool")
+            assert outcome.worker == 0
+        assert sorted(o.spec.index for o in executor.outcomes) == [0, 1, 2]
+        (end,) = read_events(str(path), kind="sweep_end")
+        assert end["ok"] is False
+        assert end["failed"] == len(failed)
+        # The parent closes the points the dead pool left open.
+        counts = LedgerState.from_ledger(str(path)).counts()
+        assert counts["running"] == 0
+        assert counts["done"] + counts["failed"] == 3
+
+    def test_pool_broken_between_submissions_fails_the_rest(self, tmp_path, monkeypatch):
+        # A (re)submission can find the pool already broken by another
+        # point's worker; that point fails with the pool's error too.
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.obs import read_events
+
+        real_submit = concurrent.futures.ProcessPoolExecutor.submit
+        submitted = []
+
+        def submit_then_break(pool, *args, **kwargs):
+            submitted.append(args[1].index)
+            if len(submitted) > 1:
+                raise BrokenProcessPool("pool broke")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "submit", submit_then_break
+        )
+        path = tmp_path / "ledger.jsonl"
+        executor = Executor(ExecutorConfig(workers=2, ledger_path=str(path)))
+        with pytest.raises(SweepError) as info:
+            executor.run(_specs([1, 2, 3]))
+        assert [o.spec.index for o in info.value.failures] == [1, 2]
+        assert all(o.error == "BrokenProcessPool: pool broke" for o in info.value.failures)
+        assert [o.ok for o in sorted(executor.outcomes, key=lambda o: o.spec.index)] == [
+            True,
+            False,
+            False,
+        ]
+        (end,) = read_events(str(path), kind="sweep_end")
+        assert end["ok"] is False and end["failed"] == 2
 
 
 class TestPerPointTraces:
