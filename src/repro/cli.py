@@ -402,9 +402,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _InputError(Exception):
+    """An instance file a verb cannot load; :func:`main` reports it."""
+
+
 def _load_problem(path: str) -> Problem:
-    with open(path) as handle:
-        return Problem.from_dict(json.load(handle))
+    try:
+        with open(path) as handle:
+            return Problem.from_dict(json.load(handle))
+    except OSError as error:
+        raise _InputError(f"{path}: {error.strerror or error}") from None
+    except ValueError as error:
+        raise _InputError(f"{path}: {error}") from None
 
 
 def _emit_json(payload) -> None:
@@ -883,6 +892,14 @@ def _cmd_compare(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _InputError as error:
+        print(f"{args.command} failed: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -16,9 +16,9 @@ those subsystems need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Final, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
+from repro.core.tokenset import TokenSet
 
 __all__ = ["Arc", "Problem", "ProblemValidationError", "max_eccentricity", "reach_rounds"]
 
@@ -61,6 +61,20 @@ def max_eccentricity(adjacency: Sequence[Sequence[int]]) -> int:
 
 class ProblemValidationError(ValueError):
     """Raised when a :class:`Problem` is structurally invalid."""
+
+
+def _integer(value: Any, field: str) -> int:
+    """``value`` if it is an ``int`` and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemValidationError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _sequence(value: Any, field: str) -> Sequence[Any]:
+    """``value`` if it is a list or tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ProblemValidationError(f"{field} must be a list, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,12 +149,14 @@ class Problem:
         want: Sequence[TokenSet],
         name: str = "",
     ) -> None:
-        self.num_vertices = num_vertices
-        self.num_tokens = num_tokens
-        self.arcs: Tuple[Arc, ...] = tuple(arcs)
-        self.have: Tuple[TokenSet, ...] = tuple(have)
-        self.want: Tuple[TokenSet, ...] = tuple(want)
-        self.name = name
+        # Final: the instance is immutable (§3.1), and mypy refuses any
+        # rebinding of these fields.
+        self.num_vertices: Final = num_vertices
+        self.num_tokens: Final = num_tokens
+        self.arcs: Final[Tuple[Arc, ...]] = tuple(arcs)
+        self.have: Final[Tuple[TokenSet, ...]] = tuple(have)
+        self.want: Final[Tuple[TokenSet, ...]] = tuple(want)
+        self.name: Final = name
         self._dist_cache: Optional[List[List[int]]] = None
         self._validate()
         self._build_adjacency()
@@ -459,15 +475,54 @@ class Problem:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Problem":
-        """Inverse of :meth:`to_dict`."""
-        return cls.build(
-            int(data["num_vertices"]),
-            int(data["num_tokens"]),
-            [tuple(arc) for arc in data["arcs"]],
-            {int(v): tokens for v, tokens in data.get("have", {}).items()},
-            {int(v): tokens for v, tokens in data.get("want", {}).items()},
-            name=data.get("name", ""),
-        )
+        """Inverse of :meth:`to_dict`.
+
+        Nothing is coerced: a missing field, a count, arc field, vertex
+        id or token id that is not an integer (``true`` and ``2.0`` are
+        not), or a vertex id out of range raises
+        :class:`ProblemValidationError` naming the field.
+        """
+        if not isinstance(data, Mapping):
+            raise ProblemValidationError("instance payload is not an object")
+        for key in ("num_vertices", "num_tokens", "arcs"):
+            if key not in data:
+                raise ProblemValidationError(f"instance payload has no {key!r}")
+        n = _integer(data["num_vertices"], "num_vertices")
+        m = _integer(data["num_tokens"], "num_tokens")
+        arcs: List[Tuple[int, int, int]] = []
+        for i, arc in enumerate(_sequence(data["arcs"], "arcs")):
+            if not isinstance(arc, (list, tuple)) or len(arc) != 3:
+                raise ProblemValidationError(
+                    f"arcs[{i}] must be [src, dst, capacity], got {arc!r}"
+                )
+            src, dst, cap = (
+                _integer(value, f"arcs[{i}] {part}")
+                for value, part in zip(arc, ("src", "dst", "capacity"))
+            )
+            arcs.append((src, dst, cap))
+        sets: Dict[str, Dict[int, List[int]]] = {}
+        for key in ("have", "want"):
+            raw = data.get(key, {})
+            if not isinstance(raw, Mapping):
+                raise ProblemValidationError(f"{key} must map vertex ids to token lists")
+            sets[key] = {}
+            for v, tokens in raw.items():
+                # JSON object keys are strings.
+                if type(v) is str and v.isdecimal():
+                    v = int(v)
+                vertex = _integer(v, f"{key} vertex id")
+                if not 0 <= vertex < n:
+                    raise ProblemValidationError(
+                        f"{key} names vertex {vertex} outside 0..{n - 1}"
+                    )
+                field = f"{key}[{vertex}]"
+                sets[key][vertex] = [
+                    _integer(t, f"{field} token") for t in _sequence(tokens, field)
+                ]
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise ProblemValidationError(f"name must be a string, got {name!r}")
+        return cls.build(n, m, arcs, sets["have"], sets["want"], name=name)
 
     def to_networkx(self) -> Any:
         """Export the overlay graph as a ``networkx.DiGraph`` with

@@ -16,7 +16,7 @@ not carry ``m`` itself; it is a bare set of naturals, and the enclosing
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Final, Iterable, Iterator
 
 __all__ = ["TokenSet", "EMPTY_TOKENSET"]
 
@@ -43,7 +43,7 @@ class TokenSet:
     def __init__(self, mask: int = 0) -> None:
         if mask < 0:
             raise ValueError(f"token bitmask must be non-negative, got {mask}")
-        self.mask = mask
+        self.mask: Final = mask
 
     # ------------------------------------------------------------------
     # Constructors

@@ -441,6 +441,12 @@ def _compute_point(
                 f"point function {spec.kind!r} must return a dict, "
                 f"got {type(result).__name__}"
             )
+        try:
+            json.dumps(result, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise TypeError(
+                f"point function {spec.kind!r} returned a result that is not JSON: {exc}"
+            ) from None
     except BaseException as exc:
         if heartbeat is not None:
             heartbeat.stop()

@@ -25,10 +25,10 @@ class Heuristic:
     Subclasses override :meth:`propose`, and :meth:`on_reset` for any
     per-run precomputation.
 
-    Determinism contract (ocdlint OCD001): all randomness flows through
-    :attr:`rng`, which defaults to a *seeded* ``random.Random(0)`` so a
-    heuristic used before :meth:`reset` can never silently produce
-    nondeterministic schedules.  :attr:`problem` raises before the first
+    Determinism contract (``tests/test_determinism_env.py``): all
+    randomness flows through :attr:`rng`, which defaults to a *seeded*
+    ``random.Random(0)`` so a heuristic used before :meth:`reset` can
+    never silently produce nondeterministic schedules.  :attr:`problem` raises before the first
     :meth:`reset` — there is no instance to consult until then.
     """
 

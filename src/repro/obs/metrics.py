@@ -5,9 +5,10 @@ instruments — no process-global state, so two concurrent profiled runs
 cannot contaminate each other and tests can assert on exactly what one
 run recorded.
 
-The model packages themselves may not consult wall-clock time (ocdlint
-OCD004 enforces this: the simulation is synchronous, timesteps are
-integers).  All timing therefore lives *here*, behind the
+The model packages themselves may not consult wall-clock time (the
+simulation is synchronous and timesteps are integers; the layering row
+``no-clock`` in ``tests/test_layering.py`` enforces this).
+All timing therefore lives *here*, behind the
 :meth:`MetricsRegistry.timer` context manager: an engine writes
 
 .. code-block:: python
@@ -227,8 +228,8 @@ def current_metrics() -> Optional[MetricsRegistry]:
     """The ambient registry engines resolve at construction time.
 
     ``None`` unless inside a :func:`metrics_active` block — the default
-    path never touches a clock, keeping OCD004's synchronous-model
-    contract intact for unprofiled runs.
+    path never touches a clock, keeping the synchronous-model contract
+    intact for unprofiled runs.
     """
     return _ambient_metrics
 

@@ -36,6 +36,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Final,
     List,
     Mapping,
     Optional,
@@ -140,13 +141,14 @@ class StepContext:
         rng: random.Random,
         state: Optional[SimState] = None,
     ) -> None:
-        self.problem = problem
-        self.step = step
-        self.possession = possession
-        self.holder_counts = holder_counts
-        self.rng = rng
-        self.state = state
-        self.version = state.version if state is not None else 0
+        # Final: a heuristic reads the view and never rebinds it (mypy).
+        self.problem: Final = problem
+        self.step: Final = step
+        self.possession: Final = possession
+        self.holder_counts: Final = holder_counts
+        self.rng: Final = rng
+        self.state: Final = state
+        self.version: Final = state.version if state is not None else 0
         self._outstanding: Optional[int] = None
 
     def useful(self, src: int, dst: int) -> TokenSet:

@@ -2,6 +2,7 @@
 satisfiability, theorem bounds, serialization."""
 
 import math
+import re
 
 import networkx as nx
 import pytest
@@ -189,6 +190,39 @@ class TestSerialization:
     @given(problems())
     def test_dict_roundtrip_random(self, problem):
         assert Problem.from_dict(problem.to_dict()) == problem
+
+    #: (a change to a valid payload, the field the refusal names)
+    REFUSED = [
+        ({"num_vertices": 2.9}, "num_vertices"),
+        ({"num_vertices": 2.0}, "num_vertices"),
+        ({"num_tokens": True}, "num_tokens"),
+        ({"arcs": [[0, 1, 1.5]]}, "arcs[0] capacity"),
+        ({"arcs": [[0, True, 1]]}, "arcs[0] dst"),
+        ({"arcs": [[0, 1]]}, "arcs[0]"),
+        ({"have": {"0": [0.0]}}, "have[0] token"),
+        ({"want": {"1": [False]}}, "want[1] token"),
+        ({"want": {"1": 0}}, "want[1]"),
+        ({"have": {"x": [0]}}, "have vertex id"),
+        ({"have": {"2": [0]}}, "have names vertex 2"),
+        ({"name": 3}, "name"),
+    ]
+
+    @pytest.mark.parametrize("change, field", REFUSED, ids=[f for _, f in REFUSED])
+    def test_from_dict_refuses(self, change, field):
+        payload = {**Problem.build(2, 1, [(0, 1, 1)], {0: [0]}, {1: [0]}).to_dict(), **change}
+        with pytest.raises(ProblemValidationError, match=re.escape(field)):
+            Problem.from_dict(payload)
+
+    @pytest.mark.parametrize("missing", ["num_vertices", "num_tokens", "arcs"])
+    def test_from_dict_names_a_missing_field(self, missing):
+        payload = Problem.build(2, 1, [(0, 1, 1)], {0: [0]}, {1: [0]}).to_dict()
+        del payload[missing]
+        with pytest.raises(ProblemValidationError, match=missing):
+            Problem.from_dict(payload)
+
+    def test_from_dict_refuses_a_non_object(self):
+        with pytest.raises(ProblemValidationError, match="not an object"):
+            Problem.from_dict([1, 2])
 
     def test_to_networkx(self, path_problem):
         g = path_problem.to_networkx()

@@ -202,6 +202,36 @@ class TestTrace:
             assert fa.read() == fb.read()
 
 
+class TestBadInstanceFile:
+    """Every verb that reads a Problem file refuses a bad one with exit 2
+    and one line naming the file, like the trace-* verbs."""
+
+    BAD = {
+        "missing": (None, "No such file or directory"),
+        "not-json": ("{not json", "Expecting property name"),
+        "no-num-tokens": ('{"num_vertices": 2, "arcs": []}', "no 'num_tokens'"),
+        "coerced": (
+            '{"num_vertices": 2.9, "num_tokens": 1, "arcs": [[0, 1, 1]]}',
+            "num_vertices must be an integer, got 2.9",
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", ["simulate", "solve", "trace", "compare"])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_exits_two(self, verb, bad, tmp_path, capsys):
+        content, reason = self.BAD[bad]
+        path = tmp_path / "problem.json"
+        if content is not None:
+            path.write_text(content)
+        extra = ["--out", str(tmp_path / "t.jsonl")] if verb == "trace" else []
+        assert main([verb, str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb} failed: {path}: ")
+        assert reason in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.jsonl").exists()
+
+
 class TestSimulateProfile:
     def test_profile_flag_prints_summary(self, problem_file, capsys):
         assert main(["simulate", problem_file, "--profile"]) == 0

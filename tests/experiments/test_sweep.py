@@ -52,6 +52,11 @@ def _exit_point(spec: PointSpec):
     return {"index": spec.index}
 
 
+@point_function("_test_set")
+def _set_point(spec: PointSpec):
+    return {"v": {1, 2}}  # a dict, but not JSON
+
+
 def _specs(values, **extra):
     return [
         PointSpec.make(
@@ -641,6 +646,28 @@ class TestRunLedger:
         counts = LedgerState.from_ledger(str(path)).counts()
         assert counts["running"] == 0
         assert counts["done"] + counts["failed"] == 3
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_result_that_is_not_json_fails_the_point(self, tmp_path, use_cache):
+        from repro.obs import read_events
+
+        path = tmp_path / "ledger.jsonl"
+        cache = tmp_path / "cache"
+        config = ExecutorConfig(
+            use_cache=use_cache, cache_dir=str(cache), ledger_path=str(path)
+        )
+        spec = PointSpec.make("testfig", "_test_set", 0, {}, seed=0)
+        with pytest.raises(SweepError) as info:
+            Executor(config).run([spec])
+        (failure,) = info.value.failures
+        assert failure.retries == RETRIES
+        assert failure.error.startswith("TypeError: point function '_test_set'")
+        assert "not JSON" in failure.error
+        assert not cache.exists() or list(cache.rglob("*")) == []
+        ends = read_events(str(path), kind="point_end")
+        assert [end["ok"] for end in ends] == [False] * (RETRIES + 1)
+        (end,) = read_events(str(path), kind="sweep_end")
+        assert end["ok"] is False and end["failed"] == 1
 
     def test_pool_broken_between_submissions_fails_the_rest(self, tmp_path, monkeypatch):
         # A (re)submission can find the pool already broken by another

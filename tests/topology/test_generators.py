@@ -31,9 +31,6 @@ class TestRandomInstance:
             assert p.num_tokens <= 2
             assert all(a.capacity == 1 for a in p.arcs)
 
-    def test_deterministic_given_rng(self):
-        assert random_instance(random.Random(7)) == random_instance(random.Random(7))
-
 
 class TestBottleneck:
     def test_structure(self):

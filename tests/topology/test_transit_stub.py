@@ -92,9 +92,3 @@ class TestGenerator:
         t_base = transit_stub_graph(base, random.Random(7))
         t_extra = transit_stub_graph(extra, random.Random(7))
         assert t_extra.num_arcs() > t_base.num_arcs()
-
-    def test_deterministic_given_rng(self):
-        params = TransitStubParams()
-        a = transit_stub_graph(params, random.Random(11))
-        b = transit_stub_graph(params, random.Random(11))
-        assert a.arcs == b.arcs

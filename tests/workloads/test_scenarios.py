@@ -134,12 +134,3 @@ class TestMultiSender:
         rng = random.Random(6)
         p = file_subdivision(topo, 2, rng=rng, total_tokens=8, multi_sender=True)
         assert p.is_satisfiable()
-
-    def test_deterministic_given_rng(self, topo):
-        a = file_subdivision(
-            topo, 2, rng=random.Random(7), total_tokens=8, multi_sender=True
-        )
-        b = file_subdivision(
-            topo, 2, rng=random.Random(7), total_tokens=8, multi_sender=True
-        )
-        assert a == b
