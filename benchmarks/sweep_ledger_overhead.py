@@ -3,11 +3,12 @@
 ``ocd-repro run`` writes the run ledger to ``<cache-dir>/ledger.jsonl``
 whenever the result cache is on, so the monitored sweep is the default
 one.  The monitoring contract (docs/OBSERVABILITY.md) has two halves:
-disabled monitoring costs *nothing* (no ledger path, no writer, no
-heartbeat thread — the unmonitored code path is unchanged), and enabled
-monitoring — ledger appends plus the per-point heartbeat thread — stays
-within ``LEDGER_OVERHEAD_TOLERANCE`` of the unmonitored sweep.  This
-benchmark gates the second half, i.e. it bounds the CLI's default path.
+disabled monitoring costs *nothing* (no ledger path, no writer — the
+unmonitored code path is unchanged), and enabled monitoring — the
+worker's ``point_start`` append and the parent's ``point_end`` and
+sweep rows — stays within ``LEDGER_OVERHEAD_TOLERANCE`` of the
+unmonitored sweep.  This benchmark gates the second half, i.e. it
+bounds the CLI's default path.
 
 Methodology mirrors ``engine_perf.py --trace-overhead``: the monitored
 and unmonitored variants run back-to-back within each repeat and the
@@ -78,9 +79,7 @@ def _specs(points: int, size: int, tokens: int) -> list:
     ]
 
 
-def check_ledger_overhead(
-    repeats: int, points: int, size: int, tokens: int, heartbeat_s: float
-) -> int:
+def check_ledger_overhead(repeats: int, points: int, size: int, tokens: int) -> int:
     specs = _specs(points, size, tokens)
     sink = io.StringIO()
     ratios = []
@@ -89,9 +88,7 @@ def check_ledger_overhead(
         for repeat in range(repeats):
             ledger_path = os.path.join(tmp, f"ledger-{repeat}.jsonl")
             off = ExecutorConfig(workers=1)
-            on = ExecutorConfig(
-                workers=1, ledger_path=ledger_path, heartbeat_s=heartbeat_s
-            )
+            on = ExecutorConfig(workers=1, ledger_path=ledger_path)
             t0 = time.perf_counter()
             baseline = Executor(off, stream=sink).run(specs)
             t1 = time.perf_counter()
@@ -103,7 +100,7 @@ def check_ledger_overhead(
     overhead = min(ratios) - 1.0
     status = "ok" if overhead <= LEDGER_OVERHEAD_TOLERANCE else "OVERHEAD"
     print(
-        f"sweep ledger+heartbeat overhead {overhead:+.1%} over {points} "
+        f"sweep ledger overhead {overhead:+.1%} over {points} "
         f"point(s) x {repeats} repeat(s) "
         f"(limit {LEDGER_OVERHEAD_TOLERANCE:.0%}) -> {status}"
     )
@@ -115,22 +112,13 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--points", type=int, default=6)
     # Sized so one point costs ~10ms — the small end of real sweep
-    # points (quick-scale fig2 points are ~25ms).  The ~150us fixed
-    # monitoring cost per point (ledger open + two writes + heartbeat
-    # thread spawn/join) must amortize against real work, not a toy.
+    # points (quick-scale fig2 points are ~25ms).  The fixed monitoring
+    # cost per point (a worker-side ledger open and write, and a
+    # parent-side write) must amortize against real work, not a toy.
     parser.add_argument("--size", type=int, default=200)
     parser.add_argument("--tokens", type=int, default=128)
-    parser.add_argument(
-        "--heartbeat-s",
-        type=float,
-        default=0.2,
-        help="heartbeat cadence for the monitored variant (default 0.2, "
-        "aggressive on purpose so heartbeats actually fire)",
-    )
     args = parser.parse_args()
-    return check_ledger_overhead(
-        args.repeats, args.points, args.size, args.tokens, args.heartbeat_s
-    )
+    return check_ledger_overhead(args.repeats, args.points, args.size, args.tokens)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,6 @@ instance by hand, runs all five of the paper's heuristics on it, prunes
 their schedules, and compares against the exact optima.
 """
 
-import random
-
 from repro import Problem, evaluate_schedule, prune_schedule, run_heuristic
 from repro.core import remaining_bandwidth, remaining_timesteps
 from repro.exact import min_bandwidth_exact, solve_focd_bnb

@@ -16,7 +16,7 @@ start is therefore ``max_t (a_t - floor(t/r))``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule

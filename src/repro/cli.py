@@ -122,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--ledger",
         default=None,
-        help="append the run ledger (sweep/point status + heartbeat "
-        "events) here, for 'ocd-repro watch' (default "
+        help="append the run ledger (sweep and point status events) "
+        "here, for 'ocd-repro watch' (default "
         "<cache-dir>/ledger.jsonl while the cache is on, none without it)",
     )
     run.add_argument(

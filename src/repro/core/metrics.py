@@ -15,7 +15,7 @@ keep ``makespan``/``bandwidth`` as the canonical pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule

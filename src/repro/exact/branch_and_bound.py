@@ -26,9 +26,9 @@ after a configurable number of expanded nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep

@@ -16,7 +16,7 @@ The frontier makes every hybrid objective trivial to answer: e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule

@@ -24,7 +24,7 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import Bounds, linprog
+from scipy.optimize import linprog
 
 from repro.core.bounds import remaining_timesteps
 from repro.core.problem import Problem

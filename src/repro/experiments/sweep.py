@@ -30,17 +30,18 @@ grid:
   ``sweep_end`` in the ledger;
 * **the run ledger** — the executor's one per-point record.  With
   ``ledger_path`` set, the executor appends a run ledger
-  (:mod:`repro.obs.live`): the parent writes ``sweep_start``/
-  ``sweep_end`` (and ``point_end`` rows for cache hits and for points
-  a dead worker left open), and every
-  worker writes ``point_start``, periodic ``point_heartbeat`` (wall
-  time plus ``getrusage`` peaks from a daemon thread), and
-  ``point_end`` for the points it computes.  Every ``point_end``
-  carries the cache ``key`` and the point's reported ``stats``; a
-  failed attempt's carries ``error`` and ``traceback``.  Wall-clock
-  and resource fields live *only* in the ledger — trace files stay
-  byte-identical with monitoring on or off — and a retried point's
-  stale ledger events are superseded by ``attempt`` index;
+  (:mod:`repro.obs.live`): a worker writes ``point_start`` as it
+  begins a point, and the parent writes everything else —
+  ``sweep_start``, one ``point_end`` per attempt (built from the
+  same outcome it keeps, whether the point was computed, served from
+  the cache, failed, or was ended by a broken pool or an interrupt),
+  and ``sweep_end``, even when the sweep is interrupted.  Every
+  ``point_end`` carries the cache ``key`` and the point's reported
+  ``stats``; a computed attempt's adds the worker's ``getrusage``
+  peaks, and a failed attempt's carries ``error`` and ``traceback``.
+  Wall-clock and resource fields live *only* in the ledger — trace
+  files stay byte-identical with monitoring on or off — and a retried
+  point's stale ledger events are superseded by ``attempt`` index;
 * **profiling** — with ``profile`` set, each computed point activates
   an ambient :class:`repro.obs.MetricsRegistry` around its point
   function; workers ship their snapshots home, each sweep's snapshots
@@ -59,13 +60,13 @@ the :func:`point_function` decorator and looked up by ``spec.kind``.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import contextlib
 import hashlib
 import json
 import os
 import sys
-import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -277,101 +278,23 @@ def _rusage() -> Tuple[Optional[int], Optional[float]]:
     return int(usage.ru_maxrss), float(usage.ru_utime + usage.ru_stime)
 
 
-def _ledger_point_end(
-    ledger: LedgerWriter,
-    spec: PointSpec,
-    attempt: int,
-    ok: bool,
-    cache: str,
-    wall_s: float,
-    stats: Any = None,
-    error: Optional[BaseException] = None,
-    resources: bool = True,
-) -> None:
-    """Append one ``point_end`` ledger row for ``spec``.
+@dataclass(frozen=True)
+class _PointRecord:
+    """What one computed attempt sends home, success and failure alike.
 
-    ``stats`` is the point result's ``stats`` entry (recorded when it is
-    a dict); ``error`` is the exception a failed attempt raised.
-    """
-    fields: JsonDict = {
-        "figure": spec.figure,
-        "kind": spec.kind,
-        "index": spec.index,
-        "seed": spec.seed,
-        "key": spec.cache_key(),
-        "attempt": attempt,
-        "worker": os.getpid(),
-        "ok": ok,
-        "cache": cache,
-        "wall_s": round(wall_s, 6),
-    }
-    if isinstance(stats, dict):
-        fields["stats"] = stats
-    if error is not None:
-        fields["error"] = f"{type(error).__name__}: {error}"
-        fields["traceback"] = "".join(
-            traceback_module.format_exception(type(error), error, error.__traceback__)
-        )
-    if resources:
-        rss, cpu = _rusage()
-        if rss is not None:
-            fields["maxrss_kb"] = rss
-        if cpu is not None:
-            fields["cpu_s"] = round(cpu, 6)
-    ledger.write(make_event("point_end", fields))
-
-
-class _PointHeartbeat:
-    """Daemon thread appending ``point_heartbeat`` while a point runs.
-
-    The thread shares the worker's :class:`LedgerWriter`, but only ever
-    writes between :meth:`start` and :meth:`stop` — and :meth:`stop`
-    joins — so the worker's own ``point_start``/``point_end`` writes
-    never interleave with a beat.
+    ``result`` is set on success; ``error`` and ``traceback`` (formatted
+    where the point ran) on failure.  ``profile`` is the attempt's
+    metrics snapshot when profiling.
     """
 
-    def __init__(
-        self,
-        ledger: LedgerWriter,
-        spec: PointSpec,
-        attempt: int,
-        interval_s: float,
-        started: float,
-    ) -> None:
-        self._ledger = ledger
-        self._spec = spec
-        self._attempt = attempt
-        self._interval = interval_s
-        self._started = started
-        self._halt = threading.Event()
-        self._thread = threading.Thread(
-            target=self._beat, name="sweep-heartbeat", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._halt.set()
-        self._thread.join()
-
-    def _beat(self) -> None:
-        while not self._halt.wait(self._interval):
-            spec = self._spec
-            fields: JsonDict = {
-                "figure": spec.figure,
-                "kind": spec.kind,
-                "index": spec.index,
-                "attempt": self._attempt,
-                "worker": os.getpid(),
-                "elapsed_s": round(time.perf_counter() - self._started, 6),
-            }
-            rss, cpu = _rusage()
-            if rss is not None:
-                fields["maxrss_kb"] = rss
-            if cpu is not None:
-                fields["cpu_s"] = round(cpu, 6)
-            self._ledger.write(make_event("point_heartbeat", fields))
+    wall_s: float
+    worker: int
+    result: Optional[JsonDict] = None
+    error: str = ""
+    traceback: str = ""
+    maxrss_kb: Optional[int] = None
+    cpu_s: Optional[float] = None
+    profile: Optional[JsonDict] = None
 
 
 def _compute_point(
@@ -379,9 +302,8 @@ def _compute_point(
     trace_dir: Optional[str] = None,
     ledger_path: Optional[str] = None,
     attempt: int = 0,
-    heartbeat_s: float = 5.0,
     profile: bool = False,
-) -> Tuple[JsonDict, float, int, Optional[JsonDict]]:
+) -> _PointRecord:
     """Worker entry: run one point, timing it.  Must stay module-level
     so it is picklable by ProcessPoolExecutor.
 
@@ -390,32 +312,35 @@ def _compute_point(
     records into the point's trace file.  A retry reopens the file
     fresh, so failed attempts never leave duplicate events behind.
 
-    With ``ledger_path`` set, the worker appends ``point_start``, a
-    ``point_heartbeat`` every ``heartbeat_s`` seconds, and ``point_end``
-    (success or failure) to the run ledger; with ``profile`` set, an
-    ambient :class:`MetricsRegistry` wraps the point function and its
-    snapshot rides home as the fourth return element.
+    With ``ledger_path`` set, the worker appends the point's
+    ``point_start``; the parent writes its ``point_end`` from the
+    returned record.  With ``profile`` set, an ambient
+    :class:`MetricsRegistry` wraps the point function.  An ``Exception``
+    from the point becomes the record's ``error``; a ``BaseException``
+    (say, ``KeyboardInterrupt``) propagates.
     """
     started = time.perf_counter()
-    fn = resolve_point_function(spec.kind)
-    ledger: Optional[LedgerWriter] = None
-    heartbeat: Optional[_PointHeartbeat] = None
     if ledger_path is not None:
-        ledger = LedgerWriter(ledger_path)
-        start_fields: JsonDict = {
-            "figure": spec.figure,
-            "kind": spec.kind,
-            "index": spec.index,
-            "seed": spec.seed,
-            "attempt": attempt,
-            "worker": os.getpid(),
-            "started_unix": time.time(),
-        }
-        ledger.write(make_event("point_start", start_fields))
-        heartbeat = _PointHeartbeat(ledger, spec, attempt, heartbeat_s, started)
-        heartbeat.start()
+        with LedgerWriter(ledger_path) as ledger:
+            ledger.write(
+                make_event(
+                    "point_start",
+                    {
+                        "figure": spec.figure,
+                        "kind": spec.kind,
+                        "index": spec.index,
+                        "seed": spec.seed,
+                        "attempt": attempt,
+                        "worker": os.getpid(),
+                        "started_unix": time.time(),
+                    },
+                )
+            )
     registry = MetricsRegistry() if profile else None
+    result: Optional[JsonDict] = None
+    error = traceback = ""
     try:
+        fn = resolve_point_function(spec.kind)
         with contextlib.ExitStack() as stack:
             if registry is not None:
                 stack.enter_context(metrics_active(registry))
@@ -435,49 +360,36 @@ def _compute_point(
                     },
                 )
                 stack.enter_context(activated(tracer))
-            result = fn(spec)
-        if not isinstance(result, dict):
+            value = fn(spec)
+        if not isinstance(value, dict):
             raise TypeError(
                 f"point function {spec.kind!r} must return a dict, "
-                f"got {type(result).__name__}"
+                f"got {type(value).__name__}"
             )
         try:
-            json.dumps(result, sort_keys=True)
+            json.dumps(value, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise TypeError(
                 f"point function {spec.kind!r} returned a result that is not JSON: {exc}"
             ) from None
-    except BaseException as exc:
-        if heartbeat is not None:
-            heartbeat.stop()
-        if ledger is not None:
-            _ledger_point_end(
-                ledger,
-                spec,
-                attempt,
-                ok=False,
-                cache="miss",
-                wall_s=time.perf_counter() - started,
-                error=exc,
-            )
-            ledger.close()
-        raise
-    wall_s = time.perf_counter() - started
-    if heartbeat is not None:
-        heartbeat.stop()
-    if ledger is not None:
-        _ledger_point_end(
-            ledger,
-            spec,
-            attempt,
-            ok=True,
-            cache="miss",
-            wall_s=wall_s,
-            stats=result.get("stats"),
+        result = value
+    except Exception as exc:  # noqa: BLE001 — the parent reports it
+        error = f"{type(exc).__name__}: {exc}"
+        traceback = "".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
         )
-        ledger.close()
-    snapshot = registry.snapshot() if registry is not None else None
-    return result, wall_s, os.getpid(), snapshot
+    wall_s = time.perf_counter() - started
+    rss, cpu = _rusage()
+    return _PointRecord(
+        wall_s=wall_s,
+        worker=os.getpid(),
+        result=result,
+        error=error,
+        traceback=traceback,
+        maxrss_kb=rss,
+        cpu_s=cpu,
+        profile=registry.snapshot() if registry is not None else None,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -498,6 +410,71 @@ class PointOutcome:
     error: str = ""
     traceback: str = ""
     stats: Optional[JsonDict] = None
+
+
+def _record_outcome(spec: PointSpec, attempt: int, record: _PointRecord) -> PointOutcome:
+    """The outcome of an attempt that reported back, ok or not."""
+    result = record.result
+    return PointOutcome(
+        spec=spec,
+        cache_hit=False,
+        wall_s=record.wall_s,
+        worker=record.worker,
+        retries=attempt,
+        ok=result is not None,
+        error=record.error,
+        traceback=record.traceback,
+        stats=result.get("stats") if result is not None else None,
+    )
+
+
+def _failed_outcome(spec: PointSpec, attempt: int, exc: BaseException) -> PointOutcome:
+    """The outcome of an attempt that never reported: the pool failed,
+    or the sweep was interrupted, first.  No worker is known (``0``)."""
+    return PointOutcome(
+        spec=spec,
+        cache_hit=False,
+        wall_s=0.0,
+        worker=0,
+        retries=attempt,
+        ok=False,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback="".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+    )
+
+
+def _point_end(outcome: PointOutcome, record: Optional[_PointRecord] = None) -> JsonDict:
+    """The ``point_end`` ledger row of one attempt's outcome.
+
+    ``record`` is the attempt's own report, when it sent one: it adds
+    the worker's resource peaks.
+    """
+    spec = outcome.spec
+    fields: JsonDict = {
+        "figure": spec.figure,
+        "kind": spec.kind,
+        "index": spec.index,
+        "seed": spec.seed,
+        "key": spec.cache_key(),
+        "attempt": outcome.retries,
+        "worker": outcome.worker,
+        "ok": outcome.ok,
+        "cache": "hit" if outcome.cache_hit else "miss",
+        "wall_s": round(outcome.wall_s, 6),
+    }
+    if isinstance(outcome.stats, dict):
+        fields["stats"] = outcome.stats
+    if not outcome.ok:
+        fields["error"] = outcome.error
+        fields["traceback"] = outcome.traceback
+    if record is not None:
+        if record.maxrss_kb is not None:
+            fields["maxrss_kb"] = record.maxrss_kb
+        if record.cpu_s is not None:
+            fields["cpu_s"] = round(record.cpu_s, 6)
+    return make_event("point_end", fields)
 
 
 class SweepError(RuntimeError):
@@ -544,12 +521,10 @@ class ExecutorConfig:
     trace_dir: Optional[str] = None
     #: When set, the executor appends the run ledger
     #: (:mod:`repro.obs.live`) there: ``sweep_start``, per-point
-    #: ``point_start``/``point_heartbeat``/``point_end``, ``sweep_end``.
+    #: ``point_start``/``point_end``, ``sweep_end``.
     #: Off by default (the CLI puts it under ``cache_dir`` when caching)
     #: — disabled monitoring adds no work to any path.
     ledger_path: Optional[str] = None
-    #: Seconds between ``point_heartbeat`` rows from in-flight workers.
-    heartbeat_s: float = 5.0
     #: Activate an ambient :class:`repro.obs.MetricsRegistry` around
     #: every computed point and merge the per-worker snapshots into one
     #: profile per sweep (``sweep_end``) and one across sweeps
@@ -560,10 +535,6 @@ class ExecutorConfig:
         if self.workers < 1:
             raise ValueError(
                 f"workers (--workers) must be at least 1, got {self.workers!r}"
-            )
-        if not self.heartbeat_s > 0:
-            raise ValueError(
-                f"heartbeat_s must be positive, got {self.heartbeat_s!r}"
             )
 
 
@@ -663,17 +634,11 @@ class Executor:
             "points": len(specs),
             "workers": self.config.workers,
             "started_unix": time.time(),
-            "heartbeat_s": self.config.heartbeat_s,
         }
         if self.config.trace_dir:
             fields["trace_dir"] = self.config.trace_dir
         ledger.write(make_event("sweep_start", fields))
         return ledger
-
-    @staticmethod
-    def _merge_profile(profile: MetricsRegistry, snapshot: Optional[JsonDict]) -> None:
-        if snapshot is not None:
-            profile.merge(MetricsRegistry.from_snapshot(snapshot))
 
     # -- execution ------------------------------------------------------
     def _compute(
@@ -687,95 +652,87 @@ class Executor:
     ) -> None:
         """Compute the pending points, retrying failures.
 
-        Results land in ``results`` by grid index, so completion order
-        never affects output order; finished futures are handled in
-        submission order, so a serial sweep merges its profile in grid
-        order.  Once the pool breaks (a worker died), every unfinished
-        future holds the pool's error: those points fail without a retry,
-        and the parent closes them in the ledger, since no worker will.
+        Every attempt ends here, in one place: its record (or the pool's
+        error) becomes a :class:`PointOutcome` and, with a ledger, its
+        ``point_end`` row.  Results land in ``results`` by grid index,
+        so completion order never affects output order; finished futures
+        are handled in submission order, so a serial sweep merges its
+        profile in grid order.  Once the pool breaks (a worker died),
+        every unfinished future holds the pool's error: those points fail
+        without a retry.  If anything escapes (say, ``KeyboardInterrupt``),
+        every submitted point not yet closed fails with it first.
         """
         config = self.config
-        attempts: Dict[int, int] = {i: 0 for i in pending}
         pool: concurrent.futures.Executor = (
             concurrent.futures.ProcessPoolExecutor(max_workers=config.workers)
             if config.workers > 1
             else _InProcessExecutor()
         )
+        # A pool takes every point at once; in-process, a point runs
+        # inside submit(), so it is closed before the next one starts.
+        limit = len(pending) if config.workers > 1 else 1
+        queue = collections.deque(pending)
+        futures: Dict[concurrent.futures.Future[Any], int] = {}
+        # grid index -> attempt, for every submitted point not yet closed.
+        open_attempts: Dict[int, int] = {}
 
-        def submit(i: int) -> concurrent.futures.Future[Any]:
+        def submit(i: int, attempt: int) -> None:
+            open_attempts[i] = attempt
             try:
-                return pool.submit(
+                future = pool.submit(
                     _compute_point,
                     specs[i],
                     config.trace_dir,
                     config.ledger_path,
-                    attempts[i],
-                    config.heartbeat_s,
+                    attempt,
                     config.profile,
                 )
             except concurrent.futures.BrokenExecutor as exc:
                 # The pool broke before this (re)submission: the point
                 # fails with the pool's error like every other one.
-                failed: concurrent.futures.Future[Any] = concurrent.futures.Future()
-                failed.set_exception(exc)
-                return failed
+                future = concurrent.futures.Future()
+                future.set_exception(exc)
+            futures[future] = i
+
+        def close(i: int, outcome: PointOutcome, record: Optional[_PointRecord]) -> None:
+            del open_attempts[i]
+            if ledger is not None:
+                ledger.write(_point_end(outcome, record))
 
         with pool:
-            futures = {submit(i): i for i in pending}
-            while futures:
-                done, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in [f for f in futures if f in done]:
-                    i = futures.pop(future)
-                    try:
-                        result, wall_s, worker, snapshot = future.result()
-                    except Exception as exc:  # noqa: BLE001 — reported, never dropped
-                        broken = isinstance(exc, concurrent.futures.BrokenExecutor)
-                        if attempts[i] < RETRIES and not broken:
-                            attempts[i] += 1
-                            futures[submit(i)] = i
-                            continue
-                        if broken and ledger is not None:
-                            _ledger_point_end(
-                                ledger,
-                                specs[i],
-                                attempts[i],
-                                ok=False,
-                                cache="miss",
-                                wall_s=0.0,
-                                error=exc,
-                                resources=False,
-                            )
-                        # format_exception follows the __cause__ chain, so
-                        # the pool's _RemoteTraceback — the worker-side
-                        # stack — survives into the outcome.
-                        outcomes[i] = PointOutcome(
-                            spec=specs[i],
-                            cache_hit=False,
-                            wall_s=0.0,
-                            worker=0,
-                            retries=attempts[i],
-                            ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            traceback="".join(
-                                traceback_module.format_exception(
-                                    type(exc), exc, exc.__traceback__
-                                )
-                            ),
-                        )
-                        continue
-                    self._merge_profile(profile, snapshot)
-                    results[i] = result
-                    outcomes[i] = PointOutcome(
-                        spec=specs[i],
-                        cache_hit=False,
-                        wall_s=wall_s,
-                        worker=worker,
-                        retries=attempts[i],
-                        ok=True,
-                        stats=result.get("stats"),
+            try:
+                while queue or futures:
+                    while queue and len(futures) < limit:
+                        submit(queue.popleft(), 0)
+                    done, _ = concurrent.futures.wait(
+                        futures, return_when=concurrent.futures.FIRST_COMPLETED
                     )
+                    for future in [f for f in futures if f in done]:
+                        i = futures.pop(future)
+                        attempt = open_attempts[i]
+                        record: Optional[_PointRecord] = None
+                        try:
+                            record = future.result()
+                        except Exception as exc:  # noqa: BLE001 — the pool failed
+                            outcome = _failed_outcome(specs[i], attempt, exc)
+                        else:
+                            outcome = _record_outcome(specs[i], attempt, record)
+                        close(i, outcome, record)
+                        if record is not None and not outcome.ok and attempt < RETRIES:
+                            submit(i, attempt + 1)  # the point failed, not the pool
+                            continue
+                        outcomes[i] = outcome
+                        if record is not None and record.result is not None:
+                            results[i] = record.result
+                            if record.profile is not None:
+                                profile.merge(MetricsRegistry.from_snapshot(record.profile))
+            except BaseException as exc:
+                pool.shutdown(wait=False, cancel_futures=True)
+                for i, attempt in sorted(open_attempts.items()):
+                    outcome = _failed_outcome(specs[i], attempt, exc)
+                    outcomes[i] = outcome
+                    close(i, outcome, None)
+                raise
 
     def run(self, points: Sequence[PointSpec]) -> List[JsonDict]:
         """Execute a grid; return one result dict per point, in order.
@@ -783,7 +740,9 @@ class Executor:
         Cache hits are served without computing; misses run serially or
         on the pool; results come back ordered by grid position either
         way.  Raises :class:`SweepError` if any point failed after its
-        retry — partial results are never returned silently.
+        retry — partial results are never returned silently.  Anything
+        else that escapes (say, ``KeyboardInterrupt``) still ends the
+        sweep in the ledger, with ``ok: false``, before it propagates.
         """
         specs = list(points)
         started = time.perf_counter()
@@ -793,13 +752,18 @@ class Executor:
         # ``self.profile`` once the sweep ends.
         profile = MetricsRegistry()
         ledger = self._open_ledger(specs)
-
-        pending: List[int] = []
-        for i, spec in enumerate(specs):
-            cached = self._cache_load(spec)
-            if cached is not None:
+        completed = False
+        try:
+            pending: List[int] = []
+            for i, spec in enumerate(specs):
+                cached = self._cache_load(spec)
+                if cached is None:
+                    pending.append(i)
+                    continue
                 results[i] = cached
-                outcomes[i] = PointOutcome(
+                # Cache hits never reach a worker: the parent closes
+                # them in the ledger directly (cache="hit").
+                outcome = PointOutcome(
                     spec=spec,
                     cache_hit=True,
                     wall_s=0.0,
@@ -808,64 +772,52 @@ class Executor:
                     ok=True,
                     stats=cached.get("stats"),
                 )
+                outcomes[i] = outcome
                 if ledger is not None:
-                    # Cache hits never reach a worker: the parent closes
-                    # them in the ledger directly (cache="hit").
-                    _ledger_point_end(
-                        ledger,
-                        spec,
-                        attempt=0,
-                        ok=True,
-                        cache="hit",
-                        wall_s=0.0,
-                        stats=cached.get("stats"),
-                        resources=False,
-                    )
-            else:
-                pending.append(i)
+                    ledger.write(_point_end(outcome))
 
-        if pending:
-            self._compute(specs, pending, results, outcomes, profile, ledger)
+            if pending:
+                self._compute(specs, pending, results, outcomes, profile, ledger)
 
-        for i in pending:
-            outcome = outcomes[i]
-            result = results[i]
-            if outcome is not None and outcome.ok and result is not None:
-                self._cache_store(specs[i], result)
-
-        final_outcomes = [o for o in outcomes if o is not None]
-        failures = [o for o in final_outcomes if not o.ok]
-        self.outcomes.extend(final_outcomes)
-        self.profile.merge(profile)
-        if specs:
-            hits = sum(1 for o in final_outcomes if o.cache_hit)
-            elapsed = time.perf_counter() - started
-            message = (
-                f"[sweep] {specs[0].figure}: {len(specs)} points "
-                f"({hits} cached, {len(specs) - hits} computed, "
-                f"workers={self.config.workers}) in {elapsed:.1f}s"
-            )
-            _logger.debug("%s", message)
-            if self.config.progress:
-                self._stream.write(message + "\n")
-            if ledger is not None:
-                end_fields: JsonDict = {
-                    "figure": specs[0].figure,
-                    "points": len(specs),
-                    "done": sum(1 for o in final_outcomes if o.ok),
-                    "failed": len(failures),
-                    "cached": hits,
-                    "ok": not failures,
-                    "wall_s": round(elapsed, 6),
-                }
-                if self.config.profile:
-                    end_fields["profile"] = profile.snapshot()
-                ledger.write(make_event("sweep_end", end_fields))
-                ledger.close()
-            if self.config.profile and self.config.progress:
-                self._stream.write(
-                    "[sweep profile]\n" + profile.render() + "\n"
+            for i in pending:
+                result = results[i]
+                if result is not None:
+                    self._cache_store(specs[i], result)
+            completed = True
+        finally:
+            final_outcomes = [o for o in outcomes if o is not None]
+            failures = [o for o in final_outcomes if not o.ok]
+            self.outcomes.extend(final_outcomes)
+            self.profile.merge(profile)
+            if specs:
+                hits = sum(1 for o in final_outcomes if o.cache_hit)
+                elapsed = time.perf_counter() - started
+                message = (
+                    f"[sweep] {specs[0].figure}: {len(specs)} points "
+                    f"({hits} cached, {len(specs) - hits} computed, "
+                    f"workers={self.config.workers}) in {elapsed:.1f}s"
                 )
+                _logger.debug("%s", message)
+                if self.config.progress:
+                    self._stream.write(message + "\n")
+                if ledger is not None:
+                    end_fields: JsonDict = {
+                        "figure": specs[0].figure,
+                        "points": len(specs),
+                        "done": sum(1 for o in final_outcomes if o.ok),
+                        "failed": len(failures),
+                        "cached": hits,
+                        "ok": completed and not failures,
+                        "wall_s": round(elapsed, 6),
+                    }
+                    if self.config.profile:
+                        end_fields["profile"] = profile.snapshot()
+                    ledger.write(make_event("sweep_end", end_fields))
+                    ledger.close()
+                if self.config.profile and self.config.progress:
+                    self._stream.write(
+                        "[sweep profile]\n" + profile.render() + "\n"
+                    )
         if failures:
             raise SweepError(failures)
         return [result for result in results if result is not None]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import Arc, Problem
 from repro.core.schedule import Timestep
@@ -193,19 +193,14 @@ class DynamicEngine(StepDriver):
         success_predicate: Optional[Callable[[Sequence[TokenSet]], bool]] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        kernel: Union[str, Callable[[Problem], SimState], None] = None,
     ) -> None:
         base = conditions.problem
         if max_steps is None:
             max_steps = 8 * max(base.move_bound(), 1) + 64
-        # The kernel is built on the *base* problem: per-turn graphs share
+        # The state is built on the *base* problem: per-turn graphs share
         # its have/want vectors and only differ in arcs, which SimState
-        # never consults for state updates.  Heuristics see per-turn
-        # graphs, so batched reads keyed to the base problem's arcs do
-        # not apply; kernel choice still must not change behavior
-        # (proposals run through the dict path, and heuristics guard
-        # supply reads with a problem-identity check).
-        super().__init__(base, rng, max_steps, tracer, metrics, kernel)
+        # never consults for state updates.
+        super().__init__(base, rng, max_steps, tracer, metrics, None)
         self.conditions = conditions
         self.heuristic = heuristic
         # As in repro.sim.Engine: the default is the paper's predicate;
@@ -261,7 +256,6 @@ def run_dynamic(
     max_steps: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    kernel: Union[str, Callable[[Problem], SimState], None] = None,
 ) -> RunResult:
     """One-call wrapper around :class:`DynamicEngine`."""
     return DynamicEngine(
@@ -271,7 +265,6 @@ def run_dynamic(
         max_steps=max_steps,
         tracer=tracer,
         metrics=metrics,
-        kernel=kernel,
     ).run()
 
 

@@ -33,9 +33,8 @@ What the family provably forces (and the harness measures):
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.problem import Problem
 from repro.locd.runner import LocalAlgorithm, run_local

@@ -17,11 +17,11 @@ diameter bound:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.problem import Problem, max_eccentricity
 from repro.core.schedule import Schedule
-from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
+from repro.core.tokenset import TokenSet
 from repro.locd.knowledge import Knowledge
 
 __all__ = [

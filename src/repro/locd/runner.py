@@ -70,7 +70,9 @@ class LocalEngine(StepDriver):
     metrics registry — when given — receives the ``heuristic_select`` /
     ``kernel_apply`` / ``knowledge_flood`` phase timers.  Step events
     additionally carry ``facts_learned``, the gossip cost of the step.
-    There is no stall detection: runs go to ``max_steps``.
+    There is no stall detection: runs go to ``max_steps``.  ``kernel``
+    selects the state factory like :class:`repro.sim.Engine`'s; the
+    benchmark suite injects its timed factory through it.
     """
 
     engine_name = "locd"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import filecmp
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.obs.analyze.runs import JsonDict, TraceRun, split_runs
 from repro.obs.events import read_events

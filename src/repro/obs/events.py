@@ -30,8 +30,7 @@ Event kinds
     produced by :mod:`repro.obs.analyze.attribution`.  Engines never
     emit it: it is computed post hoc from a trace's own events, and
     appears only in ``trace-attribute`` output streams.
-``sweep_start`` / ``point_start`` / ``point_heartbeat`` / ``point_end``
-    / ``sweep_end``
+``sweep_start`` / ``point_start`` / ``point_end`` / ``sweep_end``
     The *run ledger* (:mod:`repro.obs.live`): the sweep executor's
     append-only status stream and its one per-point record.  Ledger events
     are the one place wall-clock and resource fields are allowed —
@@ -72,7 +71,6 @@ EVENT_KINDS = (
     "run_end",
     "sweep_start",
     "point_start",
-    "point_heartbeat",
     "point_end",
     "sweep_end",
     "run_attribution",
@@ -196,7 +194,7 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
                 "workers": "int",
                 "started_unix": "float",
             },
-            optional={"trace_dir": "str", "heartbeat_s": "float"},
+            optional={"trace_dir": "str"},
         ),
         EventSchema(
             kind="point_start",
@@ -209,18 +207,6 @@ EVENT_SCHEMAS: Dict[str, EventSchema] = {
                 "worker": "int",
                 "started_unix": "float",
             },
-        ),
-        EventSchema(
-            kind="point_heartbeat",
-            required={
-                "figure": "str",
-                "kind": "str",
-                "index": "int",
-                "attempt": "int",
-                "worker": "int",
-                "elapsed_s": "float",
-            },
-            optional={"maxrss_kb": "int", "cpu_s": "float"},
         ),
         EventSchema(
             kind="point_end",

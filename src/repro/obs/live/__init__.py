@@ -4,14 +4,14 @@ Everything else in :mod:`repro.obs` reads a finished trace.  This
 package is the operational layer for sweeps still in flight:
 
 * :class:`LedgerWriter` — the executor's append-only JSONL status
-  stream (``sweep_start`` / ``point_start`` / ``point_heartbeat`` /
-  ``point_end`` / ``sweep_end``).  One ``write()`` call per event and
-  POSIX ``O_APPEND`` semantics keep concurrent worker appends intact
-  without locks.
+  stream (``sweep_start`` / ``point_start`` / ``point_end`` /
+  ``sweep_end``).  Workers write ``point_start``, the parent every
+  other row.  One ``write()`` call per event and POSIX ``O_APPEND``
+  semantics keep concurrent appends intact without locks.
 * :class:`LedgerState` — a pure reducer from ledger events to the
   current sweep picture: points done/failed/in-flight, throughput,
-  ETA, slowest points, stale workers.  Retried points supersede their
-  stale events by ``attempt`` index.
+  ETA, slowest points (in-flight ones by time since their start).
+  Retried points supersede their stale events by ``attempt`` index.
 * :func:`render_dashboard` / :func:`watch` — the ``ocd-repro watch``
   terminal dashboard (injected stream; ``once=True`` for CI snapshots).
   Only the ledger is followed while the sweep runs; the trace anomaly

@@ -1,19 +1,21 @@
 """The run ledger: durable sweep status stream and its state reducer.
 
-The ledger is an append-only JSONL file next to a sweep's outputs.  The
-parent executor writes ``sweep_start`` / ``sweep_end`` (and ``point_end``
-rows for cache hits and for points a dead worker left open); each worker process appends ``point_start``,
-periodic ``point_heartbeat``, and ``point_end`` for the points it
-computes.  Every record is one :func:`repro.obs.events.dump_event` line
-written with a single ``write()`` call on a handle opened in append
-mode, so POSIX ``O_APPEND`` atomicity keeps concurrent appends from
-many processes intact without any locking.
+The ledger is an append-only JSONL file next to a sweep's outputs.  A
+worker process appends ``point_start`` when it begins a point; the
+parent executor writes everything else: ``sweep_start``, one
+``point_end`` per attempt (computed, cached, failed, or failed with a
+broken pool or an interrupted sweep), and ``sweep_end``.  Every record
+is one :func:`repro.obs.events.dump_event` line written with a single
+``write()`` call on a handle opened in append mode, so POSIX
+``O_APPEND`` atomicity keeps concurrent appends from many processes
+intact without any locking.
 
-Because a hard-killed worker simply stops appending, the ledger is
-honest by construction: a point with a ``point_start`` but no
-``point_end`` and a stale last heartbeat *is* the signal that something
-wedged — exactly what :class:`LedgerState` surfaces and ``ocd-repro
-watch`` renders.
+A point with a ``point_start`` but no ``point_end`` is in flight:
+:class:`LedgerState` ranks it by the time since its start, so a point
+that runs long surfaces in ``ocd-repro watch``'s "slowest" list while
+it runs.  A sweep whose parent process is killed writes no more rows:
+its open points stay in flight with a growing elapsed time, and nothing
+flags them stale.
 
 :class:`LedgerState` is a pure fold over ledger events (no I/O, no
 clock) so tests can drive it from literal event lists; the only
@@ -24,6 +26,8 @@ state, and events from a lower attempt than the one already seen are
 ignored.  One ledger may hold many sweeps (appended across runs, or
 several ``Executor.run`` calls of one figure): each ``sweep_start``
 opens a fresh picture, so the state always describes the latest sweep.
+Rows of a kind the reducer does not know (a trace event, or a kind
+only older ledgers hold) are counted in ``ignored``.
 """
 
 from __future__ import annotations
@@ -36,15 +40,6 @@ from repro.obs.events import dump_event, is_event, read_events_tail
 __all__ = ["LedgerWriter", "LedgerState", "PointState"]
 
 JsonDict = Dict[str, Any]
-
-#: Ledger event kinds, for filtering mixed streams.
-LEDGER_KINDS = (
-    "sweep_start",
-    "point_start",
-    "point_heartbeat",
-    "point_end",
-    "sweep_end",
-)
 
 
 class LedgerWriter:
@@ -98,8 +93,6 @@ class PointState:
     status: str = "running"  # running | done | failed
     cache: str = ""
     started_unix: Optional[float] = None
-    #: Elapsed seconds reported by the latest heartbeat of this attempt.
-    heartbeat_elapsed_s: Optional[float] = None
     wall_s: Optional[float] = None
     error: Optional[str] = None
     maxrss_kb: Optional[int] = None
@@ -123,7 +116,6 @@ class PointState:
         for name in (
             "cache",
             "started_unix",
-            "heartbeat_elapsed_s",
             "wall_s",
             "error",
             "maxrss_kb",
@@ -144,7 +136,8 @@ class LedgerState:
     #: The ``sweep_end`` event, once seen.
     end: Optional[JsonDict] = None
     points: Dict[Tuple[str, str, int], PointState] = field(default_factory=dict)
-    #: Events whose kind is not a ledger kind (tolerated, counted).
+    #: Events whose kind the reducer does not fold, and stale events of
+    #: a superseded attempt (tolerated, counted).
     ignored: int = 0
 
     # -- folding --------------------------------------------------------
@@ -164,12 +157,6 @@ class LedgerState:
                 point.worker = int(event.get("worker", point.worker))
                 point.started_unix = float(event["started_unix"])
                 point.status = "running"
-        elif kind == "point_heartbeat":
-            point = self._point(event)
-            if point is not None:
-                point.worker = int(event.get("worker", point.worker))
-                point.heartbeat_elapsed_s = float(event["elapsed_s"])
-                self._resources(point, event)
         elif kind == "point_end":
             point = self._point(event)
             if point is not None:
@@ -180,7 +167,12 @@ class LedgerState:
                 point.wall_s = float(event["wall_s"])
                 error = event.get("error")
                 point.error = str(error) if error is not None else None
-                self._resources(point, event)
+                rss = event.get("maxrss_kb")
+                if rss is not None:
+                    point.maxrss_kb = int(rss)
+                cpu = event.get("cpu_s")
+                if cpu is not None:
+                    point.cpu_s = float(cpu)
         else:
             self.ignored += 1
 
@@ -192,9 +184,8 @@ class LedgerState:
         """The point a per-point event belongs to, honoring attempts.
 
         A higher ``attempt`` resets the point (the retry supersedes the
-        failed attempt's heartbeats and end state); a lower attempt's
-        event is stale — a straggler line from a superseded worker —
-        and is dropped.
+        failed attempt's end state); a lower attempt's event is stale —
+        a straggler line from a superseded worker — and is dropped.
         """
         key = (str(event["figure"]), str(event["kind"]), int(event["index"]))
         attempt = int(event.get("attempt", 0))
@@ -209,15 +200,6 @@ class LedgerState:
             self.ignored += 1
             return None
         return point
-
-    @staticmethod
-    def _resources(point: PointState, event: Mapping[str, Any]) -> None:
-        rss = event.get("maxrss_kb")
-        if rss is not None:
-            point.maxrss_kb = int(rss)
-        cpu = event.get("cpu_s")
-        if cpu is not None:
-            point.cpu_s = float(cpu)
 
     # -- loading --------------------------------------------------------
     @classmethod
@@ -291,29 +273,6 @@ class LedgerState:
         ranked.sort(key=lambda item: (-item[0], item[1].key))
         return ranked[:limit]
 
-    def stale(self, now: float, factor: float = 3.0) -> List[PointState]:
-        """In-flight points whose heartbeat has gone quiet.
-
-        A point is stale when nothing has been heard from it (start or
-        heartbeat) for ``factor`` heartbeat intervals.  Without a
-        ``sweep_start`` declaring ``heartbeat_s`` there is no cadence to
-        judge against and nothing is flagged.
-        """
-        if self.start is None:
-            return []
-        interval = self.start.get("heartbeat_s")
-        if interval is None:
-            return []
-        horizon = float(interval) * factor
-        quiet: List[PointState] = []
-        for point in self.by_status("running"):
-            if point.started_unix is None:
-                continue
-            last_heard = point.started_unix + (point.heartbeat_elapsed_s or 0.0)
-            if now - last_heard > horizon:
-                quiet.append(point)
-        return quiet
-
     def summary(self, now: float) -> JsonDict:
         """JSON-able snapshot of everything the dashboard shows."""
         counts = self.counts()
@@ -332,6 +291,5 @@ class LedgerState:
                 {"elapsed_s": elapsed, **point.as_dict()}
                 for elapsed, point in self.slowest(now)
             ],
-            "stale": [point.as_dict() for point in self.stale(now)],
             "failed_points": [point.as_dict() for point in self.by_status("failed")],
         }

@@ -109,15 +109,8 @@ def render_dashboard(
                 if point.started_unix is not None
                 else "?"
             )
-            beat = (
-                f", heartbeat at {_fmt_s(point.heartbeat_elapsed_s)}"
-                if point.heartbeat_elapsed_s is not None
-                else ""
-            )
-            rss = f", rss {point.maxrss_kb}kB" if point.maxrss_kb else ""
             lines.append(
-                f"  {_point_label(point)} on worker {point.worker}: "
-                f"{since} elapsed{beat}{rss}"
+                f"  {_point_label(point)} on worker {point.worker}: {since} elapsed"
             )
 
     slowest = state.slowest(now)
@@ -126,12 +119,6 @@ def render_dashboard(
         for elapsed, point in slowest:
             tag = point.status if point.status != "running" else "in flight"
             lines.append(f"  {_point_label(point)}: {_fmt_s(elapsed)} ({tag})")
-
-    stale = state.stale(now)
-    if stale:
-        lines.append("stale (heartbeat overdue):")
-        for point in stale:
-            lines.append(f"  {_point_label(point)} on worker {point.worker}")
 
     failed = state.by_status("failed")
     if failed:

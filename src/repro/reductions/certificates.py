@@ -23,7 +23,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.core.problem import Problem

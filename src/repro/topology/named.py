@@ -7,7 +7,7 @@ the tests and examples.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.core.problem import Arc, Problem
 from repro.topology.base import Topology

@@ -22,10 +22,9 @@ This substitution is recorded in DESIGN.md.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.topology.base import Topology
 from repro.topology.weights import CapacityFn, paper_capacity

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.analysis.comparison import compare_heuristics
-from repro.heuristics import SequentialHeuristic, standard_heuristics
+from repro.heuristics import SequentialHeuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
 

@@ -9,7 +9,7 @@ from repro.core.problem import Problem
 from repro.core.schedule import Move, Schedule
 from repro.heuristics import RoundRobinHeuristic, standard_heuristics
 from repro.sim import run_heuristic
-from repro.topology import path_topology, star_topology
+from repro.topology import star_topology
 from repro.workloads import single_file
 
 

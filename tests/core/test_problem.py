@@ -1,7 +1,6 @@
 """Unit tests for Problem/Arc: validation, adjacency, graph queries,
 satisfiability, theorem bounds, serialization."""
 
-import math
 import re
 
 import networkx as nx

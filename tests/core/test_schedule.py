@@ -4,7 +4,6 @@ polynomial-time verifier (Theorem 3's certificate checker)."""
 import pytest
 from hypothesis import given
 
-from repro.core.problem import Problem
 from repro.core.schedule import Move, Schedule, ScheduleError, Timestep
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 

@@ -9,7 +9,6 @@ solvers computing the same NP-hard quantities.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 
 from repro.core.pruning import prune_schedule

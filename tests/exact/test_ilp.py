@@ -5,12 +5,7 @@ import random
 import pytest
 
 from repro.core.problem import Problem
-from repro.exact.ilp import (
-    IlpSolution,
-    min_makespan_ilp,
-    solve_eocd_ilp,
-    solve_hybrid_ilp,
-)
+from repro.exact.ilp import min_makespan_ilp, solve_eocd_ilp, solve_hybrid_ilp
 from repro.topology import figure1_gadget
 from repro.topology.generators import random_instance
 

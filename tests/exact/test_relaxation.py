@@ -12,7 +12,6 @@ from repro.exact import (
     fractional_makespan_bound,
     min_makespan_ilp,
     solve_eocd_ilp,
-    solve_focd_bnb,
 )
 from repro.topology import figure1_gadget
 

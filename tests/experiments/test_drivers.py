@@ -2,7 +2,6 @@
 
 import csv
 import inspect
-import os
 import random
 
 import pytest

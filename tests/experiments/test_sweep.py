@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 
 import pytest
 
@@ -55,6 +56,18 @@ def _exit_point(spec: PointSpec):
 @point_function("_test_set")
 def _set_point(spec: PointSpec):
     return {"v": {1, 2}}  # a dict, but not JSON
+
+
+@point_function("_test_threads")
+def _threads_point(spec: PointSpec):
+    return {"threads": threading.active_count()}
+
+
+@point_function("_test_interrupt")
+def _interrupt_point(spec: PointSpec):
+    if spec.param("interrupt", False):
+        raise KeyboardInterrupt  # as a Ctrl-C would, mid-point
+    return {"index": spec.index}
 
 
 def _specs(values, **extra):
@@ -315,11 +328,6 @@ class TestConfig:
         assert config("--no-cache", "--ledger", "l.jsonl").ledger_path == "l.jsonl"
         assert config("--cache-dir", "c", "--ledger", "l.jsonl").ledger_path == "l.jsonl"
 
-    @pytest.mark.parametrize("heartbeat_s", [0.0, -1.0, float("nan")])
-    def test_non_positive_heartbeat_raises(self, heartbeat_s):
-        with pytest.raises(ValueError, match="heartbeat_s"):
-            ExecutorConfig(heartbeat_s=heartbeat_s)
-
     def test_specs_survive_pickling(self):
         # Parallel fan-out pickles specs (including nested dict params).
         import pickle
@@ -370,15 +378,26 @@ class TestFailureTracebacks:
         assert "RuntimeError: boom 9" in failure.traceback
         assert "_square_point" in failure.traceback  # the actual frame
         assert "RuntimeError: boom 9" in str(info.value)
-        assert failure.worker == 0
         assert failure.retries == RETRIES
-        # Every failed attempt's point_end carries its traceback.
+        # The parent writes every point_end from the attempt's own
+        # record: error, worker-side traceback, wall time, the pid that
+        # ran it (as its point_start says) and its resource peaks.
+        starts = read_events(str(path), kind="point_start")
         rows = read_events(str(path), kind="point_end")
         assert [row["attempt"] for row in rows] == [0, 1]
-        for row in rows:
+        for start, row in zip(starts, rows):
             assert row["error"] == "RuntimeError: boom 9"
             assert "_square_point" in row["traceback"]
             assert "RuntimeError: boom 9" in row["traceback"]
+            assert row["wall_s"] > 0
+            assert row["worker"] == start["worker"] != 0
+            assert row["maxrss_kb"] > 0
+        if workers == 1:
+            assert rows[-1]["worker"] == os.getpid()
+        # The outcome carries the last attempt's real worker and time.
+        assert failure.worker == rows[-1]["worker"]
+        assert failure.wall_s > 0
+        assert row["wall_s"] == round(failure.wall_s, 6)
 
     def test_success_has_no_traceback_field(self, tmp_path):
         from repro.obs import read_events
@@ -433,7 +452,7 @@ class TestRunLedger:
     def test_traces_byte_identical_with_monitoring_on_and_off(self, tmp_path):
         # The contract: wall-clock and resource fields live ONLY in the
         # ledger; the trace files must not change by a single byte when
-        # monitoring (ledger + heartbeats + profile) is switched on.
+        # monitoring (ledger + profile) is switched on.
         spec = self._fig2_spec()
         plain_dir = tmp_path / "plain"
         monitored_dir = tmp_path / "monitored"
@@ -442,7 +461,6 @@ class TestRunLedger:
             ExecutorConfig(
                 trace_dir=str(monitored_dir),
                 ledger_path=str(tmp_path / "ledger.jsonl"),
-                heartbeat_s=0.05,
                 profile=True,
             )
         )
@@ -512,24 +530,52 @@ class TestRunLedger:
             else:
                 assert point.wall_s == round(outcome.wall_s, 6)
 
-    def test_heartbeats_from_slow_points(self, tmp_path):
-        import time as time_module
+    def test_monitored_serial_sweep_starts_no_thread(self, tmp_path):
+        before = threading.active_count()
+        config = ExecutorConfig(ledger_path=str(tmp_path / "ledger.jsonl"), profile=True)
+        (result,) = Executor(config).run([PointSpec.make("f", "_test_threads", 0, {})])
+        assert result["threads"] == before
 
+    def test_interrupted_sweep_is_closed_by_parent(self, tmp_path):
+        # An exception escaping run() (here a KeyboardInterrupt in the
+        # second of three serial points) still fails the open point,
+        # ends the sweep with ok: false and closes the ledger, so watch
+        # stops at once instead of polling forever.
         from repro.obs import read_events
-
-        @point_function("_test_sleepy")
-        def _sleepy(spec):
-            time_module.sleep(0.2)
-            return {"ok": True}
+        from repro.obs.live import LedgerState, watch
 
         path = tmp_path / "ledger.jsonl"
-        Executor(
-            ExecutorConfig(ledger_path=str(path), heartbeat_s=0.05)
-        ).run([PointSpec.make("f", "_test_sleepy", 0, {})])
-        beats = read_events(str(path), kind="point_heartbeat")
-        assert beats
-        assert all(b["elapsed_s"] > 0 for b in beats)
-        assert all(b["worker"] == os.getpid() for b in beats)
+        specs = [
+            PointSpec.make("testfig", "_test_interrupt", i, {"interrupt": i == 1}, seed=i)
+            for i in range(3)
+        ]
+        executor = Executor(ExecutorConfig(ledger_path=str(path)))
+        with pytest.raises(KeyboardInterrupt):
+            executor.run(specs)
+        events = read_events(str(path))
+        assert events[-1]["event"] == "sweep_end"
+        assert events[-1]["ok"] is False
+        assert events[-1]["done"] == 1 and events[-1]["failed"] == 1
+        # The third point was never submitted, so it was never started.
+        assert [e["index"] for e in events if e["event"] == "point_start"] == [0, 1]
+        state = LedgerState.from_ledger(str(path))
+        assert state.counts() == {"done": 1, "failed": 1, "running": 0}
+        (failed,) = state.by_status("failed")
+        assert failed.index == 1
+        assert failed.error.startswith("KeyboardInterrupt")
+        assert [(o.spec.index, o.ok) for o in executor.outcomes] == [(0, True), (1, False)]
+
+        polls = []
+
+        def sleep(_interval):
+            polls.append(_interval)
+            if len(polls) > 3:
+                raise AssertionError("watch kept polling an ended sweep")
+
+        result = watch(str(path), sleep=sleep)
+        assert result.finished
+        assert result.exit_code == 1
+        assert polls == []
 
     def test_parallel_sweep_ledger_is_complete(self, tmp_path):
         from repro.obs.live import LedgerState

@@ -7,7 +7,6 @@ import pytest
 from repro.core.tokenset import TokenSet
 from repro.extensions.coding import (
     CodedFile,
-    CodedInstance,
     coded_completion_step,
     make_coded_single_file,
     run_coded,

@@ -2,12 +2,10 @@
 
 import random
 
-import pytest
-
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import RandomHeuristic, RoundRobinHeuristic
-from repro.sim import Engine, StepContext, run_heuristic
+from repro.sim import StepContext, run_heuristic
 from repro.topology import star_topology
 from repro.workloads import single_file
 

@@ -1,8 +1,5 @@
 """Tests for the locality-enforcing LOCD engine."""
 
-import random
-from typing import Dict, Tuple
-
 import pytest
 
 from repro.core.problem import Problem

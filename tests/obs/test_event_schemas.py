@@ -58,7 +58,7 @@ def _problem(seed: int = 3, n: int = 10, tokens: int = 6) -> Problem:
 
 @point_function("_schema_point")
 def _schema_point(spec: PointSpec):
-    """Sleeps ``nap`` seconds (so heartbeats fire), or fails on ``boom``."""
+    """Sleeps ``nap`` seconds, or fails on ``boom``."""
     if spec.param("boom", False):
         raise RuntimeError("boom")
     time.sleep(spec.param("nap", 0.0))
@@ -67,7 +67,7 @@ def _schema_point(spec: PointSpec):
 
 def _ledger_sweep(tmp_path) -> list:
     """One ledger sweep with a cache hit, a twice-failing point and a
-    point slow enough for several 0.05 s heartbeats; its events."""
+    computed point; its events."""
     cache_dir = str(tmp_path / "cache")
     path = tmp_path / "ledger.jsonl"
     hit = PointSpec.make("schema", "_schema_point", 0, {"nap": 0.0})
@@ -75,10 +75,10 @@ def _ledger_sweep(tmp_path) -> list:
     specs = [
         hit,
         PointSpec.make("schema", "_schema_point", 1, {"boom": True}),
-        PointSpec.make("schema", "_schema_point", 2, {"nap": 0.3}),
+        PointSpec.make("schema", "_schema_point", 2, {"nap": 0.01}),
     ]
     config = ExecutorConfig(
-        use_cache=True, cache_dir=cache_dir, ledger_path=str(path), heartbeat_s=0.05
+        use_cache=True, cache_dir=cache_dir, ledger_path=str(path)
     )
     with pytest.raises(SweepError):
         Executor(config).run(specs)
@@ -231,8 +231,6 @@ class TestRuntimeConformance:
         assert all(e["error"] == "RuntimeError: boom" for e in failed)
         assert all("Traceback" in e["traceback"] for e in failed)
         assert all("key" in e for e in ends)
-        beats = [e for e in events if e["event"] == "point_heartbeat"]
-        assert beats and {e["index"] for e in beats} == {2}
         assert {e["event"] for e in events} == {
-            "sweep_start", "point_start", "point_heartbeat", "point_end", "sweep_end"
+            "sweep_start", "point_start", "point_end", "sweep_end"
         }

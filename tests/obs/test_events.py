@@ -81,8 +81,8 @@ class TestMakeEventEnforcesSchema:
             make_event("stall", {"step": 1, "consecutive": 1, "event": "oops"})
 
     def test_float_field_accepts_int(self):
-        event = complete_event("point_heartbeat", elapsed_s=2)
-        assert event["elapsed_s"] == 2
+        event = complete_event("point_end", wall_s=2)
+        assert event["wall_s"] == 2
 
     def test_every_problem_is_named(self):
         with pytest.raises(ValueError) as excinfo:
@@ -119,7 +119,7 @@ class TestCanonicalDump:
         assert text == '{"consecutive":1,"event":"stall","schema_version":1,"step":2}'
 
     def test_nan_rejected(self):
-        event = complete_event("point_heartbeat", elapsed_s=float("nan"))
+        event = complete_event("point_end", wall_s=float("nan"))
         with pytest.raises(ValueError):
             dump_event(event)
 

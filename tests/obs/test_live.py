@@ -33,7 +33,6 @@ def _ledger_lines(
     points: int = 2,
     done: int = 2,
     failed: int = 0,
-    heartbeat_s: float = 1.0,
     with_end: bool = True,
     started_unix: float = 100.0,
 ) -> List[str]:
@@ -46,7 +45,6 @@ def _ledger_lines(
                 "points": points,
                 "workers": 1,
                 "started_unix": started_unix,
-                "heartbeat_s": heartbeat_s,
             },
         )
     ]
@@ -169,7 +167,7 @@ class TestLedgerWriter:
         path = tmp_path / "ledger.jsonl"
         for i in range(2):
             with LedgerWriter(str(path)) as ledger:
-                ledger.write(complete_event("point_heartbeat", index=i))
+                ledger.write(complete_event("point_start", index=i))
         assert [e["index"] for e in read_events(str(path))] == [0, 1]
 
     def test_rejects_bare_dicts_and_closed_writer(self, tmp_path):
@@ -264,11 +262,20 @@ class TestLedgerState:
         # A straggler line from the superseded attempt is ignored.
         state.apply(
             make_event(
-                "point_heartbeat",
-                {**base, "attempt": 0, "worker": 1, "elapsed_s": 9.9},
+                "point_end",
+                {
+                    **base,
+                    "seed": 9,
+                    "attempt": 0,
+                    "worker": 1,
+                    "ok": True,
+                    "cache": "miss",
+                    "wall_s": 9.9,
+                },
             )
         )
-        assert point.heartbeat_elapsed_s is None
+        assert point.status == "running"
+        assert point.wall_s is None
         assert state.ignored == 1
         state.apply(
             make_event(
@@ -287,42 +294,39 @@ class TestLedgerState:
         assert point.status == "done"
         assert state.counts() == {"done": 1, "failed": 0, "running": 0}
 
-    def test_stale_needs_declared_cadence_and_quiet_heartbeat(self):
-        lines = _ledger_lines(points=2, done=1, heartbeat_s=1.0, with_end=False)
-        lines.append(
-            _line(
-                "point_start",
-                {
-                    "figure": "f",
-                    "kind": "k",
-                    "index": 1,
-                    "seed": 1,
-                    "attempt": 0,
-                    "worker": 9,
-                    "started_unix": 100.0,
-                },
-            )
-        )
-        lines.append(
-            _line(
-                "point_heartbeat",
-                {
-                    "figure": "f",
-                    "kind": "k",
-                    "index": 1,
-                    "attempt": 0,
-                    "worker": 9,
-                    "elapsed_s": 2.0,
-                    "maxrss_kb": 5000,
-                },
-            )
-        )
-        state = self._fold(lines)
-        # Heard at 102.0; quiet for 3 intervals only after 105.0.
-        assert state.stale(now=104.0) == []
-        (quiet,) = state.stale(now=106.0)
-        assert quiet.index == 1
-        assert quiet.maxrss_kb == 5000
+    def test_old_ledger_with_heartbeat_rows_folds_the_same(self):
+        # Ledgers written before the heartbeat was dropped hold
+        # point_heartbeat rows and a sweep_start heartbeat_s: they fold
+        # to the same picture, and the reducer counts each such row as
+        # ignored.
+        import json
+
+        lines = _ledger_lines(points=3, done=2, failed=1)
+        events = [json.loads(line) for line in lines]
+        old = [dict(events[0], heartbeat_s=5.0)]
+        for event in events[1:]:
+            old.append(event)
+            if event["event"] == "point_start":
+                old.append(
+                    {
+                        "schema_version": 1,
+                        "event": "point_heartbeat",
+                        "figure": "f",
+                        "kind": "k",
+                        "index": event["index"],
+                        "attempt": 0,
+                        "worker": 42,
+                        "elapsed_s": 0.25,
+                        "maxrss_kb": 5000,
+                    }
+                )
+        current, legacy = LedgerState(), LedgerState()
+        current.apply_all(events)
+        legacy.apply_all(old)
+        assert legacy.counts() == current.counts() == {"done": 2, "failed": 1, "running": 0}
+        assert legacy.summary(now=200.0) == current.summary(now=200.0)
+        assert current.ignored == 0
+        assert legacy.ignored == 3
 
     def test_second_sweep_start_opens_a_fresh_picture(self):
         # A finished 1-point sweep, then a 4-point sweep in flight that
@@ -380,7 +384,7 @@ class TestDashboard:
         assert "anomalies: none" in text
         assert "eta" not in text
 
-    def test_running_sweep_shows_in_flight_and_heartbeat(self):
+    def test_running_sweep_shows_in_flight(self):
         import json
 
         lines = _ledger_lines(points=2, done=1, with_end=False)
@@ -398,28 +402,13 @@ class TestDashboard:
                 },
             )
         )
-        lines.append(
-            _line(
-                "point_heartbeat",
-                {
-                    "figure": "f",
-                    "kind": "k",
-                    "index": 1,
-                    "attempt": 0,
-                    "worker": 7,
-                    "elapsed_s": 1.0,
-                    "maxrss_kb": 4096,
-                },
-            )
-        )
         state = LedgerState()
         state.apply_all([json.loads(line) for line in lines])
         text = render_dashboard(state, now=105.0)
         assert "[running]" in text
         assert "eta" in text
         assert "f/k[1] on worker 7: 2.0s elapsed" in text
-        assert "heartbeat at 1.0s" in text
-        assert "rss 4096kB" in text
+        assert "f/k[1]: 2.0s (in flight)" in text
 
     def test_failed_points_and_anomalies_sections(self):
         import json

@@ -142,7 +142,7 @@ class TestTheorem3Verifier:
 
     def test_verifier_agrees_with_exact_solver(self):
         """Every witness the exact solvers emit passes the verifier."""
-        from repro.exact import decide_dfocd, solve_focd_bnb
+        from repro.exact import solve_focd_bnb
 
         rng = random.Random(77)
         for _ in range(5):

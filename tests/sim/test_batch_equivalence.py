@@ -2,7 +2,7 @@
 
 :class:`repro.sim.batch.BatchState` is a representation change only —
 dense uint64 bitplane matrices behind the same :class:`repro.sim.SimState`
-API.  For every driver (engine, LOCD runner, dynamic engine), every
+API.  For the engine and the LOCD runner, every
 heuristic, and every supported configuration, a ``(problem, seed)`` run
 through the batch kernel must be *byte-identical* to the scalar kernel
 and to the frozen pre-kernel oracle in :mod:`repro.sim.reference`:
@@ -25,11 +25,6 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.extensions.dynamic import (
-    DynamicEngine,
-    periodic_outages,
-    random_fluctuations,
-)
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.heuristics.sequential import SequentialHeuristic
 from repro.locd import LocalRarest, StaleGreedy, run_local
@@ -309,7 +304,7 @@ class TestLazyTimestepOrder:
 
 
 # ----------------------------------------------------------------------
-# LOCD runner and dynamic engine on the batch kernel
+# LOCD runner on the batch kernel
 # ----------------------------------------------------------------------
 class TestDriverEquivalence:
     def test_locd_batch_vs_state(self):
@@ -329,29 +324,6 @@ class TestDriverEquivalence:
                 assert signature(state_run.schedule) == signature(
                     batch_run.schedule
                 )
-
-    def test_dynamic_batch_vs_state(self):
-        rng = random.Random(31)
-        for i in range(6):
-            problem = make_random_problem(rng, max_vertices=10, max_tokens=8)
-            seed = 900 + i
-            for conditions in (
-                lambda: random_fluctuations(problem, seed=seed),
-                lambda: periodic_outages(problem, 3, 1, seed=seed),
-            ):
-                for name in ("round_robin", "local"):
-                    runs = {}
-                    for kernel in ("state", "batch"):
-                        runs[kernel] = DynamicEngine(
-                            conditions(),
-                            new_heuristic(name),
-                            rng=random.Random(seed),
-                            kernel=kernel,
-                        ).run()
-                    assert runs["state"].success == runs["batch"].success
-                    assert signature(runs["state"].schedule) == signature(
-                        runs["batch"].schedule
-                    ), name
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,6 @@
 detection, determinism, termination."""
 
 import random
-from typing import Dict, Tuple
 
 import pytest
 

@@ -7,7 +7,6 @@ still pass.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 
 from repro.core.fairness import account_schedule

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.problem import Problem
-from repro.core.tokenset import TokenSet
 from repro.exact import solve_eocd_ilp
 from repro.extensions.dynamic import constant_conditions, run_dynamic
 from repro.heuristics import make_heuristic, standard_heuristics

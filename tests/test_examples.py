@@ -2,7 +2,6 @@
 
 import os
 import runpy
-import sys
 
 import pytest
 

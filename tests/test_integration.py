@@ -11,7 +11,6 @@ import pytest
 
 import repro
 from repro import (
-    Problem,
     evaluate_schedule,
     prune_schedule,
     remaining_bandwidth,
