@@ -6,12 +6,12 @@ must cost the *engine* nothing.  Two paired gates:
 
 1. **Tracer hot path unchanged (<= 2%).**  The engine's default
    disabled-tracing run against an explicit :class:`~repro.obs.
-   NullTracer` on the n=10^3 attribution workload, methodology
-   mirroring ``engine_perf.py --trace-overhead``: variants run
+   NullTracer` on the n=10^3 attribution workload: variants run
    back-to-back within each repeat and the *paired* minimum ratio is
-   compared.  Shared-machine noise inflates individual samples but
-   cannot deflate one, so a single clean pair proves no attribution
-   payload work leaked out of the ``if tracing:`` guard.
+   compared (see :func:`check_hot_path`).  Shared-machine noise
+   inflates individual samples but cannot deflate one, so a single
+   clean pair proves no attribution payload work leaked out of the
+   ``if tracing:`` guard.
 
 2. **Attribution budget (n=10^3).**  Wall time of
    :func:`~repro.obs.analyze.attribute_events` over the recorded trace,
@@ -62,7 +62,7 @@ HOT_PATH_TOLERANCE = 0.02
 
 #: The committed run/attribute ratio may halve before --check fails
 #: (attribution finishes in ~1s, so the ratio is as noisy as the
-#: sub-second batch-kernel pairs gated at the same factor).
+#: sub-second vector-path pairs gated at the same factor).
 BUDGET_TOLERANCE = 0.5
 
 
@@ -148,7 +148,7 @@ def measure_budget(problem: Problem, repeats: int) -> Dict[str, object]:
         entry = {
             "moves": result.schedule.bandwidth,
             "timesteps": result.schedule.makespan,
-            "old_engine": "state+tracer",
+            "old_engine": "vector+tracer",
             "new_engine": "trace-attribute",
             "run_ms": round(best_run * 1e3, 1),
             "attribute_ms": round(best_attr * 1e3, 1),

@@ -1,19 +1,21 @@
 """Engine perf harness: paired old-vs-new engine runs per case.
 
 Measures moves/second (schedule bandwidth over wall time, best-of-N) for
-pairs of engine implementations on identical workloads and records both
-sides in ``BENCH_engine.json`` at the repo root.  Each case names its
-own pair:
+pairs of engine sides on identical workloads and records both sides in
+``BENCH_engine.json`` at the repo root.  The sides are the frozen
+pre-kernel loop (``reference``, :mod:`repro.sim.reference`) and the two
+proposal paths of the one :class:`repro.sim.SimState` kernel:
+``scalar`` (the heuristic's ``propose_vector`` hidden, so the engine
+runs ``propose``) and ``vector`` (the engine's default for a heuristic
+with ``propose_vector``).  Each case names its own pair:
 
-* the original cases pit the incremental :class:`repro.sim.SimState`
-  kernel against the frozen pre-kernel loop in
-  :mod:`repro.sim.reference`;
+* the original cases pit the incremental kernel's scalar path against
+  the reference loop;
 * the ``round_robin/n>=1000`` and ``local/n>=1000`` cases pit the
-  vectorized batch kernel (``kernel="batch"``) against the scalar
-  ``SimState`` kernel on workloads large enough for array ops to pay —
-  including the RNG-bound local-rarest vector path (direct engine-RNG
-  draws in scalar order, so its speedup is bounded by the shared
-  shuffle/draw cost — see docs/MODEL.md §8) and a heavy
+  vector path against the scalar path on workloads large enough for
+  array ops to pay — including the RNG-bound local-rarest vector path
+  (direct engine-RNG draws in scalar order, so its speedup is bounded
+  by the shared shuffle/draw cost — see docs/MODEL.md §8) and a heavy
   ``round_robin/n=100000`` swarm case (sparse O(E) instances, measured
   with ``--heavy`` and recorded rather than gated).  The big local
   cases use many-token files on unit-capacity arcs: that is the regime
@@ -21,10 +23,9 @@ own pair:
   budgets exhaust early).
 
 Instances are seeded from the *case label* (``bench_rng`` on
-``engine_perf/<label>``), never from the engine choice, so both sides of
-every pair — and any ``--kernel`` override — run the exact same
-workload.  Both sides' schedules are asserted identical before any
-number is recorded.
+``engine_perf/<label>``), never from the engine side, so both sides of
+every pair run the exact same workload.  Both sides' schedules are
+asserted identical before any number is recorded.
 
 Because both implementations are timed in the same process on the same
 machine, their *ratio* (the speedup) is machine-independent enough to
@@ -45,7 +46,6 @@ Usage::
     PYTHONPATH=src python benchmarks/engine_perf.py            # rewrite baseline
     PYTHONPATH=src python benchmarks/engine_perf.py --check    # CI regression gate
     PYTHONPATH=src python benchmarks/engine_perf.py --check --cases round_robin
-    PYTHONPATH=src python benchmarks/engine_perf.py --kernel batch
     PYTHONPATH=src python benchmarks/engine_perf.py --trace-overhead
 """
 
@@ -56,15 +56,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from conftest import bench_rng  # noqa: E402
 
 from repro.core.problem import Problem  # noqa: E402
-from repro.heuristics import HEURISTIC_FACTORIES  # noqa: E402
+from repro.heuristics import HEURISTIC_FACTORIES, Heuristic  # noqa: E402
 from repro.obs import NullTracer, RecordingTracer  # noqa: E402
 from repro.sim import RunResult, run_heuristic  # noqa: E402
 from repro.sim.reference import (  # noqa: E402
@@ -80,17 +81,17 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: The committed speedup may shrink this much before --check fails.
 REGRESSION_TOLERANCE = 0.75
 
-#: Floor factor for batch-kernel cases: their fast side finishes in
+#: Floor factor for vector-path cases: their fast side finishes in
 #: fractions of a second, so the measured ratio is noisier (allocator
 #: and cache state move it by 2-3x more than the reference pairs).
-BATCH_REGRESSION_TOLERANCE = 0.5
+VECTOR_REGRESSION_TOLERANCE = 0.5
 
 #: Max slowdown --trace-overhead tolerates for the disabled-tracing path.
 TRACE_OVERHEAD_TOLERANCE = 0.02
 
 #: Engine sides a case may pit against each other: the frozen pre-kernel
-#: oracle, or any engine kernel name accepted by ``run_heuristic``.
-ENGINE_SIDES = ("reference", "state", "batch")
+#: oracle, or one proposal path of the kernel (:func:`side_runner`).
+ENGINE_SIDES = ("reference", "scalar", "vector")
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class BenchCase:
     n: int
     file_tokens: int
     old: str = "reference"
-    new: str = "state"
+    new: str = "scalar"
     #: Draw the instance with the O(edges) Batagelj–Brandes sampler
     #: (required beyond a few thousand vertices, where per-pair G(n, p)
     #: sampling alone would dwarf the simulation).
@@ -121,36 +122,37 @@ class BenchCase:
 
     @property
     def tolerance(self) -> float:
-        if "batch" in (self.old, self.new):
-            return BATCH_REGRESSION_TOLERANCE
+        if "vector" in (self.old, self.new):
+            return VECTOR_REGRESSION_TOLERANCE
         return REGRESSION_TOLERANCE
 
 
 CASES: Dict[str, BenchCase] = {
-    # Incremental SimState kernel vs the frozen pre-kernel reference.
+    # The incremental kernel's scalar path vs the frozen pre-kernel
+    # reference.
     "local/n=50": BenchCase("local", 50, 50),
     "local/n=100": BenchCase("local", 100, 50),
     "local/n=200": BenchCase("local", 200, 50),
     "random/n=150": BenchCase("random", 150, 60),
-    # Vectorized batch kernel vs the scalar SimState kernel.  Round-robin
-    # is the vector-path client; at these sizes the per-arc Python lap
-    # dominates the scalar run.
-    "round_robin/n=1000": BenchCase("round_robin", 1000, 50, "state", "batch"),
+    # The vector path vs the scalar path.  Round-robin is the vector-path
+    # client; at these sizes the per-arc Python lap dominates the scalar
+    # run.
+    "round_robin/n=1000": BenchCase("round_robin", 1000, 50, "scalar", "vector"),
     "round_robin/n=10000": BenchCase(
-        "round_robin", 10000, 50, "state", "batch"
+        "round_robin", 10000, 50, "scalar", "vector"
     ),
     # RNG-bound vector paths: the local-rarest assignment loop drawing
     # the engine RNG in scalar order, vs its scalar twin, on sparse
     # paper-probability overlays with many-token files and unit arcs.
     "local/n=1000": BenchCase(
-        "local", 1000, 256, "state", "batch", sparse=True, unit_caps=True
+        "local", 1000, 256, "scalar", "vector", sparse=True, unit_caps=True
     ),
     "local/n=10000": BenchCase(
         "local",
         10000,
         256,
-        "state",
-        "batch",
+        "scalar",
+        "vector",
         sparse=True,
         repeats=2,
         unit_caps=True,
@@ -161,8 +163,8 @@ CASES: Dict[str, BenchCase] = {
         "round_robin",
         100000,
         50,
-        "state",
-        "batch",
+        "scalar",
+        "vector",
         sparse=True,
         heavy=True,
         repeats=1,
@@ -173,8 +175,8 @@ CASES: Dict[str, BenchCase] = {
 def case_problem(label: str, case: BenchCase) -> Problem:
     """The case's workload, seeded from its label only.
 
-    Engine/kernel choice never feeds the seed, so every side of a pair
-    (and any ``--kernel`` override) simulates the identical instance.
+    The engine side never feeds the seed, so every side of a pair
+    simulates the identical instance.
     """
     sampler = sparse_random_graph if case.sparse else random_graph
     kwargs = {}
@@ -186,6 +188,15 @@ def case_problem(label: str, case: BenchCase) -> Problem:
     )
 
 
+def side_heuristic(side: str, heuristic: str) -> Heuristic:
+    """A fresh ``heuristic`` for a kernel side: ``scalar`` hides its
+    ``propose_vector``, so the engine runs ``propose``."""
+    fresh = HEURISTIC_FACTORIES[heuristic]()
+    if side == "scalar":
+        fresh.propose_vector = None
+    return fresh
+
+
 def side_runner(
     side: str, problem: Problem, heuristic: str
 ) -> Callable[[], RunResult]:
@@ -193,9 +204,7 @@ def side_runner(
         return lambda: reference_run_heuristic(
             problem, make_reference_heuristic(heuristic), seed=1
         )
-    return lambda: run_heuristic(
-        problem, HEURISTIC_FACTORIES[heuristic](), seed=1, kernel=side
-    )
+    return lambda: run_heuristic(problem, side_heuristic(side, heuristic), seed=1)
 
 
 def select_cases(
@@ -220,15 +229,27 @@ def select_cases(
     return selected
 
 
-def _best_time(fn: Callable[[], RunResult], repeats: int) -> Tuple[float, RunResult]:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    assert result is not None
-    return best, result
+def _best_times(
+    fns: Sequence[Callable[[], RunResult]], repeats: int
+) -> Tuple[List[float], List[RunResult]]:
+    """Best-of-``repeats`` wall time of each of ``fns``, and its result.
+
+    The runs go back to back in an order rotated on each repeat, so no
+    side always runs first (cold caches) and a window of shared-machine
+    noise lands on every side alike instead of on one side's repeats.
+    """
+    best = [float("inf")] * len(fns)
+    results: list = [None] * len(fns)
+    for repeat in range(repeats):
+        for k in range(len(fns)):
+            i = (repeat + k) % len(fns)
+            results[i] = None  # free the last result outside the timed call
+            t0 = time.perf_counter()
+            result = fns[i]()
+            best[i] = min(best[i], time.perf_counter() - t0)
+            results[i] = result
+    assert all(result is not None for result in results)
+    return best, results
 
 
 def _step_sends(timestep):
@@ -237,10 +258,10 @@ def _step_sends(timestep):
     gigabytes for a comparison that only needs the raw masks).
 
     A mapping, not an ordered list: the frozen reference oracle
-    predates the kernels' proposal-dict insertion-order conventions, so
+    predates the kernel's proposal-dict insertion-order conventions, so
     reference pairs agree on *which* sends each step makes, not on
     enumeration order.  Byte-level send order between the scalar and
-    batch kernels is pinned separately by the differential trace suite.
+    vector paths is pinned separately by the differential trace suite.
     """
     stream = getattr(timestep, "iter_sends_masks", None)
     if stream is not None:
@@ -260,21 +281,19 @@ def schedules_equal(a, b) -> bool:
 def measure(
     repeats: int,
     case_filter: Optional[str] = None,
-    kernel_override: Optional[str] = None,
     include_heavy: bool = False,
 ) -> Dict[str, Dict[str, object]]:
     cases: Dict[str, Dict[str, object]] = {}
     for label, case in select_cases(case_filter, include_heavy).items():
         new_side = case.new
-        if kernel_override is not None and case.new != "reference":
-            new_side = kernel_override
         reps = case.repeats if case.repeats is not None else repeats
         problem = case_problem(label, case)
-        t_new, new = _best_time(
-            side_runner(new_side, problem, case.heuristic), reps
-        )
-        t_old, old = _best_time(
-            side_runner(case.old, problem, case.heuristic), reps
+        (t_new, t_old), (new, old) = _best_times(
+            [
+                side_runner(new_side, problem, case.heuristic),
+                side_runner(case.old, problem, case.heuristic),
+            ],
+            reps,
         )
         if not schedules_equal(old.schedule, new.schedule):
             raise AssertionError(
@@ -299,12 +318,8 @@ def measure(
     return cases
 
 
-def write_baseline(
-    repeats: int, kernel_override: Optional[str], include_heavy: bool
-) -> None:
-    cases = measure(
-        repeats, kernel_override=kernel_override, include_heavy=include_heavy
-    )
+def write_baseline(repeats: int, include_heavy: bool) -> None:
+    cases = measure(repeats, include_heavy=include_heavy)
     if BASELINE_PATH.exists():
         previous = json.loads(BASELINE_PATH.read_text())["cases"]
         for label, entry in previous.items():
@@ -323,8 +338,8 @@ def write_baseline(
     payload = {
         "_comment": (
             "Engine throughput: per-case old-vs-new engine pairs (frozen "
-            "reference vs incremental SimState; scalar SimState vs batch "
-            "kernel), best-of-N wall time on identical label-seeded "
+            "reference vs the SimState kernel's scalar path; scalar vs "
+            "vector proposal path), best-of-N wall time on identical label-seeded "
             "workloads. Regenerate with: "
             "PYTHONPATH=src python benchmarks/engine_perf.py [--heavy]"
         ),
@@ -338,14 +353,13 @@ def write_baseline(
 def check_against_baseline(
     repeats: int,
     case_filter: Optional[str],
-    kernel_override: Optional[str],
     include_heavy: bool = False,
 ) -> int:
     if not BASELINE_PATH.exists():
         print(f"no baseline at {BASELINE_PATH}; run without --check first")
         return 2
     baseline = json.loads(BASELINE_PATH.read_text())["cases"]
-    measured = measure(repeats, case_filter, kernel_override, include_heavy)
+    measured = measure(repeats, case_filter, include_heavy)
     failures = []
     for label, observed_entry in measured.items():
         if label not in baseline:
@@ -381,7 +395,7 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
     of the ``if tracing:`` guard.  The full-tracing slowdown (in-memory
     :class:`RecordingTracer` sink) is reported but not gated — it is
     allowed to cost whatever faithful per-step events cost.  Runs on
-    each case's *new*-side engine, so the batch cases also gate the
+    each case's *new*-side engine, so the vector cases also gate the
     vector path's tracing guard.
     """
     failures = []
@@ -393,43 +407,33 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
         def run_with(tracer_factory) -> RunResult:
             return run_heuristic(
                 problem,
-                HEURISTIC_FACTORIES[case.heuristic](),
+                side_heuristic(case.new, case.heuristic),
                 seed=1,
                 tracer=tracer_factory() if tracer_factory else None,
-                kernel=case.new,
             )
 
-        # Time the variants back-to-back within each repeat and compare
-        # *paired* ratios, keeping the cleanest (minimum) pair.  Shared-
-        # machine noise inflates individual samples by several percent,
-        # but it cannot deflate one: if even a single interleaved repeat
-        # shows the two identical code paths running at the same speed,
-        # no payload work has leaked out of the ``if tracing:`` guard —
-        # whereas a real leak inflates every repeat.
-        variants = (None, NullTracer, RecordingTracer)
-        results: list = [None] * len(variants)
-        null_ratios, full_ratios = [], []
-        for _ in range(repeats):
-            times = []
-            for i, factory in enumerate(variants):
-                t0 = time.perf_counter()
-                results[i] = run_with(factory)
-                times.append(time.perf_counter() - t0)
-            null_ratios.append(times[1] / times[0])
-            full_ratios.append(times[2] / times[0])
-        base, null_run, full_run = results
+        # Best-of-N per variant in rotating order (_best_times).  Shared-
+        # machine noise moves single samples both ways by several
+        # percent, so neither one paired ratio nor one sample proves
+        # anything; each variant's minimum converges to its true cost,
+        # and a real leak raises the NullTracer variant's minimum.
+        best, (base, null_run, full_run) = _best_times(
+            [partial(run_with, tracer) for tracer in (None, NullTracer, RecordingTracer)],
+            repeats,
+        )
         for other in (null_run, full_run):
             if other.schedule != base.schedule:
                 raise AssertionError(
                     f"{label}: tracer choice perturbed the schedule"
                 )
-        overhead = min(null_ratios) - 1.0
+        overhead = best[1] / best[0] - 1.0
         status = "ok" if overhead <= TRACE_OVERHEAD_TOLERANCE else "OVERHEAD"
         print(
-            f"{label}: disabled-tracing overhead {overhead:+.1%} "
+            f"{label}: best of {repeats}: default {best[0] * 1e3:.1f}ms, "
+            f"NullTracer {best[1] * 1e3:.1f}ms, full {best[2] * 1e3:.1f}ms; "
+            f"disabled-tracing overhead {overhead:+.1%} "
             f"(limit {TRACE_OVERHEAD_TOLERANCE:.0%}) -> {status}; "
-            f"full tracing {sorted(full_ratios)[repeats // 2]:.2f}x "
-            "[informational]"
+            f"full tracing {best[2] / best[0]:.2f}x [informational]"
         )
         if overhead > TRACE_OVERHEAD_TOLERANCE:
             failures.append(label)
@@ -463,14 +467,6 @@ def main() -> int:
         "(comma-separated alternatives; exact labels win over substrings)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("state", "batch"),
-        default=None,
-        help="override the new-side engine kernel of every non-reference "
-        "case (the workload stays label-seeded, so comparisons remain "
-        "apples-to-apples)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=5,
@@ -486,13 +482,11 @@ def main() -> int:
     if args.trace_overhead:
         return check_trace_overhead(args.repeats, args.cases)
     if args.check:
-        return check_against_baseline(
-            args.repeats, args.cases, args.kernel, args.heavy
-        )
+        return check_against_baseline(args.repeats, args.cases, args.heavy)
     if args.cases:
         parser.error("--cases only applies to --check / --trace-overhead "
                      "(the committed baseline must cover every case)")
-    write_baseline(args.repeats, args.kernel, args.heavy)
+    write_baseline(args.repeats, args.heavy)
     return 0
 
 

@@ -88,7 +88,7 @@ def test_committed_baseline_covers_every_perf_case():
     entry = baseline["cases"][ATTRIBUTION_LABEL]
     assert entry["moves"] > 0
     assert entry["timesteps"] > 0
-    assert entry["old_engine"] == "state+tracer"
+    assert entry["old_engine"] == "vector+tracer"
     assert entry["new_engine"] == "trace-attribute"
     assert entry["run_ms"] > 0
     assert entry["attribute_ms"] > 0
@@ -105,11 +105,11 @@ def test_committed_speedup_meets_incremental_kernel_target():
     assert baseline["cases"]["local/n=200"]["speedup"] >= 3.0
 
 
-def test_committed_speedup_meets_batch_kernel_target():
-    """The batch kernel's acceptance bar: >= 3x moves/sec over the
-    scalar SimState kernel on the n=10^4 round-robin workload."""
+def test_committed_speedup_meets_vector_path_target():
+    """The vector path's acceptance bar: >= 3x moves/sec over the
+    kernel's scalar path on the n=10^4 round-robin workload."""
     baseline = _baseline()
     entry = baseline["cases"]["round_robin/n=10000"]
-    assert entry["old_engine"] == "state"
-    assert entry["new_engine"] == "batch"
+    assert entry["old_engine"] == "scalar"
+    assert entry["new_engine"] == "vector"
     assert entry["speedup"] >= 3.0

@@ -28,7 +28,7 @@ def arrival_times(
     problem: Problem, schedule: Schedule
 ) -> List[Dict[int, int]]:
     """Per vertex: first possession step of each token it ever holds."""
-    history = schedule.replay(problem)
+    history = schedule.validate(problem)
     arrivals: List[Dict[int, int]] = [dict() for _ in range(problem.num_vertices)]
     for step, possession in enumerate(history):
         for v in range(problem.num_vertices):

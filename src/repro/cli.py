@@ -170,13 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the phase-timer/metrics summary after the run",
     )
-    simulate.add_argument(
-        "--kernel",
-        choices=("state", "batch"),
-        default="state",
-        help="step kernel: state (default scalar) or batch (numpy bitplane "
-        "matrices) — schedules are byte-identical either way",
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -224,13 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "frozen pre-kernel oracle and re-trace its schedule) — diffing "
         "the two with 'trace-diff --ignore-fields engine' is the "
         "differential-debugging smoke test",
-    )
-    trace.add_argument(
-        "--kernel",
-        choices=("state", "batch"),
-        default="state",
-        help="step kernel for the sim engine (ignored with "
-        "--engine reference); traces are byte-identical across kernels",
     )
 
     diff = sub.add_parser(
@@ -594,13 +580,7 @@ def _cmd_simulate(args) -> int:
         )
         return 2
     metrics = MetricsRegistry() if args.profile else None
-    result = run_heuristic(
-        problem,
-        heuristic,
-        seed=args.seed,
-        metrics=metrics,
-        kernel=args.kernel,
-    )
+    result = run_heuristic(problem, heuristic, seed=args.seed, metrics=metrics)
     pruned, stats = prune_schedule(problem, result.schedule)
     print(
         f"{heuristic.name} on {problem}: success={result.success} "
@@ -667,7 +647,6 @@ def _cmd_trace(args) -> int:
                         seed=args.seed,
                         tracer=tracer,
                         metrics=metrics,
-                        kernel=args.kernel,
                     )
             except StallError as error:
                 failures += 1

@@ -89,9 +89,11 @@ def remaining_bandwidth(
     )
 
 
-def _radius_sweep(token_dist: List[int], in_cap: int) -> int:
+def radius_sweep(token_dist: List[int], in_cap: int) -> int:
     """``max_i M_i(v)`` from the distances of ``v``'s needed tokens to
-    their nearest holders."""
+    their nearest holders (sorted in place), with ``v``'s total
+    in-capacity ``in_cap``.  Shared by :func:`remaining_timesteps` and
+    the branch-and-bound searcher's admissible bound."""
     token_dist.sort()
     max_dist = token_dist[-1]
     best_bound = 0
@@ -151,7 +153,7 @@ def remaining_timesteps(
             token_dist.append(dist)
         # A vertex with no incoming arcs is reached by no holder of a
         # token it lacks, so the loop above has raised for it already.
-        bound = _radius_sweep(token_dist, problem.in_capacity(v))
+        bound = radius_sweep(token_dist, problem.in_capacity(v))
         if bound > best:
             best = bound
     return best

@@ -15,10 +15,11 @@ keep ``makespan``/``bandwidth`` as the canonical pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule
+from repro.core.tokenset import TokenSet
 
 __all__ = ["ScheduleMetrics", "evaluate_schedule", "completion_times", "progress_curve"]
 
@@ -50,9 +51,15 @@ def completion_times(problem: Problem, schedule: Schedule) -> List[Optional[int]
     """Timestep at which each vertex first holds everything it wants.
 
     Vertices with empty (or initially satisfied) wants complete at 0;
-    vertices never satisfied get ``None``.
+    vertices never satisfied get ``None``.  Raises
+    :class:`~repro.core.schedule.ScheduleError` for an invalid schedule.
     """
-    history = schedule.replay(problem)
+    return _completion_times(problem, schedule.validate(problem))
+
+
+def _completion_times(
+    problem: Problem, history: Sequence[Sequence[TokenSet]]
+) -> List[Optional[int]]:
     times: List[Optional[int]] = []
     for v in range(problem.num_vertices):
         found: Optional[int] = None
@@ -67,10 +74,11 @@ def completion_times(problem: Problem, schedule: Schedule) -> List[Optional[int]
 def progress_curve(problem: Problem, schedule: Schedule) -> List[int]:
     """Outstanding demand (wanted-but-missing token count) after each step.
 
-    Entry 0 is the initial demand; the curve is non-increasing for any
-    valid schedule and reaches 0 exactly when the schedule succeeds.
+    Entry 0 is the initial demand; the curve is non-increasing and
+    reaches 0 exactly when the schedule succeeds.  Raises
+    :class:`~repro.core.schedule.ScheduleError` for an invalid schedule.
     """
-    history = schedule.replay(problem)
+    history = schedule.validate(problem)
     curve: List[int] = []
     for possession in history:
         curve.append(
@@ -89,7 +97,7 @@ def evaluate_schedule(problem: Problem, schedule: Schedule) -> ScheduleMetrics:
     unsatisfied = sum(
         1 for v in range(problem.num_vertices) if not problem.want[v] <= final[v]
     )
-    times = completion_times(problem, schedule)
+    times = _completion_times(problem, history)
     finite = [t for t in times if t is not None]
     mean_completion = sum(finite) / len(finite) if finite else 0.0
     max_completion = max(finite) if finite else 0

@@ -198,28 +198,16 @@ class Schedule:
     # ------------------------------------------------------------------
     # Replay and validation
     # ------------------------------------------------------------------
-    def replay(self, problem: Problem) -> List[List[TokenSet]]:
-        """Reconstruct possession history ``p_0 .. p_t`` without validating.
-
-        Returns a list of ``t + 1`` possession vectors.  Tokens sent
-        without being possessed are still delivered — use
-        :meth:`validate` to check legality.
-        """
-        possession = [list(problem.have)]
-        for step in self.steps:
-            current = list(possession[-1])
-            for (src, dst), tokens in step.sends.items():
-                current[dst] = current[dst] | tokens
-            possession.append(current)
-        return possession
-
     def validate(self, problem: Problem) -> List[List[TokenSet]]:
         """Check every model constraint; return the possession history.
 
-        Raises :class:`ScheduleError` on the first violation that
+        Returns ``t + 1`` possession vectors ``p_0 .. p_t``.  Raises
+        :class:`ScheduleError` on the first violation that
         :func:`check_sends` finds: an unknown arc, a token id outside the
         universe, a capacity overflow, or a send of an unpossessed token.
-        This is the polynomial-time verifier from the proof of Theorem 3.
+        This is the polynomial-time verifier from the proof of Theorem 3,
+        and the one schedule replay: every possession history is read
+        from it, so no reader sees tokens a sender never held.
         """
         masks = [tokens.mask for tokens in problem.have]
         possession: List[List[TokenSet]] = [list(problem.have)]
@@ -249,9 +237,6 @@ class Schedule:
         return all(
             problem.want[v] <= final[v] for v in range(problem.num_vertices)
         )
-
-    def final_possession(self, problem: Problem) -> List[TokenSet]:
-        return self.replay(problem)[-1]
 
     # ------------------------------------------------------------------
     # Serialization

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.core.bounds import radius_sweep
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep
 from repro.core.tokenset import TokenSet
@@ -87,7 +88,8 @@ class _Searcher:
     def lower_bound(self, state: State) -> int:
         """Admissible remaining-makespan bound on a search state.
 
-        The radius-closure bound of the paper, computed from precomputed
+        The radius-closure bound of the paper
+        (:func:`repro.core.bounds.radius_sweep`), fed from precomputed
         distances: a token whose nearest holder sits at distance > i
         cannot arrive within i steps, and arrival is throttled by the
         receiver's total in-capacity.
@@ -115,17 +117,7 @@ class _Searcher:
                 if nearest is math.inf:
                     return self.problem.move_bound() + 1  # unreachable: prune
                 dists.append(int(nearest))
-            dists.sort()
-            cap = self.in_capacity[v]
-            total = len(dists)
-            consumed = 0
-            vbest = dists[-1]
-            for i in range(dists[-1]):
-                while consumed < total and dists[consumed] <= i:
-                    consumed += 1
-                bound = i + math.ceil((total - consumed) / cap)
-                if bound > vbest:
-                    vbest = bound
+            vbest = radius_sweep(dists, self.in_capacity[v])
             if vbest > best:
                 best = vbest
         return best

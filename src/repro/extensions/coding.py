@@ -191,7 +191,7 @@ def coded_completion_step(
     """First timestep at which every subscription was reconstructible
     (``None`` if never).  Useful for comparing a coded run against the
     same schedule judged uncoded."""
-    history = result.schedule.replay(instance.problem)
+    history = result.schedule.validate(instance.problem)
     for step, possession in enumerate(history):
         if instance.is_reconstructed(possession):
             return step

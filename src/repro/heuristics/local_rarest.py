@@ -46,7 +46,7 @@ from repro.heuristics.vector_common import (
     grouped_requests,
     pack_assignments,
 )
-from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.state import SimState, VectorProposal
 from repro.sim.bitplanes import np
 
 __all__ = ["LocalRarestHeuristic"]
@@ -202,7 +202,7 @@ class LocalRarestHeuristic(Heuristic):
                     sends[keys[i]] = acc
         return {key: TokenSet(mask) for key, mask in sends.items()}
 
-    def propose_vector(self, state: BatchState) -> Optional[VectorProposal]:
+    def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
         """The rarest-random step as batched arrays.
 
         The receiver screen (supply unions, lacking masks, request
@@ -215,7 +215,7 @@ class LocalRarestHeuristic(Heuristic):
         ``rng.random()`` per eligible supplier in slot order — so
         schedules, traces, and ``rng.getstate()`` after the step are all
         byte-identical to :meth:`propose`.  Returns ``None`` (scalar
-        fallback) for foreign kernels or empty universes.
+        fallback) for a state of another problem or an empty universe.
         """
         problem = self.problem
         if state.problem is not problem or problem.num_tokens == 0:

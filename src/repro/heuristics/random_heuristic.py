@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic, sample_tokens
 from repro.sim import Proposal, StepContext
-from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.state import SimState, VectorProposal
 from repro.sim.bitplanes import masks_to_matrix, matrix_to_masks, np
 
 __all__ = ["RandomHeuristic"]
@@ -39,7 +39,7 @@ class RandomHeuristic(Heuristic):
             sends[(arc.src, arc.dst)] = sample_tokens(useful, arc.capacity, ctx.rng)
         return sends
 
-    def propose_vector(self, state: BatchState) -> Optional[VectorProposal]:
+    def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
         """Every arc's useful set in one batched pass; sampling unchanged.
 
         The per-arc ``useful = possession[src] - possession[dst]`` scan

@@ -19,7 +19,7 @@ rotating back — a handful of big-int operations instead of an O(m)
 per-token scan, with identical picks and cursor movement.
 
 Because the strategy is completely RNG-free and per-arc independent, it
-is the flagship client of the batch kernel's vector proposal path:
+is the flagship client of the kernel's vector proposal path:
 :meth:`RoundRobinHeuristic.propose_vector` runs every arc's lap at once
 on the kernel's bitplane possession matrix, replacing the per-arc
 Python loop with a fixed number of whole-array ops.  Instead of
@@ -40,7 +40,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
 from repro.sim import Proposal, StepContext
-from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.state import SimState, VectorProposal
 from repro.sim.bitplanes import (
     highbit_rows,
     lowmask_rows,
@@ -103,8 +103,8 @@ class RoundRobinHeuristic(Heuristic):
             sends[key] = TokenSet(chosen)
         return sends
 
-    def propose_vector(self, state: BatchState) -> Optional[VectorProposal]:
-        """All arcs' laps at once on the batch kernel's bitplane matrix.
+    def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
+        """All arcs' laps at once on the kernel's bitplane matrix.
 
         Mirrors :meth:`propose` exactly: arcs whose owners hold fewer
         tokens than the arc capacity ship everything and keep their

@@ -31,7 +31,7 @@ from repro.heuristics.vector_common import (
     grouped_requests,
 )
 from repro.sim import Proposal, StepContext
-from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.state import SimState, VectorProposal
 from repro.sim.bitplanes import masks_to_matrix, np
 
 __all__ = ["SequentialHeuristic"]
@@ -102,7 +102,7 @@ class SequentialHeuristic(Heuristic):
                 sends[key] = sends.get(key, 0) | low
         return {key: TokenSet(mask) for key, mask in sends.items()}
 
-    def propose_vector(self, state: BatchState) -> Optional[VectorProposal]:
+    def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
         """The in-order step as batched arrays.
 
         Same batched receiver screen as the Local heuristic's vector

@@ -6,7 +6,7 @@ supply tokens they lack, then — per candidate — the ascending list of
 lacking tokens (the request list) and, per request, the ascending
 supplier slots that hold it.  The scalar loops do this with per-vertex
 big-int bit extraction; this module computes it for *every candidate at
-once* from the batch kernel's bitplane matrices:
+once* from the kernel's bitplane matrices:
 
 1. expand each candidate's in-arc segment into (candidate, slot) pairs,
 2. intersect each pair's supplier possession row with the candidate's
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from repro.sim.batch import BatchState, VectorProposal
+from repro.sim.state import SimState, VectorProposal
 from repro.sim.bitplanes import np
 
 __all__ = [
@@ -97,7 +97,7 @@ class GroupedRequests:
     tokens_arr: Any
 
 
-def build_in_tables(state: BatchState) -> InArcTables:
+def build_in_tables(state: SimState) -> InArcTables:
     """Build the dst-grouped in-arc tables for ``state``'s problem."""
     arc_dst = state.arc_dst
     order = np.argsort(arc_dst, kind="stable")
@@ -117,7 +117,7 @@ def build_in_tables(state: BatchState) -> InArcTables:
 
 
 def grouped_requests(
-    state: BatchState, tables: InArcTables
+    state: SimState, tables: InArcTables
 ) -> Optional[GroupedRequests]:
     """The step's request/holder structure, or ``None`` with no candidates.
 
@@ -207,7 +207,7 @@ def grouped_requests(
 
 
 def empty_vector_proposal() -> VectorProposal:
-    """A zero-send :class:`~repro.sim.batch.VectorProposal`."""
+    """A zero-send :class:`~repro.sim.state.VectorProposal`."""
     return VectorProposal(
         arc_indices=np.zeros(0, dtype=np.int64),
         masks=np.zeros(0, dtype=np.uint64),
@@ -215,7 +215,7 @@ def empty_vector_proposal() -> VectorProposal:
 
 
 def pack_assignments(
-    state: BatchState,
+    state: SimState,
     tables: InArcTables,
     asg_pos: List[int],
     asg_tok: List[int],

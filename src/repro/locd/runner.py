@@ -71,8 +71,9 @@ class LocalEngine(StepDriver):
     ``kernel_apply`` / ``knowledge_flood`` phase timers.  Step events
     additionally carry ``facts_learned``, the gossip cost of the step.
     There is no stall detection: runs go to ``max_steps``.  ``kernel``
-    selects the state factory like :class:`repro.sim.Engine`'s; the
-    benchmark suite injects its timed factory through it.
+    is :class:`repro.sim.Engine`'s injection hook (``None`` or a
+    ``Problem -> SimState`` callable); the benchmark suite injects its
+    timed factory through it.
     """
 
     engine_name = "locd"
@@ -90,8 +91,7 @@ class LocalEngine(StepDriver):
         if max_steps is None:
             max_steps = 4 * max(problem.move_bound(), 1) + 4 * problem.num_vertices + 64
         # LOCD algorithms only ever see per-vertex Knowledge, so the
-        # kernel choice cannot change decisions; the batch kernel's
-        # matrix stays unsynced (lazy) and costs nothing here.
+        # kernel's bitplane mirror is never read and never built here.
         super().__init__(problem, rng, max_steps, tracer, metrics, kernel)
         self.algorithm = algorithm
 
@@ -153,7 +153,6 @@ def run_local(
     max_steps: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    kernel: Union[str, Callable[[Problem], SimState], None] = None,
 ) -> RunResult:
     """One-call convenience wrapper around :class:`LocalEngine`."""
     return LocalEngine(
@@ -163,5 +162,4 @@ def run_local(
         max_steps=max_steps,
         tracer=tracer,
         metrics=metrics,
-        kernel=kernel,
     ).run()

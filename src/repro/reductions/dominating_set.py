@@ -168,9 +168,9 @@ def extract_dominating_set(
         raise ValueError(
             f"expected a schedule of at most 2 steps, got {schedule.makespan}"
         )
-    if not schedule.is_successful(problem):
+    history = schedule.validate(problem)
+    if not all(want <= held for want, held in zip(problem.want, history[-1])):
         raise ValueError("schedule does not solve the reduction instance")
-    history = schedule.replay(problem)
     _s, _t, v_ids, _vp_ids = _layout(graph.num_vertices)
     after_first = history[min(1, len(history) - 1)]
     dominating = {

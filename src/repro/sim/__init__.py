@@ -1,6 +1,5 @@
 """Synchronous round-based simulation of OCD distribution schedules."""
 
-from repro.sim.batch import BatchState
 from repro.sim.engine import (
     Engine,
     HeuristicProtocol,
@@ -15,7 +14,6 @@ from repro.sim.render import possession_timeline, schedule_to_text
 from repro.sim.state import SimState
 
 __all__ = [
-    "BatchState",
     "Engine",
     "HeuristicProtocol",
     "HeuristicViolation",

@@ -1,7 +1,7 @@
-"""TokenSet <-> dense bitplane-matrix conversions for the batch kernel.
+"""TokenSet <-> dense bitplane-matrix conversions for the step kernel.
 
-The batch step kernel (:mod:`repro.sim.batch`) holds possession, want,
-and usefulness state as dense ``(vertices, planes)`` uint64 matrices:
+The step kernel's bitplane mirror (:class:`repro.sim.state.SimState`)
+holds possession and want as dense ``(vertices, planes)`` uint64 matrices:
 bit ``t % 64`` of plane ``t // 64`` in row ``v`` is set iff vertex ``v``
 holds token ``t``.  Token universes larger than 64 simply spill into
 additional planes, so one matrix row is the exact bit-for-bit image of
@@ -140,7 +140,7 @@ def popcount_cols(matrix: PlaneArray) -> List[int]:
 
     Entry ``t`` counts the rows whose bit ``t`` is set — the batched
     form of the per-token tallies (holder counts, aggregate demand) the
-    scalar kernel maintains with per-bit Python loops.  The returned
+    kernel's scalar gain fold maintains with per-bit Python loops.  The returned
     list has ``64 * P`` entries; trailing entries beyond the universe
     are zero by construction.
     """

@@ -20,11 +20,15 @@ local-knowledge (LOCD) runner in :mod:`repro.locd` enforces locality
 mechanically by constructing per-vertex knowledge views instead.
 
 Per-step cost is O(delta), not O(swarm): the success test is a counter
-read, the stall test rechecks only arcs whose endpoints changed, and the
-:class:`StepContext` is a zero-copy view over the kernel's live state
-(the pre-kernel loop snapshotted possession into fresh tuples every
-step).  Schedules are byte-identical to the frozen pre-kernel loop in
-:mod:`repro.sim.reference`, which the equivalence suite enforces.
+read, the stall test is one vectorized comparison over the arcs (run
+only after a step that gained nothing), and the :class:`StepContext` is
+a zero-copy view over the kernel's live state (the pre-kernel loop
+snapshotted possession into fresh tuples every step).  A heuristic with
+a ``propose_vector`` skips the per-arc Python proposal and validation
+loops: :class:`Engine` takes that vector path whenever the heuristic has
+one.  Schedules are byte-identical to the frozen pre-kernel loop in
+:mod:`repro.sim.reference` on either path, which the equivalence suite
+enforces.
 """
 
 from __future__ import annotations
@@ -78,23 +82,25 @@ Proposal = Mapping[Tuple[int, int], TokenSet]
 def resolve_state_factory(
     kernel: Union[str, Callable[[Problem], SimState], None],
 ) -> Callable[[Problem], SimState]:
-    """Resolve an engine ``kernel=`` argument to a state factory.
+    """Resolve a driver's ``kernel=`` argument to a state factory.
 
-    ``None`` and ``"state"`` select :class:`SimState`; ``"batch"``
-    selects the numpy bitplane :class:`repro.sim.batch.BatchState`.  A
-    callable is returned as-is — the hook the seeded-fault tests use to
-    inject instrumented kernels.  Any other value raises ``ValueError``.
+    ``None`` selects :class:`SimState`, the one kernel.  A callable
+    ``Problem -> SimState`` is returned as-is: the hook the seeded-fault
+    tests and the benchmark suite's timed factory use to inject an
+    instrumented kernel.  Any other value raises ``ValueError``.
     """
-    if kernel is None or kernel == "state":
+    if kernel is None:
         return SimState
     if kernel == "batch":
-        # Function-local: repro.sim.batch imports ``violation`` from here.
-        from repro.sim.batch import BatchState
-
-        return BatchState
+        # The benchmark suite (benchmarks/suite/workloads.py: Swarm.run,
+        # traced_engine_run) still names the kernel that SimState
+        # absorbed; "batch" is accepted as a synonym for None for it.
+        return SimState
     if callable(kernel):
         return kernel
-    raise ValueError(f"unknown kernel {kernel!r}; choose one of state, batch")
+    raise ValueError(
+        f"unknown kernel {kernel!r}; pass None or a Problem -> SimState callable"
+    )
 
 
 class HeuristicViolation(RuntimeError):
@@ -184,7 +190,11 @@ class HeuristicProtocol(Protocol):
         """Prepare per-run state before the first timestep."""
 
     def propose(self, ctx: StepContext) -> Proposal:
-        """Return the sends for this timestep as ``{(src, dst): tokens}``."""
+        """Return the sends for this timestep as ``{(src, dst): tokens}``.
+
+        A heuristic may also define ``propose_vector(state)`` returning a
+        :class:`repro.sim.state.VectorProposal`; :class:`Engine` then
+        calls that instead (see its docstring)."""
 
 
 @dataclass
@@ -498,17 +508,17 @@ class Engine(StepDriver):
         — the unprofiled path skips all timing and wall-clock never
         enters it.
     kernel:
-        Which step kernel holds the run's state: ``"state"`` (the
-        default :class:`SimState`), ``"batch"`` (the numpy bitplane
-        :class:`repro.sim.batch.BatchState`), or a
-        ``Problem -> SimState`` callable
-        (:func:`resolve_state_factory`).
-        Kernels are interchangeable: schedules and traces are
-        byte-identical whichever one runs (the batch-equivalence suite
-        enforces this).  With the batch kernel, heuristics exposing
-        ``propose_vector`` (Round-Robin, local-rarest, random and
-        sequential) skip the per-arc Python proposal/validation loops
-        entirely.
+        An injection hook, not a choice: ``None`` (the
+        :class:`SimState` kernel) or a ``Problem -> SimState`` callable
+        (:func:`resolve_state_factory`) that the seeded-fault tests and
+        the benchmark suite's timed factory use.
+
+    A heuristic exposing ``propose_vector`` (Round-Robin, local-rarest,
+    random and sequential) runs on the vector path, skipping the
+    per-arc Python proposal and validation loops; one returning
+    ``None`` from it falls back to ``propose`` for the rest of the run.
+    Schedules and traces are byte-identical on either path (the
+    batch-equivalence suite enforces this).
     """
 
     def __init__(
@@ -536,14 +546,12 @@ class Engine(StepDriver):
 
     def _start(self, state: SimState) -> str:
         self.heuristic.reset(self.problem, self.rng)
-        # Vector fast path: a batch kernel plus a heuristic that can
-        # propose as arrays.  ``propose_vector`` returning None means the
-        # configuration is unsupported (e.g. tokens exceed one bitplane);
-        # the condition is static per run, so fall back permanently.
-        self._vector_fn: Optional[Callable[[SimState], Any]] = (
-            getattr(self.heuristic, "propose_vector", None)
-            if getattr(state, "supports_vector", False)
-            else None
+        # Vector path: a heuristic that can propose as arrays.
+        # ``propose_vector`` returning None means the configuration is
+        # unsupported (e.g. an empty universe); the condition is static
+        # per run, so fall back permanently.
+        self._vector_fn: Optional[Callable[[SimState], Any]] = getattr(
+            self.heuristic, "propose_vector", None
         )
         return self.heuristic.name
 
@@ -566,13 +574,12 @@ class Engine(StepDriver):
     def _validate(
         self, proposal: Any, state: SimState, step: int
     ) -> Tuple[Timestep, Dict[int, int]]:
-        if self._vector_fn is not None:
-            vector_state: Any = state  # the batch kernel ``_start`` probed
-            checked: Tuple[Timestep, Dict[int, int]] = vector_state.validate_vector(
-                proposal, self._label, step
-            )
-            return checked
-        return super()._validate(proposal, state, step)
+        if self._vector_fn is None:
+            return super()._validate(proposal, state, step)
+        try:
+            return state.validate_vector(proposal)
+        except MoveError as err:
+            raise violation(self._label, step, err) from None
 
 
 def run_heuristic(
@@ -582,7 +589,6 @@ def run_heuristic(
     max_steps: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    kernel: Union[str, Callable[[Problem], SimState], None] = None,
 ) -> RunResult:
     """One-call convenience wrapper around :class:`Engine`."""
     return Engine(
@@ -592,5 +598,4 @@ def run_heuristic(
         max_steps=max_steps,
         tracer=tracer,
         metrics=metrics,
-        kernel=kernel,
     ).run()

@@ -34,7 +34,7 @@ def schedule_to_text(
     For instances above ``max_vertices`` vertices the possession
     snapshot lines are elided (the move lists are still shown).
     """
-    history = schedule.replay(problem)
+    history = schedule.validate(problem)
     out = io.StringIO()
     out.write(
         f"schedule for {problem.name or 'problem'}: "
@@ -77,7 +77,7 @@ def possession_timeline(
     the vertex's want is first fully covered.  The ``vertices`` argument
     restricts the rows (default: all).
     """
-    history = schedule.replay(problem)
+    history = schedule.validate(problem)
     if vertices is None:
         vertices = range(problem.num_vertices)
     times = completion_times(problem, schedule)

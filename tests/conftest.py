@@ -83,6 +83,13 @@ def make_random_problem(
     return problem
 
 
+def scalar_only(heuristic: Any) -> Any:
+    """``heuristic`` with its ``propose_vector`` hidden, so the engine
+    runs it on the scalar ``propose`` path of the same kernel."""
+    heuristic.propose_vector = None
+    return heuristic
+
+
 @pytest.fixture
 def random_problems() -> List[Problem]:
     """A deterministic batch of varied small instances."""

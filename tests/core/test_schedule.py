@@ -4,8 +4,11 @@ polynomial-time verifier (Theorem 3's certificate checker)."""
 import pytest
 from hypothesis import given
 
+from repro.analysis.streaming import streaming_report
+from repro.core.metrics import completion_times
 from repro.core.schedule import Move, Schedule, ScheduleError, Timestep
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
+from repro.sim.render import schedule_to_text
 
 from tests.conftest import problems_with_schedules
 
@@ -67,11 +70,11 @@ class TestScheduleMetrics:
 
 
 class TestReplayValidate:
-    def test_replay_accumulates(self, path_problem):
+    def test_validate_accumulates(self, path_problem):
         sched = Schedule.from_move_lists(
             [[Move(0, 1, 0)], [Move(0, 1, 1), Move(1, 2, 0)], [Move(1, 2, 1)]]
         )
-        history = sched.replay(path_problem)
+        history = sched.validate(path_problem)
         assert sorted(history[1][1]) == [0]
         assert sorted(history[2][1]) == [0, 1]
         assert sorted(history[3][2]) == [0, 1]
@@ -134,7 +137,7 @@ class TestSuccess:
 
     def test_final_possession(self, path_problem):
         sched = Schedule.from_move_lists([[Move(0, 1, 0)]])
-        final = sched.final_possession(path_problem)
+        final = sched.validate(path_problem)[-1]
         assert sorted(final[1]) == [0]
 
 
@@ -170,7 +173,7 @@ def test_generated_schedules_are_valid(problem_and_schedule):
 def test_possession_is_monotone(problem_and_schedule):
     """p_i(v) only ever grows — the model's storage axiom."""
     problem, schedule = problem_and_schedule
-    history = schedule.replay(problem)
+    history = schedule.validate(problem)
     for before, after in zip(history, history[1:]):
         for v in range(problem.num_vertices):
             assert before[v] <= after[v]
@@ -181,7 +184,27 @@ def test_tokens_never_minted(problem_and_schedule):
     """A vertex only gains tokens some in-neighbor already had (no new
     token types appear — the paper's static-token assumption)."""
     problem, schedule = problem_and_schedule
-    history = schedule.replay(problem)
+    history = schedule.validate(problem)
     for i, step in enumerate(schedule.steps):
         for (src, _dst), tokens in step.sends.items():
             assert tokens <= history[i][src]
+
+
+# ----------------------------------------------------------------------
+# One replay: every possession history is the validated one
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [completion_times, streaming_report, schedule_to_text],
+    ids=lambda reader: reader.__name__,
+)
+def test_history_readers_reject_unpossessed_sends(path_problem, reader):
+    """A reader of the possession history never credits a token its
+    sender did not hold: it raises, naming the offending timestep."""
+    # Step 0 is legal; at step 1 vertex 1 forwards token 1, which it
+    # never received.
+    sched = Schedule.from_move_lists([[Move(0, 1, 0)], [Move(1, 2, 1)]])
+    with pytest.raises(ScheduleError, match="timestep 1: vertex 1 sends tokens"):
+        reader(path_problem, sched)

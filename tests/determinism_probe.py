@@ -130,6 +130,7 @@ def digests() -> Dict[str, str]:
     from repro.workloads import single_file
 
     sys.path.insert(0, str(HERE.parent))
+    from tests.conftest import scalar_only
     from tests.experiments.test_sweep import TINY
 
     out: Dict[str, str] = {}
@@ -148,12 +149,12 @@ def digests() -> Dict[str, str]:
     problem = random_instance(random.Random(7), max_vertices=16, max_tokens=8)
     factories = dict(HEURISTIC_FACTORIES, sequential=SequentialHeuristic)
     for name in sorted(factories):
-        for kernel in ("state", "batch"):
-            key = f"heuristic/{name}/{kernel}"
+        for path, wrap in (("scalar", scalar_only), ("vector", lambda h: h)):
+            key = f"heuristic/{name}/{path}"
             out[key] = _traced(
                 key,
                 lambda tracer: run_heuristic(
-                    problem, factories[name](), seed=3, tracer=tracer, kernel=kernel
+                    problem, wrap(factories[name]()), seed=3, tracer=tracer
                 ),
             )
 

@@ -1,15 +1,22 @@
 """Tests for the branch-and-bound FOCD solver."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.bounds import remaining_timesteps
 from repro.core.problem import Problem
 from repro.exact.branch_and_bound import (
     SearchBudget,
     SearchExhausted,
+    _Searcher,
     decide_dfocd,
     solve_focd_bnb,
 )
 from repro.topology import figure1_gadget
+from repro.topology.generators import random_instance
 
 
 class TestDecideDfocd:
@@ -109,3 +116,27 @@ class TestWitnessProperties:
         pruned, _ = prune_schedule(diamond_problem, witness)
         assert pruned.is_successful(diamond_problem)
         assert pruned.bandwidth <= witness.bandwidth
+
+
+class TestLowerBound:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_vertices=st.integers(2, 9),
+        max_tokens=st.integers(1, 6),
+        max_capacity=st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_initial_bound_is_the_radius_bound(
+        self, seed, max_vertices, max_tokens, max_capacity
+    ):
+        """The searcher's admissible bound is the paper's radius bound:
+        on the initial state it equals ``remaining_timesteps``."""
+        problem = random_instance(
+            random.Random(seed),
+            max_vertices=max_vertices,
+            max_tokens=max_tokens,
+            max_capacity=max_capacity,
+        )
+        searcher = _Searcher(problem, SearchBudget())
+        state = tuple(h.mask for h in problem.have)
+        assert searcher.lower_bound(state) == remaining_timesteps(problem)

@@ -80,7 +80,7 @@ class TestRuns:
         inst = make_coded_single_file(path_topology(4, capacity=1), 3, 2)
         result = run_coded(inst, make_heuristic("random"), seed=3)
         assert result.success
-        final = result.schedule.final_possession(inst.problem)
+        final = result.schedule.validate(inst.problem)[-1]
         assert inst.is_reconstructed(final)
 
     def test_coded_never_slower_than_uncoded(self):

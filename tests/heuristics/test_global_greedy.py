@@ -63,7 +63,7 @@ class TestEndToEnd:
         problem = single_file(star_topology(6, capacity=2), file_tokens=6)
         result = run_heuristic(problem, GlobalGreedyHeuristic(), seed=4)
         assert result.success
-        history = result.schedule.replay(problem)
+        history = result.schedule.validate(problem)
         for i, step in enumerate(result.schedule.steps):
             arrivals = {}
             for (src, dst), tokens in step.sends.items():

@@ -63,7 +63,7 @@ def test_possession_is_monotone_under_every_heuristic(instance_family):
             result = run_heuristic(
                 problem, HEURISTIC_FACTORIES[name](), seed=4242 + index
             )
-            history = result.schedule.replay(problem)
+            history = result.schedule.validate(problem)
             for before, after in zip(history, history[1:]):
                 for v in range(problem.num_vertices):
                     assert before[v] <= after[v]

@@ -4,7 +4,8 @@ The vector fast paths are only byte-compatible with the scalar
 heuristics if they consume the engine RNG *identically at every step* —
 same number of draws, same order — not merely if the schedules agree.
 This property is checked directly: a recording wrapper snapshots
-``rng.getstate()`` after every proposal on both kernels, and the two
+``rng.getstate()`` after every proposal on both paths of the one kernel
+(the scalar path forced by hiding ``propose_vector``), and the two
 state sequences must match element for element (a schedule comparison
 alone could mask compensating divergences).
 
@@ -30,7 +31,7 @@ from repro.heuristics import HEURISTIC_FACTORIES
 from repro.heuristics.sequential import SequentialHeuristic
 from repro.sim import Engine
 
-from tests.conftest import make_random_problem, problems
+from tests.conftest import make_random_problem, problems, scalar_only
 
 FACTORIES = {**HEURISTIC_FACTORIES, "sequential": SequentialHeuristic}
 STREAM_HEURISTICS = tuple(
@@ -62,10 +63,13 @@ def recording(name: str, states):
     return Recording()
 
 
-def stream_states(problem, name: str, seed: int, kernel: str):
+def stream_states(problem, name: str, seed: int, vector: bool):
     states: list = []
     rng = random.Random(seed)
-    Engine(problem, recording(name, states), rng=rng, kernel=kernel).run()
+    heuristic = recording(name, states)
+    if not vector:
+        scalar_only(heuristic)
+    Engine(problem, heuristic, rng=rng).run()
     states.append(rng.getstate())
     return states
 
@@ -74,8 +78,8 @@ def stream_states(problem, name: str, seed: int, kernel: str):
 @settings(max_examples=25, deadline=None)
 def test_property_streams_identical(problem):
     for name in STREAM_HEURISTICS:
-        scalar = stream_states(problem, name, seed=13, kernel="state")
-        vector = stream_states(problem, name, seed=13, kernel="batch")
+        scalar = stream_states(problem, name, seed=13, vector=False)
+        vector = stream_states(problem, name, seed=13, vector=True)
         assert scalar == vector, name
 
 
@@ -84,6 +88,6 @@ def test_multi_plane_streams_identical(name):
     rng = random.Random(411)
     for i in range(5):
         problem = make_random_problem(rng, max_vertices=9, max_tokens=90)
-        scalar = stream_states(problem, name, seed=100 + i, kernel="state")
-        vector = stream_states(problem, name, seed=100 + i, kernel="batch")
+        scalar = stream_states(problem, name, seed=100 + i, vector=False)
+        vector = stream_states(problem, name, seed=100 + i, vector=True)
         assert scalar == vector, (name, i)

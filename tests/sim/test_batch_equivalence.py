@@ -1,18 +1,22 @@
-"""Differential harness: the batch kernel changes *nothing* observable.
+"""Differential harness: the vector proposal path changes *nothing* observable.
 
-:class:`repro.sim.batch.BatchState` is a representation change only —
-dense uint64 bitplane matrices behind the same :class:`repro.sim.SimState`
-API.  For the engine and the LOCD runner, every
-heuristic, and every supported configuration, a ``(problem, seed)`` run
-through the batch kernel must be *byte-identical* to the scalar kernel
-and to the frozen pre-kernel oracle in :mod:`repro.sim.reference`:
+The one step kernel, :class:`repro.sim.SimState`, takes a heuristic's
+sends by two paths: the scalar ``propose`` dict (validated by
+``check_sends`` and folded gain by gain) and the ``propose_vector``
+arrays (validated and folded as bitplane array ops).  :class:`Engine`
+takes the vector path whenever the heuristic has one; the tests force
+the scalar path by hiding ``propose_vector`` (``scalar_only``).  For
+every heuristic and every supported configuration, a ``(problem,
+seed)`` run must be *byte-identical* on both paths and against the
+frozen pre-kernel oracle in :mod:`repro.sim.reference`:
 
 * identical schedules (same timesteps, arcs, token sets, success flag),
-* byte-identical JSONL traces against the scalar kernel,
+* byte-identical JSONL traces between the two paths,
 * trace-equivalent (modulo the ``engine`` label) against the oracle.
 
-The seeded grid sweeps topology families x token-universe sizes —
-including >64-token universes that spill into a second bitplane and
+In the test names, ``batch`` is the vector path and ``state`` the scalar
+path.  The seeded grid sweeps topology families x token-universe sizes
+— including >64-token universes that spill into a second bitplane and
 exercise the multi-plane vector proposal path — for well over 100
 instances, and a hypothesis property supplies shrinking when a
 divergence appears.
@@ -27,11 +31,9 @@ from hypothesis import given, settings
 
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.heuristics.sequential import SequentialHeuristic
-from repro.locd import LocalRarest, StaleGreedy, run_local
 from repro.obs import JsonlTracer
 from repro.obs.analyze import diff_traces
 from repro.sim import Engine, run_heuristic
-from repro.sim.batch import BatchState
 from repro.sim.engine import resolve_state_factory
 from repro.sim.reference import (
     make_reference_heuristic,
@@ -39,7 +41,7 @@ from repro.sim.reference import (
 )
 from repro.sim.state import SimState
 
-from tests.conftest import make_random_problem, problems
+from tests.conftest import make_random_problem, problems, scalar_only
 
 ALL_HEURISTICS = tuple(HEURISTIC_FACTORIES) + ("sequential",)
 
@@ -82,7 +84,7 @@ def grid_instances():
 
 
 # ----------------------------------------------------------------------
-# Engine: batch vs scalar vs reference oracle across the full grid
+# Engine: vector vs scalar path vs reference oracle across the full grid
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
     def test_grid_batch_vs_state_vs_reference(self):
@@ -97,22 +99,20 @@ class TestEngineEquivalence:
                 else (ALL_HEURISTICS[i % len(ALL_HEURISTICS)],)
             )
             for name in names:
-                state_run = run_heuristic(
-                    problem, new_heuristic(name), seed=seed, kernel="state"
+                scalar_run = run_heuristic(
+                    problem, scalar_only(new_heuristic(name)), seed=seed
                 )
-                batch_run = run_heuristic(
-                    problem, new_heuristic(name), seed=seed, kernel="batch"
-                )
-                assert state_run.success == batch_run.success, (name, seed)
-                assert signature(state_run.schedule) == signature(
-                    batch_run.schedule
+                vector_run = run_heuristic(problem, new_heuristic(name), seed=seed)
+                assert scalar_run.success == vector_run.success, (name, seed)
+                assert signature(scalar_run.schedule) == signature(
+                    vector_run.schedule
                 ), (name, seed)
                 oracle = reference_run_heuristic(
                     problem, make_reference_heuristic(name), seed=seed
                 )
-                assert oracle.success == batch_run.success, (name, seed)
+                assert oracle.success == vector_run.success, (name, seed)
                 assert signature(oracle.schedule) == signature(
-                    batch_run.schedule
+                    vector_run.schedule
                 ), (name, seed)
             checked += 1
         assert checked >= 100  # the grid is the >=100-instance contract
@@ -132,7 +132,7 @@ class TestEngineEquivalence:
 
         rng = random.Random(5)
         problem = make_random_problem(rng, max_vertices=10, max_tokens=10)
-        result = run_heuristic(problem, Counting(), seed=9, kernel="batch")
+        result = run_heuristic(problem, Counting(), seed=9)
         assert calls and all(calls), name
         assert len(calls) == result.makespan
 
@@ -156,12 +156,10 @@ class TestEngineEquivalence:
         seed = 2
         ra = random.Random(seed)
         rb = random.Random(seed)
-        state_run = Engine(
-            problem, new_heuristic(name), rng=ra, kernel="state"
-        ).run()
-        batch_run = Engine(problem, Counting(), rng=rb, kernel="batch").run()
+        scalar_run = Engine(problem, scalar_only(new_heuristic(name)), rng=ra).run()
+        vector_run = Engine(problem, Counting(), rng=rb).run()
         assert calls and all(calls), name
-        assert signature(state_run.schedule) == signature(batch_run.schedule)
+        assert signature(scalar_run.schedule) == signature(vector_run.schedule)
         # RNG-stream exactness: the vector path consumed the exact same
         # draws the scalar path did, so the engine RNGs land in the same
         # final state even on multi-plane universes.
@@ -171,20 +169,18 @@ class TestEngineEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_property_schedules_identical(self, problem):
         for name in ALL_HEURISTICS:
-            state_run = run_heuristic(
-                problem, new_heuristic(name), seed=17, kernel="state"
+            scalar_run = run_heuristic(
+                problem, scalar_only(new_heuristic(name)), seed=17
             )
-            batch_run = run_heuristic(
-                problem, new_heuristic(name), seed=17, kernel="batch"
-            )
-            assert state_run.success == batch_run.success, name
-            assert signature(state_run.schedule) == signature(
-                batch_run.schedule
+            vector_run = run_heuristic(problem, new_heuristic(name), seed=17)
+            assert scalar_run.success == vector_run.success, name
+            assert signature(scalar_run.schedule) == signature(
+                vector_run.schedule
             ), name
 
 
 # ----------------------------------------------------------------------
-# Traces: byte-identical JSONL vs scalar, label-equivalent vs oracle
+# Traces: byte-identical JSONL between paths, label-equivalent vs oracle
 # ----------------------------------------------------------------------
 class TestTraceEquivalence:
     def test_traces_byte_identical_vs_state(self, tmp_path):
@@ -196,21 +192,19 @@ class TestTraceEquivalence:
                 rng, max_vertices=10, max_tokens=70 if i % 3 == 0 else 10
             )
             for name in ALL_HEURISTICS:
-                paths = {}
-                for kernel in ("state", "batch"):
-                    path = str(tmp_path / f"{i}-{name}-{kernel}.jsonl")
+                traces = {}
+                for path_name, hide in (("scalar", scalar_only), ("vector", None)):
+                    path = str(tmp_path / f"{i}-{name}-{path_name}.jsonl")
+                    heuristic = new_heuristic(name)
                     with JsonlTracer(path=path) as tracer:
                         run_heuristic(
                             problem,
-                            new_heuristic(name),
+                            hide(heuristic) if hide else heuristic,
                             seed=700 + i,
                             tracer=tracer,
-                            kernel=kernel,
                         )
-                    paths[kernel] = path
-                state_bytes = open(paths["state"], "rb").read()
-                batch_bytes = open(paths["batch"], "rb").read()
-                assert state_bytes == batch_bytes, (i, name)
+                    traces[path_name] = open(path, "rb").read()
+                assert traces["scalar"] == traces["vector"], (i, name)
 
     def test_trace_diff_vs_reference_oracle(self, tmp_path):
         from repro.obs.analyze import retrace_run
@@ -219,14 +213,13 @@ class TestTraceEquivalence:
         for i in range(6):
             problem = make_random_problem(rng, max_vertices=8, max_tokens=6)
             seed = 800 + i
-            batch_path = str(tmp_path / f"{i}-batch.jsonl")
-            with JsonlTracer(path=batch_path) as tracer:
+            vector_path = str(tmp_path / f"{i}-vector.jsonl")
+            with JsonlTracer(path=vector_path) as tracer:
                 run_heuristic(
                     problem,
                     new_heuristic("round_robin"),
                     seed=seed,
                     tracer=tracer,
-                    kernel="batch",
                 )
             oracle = reference_run_heuristic(
                 problem, make_reference_heuristic("round_robin"), seed=seed
@@ -242,7 +235,7 @@ class TestTraceEquivalence:
                     engine="reference",
                 )
             diff = diff_traces(
-                batch_path, oracle_path, ignore_fields=("engine",)
+                vector_path, oracle_path, ignore_fields=("engine",)
             )
             assert diff.identical, (i, diff.divergence)
 
@@ -262,11 +255,9 @@ class TestLazyTimestepOrder:
         """
         records = []
 
-        class Recording(BatchState):
-            def validate_vector(self, vec, heuristic_name, step):
-                timestep, arrivals = super().validate_vector(
-                    vec, heuristic_name, step
-                )
+        class Recording(SimState):
+            def validate_vector(self, vec):
+                timestep, arrivals = super().validate_vector(vec)
                 # Stream before materialization, tiny chunks on purpose.
                 lazy = list(timestep.iter_sends_masks(chunk=3))
                 eager = {}
@@ -279,6 +270,8 @@ class TestLazyTimestepOrder:
                     (key, tokens.mask)
                     for key, tokens in timestep.sends.items()
                 ]
+                # After materialization the stream reads the dict.
+                assert list(timestep.iter_sends_masks()) == sends
                 records.append(
                     (list(arrivals.items()), list(eager.items()), lazy, sends)
                 )
@@ -291,12 +284,12 @@ class TestLazyTimestepOrder:
                     rng, max_vertices=10, max_tokens=max_tokens
                 )
                 for name in VECTOR_HEURISTICS:
-                    run_heuristic(
+                    Engine(
                         problem,
                         new_heuristic(name),
-                        seed=50 + i,
+                        rng=random.Random(50 + i),
                         kernel=Recording,
-                    )
+                    ).run()
         assert records
         for arrivals, eager, lazy, sends in records:
             assert arrivals == eager  # same pairs, same insertion order
@@ -304,44 +297,21 @@ class TestLazyTimestepOrder:
 
 
 # ----------------------------------------------------------------------
-# LOCD runner on the batch kernel
-# ----------------------------------------------------------------------
-class TestDriverEquivalence:
-    def test_locd_batch_vs_state(self):
-        rng = random.Random(29)
-        for i in range(8):
-            problem = make_random_problem(rng, max_vertices=10, max_tokens=8)
-            for factory in (LocalRarest, StaleGreedy):
-                seed = 600 + i
-                state_run = run_local(
-                    problem, factory(), seed=seed, kernel="state"
-                )
-                batch_run = run_local(
-                    problem, factory(), seed=seed, kernel="batch"
-                )
-                assert state_run.success == batch_run.success
-                assert state_run.knowledge_cost == batch_run.knowledge_cost
-                assert signature(state_run.schedule) == signature(
-                    batch_run.schedule
-                )
-
-
-# ----------------------------------------------------------------------
-# Kernel resolution
+# Kernel resolution: an injection hook, not a choice
 # ----------------------------------------------------------------------
 class TestKernelResolution:
     def test_kernel_names_resolve(self, path_problem):
         assert resolve_state_factory(None) is SimState
-        assert resolve_state_factory("state") is SimState
-        assert resolve_state_factory("batch") is BatchState
-        result = run_heuristic(
-            path_problem, new_heuristic("round_robin"), kernel="state"
-        )
+        # The benchmark suite's name for the kernel SimState absorbed.
+        assert resolve_state_factory("batch") is SimState
+        result = Engine(
+            path_problem, new_heuristic("round_robin"), kernel="batch"
+        ).run()
         assert result.success
 
     def test_unknown_kernel_rejected(self):
-        for kernel in ("bogus", "auto"):
-            with pytest.raises(ValueError, match="choose one of state, batch"):
+        for kernel in ("state", "bogus", "auto"):
+            with pytest.raises(ValueError, match="unknown kernel"):
                 resolve_state_factory(kernel)
 
     def test_callable_passthrough(self, path_problem):
@@ -352,8 +322,9 @@ class TestKernelResolution:
             made.append(state)
             return state
 
-        result = run_heuristic(
+        assert resolve_state_factory(factory) is factory
+        result = Engine(
             path_problem, new_heuristic("round_robin"), kernel=factory
-        )
+        ).run()
         assert result.success
         assert len(made) == 1

@@ -1,9 +1,9 @@
-"""Seeded faults in the batch kernel are caught and *localized*.
+"""Seeded faults in the kernel's vector path are caught and *localized*.
 
 The differential harness is only trustworthy if it actually fires when
-the batch kernel misbehaves.  These tests inject two deliberate faults
-into a copy of the kernel (via the engine's ``kernel=`` callable hook,
-so the shipped :class:`repro.sim.batch.BatchState` is untouched):
+the kernel misbehaves.  These tests inject two deliberate faults into a
+subclass of the kernel (via the engine's ``kernel=`` callable hook, so
+the shipped :class:`repro.sim.state.SimState` is untouched):
 
 * **Fault A — mutated transfer.** After validation, one send at the
   target step gains a token its sender does not possess (the arrival is
@@ -28,8 +28,8 @@ from repro.core.tokenset import TokenSet
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.obs import JsonlTracer
 from repro.obs.analyze import diff_traces, validate_trace
-from repro.sim import run_heuristic
-from repro.sim.batch import BatchState
+from repro.sim import Engine
+from repro.sim.state import SimState
 
 from tests.conftest import make_random_problem
 
@@ -37,15 +37,25 @@ TARGET_STEP = 1
 SEED = 404
 
 
-class MutatedTransferState(BatchState):
-    """Fault A: OR an unpossessed token into one validated send."""
+class FaultState(SimState):
+    """Counts vector validations, one per step, to find the fault step."""
 
     def __init__(self, problem):
         super().__init__(problem)
         self.fault_step = None
+        self.steps = 0
 
-    def validate_vector(self, vec, heuristic_name, step):
-        timestep, arrivals = super().validate_vector(vec, heuristic_name, step)
+    def validate_vector(self, vec):
+        self.steps += 1
+        return super().validate_vector(vec)
+
+
+class MutatedTransferState(FaultState):
+    """Fault A: OR an unpossessed token into one validated send."""
+
+    def validate_vector(self, vec):
+        timestep, arrivals = super().validate_vector(vec)
+        step = self.steps - 1
         if self.fault_step is None and step >= TARGET_STEP:
             full = (1 << self.problem.num_tokens) - 1
             for (src, dst), tokens in timestep.sends.items():
@@ -61,15 +71,12 @@ class MutatedTransferState(BatchState):
         return timestep, arrivals
 
 
-class DroppedArrivalState(BatchState):
+class DroppedArrivalState(FaultState):
     """Fault B: discard one destination's possession update."""
 
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.fault_step = None
-
-    def validate_vector(self, vec, heuristic_name, step):
-        timestep, arrivals = super().validate_vector(vec, heuristic_name, step)
+    def validate_vector(self, vec):
+        timestep, arrivals = super().validate_vector(vec)
+        step = self.steps - 1
         if self.fault_step is None and step >= TARGET_STEP:
             for dst, mask in arrivals.items():
                 if mask & ~self.possession_masks[dst]:
@@ -96,26 +103,26 @@ def traced_run(tmp_path, label, kernel, problem):
         return state
 
     with JsonlTracer(path=path) as tracer:
-        run_heuristic(
+        Engine(
             problem,
             HEURISTIC_FACTORIES["round_robin"](),
-            seed=SEED,
+            rng=random.Random(SEED),
             tracer=tracer,
             kernel=factory,
-        )
+        ).run()
     assert len(states) == 1
     return path, states[0]
 
 
 class TestFaultInjection:
     def test_clean_kernel_trace_validates(self, tmp_path):
-        path, _ = traced_run(tmp_path, "clean", BatchState, fault_problem())
+        path, _ = traced_run(tmp_path, "clean", SimState, fault_problem())
         report = validate_trace(path)
         assert report.ok, [v.render() for v in report.violations]
 
     def test_mutated_transfer_flags_sender_possession(self, tmp_path):
         problem = fault_problem()
-        clean_path, _ = traced_run(tmp_path, "clean", BatchState, problem)
+        clean_path, _ = traced_run(tmp_path, "clean", SimState, problem)
         fault_path, state = traced_run(
             tmp_path, "fault-a", MutatedTransferState, problem
         )
@@ -140,7 +147,7 @@ class TestFaultInjection:
 
     def test_dropped_arrival_flags_step_consistency(self, tmp_path):
         problem = fault_problem()
-        clean_path, _ = traced_run(tmp_path, "clean", BatchState, problem)
+        clean_path, _ = traced_run(tmp_path, "clean", SimState, problem)
         fault_path, state = traced_run(
             tmp_path, "fault-b", DroppedArrivalState, problem
         )

@@ -1,11 +1,12 @@
-"""Unit tests for the incremental step kernel (:class:`repro.sim.SimState`).
+"""Unit tests for the step kernel (:class:`repro.sim.SimState`).
 
 The kernel's counters — holder counts, per-vertex deficits, the total
-deficit, the per-token demand vector, the gain journal, and the
-useful-arc table — must all track arrivals exactly, because every engine
-and every rarest-first heuristic now reads them instead of rescanning
-possession.  Each test cross-checks an incrementally maintained value
-against the brute-force recomputation from the possession vector.
+deficit, the per-token demand vector, the gain journal, the bitplane
+mirror, and the useful-arc test — must all track arrivals exactly,
+because every engine and every rarest-first heuristic reads them
+instead of rescanning possession.  Each test cross-checks an
+incrementally maintained value against the brute-force recomputation
+from the possession vector.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core.problem import Arc, Problem
 from repro.core.schedule import Timestep
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 from repro.sim import Engine, SimState, StepContext
+from repro.sim.bitplanes import matrix_to_masks
 from repro.topology import random_graph
 from repro.workloads import single_file
 
@@ -53,6 +55,12 @@ def brute_force_check(state: SimState) -> None:
     assert state.token_demand() == token_deficit
     assert state.total_deficit == total
     assert state.satisfied() == (total == 0)
+    assert matrix_to_masks(state.matrix) == state.possession_masks
+
+
+def arrive(state: SimState, dst: int, *tokens: int) -> None:
+    """Deliver ``tokens`` to ``dst`` through the dict arrival fold."""
+    state.apply_arrivals({dst: TokenSet.of(*tokens).mask})
 
 
 class TestCounters:
@@ -66,12 +74,12 @@ class TestCounters:
 
     def test_apply_arrival_tracks_all_counters(self):
         state = SimState(chain_problem())
-        gained = state.apply_arrival(1, TokenSet.of(0, 1))
-        assert sorted(gained) == [0, 1]
+        arrive(state, 1, 0, 1)
+        assert sorted(state.possession[1]) == [0, 1]
         brute_force_check(state)
         # Redelivery gains nothing and does not bump the version.
         v = state.version
-        assert state.apply_arrival(1, TokenSet.of(0)) == EMPTY_TOKENSET
+        arrive(state, 1, 0)
         assert state.version == v
         brute_force_check(state)
 
@@ -115,9 +123,9 @@ class TestJournal:
     def test_journal_records_gains_in_order(self):
         state = SimState(chain_problem())
         v0 = state.version
-        state.apply_arrival(1, TokenSet.of(0))
-        state.apply_arrival(2, TokenSet.of(0))
-        state.apply_arrival(1, TokenSet.of(0, 1))  # only token 1 is new
+        arrive(state, 1, 0)
+        arrive(state, 2, 0)
+        arrive(state, 1, 0, 1)  # only token 1 is new
         gains = state.gains_since(v0)
         assert list(gains) == [
             (1, TokenSet.of(0).mask),
@@ -132,9 +140,9 @@ class TestUsefulArcs:
     def test_tracks_incremental_possession_change(self):
         state = SimState(chain_problem())
         assert state.any_useful_arc()  # 0 → 1 can deliver
-        state.apply_arrival(1, TokenSet.of(0, 1))
+        arrive(state, 1, 0, 1)
         assert state.any_useful_arc()  # now 1 → 2 can deliver
-        state.apply_arrival(2, TokenSet.of(0, 1))
+        arrive(state, 2, 0, 1)
         assert not state.any_useful_arc()  # everyone holds everything
 
     def test_no_progress_check_is_stable(self):
@@ -153,7 +161,7 @@ class TestStepContextOutstanding:
             random.Random(0), state=state,
         )
         assert ctx.total_outstanding() == 2
-        state.apply_arrival(2, TokenSet.of(0))
+        arrive(state, 2, 0)
         # Kernel-backed contexts read the deficit counter directly.
         assert ctx.total_outstanding() == 1
 

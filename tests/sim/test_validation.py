@@ -5,7 +5,8 @@ Every driver — the global :class:`Engine`, the LOCD
 :class:`DynamicEngine` — validates proposals with
 :func:`repro.core.schedule.check_sends`, so each offense must raise the
 same :class:`HeuristicViolation` whichever driver proposed it.  The
-batch kernel's array validator must word its offenses identically.
+kernel's array validator for vector proposals must word its offenses
+identically.
 """
 
 from typing import Callable, Dict, Optional, Tuple
@@ -140,16 +141,15 @@ def _scalar_message(problem: Problem, sends: Sends) -> str:
     masks = [tokens.mask for tokens in problem.have]
     with pytest.raises(MoveError) as info:
         check_sends(problem, sends, masks)
-    return str(violation("h", 3, info.value))
+    return str(violation("h", 0, info.value))
 
 
 def _vector_message(problem: Problem, sends: Sends) -> str:
     import numpy as np
 
-    from repro.sim.batch import BatchState, VectorProposal
     from repro.sim.bitplanes import masks_to_matrix, plane_count
+    from repro.sim.state import VectorProposal
 
-    state = BatchState(problem)
     index = {(arc.src, arc.dst): i for i, arc in enumerate(problem.arcs)}
     arc_indices = np.array([index[arc] for arc in sends], dtype=np.int64)
     mask_list = [tokens.mask for tokens in sends.values()]
@@ -157,8 +157,20 @@ def _vector_message(problem: Problem, sends: Sends) -> str:
         masks = np.array(mask_list, dtype=np.uint64)
     else:
         masks = masks_to_matrix(mask_list, problem.num_tokens)
+
+    class _VectorScripted(Heuristic):
+        """Proposes the script as arrays, so the engine takes its vector path."""
+
+        name = "h"
+
+        def propose(self, ctx):
+            raise AssertionError("the engine should take the vector path")
+
+        def propose_vector(self, state):
+            return VectorProposal(arc_indices, masks)
+
     with pytest.raises(HeuristicViolation) as info:
-        state.validate_vector(VectorProposal(arc_indices, masks), "h", 3)
+        Engine(problem, _VectorScripted()).run()
     return str(info.value)
 
 
@@ -180,5 +192,5 @@ def test_vector_and_scalar_validators_word_offenses_alike(num_tokens, offense):
         sends = {(0, 1): TokenSet.of(0), (1, 2): TokenSet.of(1, high)}
         expected = f"vertex 1 sends tokens [{high}] it does not possess"
     scalar = _scalar_message(problem, sends)
-    assert scalar == f"step 3: heuristic 'h': {expected}"
+    assert scalar == f"step 0: heuristic 'h': {expected}"
     assert _vector_message(problem, sends) == scalar

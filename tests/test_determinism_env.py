@@ -2,7 +2,7 @@
 
 ``tests/determinism_probe.py`` runs every experiment driver at the TINY
 scale of ``tests/experiments/test_sweep.py``, one traced run per
-heuristic on each kernel and one traced run per LOCD algorithm, and
+heuristic on each proposal path and one traced run per LOCD algorithm, and
 prints a digest of each.  Two concurrent processes run it with different
 ``PYTHONHASHSEED`` values, in different working directories, one of them
 with shifted clocks and reversed directory listings.  Every digest must

@@ -164,7 +164,7 @@ EXAMPLES = (
     ("no-engine", "from repro.sim.state import _private", True),
     ("no-engine", "import repro.sim; repro.sim.Engine", True),
     ("no-engine", "from repro.sim import Proposal, StepContext", False),
-    ("no-engine", "from repro.sim.batch import BatchState", False),
+    ("no-engine", "from repro.sim.state import SimState, VectorProposal", False),
     ("events-only", "import json; json.loads(line)", True),
     ("events-only", "import json as j; j.loads(line)", True),
     ("events-only", "from json import loads", True),
