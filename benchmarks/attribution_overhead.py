@@ -7,11 +7,10 @@ must cost the *engine* nothing.  Two paired gates:
 1. **Tracer hot path unchanged (<= 2%).**  The engine's default
    disabled-tracing run against an explicit :class:`~repro.obs.
    NullTracer` on the n=10^3 attribution workload: variants run
-   back-to-back within each repeat and the *paired* minimum ratio is
-   compared (see :func:`check_hot_path`).  Shared-machine noise
-   inflates individual samples but cannot deflate one, so a single
-   clean pair proves no attribution payload work leaked out of the
-   ``if tracing:`` guard.
+   back-to-back within each repeat, and the best-of-N time of each
+   variant is compared (see :func:`check_hot_path`).  A real leak of
+   attribution payload work out of the ``if tracing:`` guard raises
+   the NullTracer variant's best time with every repeat.
 
 2. **Attribution budget (n=10^3).**  Wall time of
    :func:`~repro.obs.analyze.attribute_events` over the recorded trace,
@@ -75,23 +74,20 @@ def case_problem() -> Problem:
 
 
 def check_hot_path(problem: Problem, repeats: int) -> int:
-    """Gate 1: default run vs NullTracer run, noise-robust minimum.
+    """Gate 1: default run vs NullTracer run, best-of-N per variant.
 
     The two variants run back-to-back within each repeat, alternating
     order so neither side systematically pays the cold-cache sample.
-    The gate keeps the *smallest* of two statistics — the best paired
-    ratio (any single clean repeat proves the code paths equal) and the
-    ratio of per-side minima (each side's best sample converges to its
-    true cost) — because shared-machine noise inflates samples but
-    cannot deflate a whole measurement: a real leak inflates every
-    repeat and both statistics with it.
+    Shared-machine noise moves single samples, and so single paired
+    ratios, both ways by several percent; each variant's best time
+    converges to its true cost, so the gate compares those:
+    ``min(null) / min(default) - 1``.  If it flakes, raise
+    ``--repeats``, not the tolerance.
     """
     times: Dict[bool, list] = {False: [], True: []}
-    pair_ratios = []
     base = null = None
     for repeat in range(max(repeats, 5)):
         order = (False, True) if repeat % 2 == 0 else (True, False)
-        elapsed = {}
         for with_null in order:
             t0 = time.perf_counter()
             result = run_heuristic(
@@ -100,23 +96,21 @@ def check_hot_path(problem: Problem, repeats: int) -> int:
                 seed=1,
                 tracer=NullTracer() if with_null else None,
             )
-            elapsed[with_null] = time.perf_counter() - t0
-            times[with_null].append(elapsed[with_null])
+            times[with_null].append(time.perf_counter() - t0)
             if with_null:
                 null = result
             else:
                 base = result
-        pair_ratios.append(elapsed[True] / elapsed[False])
     assert base is not None and null is not None
     if null.schedule != base.schedule:
         raise AssertionError(f"{LABEL}: tracer choice perturbed the schedule")
-    overhead = (
-        min(min(pair_ratios), min(times[True]) / min(times[False])) - 1.0
-    )
+    best_default, best_null = min(times[False]), min(times[True])
+    overhead = best_null / best_default - 1.0
     status = "ok" if overhead <= HOT_PATH_TOLERANCE else "OVERHEAD"
     print(
-        f"{LABEL}: disabled-tracing overhead {overhead:+.1%} "
-        f"(limit {HOT_PATH_TOLERANCE:.0%}) -> {status}"
+        f"{LABEL}: best of {len(times[False])}: default {best_default * 1e3:.1f}ms, "
+        f"NullTracer {best_null * 1e3:.1f}ms; disabled-tracing overhead "
+        f"{overhead:+.1%} (limit {HOT_PATH_TOLERANCE:.0%}) -> {status}"
     )
     return 0 if overhead <= HOT_PATH_TOLERANCE else 1
 

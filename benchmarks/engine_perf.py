@@ -39,7 +39,7 @@ passed :class:`~repro.obs.NullTracer` (the identical code path, so the
 comparison is machine-robust) and fails if the disabled path is more
 than 2% slower — i.e. someone has put payload construction outside the
 ``if tracing:`` guard.  The slowdown with tracing fully enabled is
-printed informationally.
+printed informationally, from one run per case after the gated repeats.
 
 Usage::
 
@@ -394,9 +394,10 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
     measured gap beyond noise means event-payload work has leaked out
     of the ``if tracing:`` guard.  The full-tracing slowdown (in-memory
     :class:`RecordingTracer` sink) is reported but not gated — it is
-    allowed to cost whatever faithful per-step events cost.  Runs on
-    each case's *new*-side engine, so the vector cases also gate the
-    vector path's tracing guard.
+    allowed to cost whatever faithful per-step events cost — so it runs
+    once per case, after the gated repeats, instead of in every repeat.
+    Runs on each case's *new*-side engine, so the vector cases also
+    gate the vector path's tracing guard.
     """
     failures = []
     for label, case in select_cases(case_filter).items():
@@ -417,23 +418,27 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
         # percent, so neither one paired ratio nor one sample proves
         # anything; each variant's minimum converges to its true cost,
         # and a real leak raises the NullTracer variant's minimum.
-        best, (base, null_run, full_run) = _best_times(
-            [partial(run_with, tracer) for tracer in (None, NullTracer, RecordingTracer)],
-            repeats,
+        best, (base, null_run) = _best_times(
+            [partial(run_with, tracer) for tracer in (None, NullTracer)], repeats
         )
-        for other in (null_run, full_run):
-            if other.schedule != base.schedule:
-                raise AssertionError(
-                    f"{label}: tracer choice perturbed the schedule"
-                )
+        if null_run.schedule != base.schedule:
+            raise AssertionError(f"{label}: tracer choice perturbed the schedule")
+        del null_run  # hold one result, not two, through the full run
+        t0 = time.perf_counter()
+        full_run = run_with(RecordingTracer)
+        full = time.perf_counter() - t0
+        if full_run.schedule != base.schedule:
+            raise AssertionError(f"{label}: tracer choice perturbed the schedule")
+        del full_run
         overhead = best[1] / best[0] - 1.0
         status = "ok" if overhead <= TRACE_OVERHEAD_TOLERANCE else "OVERHEAD"
         print(
             f"{label}: best of {repeats}: default {best[0] * 1e3:.1f}ms, "
-            f"NullTracer {best[1] * 1e3:.1f}ms, full {best[2] * 1e3:.1f}ms; "
+            f"NullTracer {best[1] * 1e3:.1f}ms; "
             f"disabled-tracing overhead {overhead:+.1%} "
             f"(limit {TRACE_OVERHEAD_TOLERANCE:.0%}) -> {status}; "
-            f"full tracing {best[2] / best[0]:.2f}x [informational]"
+            f"full tracing, one run, {full * 1e3:.1f}ms = {full / best[0]:.2f}x "
+            "[informational]"
         )
         if overhead > TRACE_OVERHEAD_TOLERANCE:
             failures.append(label)

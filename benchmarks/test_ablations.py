@@ -14,8 +14,7 @@ Each benchmark isolates one mechanism and measures what it buys:
 import pytest
 from conftest import bench_rng
 
-from repro.core.pruning import _backward_pass, _dedup_pass, prune_schedule
-from repro.core.schedule import Schedule, Timestep
+from repro.core.pruning import prune_schedule
 from repro.core.tokenset import TokenSet
 from repro.exact.branch_and_bound import SearchBudget, _Searcher
 from repro.heuristics import (
@@ -25,7 +24,7 @@ from repro.heuristics import (
     RoundRobinHeuristic,
 )
 from repro.sim import run_heuristic
-from repro.topology import figure1_gadget, random_graph, star_topology
+from repro.topology import random_graph, star_topology
 from repro.workloads import single_file
 
 

@@ -6,8 +6,11 @@
     destination vertex."
 
 Pass 1 (*dedup*) keeps only the earliest delivery of each token to each
-vertex and drops deliveries of tokens the vertex started with.  This never
-changes any possession set, so validity and success are preserved exactly.
+vertex and drops deliveries of tokens the vertex started with.  Within
+one timestep, parallel deliveries of the same token to the same vertex
+over different arcs are reduced to one: the lowest source id wins.  This
+never changes any possession set, so validity and success are preserved
+exactly.
 
 Pass 2 (*backward sweep*) walks timesteps from last to first and removes a
 delivery of token ``t`` to vertex ``v`` when ``v`` neither wants ``t`` nor
@@ -15,6 +18,15 @@ forwards ``t`` in any *retained* later timestep.  Because removability at
 timestep ``i`` depends only on retained moves at timesteps ``> i`` (a
 vertex can only send what it possessed at the start of the step), a single
 backward pass removes entire useless relay chains.
+
+Both passes are array passes over the :mod:`repro.core.bitplanes` layout:
+each step is read as ``(src, dst, masks)`` arrays
+(:meth:`repro.core.schedule.Timestep.send_arrays`), so a vector-path
+schedule is pruned without building a ``TokenSet`` per send.  Only the
+retained sends become dicts, inserted in ``(src, dst)`` order.  The
+per-send scalar passes these replace are kept in ``tests/core/
+test_pruning.py`` as the oracle the array passes must match, order of
+every step's dict included.
 
 Pruning never changes the makespan: timesteps are kept in place, possibly
 empty.  Use :func:`drop_empty_tail` afterwards if trailing empty steps
@@ -24,13 +36,18 @@ should be trimmed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, List, Tuple
 
+from repro.core.bitplanes import masks_to_matrix, matrix_to_masks, np
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep
-from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
+from repro.core.tokenset import TokenSet
 
-__all__ = ["PruneStats", "prune_schedule", "drop_empty_tail"]
+__all__ = ["PruneStats", "prune_schedule", "dedup_schedule", "drop_empty_tail"]
+
+#: One step's sends as ``(src, dst, masks)`` arrays, rows in
+#: ``(src, dst)`` order, every mask row nonzero.
+_Sends = Tuple[Any, Any, Any]
 
 
 @dataclass(frozen=True)
@@ -54,51 +71,101 @@ class PruneStats:
         return self.original_bandwidth - self.after_backward
 
 
-def _dedup_pass(problem: Problem, schedule: Schedule) -> List[Dict[Tuple[int, int], TokenSet]]:
+def _nonzero_rows(src: Any, dst: Any, masks: Any) -> _Sends:
+    keep = masks.any(axis=1)
+    return src[keep], dst[keep], masks[keep]
+
+
+def _group_starts(keys: Any) -> Any:
+    """Indices where each run of equal values in sorted ``keys`` begins."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def _dedup_arrays(problem: Problem, schedule: Schedule) -> List[_Sends]:
     """Keep only the first delivery of each token to each vertex.
 
-    Within one timestep, parallel deliveries of the same token to the same
-    vertex over different arcs are reduced to one (lowest source id wins,
-    for determinism).
+    Per step, the sends are ordered by ``(dst, src)``; within each
+    destination group an exclusive prefix-OR gives the tokens a lower
+    source already delivers this step, and ``delivered`` the tokens the
+    destination held before it.  What is left is kept, and each group's
+    tokens are folded into ``delivered``.
     """
-    delivered: List[TokenSet] = list(problem.have)
-    new_steps: List[Dict[Tuple[int, int], TokenSet]] = []
+    num_tokens = problem.num_tokens
+    delivered = masks_to_matrix([tokens.mask for tokens in problem.have], num_tokens)
+    steps: List[_Sends] = []
     for step in schedule.steps:
-        kept: Dict[Tuple[int, int], TokenSet] = {}
-        arriving_this_step: List[TokenSet] = [EMPTY_TOKENSET] * problem.num_vertices
-        for (src, dst), tokens in sorted(step.sends.items()):
-            useful = tokens - delivered[dst] - arriving_this_step[dst]
-            if useful:
-                kept[(src, dst)] = useful
-                arriving_this_step[dst] = arriving_this_step[dst] | useful
-        for v in range(problem.num_vertices):
-            if arriving_this_step[v]:
-                delivered[v] = delivered[v] | arriving_this_step[v]
-        new_steps.append(kept)
-    return new_steps
+        src, dst, masks = step.send_arrays(num_tokens)
+        if not len(src):
+            steps.append((src, dst, masks))
+            continue
+        order = np.lexsort((src, dst))
+        src, dst, masks = src[order], dst[order], masks[order]
+        starts = _group_starts(dst)
+        rank = np.arange(len(dst)) - np.repeat(starts, np.diff(np.r_[starts, len(dst)]))
+        # Inclusive prefix-OR within each destination group, by doubling:
+        # after the round with stride d, row i holds the OR of rows
+        # max(start, i - 2d + 1) .. i of its group.
+        prefix = masks.copy()
+        stride, top = 1, int(rank.max())
+        while stride <= top:
+            rows = np.flatnonzero(rank >= stride)
+            prefix[rows] |= prefix[rows - stride]  # reads before it writes
+            stride *= 2
+        earlier = np.zeros_like(masks)
+        later = np.flatnonzero(rank)
+        earlier[later] = prefix[later - 1]
+        useful = masks & ~earlier & ~delivered[dst]
+        ends = np.r_[starts[1:], len(dst)] - 1
+        delivered[dst[ends]] |= prefix[ends]
+        src, dst, useful = _nonzero_rows(src, dst, useful)
+        order = np.lexsort((dst, src))
+        steps.append((src[order], dst[order], useful[order]))
+    return steps
 
 
-def _backward_pass(
-    problem: Problem, steps: List[Dict[Tuple[int, int], TokenSet]]
-) -> List[Dict[Tuple[int, int], TokenSet]]:
+def _backward_arrays(problem: Problem, steps: List[_Sends]) -> List[_Sends]:
     """Remove deliveries whose token the destination never uses.
 
-    ``future_sends[v]`` accumulates the tokens vertex ``v`` sends in
-    retained timesteps strictly after the one being examined.
+    ``future`` row ``v`` accumulates the tokens vertex ``v`` sends in
+    retained timesteps strictly after the one being examined; a step's
+    retained sends fold into it with one OR per source group.
     """
-    future_sends: List[TokenSet] = [EMPTY_TOKENSET] * problem.num_vertices
-    pruned: List[Dict[Tuple[int, int], TokenSet]] = []
-    for step in reversed(steps):
-        kept: Dict[Tuple[int, int], TokenSet] = {}
-        for (src, dst), tokens in step.items():
-            used = tokens & (problem.want[dst] | future_sends[dst])
-            if used:
-                kept[(src, dst)] = used
-        for (src, _dst), tokens in kept.items():
-            future_sends[src] = future_sends[src] | tokens
-        pruned.append(kept)
+    want = masks_to_matrix([tokens.mask for tokens in problem.want], problem.num_tokens)
+    future = np.zeros_like(want)
+    pruned: List[_Sends] = []
+    for src, dst, masks in reversed(steps):
+        src, dst, used = _nonzero_rows(src, dst, masks & (want[dst] | future[dst]))
+        if len(src):
+            starts = _group_starts(src)
+            future[src[starts]] |= np.bitwise_or.reduceat(used, starts, axis=0)
+        pruned.append((src, dst, used))
     pruned.reverse()
     return pruned
+
+
+def _moves(steps: List[_Sends]) -> int:
+    return sum(int(np.bitwise_count(masks).sum()) for _src, _dst, masks in steps)
+
+
+def _schedule(steps: List[_Sends]) -> Schedule:
+    timesteps = []
+    for src, dst, masks in steps:
+        sends = {
+            key: TokenSet(mask)
+            for key, mask in zip(
+                zip(src.tolist(), dst.tolist()), matrix_to_masks(masks)
+            )
+        }
+        timesteps.append(Timestep.from_validated(sends))
+    return Schedule(timesteps)
+
+
+def dedup_schedule(problem: Problem, schedule: Schedule) -> Schedule:
+    """The schedule with only the dedup pass applied (steps kept in place).
+
+    Every step's sends are inserted in ``(src, dst)`` order.
+    """
+    return _schedule(_dedup_arrays(problem, schedule))
 
 
 def prune_schedule(problem: Problem, schedule: Schedule) -> Tuple[Schedule, PruneStats]:
@@ -108,18 +175,14 @@ def prune_schedule(problem: Problem, schedule: Schedule) -> Tuple[Schedule, Prun
     has the same makespan, never more bandwidth, and is successful iff the
     input was.
     """
-    deduped = _dedup_pass(problem, schedule)
-    after_dedup_bw = sum(
-        len(tokens) for step in deduped for tokens in step.values()
-    )
-    swept = _backward_pass(problem, deduped)
-    pruned = Schedule([Timestep(step) for step in swept])
+    deduped = _dedup_arrays(problem, schedule)
+    swept = _backward_arrays(problem, deduped)
     stats = PruneStats(
         original_bandwidth=schedule.bandwidth,
-        after_dedup=after_dedup_bw,
-        after_backward=pruned.bandwidth,
+        after_dedup=_moves(deduped),
+        after_backward=_moves(swept),
     )
-    return pruned, stats
+    return _schedule(swept), stats
 
 
 def drop_empty_tail(schedule: Schedule) -> Schedule:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
+from repro.core.bitplanes import masks_to_matrix, np
 from repro.core.problem import Problem
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 
@@ -140,6 +141,22 @@ class Timestep:
 
     def num_moves(self) -> int:
         return sum(len(tokens) for tokens in self.sends.values())
+
+    def send_arrays(self, num_tokens: int) -> Tuple[Any, Any, Any]:
+        """The sends as ``(src, dst, masks)`` arrays, in insertion order.
+
+        ``src`` and ``dst`` are int64 vectors; ``masks`` is a
+        ``(K, planes)`` uint64 matrix in the :mod:`repro.core.bitplanes`
+        layout for a ``num_tokens``-token universe.  This base class
+        packs its dict; the kernel's lazy vector timestep hands over
+        the arrays it already holds.
+        """
+        sends = self.sends
+        count = len(sends)
+        src = np.fromiter((src for src, _dst in sends), dtype=np.int64, count=count)
+        dst = np.fromiter((dst for _src, dst in sends), dtype=np.int64, count=count)
+        masks = masks_to_matrix([tokens.mask for tokens in sends.values()], num_tokens)
+        return src, dst, masks
 
     def sent(self, src: int, dst: int) -> TokenSet:
         return self.sends.get((src, dst), EMPTY_TOKENSET)

@@ -14,6 +14,11 @@ worker processes and serve repeats from the result cache.  Every seed is
 derived from (base_seed, trial, heuristic index) alone, so a trial's
 records are a pure function of its spec and parallel results are
 bit-identical to serial ones.
+
+Under an ambient :class:`repro.obs.MetricsRegistry` (the sweep's
+``profile``), a trial times its two bound evaluations as the
+``bounds`` phase and each heuristic's pruning as the ``pruning`` phase,
+beside the engines' own phases.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.core.pruning import prune_schedule
 from repro.experiments.report import FigureResult
 from repro.experiments.sweep import Executor, PointSpec
 from repro.heuristics import HEURISTIC_FACTORIES
+from repro.obs.metrics import current_metrics, null_timer
 from repro.sim.engine import Engine
 
 __all__ = [
@@ -106,8 +112,12 @@ def run_trial(
         heuristics = list(HEURISTIC_FACTORIES)
     instance_rng = random.Random(base_seed + trial)
     problem = problem_factory(instance_rng)
-    bound_bw = remaining_bandwidth(problem)
-    bound_ts = remaining_timesteps(problem)
+    metrics = current_metrics()
+    timer = null_timer if metrics is None else metrics.timer
+    with timer("bounds"):
+        bound_bw = remaining_bandwidth(problem)
+    with timer("bounds"):
+        bound_ts = remaining_timesteps(problem)
     records: List[TrialRecord] = []
     for h_index, name in enumerate(heuristics):
         heuristic = HEURISTIC_FACTORIES[name]()
@@ -120,7 +130,8 @@ def run_trial(
             max_steps=max_steps,
         )
         result = engine.run()
-        pruned, _stats = prune_schedule(problem, result.schedule)
+        with timer("pruning"):
+            pruned, _stats = prune_schedule(problem, result.schedule)
         records.append(
             TrialRecord(
                 heuristic=name,

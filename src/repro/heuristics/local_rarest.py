@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.bitplanes import np
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
 from repro.sim import Proposal, StepContext
@@ -47,7 +48,6 @@ from repro.heuristics.vector_common import (
     pack_assignments,
 )
 from repro.sim.state import SimState, VectorProposal
-from repro.sim.bitplanes import np
 
 __all__ = ["LocalRarestHeuristic"]
 

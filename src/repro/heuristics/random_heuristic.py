@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.bitplanes import masks_to_matrix, matrix_to_masks, np
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic, sample_tokens
 from repro.sim import Proposal, StepContext
 from repro.sim.state import SimState, VectorProposal
-from repro.sim.bitplanes import masks_to_matrix, matrix_to_masks, np
 
 __all__ = ["RandomHeuristic"]
 

@@ -37,17 +37,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.tokenset import TokenSet
-from repro.heuristics.base import Heuristic
-from repro.sim import Proposal, StepContext
-from repro.sim.state import SimState, VectorProposal
-from repro.sim.bitplanes import (
+from repro.core.bitplanes import (
     highbit_rows,
     lowmask_rows,
     np,
     popcount_rows,
     take_rows,
 )
+from repro.core.tokenset import TokenSet
+from repro.heuristics.base import Heuristic
+from repro.sim import Proposal, StepContext
+from repro.sim.state import SimState, VectorProposal
 
 __all__ = ["RoundRobinHeuristic"]
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.bitplanes import masks_to_matrix, np
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
 from repro.heuristics.vector_common import (
@@ -32,7 +33,6 @@ from repro.heuristics.vector_common import (
 )
 from repro.sim import Proposal, StepContext
 from repro.sim.state import SimState, VectorProposal
-from repro.sim.bitplanes import masks_to_matrix, np
 
 __all__ = ["SequentialHeuristic"]
 

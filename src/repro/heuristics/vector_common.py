@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
+from repro.core.bitplanes import np
 from repro.sim.state import SimState, VectorProposal
-from repro.sim.bitplanes import np
 
 __all__ = [
     "InArcTables",

@@ -21,7 +21,9 @@ so the unprofiled path never touches a clock (:func:`null_timer`) and
 the profiled path attributes wall time to named phases.  The standard
 phase names used by the engines are ``heuristic_select`` (proposal
 construction), ``kernel_apply`` (validation + possession update), and
-``knowledge_flood`` (LOCD gossip merge).
+``knowledge_flood`` (LOCD gossip merge); a sweep trial
+(:func:`repro.experiments.runner.run_trial`) adds ``bounds`` (the §5
+lower bounds) and ``pruning`` (the §5.1 post-pass).
 
 Timings are wall-clock and therefore nondeterministic; they belong in
 ``--profile`` summaries and must never be written into run traces,

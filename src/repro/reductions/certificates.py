@@ -26,8 +26,8 @@ import math
 from typing import List, Tuple
 
 from repro.core.problem import Problem
-from repro.core.pruning import _dedup_pass
-from repro.core.schedule import Schedule, ScheduleError, Timestep
+from repro.core.pruning import dedup_schedule
+from repro.core.schedule import Schedule, ScheduleError
 
 __all__ = [
     "cleanup_schedule",
@@ -51,10 +51,7 @@ def cleanup_schedule(problem: Problem, schedule: Schedule) -> Schedule:
     possession only ever grows).  The result has at most ``m(n-1)``
     moves spread over at most ``m(n-1)`` timesteps, which is what the
     Theorem 2 encoding budget assumes."""
-    steps = [
-        Timestep(step) for step in _dedup_pass(problem, schedule) if step
-    ]
-    return Schedule(steps)
+    return Schedule([step for step in dedup_schedule(problem, schedule) if step])
 
 
 # ----------------------------------------------------------------------

@@ -50,13 +50,13 @@ from typing import (
     Union,
 )
 
+from repro.core.bitplanes import plane_count
 from repro.core.metrics import ScheduleMetrics, evaluate_schedule
 from repro.core.problem import Problem
 from repro.core.schedule import MoveError, Schedule, Timestep, check_sends
 from repro.core.tokenset import TokenSet
 from repro.obs.metrics import MetricsRegistry, current_metrics, null_timer
 from repro.obs.tracer import Tracer, current_tracer
-from repro.sim.bitplanes import plane_count
 from repro.sim.state import SimState
 
 __all__ = [

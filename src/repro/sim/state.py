@@ -19,7 +19,7 @@ whole swarm:
 
 Beside those lists the kernel keeps a lazily synced **bitplane mirror**:
 a dense ``(vertices, planes)`` uint64 matrix (layout:
-:mod:`repro.sim.bitplanes`) replayed from the journal on first read, so
+:mod:`repro.core.bitplanes`) replayed from the journal on first read, so
 a run that never takes a batched read (the LOCD runner) pays nothing
 for it.  The matrix backs the batched reads:
 
@@ -46,10 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.problem import Problem
-from repro.core.schedule import MoveError, Timestep
-from repro.core.tokenset import TokenSet
-from repro.sim.bitplanes import (
+from repro.core.bitplanes import (
     masks_to_matrix,
     matrix_to_masks,
     np,
@@ -57,6 +54,9 @@ from repro.sim.bitplanes import (
     planes_to_mask,
     popcount_cols,
 )
+from repro.core.problem import Problem
+from repro.core.schedule import MoveError, Timestep
+from repro.core.tokenset import TokenSet
 
 __all__ = ["SimState", "VectorProposal"]
 
@@ -72,7 +72,7 @@ class VectorProposal:
     arrival fold preserve it, so dict iteration order downstream matches
     the scalar path exactly.  ``masks`` holds the send bitmasks, either
     a ``(K,)`` uint64 vector for single-plane universes or a
-    ``(K, planes)`` uint64 matrix (:mod:`repro.sim.bitplanes` layout)
+    ``(K, planes)`` uint64 matrix (:mod:`repro.core.bitplanes` layout)
     for universes beyond 64 tokens.  Rows with empty masks must be
     omitted, mirroring the dict path's validation dropping empty sends.
     """
@@ -88,28 +88,39 @@ class _LazyVectorTimestep(Timestep):
     ``{arc: TokenSet}`` dict eagerly would put a Python loop over every
     send back into the hot path just to store the schedule.  Instead the
     index/mask arrays are kept and the dict is built on first ``sends``
-    access (trace emission, pruning, equality — all off the hot path),
-    in proposal order, exactly as the eager validator inserts it, after
+    access (trace emission, equality — both off the hot path), in
+    proposal order, exactly as the eager validator inserts it, after
     which the arrays are dropped.  ``num_moves`` is precomputed from a
-    popcount so schedule bandwidth never forces materialization, and
-    :meth:`iter_sends_masks` streams the sends in bounded chunks so
-    schedule comparison at the 10^5-swarm scale never holds two
-    materialized dicts at once.
+    popcount so schedule bandwidth never forces materialization,
+    :meth:`send_arrays` (what pruning reads) hands over the arrays
+    themselves, and :meth:`iter_sends_masks` streams the sends in
+    bounded chunks so schedule comparison at the 10^5-swarm scale never
+    holds two materialized dicts at once.
 
     ``masks`` follows the :class:`VectorProposal` shape contract: a
     ``(K,)`` uint64 vector (single plane) or a ``(K, planes)`` matrix.
     """
 
-    __slots__ = ("_keys", "_idx", "_masks", "_moves")
+    __slots__ = ("_keys", "_arc_src", "_arc_dst", "_idx", "_masks", "_moves")
 
     def __init__(
-        self, keys: List[Tuple[int, int]], idx: Any, masks: Any, moves: int
+        self,
+        keys: List[Tuple[int, int]],
+        arc_src: Any,
+        arc_dst: Any,
+        idx: Any,
+        masks: Any,
+        moves: int,
     ) -> None:
         # Deliberately skip Timestep.__init__: the base class's
         # ``sends`` slot stays *unset*, so the first attribute access
         # falls through to ``__getattr__`` below, which materializes
         # the dict into the slot.  Later accesses hit the slot direct.
+        # ``keys``, ``arc_src`` and ``arc_dst`` are the kernel's per-arc
+        # tables, shared by every step of the run, not copies.
         self._keys = keys
+        self._arc_src = arc_src
+        self._arc_dst = arc_dst
         self._idx = idx
         self._masks = masks
         self._moves = moves
@@ -133,6 +144,16 @@ class _LazyVectorTimestep(Timestep):
             self._idx = self._masks = None
             return sends
         raise AttributeError(name)
+
+    def send_arrays(self, num_tokens: int) -> Tuple[Any, Any, Any]:
+        """The sends as ``(src, dst, masks)`` arrays, without a dict."""
+        idx = self._idx
+        if idx is None:
+            return super().send_arrays(num_tokens)
+        masks = self._masks
+        if masks.ndim == 1:
+            masks = masks[:, None]
+        return self._arc_src[idx], self._arc_dst[idx], masks
 
     def iter_sends_masks(
         self, chunk: int = 1 << 16
@@ -605,7 +626,9 @@ class SimState:
                     udst[encounter],
                     folded if multi else folded[:, None],
                 )
-        timestep = _LazyVectorTimestep(arc_keys, idx, masks, int(counts.sum()))
+        timestep = _LazyVectorTimestep(
+            arc_keys, self._arc_src, self._arc_dst, idx, masks, int(counts.sum())
+        )
         return timestep, arrivals
 
     def __repr__(self) -> str:

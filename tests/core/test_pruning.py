@@ -1,17 +1,114 @@
-"""Unit and property tests for the Section 5.1 pruning pass."""
+"""Unit and property tests for the Section 5.1 pruning pass.
+
+The array passes of :mod:`repro.core.pruning` are checked against the
+per-send scalar passes they replaced, kept here verbatim as the oracle:
+every pruned step's ``list(sends.items())``, order included, and the
+:class:`PruneStats` must match.
+"""
 
 import random
+from typing import Dict, List, Tuple
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import Problem
-from repro.core.pruning import drop_empty_tail, prune_schedule
-from repro.core.schedule import Move, Schedule
+from repro.core.pruning import PruneStats, dedup_schedule, drop_empty_tail, prune_schedule
+from repro.core.schedule import Move, Schedule, Timestep
+from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 from repro.heuristics import RoundRobinHeuristic, standard_heuristics
 from repro.sim import run_heuristic
+from repro.sim.state import _LazyVectorTimestep
+from repro.topology import random_graph
+from repro.workloads import file_subdivision, single_file
 
-from tests.conftest import make_random_problem, problems
+from tests.conftest import make_random_problem, problems, problems_with_schedules
+
+
+# ----------------------------------------------------------------------
+# The oracle: the scalar passes, one TokenSet per send
+# ----------------------------------------------------------------------
+
+
+def _dedup_pass(problem: Problem, schedule: Schedule) -> List[Dict[Tuple[int, int], TokenSet]]:
+    """Keep only the first delivery of each token to each vertex.
+
+    Within one timestep, parallel deliveries of the same token to the same
+    vertex over different arcs are reduced to one (lowest source id wins,
+    for determinism).
+    """
+    delivered: List[TokenSet] = list(problem.have)
+    new_steps: List[Dict[Tuple[int, int], TokenSet]] = []
+    for step in schedule.steps:
+        kept: Dict[Tuple[int, int], TokenSet] = {}
+        arriving_this_step: List[TokenSet] = [EMPTY_TOKENSET] * problem.num_vertices
+        for (src, dst), tokens in sorted(step.sends.items()):
+            useful = tokens - delivered[dst] - arriving_this_step[dst]
+            if useful:
+                kept[(src, dst)] = useful
+                arriving_this_step[dst] = arriving_this_step[dst] | useful
+        for v in range(problem.num_vertices):
+            if arriving_this_step[v]:
+                delivered[v] = delivered[v] | arriving_this_step[v]
+        new_steps.append(kept)
+    return new_steps
+
+
+def _backward_pass(
+    problem: Problem, steps: List[Dict[Tuple[int, int], TokenSet]]
+) -> List[Dict[Tuple[int, int], TokenSet]]:
+    """Remove deliveries whose token the destination never uses.
+
+    ``future_sends[v]`` accumulates the tokens vertex ``v`` sends in
+    retained timesteps strictly after the one being examined.
+    """
+    future_sends: List[TokenSet] = [EMPTY_TOKENSET] * problem.num_vertices
+    pruned: List[Dict[Tuple[int, int], TokenSet]] = []
+    for step in reversed(steps):
+        kept: Dict[Tuple[int, int], TokenSet] = {}
+        for (src, dst), tokens in step.items():
+            used = tokens & (problem.want[dst] | future_sends[dst])
+            if used:
+                kept[(src, dst)] = used
+        for (src, _dst), tokens in kept.items():
+            future_sends[src] = future_sends[src] | tokens
+        pruned.append(kept)
+    pruned.reverse()
+    return pruned
+
+
+def oracle_prune(problem: Problem, schedule: Schedule) -> Tuple[Schedule, PruneStats]:
+    deduped = _dedup_pass(problem, schedule)
+    after_dedup_bw = sum(
+        len(tokens) for step in deduped for tokens in step.values()
+    )
+    swept = _backward_pass(problem, deduped)
+    pruned = Schedule([Timestep(step) for step in swept])
+    stats = PruneStats(
+        original_bandwidth=schedule.bandwidth,
+        after_dedup=after_dedup_bw,
+        after_backward=pruned.bandwidth,
+    )
+    return pruned, stats
+
+
+def _items(schedule: Schedule) -> list:
+    return [list(step.sends.items()) for step in schedule.steps]
+
+
+def assert_matches_oracle(problem: Problem, schedule: Schedule) -> None:
+    """Prune (arrays first, so lazy steps are read as arrays), then the
+    oracle (which materializes them), then the arrays again."""
+    pruned, stats = prune_schedule(problem, schedule)
+    deduped = dedup_schedule(problem, schedule)
+    want_pruned, want_stats = oracle_prune(problem, schedule)
+    assert stats == want_stats
+    assert _items(pruned) == _items(want_pruned)
+    assert _items(deduped) == [list(step.items()) for step in _dedup_pass(problem, schedule)]
+    again, again_stats = prune_schedule(problem, schedule)
+    assert again_stats == want_stats
+    assert _items(again) == _items(want_pruned)
 
 
 class TestDedupPass:
@@ -154,3 +251,117 @@ def test_prune_never_below_demand(problem):
     pruned, _ = prune_schedule(problem, result.schedule)
     demand = problem.total_demand()
     assert pruned.bandwidth >= demand
+
+
+# ----------------------------------------------------------------------
+# Differential tests: the array passes against the scalar oracle
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.integers(min_value=0, max_value=2**16))
+def test_array_passes_match_oracle_on_every_heuristic(problem, seed):
+    for heuristic in standard_heuristics():
+        result = run_heuristic(problem, heuristic, seed=seed)
+        assert_matches_oracle(problem, result.schedule)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems_with_schedules())
+def test_array_passes_match_oracle_on_random_valid_schedules(problem_and_schedule):
+    assert_matches_oracle(*problem_and_schedule)
+
+
+@st.composite
+def multi_plane_problems(draw) -> Problem:
+    """Instances whose token universe spans two to four bitplanes."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=3, max_value=10))
+    files = draw(st.sampled_from([1, 2]))
+    tokens = files * draw(st.integers(min_value=65 // files + 1, max_value=100))
+    topology = random_graph(n, rng)
+    if files == 1:
+        return single_file(topology, file_tokens=tokens)
+    return file_subdivision(topology, files, rng, total_tokens=tokens, multi_sender=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(multi_plane_problems(), st.integers(min_value=0, max_value=2**16))
+def test_array_passes_match_oracle_beyond_64_tokens(problem, seed):
+    assert problem.num_tokens > 64
+    for heuristic in standard_heuristics():
+        result = run_heuristic(problem, heuristic, seed=seed)
+        assert_matches_oracle(problem, result.schedule)
+
+
+def _sends(*items) -> Timestep:
+    """A dict timestep that keeps the insertion order given."""
+    return Timestep({arc: TokenSet.from_iterable(tokens) for arc, tokens in items})
+
+
+class TestParallelDeliveries:
+    """One step delivers one token to one vertex over several arcs."""
+
+    @staticmethod
+    def _star(num_tokens: int) -> Problem:
+        # Senders 0, 1, 2 hold every token; vertex 3 wants all of them.
+        everything = list(range(num_tokens))
+        return Problem.build(
+            4,
+            num_tokens,
+            [(0, 3, num_tokens), (1, 3, num_tokens), (2, 3, num_tokens), (3, 0, 1)],
+            {0: everything, 1: everything, 2: everything},
+            {3: everything},
+        )
+
+    def test_lowest_src_wins(self):
+        problem = self._star(2)
+        schedule = Schedule([_sends(((2, 3), [0, 1]), ((0, 3), [0]), ((1, 3), [0, 1]))])
+        pruned, stats = prune_schedule(problem, schedule)
+        assert _items(pruned) == [
+            [((0, 3), TokenSet.from_iterable([0])), ((1, 3), TokenSet.from_iterable([1]))]
+        ]
+        assert stats == PruneStats(5, 2, 2)
+        assert_matches_oracle(problem, schedule)
+
+    def test_lowest_src_wins_across_planes(self):
+        problem = self._star(130)
+        schedule = Schedule(
+            [
+                _sends(((2, 3), [0, 64, 129]), ((1, 3), [64, 128]), ((0, 3), [129])),
+                _sends(((1, 3), [0, 1, 128]), ((2, 3), [1, 2, 65])),
+            ]
+        )
+        pruned, _stats = prune_schedule(problem, schedule)
+        assert _items(pruned)[0] == [
+            ((0, 3), TokenSet.from_iterable([129])),
+            ((1, 3), TokenSet.from_iterable([64, 128])),
+            ((2, 3), TokenSet.from_iterable([0])),
+        ]
+        assert _items(pruned)[1] == [
+            ((1, 3), TokenSet.from_iterable([1])),
+            ((2, 3), TokenSet.from_iterable([2, 65])),
+        ]
+        assert_matches_oracle(problem, schedule)
+
+    def test_relay_of_a_parallel_delivery(self):
+        # Vertex 3 gets token 0 twice in step 0 and relays it to vertex 0,
+        # which already holds it: only the wanted delivery from 0 stays.
+        problem = self._star(1)
+        schedule = Schedule([_sends(((1, 3), [0]), ((0, 3), [0])), _sends(((3, 0), [0]))])
+        pruned, stats = prune_schedule(problem, schedule)
+        assert _items(pruned) == [[((0, 3), TokenSet.from_iterable([0]))], []]
+        assert stats == PruneStats(3, 1, 1)
+        assert_matches_oracle(problem, schedule)
+
+
+def test_vector_schedule_is_pruned_without_building_its_dicts():
+    problem = single_file(random_graph(40, random.Random(3)), file_tokens=8)
+    schedule = run_heuristic(problem, RoundRobinHeuristic(), seed=0).schedule
+    lazy = [step for step in schedule.steps if isinstance(step, _LazyVectorTimestep)]
+    assert lazy and len(lazy) == len(schedule.steps)
+    prune_schedule(problem, schedule)
+    dedup_schedule(problem, schedule)
+    for step in lazy:
+        with pytest.raises(AttributeError):
+            object.__getattribute__(step, "sends")

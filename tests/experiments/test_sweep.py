@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, Scale
+from repro.heuristics import HEURISTIC_FACTORIES
 from repro.experiments.sweep import (
     CACHE_VERSION,
     RETRIES,
@@ -603,6 +604,16 @@ class TestRunLedger:
         assert snap["phases"]["kernel_apply"]["calls"] > 0
         (end,) = read_events(str(path), kind="sweep_end")
         assert end["profile"] == snap
+
+    def test_profile_times_bounds_and_pruning(self):
+        executor = Executor(ExecutorConfig(profile=True))
+        executor.run([self._fig2_spec()])
+        phases = executor.profile.snapshot()["phases"]
+        # Two bounds per trial, one pruning per heuristic.
+        assert phases["bounds"]["calls"] == 2
+        assert phases["pruning"]["calls"] == len(HEURISTIC_FACTORIES) == 5
+        assert phases["bounds"]["seconds"] > 0.0
+        assert phases["pruning"]["seconds"] > 0.0
 
     def test_each_sweep_end_profiles_only_its_own_sweep(self, tmp_path):
         from repro.obs import read_events

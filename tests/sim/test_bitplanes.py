@@ -1,6 +1,6 @@
 """Bitplane layout round-trips and batched reads vs the TokenSet oracle.
 
-:mod:`repro.sim.bitplanes` is the single authority on the batch kernel's
+:mod:`repro.core.bitplanes` is the single authority on the batch kernel's
 dense layout (bit ``t % 64`` of plane ``t // 64`` in row ``v``).  These
 tests pin the conversions and the batched reads against the
 ``TokenSet``/frozenset oracle on handwritten edges (empty, full,
@@ -17,8 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.tokenset import TokenSet
-from repro.sim.bitplanes import (
+from repro.core.bitplanes import (
     highbit_rows,
     lowmask_rows,
     mask_to_planes,
@@ -29,6 +28,7 @@ from repro.sim.bitplanes import (
     popcount_rows,
     take_rows,
 )
+from repro.core.tokenset import TokenSet
 
 
 # ----------------------------------------------------------------------

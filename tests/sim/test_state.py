@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import random
 
+from repro.core.bitplanes import matrix_to_masks
 from repro.core.problem import Arc, Problem
 from repro.core.schedule import Timestep
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 from repro.sim import Engine, SimState, StepContext
-from repro.sim.bitplanes import matrix_to_masks
 from repro.topology import random_graph
 from repro.workloads import single_file
 

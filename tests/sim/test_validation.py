@@ -147,7 +147,7 @@ def _scalar_message(problem: Problem, sends: Sends) -> str:
 def _vector_message(problem: Problem, sends: Sends) -> str:
     import numpy as np
 
-    from repro.sim.bitplanes import masks_to_matrix, plane_count
+    from repro.core.bitplanes import masks_to_matrix, plane_count
     from repro.sim.state import VectorProposal
 
     index = {(arc.src, arc.dst): i for i, arc in enumerate(problem.arcs)}

@@ -18,6 +18,9 @@ one, and every attribute chain it reads through an imported name
   name.
 * ``events-only``: trace lines are parsed only by the readers in
   :mod:`repro.obs.events`, which enforce the schema envelope.
+* ``core-first``: the core model imports nothing from the packages
+  built on it (importing :mod:`repro.sim` from core would run its
+  ``__init__``, whose engine imports core: a cycle).
 """
 
 from __future__ import annotations
@@ -76,6 +79,11 @@ RULES = (
         ("obs/**/*.py",),
         r"json\.loads",
         exempt=("obs/events.py",),
+    ),
+    Rule(
+        "core-first",
+        ("core/**/*.py",),
+        r"repro\.(?!core(\.|$)).*",
     ),
 )
 
@@ -170,6 +178,13 @@ EXAMPLES = (
     ("events-only", "from json import loads", True),
     ("events-only", "from json import loads as parse", True),
     ("events-only", "import json; json.load(f); json.dumps(x)", False),
+    ("core-first", "from repro.sim.state import SimState", True),
+    ("core-first", "import repro.sim.state", True),
+    ("core-first", "from repro.obs import MetricsRegistry", True),
+    ("core-first", "from repro.corex import thing", True),
+    ("core-first", "from repro.core.bitplanes import np", False),
+    ("core-first", "import repro.core.problem", False),
+    ("core-first", "import numpy", False),
 )
 
 
