@@ -13,14 +13,17 @@ with ``propose_vector``).  Each case names its own pair:
   the reference loop;
 * the ``round_robin/n>=1000`` and ``local/n>=1000`` cases pit the
   vector path against the scalar path on workloads large enough for
-  array ops to pay — including the RNG-bound local-rarest vector path
-  (direct engine-RNG draws in scalar order, so its speedup is bounded
-  by the shared shuffle/draw cost — see docs/MODEL.md §8) and a heavy
-  ``round_robin/n=100000`` swarm case (sparse O(E) instances, measured
-  with ``--heavy`` and recorded rather than gated).  The big local
-  cases use many-token files on unit-capacity arcs: that is the regime
-  the vector screen is built for (entry extraction dominates, request
-  budgets exhaust early).
+  array ops to pay.  The Round-Robin vector lap is a fixed number of
+  whole-array passes (one k-th-set-bit select per cursor-advancing
+  arc).  The local-rarest vector path is RNG-bound: it draws the
+  engine RNG directly in scalar order, so its speedup is bounded by the
+  shared shuffle/draw cost (docs/MODEL.md §8).  A heavy
+  ``round_robin/n=100000`` swarm case (sparse O(E) instances) is
+  measured with ``--heavy`` and recorded rather than gated.  The big
+  local cases use many-token files on unit-capacity arcs: that is the
+  regime the vector screen is built for (supplier bitmasks built in
+  bulk, request budgets exhausting early, so the draw loop visits only
+  the suppliers with budget left).
 
 Instances are seeded from the *case label* (``bench_rng`` on
 ``engine_perf/<label>``), never from the engine side, so both sides of
@@ -38,12 +41,17 @@ the engine on its default disabled-tracing path against an explicitly
 passed :class:`~repro.obs.NullTracer` (the identical code path, so the
 comparison is machine-robust) and fails if the disabled path is more
 than 2% slower — i.e. someone has put payload construction outside the
-``if tracing:`` guard.  The slowdown with tracing fully enabled is
-printed informationally, from one run per case after the gated repeats.
+``if tracing:`` guard.  Each of its timed samples repeats a short case
+until the sample lasts at least ``TRACE_SAMPLE_S`` (0.25 s), with the two
+variants' runs taking turns and the cyclic garbage collector off, so
+sub-100 ms cases converge at ``--repeats 5``; the reported times are per
+run.  The slowdown with tracing fully enabled is printed
+informationally, from one run per case after the gated repeats.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/engine_perf.py            # rewrite baseline
+    PYTHONPATH=src python benchmarks/engine_perf.py --cases local/n=1000  # one entry
     PYTHONPATH=src python benchmarks/engine_perf.py --check    # CI regression gate
     PYTHONPATH=src python benchmarks/engine_perf.py --check --cases round_robin
     PYTHONPATH=src python benchmarks/engine_perf.py --trace-overhead
@@ -52,7 +60,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -88,6 +98,11 @@ VECTOR_REGRESSION_TOLERANCE = 0.5
 
 #: Max slowdown --trace-overhead tolerates for the disabled-tracing path.
 TRACE_OVERHEAD_TOLERANCE = 0.02
+
+#: A --trace-overhead sample repeats a short case until it lasts at
+#: least this long: five sub-100 ms samples do not converge to within
+#: the 2% tolerance on a shared machine.
+TRACE_SAMPLE_S = 0.25
 
 #: Engine sides a case may pit against each other: the frozen pre-kernel
 #: oracle, or one proposal path of the kernel (:func:`side_runner`).
@@ -230,24 +245,28 @@ def select_cases(
 
 
 def _best_times(
-    fns: Sequence[Callable[[], RunResult]], repeats: int
+    fns: Sequence[Callable[[], RunResult]], repeats: int, loops: int = 1
 ) -> Tuple[List[float], List[RunResult]]:
-    """Best-of-``repeats`` wall time of each of ``fns``, and its result.
+    """Best-of-``repeats`` per-run wall time of each of ``fns``, and a result.
 
-    The runs go back to back in an order rotated on each repeat, so no
-    side always runs first (cold caches) and a window of shared-machine
-    noise lands on every side alike instead of on one side's repeats.
+    A sample of each function is ``loops`` runs.  The runs take turns,
+    in an order rotated on each repeat, so no side always runs first
+    (cold caches) and a window of shared-machine noise, or a drift in
+    machine speed, lands on every side's sample alike.
     """
     best = [float("inf")] * len(fns)
     results: list = [None] * len(fns)
     for repeat in range(repeats):
-        for k in range(len(fns)):
-            i = (repeat + k) % len(fns)
-            results[i] = None  # free the last result outside the timed call
-            t0 = time.perf_counter()
-            result = fns[i]()
-            best[i] = min(best[i], time.perf_counter() - t0)
-            results[i] = result
+        spent = [0.0] * len(fns)
+        for _ in range(loops):
+            for k in range(len(fns)):
+                i = (repeat + k) % len(fns)
+                results[i] = None  # free the last result outside the timed call
+                t0 = time.perf_counter()
+                result = fns[i]()
+                spent[i] += time.perf_counter() - t0
+                results[i] = result
+        best = [min(b, total / loops) for b, total in zip(best, spent)]
     assert all(result is not None for result in results)
     return best, results
 
@@ -318,23 +337,22 @@ def measure(
     return cases
 
 
-def write_baseline(repeats: int, include_heavy: bool) -> None:
-    cases = measure(repeats, include_heavy=include_heavy)
+def write_baseline(
+    repeats: int, include_heavy: bool, case_filter: Optional[str] = None
+) -> None:
+    measured = measure(repeats, case_filter, include_heavy)
+    cases: Dict[str, Dict[str, object]] = {}
     if BASELINE_PATH.exists():
+        # Committed entries keep their place; those not re-measured
+        # (unselected cases, heavy ones without --heavy, and entries
+        # owned by other harnesses such as benchmarks/
+        # attribution_overhead.py) survive regeneration as they are.
         previous = json.loads(BASELINE_PATH.read_text())["cases"]
         for label, entry in previous.items():
-            if label in cases:
-                continue
-            if label not in CASES:
-                # Entries owned by other harnesses (e.g. benchmarks/
-                # attribution_overhead.py) must survive regeneration.
-                cases[label] = entry
-                print(f"{label}: kept entry owned by another harness")
-            elif CASES[label].heavy and not include_heavy:
-                # Heavy entries are measured rarely, with --heavy; keep
-                # them instead of silently dropping them.
-                cases[label] = entry
-                print(f"{label}: kept committed entry (rerun with --heavy)")
+            cases[label] = measured.get(label, entry)
+            if label not in measured:
+                print(f"{label}: kept committed entry")
+    cases.update(measured)
     payload = {
         "_comment": (
             "Engine throughput: per-case old-vs-new engine pairs (frozen "
@@ -417,10 +435,28 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
         # machine noise moves single samples both ways by several
         # percent, so neither one paired ratio nor one sample proves
         # anything; each variant's minimum converges to its true cost,
-        # and a real leak raises the NullTracer variant's minimum.
-        best, (base, null_run) = _best_times(
-            [partial(run_with, tracer) for tracer in (None, NullTracer)], repeats
-        )
+        # and a real leak raises the NullTracer variant's minimum.  A
+        # sample of a short case is ``loops`` runs, sized from one
+        # warm-up run so that it lasts about TRACE_SAMPLE_S or more,
+        # with the two variants' runs taking turns.  The cyclic
+        # collector is off while timing, as in ``timeit``: a collection
+        # runs where the allocation count crosses a threshold, which
+        # falls at the same point of every identical cycle of runs, so
+        # it biases one variant instead of averaging out.  A run leaves
+        # no cyclic garbage, so memory stays flat.
+        t0 = time.perf_counter()
+        run_with(None)
+        loops = max(1, math.ceil(TRACE_SAMPLE_S / (time.perf_counter() - t0)))
+        gc.collect()
+        gc.disable()
+        try:
+            best, (base, null_run) = _best_times(
+                [partial(run_with, tracer) for tracer in (None, NullTracer)],
+                repeats,
+                loops,
+            )
+        finally:
+            gc.enable()
         if null_run.schedule != base.schedule:
             raise AssertionError(f"{label}: tracer choice perturbed the schedule")
         del null_run  # hold one result, not two, through the full run
@@ -433,7 +469,8 @@ def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
         overhead = best[1] / best[0] - 1.0
         status = "ok" if overhead <= TRACE_OVERHEAD_TOLERANCE else "OVERHEAD"
         print(
-            f"{label}: best of {repeats}: default {best[0] * 1e3:.1f}ms, "
+            f"{label}: best of {repeats} x {loops} run(s): "
+            f"default {best[0] * 1e3:.1f}ms, "
             f"NullTracer {best[1] * 1e3:.1f}ms; "
             f"disabled-tracing overhead {overhead:+.1%} "
             f"(limit {TRACE_OVERHEAD_TOLERANCE:.0%}) -> {status}; "
@@ -469,7 +506,8 @@ def main() -> int:
         metavar="SUBSTRING",
         default=None,
         help="only run cases whose label contains SUBSTRING "
-        "(comma-separated alternatives; exact labels win over substrings)",
+        "(comma-separated alternatives; exact labels win over substrings); "
+        "when rewriting the baseline, other committed entries are kept",
     )
     parser.add_argument(
         "--repeats",
@@ -488,10 +526,7 @@ def main() -> int:
         return check_trace_overhead(args.repeats, args.cases)
     if args.check:
         return check_against_baseline(args.repeats, args.cases, args.heavy)
-    if args.cases:
-        parser.error("--cases only applies to --check / --trace-overhead "
-                     "(the committed baseline must cover every case)")
-    write_baseline(args.repeats, args.heavy)
+    write_baseline(args.repeats, args.heavy, args.cases)
     return 0
 
 

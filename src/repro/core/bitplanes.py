@@ -12,8 +12,9 @@ pruning pass (:mod:`repro.core.pruning`) reads.
 
 This module is the single authority on that layout.  It provides the
 row/mask converters, the batched popcounts used by the kernel's
-vectorized reads, and the plane-level ``take`` (lowest-``k``-members)
-that mirrors :meth:`TokenSet.take`.  Everything here is proven
+vectorized reads, the low-position masks that split a row at a cursor,
+and the per-row k-th-set-bit select that ends the Round-Robin lap (the
+highest member of :meth:`TokenSet.take`).  Everything here is proven
 equivalent to the ``TokenSet``/frozenset oracle by
 ``tests/sim/test_bitplanes.py``.  It lives in :mod:`repro.core`, and
 imports nothing but numpy, so the core model can use it without
@@ -55,9 +56,8 @@ __all__ = [
     "matrix_to_masks",
     "popcount_rows",
     "popcount_cols",
-    "take_rows",
     "lowmask_rows",
-    "highbit_rows",
+    "select_rows",
 ]
 
 _PLANE_BITS = 64
@@ -161,52 +161,6 @@ def popcount_cols(matrix: PlaneArray) -> List[int]:
     return out
 
 
-def take_rows(matrix: PlaneArray, counts: PlaneArray) -> PlaneArray:
-    """Per-row lowest-``count`` members, mirroring :meth:`TokenSet.take`.
-
-    Row ``v`` of the result keeps the ``counts[v]`` lowest set bits of
-    row ``v`` of ``matrix`` (all of them when it holds fewer).  Runs in
-    ``O(P)`` vectorized passes: a cumulative-popcount prefix locates the
-    plane where each row's quota is exhausted, and a per-plane select
-    keeps earlier planes whole, masks the boundary plane down to its
-    quota, and zeroes later planes.
-    """
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
-    remaining = np.asarray(counts, dtype=np.int64).copy()
-    if remaining.shape != (matrix.shape[0],):
-        raise ValueError(
-            f"counts shape {remaining.shape} does not match {matrix.shape[0]} rows"
-        )
-    if (remaining < 0).any():
-        raise ValueError("counts must be non-negative")
-    out = np.zeros_like(matrix)
-    for p in range(matrix.shape[1]):
-        plane = matrix[:, p].copy()
-        pc = np.bitwise_count(plane).astype(np.int64)
-        whole = pc <= remaining
-        out[:, p] = np.where(whole, plane, 0)
-        # Boundary rows: strip lowest bits one at a time until the quota
-        # is met.  Each iteration handles every boundary row at once, so
-        # the loop runs at most 63 times regardless of V.
-        partial = ~whole
-        quota = np.where(partial, remaining, 0)
-        acc = np.zeros_like(plane)
-        while partial.any():
-            taking = partial & (quota > 0)
-            if not taking.any():
-                break
-            low = plane & ~(plane - np.uint64(1))
-            low = np.where(taking, low, 0)
-            acc |= low
-            plane ^= low
-            quota -= taking.astype(np.int64)
-            partial = taking
-        out[:, p] |= acc
-        remaining = np.maximum(remaining - pc, 0)
-    return out
-
-
 def lowmask_rows(counts: Any, planes: int) -> PlaneArray:
     """Per-row mask of the lowest ``counts[v]`` token *positions*.
 
@@ -236,22 +190,67 @@ def lowmask_rows(counts: Any, planes: int) -> PlaneArray:
     return np.where(t == _PLANE_BITS, np.uint64(_PLANE_MASK), partial)
 
 
-def highbit_rows(matrix: PlaneArray) -> Any:
-    """Per-row index of the highest set bit, ``-1`` for all-zero rows.
+#: Per byte value ``b`` and rank ``j``, the position of the ``(j+1)``-th
+#: lowest set bit of ``b`` (8 when ``b`` has ``j`` or fewer), flattened
+#: as ``b * 8 + j`` for :func:`select_rows`.
+_SELECT_IN_BYTE = np.array(
+    [
+        ([bit for bit in range(8) if byte >> bit & 1] + [8] * 8)[:8]
+        for byte in range(256)
+    ],
+    dtype=np.int64,
+).reshape(-1)
+_ONES_STEP_8 = np.uint64(0x0101010101010101)
+_MSBS_STEP_8 = np.uint64(0x8080808080808080)
 
-    The vectorized ``mask.bit_length() - 1``: per plane, a smear-right
-    fill turns the top set bit into a solid low mask whose popcount is
-    the bit length; the highest nonzero plane wins.  Returns int64.
+
+def select_rows(matrix: PlaneArray, ranks: Any) -> Any:
+    """Per-row position of the ``ranks[v]``-th lowest set bit (1-based).
+
+    Row ``v``'s answer is the token the ``ranks[v]``-th step of an
+    ascending walk over row ``v`` of ``matrix`` lands on, so
+    ``TokenSet.take(ranks[v])``'s highest member.  Each rank must lie in
+    ``[1, popcount(row)]``.  Returns int64.
+
+    The plane holding the target bit comes from cumulative plane
+    popcounts; within that 64-bit word a broadword select (Vigna,
+    "Broadword implementation of rank/select queries") finds the byte
+    from its byte-wise prefix popcounts and finishes with a 2 KiB
+    ``(byte, rank)`` table, so the whole call is a fixed number of
+    whole-array passes whatever the ranks.
     """
     if matrix.ndim != 2:
         raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
-    out = np.full(matrix.shape[0], -1, dtype=np.int64)
-    for p in range(matrix.shape[1] - 1, -1, -1):
-        plane = matrix[:, p]
-        smear = plane.copy()
-        for s in (1, 2, 4, 8, 16, 32):
-            smear |= smear >> np.uint64(s)
-        length = np.bitwise_count(smear).astype(np.int64)
-        hit = (out < 0) & (plane != 0)
-        out = np.where(hit, _PLANE_BITS * p + length - 1, out)
-    return out
+    k = np.asarray(ranks, dtype=np.int64)
+    if k.shape != (matrix.shape[0],):
+        raise ValueError(
+            f"ranks shape {k.shape} does not match {matrix.shape[0]} rows"
+        )
+    pc = np.bitwise_count(matrix).astype(np.int64)
+    cum = np.cumsum(pc, axis=1)
+    if ((k < 1) | (k > cum[:, -1])).any():
+        raise ValueError("ranks must lie in [1, popcount(row)]")
+    if matrix.shape[1] == 1:
+        word = np.ascontiguousarray(matrix[:, 0])
+        base = 0
+    else:
+        # Planes wholly below the target bit, and the bits they hold.
+        plane = (cum < k[:, None]).sum(axis=1)
+        rows = np.arange(matrix.shape[0])
+        k = k - cum[rows, plane] + pc[rows, plane]
+        word = matrix[rows, plane]
+        base = _PLANE_BITS * plane
+    k0 = (k - 1).astype(np.uint64)
+    # Byte j of ``sums`` = set bits in bytes 0..j of the word (at most
+    # 64, so no byte overflows); the little-endian uint8 view gives the
+    # per-byte popcounts in place.
+    sums = np.bitwise_count(word.view(np.uint8)).view(np.uint64) * _ONES_STEP_8
+    # Bytes whose inclusive prefix count is <= k0 lie wholly below the
+    # target: a borrow-free bytewise ``(k0 | 0x80) - sums`` leaves their
+    # high bit set.
+    below = (((k0 * _ONES_STEP_8) | _MSBS_STEP_8) - sums) & _MSBS_STEP_8
+    place = np.bitwise_count(below).astype(np.uint64) << np.uint64(3)
+    byte_rank = k0 - (((sums << np.uint64(8)) >> place) & np.uint64(0xFF))
+    byte = (word >> place) & np.uint64(0xFF)
+    offset = _SELECT_IN_BYTE[(byte << np.uint64(3)) + byte_rank]
+    return base + place.astype(np.int64) + offset

@@ -30,6 +30,15 @@ per-token holder lists, and replaces the ``max(key=...)`` supplier scan
 with an explicit loop that consumes the RNG identically, so schedules
 are byte-identical to the pre-rewrite implementation (see
 ``tests/sim/test_incremental_equivalence.py``).
+
+The vector path (:meth:`LocalRarestHeuristic.propose_vector`) takes its
+request lists and one supplier-slot bitmask per request from the
+batched screen in :mod:`repro.heuristics.vector_common`, shuffles with
+the inlined ``Random.shuffle`` there, and draws only over the suppliers
+that hold the token *and* have budget left (``mask & live``, ascending
+slots), so it makes exactly the scalar loop's draws.  The scalar
+:meth:`LocalRarestHeuristic.propose` stays on ``rng.shuffle`` and the
+holder lists: it is the oracle the vector path is tested against.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from repro.heuristics.vector_common import (
     build_in_tables,
     empty_vector_proposal,
     grouped_requests,
+    list_shuffler,
     pack_assignments,
 )
 from repro.sim.state import SimState, VectorProposal
@@ -206,12 +216,14 @@ class LocalRarestHeuristic(Heuristic):
         """The rarest-random step as batched arrays.
 
         The receiver screen (supply unions, lacking masks, request
-        lists, per-request holder slots) is computed for every vertex at
-        once by :mod:`repro.heuristics.vector_common`; the per-candidate
-        assignment core then consumes the engine RNG through the exact
-        scalar call sequence — one ``rng.shuffle`` of the request list
-        (the Fisher–Yates draws depend only on its length, so shuffling
-        group ids is word-identical to shuffling tokens) and one
+        lists, per-request supplier-slot bitmasks) is computed for every
+        vertex at once by :mod:`repro.heuristics.vector_common`; the
+        per-candidate assignment core then consumes the engine RNG
+        through the exact scalar call sequence — one shuffle of the
+        request list (the Fisher–Yates draws depend only on its length,
+        so shuffling group ids is word-identical to shuffling tokens;
+        :func:`~repro.heuristics.vector_common.list_shuffler` makes
+        ``Random.shuffle``'s own ``getrandbits`` calls) and one
         ``rng.random()`` per eligible supplier in slot order — so
         schedules, traces, and ``rng.getstate()`` after the step are all
         byte-identical to :meth:`propose`.  Returns ``None`` (scalar
@@ -228,6 +240,7 @@ class LocalRarestHeuristic(Heuristic):
             return empty_vector_proposal()
         rng = self.rng
         rng_random = rng.random
+        shuffle = list_shuffler(rng)
         need_counts = state.token_demand()
         holder_counts = state.holder_counts
         nv = problem.num_vertices
@@ -248,9 +261,7 @@ class LocalRarestHeuristic(Heuristic):
         starts = tables.starts
         group_ranges = grouped.group_ranges
         g_tok = grouped.tokens
-        g_hs = grouped.holder_start
-        g_he = grouped.holder_end
-        slots = grouped.slots
+        suppliers = grouped.suppliers
         asg_pos: List[int] = []
         asg_tok: List[int] = []
         pos_append = asg_pos.append
@@ -259,32 +270,37 @@ class LocalRarestHeuristic(Heuristic):
             gs = group_ranges[r]
             ge = group_ranges[r + 1]
             order = list(range(gs, ge))
-            rng.shuffle(order)
+            shuffle(order)
             order.sort(key=rank_of)
             budgets = sup_caps[v].copy()
-            remaining = sum(budgets)
+            # Slots with budget left (every capacity is >= 1).
+            live = (1 << len(budgets)) - 1
             base = starts[v]
             for g in order:
-                if not remaining:
+                if not live:
                     break
-                # The scalar supplier-max verbatim: one draw per
-                # eligible holder in slot order, lexicographic
+                # The scalar supplier-max: one draw per eligible holder
+                # in slot order (the bits of ``mm`` ascend), lexicographic
                 # (budget, r) max, first wins ties.
+                mm = suppliers[g] & live
+                if not mm:
+                    continue
                 best_i = -1
                 best_b = -1
                 best_r = 0.0
-                for i in slots[g_hs[g] : g_he[g]]:
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    i = low.bit_length() - 1
                     b = budgets[i]
-                    if b > 0:
-                        rr = rng_random()
-                        if b > best_b or (b == best_b and rr > best_r):
-                            best_i = i
-                            best_b = b
-                            best_r = rr
-                if best_i < 0:
-                    continue
-                budgets[best_i] -= 1
-                remaining -= 1
+                    rr = rng_random()
+                    if b > best_b or (b == best_b and rr > best_r):
+                        best_i = i
+                        best_b = b
+                        best_r = rr
+                budgets[best_i] = best_b - 1
+                if best_b == 1:
+                    live ^= 1 << best_i
                 pos_append(base + best_i)
                 tok_append(g_tok[g])
         return pack_assignments(state, tables, asg_pos, asg_tok)

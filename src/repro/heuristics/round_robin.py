@@ -25,10 +25,14 @@ on the kernel's bitplane possession matrix, replacing the per-arc
 Python loop with a fixed number of whole-array ops.  Instead of
 rotating (which would need cross-plane shifts), the vector lap splits
 each owned row at the cursor — tokens at-or-above the cursor are the
-first stretch of the circular queue, tokens below it the wrap-around —
-takes the capacity lowest members of each part in turn, and lands the
-cursor one past the last picked token.  The picks and cursor movement
-are bit-identical to the scalar rotation for any number of planes, so
+first stretch of the circular queue, tokens below it the wrap-around.
+The lap ends on one bit: the ``capacity``-th token ahead of the cursor,
+or, when fewer are ahead, the remaining count's token of the
+wrap-around.  One k-th-set-bit select per cursor-advancing arc
+(:func:`repro.core.bitplanes.select_rows`) finds it; the sent mask is
+every owned token from the cursor up to it in queue order, and the
+cursor lands one past it.  The picks and cursor movement are
+bit-identical to the scalar rotation for any number of planes, so
 >64-token universes ride the vector path too and schedules match the
 dict path byte for byte.
 """
@@ -37,13 +41,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.bitplanes import (
-    highbit_rows,
-    lowmask_rows,
-    np,
-    popcount_rows,
-    take_rows,
-)
+from repro.core.bitplanes import lowmask_rows, np, popcount_rows, select_rows
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
 from repro.sim import Proposal, StepContext
@@ -58,14 +56,12 @@ class RoundRobinHeuristic(Heuristic):
     name = "round_robin"
 
     def on_reset(self) -> None:
-        # One cursor per directed arc, all starting at token 0.
-        self._cursor: Dict[Tuple[int, int], int] = {
-            (arc.src, arc.dst): 0 for arc in self.problem.arcs
-        }
-        # Vector-path cursor array; allocated on the first vector step.
-        # An engine either uses the vector path for a whole run or never
-        # (the fallback condition is static per problem), so the dict
-        # and array cursors are never mixed.
+        # One cursor per directed arc, all starting at token 0: a dict
+        # for the scalar path and an array for the vector path, each
+        # built on its path's first step.  An engine either uses the
+        # vector path for a whole run or never (the fallback condition
+        # is static per problem), so the two are never mixed.
+        self._cursor: Optional[Dict[Tuple[int, int], int]] = None
         self._vec_cursor: Any = None
 
     def propose(self, ctx: StepContext) -> Proposal:
@@ -77,6 +73,10 @@ class RoundRobinHeuristic(Heuristic):
         full = (1 << m) - 1
         possession = ctx.possession
         cursors = self._cursor
+        if cursors is None:
+            cursors = self._cursor = {
+                (arc.src, arc.dst): 0 for arc in self.problem.arcs
+            }
         for arc in problem.arcs:
             owned = possession[arc.src].mask
             if not owned:
@@ -112,12 +112,15 @@ class RoundRobinHeuristic(Heuristic):
         circular-queue order and advance the cursor one past the last
         pick.  The rotation is decomposed plane-safely: the rotated
         mask's low bits are the owned tokens at-or-above the cursor
-        (ascending), followed by the wrap-around tokens below it, so
-        taking the capacity lowest members of those two splits in order
-        reproduces the scalar ``rot``/strip lap for any plane count.
-        The scalar cursor update ``(cursor + prefix.bit_length()) % m``
-        telescopes to ``(last_token + 1) % m`` in both the wrapped and
-        unwrapped cases, which is what the split computes.
+        (ascending), followed by the wrap-around tokens below it.  So
+        the lap's last pick is the ``cap``-th member of ``ahead`` when
+        ``ahead`` holds at least ``cap`` tokens, and otherwise the
+        ``(cap - |ahead|)``-th member of ``wrap``; one
+        :func:`~repro.core.bitplanes.select_rows` per hard arc finds it,
+        and the picks are every owned token from the cursor up to it in
+        queue order.  The scalar cursor update
+        ``(cursor + prefix.bit_length()) % m`` telescopes to
+        ``(last + 1) % m`` in both the wrapped and unwrapped cases.
         """
         m = self.problem.num_tokens
         if m == 0:
@@ -126,29 +129,30 @@ class RoundRobinHeuristic(Heuristic):
         cursor = self._vec_cursor
         if cursor is None:
             cursor = self._vec_cursor = np.zeros(len(caps), dtype=np.int64)
-        matrix = state.matrix
-        owned = matrix[state.arc_src]
-        counts = popcount_rows(owned)
+        planes = state.planes
+        send = state.matrix[state.arc_src]
+        counts = popcount_rows(send)
         # capacity >= 1 always, so a "hard" (cursor-advancing) arc has a
         # nonzero owner; everything else ships its whole owned set (which
         # is empty for ownerless arcs) and leaves its cursor alone.
-        hard = counts >= caps
-        below = lowmask_rows(cursor, state.planes)
-        ahead = owned & ~below  # tokens >= cursor: the lap's first stretch
-        wrap = owned & below  # tokens < cursor: the wrap-around
-        ahead_counts = popcount_rows(ahead)
-        quota = np.where(hard, caps, 0)
-        picked_ahead = take_rows(ahead, quota)
-        picked_wrap = take_rows(wrap, np.maximum(quota - ahead_counts, 0))
-        chosen = picked_ahead | picked_wrap
-        # Last pick in queue order: the highest wrap pick if any,
-        # else the highest ahead pick (hard rows always pick >= 1).
-        last_wrap = highbit_rows(picked_wrap)
-        last = np.where(last_wrap >= 0, last_wrap, highbit_rows(picked_ahead))
-        self._vec_cursor = np.where(hard, (last + 1) % m, cursor)
-        send = np.where(hard[:, None], chosen, owned)
-        nonzero = np.nonzero(send.any(axis=1))[0]
+        hard = np.flatnonzero(counts >= caps)
+        if hard.size:
+            owned = send[hard]
+            cap = caps[hard]
+            below = lowmask_rows(cursor[hard], planes)
+            ahead = owned & ~below  # tokens >= cursor: the lap's first stretch
+            ahead_counts = popcount_rows(ahead)
+            in_ahead = ahead_counts >= cap
+            last = select_rows(
+                np.where(in_ahead[:, None], ahead, owned & below),
+                np.where(in_ahead, cap, cap - ahead_counts),
+            )
+            upto = lowmask_rows(last + 1, planes)
+            span = np.where(in_ahead[:, None], upto & ~below, upto | ~below)
+            send[hard] = owned & span
+            cursor[hard] = (last + 1) % m
+        nonzero = np.flatnonzero(counts)
         masks = send[nonzero]
-        if state.planes == 1:
+        if planes == 1:
             masks = masks[:, 0]
         return VectorProposal(arc_indices=nonzero, masks=masks)

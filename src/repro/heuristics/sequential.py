@@ -15,7 +15,9 @@ overall makespan by keeping the token population diverse.
 The assignment loop mirrors the rewritten Local heuristic: raw bitmask
 supply unions and an explicit supplier-max that consumes the RNG exactly
 as the old ``max(key=...)`` scan did, so schedules are byte-identical to
-the pre-rewrite implementation.
+the pre-rewrite implementation.  The vector path shares Local's batched
+screen (:mod:`repro.heuristics.vector_common`): one supplier-slot
+bitmask per request, drawn over only where budget is left.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ class SequentialHeuristic(Heuristic):
         shuffle or rarest sort: requests are served token-ascending, the
         scalar loop's order.  Supplier draws consume the engine RNG
         through the exact scalar call sequence — one ``rng.random()``
-        per eligible holder in slot order — and the per-arc dict
+        per eligible holder in slot order, the ascending bits of the
+        request's supplier bitmask masked by the slots with budget
+        left — and the per-arc dict
         insertion order (chronological first assignment) is reproduced
         by tracking first-touched slots.
         """
@@ -129,39 +133,42 @@ class SequentialHeuristic(Heuristic):
         starts = tables.starts
         group_ranges = grouped.group_ranges
         g_tok = grouped.tokens
-        g_hs = grouped.holder_start
-        g_he = grouped.holder_end
-        slots = grouped.slots
+        suppliers = grouped.suppliers
         out_idx: List[int] = []
         out_masks: List[int] = []
         for r, v in enumerate(grouped.cand):
             gs = group_ranges[r]
             ge = group_ranges[r + 1]
             budgets = sup_caps[v].copy()
-            remaining = sum(budgets)
+            # Slots with budget left (every capacity is >= 1).
+            live = (1 << len(budgets)) - 1
             accum = [0] * len(budgets)
             touched: List[int] = []
             for g in range(gs, ge):  # tokens ascending: lowest-indexed first
-                if not remaining:
+                if not live:
                     break
-                # The scalar supplier-max verbatim: one draw per
-                # eligible holder in slot order, lexicographic
+                # The scalar supplier-max: one draw per eligible holder
+                # in slot order (the bits of ``mm`` ascend), lexicographic
                 # (budget, r) max, first wins ties.
+                mm = suppliers[g] & live
+                if not mm:
+                    continue
                 best_i = -1
                 best_b = -1
                 best_r = 0.0
-                for i in slots[g_hs[g] : g_he[g]]:
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    i = low.bit_length() - 1
                     b = budgets[i]
-                    if b > 0:
-                        rr = rng_random()
-                        if b > best_b or (b == best_b and rr > best_r):
-                            best_i = i
-                            best_b = b
-                            best_r = rr
-                if best_i < 0:
-                    continue
-                budgets[best_i] -= 1
-                remaining -= 1
+                    rr = rng_random()
+                    if b > best_b or (b == best_b and rr > best_r):
+                        best_i = i
+                        best_b = b
+                        best_r = rr
+                budgets[best_i] = best_b - 1
+                if best_b == 1:
+                    live ^= 1 << best_i
                 if not accum[best_i]:
                     touched.append(best_i)
                 accum[best_i] |= 1 << g_tok[g]

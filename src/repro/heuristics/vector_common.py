@@ -3,34 +3,42 @@
 The request-subdividing heuristics (Local, Sequential) run the same
 receiver-side screen every step: find the vertices whose in-neighbors
 supply tokens they lack, then — per candidate — the ascending list of
-lacking tokens (the request list) and, per request, the ascending
-supplier slots that hold it.  The scalar loops do this with per-vertex
-big-int bit extraction; this module computes it for *every candidate at
-once* from the kernel's bitplane matrices:
+lacking tokens (the request list) and, per request, the supplier slots
+that hold it.  The scalar loops do this with per-vertex big-int bit
+extraction; this module computes it for *every candidate at once* from
+the kernel's bitplane matrices:
 
 1. expand each candidate's in-arc segment into (candidate, slot) pairs,
 2. intersect each pair's supplier possession row with the candidate's
-   lacking row and expand the result to (pair, token) entries — via a
-   byte-level nonzero plus a 256-entry bit-position table, so the scan
-   runs over one byte per 8 tokens and everything after it is
-   proportional to the entries that actually exist,
-3. stable-sort the entries by (candidate, token) — slot order survives —
-   so every (candidate, token) group is a contiguous run of ascending
-   holder slots, and the group tokens per candidate are exactly the
-   scalar request list in ascending order.
+   lacking row and expand the result to (pair, token) entries with a
+   bit scan (``unpackbits`` plus a boolean ``flatnonzero``) over the
+   nonzero bytes only, so the work follows the entries that exist,
+3. fold the entries into one supplier-slot bitmask per (candidate,
+   token): bit ``i`` is set iff slot ``i`` holds the token.  Each
+   (candidate, token, slot) entry is unique, so the grouped OR is an
+   exact integer ``add.at`` into a zeroed ``(candidates * width,
+   words)`` table — no sort.  The groups are the candidates' lacking
+   bits in row-major order, (candidate, token-ascending): per
+   candidate, exactly the scalar request list.
+
+The assignment loops then draw only over ``suppliers[g] & live``, where
+``live`` holds the slots with request budget left; its bits ascend in
+slot order, the order the scalar supplier scan draws in.  They shuffle
+through :func:`list_shuffler`, which inlines ``Random.shuffle``.
 
 Everything is returned as plain Python lists: the consuming inner loops
-index and slice them at C speed without per-element numpy scalar boxing.
-The layout is proven against the scalar loops by the batch-equivalence
-differential grid and the RNG-stream hypothesis suite.
+index them at C speed without per-element numpy scalar boxing.  The
+layout is proven against the scalar loops by the batch-equivalence
+differential grid and the RNG-stream suite.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.core.bitplanes import np
+from repro.core.bitplanes import matrix_to_masks, np
 from repro.sim.state import SimState, VectorProposal
 
 __all__ = [
@@ -39,17 +47,8 @@ __all__ = [
     "build_in_tables",
     "grouped_requests",
     "empty_vector_proposal",
+    "list_shuffler",
 ]
-
-#: Byte-expansion tables: per byte value, its popcount (``_POP8``), the
-#: start of its run in the flattened bit-position table (``_BIT_START``),
-#: and the flattened ascending bit positions themselves (``_BITS_FLAT``,
-#: 1024 entries total).
-_BYTE_POSITIONS = [[b for b in range(8) if v >> b & 1] for v in range(256)]
-_POP8 = np.array([len(p) for p in _BYTE_POSITIONS], dtype=np.uint8)
-_BIT_START = np.zeros(256, dtype=np.int64)
-_BIT_START[1:] = np.cumsum(_POP8[:-1])
-_BITS_FLAT = np.array([b for p in _BYTE_POSITIONS for b in p], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,10 @@ class InArcTables:
     Positions ``starts[v]:starts[v + 1]`` of ``arc_ids`` are the arcs
     into vertex ``v``, in ``problem.in_arcs(v)`` order (the stable dst
     sort preserves arc-table order within a destination, which is how
-    ``in_arcs`` is built).  ``src_sorted`` carries the matching source
-    vertex per position for the pair gather.  ``slot_stride`` is the
-    smallest power of two exceeding every in-arc segment length, so a
-    ``(request, slot)`` pair packs into one integer as
-    ``request * slot_stride + slot`` with shift/mask unpacking.
+    ``in_arcs`` is built); a position's offset from ``starts[v]`` is its
+    supplier *slot*.  ``src_sorted`` carries the matching source vertex
+    per position for the pair gather.  ``slot_words`` is the number of
+    uint64 words a supplier-slot bitmask of the largest in-degree needs.
     """
 
     arc_ids: List[int]
@@ -71,29 +69,27 @@ class InArcTables:
     starts: List[int]
     starts_arr: Any  # (V + 1,) int64 ndarray mirror of ``starts``
     src_sorted: Any  # (A,) int64 ndarray of arc sources, dst-grouped
-    slot_stride: int
+    slot_words: int
 
 
 @dataclass(frozen=True)
 class GroupedRequests:
-    """One step's candidate/request/holder structure, as flat lists.
+    """One step's candidate/request/supplier structure, as flat lists.
 
     Candidate ``r`` (vertex ``cand[r]``) owns groups
     ``group_ranges[r]:group_ranges[r + 1]``; group ``g`` is one request:
-    token ``tokens[g]``, held by the ascending supplier slots
-    ``slots[holder_start[g]:holder_end[g]]``.  Groups within a candidate
-    are token-ascending, so ``tokens[gs:ge]`` *is* the scalar request
-    list before shuffling.  ``tokens_arr`` mirrors ``tokens`` as an
-    int64 ndarray so consumers can gather per-request attributes (e.g.
-    rarity ranks) in one vector op instead of a Python loop per group.
+    token ``tokens[g]``, held by the supplier slots set in the bitmask
+    ``suppliers[g]``.  Groups within a candidate are token-ascending, so
+    ``tokens[gs:ge]`` *is* the scalar request list before shuffling.
+    ``tokens_arr`` mirrors ``tokens`` as an int64 ndarray so consumers
+    can gather per-request attributes (e.g. rarity ranks) in one vector
+    op instead of a Python loop per group.
     """
 
     cand: List[int]
     group_ranges: List[int]
     tokens: List[int]
-    holder_start: List[int]
-    holder_end: List[int]
-    slots: List[int]
+    suppliers: List[int]
     tokens_arr: Any
 
 
@@ -112,14 +108,14 @@ def build_in_tables(state: SimState) -> InArcTables:
         starts=starts_arr.tolist(),
         starts_arr=starts_arr,
         src_sorted=state.arc_src[order],
-        slot_stride=1 << max_seg.bit_length(),
+        slot_words=max(1, (max_seg + 63) // 64),
     )
 
 
 def grouped_requests(
     state: SimState, tables: InArcTables
 ) -> Optional[GroupedRequests]:
-    """The step's request/holder structure, or ``None`` with no candidates.
+    """The step's request/supplier structure, or ``None`` with no candidates.
 
     A candidate is a vertex lacking at least one token an in-neighbor
     holds; every lacking token therefore has at least one holder, so the
@@ -128,7 +124,7 @@ def grouped_requests(
     """
     matrix = state.matrix
     lacking = state.in_supply_matrix() & ~matrix
-    cand = np.nonzero(lacking.any(axis=1))[0]
+    cand = np.flatnonzero(lacking.any(axis=1))
     if cand.size == 0:
         return None
     starts_arr = tables.starts_arr
@@ -138,72 +134,83 @@ def grouped_requests(
     # Flat (candidate, slot) pairs: candidate row id, slot within the
     # candidate's in-arc segment, and position in the dst-grouped table.
     ends = np.cumsum(seg_len)
-    offs = np.arange(total, dtype=np.int64) - np.repeat(ends - seg_len, seg_len)
-    pos = np.repeat(seg_start, seg_len) + offs
+    slot = np.arange(total, dtype=np.int64) - np.repeat(ends - seg_len, seg_len)
+    pos = np.repeat(seg_start, seg_len) + slot
     rows = np.repeat(np.arange(cand.size, dtype=np.int64), seg_len)
     holders = matrix[tables.src_sorted[pos]] & lacking[cand][rows]
-    # (pair, token) entries.  The uint8 view of the uint64 planes is
-    # little-endian on every supported platform, so byte ``b`` of a row
-    # covers tokens ``8b .. 8b + 7``; the nonzero scan runs over bytes
-    # (one eighth of a per-bit scan, and empty pairs vanish for free)
-    # and each nonzero byte expands through the 256-entry popcount /
-    # bit-position tables.  Everything per-entry is fused into ONE
-    # packed integer ``comb = (row * width + token) * stride + slot``:
-    # the byte-level prefix (key base and slot, both constant across a
-    # byte's entries) is computed per nonzero byte and repeated once,
-    # the bit positions come from a pre-scaled table gather, and a
-    # single sort of ``comb`` yields the (candidate, token, slot)
-    # lexicographic order with slots unpacked by mask/shift — no
-    # per-entry pair ids, no second gather, two repeats total.
+    # (pair, token) entries: a bit scan over the nonzero bytes of the
+    # pairs' rows.  The uint8 view of the uint64 planes is little-endian
+    # on every supported platform, so flat byte ``j`` of ``holders``
+    # covers tokens ``8 * j - width * pair + (0..7)`` of pair ``j //
+    # nbytes``, and little-endian ``unpackbits`` puts bit ``b`` of the
+    # ``k``-th nonzero byte at ``8 * k + b``.  An entry lands in table
+    # cell ``(row * width + token) * words + slot // 64`` as bit ``slot
+    # % 64`` — all fixed per byte except ``b``.
     nbytes = 8 * state.planes
     width = 64 * state.planes
-    stride = tables.slot_stride
-    shift = stride.bit_length() - 1
-    flat = holders.view(np.uint8).ravel()
-    nz = np.flatnonzero(flat)
-    vals = flat[nz]
-    counts = _POP8[vals].astype(np.int64)
-    num_entries = int(counts.sum())
-    ends_e = np.cumsum(counts)
-    comb_bound = (cand.size * width) << shift
-    dtype = np.int32 if comb_bound < 2**31 else np.int64
-    rowbase = ((rows * width) << shift) + offs
-    if nbytes & (nbytes - 1) == 0:
-        byte_shift = nbytes.bit_length() - 1
-        comb_b = (
-            rowbase[nz >> byte_shift] + ((nz & (nbytes - 1)) << (shift + 3))
-        ).astype(dtype, copy=False)
-    else:
-        comb_b = (
-            rowbase[nz // nbytes] + ((nz % nbytes) << (shift + 3))
-        ).astype(dtype, copy=False)
-    idx = np.arange(num_entries, dtype=np.int64) + np.repeat(
-        _BIT_START[vals] + counts - ends_e, counts
+    words = tables.slot_words
+    pair_cell = (rows - np.arange(total, dtype=np.int64)) * (width * words) + (
+        slot >> 6
     )
-    comb = np.repeat(comb_b, counts) + (_BITS_FLAT << shift).astype(dtype)[idx]
-    # comb values are unique (one entry per (pair, token)), so the
-    # default unstable introsort is order-equivalent to a stable sort
-    # — and measurably faster than both timsort and a two-pass uint16
-    # radix split at the entry counts the screen produces.
-    entry_order = np.argsort(comb)
-    comb_sorted = comb[entry_order]
-    slots = comb_sorted & (stride - 1)
-    key_sorted = comb_sorted >> shift
-    bounds = np.flatnonzero(key_sorted[1:] != key_sorted[:-1]) + 1
-    group_start = np.concatenate((np.zeros(1, dtype=np.int64), bounds))
-    group_end = np.concatenate((bounds, np.array([key_sorted.size], dtype=np.int64)))
-    group_key = key_sorted[group_start]
-    group_row = group_key // width
-    tokens_arr = (group_key % width).astype(np.int64)
+    pair_bit = np.uint64(1) << (slot & 63).astype(np.uint64)
+    flat = holders.view(np.uint8).reshape(-1)
+    nonzero = np.flatnonzero(flat != 0)
+    byte_pair = nonzero // nbytes
+    byte_cell = nonzero * (8 * words) + pair_cell[byte_pair]
+    byte_bit = pair_bit[byte_pair]
+    hit = np.flatnonzero(np.unpackbits(flat[nonzero], bitorder="little").view(bool))
+    k = hit >> 3
+    offset = hit & 7
+    if words > 1:
+        offset *= words
+    # The grouped OR: an entry's (cell, bit) pair is unique, so adding
+    # distinct powers of two is exact — and in C, unlike a float
+    # bincount, at any in-degree.  ``np.zeros`` maps the table lazily,
+    # so only the pages the entries touch cost anything.
+    table = np.zeros((cand.size * width, words), dtype=np.uint64)
+    np.add.at(table.reshape(-1), byte_cell[k] + offset, byte_bit[k])
+    # The groups are the candidates' lacking bits (each has a holder),
+    # ascending: (candidate, token) order.
+    lack_bits = np.unpackbits(lacking[cand].view(np.uint8), bitorder="little")
+    group_key = np.flatnonzero(lack_bits.view(bool))
+    tokens_arr = group_key % width
     return GroupedRequests(
         cand=cand.tolist(),
-        group_ranges=np.searchsorted(group_row, np.arange(cand.size + 1)).tolist(),
+        group_ranges=np.searchsorted(
+            group_key // width, np.arange(cand.size + 1)
+        ).tolist(),
         tokens=tokens_arr.tolist(),
-        holder_start=group_start.tolist(),
-        holder_end=group_end.tolist(),
-        slots=slots.tolist(),
+        suppliers=matrix_to_masks(table[group_key]),
         tokens_arr=tokens_arr,
     )
+
+
+def list_shuffler(rng: random.Random) -> Callable[[List[int]], None]:
+    """``rng.shuffle``, inlined when ``rng`` is a plain ``random.Random``.
+
+    ``Random.shuffle`` swaps ``x[i]`` with ``x[randbelow(i + 1)]`` for
+    ``i`` descending, and a ``Random`` whose ``random``/``getrandbits``
+    are not overridden draws ``randbelow(n)`` as ``getrandbits(k)`` with
+    ``k = n.bit_length()``, rejecting results ``>= n``.  The inlined loop
+    makes exactly those ``getrandbits`` calls, so the permutation and the
+    generator state afterwards are identical; it only drops two Python
+    method calls per element.  Any other generator (a subclass may
+    override either method) keeps its own ``shuffle``.
+    """
+    if type(rng) is not random.Random:
+        return rng.shuffle
+    getrandbits = rng.getrandbits
+
+    def shuffle(x: List[int]) -> None:
+        for i in range(len(x) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+    return shuffle
 
 
 def empty_vector_proposal() -> VectorProposal:

@@ -17,7 +17,10 @@ round robin (no draws at all, so any stray draw shows).  This suite is
 the enforcement point for the vector stream-order contract
 (``docs/MODEL.md`` §8).  Hypothesis supplies shrinking topologies when a
 divergence appears; a seeded >64-token grid covers the multi-plane
-layout hypothesis would be slow to reach.
+layout hypothesis would be slow to reach, and hub instances with more
+than 64 in-arcs into one vertex cover supplier bitmasks wider than one
+word.  The inlined Fisher–Yates the vector paths shuffle with is pinned
+to ``random.Random.shuffle`` directly.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from repro.core.problem import Problem
 from repro.heuristics import HEURISTIC_FACTORIES
 from repro.heuristics.sequential import SequentialHeuristic
+from repro.heuristics.vector_common import list_shuffler
 from repro.sim import Engine
 
 from tests.conftest import make_random_problem, problems, scalar_only
@@ -91,3 +96,55 @@ def test_multi_plane_streams_identical(name):
         scalar = stream_states(problem, name, seed=100 + i, vector=False)
         vector = stream_states(problem, name, seed=100 + i, vector=True)
         assert scalar == vector, (name, i)
+
+
+def hub_problem(rng: random.Random, spokes: int, tokens: int) -> Problem:
+    """A hub with ``spokes`` in-arcs (and as many out-arcs), a spoke
+    ring, and tokens scattered over the spokes; everyone wants all."""
+    hub = 0
+    arcs = []
+    for v in range(1, spokes + 1):
+        cap = rng.randint(1, 2)
+        arcs += [(v, hub, cap), (hub, v, cap)]
+        w = v % spokes + 1
+        arcs += [(v, w, 1), (w, v, 1)]
+    have = {v: rng.sample(range(tokens), rng.randint(1, 3)) for v in range(1, spokes + 1)}
+    have[1] = list(range(tokens))  # every token is held somewhere
+    want = {v: list(range(tokens)) for v in range(spokes + 1)}
+    return Problem.build(spokes + 1, tokens, arcs, have, want)
+
+
+@pytest.mark.parametrize("name", ["local", "sequential"])
+@pytest.mark.parametrize("spokes,tokens", [(70, 20), (130, 90)])
+def test_wide_supplier_masks_streams_identical(name, spokes, tokens):
+    problem = hub_problem(random.Random(spokes * tokens), spokes, tokens)
+    assert len(problem.in_arcs(0)) > 64
+    scalar = stream_states(problem, name, seed=5, vector=False)
+    vector = stream_states(problem, name, seed=5, vector=True)
+    assert scalar == vector
+
+
+def test_inlined_shuffle_matches_random_shuffle():
+    for n in range(301):
+        ours, theirs = random.Random(n), random.Random(n)
+        mine = list(range(n))
+        expected = list(range(n))
+        list_shuffler(ours)(mine)
+        theirs.shuffle(expected)
+        assert mine == expected, n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+def test_random_subclass_keeps_its_own_shuffle():
+    calls = []
+
+    class Counting(random.Random):
+        def shuffle(self, x):
+            calls.append(len(x))
+            super().shuffle(x)
+
+    rng = Counting(3)
+    items = list(range(10))
+    list_shuffler(rng)(items)
+    assert calls == [10]
+    assert sorted(items) == list(range(10))

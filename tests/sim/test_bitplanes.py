@@ -4,7 +4,8 @@
 dense layout (bit ``t % 64`` of plane ``t // 64`` in row ``v``).  These
 tests pin the conversions and the batched reads against the
 ``TokenSet``/frozenset oracle on handwritten edges (empty, full,
-single-token, >64-token spill) and fuzzed universes up to three planes.
+single-token, >64-token spill) and fuzzed universes up to three planes
+(four for the k-th-set-bit select).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitplanes import (
-    highbit_rows,
     lowmask_rows,
     mask_to_planes,
     masks_to_matrix,
@@ -26,7 +28,7 @@ from repro.core.bitplanes import (
     plane_count,
     planes_to_mask,
     popcount_rows,
-    take_rows,
+    select_rows,
 )
 from repro.core.tokenset import TokenSet
 
@@ -150,50 +152,70 @@ class TestPlaneAlgebra:
             assert counts.tolist() == [len(TokenSet(x)) for x in a_masks]
 
 
-class TestTakeRows:
+@st.composite
+def rows_with_ranks(draw):
+    """1-4 plane rows, each nonempty, with a rank in 1..popcount per row."""
+    planes = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=64 * (planes - 1) + 1, max_value=64 * planes))
+    masks = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << m) - 1), min_size=1, max_size=6)
+    )
+    ranks = [draw(st.integers(min_value=1, max_value=mask.bit_count())) for mask in masks]
+    return m, masks, ranks
+
+
+class TestSelectRows:
+    """``select_rows`` is the highest member of ``TokenSet.take(k)``."""
+
     def test_edges(self):
-        m = 70  # two planes
-        masks = [
-            0,  # empty row
-            (1 << 70) - 1,  # full row
-            1 << 69,  # single high token
-            (1 << 5) | (1 << 63) | (1 << 64),  # boundary straddle
-        ]
-        matrix = masks_to_matrix(masks, m)
-        counts = np.array([3, 2, 1, 2], dtype=np.int64)
-        got = matrix_to_masks(take_rows(matrix, counts))
-        for i, mask in enumerate(masks):
-            assert got[i] == TokenSet(mask).take(int(counts[i])).mask
+        m = 130  # three planes
+        masks = [1, 1 << 63, 1 << 64, 1 << 129, (1 << 130) - 1, (1 << 130) - 1, 0b1010]
+        ranks = [1, 1, 1, 1, 64, 130, 2]
+        got = select_rows(masks_to_matrix(masks, m), np.array(ranks)).tolist()
+        assert got == [0, 63, 64, 129, 63, 129, 3]
 
-    def test_take_zero_and_overshoot(self):
-        matrix = masks_to_matrix([0b1011, 0b1011], 4)
-        got = matrix_to_masks(
-            take_rows(matrix, np.array([0, 99], dtype=np.int64))
-        )
-        assert got == [0, 0b1011]
+    @given(rows_with_ranks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tokenset_take(self, case):
+        m, masks, ranks = case
+        got = select_rows(masks_to_matrix(masks, m), np.array(ranks)).tolist()
+        assert got == [TokenSet(mask).take(k).max() for mask, k in zip(masks, ranks)]
 
-    def test_fuzzed_vs_tokenset_take(self):
-        rng = random.Random(99)
-        for _ in range(150):
-            m = rng.randint(1, 190)
-            masks = [rng.getrandbits(m) for _ in range(rng.randint(1, 6))]
-            counts = np.array(
-                [rng.randint(0, m + 2) for _ in masks], dtype=np.int64
-            )
-            got = matrix_to_masks(take_rows(masks_to_matrix(masks, m), counts))
-            for i, mask in enumerate(masks):
-                want = TokenSet(mask).take(int(counts[i]))
-                assert got[i] == want.mask, (m, mask, int(counts[i]))
+    def test_every_rank_of_a_dense_row(self):
+        # Every byte position of every plane, including the top bit of
+        # each word, where the bytewise prefix counts reach 64.
+        mask = (1 << 256) - 1
+        matrix = masks_to_matrix([mask] * 256, 256)
+        got = select_rows(matrix, np.arange(1, 257)).tolist()
+        assert got == list(range(256))
 
-    def test_negative_counts_rejected(self):
-        matrix = masks_to_matrix([3], 2)
+    def test_top_rank_is_bit_length(self):
+        # At rank == popcount the select is the highest set bit.
+        m = 130  # three planes
+        masks = [1, 1 << 63, 1 << 64, 1 << 129, (1 << 130) - 1, 0b1010]
+        ranks = [mask.bit_count() for mask in masks]
+        got = select_rows(masks_to_matrix(masks, m), np.array(ranks)).tolist()
+        assert got == [mask.bit_length() - 1 for mask in masks]
+
+    def test_top_rank_fuzzed_vs_bit_length(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            m = rng.randint(1, 256)
+            masks = [rng.getrandbits(m) | 1 << rng.randrange(m) for _ in range(6)]
+            ranks = np.array([mask.bit_count() for mask in masks])
+            got = select_rows(masks_to_matrix(masks, m), ranks).tolist()
+            assert got == [mask.bit_length() - 1 for mask in masks], m
+
+    @pytest.mark.parametrize("rank", [0, 3])
+    def test_rank_outside_popcount_rejected(self, rank):
+        matrix = masks_to_matrix([0b101], 3)
         with pytest.raises(ValueError):
-            take_rows(matrix, np.array([-1], dtype=np.int64))
+            select_rows(matrix, np.array([rank]))
 
     def test_shape_mismatch_rejected(self):
         matrix = masks_to_matrix([3, 1], 2)
         with pytest.raises(ValueError):
-            take_rows(matrix, np.array([1], dtype=np.int64))
+            select_rows(matrix, np.array([1]))
 
 
 class TestLowmaskRows:
@@ -215,23 +237,6 @@ class TestLowmaskRows:
             got = matrix_to_masks(lowmask_rows(counts, planes))
             for i, c in enumerate(counts.tolist()):
                 assert got[i] == (1 << c) - 1, (planes, c)
-
-
-class TestHighbitRows:
-    def test_edges(self):
-        m = 130  # three planes
-        masks = [0, 1, 1 << 63, 1 << 64, 1 << 129, (1 << 130) - 1, 0b1010]
-        got = highbit_rows(masks_to_matrix(masks, m)).tolist()
-        want = [mask.bit_length() - 1 for mask in masks]
-        assert got == want  # -1 for the empty row, top set bit otherwise
-
-    def test_fuzzed_vs_bit_length(self):
-        rng = random.Random(8)
-        for _ in range(100):
-            m = rng.randint(1, 190)
-            masks = [rng.getrandbits(m) for _ in range(rng.randint(1, 6))]
-            got = highbit_rows(masks_to_matrix(masks, m)).tolist()
-            assert got == [mask.bit_length() - 1 for mask in masks], m
 
 
 # ----------------------------------------------------------------------
