@@ -36,37 +36,21 @@ gate in CI: ``--check`` re-measures and fails when any case's speedup
 drops more than 25% below the committed baseline — i.e. someone has
 slowed the new path down relative to the known-equivalent old one.
 
-``--trace-overhead`` gates the observability layer instead: it times
-the engine on its default disabled-tracing path against an explicitly
-passed :class:`~repro.obs.NullTracer` (the identical code path, so the
-comparison is machine-robust) and fails if the disabled path is more
-than 2% slower — i.e. someone has put payload construction outside the
-``if tracing:`` guard.  Each of its timed samples repeats a short case
-until the sample lasts at least ``TRACE_SAMPLE_S`` (0.25 s), with the two
-variants' runs taking turns and the cyclic garbage collector off, so
-sub-100 ms cases converge at ``--repeats 5``; the reported times are per
-run.  The slowdown with tracing fully enabled is printed
-informationally, from one run per case after the gated repeats.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/engine_perf.py            # rewrite baseline
     PYTHONPATH=src python benchmarks/engine_perf.py --cases local/n=1000  # one entry
     PYTHONPATH=src python benchmarks/engine_perf.py --check    # CI regression gate
     PYTHONPATH=src python benchmarks/engine_perf.py --check --cases round_robin
-    PYTHONPATH=src python benchmarks/engine_perf.py --trace-overhead
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -76,7 +60,6 @@ from conftest import bench_rng  # noqa: E402
 
 from repro.core.problem import Problem  # noqa: E402
 from repro.heuristics import HEURISTIC_FACTORIES, Heuristic  # noqa: E402
-from repro.obs import NullTracer, RecordingTracer  # noqa: E402
 from repro.sim import RunResult, run_heuristic  # noqa: E402
 from repro.sim.reference import (  # noqa: E402
     make_reference_heuristic,
@@ -95,14 +78,6 @@ REGRESSION_TOLERANCE = 0.75
 #: fractions of a second, so the measured ratio is noisier (allocator
 #: and cache state move it by 2-3x more than the reference pairs).
 VECTOR_REGRESSION_TOLERANCE = 0.5
-
-#: Max slowdown --trace-overhead tolerates for the disabled-tracing path.
-TRACE_OVERHEAD_TOLERANCE = 0.02
-
-#: A --trace-overhead sample repeats a short case until it lasts at
-#: least this long: five sub-100 ms samples do not converge to within
-#: the 2% tolerance on a shared machine.
-TRACE_SAMPLE_S = 0.25
 
 #: Engine sides a case may pit against each other: the frozen pre-kernel
 #: oracle, or one proposal path of the kernel (:func:`side_runner`).
@@ -245,28 +220,25 @@ def select_cases(
 
 
 def _best_times(
-    fns: Sequence[Callable[[], RunResult]], repeats: int, loops: int = 1
+    fns: Sequence[Callable[[], RunResult]], repeats: int
 ) -> Tuple[List[float], List[RunResult]]:
-    """Best-of-``repeats`` per-run wall time of each of ``fns``, and a result.
+    """Best-of-``repeats`` wall time of each of ``fns``, and a result.
 
-    A sample of each function is ``loops`` runs.  The runs take turns,
-    in an order rotated on each repeat, so no side always runs first
-    (cold caches) and a window of shared-machine noise, or a drift in
-    machine speed, lands on every side's sample alike.
+    The runs take turns, in an order rotated on each repeat, so no side
+    always runs first (cold caches) and a window of shared-machine
+    noise, or a drift in machine speed, lands on every side's sample
+    alike.
     """
     best = [float("inf")] * len(fns)
     results: list = [None] * len(fns)
     for repeat in range(repeats):
-        spent = [0.0] * len(fns)
-        for _ in range(loops):
-            for k in range(len(fns)):
-                i = (repeat + k) % len(fns)
-                results[i] = None  # free the last result outside the timed call
-                t0 = time.perf_counter()
-                result = fns[i]()
-                spent[i] += time.perf_counter() - t0
-                results[i] = result
-        best = [min(b, total / loops) for b, total in zip(best, spent)]
+        for k in range(len(fns)):
+            i = (repeat + k) % len(fns)
+            results[i] = None  # free the last result outside the timed call
+            t0 = time.perf_counter()
+            result = fns[i]()
+            best[i] = min(best[i], time.perf_counter() - t0)
+            results[i] = result
     assert all(result is not None for result in results)
     return best, results
 
@@ -404,88 +376,6 @@ def check_against_baseline(
     return 0
 
 
-def check_trace_overhead(repeats: int, case_filter: Optional[str]) -> int:
-    """Gate: a NullTracer-equipped run is as fast as the default run.
-
-    Both sides execute the same instructions (``tracer.enabled`` is
-    false either way and the engine hoists it once per run), so any
-    measured gap beyond noise means event-payload work has leaked out
-    of the ``if tracing:`` guard.  The full-tracing slowdown (in-memory
-    :class:`RecordingTracer` sink) is reported but not gated — it is
-    allowed to cost whatever faithful per-step events cost — so it runs
-    once per case, after the gated repeats, instead of in every repeat.
-    Runs on each case's *new*-side engine, so the vector cases also
-    gate the vector path's tracing guard.
-    """
-    failures = []
-    for label, case in select_cases(case_filter).items():
-        if case.new == "reference":  # the frozen oracle has no tracer
-            continue
-        problem = case_problem(label, case)
-
-        def run_with(tracer_factory) -> RunResult:
-            return run_heuristic(
-                problem,
-                side_heuristic(case.new, case.heuristic),
-                seed=1,
-                tracer=tracer_factory() if tracer_factory else None,
-            )
-
-        # Best-of-N per variant in rotating order (_best_times).  Shared-
-        # machine noise moves single samples both ways by several
-        # percent, so neither one paired ratio nor one sample proves
-        # anything; each variant's minimum converges to its true cost,
-        # and a real leak raises the NullTracer variant's minimum.  A
-        # sample of a short case is ``loops`` runs, sized from one
-        # warm-up run so that it lasts about TRACE_SAMPLE_S or more,
-        # with the two variants' runs taking turns.  The cyclic
-        # collector is off while timing, as in ``timeit``: a collection
-        # runs where the allocation count crosses a threshold, which
-        # falls at the same point of every identical cycle of runs, so
-        # it biases one variant instead of averaging out.  A run leaves
-        # no cyclic garbage, so memory stays flat.
-        t0 = time.perf_counter()
-        run_with(None)
-        loops = max(1, math.ceil(TRACE_SAMPLE_S / (time.perf_counter() - t0)))
-        gc.collect()
-        gc.disable()
-        try:
-            best, (base, null_run) = _best_times(
-                [partial(run_with, tracer) for tracer in (None, NullTracer)],
-                repeats,
-                loops,
-            )
-        finally:
-            gc.enable()
-        if null_run.schedule != base.schedule:
-            raise AssertionError(f"{label}: tracer choice perturbed the schedule")
-        del null_run  # hold one result, not two, through the full run
-        t0 = time.perf_counter()
-        full_run = run_with(RecordingTracer)
-        full = time.perf_counter() - t0
-        if full_run.schedule != base.schedule:
-            raise AssertionError(f"{label}: tracer choice perturbed the schedule")
-        del full_run
-        overhead = best[1] / best[0] - 1.0
-        status = "ok" if overhead <= TRACE_OVERHEAD_TOLERANCE else "OVERHEAD"
-        print(
-            f"{label}: best of {repeats} x {loops} run(s): "
-            f"default {best[0] * 1e3:.1f}ms, "
-            f"NullTracer {best[1] * 1e3:.1f}ms; "
-            f"disabled-tracing overhead {overhead:+.1%} "
-            f"(limit {TRACE_OVERHEAD_TOLERANCE:.0%}) -> {status}; "
-            f"full tracing, one run, {full * 1e3:.1f}ms = {full / best[0]:.2f}x "
-            "[informational]"
-        )
-        if overhead > TRACE_OVERHEAD_TOLERANCE:
-            failures.append(label)
-    if failures:
-        print(f"disabled-tracing overhead exceeded in: {', '.join(failures)}")
-        return 1
-    print("tracing disabled is free in all cases")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -493,13 +383,6 @@ def main() -> int:
         action="store_true",
         help="compare a fresh measurement against the committed baseline "
         f"(fail below {REGRESSION_TOLERANCE:.0%} of the committed speedup)",
-    )
-    parser.add_argument(
-        "--trace-overhead",
-        action="store_true",
-        help="compare the default disabled-tracing path against an "
-        "explicit NullTracer "
-        f"(fail if slower by more than {TRACE_OVERHEAD_TOLERANCE:.0%})",
     )
     parser.add_argument(
         "--cases",
@@ -522,8 +405,6 @@ def main() -> int:
         "are otherwise skipped unless selected exactly by label",
     )
     args = parser.parse_args()
-    if args.trace_overhead:
-        return check_trace_overhead(args.repeats, args.cases)
     if args.check:
         return check_against_baseline(args.repeats, args.cases, args.heavy)
     write_baseline(args.repeats, args.heavy, args.cases)

@@ -10,10 +10,12 @@ sweep rows — stays within ``LEDGER_OVERHEAD_TOLERANCE`` of the
 unmonitored sweep.  This benchmark gates the second half, i.e. it
 bounds the CLI's default path.
 
-Methodology mirrors ``engine_perf.py --trace-overhead``: the monitored
-and unmonitored variants run back-to-back within each repeat, in an
-order that alternates between repeats, and the gate compares each
-variant's best time, ``min(monitored) / min(unmonitored) - 1``.
+The two variants are different programs (unlike disabled tracing,
+which runs the same instructions either way and is checked by a test,
+not a timing), so only a timing can bound the difference.  They run
+back-to-back within each repeat, in an order that alternates between
+repeats, and the gate compares each variant's best time,
+``min(monitored) / min(unmonitored) - 1``.
 Shared-machine noise moves single samples both ways by several percent,
 so a single paired ratio can hide a real cost; each variant's minimum
 converges to its true cost instead.  If the gate flakes, raise

@@ -54,11 +54,11 @@ def main() -> None:
         with JsonlTracer(path=path) as tracer:
             tracer.emit("trace_header", {"scenario": "trace_attribute", "seed": 0})
             retrace_run(
-                tracer, problem, fastest.schedule, True,
+                tracer, problem, fastest.schedule,
                 "exact-min-time", engine="reference",
             )
             retrace_run(
-                tracer, problem, cheapest.schedule, True,
+                tracer, problem, cheapest.schedule,
                 "exact-min-bandwidth", engine="reference",
             )
 

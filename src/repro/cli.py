@@ -676,7 +676,6 @@ def _reference_traced_run(tracer, problem: Problem, name: str, seed: int):
         tracer,
         problem,
         result.schedule,
-        result.success,
         heuristic_name=name,
         engine="reference",
     )

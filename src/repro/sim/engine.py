@@ -65,12 +65,10 @@ __all__ = [
     "HeuristicProtocol",
     "HeuristicViolation",
     "StallError",
-    "count_stall",
     "RunResult",
     "StepDriver",
     "Engine",
     "run_heuristic",
-    "emit_run_start",
     "emit_step_event",
     "resolve_state_factory",
     "violation",

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.core.problem import Problem
+from repro.core.schedule import Schedule, Timestep
+from repro.core.tokenset import TokenSet
 from repro.heuristics import HEURISTIC_FACTORIES
-from repro.obs import JsonlTracer
+from repro.obs import JsonlTracer, RecordingTracer
 from repro.obs.analyze import attribute_trace, diff_traces, retrace_run
 from repro.sim import run_heuristic
+from repro.sim.engine import HeuristicViolation, StallError
 from repro.sim.reference import make_reference_heuristic, reference_run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
@@ -32,7 +38,7 @@ def _live_and_oracle(tmp_path, problem, name: str, seed: int = 6):
     ref = reference_run_heuristic(problem, make_reference_heuristic(name), seed=seed)
     with JsonlTracer(path=str(oracle)) as tracer:
         retrace_run(
-            tracer, problem, ref.schedule, ref.success,
+            tracer, problem, ref.schedule,
             heuristic_name=name, engine="reference",
         )
     return str(live), str(oracle)
@@ -133,7 +139,6 @@ class TestRetrace:
                 tracer,
                 problem,
                 result.schedule,
-                result.success,
                 heuristic_name=heuristic.name,
                 engine="sim",
             )
@@ -167,11 +172,43 @@ class TestRetrace:
             assert live_report["runs"], name
             assert live_report == scrubbed(oracle), name
 
+    @pytest.mark.parametrize(
+        "second_step, broken",
+        [
+            # Vertex 1 forwards token 1 before it has received it.
+            ({(1, 2): TokenSet.of(1)}, r"vertex 1 sends tokens \[1\] it does not possess"),
+            # Both tokens at once over the unit-capacity arc 0 -> 1.
+            ({(0, 1): TokenSet.of(0, 1)}, r"arc \(0, 1\) carries 2 tokens, capacity 1"),
+        ],
+    )
+    def test_schedule_breaking_the_model_raises_naming_the_step(
+        self, second_step, broken
+    ):
+        """A replayed step is validated like a live proposal: the re-trace
+        fails at the step that breaks §3.1 instead of tracing it."""
+        path = Problem.build(
+            3, 2, [(0, 1, 1), (1, 2, 1)], have={0: [0, 1]}, want={2: [0, 1]}
+        )
+        schedule = Schedule(
+            [Timestep({(0, 1): TokenSet.of(0)}), Timestep(second_step)]
+        )
+        tracer = RecordingTracer()
+        with pytest.raises(HeuristicViolation, match=broken) as info:
+            retrace_run(tracer, path, schedule, "tampered")
+        assert str(info.value).startswith("step 1: heuristic 'tampered'")
+        assert [e["step"] for e in tracer.of_kind("step")] == [0]
+        assert not tracer.of_kind("run_end")
+
+    def test_schedule_ending_short_of_the_wants_raises(self):
+        path = Problem.build(2, 1, [(0, 1, 1)], have={0: [0]}, want={1: [0]})
+        with pytest.raises(StallError, match="step 0: .* ends with demand"):
+            retrace_run(RecordingTracer(), path, Schedule([]), "empty")
+
     def test_disabled_tracer_is_noop(self):
         from repro.obs import NULL_TRACER
 
         problem = _problem(n=6, tokens=3)
         result = run_heuristic(problem, HEURISTIC_FACTORIES["local"](), seed=0)
         retrace_run(
-            NULL_TRACER, problem, result.schedule, result.success, "local"
+            NULL_TRACER, problem, result.schedule, "local"
         )  # must not raise or emit

@@ -5,7 +5,9 @@ The tentpole's two behavioural contracts live here:
 * **NullTracer no-op equivalence** — running any engine with tracing
   disabled (the default) or with an explicit ``NullTracer`` produces
   the *identical* schedule to a fully traced run: instrumentation may
-  observe a run but never perturb it.
+  observe a run but never perturb it.  And disabled tracing is free:
+  no driver hands a disabled tracer an event, and an unprofiled run
+  reads no clock.
 * **Trace determinism** — identical seeds produce byte-identical JSONL
   trace files, because events carry no wall-clock or process identity
   and serialization is canonical.
@@ -15,9 +17,15 @@ from __future__ import annotations
 
 import random
 
+import repro.obs.metrics
 from repro.core.problem import Problem
+from repro.experiments.sweep import Executor, PointSpec
 from repro.extensions.dynamic import constant_conditions, run_dynamic
-from repro.heuristics import standard_heuristics
+from repro.heuristics import (
+    HEURISTIC_FACTORIES,
+    SequentialHeuristic,
+    standard_heuristics,
+)
 from repro.locd.algorithms import LocalRarest
 from repro.locd.runner import run_local
 from repro.obs import (
@@ -31,10 +39,28 @@ from repro.obs import (
 from repro.sim.engine import Engine, run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
+from tests.conftest import scalar_only
 
 
 def _problem(seed: int = 3, n: int = 10, tokens: int = 6) -> Problem:
     return single_file(random_graph(n, random.Random(seed)), file_tokens=tokens)
+
+
+class _EmitFails(NullTracer):
+    """Disabled like :data:`NULL_TRACER`, but not it: a guard keyed on
+    identity instead of ``enabled`` lets events through, and any event
+    that reaches it fails the run."""
+
+    def emit(self, kind, fields):
+        raise AssertionError(f"a disabled tracer was handed a {kind!r} event")
+
+
+class _NoClock:
+    """Stands in for the ``time`` module :mod:`repro.obs.metrics` reads."""
+
+    @staticmethod
+    def perf_counter():
+        raise AssertionError("an unprofiled run read the clock")
 
 
 class TestNullTracer:
@@ -84,6 +110,43 @@ class TestNoOpEquivalence:
             conditions, fresh, seed=5, tracer=RecordingTracer()
         )
         assert traced.schedule == base.schedule
+
+    def test_disabled_tracing_emits_nothing_and_reads_no_clock(self, monkeypatch):
+        """Every driver, with a disabled tracer both passed and ambient,
+        builds no event and times nothing.  The 80-token universe puts
+        the vector paths on two bitplanes."""
+        monkeypatch.setattr(repro.obs.metrics, "time", _NoClock)
+        problem = _problem(n=12, tokens=80)
+        tracer = _EmitFails()
+        point = PointSpec.make(
+            "fig5",
+            "fig5",
+            0,
+            params={
+                "n": 12,
+                "num_files": 2,
+                "total_tokens": 80,
+                "multi_sender": False,
+                "trial": 0,
+            },
+            seed=5,
+        )
+        with activated(tracer):
+            factories = {**HEURISTIC_FACTORIES, "sequential": SequentialHeuristic}
+            for name, factory in factories.items():
+                for path in (factory(), scalar_only(factory())):
+                    result = run_heuristic(problem, path, seed=5, tracer=tracer)
+                    assert result.success, name
+            local = run_local(problem, LocalRarest(), seed=5, tracer=tracer)
+            dynamic = run_dynamic(
+                constant_conditions(problem),
+                HEURISTIC_FACTORIES["round_robin"](),
+                seed=5,
+                tracer=tracer,
+            )
+            (outcome,) = Executor().run([point])
+        assert local.success and dynamic.success
+        assert outcome["stats"]["moves"] > 0
 
 
 class TestRecordingTracer:

@@ -230,7 +230,6 @@ class TestTraceEquivalence:
                     tracer,
                     problem,
                     oracle.schedule,
-                    success=oracle.success,
                     heuristic_name="round_robin",
                     engine="reference",
                 )
