@@ -27,16 +27,17 @@ this is exponential-time in general (the problem is NP-complete), so keep
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.bounds import remaining_timesteps
 from repro.core.problem import Problem
 from repro.core.schedule import Schedule, Timestep
 from repro.core.tokenset import TokenSet
+
+if TYPE_CHECKING:
+    from scipy.optimize import LinearConstraint
 
 __all__ = ["IlpSolution", "solve_eocd_ilp", "min_makespan_ilp", "solve_hybrid_ilp"]
 
@@ -122,6 +123,11 @@ def _build_constraints(
     problem: Problem, index: _IlpIndex
 ) -> Tuple[List[LinearConstraint], np.ndarray]:
     """Assemble the possession, capacity, and demand constraints."""
+    # scipy is imported where it solves, not with the package: importing
+    # it takes most of ``import repro``'s time and memory.
+    from scipy import sparse
+    from scipy.optimize import LinearConstraint
+
     horizon = index.horizon
     tokens = index.tokens
     n_vars = index.num_vars
@@ -234,6 +240,8 @@ def solve_eocd_ilp(
         return IlpSolution(Schedule([]), 0, horizon, feasible=True)
     if horizon == 0:
         return IlpSolution(Schedule([]), 0, 0, feasible=False)
+    from scipy.optimize import Bounds, milp
+
     index = _IlpIndex(problem, horizon, tokens)
     constraints, var_lower = _build_constraints(problem, index)
 

@@ -24,7 +24,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.bounds import remaining_timesteps
 from repro.core.problem import Problem
@@ -39,6 +38,8 @@ __all__ = [
 def _solve_relaxation(problem: Problem, horizon: int) -> Optional[float]:
     """Optimal value of the LP relaxation at ``horizon`` (``None`` when
     the relaxation itself is infeasible)."""
+    from scipy.optimize import linprog
+
     tokens = _active_tokens(problem)
     if not tokens:
         return 0.0

@@ -21,14 +21,18 @@ not just the ones it wants — so that intermediaries keep relaying; the
 paper's Figure 4 shows the resulting bandwidth is insensitive to how many
 vertices actually want the file.
 
-The aggregate need vector is maintained *incrementally*: kernel-backed
-contexts read the live ``token_deficit`` vector that
-:class:`repro.sim.SimState` updates inside its O(delta) gain fold;
-snapshot contexts fall back to diffing possession vectors.  The inner
-assignment loop works on raw bitmasks, inverts supplier masks into
-per-token holder lists, and replaces the ``max(key=...)`` supplier scan
-with an explicit loop that consumes the RNG identically, so schedules
-are byte-identical to the pre-rewrite implementation (see
+The rarest-first ranking is the one overridable step
+(:meth:`LocalRarestHeuristic._request_order`): both paths bind it once
+per step and apply it to each receiver's ascending request list before
+the supplier draws.  :class:`repro.heuristics.SequentialHeuristic`
+overrides it to keep the lists ascending, so it shares every other line
+here.  The aggregate need vector is read from the kernel's live
+``token_deficit`` vector (:meth:`repro.sim.SimState.token_demand`);
+snapshot contexts count it from their possession.  The assignment loop
+works on raw bitmasks, inverts supplier masks into per-token holder
+lists, and replaces the ``max(key=...)`` supplier scan with an explicit
+loop that consumes the RNG identically, so schedules are byte-identical
+to the pre-rewrite implementation (see
 ``tests/sim/test_incremental_equivalence.py``).
 
 The vector path (:meth:`LocalRarestHeuristic.propose_vector`) takes its
@@ -39,11 +43,13 @@ that hold the token *and* have budget left (``mask & live``, ascending
 slots), so it makes exactly the scalar loop's draws.  The scalar
 :meth:`LocalRarestHeuristic.propose` stays on ``rng.shuffle`` and the
 holder lists: it is the oracle the vector path is tested against.
+Both paths insert a step's sends in supplier-slot order (receivers
+ascending, in-arc order within each).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bitplanes import np
 from repro.core.tokenset import TokenSet
@@ -61,6 +67,9 @@ from repro.sim.state import SimState, VectorProposal
 
 __all__ = ["LocalRarestHeuristic"]
 
+#: Reorders one receiver's request list in place.
+RequestOrder = Callable[[List[int]], None]
+
 
 class LocalRarestHeuristic(Heuristic):
     """Rarest-random flooding with per-peer request subdivision."""
@@ -69,12 +78,6 @@ class LocalRarestHeuristic(Heuristic):
 
     def on_reset(self) -> None:
         problem = self.problem
-        self._want_masks: List[int] = [w.mask for w in problem.want]
-        # Aggregate need (how many vertices still want each token) is
-        # only materialised for snapshot contexts; kernel-backed runs
-        # read the kernel's live ``token_deficit`` vector instead.
-        self._need_counts: Optional[List[int]] = None
-        self._prev_possession: List[TokenSet] = list(problem.have)
         # Reusable per-token holder lists (cleared after each vertex).
         self._holders: List[List[int]] = [[] for _ in range(problem.num_tokens)]
         # Per-vertex supplier arrays: in-neighbor ids, arc keys, caps.
@@ -91,59 +94,69 @@ class LocalRarestHeuristic(Heuristic):
         # runs never pay for them.
         self._vec_tables: Optional[InArcTables] = None
 
-    def _refresh_need_counts(self, ctx: StepContext) -> List[int]:
-        """Fold possession gains since the last turn into the aggregate
-        need vector (the per-turn aggregate distribution the paper
-        assumes).  Kernel-backed contexts never reach here — they read
-        the kernel's live ``token_deficit`` vector directly."""
-        want_masks = self._want_masks
-        if self._need_counts is None:
-            problem = self.problem
-            need_counts = [0] * problem.num_tokens
-            for v in range(problem.num_vertices):
-                mm = want_masks[v] & ~problem.have[v].mask
-                while mm:
-                    low = mm & -mm
-                    need_counts[low.bit_length() - 1] += 1
-                    mm ^= low
-            self._need_counts = need_counts
-        need_counts = self._need_counts
+    def _request_order(
+        self, shuffle: RequestOrder, ranks: Callable[[], List[int]]
+    ) -> RequestOrder:
+        """This step's in-place order for a receiver's request list.
+
+        Bound once per step.  Local shuffles (the random tie-break), then
+        sorts rarest first; ``ranks()`` builds the step's rank per
+        request-list entry and is called only here, so an override that
+        ignores rarity never computes the aggregate need.
+        """
+        rank_key = ranks().__getitem__
+
+        def order(requests: List[int]) -> None:
+            shuffle(requests)
+            # Rarest first; among equally rare, prefer globally needed tokens.
+            requests.sort(key=rank_key)
+
+        return order
+
+    def _token_ranks(
+        self, holder_counts: Sequence[int], need_counts: Sequence[int]
+    ) -> List[int]:
+        """Rank encoding of the sort key ``(holder_counts[t], -need_counts[t])``.
+
+        Both components live in ``[0, V]``, so ``h*(V+1) + (V-need)``
+        compares exactly like the tuple and gives the sorts a C-level key.
+        """
+        problem = self.problem
+        nv = problem.num_vertices
+        return [
+            holder_counts[t] * (nv + 1) + (nv - need_counts[t])
+            for t in range(problem.num_tokens)
+        ]
+
+    @staticmethod
+    def _need_counts(ctx: StepContext) -> List[int]:
+        """How many vertices still want each token (the per-turn aggregate
+        need the paper distributes): the kernel's live ``token_deficit``
+        vector, or for a snapshot context a count of its outstanding
+        tokens."""
+        if ctx.state is not None:
+            return ctx.state.token_demand()
+        need_counts = [0] * ctx.problem.num_tokens
         for v in range(ctx.problem.num_vertices):
-            gained = ctx.possession[v] - self._prev_possession[v]
-            if gained:
-                newly = gained.mask & want_masks[v]
-                while newly:
-                    low = newly & -newly
-                    need_counts[low.bit_length() - 1] -= 1
-                    newly ^= low
-                self._prev_possession[v] = ctx.possession[v]
+            for t in ctx.outstanding(v):
+                need_counts[t] += 1
         return need_counts
 
     def propose(self, ctx: StepContext) -> Proposal:
         problem = ctx.problem
         rng = ctx.rng
         rng_random = rng.random
-        holder_counts = ctx.holder_counts
         state = ctx.state
-        if state is not None:
-            # Kernel path: the aggregate need vector is maintained by the
-            # kernel's O(delta) gain fold; possession is read as raw ints.
-            need_counts = state.token_demand()
-            masks = state.possession_masks
-        else:
-            need_counts = self._refresh_need_counts(ctx)
-            masks = [p.mask for p in ctx.possession]
+        masks = (
+            state.possession_masks
+            if state is not None
+            else [p.mask for p in ctx.possession]
+        )
+        order = self._request_order(
+            rng.shuffle,
+            lambda: self._token_ranks(ctx.holder_counts, self._need_counts(ctx)),
+        )
         sup_srcs = self._sup_srcs
-        # Rank encoding of the old sort key (holder_counts[t], -need_counts[t]):
-        # both components live in [0, V], so h*(V+1) + (V-need) compares
-        # exactly like the tuple — computed once per step, giving the
-        # sorts a C-level key function.
-        nv = problem.num_vertices
-        rank = [
-            holder_counts[t] * (nv + 1) + (nv - need_counts[t])
-            for t in range(problem.num_tokens)
-        ]
-        rank_key = rank.__getitem__
         holders = self._holders
         sends: Dict[Tuple[int, int], int] = {}
         for v in range(problem.num_vertices):
@@ -171,9 +184,7 @@ class LocalRarestHeuristic(Heuristic):
                     low = mm & -mm
                     holders[low.bit_length() - 1].append(i)
                     mm ^= low
-            rng.shuffle(requests)
-            # Rarest first; among equally rare, prefer globally needed tokens.
-            requests.sort(key=rank_key)
+            order(requests)
             keys = self._sup_keys[v]
             budgets = self._sup_caps[v].copy()
             accum = [0] * len(srcs)
@@ -213,15 +224,16 @@ class LocalRarestHeuristic(Heuristic):
         return {key: TokenSet(mask) for key, mask in sends.items()}
 
     def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
-        """The rarest-random step as batched arrays.
+        """The step as batched arrays.
 
         The receiver screen (supply unions, lacking masks, request
         lists, per-request supplier-slot bitmasks) is computed for every
         vertex at once by :mod:`repro.heuristics.vector_common`; the
         per-candidate assignment core then consumes the engine RNG
-        through the exact scalar call sequence — one shuffle of the
-        request list (the Fisher–Yates draws depend only on its length,
-        so shuffling group ids is word-identical to shuffling tokens;
+        through the exact scalar call sequence — the request order's
+        draws (for Local one shuffle of the request list: the
+        Fisher–Yates draws depend only on its length, so shuffling group
+        ids is word-identical to shuffling tokens;
         :func:`~repro.heuristics.vector_common.list_shuffler` makes
         ``Random.shuffle``'s own ``getrandbits`` calls) and one
         ``rng.random()`` per eligible supplier in slot order — so
@@ -240,23 +252,20 @@ class LocalRarestHeuristic(Heuristic):
             return empty_vector_proposal()
         rng = self.rng
         rng_random = rng.random
-        shuffle = list_shuffler(rng)
-        need_counts = state.token_demand()
-        holder_counts = state.holder_counts
-        nv = problem.num_vertices
-        rank = [
-            holder_counts[t] * (nv + 1) + (nv - need_counts[t])
-            for t in range(problem.num_tokens)
-        ]
-        # Per-request ranks, gathered once for the whole step: the
-        # per-candidate sorts below key on group ids, so the shuffle
-        # permutes ``range(gs, ge)`` (identical word consumption — the
-        # Fisher–Yates stream depends only on length) and the stable
-        # sort sees the same key sequence the scalar token sort does.
-        grank: List[int] = np.array(rank, dtype=np.int64)[
-            grouped.tokens_arr
-        ].tolist()
-        rank_of = grank.__getitem__
+        tokens_arr = grouped.tokens_arr
+
+        def group_ranks() -> List[int]:
+            # Per-request ranks, gathered once for the whole step: the
+            # per-candidate sorts key on group ids, so the shuffle
+            # permutes ``range(gs, ge)`` (identical word consumption —
+            # the Fisher–Yates stream depends only on length) and the
+            # stable sort sees the same key sequence the scalar token
+            # sort does.
+            rank = self._token_ranks(state.holder_counts, state.token_demand())
+            grank: List[int] = np.array(rank, dtype=np.int64)[tokens_arr].tolist()
+            return grank
+
+        order = self._request_order(list_shuffler(rng), group_ranks)
         sup_caps = self._sup_caps
         starts = tables.starts
         group_ranges = grouped.group_ranges
@@ -267,16 +276,13 @@ class LocalRarestHeuristic(Heuristic):
         pos_append = asg_pos.append
         tok_append = asg_tok.append
         for r, v in enumerate(grouped.cand):
-            gs = group_ranges[r]
-            ge = group_ranges[r + 1]
-            order = list(range(gs, ge))
-            shuffle(order)
-            order.sort(key=rank_of)
+            requests = list(range(group_ranges[r], group_ranges[r + 1]))
+            order(requests)
             budgets = sup_caps[v].copy()
             # Slots with budget left (every capacity is >= 1).
             live = (1 << len(budgets)) - 1
             base = starts[v]
-            for g in order:
+            for g in requests:
                 if not live:
                     break
                 # The scalar supplier-max: one draw per eligible holder

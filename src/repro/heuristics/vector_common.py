@@ -1,7 +1,7 @@
 """Shared batched request extraction for the RNG-bound vector paths.
 
-The request-subdividing heuristics (Local, Sequential) run the same
-receiver-side screen every step: find the vertices whose in-neighbors
+The request-subdividing heuristic (Local, and Sequential, which only
+reorders its requests) runs one receiver-side screen every step: find the vertices whose in-neighbors
 supply tokens they lack, then — per candidate — the ascending list of
 lacking tokens (the request list) and, per request, the supplier slots
 that hold it.  The scalar loops do this with per-vertex big-int bit
@@ -21,10 +21,12 @@ the kernel's bitplane matrices:
    bits in row-major order, (candidate, token-ascending): per
    candidate, exactly the scalar request list.
 
-The assignment loops then draw only over ``suppliers[g] & live``, where
+The assignment loop then draws only over ``suppliers[g] & live``, where
 ``live`` holds the slots with request budget left; its bits ascend in
-slot order, the order the scalar supplier scan draws in.  They shuffle
-through :func:`list_shuffler`, which inlines ``Random.shuffle``.
+slot order, the order the scalar supplier scan draws in.  Local
+shuffles through :func:`list_shuffler`, which inlines
+``Random.shuffle``, and :func:`pack_assignments` folds the grants into
+sends.
 
 Everything is returned as plain Python lists: the consuming inner loops
 index them at C speed without per-element numpy scalar boxing.  The
@@ -234,9 +236,8 @@ def pack_assignments(
     the :class:`VectorProposal` arrays with one stable sort and one
     grouped OR.  Send order is ascending table position — candidates
     ascending, supplier slots ascending within each — which is exactly
-    the scalar Local loop's proposal-dict insertion order.  (Not usable
-    for heuristics whose dict order is chronological first-touch, like
-    Sequential.)
+    the scalar loop's proposal-dict insertion order, whatever order the
+    requests were served in.
     """
     if not asg_pos:
         return empty_vector_proposal()

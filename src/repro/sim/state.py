@@ -439,23 +439,6 @@ class SimState:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def apply_timestep(self, timestep: Timestep) -> Dict[int, int]:
-        """Apply one validated timestep; return arrival bitmasks per vertex.
-
-        Arrivals are the union of everything sent *to* each destination
-        this step (including tokens it already held), returned as raw
-        int masks so callers that ignore them pay nothing.  Gains —
-        arrivals the destination lacked — update possession, holder
-        counts, deficits, and the journal.  Callers detect progress by
-        comparing :attr:`version` around the call.
-        """
-        masks: Dict[int, int] = {}
-        for (_src, dst), tokens in timestep.sends.items():
-            prev = masks.get(dst)
-            masks[dst] = tokens.mask if prev is None else prev | tokens.mask
-        self.apply_arrivals(masks)
-        return masks
-
     def apply_arrivals(self, arrivals: Dict[int, int]) -> None:
         """Apply pre-aggregated per-vertex arrival masks.
 

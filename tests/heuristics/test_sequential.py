@@ -5,9 +5,11 @@ import random
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import SequentialHeuristic
-from repro.sim import StepContext, run_heuristic
-from repro.topology import path_topology, star_topology
+from repro.sim import Engine, SimState, StepContext, run_heuristic
+from repro.topology import path_topology, random_graph, star_topology
 from repro.workloads import single_file
+
+from tests.conftest import scalar_only
 
 
 def _context(problem, possession=None, seed=0):
@@ -75,7 +77,6 @@ class TestEndToEnd:
     def test_startup_beats_rarest_on_shared_swarm(self):
         from repro.analysis.streaming import streaming_report
         from repro.heuristics import LocalRarestHeuristic
-        from repro.topology import random_graph
 
         problem = single_file(random_graph(20, random.Random(9)), file_tokens=16)
         seq = run_heuristic(problem, SequentialHeuristic(), seed=4)
@@ -85,3 +86,21 @@ class TestEndToEnd:
             streaming_report(problem, seq.schedule).mean_startup_delay
             <= streaming_report(problem, rarest.schedule).mean_startup_delay
         )
+
+    def test_never_reads_the_need_vector(self):
+        """Sequential ranks nothing, so neither path asks the kernel for
+        the per-token demand that Local's rarest-first sort reads."""
+
+        class NoDemand(SimState):
+            def token_demand(self):
+                raise AssertionError("token_demand read")
+
+        problem = single_file(random_graph(20, random.Random(9)), file_tokens=16)
+        for hide in (False, True):
+            heuristic = SequentialHeuristic()
+            if hide:
+                scalar_only(heuristic)
+            result = Engine(
+                problem, heuristic, rng=random.Random(4), kernel=NoDemand
+            ).run()
+            assert result.success

@@ -10,8 +10,9 @@ state sequences must match element for element (a schedule comparison
 alone could mask compensating divergences).
 
 Covers every heuristic with a ``propose_vector`` fast path: the
-direct-draw heuristics (local rarest, sequential — one ``rng.shuffle``
-plus per-eligible-supplier ``rng.random()`` calls in scalar order), the
+direct-draw heuristics (local rarest — one ``rng.shuffle`` plus
+per-eligible-supplier ``rng.random()`` calls in scalar order — and
+sequential, the same supplier draws without the shuffle), the
 random heuristic (real ``rng.sample`` calls from the vector path) and
 round robin (no draws at all, so any stray draw shows).  This suite is
 the enforcement point for the vector stream-order contract

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core.problem import Problem
+from repro.core.schedule import check_sends
 from repro.heuristics import make_heuristic
 from repro.obs import (
     EVENT_KINDS,
@@ -104,7 +105,8 @@ class TestMakeEventEnforcesSchema:
         timestep = run_heuristic(problem, make_heuristic("round_robin")).schedule.steps[0]
         state = SimState(problem)
         before = state.version
-        state.apply_timestep(timestep)
+        _sends, arrivals = check_sends(problem, timestep.sends, state.possession_masks)
+        state.apply_arrivals(arrivals)
         tracer = RecordingTracer()
         emit_step_event(tracer, problem, state, timestep, 0, before, extra={"facts_learned": 3})
         assert tracer.events[0]["facts_learned"] == 3

@@ -24,6 +24,7 @@ divergence appears.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -73,6 +74,11 @@ def signature(schedule):
     ]
 
 
+def send_order(schedule):
+    """Each step's sends in insertion order."""
+    return [list(ts.sends) for ts in schedule.steps]
+
+
 def grid_instances():
     """The seeded topology x token-count grid (>100 instances)."""
     for tier, (max_v, max_t, count) in enumerate(GRID):
@@ -106,6 +112,14 @@ class TestEngineEquivalence:
                 assert scalar_run.success == vector_run.success, (name, seed)
                 assert signature(scalar_run.schedule) == signature(
                     vector_run.schedule
+                ), (name, seed)
+                # ``VectorProposal.arc_indices`` keeps the scalar dict's
+                # insertion order, which ``signature`` sorts away.
+                assert send_order(scalar_run.schedule) == send_order(
+                    vector_run.schedule
+                ), (name, seed)
+                assert json.dumps(scalar_run.schedule.to_dict()) == json.dumps(
+                    vector_run.schedule.to_dict()
                 ), (name, seed)
                 oracle = reference_run_heuristic(
                     problem, make_reference_heuristic(name), seed=seed

@@ -12,10 +12,11 @@ from the possession vector.
 from __future__ import annotations
 
 import random
+from typing import Dict, Tuple
 
 from repro.core.bitplanes import matrix_to_masks
 from repro.core.problem import Arc, Problem
-from repro.core.schedule import Timestep
+from repro.core.schedule import check_sends
 from repro.core.tokenset import EMPTY_TOKENSET, TokenSet
 from repro.sim import Engine, SimState, StepContext
 from repro.topology import random_graph
@@ -58,6 +59,16 @@ def brute_force_check(state: SimState) -> None:
     assert matrix_to_masks(state.matrix) == state.possession_masks
 
 
+def apply_step(
+    state: SimState, sends: Dict[Tuple[int, int], TokenSet]
+) -> Dict[int, int]:
+    """Check one step's sends and apply their arrivals, as the step loop
+    does; return the per-vertex arrival masks."""
+    _valid, arrivals = check_sends(state.problem, sends, state.possession_masks)
+    state.apply_arrivals(arrivals)
+    return arrivals
+
+
 def arrive(state: SimState, dst: int, *tokens: int) -> None:
     """Deliver ``tokens`` to ``dst`` through the dict arrival fold."""
     state.apply_arrivals({dst: TokenSet.of(*tokens).mask})
@@ -83,7 +94,7 @@ class TestCounters:
         assert state.version == v
         brute_force_check(state)
 
-    def test_apply_timestep_merges_arrivals_per_vertex(self):
+    def test_step_arrivals_merge_per_vertex(self):
         problem = Problem(
             num_vertices=3,
             num_tokens=2,
@@ -92,8 +103,8 @@ class TestCounters:
             want=(EMPTY_TOKENSET, EMPTY_TOKENSET, TokenSet.of(0, 1)),
         )
         state = SimState(problem)
-        arrivals = state.apply_timestep(
-            Timestep({(0, 2): TokenSet.of(0), (1, 2): TokenSet.of(1)})
+        arrivals = apply_step(
+            state, {(0, 2): TokenSet.of(0), (1, 2): TokenSet.of(1)}
         )
         assert arrivals == {2: TokenSet.of(0, 1).mask}
         assert state.satisfied()
@@ -115,7 +126,7 @@ class TestCounters:
                         sends[(arc.src, arc.dst)] = useful
                 if not sends:
                     break
-                state.apply_timestep(Timestep(sends))
+                apply_step(state, sends)
                 brute_force_check(state)
 
 
