@@ -20,7 +20,14 @@ from typing import Any, Dict, Final, Iterable, Iterator, List, Mapping, Optional
 
 from repro.core.tokenset import TokenSet
 
-__all__ = ["Arc", "Problem", "ProblemValidationError", "max_eccentricity", "reach_rounds"]
+__all__ = [
+    "Arc",
+    "Problem",
+    "ProblemValidationError",
+    "SupplierTable",
+    "max_eccentricity",
+    "reach_rounds",
+]
 
 _UNREACHABLE = -1
 
@@ -106,6 +113,22 @@ class Arc:
             )
 
 
+@dataclass(frozen=True)
+class SupplierTable:
+    """Every receiver's in-arcs as parallel per-vertex tuples.
+
+    Entry ``i`` of ``srcs[v]``, ``keys[v]`` and ``caps[v]`` is the
+    ``i``-th arc of ``problem.in_arcs(v)`` (its supplier *slot*): the
+    source vertex, the ``(src, dst)`` send key and the capacity.  The
+    receiver-driven heuristics read their per-step supplier loops from
+    it; :meth:`Problem.suppliers` builds it once per instance.
+    """
+
+    srcs: Tuple[Tuple[int, ...], ...]
+    keys: Tuple[Tuple[Tuple[int, int], ...], ...]
+    caps: Tuple[Tuple[int, ...], ...]
+
+
 class Problem:
     """One immutable OCD instance: graph, capacities, tokens, have/want.
 
@@ -138,6 +161,7 @@ class Problem:
         "_successors",
         "_capacity",
         "_dist_cache",
+        "_suppliers",
     )
 
     def __init__(
@@ -158,6 +182,7 @@ class Problem:
         self.want: Final[Tuple[TokenSet, ...]] = tuple(want)
         self.name: Final = name
         self._dist_cache: Optional[List[List[int]]] = None
+        self._suppliers: Optional[SupplierTable] = None
         self._validate()
         self._build_adjacency()
 
@@ -180,20 +205,34 @@ class Problem:
         ``have`` and ``want`` map vertex ids to iterables of token ids
         (vertices absent from the mapping get the empty set).
         """
+        return cls.from_arcs(
+            num_vertices,
+            num_tokens,
+            [Arc(u, v, c) for (u, v, c) in arcs],
+            have,
+            want,
+            name=name,
+        )
+
+    @classmethod
+    def from_arcs(
+        cls,
+        num_vertices: int,
+        num_tokens: int,
+        arcs: Iterable[Arc],
+        have: Mapping[int, Iterable[int]],
+        want: Mapping[int, Iterable[int]],
+        name: str = "",
+    ) -> "Problem":
+        """:meth:`build` from existing :class:`Arc` objects, which the
+        instance keeps as they are (an ``Arc`` is immutable)."""
         have_sets = [
             TokenSet.from_iterable(have.get(v, ())) for v in range(num_vertices)
         ]
         want_sets = [
             TokenSet.from_iterable(want.get(v, ())) for v in range(num_vertices)
         ]
-        return cls(
-            num_vertices,
-            num_tokens,
-            [Arc(u, v, c) for (u, v, c) in arcs],
-            have_sets,
-            want_sets,
-            name=name,
-        )
+        return cls(num_vertices, num_tokens, arcs, have_sets, want_sets, name=name)
 
     @classmethod
     def from_networkx(
@@ -227,14 +266,7 @@ class Problem:
                 cap = int(data.get(capacity_attr, default_capacity))
                 arcs.append(Arc(u, v, cap))
                 arcs.append(Arc(v, u, cap))
-        return cls.build(
-            n,
-            num_tokens,
-            [(a.src, a.dst, a.capacity) for a in arcs],
-            have,
-            want,
-            name=name,
-        )
+        return cls.from_arcs(n, num_tokens, arcs, have, want, name=name)
 
     # ------------------------------------------------------------------
     # Validation and adjacency
@@ -266,28 +298,28 @@ class Problem:
                 raise ProblemValidationError(
                     f"want({v}) contains tokens outside 0..{self.num_tokens - 1}"
                 )
-        seen = set()
+
+    def _build_adjacency(self) -> None:
+        """Index the arcs, rejecting an endpoint out of range or a
+        repeated ordered pair (checked arc by arc, in arc order)."""
+        n = self.num_vertices
+        out_arcs: List[List[Arc]] = [[] for _ in range(n)]
+        in_arcs: List[List[Arc]] = [[] for _ in range(n)]
+        capacity: Dict[Tuple[int, int], int] = {}
         for arc in self.arcs:
-            if arc.src >= self.num_vertices or arc.dst >= self.num_vertices:
+            src, dst = arc.src, arc.dst
+            if src >= n or dst >= n:
                 raise ProblemValidationError(
-                    f"arc ({arc.src}, {arc.dst}) references a vertex "
-                    f">= {self.num_vertices}"
+                    f"arc ({src}, {dst}) references a vertex >= {n}"
                 )
-            key = (arc.src, arc.dst)
-            if key in seen:
+            key = (src, dst)
+            if key in capacity:
                 raise ProblemValidationError(
                     f"duplicate arc {key}; merge multi-arcs by summing capacities"
                 )
-            seen.add(key)
-
-    def _build_adjacency(self) -> None:
-        out_arcs: List[List[Arc]] = [[] for _ in range(self.num_vertices)]
-        in_arcs: List[List[Arc]] = [[] for _ in range(self.num_vertices)]
-        capacity: Dict[Tuple[int, int], int] = {}
-        for arc in self.arcs:
-            out_arcs[arc.src].append(arc)
-            in_arcs[arc.dst].append(arc)
-            capacity[(arc.src, arc.dst)] = arc.capacity
+            capacity[key] = arc.capacity
+            out_arcs[src].append(arc)
+            in_arcs[dst].append(arc)
         self._out_arcs = tuple(tuple(lst) for lst in out_arcs)
         self._successors = tuple(tuple(a.dst for a in lst) for lst in out_arcs)
         self._in_arcs = tuple(tuple(lst) for lst in in_arcs)
@@ -303,6 +335,18 @@ class Problem:
     def in_arcs(self, v: int) -> Tuple[Arc, ...]:
         """Arcs entering vertex ``v``."""
         return self._in_arcs[v]
+
+    def suppliers(self) -> SupplierTable:
+        """The per-receiver supplier table, built on first use and cached."""
+        table = self._suppliers
+        if table is None:
+            in_arcs = self._in_arcs
+            table = self._suppliers = SupplierTable(
+                srcs=tuple(tuple(a.src for a in arcs) for arcs in in_arcs),
+                keys=tuple(tuple((a.src, a.dst) for a in arcs) for arcs in in_arcs),
+                caps=tuple(tuple(a.capacity for a in arcs) for arcs in in_arcs),
+            )
+        return table
 
     def out_neighbors(self, v: int) -> Tuple[int, ...]:
         return self._successors[v]

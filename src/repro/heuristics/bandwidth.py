@@ -22,29 +22,61 @@ Mechanics per timestep, per token ``t`` still needed somewhere:
    directly (case i).
 2. For needers that cannot get ``t`` this turn, the one-hop-knowledge set
    ``U(t)`` (vertices lacking ``t`` whose in-neighborhood holds it) is
-   computed, and a multi-source BFS from ``U(t)`` labels every vertex with
-   its closest one-hop vertex; the label of each far needer becomes a
-   relay and pulls ``t`` (case ii).
+   computed, and each far needer's closest one-hop vertex becomes a
+   relay and pulls ``t`` (case ii).  The closest vertex is the least id
+   in ``U(t)`` within the least hop radius that reaches the needer: the
+   label a multi-source BFS seeded from ``U(t)`` in ascending id order
+   gives.  It is read from out-ball reach masks (``balls[r][u]``: every
+   vertex ``u`` reaches in at most ``r`` hops), built once per instance
+   on the first relay query: radius by radius, each member of ``U(t)``
+   in ascending order takes the far needers its ball reaches that no
+   smaller radius or id took.  ``repro.sim.reference`` keeps the BFS as
+   the oracle, and ``tests/heuristics/test_bandwidth.py::TestRelayLabel``
+   checks the identity on random directed and undirected graphs.
 3. Each pulling vertex assigns its pulls, rarest token first, to
    in-neighbors that hold them, subject to per-arc capacity budgets.
    Requests that do not fit are retried on later turns.
 
-Wanter lists and per-vertex supplier arrays are precomputed at reset;
-the per-step scans work on raw bitmasks and the supplier ``max`` is an
-explicit loop consuming the RNG exactly as the old ``key=...`` scan did,
-keeping schedules byte-identical to the pre-rewrite implementation.
+Steps 1 and 2 screen every (vertex, token) pair at once on the bitplane
+layout of :mod:`repro.core.bitplanes`: possession, the in-neighbor
+supply union (one grouped OR over the instance's
+:meth:`repro.core.problem.Problem.suppliers` table) and the static wants
+become ``(V, m)`` bool matrices, and each token's near needers, far
+needers and ``U(t)`` are columns of them, taken in ascending vertex
+order.  The supplier ``max`` of step 3 is an explicit loop over the slots
+with budget left (a list kept in slot order), drawing once per one that
+holds the token, exactly as the old ``key=...`` scan over every eligible
+arc did; the pull lists are shuffled by
+:func:`repro.heuristics.vector_common.list_shuffler`, which makes
+``Random.shuffle``'s own draws.  Schedules stay byte-identical to the
+pre-rewrite implementation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.core.bitplanes import masks_to_matrix, np
+from repro.core.problem import reach_rounds
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
+from repro.heuristics.vector_common import list_shuffler
 from repro.sim import Proposal, StepContext
 
 __all__ = ["BandwidthHeuristic"]
+
+
+def _token_columns(matrix: Any, num_tokens: int) -> Any:
+    """A ``(V, P)`` plane matrix as a ``(V, num_tokens)`` bool matrix."""
+    return np.unpackbits(
+        matrix.view(np.uint8), axis=1, count=num_tokens, bitorder="little"
+    ).view(bool)
+
+
+def _vertex_masks(columns: Any) -> List[int]:
+    """Per token, the vertices set in its column as an int bitmask."""
+    packed = np.packbits(columns.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class BandwidthHeuristic(Heuristic):
@@ -54,47 +86,57 @@ class BandwidthHeuristic(Heuristic):
 
     def on_reset(self) -> None:
         problem = self.problem
-        # Who wants each token, in ascending vertex order (the order the
-        # old per-token range scan produced needers in).
-        self._wanters: List[List[int]] = [[] for _ in range(problem.num_tokens)]
-        for v in range(problem.num_vertices):
-            for t in problem.want[v]:
-                self._wanters[t].append(v)
-        self._sup_srcs: List[List[int]] = []
-        self._sup_keys: List[List[Tuple[int, int]]] = []
-        self._sup_caps: List[List[int]] = []
-        for v in range(problem.num_vertices):
-            in_arcs = problem.in_arcs(v)
-            self._sup_srcs.append([arc.src for arc in in_arcs])
-            self._sup_keys.append([(arc.src, arc.dst) for arc in in_arcs])
-            self._sup_caps.append([arc.capacity for arc in in_arcs])
+        table = self._suppliers = problem.suppliers()
+        self._wants = _token_columns(
+            masks_to_matrix([w.mask for w in problem.want], problem.num_tokens),
+            problem.num_tokens,
+        )
+        # The in-arc sources grouped by receiver, and where each
+        # receiver's group starts, for the supply unions.
+        lengths = np.array([len(srcs) for srcs in table.srcs], dtype=np.int64)
+        self._receivers = np.flatnonzero(lengths)
+        self._starts = (np.cumsum(lengths) - lengths)[self._receivers]
+        self._gather = np.array(
+            [s for srcs in table.srcs for s in srcs], dtype=np.int64
+        )
+        # Out-ball masks by radius, from radius 1: ``self._balls[r - 1][u]``
+        # has bit ``x`` set iff ``u`` reaches ``x`` in at most ``r`` hops.
+        # Built on the first relay query of the run.
+        self._balls: Optional[List[List[int]]] = None
 
-    def _closest_one_hop_labels(
-        self, ctx: StepContext, one_hop: List[int]
-    ) -> List[int]:
-        """Multi-source BFS labels: for every vertex, the id of the
-        nearest one-hop-knowledge vertex (−1 when unreachable).
+    def _relays(self, one_hop: List[int], far: int) -> List[int]:
+        """The closest one-hop-knowledge vertices of the far needers.
 
-        Sources are seeded in increasing id order, so ties break toward
-        the smallest vertex id deterministically.
+        ``one_hop`` is ``U(t)`` in ascending order and ``far`` the far
+        needers as a vertex bitmask.  A needer's relay is the least id in
+        ``U(t)`` within the least radius that holds any of it: the label
+        a multi-source BFS seeded from ``U(t)`` in ascending id order
+        gives.  Radius by radius, each member of ``U(t)`` in ascending
+        order takes the needers its out-ball reaches that no smaller
+        radius or smaller id took.  A far needer is not in ``U(t)`` (no
+        in-neighbor holds the token), so radius 0 is skipped; a needer
+        no member of ``U(t)`` reaches has no relay.  Returns the relays
+        ascending.
         """
-        problem = ctx.problem
-        label = [-1] * problem.num_vertices
-        queue: deque[int] = deque()
-        for u in one_hop:
-            label[u] = u
-            queue.append(u)
-        while queue:
-            v = queue.popleft()
-            for arc in problem.out_arcs(v):
-                if label[arc.dst] == -1:
-                    label[arc.dst] = label[v]
-                    queue.append(arc.dst)
-        return label
+        balls = self._balls
+        if balls is None:
+            problem = self.problem
+            successors = [problem.out_neighbors(v) for v in range(problem.num_vertices)]
+            balls = self._balls = list(reach_rounds(successors))[1:]
+        relays: Set[int] = set()
+        for ball in balls:
+            for u in one_hop:
+                got = far & ball[u]
+                if got:
+                    relays.add(u)
+                    far ^= got
+                    if not far:
+                        return sorted(relays)
+        return sorted(relays)
 
     def propose(self, ctx: StepContext) -> Proposal:
         problem = ctx.problem
-        num_vertices = problem.num_vertices
+        num_tokens = problem.num_tokens
         state = ctx.state
         masks = (
             state.possession_masks
@@ -103,66 +145,60 @@ class BandwidthHeuristic(Heuristic):
         )
         pulls: Dict[int, List[int]] = {}  # vertex -> tokens it pulls this turn
 
-        # Which tokens each vertex could obtain in one turn: union of
-        # in-neighbor possession.
-        sup_srcs = self._sup_srcs
-        one_hop_supply: List[int] = []
-        for v in range(num_vertices):
-            supply = 0
-            for s in sup_srcs[v]:
-                supply |= masks[s]
-            one_hop_supply.append(supply)
-
-        for token in range(problem.num_tokens):
-            bit = 1 << token
-            needers = [v for v in self._wanters[token] if not masks[v] & bit]
-            if not needers:
+        # Per (vertex, token): held, and held by an in-neighbor (the
+        # vertex could obtain it in one turn).
+        have = masks_to_matrix(masks, num_tokens)
+        supply = np.zeros_like(have)
+        if self._gather.size:
+            supply[self._receivers] = np.bitwise_or.reduceat(
+                have[self._gather], self._starts, axis=0
+            )
+        held = _token_columns(have, num_tokens)
+        supplied = _token_columns(supply, num_tokens)
+        need = self._wants & ~held
+        near = need & supplied
+        far = need ^ near
+        one_hop = supplied & ~held
+        far_masks = _vertex_masks(far)
+        for token in np.flatnonzero(need.any(axis=0)).tolist():
+            for v in np.flatnonzero(near[:, token]).tolist():
+                # case (i): the needer itself pulls
+                pulls.setdefault(v, []).append(token)
+            if not far_masks[token]:
                 continue
-            far_needers = []
-            for v in needers:
-                if one_hop_supply[v] & bit:
-                    # case (i): the needer itself pulls
-                    pulls.setdefault(v, []).append(token)
-                else:
-                    far_needers.append(v)
-            if not far_needers:
-                continue
-            one_hop = [
-                u
-                for u in range(num_vertices)
-                if not masks[u] & bit and one_hop_supply[u] & bit
-            ]
-            if not one_hop:
+            members = np.flatnonzero(one_hop[:, token]).tolist()
+            if not members:
                 continue  # token cannot advance this turn
-            label = self._closest_one_hop_labels(ctx, one_hop)
-            relays: Set[int] = set()
-            for x in far_needers:
-                if label[x] != -1:
-                    relays.add(label[x])
-            for u in sorted(relays):
+            for u in self._relays(members, far_masks[token]):
                 # case (ii): closest one-hop relay pulls
                 pulls.setdefault(u, []).append(token)
 
         # Assign pulls to supplying in-arcs, rarest token first.
+        table = self._suppliers
+        sup_srcs = table.srcs
         rng = ctx.rng
         rng_random = rng.random
         holder_counts = ctx.holder_counts
         sends: Dict[Tuple[int, int], int] = {}
         holder_key = holder_counts.__getitem__
+        shuffle = list_shuffler(rng)
         for v, tokens in pulls.items():
-            rng.shuffle(tokens)
+            shuffle(tokens)
             tokens.sort(key=holder_key)
-            srcs = sup_srcs[v]
-            keys = self._sup_keys[v]
-            budgets = self._sup_caps[v].copy()
-            sup_masks = [masks[s] for s in srcs]
+            keys = table.keys[v]
+            budgets = list(table.caps[v])
+            sup_masks = [masks[s] for s in sup_srcs[v]]
+            # The slots with budget left, ascending: the max below draws
+            # once per one of them that holds the token, in slot order.
+            live = list(range(len(budgets)))
             for token in tokens:
                 bit = 1 << token
                 best_i = -1
                 best_b = -1
                 best_r = 0.0
-                for i, b in enumerate(budgets):
-                    if b > 0 and sup_masks[i] & bit:
+                for i in live:
+                    if sup_masks[i] & bit:
+                        b = budgets[i]
                         r = rng_random()
                         if b > best_b or (b == best_b and r > best_r):
                             best_i = i
@@ -170,7 +206,9 @@ class BandwidthHeuristic(Heuristic):
                             best_r = r
                 if best_i < 0:
                     continue
-                budgets[best_i] -= 1
+                budgets[best_i] = best_b - 1
+                if best_b == 1:
+                    live.remove(best_i)
                 key = keys[best_i]
                 sends[key] = sends.get(key, 0) | bit
         return {key: TokenSet(mask) for key, mask in sends.items()}

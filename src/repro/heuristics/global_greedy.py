@@ -16,16 +16,24 @@ picks see the diversity created by earlier ones.  The rotation continues
 until no receiver can add an arrival.  Coordination guarantees a vertex
 never receives the same token twice in one turn.
 
-The inner loops work on raw bitmasks with per-run precomputed arc
-indices; the ``min``/``max`` selections are explicit loops that consume
-the RNG exactly as the old ``key=...`` scans did (one draw per candidate
-in the original candidate order, first element winning ties), keeping
-schedules byte-identical to the pre-rewrite implementation.
+The inner loops work on raw bitmasks over the instance's supplier table
+(:meth:`repro.core.problem.Problem.suppliers`).  A receiver's in-arcs
+are spent only by its own visits, so each receiver keeps, across the
+rotation, its arc budgets, the slots with budget left and its open
+candidates (tokens a budgeted in-neighbor holds that it neither has nor
+plans).  A visit removes the token it plans from the candidates; only
+when one of its in-arcs runs dry does the receiver rebuild its supply
+union, from the remaining slots.  The ``min``/``max`` selections are
+explicit loops that consume the RNG exactly as the old ``key=...`` scans
+did (one draw per candidate in the original candidate order, first
+element winning ties; the supplier ``max`` walks only slots with budget
+left), keeping schedules byte-identical to the pre-rewrite
+implementation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
@@ -41,18 +49,7 @@ class GlobalGreedyHeuristic(Heuristic):
 
     def on_reset(self) -> None:
         problem = self.problem
-        arcs = problem.arcs
-        self._arc_keys: List[Tuple[int, int]] = [(a.src, a.dst) for a in arcs]
-        self._arc_caps: List[int] = [a.capacity for a in arcs]
-        index_of = {(a.src, a.dst): i for i, a in enumerate(arcs)}
-        # Per-vertex in-arc views: global arc indices and source vertices,
-        # in problem.in_arcs order (the order the old scans iterated).
-        self._in_idx: List[List[int]] = []
-        self._in_srcs: List[List[int]] = []
-        for v in range(problem.num_vertices):
-            in_arcs = problem.in_arcs(v)
-            self._in_idx.append([index_of[(a.src, a.dst)] for a in in_arcs])
-            self._in_srcs.append([a.src for a in in_arcs])
+        self._suppliers = problem.suppliers()
         self._active_template: List[int] = [
             v for v in range(problem.num_vertices) if problem.in_arcs(v)
         ]
@@ -68,10 +65,19 @@ class GlobalGreedyHeuristic(Heuristic):
             else [p.mask for p in ctx.possession]
         )
         tentative_counts = list(ctx.holder_counts)
-        budgets = self._arc_caps.copy()
+        table = self._suppliers
+        sup_srcs = table.srcs
+        # Per receiver, from its first visit: the budgets of its in-arcs,
+        # the slots with budget left (ascending), the tokens it plans to
+        # receive, and its open candidates (tokens a budgeted in-neighbor
+        # holds that it neither has nor plans).  Only the receiver's own
+        # visits spend its in-arcs, so the candidates change only there:
+        # by the token it plans, and by a new supply union when one of
+        # its in-arcs runs dry.
+        budgets_of: List[Optional[List[int]]] = [None] * problem.num_vertices
+        live_of: List[List[int]] = [[]] * problem.num_vertices
         planned = [0] * problem.num_vertices
-        in_idx = self._in_idx
-        in_srcs = self._in_srcs
+        open_of = [0] * problem.num_vertices
         sends: Dict[Tuple[int, int], int] = {}
 
         active = self._active_template.copy()
@@ -79,17 +85,16 @@ class GlobalGreedyHeuristic(Heuristic):
         while active:
             still_active = []
             for v in active:
-                # Tokens some budgeted in-neighbor holds that v lacks and
-                # is not already receiving this turn.
-                idxs = in_idx[v]
-                srcs = in_srcs[v]
-                supply = 0
-                usable: List[int] = []
-                for j in range(len(idxs)):
-                    if budgets[idxs[j]] > 0:
-                        supply |= masks[srcs[j]]
-                        usable.append(j)
-                candidates = supply & ~masks[v] & ~planned[v]
+                srcs = sup_srcs[v]
+                budgets = budgets_of[v]
+                if budgets is None:
+                    budgets = budgets_of[v] = list(table.caps[v])
+                    live_of[v] = list(range(len(srcs)))
+                    supply = 0
+                    for s in srcs:
+                        supply |= masks[s]
+                    open_of[v] = supply & ~masks[v]
+                candidates = open_of[v]
                 if not candidates:
                     continue
                 # Explicit min over (tentative_count, rng.random()) across
@@ -110,24 +115,32 @@ class GlobalGreedyHeuristic(Heuristic):
                         best_c = c
                         best_r = r
                 bit = 1 << best_t
-                # Explicit max over (budget, rng.random()) across usable
-                # suppliers that hold the token, in in-arc order.
+                # Explicit max over (budget, rng.random()) across the
+                # budgeted suppliers that hold the token, in slot order.
+                live = live_of[v]
                 best_j = -1
                 best_b = -1
                 best_r2 = 0.0
-                for j in usable:
+                for j in live:
                     if masks[srcs[j]] & bit:
-                        b = budgets[idxs[j]]
+                        b = budgets[j]
                         r = rng_random()
                         if b > best_b or (b == best_b and r > best_r2):
                             best_j = j
                             best_b = b
                             best_r2 = r
-                arc_index = idxs[best_j]
-                budgets[arc_index] -= 1
+                budgets[best_j] = best_b - 1
                 planned[v] |= bit
+                if best_b == 1:
+                    live.remove(best_j)
+                    supply = 0
+                    for j in live:
+                        supply |= masks[srcs[j]]
+                    open_of[v] = supply & ~masks[v] & ~planned[v]
+                else:
+                    open_of[v] = candidates ^ bit
                 tentative_counts[best_t] += 1
-                key = self._arc_keys[arc_index]
+                key = table.keys[v][best_j]
                 sends[key] = sends.get(key, 0) | bit
                 still_active.append(v)
             active = still_active

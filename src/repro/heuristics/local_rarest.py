@@ -28,7 +28,10 @@ the supplier draws.  :class:`repro.heuristics.SequentialHeuristic`
 overrides it to keep the lists ascending, so it shares every other line
 here.  The aggregate need vector is read from the kernel's live
 ``token_deficit`` vector (:meth:`repro.sim.SimState.token_demand`);
-snapshot contexts count it from their possession.  The assignment loop
+snapshot contexts count it from their possession.  The per-receiver
+supplier arrays (sources, send keys, capacities, in ``in_arcs`` order)
+are the instance's :meth:`repro.core.problem.Problem.suppliers` table,
+built once and shared with Bandwidth and Global.  The assignment loop
 works on raw bitmasks, inverts supplier masks into per-token holder
 lists, and replaces the ``max(key=...)`` supplier scan with an explicit
 loop that consumes the RNG identically, so schedules are byte-identical
@@ -80,15 +83,8 @@ class LocalRarestHeuristic(Heuristic):
         problem = self.problem
         # Reusable per-token holder lists (cleared after each vertex).
         self._holders: List[List[int]] = [[] for _ in range(problem.num_tokens)]
-        # Per-vertex supplier arrays: in-neighbor ids, arc keys, caps.
-        self._sup_srcs: List[List[int]] = []
-        self._sup_keys: List[List[Tuple[int, int]]] = []
-        self._sup_caps: List[List[int]] = []
-        for v in range(problem.num_vertices):
-            in_arcs = problem.in_arcs(v)
-            self._sup_srcs.append([arc.src for arc in in_arcs])
-            self._sup_keys.append([(arc.src, arc.dst) for arc in in_arcs])
-            self._sup_caps.append([arc.capacity for arc in in_arcs])
+        # Per-receiver supplier arrays: in-neighbor ids, arc keys, caps.
+        self._suppliers = problem.suppliers()
         # Vector-path in-arc tables (global arc ids grouped by dst in
         # in-arc order); built lazily on the first vector step so scalar
         # runs never pay for them.
@@ -156,7 +152,8 @@ class LocalRarestHeuristic(Heuristic):
             rng.shuffle,
             lambda: self._token_ranks(ctx.holder_counts, self._need_counts(ctx)),
         )
-        sup_srcs = self._sup_srcs
+        table = self._suppliers
+        sup_srcs = table.srcs
         holders = self._holders
         sends: Dict[Tuple[int, int], int] = {}
         for v in range(problem.num_vertices):
@@ -185,8 +182,8 @@ class LocalRarestHeuristic(Heuristic):
                     holders[low.bit_length() - 1].append(i)
                     mm ^= low
             order(requests)
-            keys = self._sup_keys[v]
-            budgets = self._sup_caps[v].copy()
+            keys = table.keys[v]
+            budgets = list(table.caps[v])
             accum = [0] * len(srcs)
             remaining = sum(budgets)
             for token in requests:
@@ -266,7 +263,7 @@ class LocalRarestHeuristic(Heuristic):
             return grank
 
         order = self._request_order(list_shuffler(rng), group_ranks)
-        sup_caps = self._sup_caps
+        sup_caps = self._suppliers.caps
         starts = tables.starts
         group_ranges = grouped.group_ranges
         g_tok = grouped.tokens
@@ -278,7 +275,7 @@ class LocalRarestHeuristic(Heuristic):
         for r, v in enumerate(grouped.cand):
             requests = list(range(group_ranges[r], group_ranges[r + 1]))
             order(requests)
-            budgets = sup_caps[v].copy()
+            budgets = list(sup_caps[v])
             # Slots with budget left (every capacity is >= 1).
             live = (1 << len(budgets)) - 1
             base = starts[v]

@@ -32,11 +32,12 @@ class Topology:
         want: Mapping[int, Iterable[int]],
         name: str = "",
     ) -> Problem:
-        """Attach content: build the full OCD instance."""
-        return Problem.build(
+        """Attach content: build the full OCD instance on this
+        topology's own arcs."""
+        return Problem.from_arcs(
             self.num_vertices,
             num_tokens,
-            [(a.src, a.dst, a.capacity) for a in self.arcs],
+            self.arcs,
             have,
             want,
             name=name or self.name,

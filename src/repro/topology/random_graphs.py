@@ -10,18 +10,32 @@ paper's [3, 15] distribution by default.  ``2 ln n / n`` is twice the
 sharp connectivity threshold, so disconnection is rare but possible; the
 generator redraws (bounded retries) until the graph is connected, since a
 disconnected instance is trivially unsatisfiable.
+
+:func:`random_graph` makes one ``rng.random()`` draw per vertex pair, in
+row-major order, and keeps the pair when the draw is below ``p``.  The
+number of draws of an attempt is fixed before drawing, so the pass runs
+through :func:`repro.core.bulk_draws.random_doubles` in blocks of at
+most 2**16 pairs: the same values as the per-pair loop, drawn as arrays,
+with the generator left where that loop would leave it
+(``tests/topology/test_random_graphs.py`` keeps the loop as the oracle).
+Capacities are then drawn one edge at a time through ``capacity(rng)``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
+from repro.core.bitplanes import np
+from repro.core.bulk_draws import random_doubles
 from repro.topology.base import Topology
 from repro.topology.weights import CapacityFn, paper_capacity
 
 __all__ = ["paper_edge_probability", "random_graph", "sparse_random_graph"]
+
+#: Pairs drawn per block of the Bernoulli pass.
+_PAIR_BLOCK = 1 << 16
 
 
 def paper_edge_probability(n: int) -> float:
@@ -50,6 +64,30 @@ def _connected(n: int, edges: List[Tuple[int, int]]) -> bool:
                 count += 1
                 stack.append(v)
     return count == n
+
+
+def _bernoulli_pairs(n: int, p: float, rng: random.Random) -> List[Tuple[int, int]]:
+    """The pairs ``(u, v)``, ``u < v``, for which ``rng.random() < p``,
+    one draw per pair in row-major order.
+
+    The draws are made in blocks through :func:`random_doubles`, which
+    leaves ``rng`` where the per-pair loop would.  A block of at most
+    :data:`_PAIR_BLOCK` pairs bounds the temporaries at a few MB.
+    """
+    pairs = n * (n - 1) // 2
+    hits: List[Any] = []
+    for first in range(0, pairs, _PAIR_BLOCK):
+        count = min(_PAIR_BLOCK, pairs - first)
+        hits.append(np.flatnonzero(random_doubles(rng, count) < p) + first)
+    if not hits:
+        return []
+    flat = np.concatenate(hits)
+    # Row u holds the n - 1 - u pairs (u, u+1..n-1) from offset row_start[u].
+    u_all = np.arange(n, dtype=np.int64)
+    row_start = u_all * (n - 1) - u_all * (u_all - 1) // 2
+    u = np.searchsorted(row_start, flat, side="right") - 1
+    v = flat - row_start[u] + u + 1
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def random_graph(
@@ -82,11 +120,7 @@ def random_graph(
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     for _attempt in range(max_retries):
-        edges: List[Tuple[int, int]] = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    edges.append((u, v))
+        edges = _bernoulli_pairs(n, p, rng)
         if not require_connected or _connected(n, edges):
             weighted = [(u, v, capacity(rng)) for u, v in edges]
             return Topology.from_undirected_edges(

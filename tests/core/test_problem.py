@@ -91,6 +91,17 @@ class TestAdjacency:
         assert p.out_capacity(0) == 3
         assert p.in_capacity(0) == 0
 
+    def test_supplier_table_follows_in_arcs(self):
+        p = Problem.build(3, 1, [(1, 2, 4), (0, 2, 3), (2, 0, 1)], {}, {})
+        table = p.suppliers()
+        for v in range(3):
+            arcs = p.in_arcs(v)
+            assert table.srcs[v] == tuple(a.src for a in arcs)
+            assert table.keys[v] == tuple((a.src, a.dst) for a in arcs)
+            assert table.caps[v] == tuple(a.capacity for a in arcs)
+        assert table.srcs[2] == (1, 0)
+        assert p.suppliers() is table
+
 
 class TestDistances:
     def test_distances_from(self, diamond_problem):

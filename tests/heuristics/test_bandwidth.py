@@ -1,11 +1,16 @@
 """Behavioral tests for the Bandwidth heuristic."""
 
 import random
+from types import SimpleNamespace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import BandwidthHeuristic, LocalRarestHeuristic
 from repro.sim import StepContext, run_heuristic
+from repro.sim.reference import ReferenceBandwidth
 from repro.topology import path_topology, random_graph
 from repro.workloads import receiver_density, single_file
 
@@ -103,3 +108,47 @@ class TestEndToEnd:
         assert result.success
         pruned, stats = prune_schedule(problem, result.schedule)
         assert stats.total_removed <= 0.25 * result.bandwidth
+
+
+@st.composite
+def _graph_and_one_hop(draw):
+    """A random directed or undirected graph (isolated and unreachable
+    vertices allowed, arcs in a drawn order) and a vertex set ``U``."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u < v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    arcs = []
+    undirected = draw(st.booleans())
+    for u, v in chosen:
+        if undirected:
+            arcs += [(u, v), (v, u)]
+        else:
+            arcs.append(draw(st.sampled_from([(u, v), (v, u)])))
+    arcs = draw(st.permutations(arcs))
+    one_hop = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    problem = Problem.build(n, 1, [(u, v, 1) for u, v in arcs], {}, {})
+    return problem, sorted(one_hop)
+
+
+class TestRelayLabel:
+    """The out-ball relay equals the id-ordered FIFO BFS label that the
+    reference oracle computes, for every vertex outside ``U``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_and_one_hop())
+    def test_matches_reference_bfs_label(self, case):
+        problem, one_hop = case
+        labels = ReferenceBandwidth._closest_one_hop_labels(
+            ReferenceBandwidth(), SimpleNamespace(problem=problem), one_hop
+        )
+        h = BandwidthHeuristic()
+        h.reset(problem, random.Random(0))
+        for x in range(problem.num_vertices):
+            if x in one_hop:
+                continue
+            expected = [] if labels[x] == -1 else [labels[x]]
+            assert h._relays(one_hop, 1 << x) == expected
+        far = [x for x in range(problem.num_vertices) if x not in one_hop]
+        assert h._relays(one_hop, sum(1 << x for x in far)) == sorted(
+            {labels[x] for x in far} - {-1}
+        )

@@ -28,6 +28,11 @@ class TestTopology:
         assert problem.capacity(0, 1) == 3
         assert problem.is_satisfiable()
 
+    def test_to_problem_keeps_the_arcs(self):
+        topo = Topology.from_undirected_edges(3, [(0, 1, 3), (1, 2, 5)])
+        problem = topo.to_problem(1, {0: [0]}, {2: [0]})
+        assert all(a is b for a, b in zip(problem.arcs, topo.arcs, strict=True))
+
     def test_to_problem_propagates_name(self):
         topo = Topology(2, (Arc(0, 1, 1),), name="tiny")
         assert topo.to_problem(0, {}, {}).name == "tiny"

@@ -2,15 +2,18 @@
 
 import math
 import random
+from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.topology.base import Topology
 from repro.topology.random_graphs import (
+    _connected,
     paper_edge_probability,
     random_graph,
     sparse_random_graph,
 )
-from repro.topology.weights import unit_capacity
+from repro.topology.weights import CapacityFn, paper_capacity, uniform_capacity, unit_capacity
 
 
 class TestEdgeProbability:
@@ -94,6 +97,89 @@ class TestGenerator:
         topo = random_graph(1, random.Random(0))
         assert topo.num_vertices == 1
         assert topo.num_arcs() == 0
+
+
+def _per_pair_random_graph(
+    n: int,
+    rng: random.Random,
+    p: Optional[float] = None,
+    capacity: CapacityFn = paper_capacity,
+    require_connected: bool = True,
+    max_retries: int = 64,
+) -> Tuple[Topology, int]:
+    """The generator as one ``rng.random()`` call per pair: the oracle
+    for the bulk Bernoulli pass.  Returns the topology and the attempts."""
+    if p is None:
+        p = paper_edge_probability(n)
+    for attempt in range(1, max_retries + 1):
+        edges: List[Tuple[int, int]] = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    edges.append((u, v))
+        if not require_connected or _connected(n, edges):
+            weighted = [(u, v, capacity(rng)) for u, v in edges]
+            return (
+                Topology.from_undirected_edges(
+                    n, weighted, name=f"random(n={n}, p={p:.4f})"
+                ),
+                attempt,
+            )
+    raise RuntimeError("no connected graph")
+
+
+class _Doubled(random.Random):
+    """A subclass whose ``random`` is its own: the base stream, squared."""
+
+    def random(self) -> float:
+        return super().random() ** 2
+
+
+class TestBulkDrawsMatchPerPairLoop:
+    """Same arcs and the same final ``getstate()`` as the per-pair loop."""
+
+    @staticmethod
+    def _check(n: int, seed: int, rng_type: type = random.Random, **kwargs) -> int:
+        rng = rng_type(seed)
+        twin = rng_type(seed)
+        topo = random_graph(n, rng, **kwargs)
+        expected, attempts = _per_pair_random_graph(n, twin, **kwargs)
+        assert topo == expected
+        assert rng.getstate() == twin.getstate()
+        return attempts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 200, 1000])
+    def test_paper_probability(self, n):
+        self._check(n, 20050518 + n)
+
+    def test_connectivity_retries(self):
+        attempts = [self._check(30, seed, p=0.09) for seed in range(6)]
+        assert max(attempts) > 1
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_extreme_probabilities(self, p):
+        self._check(12, 4, p=p, require_connected=False)
+
+    def test_dense_connected(self):
+        self._check(12, 4, p=1.0)
+
+    def test_disconnected_allowed(self):
+        self._check(60, 8, p=0.01, require_connected=False)
+
+    def test_custom_capacity(self):
+        self._check(50, 2, capacity=uniform_capacity(1, 99))
+
+    def test_subclass_keeps_its_own_random(self):
+        self._check(40, 6, rng_type=_Doubled)
+
+    def test_no_connected_draw_leaves_same_state(self):
+        rng = random.Random(1)
+        twin = random.Random(1)
+        with pytest.raises(RuntimeError):
+            random_graph(10, rng, p=0.0, max_retries=3)
+        with pytest.raises(RuntimeError):
+            _per_pair_random_graph(10, twin, p=0.0, max_retries=3)
+        assert rng.getstate() == twin.getstate()
 
 
 class TestSparseGenerator:
