@@ -8,17 +8,18 @@ additional planes, so one matrix row is the exact bit-for-bit image of
 the corresponding :class:`repro.core.tokenset.TokenSet` mask.  A
 timestep's sends use the same layout, one row per send
 (:meth:`repro.core.schedule.Timestep.send_arrays`), which is what the
-pruning pass (:mod:`repro.core.pruning`) reads.
+pruning pass (:mod:`repro.core.pruning`) and the trace emitter read.
 
 This module is the single authority on that layout.  It provides the
-row/mask converters, the batched popcounts used by the kernel's
-vectorized reads, the low-position masks that split a row at a cursor,
-and the per-row k-th-set-bit select that ends the Round-Robin lap (the
-highest member of :meth:`TokenSet.take`).  Everything here is proven
-equivalent to the ``TokenSet``/frozenset oracle by
-``tests/sim/test_bitplanes.py``.  It lives in :mod:`repro.core`, and
-imports nothing but numpy, so the core model can use it without
-importing the simulator.
+row/mask converters, the unpack of a matrix into per-token bool columns
+(what Bandwidth's pull rule and the trace emitter read), the batched
+popcounts used by the kernel's vectorized reads, the low-position masks
+that split a row at a cursor, and the per-row k-th-set-bit select that
+ends the Round-Robin lap (the highest member of :meth:`TokenSet.take`).
+Everything here is proven equivalent to the ``TokenSet``/frozenset
+oracle by ``tests/sim/test_bitplanes.py``.  It lives in
+:mod:`repro.core`, and imports nothing but numpy, so the core model can
+use it without importing the simulator.
 
 numpy (>= 2.0, for ``bitwise_count``) is a hard dependency: importing
 this module without it raises ``ModuleNotFoundError``.  The core model,
@@ -54,6 +55,7 @@ __all__ = [
     "planes_to_mask",
     "masks_to_matrix",
     "matrix_to_masks",
+    "token_columns",
     "popcount_rows",
     "popcount_cols",
     "lowmask_rows",
@@ -134,6 +136,23 @@ def matrix_to_masks(matrix: PlaneArray) -> List[int]:
             if plane:
                 masks[v] |= plane << shift
     return masks
+
+
+def token_columns(matrix: PlaneArray, num_tokens: int) -> Any:
+    """A ``(V, P)`` plane matrix as a ``(V, num_tokens)`` bool matrix.
+
+    Entry ``[v, t]`` is bit ``t`` of row ``v``: one little-endian byte
+    view of the planes and one ``unpackbits``, whatever the host's byte
+    order.  ``num_tokens`` may not exceed ``64 * P``.
+    """
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a (V, P) matrix, got shape {matrix.shape}")
+    if not 0 <= num_tokens <= _PLANE_BITS * matrix.shape[1]:
+        raise ValueError(
+            f"num_tokens must lie in [0, {_PLANE_BITS * matrix.shape[1]}], got {num_tokens}"
+        )
+    data = np.ascontiguousarray(matrix, dtype="<u8").view(np.uint8)
+    return np.unpackbits(data, axis=1, count=num_tokens, bitorder="little").view(bool)
 
 
 def popcount_rows(matrix: PlaneArray) -> PlaneArray:

@@ -163,21 +163,21 @@ def lookahead_bound_of_masks(problem: Problem, masks: Sequence[int]) -> int:
     """:func:`lookahead_timestep_bound` on possession given as one int
     bitmask per vertex."""
     _check_length(problem, masks)
+    suppliers = problem.suppliers()
     best = 0
     for v, want in enumerate(problem.want):
         needed = want.mask & ~masks[v]
         if not needed:
             continue
-        arcs = problem.in_arcs(v)
-        if not arcs:
+        srcs = suppliers.srcs[v]
+        if not srcs:
             raise InfeasibleBoundError(
                 f"vertex {v} still needs tokens but has no incoming arcs"
             )
-        in_cap = 0
+        in_cap = sum(suppliers.caps[v])
         one_hop = 0
-        for arc in arcs:
-            in_cap += arc.capacity
-            one_hop |= masks[arc.src]
+        for src in srcs:
+            one_hop |= masks[src]
         receivable = min((one_hop & needed).bit_count(), in_cap)
         rest = needed.bit_count() - receivable
         bound = 1 + math.ceil(rest / in_cap) if rest > 0 else 1

@@ -16,12 +16,15 @@ those subsystems need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Dict, Final, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.bitplanes import np
 from repro.core.tokenset import TokenSet
 
 __all__ = [
     "Arc",
+    "ArcArrays",
     "Problem",
     "ProblemValidationError",
     "SupplierTable",
@@ -129,6 +132,22 @@ class SupplierTable:
     caps: Tuple[Tuple[int, ...], ...]
 
 
+@dataclass(frozen=True)
+class ArcArrays:
+    """Every arc as parallel columns, in ``problem.arcs`` order.
+
+    ``src``, ``dst`` and ``cap`` are read-only int64 arrays and
+    ``keys[i]`` is arc ``i``'s ``(src, dst)`` send key.  The step
+    kernel's batched reads and vector validation index them;
+    :meth:`Problem.arc_arrays` builds them once per instance.
+    """
+
+    src: Any
+    dst: Any
+    cap: Any
+    keys: Tuple[Tuple[int, int], ...]
+
+
 class Problem:
     """One immutable OCD instance: graph, capacities, tokens, have/want.
 
@@ -162,6 +181,7 @@ class Problem:
         "_capacity",
         "_dist_cache",
         "_suppliers",
+        "_arc_arrays",
     )
 
     def __init__(
@@ -183,6 +203,7 @@ class Problem:
         self.name: Final = name
         self._dist_cache: Optional[List[List[int]]] = None
         self._suppliers: Optional[SupplierTable] = None
+        self._arc_arrays: Optional[ArcArrays] = None
         self._validate()
         self._build_adjacency()
 
@@ -345,6 +366,21 @@ class Problem:
                 srcs=tuple(tuple(a.src for a in arcs) for arcs in in_arcs),
                 keys=tuple(tuple((a.src, a.dst) for a in arcs) for arcs in in_arcs),
                 caps=tuple(tuple(a.capacity for a in arcs) for arcs in in_arcs),
+            )
+        return table
+
+    def arc_arrays(self) -> ArcArrays:
+        """The per-arc columns, built on first use and cached."""
+        table = self._arc_arrays
+        if table is None:
+            arcs, count = self.arcs, len(self.arcs)
+            src = np.fromiter((a.src for a in arcs), dtype=np.int64, count=count)
+            dst = np.fromiter((a.dst for a in arcs), dtype=np.int64, count=count)
+            cap = np.fromiter((a.capacity for a in arcs), dtype=np.int64, count=count)
+            for column in (src, dst, cap):
+                column.flags.writeable = False
+            table = self._arc_arrays = ArcArrays(
+                src, dst, cap, keys=tuple((a.src, a.dst) for a in arcs)
             )
         return table
 
@@ -533,18 +569,22 @@ class Problem:
                 raise ProblemValidationError(f"instance payload has no {key!r}")
         n = _integer(data["num_vertices"], "num_vertices")
         m = _integer(data["num_tokens"], "num_tokens")
-        arcs: List[Tuple[int, int, int]] = []
-        for i, arc in enumerate(_sequence(data["arcs"], "arcs")):
-            if not isinstance(arc, (list, tuple)) or len(arc) != 3:
-                raise ProblemValidationError(
-                    f"arcs[{i}] must be [src, dst, capacity], got {arc!r}"
-                )
-            src, dst, cap = (
-                _integer(value, f"arcs[{i}] {part}")
-                for value, part in zip(arc, ("src", "dst", "capacity"))
-            )
-            arcs.append((src, dst, cap))
-        sets: Dict[str, Dict[int, List[int]]] = {}
+        arcs = _sequence(data["arcs"], "arcs")
+        # One type pass over every arc field; only a payload that fails
+        # it is walked field by field, to name the first bad one.
+        if not (
+            set(map(type, arcs)) <= {list, tuple}
+            and set(map(len, arcs)) <= {3}
+            and set(map(type, chain.from_iterable(arcs))) <= {int}
+        ):
+            for i, arc in enumerate(arcs):
+                if not isinstance(arc, (list, tuple)) or len(arc) != 3:
+                    raise ProblemValidationError(
+                        f"arcs[{i}] must be [src, dst, capacity], got {arc!r}"
+                    )
+                for value, part in zip(arc, ("src", "dst", "capacity")):
+                    _integer(value, f"arcs[{i}] {part}")
+        sets: Dict[str, Dict[int, Sequence[int]]] = {}
         for key in ("have", "want"):
             raw = data.get(key, {})
             if not isinstance(raw, Mapping):
@@ -560,9 +600,11 @@ class Problem:
                         f"{key} names vertex {vertex} outside 0..{n - 1}"
                     )
                 field = f"{key}[{vertex}]"
-                sets[key][vertex] = [
-                    _integer(t, f"{field} token") for t in _sequence(tokens, field)
-                ]
+                tokens = _sequence(tokens, field)
+                if not set(map(type, tokens)) <= {int}:
+                    for t in tokens:
+                        _integer(t, f"{field} token")
+                sets[key][vertex] = tokens
         name = data.get("name", "")
         if not isinstance(name, str):
             raise ProblemValidationError(f"name must be a string, got {name!r}")

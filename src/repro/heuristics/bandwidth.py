@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.bitplanes import masks_to_matrix, np
+from repro.core.bitplanes import masks_to_matrix, np, token_columns
 from repro.core.problem import reach_rounds
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
@@ -64,13 +64,6 @@ from repro.heuristics.vector_common import list_shuffler
 from repro.sim import Proposal, StepContext
 
 __all__ = ["BandwidthHeuristic"]
-
-
-def _token_columns(matrix: Any, num_tokens: int) -> Any:
-    """A ``(V, P)`` plane matrix as a ``(V, num_tokens)`` bool matrix."""
-    return np.unpackbits(
-        matrix.view(np.uint8), axis=1, count=num_tokens, bitorder="little"
-    ).view(bool)
 
 
 def _vertex_masks(columns: Any) -> List[int]:
@@ -87,7 +80,7 @@ class BandwidthHeuristic(Heuristic):
     def on_reset(self) -> None:
         problem = self.problem
         table = self._suppliers = problem.suppliers()
-        self._wants = _token_columns(
+        self._wants = token_columns(
             masks_to_matrix([w.mask for w in problem.want], problem.num_tokens),
             problem.num_tokens,
         )
@@ -153,8 +146,8 @@ class BandwidthHeuristic(Heuristic):
             supply[self._receivers] = np.bitwise_or.reduceat(
                 have[self._gather], self._starts, axis=0
             )
-        held = _token_columns(have, num_tokens)
-        supplied = _token_columns(supply, num_tokens)
+        held = token_columns(have, num_tokens)
+        supplied = token_columns(supply, num_tokens)
         need = self._wants & ~held
         near = need & supplied
         far = need ^ near

@@ -55,12 +55,12 @@ class RandomHeuristic(Heuristic):
         problem = self.problem
         if state.problem is not problem:
             return None
-        matrix = state.matrix
-        useful = matrix[state.arc_src] & ~matrix[state.arc_dst]
+        matrix, arcs = state.matrix, problem.arc_arrays()
+        useful = matrix[arcs.src] & ~matrix[arcs.dst]
         active = np.nonzero(useful.any(axis=1))[0]
         useful_act = useful[active]
         counts = np.bitwise_count(useful_act).sum(axis=1, dtype=np.int64)
-        caps = state.arc_cap[active]
+        caps = arcs.cap[active]
         sampled = (counts > caps).tolist()
         caps_list: List[int] = caps.tolist()
         if state.planes == 1:

@@ -125,12 +125,13 @@ class RoundRobinHeuristic(Heuristic):
         m = self.problem.num_tokens
         if m == 0:
             return None
-        caps = state.arc_cap
+        arcs = state.problem.arc_arrays()
+        caps = arcs.cap
         cursor = self._vec_cursor
         if cursor is None:
             cursor = self._vec_cursor = np.zeros(len(caps), dtype=np.int64)
         planes = state.planes
-        send = state.matrix[state.arc_src]
+        send = state.matrix[arcs.src]
         counts = popcount_rows(send)
         # capacity >= 1 always, so a "hard" (cursor-advancing) arc has a
         # nonzero owner; everything else ships its whole owned set (which

@@ -97,10 +97,10 @@ class GroupedRequests:
 
 def build_in_tables(state: SimState) -> InArcTables:
     """Build the dst-grouped in-arc tables for ``state``'s problem."""
-    arc_dst = state.arc_dst
-    order = np.argsort(arc_dst, kind="stable")
+    arcs = state.problem.arc_arrays()
+    order = np.argsort(arcs.dst, kind="stable")
     starts_arr = np.searchsorted(
-        arc_dst[order], np.arange(state.problem.num_vertices + 1)
+        arcs.dst[order], np.arange(state.problem.num_vertices + 1)
     ).astype(np.int64)
     seg_lens = starts_arr[1:] - starts_arr[:-1]
     max_seg = int(seg_lens.max()) if seg_lens.size else 0
@@ -109,7 +109,7 @@ def build_in_tables(state: SimState) -> InArcTables:
         arc_ids_arr=order.astype(np.int64, copy=False),
         starts=starts_arr.tolist(),
         starts_arr=starts_arr,
-        src_sorted=state.arc_src[order],
+        src_sorted=arcs.src[order],
         slot_words=max(1, (max_seg + 63) // 64),
     )
 

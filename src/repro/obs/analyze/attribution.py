@@ -347,7 +347,7 @@ def _attribute(
         gap_terms=_decompose_gap(forest, bound_curve, diameter, per_step),
         blocking=blocking,
         path=path,
-        arrivals=len(forest.arrivals),
+        arrivals=len(forest.steps),
         zero_slack=finish.count(forest.makespan),
         max_slack=forest.makespan - min(finish, default=forest.makespan),
     )

@@ -15,8 +15,12 @@ token.  Chaining parents reaches an initial holder, so arrivals form a
 forest rooted at the ``have`` sets (the critical-path view of optimal
 dissemination in Mundinger/Weber/Weiss, arXiv:cs/0606110).  The replay
 hands over each transfer's *fresh* mask (the tokens it is first to
-deliver), and the forest records one :class:`Arrival` named tuple per
-set bit, so a step costs its useful arrivals, not every token sent.
+deliver), and the forest records each set bit into int columns (the
+key ``vertex * m + token``, the step, the sender), so a step costs its
+useful arrivals, not every token sent, and allocates no object per
+arrival.  The analyses below read those columns through the key index;
+:class:`Arrival` named tuples are made only along the critical path, or
+for the whole run when a caller reads :attr:`RunForest.arrivals`.
 
 **Critical path.**  For a successful run the engine stops the moment
 the last want is met, so the final step always delivers a wanted
@@ -56,7 +60,9 @@ should skip those runs (see :mod:`repro.obs.analyze.attribution`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.obs.analyze.runs import DecodedInstance, InstanceDecoder, TraceRun, tokens_of
 from repro.obs.analyze.validate import ArcLoad, RunReplay, Transfer, ValidationReport
@@ -113,8 +119,8 @@ class CausalError(ValueError):
 class Arrival(NamedTuple):
     """One useful arrival: ``vertex`` gained ``token`` at ``step`` via
     the parent transfer from ``src`` (emission-order-first, so the
-    parent choice is deterministic and kernel-independent).  A named
-    tuple: a run records one per useful arrival."""
+    parent choice is deterministic and kernel-independent).  A forest
+    stores its arrivals as int columns and makes these on request."""
 
     vertex: int
     token: int
@@ -130,16 +136,20 @@ class RunForest:
     engine: str
     heuristic: str
     instance: DecodedInstance
-    #: ``(vertex, token) -> Arrival`` for every useful arrival, in step
-    #: order (within a step, by transfer, then by token id).
-    arrivals: Dict[Tuple[int, int], Arrival]
+    #: The useful arrivals as parallel int columns, in arrival order:
+    #: step order, within a step by transfer, then by token id.  Arrival
+    #: ``i`` brought token ``t`` to vertex ``v`` at ``steps[i]`` from
+    #: ``srcs[i]``, where ``keys[i] == v * m + t`` for ``m`` tokens.
+    keys: List[int]
+    steps: List[int]
+    srcs: List[int]
     #: Possession masks at the *start* of each step; index ``makespan``
     #: holds the final state.
     have_before: List[List[int]]
-    #: Per step: tokens carried per arc, ``(src, dst) -> count``.
+    #: Per step: tokens carried per arc, by arc id ``src * n + dst``.
     arc_load: List[ArcLoad]
-    #: Per step: the well-formed ``(src, dst, tokens)`` transfers in
-    #: emission order; ``tokens`` is the trace's own list, as sent.
+    #: Per step: the well-formed transfers in emission order, each the
+    #: trace's own ``[src, dst, tokens]`` entry.
     transfers: List[List[Transfer]]
     makespan: int
     success: bool
@@ -147,11 +157,37 @@ class RunForest:
     #: shared by every forest over it).
     in_arcs: List[List[Tuple[int, int]]]
 
+    @cached_property
+    def index(self) -> Dict[int, int]:
+        """``keys[i] -> i`` for every arrival ``i``."""
+        return dict(zip(self.keys, range(len(self.keys))))
+
+    @cached_property
+    def arrivals(self) -> Mapping[Tuple[int, int], Arrival]:
+        """A read-only ``(vertex, token) -> Arrival`` view of the columns,
+        in arrival order, built on first access (for exports and tests;
+        the analyses read the columns)."""
+        m = self.instance.num_tokens
+        view: Dict[Tuple[int, int], Arrival] = {}
+        for key, step, src in zip(self.keys, self.steps, self.srcs):
+            vertex, token = divmod(key, m)
+            view[(vertex, token)] = Arrival(vertex, token, step, src)
+        return MappingProxyType(view)
+
+    def arrival(self, vertex: int, token: int) -> Optional[Arrival]:
+        """The arrival of ``token`` at ``vertex``, or ``None`` if it never
+        arrived (an initial holding included)."""
+        m = self.instance.num_tokens
+        i = self.index.get(vertex * m + token) if 0 <= token < m else None
+        if i is None:
+            return None
+        return Arrival(vertex, token, self.steps[i], self.srcs[i])
+
     def acquired_at(self, vertex: int, token: int) -> int:
         """Step at which ``vertex`` first held ``token`` (-1 = initially)."""
         if self.instance.have_masks[vertex] >> token & 1:
             return -1
-        arrival = self.arrivals.get((vertex, token))
+        arrival = self.arrival(vertex, token)
         if arrival is None:
             raise KeyError(f"vertex {vertex} never acquired token {token}")
         return arrival.step
@@ -223,7 +259,7 @@ class ForestReplay(RunReplay):
 
     Walk it, then take :meth:`forest`.  An arrival's parent is the
     transfer whose *fresh* mask carries the token: the emission-order
-    first sender.
+    first sender.  Each fresh bit is appended to the arrival columns.
     """
 
     def __init__(
@@ -233,7 +269,9 @@ class ForestReplay(RunReplay):
         self.have_before: List[List[int]] = []
         self.arc_load: List[ArcLoad] = []
         self.transfers: List[List[Transfer]] = []
-        self.arrivals: Dict[Tuple[int, int], Arrival] = {}
+        self.keys: List[int] = []
+        self.steps: List[int] = []
+        self.srcs: List[int] = []
 
     def on_step(
         self, step: int, transfers: List[Transfer], arc_load: ArcLoad, fresh: List[int]
@@ -241,13 +279,18 @@ class ForestReplay(RunReplay):
         self.have_before.append(self.have)
         self.arc_load.append(arc_load)
         self.transfers.append(transfers)
-        arrivals = self.arrivals
-        for (src, dst, _sent), mask in zip(transfers, fresh):
-            while mask:
-                low = mask & -mask
-                token = low.bit_length() - 1
-                arrivals[(dst, token)] = Arrival(dst, token, step, src)
-                mask ^= low
+        assert self.instance is not None  # walk() decoded it
+        keys, m = self.keys, self.instance.num_tokens
+        for entry, mask in zip(transfers, fresh):
+            if mask:
+                start = len(keys)
+                base = entry[1] * m
+                while mask:
+                    low = mask & -mask
+                    keys.append(base + low.bit_length() - 1)
+                    mask ^= low
+                self.srcs += [entry[0]] * (len(keys) - start)
+        self.steps += [step] * (len(keys) - len(self.steps))
 
     def forest(self) -> RunForest:
         """The walked run's forest; raises :class:`CausalError` at the
@@ -264,7 +307,9 @@ class ForestReplay(RunReplay):
             engine=run.engine,
             heuristic=run.heuristic,
             instance=instance,
-            arrivals=self.arrivals,
+            keys=self.keys,
+            steps=self.steps,
+            srcs=self.srcs,
             have_before=self.have_before + [self.have],
             arc_load=self.arc_load,
             transfers=self.transfers,
@@ -304,8 +349,8 @@ def classify_block(forest: RunForest, vertex: int, step: int, needed: int) -> st
     ]
     if not useful:
         return "waiting-for-token"
-    load = forest.arc_load[step]
-    if all(load.get((src, vertex), 0) >= cap for src, cap in useful):
+    load, n = forest.arc_load[step], forest.instance.num_vertices
+    if all(load.get(src * n + vertex, 0) >= cap for src, cap in useful):
         return "arc-capacity-saturated"
     if forest.engine == "locd":
         return "knowledge-lag"
@@ -350,17 +395,19 @@ def _anchor_arrival(forest: RunForest) -> Optional[Arrival]:
     """The completing arrival: smallest wanted (vertex, token) arriving
     at the final step.  ``None`` when the final step delivered no wanted
     arrival (failed runs; handmade traces with wasted tail steps)."""
-    if forest.makespan == 0:
-        return None
-    want = forest.instance.want_masks
-    candidates = [
-        a
-        for a in forest.arrivals.values()
-        if a.step == forest.makespan - 1 and want[a.vertex] >> a.token & 1
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda a: (a.vertex, a.token))
+    want, steps, m = forest.instance.want_masks, forest.steps, forest.instance.num_tokens
+    last = forest.makespan - 1
+    best: Optional[int] = None
+    # Arrivals are in step order: the final step's are the tail, and
+    # keys order as (vertex, token) pairs do.
+    i = len(steps) - 1
+    while i >= 0 and steps[i] == last:
+        key = forest.keys[i]
+        vertex, token = divmod(key, m)
+        if want[vertex] >> token & 1 and (best is None or key < best):
+            best = key
+        i -= 1
+    return None if best is None else forest.arrival(*divmod(best, m))
 
 
 def _degenerate_target(forest: RunForest) -> Tuple[int, int]:
@@ -373,18 +420,17 @@ def _degenerate_target(forest: RunForest) -> Tuple[int, int]:
             return v, tokens_of(missing)[0]
     # Success but no final-step wanted arrival: wait on the completing
     # vertex/token with the latest arrival instead.
-    want = forest.instance.want_masks
+    want, m = forest.instance.want_masks, forest.instance.num_tokens
     latest = max(
         (
-            a
-            for a in forest.arrivals.values()
-            if want[a.vertex] >> a.token & 1
+            (step, key)
+            for key, step in zip(forest.keys, forest.steps)
+            if want[key // m] >> key % m & 1
         ),
-        key=lambda a: (a.step, a.vertex, a.token),
         default=None,
     )
     if latest is not None:
-        return latest.vertex, latest.token
+        return divmod(latest[1], m)
     return 0, -1
 
 
@@ -401,7 +447,7 @@ def critical_path(forest: RunForest) -> CriticalPath:
     if anchor is None:
         vertex, token = _degenerate_target(forest)
         path = CriticalPath(target_vertex=vertex, target_token=token)
-        arrival = forest.arrivals.get((vertex, token))
+        arrival = forest.arrival(vertex, token)
         if arrival is not None and forest.makespan > arrival.step + 1:
             # Chain up to the arrival, then a wasted-tail wait segment.
             path.elements = _backward_chain(forest, arrival)
@@ -441,7 +487,10 @@ def _backward_chain(
     elements: List[Union[PathHop, WaitSegment]] = []
     current: Optional[Arrival] = anchor
     while current is not None:
-        acquired = forest.acquired_at(current.src, current.token)
+        # The replay checked sender possession: a sender with no
+        # arrival of the token held it from the start.
+        parent = forest.arrival(current.src, current.token)
+        acquired = -1 if parent is None else parent.step
         elements.append(
             PathHop(
                 step=current.step,
@@ -466,17 +515,13 @@ def _backward_chain(
                     ),
                 )
             )
-        current = (
-            forest.arrivals[(current.src, current.token)]
-            if acquired >= 0
-            else None
-        )
+        current = parent
     elements.reverse()
     return elements
 
 
 def finish_times(forest: RunForest) -> List[int]:
-    """``F`` of every useful arrival, in ``forest.arrivals`` order.
+    """``F`` of every useful arrival, in arrival (column) order.
 
     ``F`` is the latest completion time the arrival feeds into: its own
     delivery deadline ``step + 1`` or, recursively, the ``F`` of every
@@ -485,25 +530,18 @@ def finish_times(forest: RunForest) -> List[int]:
     always (a wanted delivery at the final step has deadline
     ``makespan``).
     """
-    have, m = forest.instance.have_masks, forest.instance.num_tokens
+    m, keys, srcs = forest.instance.num_tokens, forest.keys, forest.srcs
+    parent_of = forest.index.get
     # Arrivals are recorded in step order, and a child arrives strictly
     # after its parent (the parent's vertex must hold the token at the
     # start of the child's step), so walking them backwards meets every
-    # child first: an arrival's F is final when the walk reaches it, and
-    # only what its children pushed up needs keeping, keyed
-    # ``vertex * m + token``.
-    pushed: Dict[int, int] = {}
-    out: List[int] = []
-    for vertex, token, step, src in reversed(forest.arrivals.values()):
-        f = pushed.pop(vertex * m + token, 0)
-        if f <= step:
-            f = step + 1
-        out.append(f)
-        if not have[src] >> token & 1:
-            parent = src * m + token
-            if f > pushed.get(parent, 0):
-                pushed[parent] = f
-    out.reverse()
+    # child first: an arrival's F is final when the walk reaches it.  A
+    # sender without an arrival of the token held it initially.
+    out = [step + 1 for step in forest.steps]
+    for i in range(len(out) - 1, -1, -1):
+        parent = parent_of(srcs[i] * m + keys[i] % m, -1)
+        if parent >= 0 and out[i] > out[parent]:
+            out[parent] = out[i]
     return out
 
 
@@ -513,12 +551,10 @@ def transfer_slack(forest: RunForest) -> Dict[Tuple[int, int, int], int]:
     Slack is ``makespan − F`` (see :func:`finish_times`), so every
     on-path transfer has slack exactly zero and no slack is negative.
     """
-    makespan = forest.makespan
+    makespan, m = forest.makespan, forest.instance.num_tokens
     return {
-        (vertex, token, step): makespan - f
-        for (vertex, token, step, _src), f in zip(
-            forest.arrivals.values(), finish_times(forest)
-        )
+        (key // m, key % m, step): makespan - f
+        for key, step, f in zip(forest.keys, forest.steps, finish_times(forest))
     }
 
 

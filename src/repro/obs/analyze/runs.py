@@ -72,8 +72,9 @@ class DecodedInstance:
     name: str
     num_vertices: int
     num_tokens: int
-    #: ``(src, dst) -> capacity`` for every declared arc.
-    capacities: Dict[Tuple[int, int], int]
+    #: Arc id ``src * num_vertices + dst`` -> capacity, for every
+    #: declared arc.
+    capacities: Dict[int, int]
     #: Initial possession ``h(v)`` as one bitmask per vertex.
     have_masks: Tuple[int, ...]
     #: Demand ``w(v)`` as one bitmask per vertex.
@@ -89,11 +90,11 @@ class DecodedInstance:
         try:
             _check_integers(data)
             n, m = data["num_vertices"], data["num_tokens"]
-            capacities: Dict[Tuple[int, int], int] = {}
+            capacities: Dict[int, int] = {}
             for src, dst, cap in data["arcs"]:
                 if not (0 <= src < n and 0 <= dst < n):
                     raise IndexError(f"arc ({src}, {dst}) out of range")
-                capacities[(src, dst)] = cap
+                capacities[src * n + dst] = cap
             bits = [1 << t for t in range(m)]
             have = [0] * n
             want = [0] * n
@@ -117,8 +118,10 @@ class DecodedInstance:
     @cached_property
     def in_arcs(self) -> List[List[Tuple[int, int]]]:
         """``(src, cap)`` per vertex, by ``src``, from the declared arcs."""
-        in_arcs: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for (src, dst), cap in sorted(self.capacities.items()):
+        n = self.num_vertices
+        in_arcs: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for arc, cap in sorted(self.capacities.items()):
+            src, dst = divmod(arc, n)
             in_arcs[dst].append((src, cap))
         return in_arcs
 

@@ -44,7 +44,10 @@ and the tokens a list of JSON integers naming tokens (a float, a string
 or ``true`` is malformed, never read as some other id), folded into a
 bitmask through the per-run table ``bits[t] == 1 << t``.  Possession,
 first deliveries and the step aggregates are int mask arithmetic from
-there.  The runs of a trace over one instance share one decode of it
+there; arcs are the int ids ``src * n + dst``, and a checked transfer is
+handed on as the trace's own ``[src, dst, tokens]`` entry, so the walk
+builds no tuple per transfer.  The runs of a trace over one instance
+share one decode of it
 (:class:`~repro.obs.analyze.runs.InstanceDecoder`).
 Dynamic-conditions traces (``engine: "dynamic"``) skip the two arc-level
 checks: their arc set and capacities change per timestep and only the
@@ -54,7 +57,7 @@ turn's engine knows them; everything state-based is still enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.analyze.runs import (
     DecodedInstance,
@@ -79,11 +82,11 @@ INVARIANTS = (
     "final-want",
 )
 
-#: One checked ``step.transfers`` entry: ``(src, dst, tokens)``, with the
-#: trace's own token list (not copied).
-Transfer = Tuple[int, int, List[int]]
-#: Tokens carried per arc in one step: ``(src, dst) -> count``.
-ArcLoad = Dict[Tuple[int, int], int]
+#: One checked ``step.transfers`` entry: the trace's own
+#: ``[src, dst, tokens]`` list, not copied.
+Transfer = List[Any]
+#: Tokens carried per arc in one step, by arc id: ``src * n + dst -> count``.
+ArcLoad = Dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,7 @@ class RunReplay:
                 message = f"malformed transfer {entry!r}: expected [src, dst, [tokens]] in range"
                 self._flag("trace-structure", message, step=step)
                 continue
-            arc, count = (src, dst), len(sent)
+            arc, count = src * n + dst, len(sent)
             if check_arcs:
                 cap = capacities.get(arc)
                 if cap is None:
@@ -306,7 +309,7 @@ class RunReplay:
                     f"not possess at the start of the step",
                     step=step,
                 )
-            transfers.append((src, dst, sent))
+            transfers.append(entry)
             arc_load[arc] = arc_load.get(arc, 0) + count
             already = after[dst]
             fresh.append(mask & ~already)

@@ -50,7 +50,7 @@ from typing import (
     Union,
 )
 
-from repro.core.bitplanes import plane_count
+from repro.core.bitplanes import np, plane_count, token_columns
 from repro.core.metrics import ScheduleMetrics, evaluate_schedule
 from repro.core.problem import Problem
 from repro.core.schedule import MoveError, Schedule, Timestep, check_sends
@@ -276,10 +276,27 @@ def emit_step_event(
     ``trace-verify`` replay the run.  Callers only reach this behind a
     hoisted ``tracer.enabled`` check, so the untraced hot path never
     builds any of these payloads.
+
+    ``sends``, ``moves`` and ``transfers`` come from
+    :meth:`~repro.core.schedule.Timestep.send_arrays` in a few array
+    passes (a sort by ``(src, dst)``, one unpack of the mask rows into
+    token columns, and the nonzero token ids), so a vector timestep's
+    send dict is never built and no token is visited in Python.
     """
-    moves = 0
-    for tokens in timestep.sends.values():
-        moves += len(tokens)
+    num_tokens = problem.num_tokens
+    src, dst, masks = timestep.send_arrays(num_tokens)
+    order = np.lexsort((dst, src))
+    # Row-major nonzero: each send's tokens ascending, sends in order.
+    rows, tokens = np.nonzero(token_columns(masks[order], num_tokens))
+    counts = np.bincount(rows, minlength=len(order))
+    ends = np.cumsum(counts)
+    token_ids = tokens.tolist()
+    transfers = [
+        [s, d, token_ids[start:end]]
+        for s, d, start, end in zip(
+            src[order].tolist(), dst[order].tolist(), (ends - counts).tolist(), ends.tolist()
+        )
+    ]
     gained = 0
     for _vertex, mask in state.gains_since(version_before):
         gained += mask.bit_count()
@@ -289,17 +306,14 @@ def emit_step_event(
     num_arcs = len(problem.arcs)
     fields: Dict[str, object] = {
         "step": step,
-        "sends": len(timestep.sends),
-        "moves": moves,
+        "sends": len(transfers),
+        "moves": len(token_ids),
         "gained": gained,
         "deficit": state.total_deficit,
         "deficit_by_vertex": list(state.deficit),
         "holder_hist": [[count, hist[count]] for count in sorted(hist)],
-        "arc_util": round(len(timestep.sends) / num_arcs, 6) if num_arcs else 0.0,
-        "transfers": [
-            [src, dst, sorted(timestep.sends[(src, dst)])]
-            for src, dst in sorted(timestep.sends)
-        ],
+        "arc_util": round(len(transfers) / num_arcs, 6) if num_arcs else 0.0,
+        "transfers": transfers,
     }
     if extra:
         fields.update(extra)

@@ -88,12 +88,12 @@ class _LazyVectorTimestep(Timestep):
     ``{arc: TokenSet}`` dict eagerly would put a Python loop over every
     send back into the hot path just to store the schedule.  Instead the
     index/mask arrays are kept and the dict is built on first ``sends``
-    access (trace emission, equality — both off the hot path), in
+    access (reports, equality — both off the hot path), in
     proposal order, exactly as the eager validator inserts it, after
     which the arrays are dropped.  ``num_moves`` is precomputed from a
     popcount so schedule bandwidth never forces materialization,
-    :meth:`send_arrays` (what pruning reads) hands over the arrays
-    themselves, and :meth:`iter_sends_masks` streams the sends in
+    :meth:`send_arrays` (what pruning and trace emission read) hands
+    over the arrays themselves, and :meth:`iter_sends_masks` streams the sends in
     bounded chunks so schedule comparison at the 10^5-swarm scale never
     holds two materialized dicts at once.
 
@@ -105,7 +105,7 @@ class _LazyVectorTimestep(Timestep):
 
     def __init__(
         self,
-        keys: List[Tuple[int, int]],
+        keys: Sequence[Tuple[int, int]],
         arc_src: Any,
         arc_dst: Any,
         idx: Any,
@@ -116,8 +116,8 @@ class _LazyVectorTimestep(Timestep):
         # ``sends`` slot stays *unset*, so the first attribute access
         # falls through to ``__getattr__`` below, which materializes
         # the dict into the slot.  Later accesses hit the slot direct.
-        # ``keys``, ``arc_src`` and ``arc_dst`` are the kernel's per-arc
-        # tables, shared by every step of the run, not copies.
+        # ``keys``, ``arc_src`` and ``arc_dst`` are the problem's per-arc
+        # columns (:meth:`Problem.arc_arrays`), shared, not copies.
         self._keys = keys
         self._arc_src = arc_src
         self._arc_dst = arc_dst
@@ -213,10 +213,6 @@ class SimState:
         "_journal",
         "_matrix",
         "_matrix_version",
-        "_arc_src",
-        "_arc_dst",
-        "_arc_cap",
-        "_arc_keys",
         "_in_gather",
         "_in_starts",
         "_in_dsts",
@@ -270,10 +266,6 @@ class SimState:
         self._want_mat: Any = None
         self._matrix: Any = None
         self._matrix_version = 0
-        self._arc_src: Any = None
-        self._arc_dst: Any = None
-        self._arc_cap: Any = None
-        self._arc_keys: Optional[List[Tuple[int, int]]] = None
         self._in_gather: Any = None
         self._in_starts: Any = None
         self._in_dsts: Any = None
@@ -355,36 +347,6 @@ class SimState:
             self._want_mat = masks_to_matrix(self._want_masks, self.problem.num_tokens)
         return self._want_mat
 
-    def _ensure_arc_arrays(self) -> None:
-        if self._arc_keys is not None:
-            return
-        arcs = self.problem.arcs
-        n_arcs = len(arcs)
-        self._arc_src = np.fromiter((a.src for a in arcs), dtype=np.int64, count=n_arcs)
-        self._arc_dst = np.fromiter((a.dst for a in arcs), dtype=np.int64, count=n_arcs)
-        self._arc_cap = np.fromiter(
-            (a.capacity for a in arcs), dtype=np.int64, count=n_arcs
-        )
-        self._arc_keys = [(a.src, a.dst) for a in arcs]
-
-    @property
-    def arc_src(self) -> Any:
-        """Per-arc source vertex ids as an int64 array (arc order)."""
-        self._ensure_arc_arrays()
-        return self._arc_src
-
-    @property
-    def arc_dst(self) -> Any:
-        """Per-arc destination vertex ids as an int64 array (arc order)."""
-        self._ensure_arc_arrays()
-        return self._arc_dst
-
-    @property
-    def arc_cap(self) -> Any:
-        """Per-arc capacities as an int64 array (arc order)."""
-        self._ensure_arc_arrays()
-        return self._arc_cap
-
     # ------------------------------------------------------------------
     # Batched reads
     # ------------------------------------------------------------------
@@ -404,12 +366,10 @@ class SimState:
             return cached
         matrix = self.matrix
         if self._in_dsts is None:
-            self._ensure_arc_arrays()
-            order = np.argsort(self._arc_dst, kind="stable")
-            self._in_dsts, self._in_starts = np.unique(
-                self._arc_dst[order], return_index=True
-            )
-            self._in_gather = self._arc_src[order]
+            arcs = self.problem.arc_arrays()
+            order = np.argsort(arcs.dst, kind="stable")
+            self._in_dsts, self._in_starts = np.unique(arcs.dst[order], return_index=True)
+            self._in_gather = arcs.src[order]
         out = np.zeros_like(matrix)
         if len(self._in_dsts):
             out[self._in_dsts] = np.bitwise_or.reduceat(
@@ -428,11 +388,9 @@ class SimState:
         """
         version = self.version
         if self._useful_version != version:
-            self._ensure_arc_arrays()
+            arcs = self.problem.arc_arrays()
             matrix = self.matrix
-            self._useful_cache = bool(
-                np.any(matrix[self._arc_src] & ~matrix[self._arc_dst])
-            )
+            self._useful_cache = bool(np.any(matrix[arcs.src] & ~matrix[arcs.dst]))
             self._useful_version = version
         return self._useful_cache
 
@@ -551,9 +509,8 @@ class SimState:
         the problem's arcs; tokens outside the universe fail the
         possession check, since no vertex holds them.
         """
-        self._ensure_arc_arrays()
-        arc_keys = self._arc_keys
-        assert arc_keys is not None
+        arcs = self.problem.arc_arrays()
+        arc_keys = arcs.keys
         idx = vec.arc_indices
         masks = vec.masks
         multi = masks.ndim == 2
@@ -561,17 +518,17 @@ class SimState:
             counts = np.bitwise_count(masks).sum(axis=1, dtype=np.int64)
         else:
             counts = np.bitwise_count(masks).astype(np.int64)
-        caps = self._arc_cap[idx]
+        caps = arcs.cap[idx]
         over = counts > caps
         if over.any():
             i = int(np.argmax(over))
             src, dst = arc_keys[int(idx[i])]
             raise MoveError.over_capacity(src, dst, int(counts[i]), int(caps[i]))
         if multi:
-            bad = masks & ~self.matrix[self._arc_src[idx]]
+            bad = masks & ~self.matrix[arcs.src[idx]]
             bad_rows = bad.any(axis=1)
         else:
-            bad = masks & ~self.matrix[self._arc_src[idx], 0]
+            bad = masks & ~self.matrix[arcs.src[idx], 0]
             bad_rows = bad != 0
         if bad_rows.any():
             i = int(np.argmax(bad_rows))
@@ -588,7 +545,7 @@ class SimState:
             # it reproduces check_sends' dict insertion order exactly —
             # arrival values *and* order match the scalar validator, so
             # the journal is bit- and order-identical between paths.
-            dsts = self._arc_dst[idx]
+            dsts = arcs.dst[idx]
             order = np.argsort(dsts, kind="stable")
             udst, starts = np.unique(dsts[order], return_index=True)
             grouped = np.bitwise_or.reduceat(masks[order], starts, axis=0)
@@ -610,7 +567,7 @@ class SimState:
                     folded if multi else folded[:, None],
                 )
         timestep = _LazyVectorTimestep(
-            arc_keys, self._arc_src, self._arc_dst, idx, masks, int(counts.sum())
+            arc_keys, arcs.src, arcs.dst, idx, masks, int(counts.sum())
         )
         return timestep, arrivals
 

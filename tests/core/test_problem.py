@@ -102,6 +102,18 @@ class TestAdjacency:
         assert table.srcs[2] == (1, 0)
         assert p.suppliers() is table
 
+    def test_arc_arrays_follow_arcs_and_are_shared(self):
+        p = Problem.build(3, 1, [(1, 2, 4), (0, 2, 3), (2, 0, 1)], {}, {})
+        arrays = p.arc_arrays()
+        assert arrays.src.tolist() == [1, 0, 2]
+        assert arrays.dst.tolist() == [2, 2, 0]
+        assert arrays.cap.tolist() == [4, 3, 1]
+        assert arrays.keys == ((1, 2), (0, 2), (2, 0))
+        assert p.arc_arrays() is arrays
+        for column in (arrays.src, arrays.dst, arrays.cap):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7
+
 
 class TestDistances:
     def test_distances_from(self, diamond_problem):
@@ -209,12 +221,27 @@ class TestSerialization:
         ({"arcs": [[0, 1, 1.5]]}, "arcs[0] capacity"),
         ({"arcs": [[0, True, 1]]}, "arcs[0] dst"),
         ({"arcs": [[0, 1]]}, "arcs[0]"),
+        ({"arcs": [[0, 1, True]]}, "arcs[0] capacity must be an integer, got True"),
+        ({"arcs": [[0, 1, 1], [1.0, 0, 1]]}, "arcs[1] src"),
         ({"have": {"0": [0.0]}}, "have[0] token"),
+        ({"have": {"0": [True]}}, "have[0] token must be an integer, got True"),
         ({"want": {"1": [False]}}, "want[1] token"),
+        ({"want": {"1": [0, 0.5]}}, "want[1] token must be an integer, got 0.5"),
         ({"want": {"1": 0}}, "want[1]"),
         ({"have": {"x": [0]}}, "have vertex id"),
         ({"have": {"2": [0]}}, "have names vertex 2"),
         ({"name": 3}, "name"),
+        # Several bad fields: the refusal names the first in payload order.
+        (
+            {"arcs": [[0, 1, 1], [1, 0, 2.0], [0, True]]},
+            "arcs[1] capacity must be an integer, got 2.0",
+        ),
+        ({"arcs": [(0, 1, 1), [1, 0]]}, "arcs[1] must be [src, dst, capacity], got [1, 0]"),
+        (
+            {"have": {"0": [0, 1.5]}, "want": {"1": [True]}},
+            "have[0] token must be an integer, got 1.5",
+        ),
+        ({"want": {"0": [0], "1": [False]}}, "want[1] token must be an integer, got False"),
     ]
 
     @pytest.mark.parametrize("change, field", REFUSED, ids=[f for _, f in REFUSED])
@@ -222,6 +249,18 @@ class TestSerialization:
         payload = {**Problem.build(2, 1, [(0, 1, 1)], {0: [0]}, {1: [0]}).to_dict(), **change}
         with pytest.raises(ProblemValidationError, match=re.escape(field)):
             Problem.from_dict(payload)
+
+    def test_from_dict_reads_tuples_and_int_subclasses(self):
+        class Id(int):
+            pass
+
+        payload = {
+            "num_vertices": 2,
+            "num_tokens": 1,
+            "arcs": [(0, Id(1), 1)],
+            "have": {"0": (Id(0),)},
+        }
+        assert Problem.from_dict(payload) == Problem.build(2, 1, [(0, 1, 1)], {0: [0]}, {})
 
     @pytest.mark.parametrize("missing", ["num_vertices", "num_tokens", "arcs"])
     def test_from_dict_names_a_missing_field(self, missing):

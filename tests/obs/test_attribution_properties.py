@@ -313,6 +313,84 @@ def _two_sender_trace() -> List[Dict[str, Any]]:
     )
 
 
+def _handmade_trace(
+    instance: Dict[str, Any], transfers: List[List[List[Any]]], success: bool
+) -> List[Dict[str, Any]]:
+    """A one-run trace of ``instance`` sending ``transfers`` per step, its
+    step aggregates filled in by a token-by-token replay."""
+    n, m = instance["num_vertices"], instance["num_tokens"]
+    have = [set(instance["have"].get(str(v), ())) for v in range(n)]
+    want = [set(instance["want"].get(str(v), ())) for v in range(n)]
+
+    def deficits() -> List[int]:
+        return [len(want[v] - have[v]) for v in range(n)]
+
+    start = {
+        "run": 0,
+        "engine": "sim",
+        "heuristic": "handmade",
+        "problem": instance["name"],
+        "n": n,
+        "tokens": m,
+        "arcs": len(instance["arcs"]),
+        "max_steps": 10,
+        "total_deficit": sum(deficits()),
+        "instance": instance,
+    }
+    events = [make_event("run_start", start)]
+    bandwidth = 0
+    for step, sent in enumerate(transfers):
+        after = [set(h) for h in have]
+        for _src, dst, tokens in sent:
+            after[dst] |= set(tokens)
+        gained = sum(len(a - h) for a, h in zip(after, have))
+        have = after
+        holders = Counter(sum(t in h for h in have) for t in range(m))
+        moves = sum(len(tokens) for _src, _dst, tokens in sent)
+        bandwidth += moves
+        fields = {
+            "run": 0,
+            "step": step,
+            "sends": len(sent),
+            "moves": moves,
+            "gained": gained,
+            "deficit": sum(deficits()),
+            "deficit_by_vertex": deficits(),
+            "holder_hist": sorted([c, k] for c, k in holders.items()),
+            "arc_util": len(sent) / len(instance["arcs"]),
+            "transfers": sent,
+        }
+        events.append(make_event("step", fields))
+    end = {"run": 0, "success": success, "makespan": len(transfers), "bandwidth": bandwidth}
+    return events + [make_event("run_end", end)]
+
+
+# ----------------------------------------------------------------------
+# 130 tokens (three planes) over five vertices, so the arrival index
+# ``vertex * m + token`` and the arc ids ``src * n + dst`` span several
+# planes.  Vertex 2 gets tokens 0..69 from vertex 0 and 70..129 from
+# vertex 1 (whose 64..69 arrive second, so are not fresh); vertex 3
+# relays seven of them, and token 64 reaches vertex 4 over three hops
+# while the one-token arc from vertex 0 carries an unwanted token.
+# ----------------------------------------------------------------------
+def _wide_instance() -> Dict[str, Any]:
+    return {
+        "name": "wide",
+        "num_vertices": 5,
+        "num_tokens": 130,
+        "arcs": [[0, 2, 70], [1, 2, 70], [2, 3, 65], [3, 4, 3], [0, 4, 1]],
+        "have": {"0": list(range(130)), "1": list(range(64, 130))},
+        "want": {"2": list(range(130)), "3": [0, 63, 64, 65, 127, 128, 129], "4": [64, 129]},
+    }
+
+
+WIDE_TRANSFERS = [
+    [[0, 2, list(range(70))], [1, 2, list(range(64, 130))], [0, 4, [129]]],
+    [[2, 3, [0, 63, 64, 65, 127, 128, 129]], [0, 4, [5]]],
+    [[3, 4, [64, 129]]],
+]
+
+
 class TestHandmadeTraces:
     def test_chain_is_all_critical_path(self):
         report = attribute_events(_chain_trace())
@@ -358,6 +436,49 @@ class TestHandmadeTraces:
         # Every token sent is one span, the redundant ones included.
         spans = [e for e in chrome_trace(events)["traceEvents"] if e["ph"] == "X"]
         assert len(spans) == 6
+
+    def test_wide_universe_spans_planes(self):
+        events = _handmade_trace(_wide_instance(), WIDE_TRANSFERS, success=True)
+        _check_invariants(events)
+        _header, (run,) = split_runs(events)
+        forest = build_forest(run)
+        assert len(forest.arrivals) == 130 + 7 + 1 + 1 + 1
+        assert forest.arrivals[(2, 69)] == Arrival(2, 69, 0, 0)
+        assert forest.arrivals[(2, 70)] == Arrival(2, 70, 0, 1)
+        assert forest.arrivals[(4, 64)] == Arrival(4, 64, 2, 3)
+        pairs = [(1, 64), (2, 129), (3, 129), (4, 64)]
+        assert [forest.acquired_at(v, t) for v, t in pairs] == [-1, 0, 1, 2]
+        with pytest.raises(KeyError):
+            forest.acquired_at(4, 63)
+        # Arc loads are keyed by the arc id ``src * n + dst``.
+        assert forest.arc_load[0] == {0 * 5 + 2: 70, 1 * 5 + 2: 66, 0 * 5 + 4: 1}
+        assert forest.arc_load[2] == {3 * 5 + 4: 2}
+        assert blocking_table(forest) == {
+            (3, 0): "waiting-for-token",
+            (4, 1): "arc-capacity-saturated",
+        }
+        (att,) = attribute_events(events).runs
+        assert [(h.step, h.src, h.dst, h.token) for h in att.path.hops] == [
+            (0, 0, 2, 64),
+            (1, 2, 3, 64),
+            (2, 3, 4, 64),
+        ]
+        slacks = transfer_slack(forest)
+        assert slacks[(2, 64, 0)] == slacks[(3, 64, 1)] == 0
+        assert slacks[(3, 0, 1)] == 1
+
+    def test_wide_failed_run_waits_on_the_missing_token(self):
+        # Vertex 4 never gets token 64: the path waits on it throughout.
+        transfers = [WIDE_TRANSFERS[0], WIDE_TRANSFERS[1], []]
+        events = _handmade_trace(_wide_instance(), transfers, success=False)
+        _check_invariants(events)
+        (att,) = attribute_events(events).runs
+        assert att.path.hops == [] and att.path.wait_steps == 3
+        assert (att.path.target_vertex, att.path.target_token) == (4, 64)
+
+    def test_wide_engine_runs(self):
+        problem = single_file(random_graph(8, random.Random(9)), file_tokens=70)
+        _check_invariants(_engine_events(problem, seed=9))
 
     def test_dynamic_run_is_skipped_not_errored(self):
         events = _chain_trace()

@@ -29,6 +29,7 @@ from repro.core.bitplanes import (
     planes_to_mask,
     popcount_rows,
     select_rows,
+    token_columns,
 )
 from repro.core.tokenset import TokenSet
 
@@ -150,6 +151,36 @@ class TestPlaneAlgebra:
             a = masks_to_matrix(a_masks, m)
             counts = popcount_rows(a)
             assert counts.tolist() == [len(TokenSet(x)) for x in a_masks]
+
+
+class TestTokenColumns:
+    @pytest.mark.parametrize("m", [0, 1, 5, 63, 64, 65, 128, 130])
+    def test_matches_tokenset_membership(self, m):
+        rng = random.Random(m)
+        masks = [0, (1 << m) - 1] + [rng.getrandbits(m) if m else 0 for _ in range(8)]
+        columns = token_columns(masks_to_matrix(masks, m), m)
+        assert columns.dtype == bool and columns.shape == (len(masks), m)
+        for row, mask in zip(columns.tolist(), masks):
+            assert [t for t, bit in enumerate(row) if bit] == sorted(TokenSet(mask))
+
+    def test_reads_a_strided_view(self):
+        # The emitter passes ``masks[:, None]`` views and row gathers.
+        vector = np.array([5, 1 << 63, 0], dtype=np.uint64)
+        columns = token_columns(vector[:, None][::-1], 64)
+        assert [np.flatnonzero(row).tolist() for row in columns] == [[], [63], [0, 2]]
+
+    def test_bit_order_is_little_endian_within_and_across_planes(self):
+        matrix = masks_to_matrix([1 << 8, 1 << 64 | 1 << 71], 72)
+        assert [np.flatnonzero(row).tolist() for row in token_columns(matrix, 72)] == [
+            [8],
+            [64, 71],
+        ]
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError, match="num_tokens"):
+            token_columns(masks_to_matrix([1], 64), 65)
+        with pytest.raises(ValueError, match="matrix"):
+            token_columns(np.zeros(3, dtype=np.uint64), 3)
 
 
 @st.composite
