@@ -27,19 +27,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Dict, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import bench_rng  # noqa: E402
+from conftest import bench_rng, best_times  # noqa: E402
 
 from repro.core.problem import Problem  # noqa: E402
 from repro.heuristics import HEURISTIC_FACTORIES  # noqa: E402
 from repro.obs import RecordingTracer  # noqa: E402
 from repro.obs.analyze import attribute_events  # noqa: E402
-from repro.sim import run_heuristic  # noqa: E402
+from repro.sim import RunResult, run_heuristic  # noqa: E402
 from repro.topology import random_graph  # noqa: E402
 from repro.workloads import single_file  # noqa: E402
 
@@ -65,38 +64,39 @@ def case_problem() -> Problem:
 
 
 def measure_budget(problem: Problem, repeats: int) -> Dict[str, object]:
-    """The gate's measurement: best-of-N run wall vs attribution wall."""
-    best_run = best_attr = float("inf")
-    entry: Dict[str, object] = {}
-    for _ in range(repeats):
+    """The gate's measurement: best-of-N run wall vs attribution wall.
+
+    The traced run and the attribution of its events take turns
+    (:func:`conftest.best_times`); one untimed run first supplies the
+    events, which every run reproduces.
+    """
+
+    def traced_run() -> Tuple[RunResult, RecordingTracer]:
         tracer = RecordingTracer()
-        t0 = time.perf_counter()
-        result = run_heuristic(
-            problem, HEURISTIC_FACTORIES[HEURISTIC](), seed=1, tracer=tracer
+        heuristic = HEURISTIC_FACTORIES[HEURISTIC]()
+        return run_heuristic(problem, heuristic, seed=1, tracer=tracer), tracer
+
+    events = traced_run()[1].events
+    (t_run, t_attr), ((result, _tracer), report) = best_times(
+        [traced_run, lambda: attribute_events(events)], repeats
+    )
+    (attribution,) = report.runs
+    if attribution.makespan != result.schedule.makespan:
+        raise AssertionError(
+            f"{LABEL}: attribution disagrees with the engine "
+            f"({attribution.makespan} vs {result.schedule.makespan})"
         )
-        t_run = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        report = attribute_events(tracer.events)
-        t_attr = time.perf_counter() - t0
-        (attribution,) = report.runs
-        if attribution.makespan != result.schedule.makespan:
-            raise AssertionError(
-                f"{LABEL}: attribution disagrees with the engine "
-                f"({attribution.makespan} vs {result.schedule.makespan})"
-            )
-        if attribution.path.length != attribution.makespan:
-            raise AssertionError(f"{LABEL}: critical path does not tile the run")
-        best_run = min(best_run, t_run)
-        best_attr = min(best_attr, t_attr)
-        entry = {
-            "moves": result.schedule.bandwidth,
-            "timesteps": result.schedule.makespan,
-            "old_engine": "vector+tracer",
-            "new_engine": "trace-attribute",
-            "run_ms": round(best_run * 1e3, 1),
-            "attribute_ms": round(best_attr * 1e3, 1),
-            "speedup": round(best_run / best_attr, 3),
-        }
+    if attribution.path.length != attribution.makespan:
+        raise AssertionError(f"{LABEL}: critical path does not tile the run")
+    entry: Dict[str, object] = {
+        "moves": result.schedule.bandwidth,
+        "timesteps": result.schedule.makespan,
+        "old_engine": "vector+tracer",
+        "new_engine": "trace-attribute",
+        "run_ms": round(t_run * 1e3, 1),
+        "attribute_ms": round(t_attr * 1e3, 1),
+        "speedup": round(t_run / t_attr, 3),
+    }
     print(
         f"{LABEL}: run {entry['run_ms']}ms, attribute {entry['attribute_ms']}ms "
         f"-> ratio {entry['speedup']}x"

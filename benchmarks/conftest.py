@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List
+import time
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import pytest
 
@@ -36,6 +37,29 @@ def bench_rng(label: str) -> random.Random:
     """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def best_times(
+    fns: Sequence[Callable[[], Any]], repeats: int
+) -> Tuple[List[float], List[Any]]:
+    """Best-of-``repeats`` wall time of each of ``fns``, and a result.
+
+    The calls take turns, in an order rotated on each repeat, so no
+    function always runs first (cold caches) and a window of
+    shared-machine noise, or a drift in machine speed, lands on every
+    function's sample alike.  The result kept is each function's last.
+    """
+    best = [float("inf")] * len(fns)
+    results: List[Any] = [None] * len(fns)
+    for repeat in range(repeats):
+        for k in range(len(fns)):
+            i = (repeat + k) % len(fns)
+            results[i] = None  # free the last result outside the timed call
+            t0 = time.perf_counter()
+            result = fns[i]()
+            best[i] = min(best[i], time.perf_counter() - t0)
+            results[i] = result
+    return best, results
 
 
 def series_map(result: FigureResult, y: str) -> Dict[str, List[tuple]]:

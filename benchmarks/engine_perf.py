@@ -1,29 +1,26 @@
-"""Engine perf harness: paired old-vs-new engine runs per case.
+"""Engine perf harness: the frozen reference against the live engine.
 
 Measures moves/second (schedule bandwidth over wall time, best-of-N) for
-pairs of engine sides on identical workloads and records both sides in
-``BENCH_engine.json`` at the repo root.  The sides are the frozen
-pre-kernel loop (``reference``, :mod:`repro.sim.reference`) and the two
-proposal paths of the one :class:`repro.sim.SimState` kernel:
-``scalar`` (the heuristic's ``propose_vector`` hidden, so the engine
-runs ``propose``) and ``vector`` (the engine's default for a heuristic
-with ``propose_vector``).  Each case names its own pair:
+both sides of every case on identical workloads and records them in
+``BENCH_engine.json`` at the repo root.  The old side is the frozen
+pre-kernel loop and ``propose`` bodies (``reference``,
+:mod:`repro.sim.reference`); the new side is :class:`repro.sim.Engine`
+running the heuristic on its ``propose_vector`` path (``vector``), the
+only path Round-Robin, Random and Local have:
 
-* the original cases pit the incremental kernel's scalar path against
-  the reference loop;
-* the ``round_robin/n>=1000`` and ``local/n>=1000`` cases pit the
-  vector path against the scalar path on workloads large enough for
+* ``local/n<=200`` and ``random/n=150`` are the original incremental
+  kernel workloads on the paper's [3, 15] capacities;
+* ``round_robin/n>=1000`` and ``local/n>=1000`` are large enough for
   array ops to pay.  The Round-Robin vector lap is a fixed number of
   whole-array passes (one k-th-set-bit select per cursor-advancing
   arc).  The local-rarest vector path is RNG-bound: it draws the
-  engine RNG directly in scalar order, so its speedup is bounded by the
-  shared shuffle/draw cost (docs/MODEL.md §8).  A heavy
-  ``round_robin/n=100000`` swarm case (sparse O(E) instances) is
-  measured with ``--heavy`` and recorded rather than gated.  The big
-  local cases use many-token files on unit-capacity arcs: that is the
-  regime the vector screen is built for (supplier bitmasks built in
-  bulk, request budgets exhausting early, so the draw loop visits only
-  the suppliers with budget left).
+  engine RNG directly in the reference's order, so its speedup is
+  bounded by the shared shuffle/draw cost (docs/MODEL.md §8).  The big
+  local cases use many-token files on unit-capacity arcs on sparse
+  paper-probability overlays: that is the regime the vector screen is
+  built for (supplier bitmasks built in bulk, request budgets
+  exhausting early, so the draw loop visits only the suppliers with
+  budget left).
 
 Instances are seeded from the *case label* (``bench_rng`` on
 ``engine_perf/<label>``), never from the engine side, so both sides of
@@ -33,8 +30,9 @@ asserted identical before any number is recorded.
 Because both implementations are timed in the same process on the same
 machine, their *ratio* (the speedup) is machine-independent enough to
 gate in CI: ``--check`` re-measures and fails when any case's speedup
-drops more than 25% below the committed baseline — i.e. someone has
-slowed the new path down relative to the known-equivalent old one.
+drops below its tolerance of the committed baseline (75% for the
+original kernel workloads, 50% for the rest) — i.e. someone has slowed
+the live path down relative to the known-equivalent frozen one.
 
 Usage::
 
@@ -49,17 +47,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from conftest import bench_rng  # noqa: E402
+from conftest import bench_rng, best_times  # noqa: E402
 
 from repro.core.problem import Problem  # noqa: E402
-from repro.heuristics import HEURISTIC_FACTORIES, Heuristic  # noqa: E402
+from repro.heuristics import HEURISTIC_FACTORIES  # noqa: E402
 from repro.sim import RunResult, run_heuristic  # noqa: E402
 from repro.sim.reference import (  # noqa: E402
     make_reference_heuristic,
@@ -74,90 +71,70 @@ BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: The committed speedup may shrink this much before --check fails.
 REGRESSION_TOLERANCE = 0.75
 
-#: Floor factor for vector-path cases: their fast side finishes in
-#: fractions of a second, so the measured ratio is noisier (allocator
-#: and cache state move it by 2-3x more than the reference pairs).
+#: Floor factor for the large cases: their vector side finishes in
+#: fractions of a second, so allocator and cache state move their ratio
+#: by 2-3x more than the original pairs'.
 VECTOR_REGRESSION_TOLERANCE = 0.5
 
-#: Engine sides a case may pit against each other: the frozen pre-kernel
-#: oracle, or one proposal path of the kernel (:func:`side_runner`).
-ENGINE_SIDES = ("reference", "scalar", "vector")
+#: The old and the new engine side of every case (:func:`side_runner`).
+ENGINE_SIDES = ("reference", "vector")
 
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One paired workload: ``new`` is gated against ``old``."""
+    """One paired workload: the new side is gated against the old."""
 
     heuristic: str
     n: int
     file_tokens: int
-    old: str = "reference"
-    new: str = "scalar"
+    #: The fraction of the committed speedup --check requires.
+    tolerance: float = REGRESSION_TOLERANCE
     #: Draw the instance with the O(edges) Batagelj–Brandes sampler
     #: (required beyond a few thousand vertices, where per-pair G(n, p)
     #: sampling alone would dwarf the simulation).
     sparse: bool = False
-    #: Heavy cases (minutes of scalar wall time) are excluded from
-    #: default runs and ``--check``; select them exactly by label or
-    #: pass ``--heavy``.  Their committed entries survive baseline
-    #: regeneration without ``--heavy``.
-    heavy: bool = False
     #: Per-case override of the best-of-N repeat count.
     repeats: Optional[int] = None
     #: Draw every arc with capacity 1 instead of the paper's [3, 15]
     #: range.  The big local cases use this: unit budgets exhaust after
     #: one grant per arc, which is the regime where the vector screen's
-    #: early-exhaustion advantage over the scalar inversion is largest.
+    #: early exhaustion pays most.
     unit_caps: bool = False
-
-    @property
-    def tolerance(self) -> float:
-        if "vector" in (self.old, self.new):
-            return VECTOR_REGRESSION_TOLERANCE
-        return REGRESSION_TOLERANCE
 
 
 CASES: Dict[str, BenchCase] = {
-    # The incremental kernel's scalar path vs the frozen pre-kernel
-    # reference.
+    # The original incremental kernel workloads.
     "local/n=50": BenchCase("local", 50, 50),
     "local/n=100": BenchCase("local", 100, 50),
     "local/n=200": BenchCase("local", 200, 50),
     "random/n=150": BenchCase("random", 150, 60),
-    # The vector path vs the scalar path.  Round-robin is the vector-path
-    # client; at these sizes the per-arc Python lap dominates the scalar
-    # run.
-    "round_robin/n=1000": BenchCase("round_robin", 1000, 50, "scalar", "vector"),
+    # Round-Robin's vector lap; at these sizes the reference's per-arc
+    # Python lap dominates its run.
+    "round_robin/n=1000": BenchCase(
+        "round_robin", 1000, 50, tolerance=VECTOR_REGRESSION_TOLERANCE
+    ),
     "round_robin/n=10000": BenchCase(
-        "round_robin", 10000, 50, "scalar", "vector"
+        "round_robin", 10000, 50, tolerance=VECTOR_REGRESSION_TOLERANCE
     ),
     # RNG-bound vector paths: the local-rarest assignment loop drawing
-    # the engine RNG in scalar order, vs its scalar twin, on sparse
+    # the engine RNG in the reference's order, on sparse
     # paper-probability overlays with many-token files and unit arcs.
     "local/n=1000": BenchCase(
-        "local", 1000, 256, "scalar", "vector", sparse=True, unit_caps=True
+        "local",
+        1000,
+        256,
+        tolerance=VECTOR_REGRESSION_TOLERANCE,
+        sparse=True,
+        unit_caps=True,
     ),
     "local/n=10000": BenchCase(
         "local",
         10000,
         256,
-        "scalar",
-        "vector",
+        tolerance=VECTOR_REGRESSION_TOLERANCE,
         sparse=True,
         repeats=2,
         unit_caps=True,
-    ),
-    # The 10^5 swarm regime.  The scalar side alone takes minutes, so
-    # the case is measured once and recorded, not gated per-push.
-    "round_robin/n=100000": BenchCase(
-        "round_robin",
-        100000,
-        50,
-        "scalar",
-        "vector",
-        sparse=True,
-        heavy=True,
-        repeats=1,
     ),
 }
 
@@ -178,15 +155,6 @@ def case_problem(label: str, case: BenchCase) -> Problem:
     )
 
 
-def side_heuristic(side: str, heuristic: str) -> Heuristic:
-    """A fresh ``heuristic`` for a kernel side: ``scalar`` hides its
-    ``propose_vector``, so the engine runs ``propose``."""
-    fresh = HEURISTIC_FACTORIES[heuristic]()
-    if side == "scalar":
-        fresh.propose_vector = None
-    return fresh
-
-
 def side_runner(
     side: str, problem: Problem, heuristic: str
 ) -> Callable[[], RunResult]:
@@ -194,65 +162,37 @@ def side_runner(
         return lambda: reference_run_heuristic(
             problem, make_reference_heuristic(heuristic), seed=1
         )
-    return lambda: run_heuristic(problem, side_heuristic(side, heuristic), seed=1)
+    return lambda: run_heuristic(problem, HEURISTIC_FACTORIES[heuristic](), seed=1)
 
 
-def select_cases(
-    case_filter: Optional[str],
-    include_heavy: bool = False,
-) -> Dict[str, BenchCase]:
+def select_cases(case_filter: Optional[str]) -> Dict[str, BenchCase]:
     terms = case_filter.split(",") if case_filter else []
     if terms and all(term in CASES for term in terms):
         # Exact labels beat substrings ("n=1000" is a substring of
-        # "n=10000", so exact selection must win); exact selection also
-        # opts into heavy cases.
+        # "n=10000", so exact selection must win).
         selected = {term: CASES[term] for term in terms}
     else:
         selected = {
             label: case
             for label, case in CASES.items()
-            if (not terms or any(term in label for term in terms))
-            and (include_heavy or not case.heavy)
+            if not terms or any(term in label for term in terms)
         }
     if not selected:
         raise SystemExit(f"no benchmark case matches {case_filter!r}")
     return selected
 
 
-def _best_times(
-    fns: Sequence[Callable[[], RunResult]], repeats: int
-) -> Tuple[List[float], List[RunResult]]:
-    """Best-of-``repeats`` wall time of each of ``fns``, and a result.
-
-    The runs take turns, in an order rotated on each repeat, so no side
-    always runs first (cold caches) and a window of shared-machine
-    noise, or a drift in machine speed, lands on every side's sample
-    alike.
-    """
-    best = [float("inf")] * len(fns)
-    results: list = [None] * len(fns)
-    for repeat in range(repeats):
-        for k in range(len(fns)):
-            i = (repeat + k) % len(fns)
-            results[i] = None  # free the last result outside the timed call
-            t0 = time.perf_counter()
-            result = fns[i]()
-            best[i] = min(best[i], time.perf_counter() - t0)
-            results[i] = result
-    assert all(result is not None for result in results)
-    return best, results
-
-
 def _step_sends(timestep):
     """``{arc: mask}`` of one timestep, without materializing lazy
-    vector timesteps into TokenSet dicts (the 10^5 cases would pay
-    gigabytes for a comparison that only needs the raw masks).
+    vector timesteps into TokenSet dicts (the n=10^4 cases would pay
+    hundreds of megabytes for a comparison that only needs the raw
+    masks).
 
     A mapping, not an ordered list: the frozen reference oracle
-    predates the kernel's proposal-dict insertion-order conventions, so
-    reference pairs agree on *which* sends each step makes, not on
-    enumeration order.  Byte-level send order between the scalar and
-    vector paths is pinned separately by the differential trace suite.
+    predates the kernel's send-order conventions (Local inserts in
+    grant order there), so pairs agree on *which* sends each step
+    makes, not on enumeration order.  The send order rule is pinned by
+    ``tests/sim/test_batch_equivalence.py``.
     """
     stream = getattr(timestep, "iter_sends_masks", None)
     if stream is not None:
@@ -270,55 +210,51 @@ def schedules_equal(a, b) -> bool:
 
 
 def measure(
-    repeats: int,
-    case_filter: Optional[str] = None,
-    include_heavy: bool = False,
+    repeats: int, case_filter: Optional[str] = None
 ) -> Dict[str, Dict[str, object]]:
     cases: Dict[str, Dict[str, object]] = {}
-    for label, case in select_cases(case_filter, include_heavy).items():
-        new_side = case.new
+    old_side, new_side = ENGINE_SIDES
+    for label, case in select_cases(case_filter).items():
         reps = case.repeats if case.repeats is not None else repeats
         problem = case_problem(label, case)
-        (t_new, t_old), (new, old) = _best_times(
+        (t_new, t_old), (new, old) = best_times(
             [
                 side_runner(new_side, problem, case.heuristic),
-                side_runner(case.old, problem, case.heuristic),
+                side_runner(old_side, problem, case.heuristic),
             ],
             reps,
         )
         if not schedules_equal(old.schedule, new.schedule):
             raise AssertionError(
-                f"{label}: {case.old} and {new_side} engines disagree "
+                f"{label}: {old_side} and {new_side} engines disagree "
                 f"({old.schedule.bandwidth} vs {new.schedule.bandwidth} moves)"
             )
         moves = new.schedule.bandwidth
         cases[label] = {
             "moves": moves,
             "timesteps": new.schedule.makespan,
-            "old_engine": case.old,
+            "old_engine": old_side,
             "new_engine": new_side,
             "old_moves_per_sec": round(moves / t_old),
             "new_moves_per_sec": round(moves / t_new),
             "speedup": round(t_old / t_new, 2),
         }
         print(
-            f"{label}: {moves} moves, {case.old} {moves / t_old / 1e3:.0f}k mv/s, "
+            f"{label}: {moves} moves, {old_side} {moves / t_old / 1e3:.0f}k mv/s, "
             f"{new_side} {moves / t_new / 1e3:.0f}k mv/s, "
             f"speedup {t_old / t_new:.2f}x"
         )
     return cases
 
 
-def write_baseline(
-    repeats: int, include_heavy: bool, case_filter: Optional[str] = None
-) -> None:
-    measured = measure(repeats, case_filter, include_heavy)
+def write_baseline(repeats: int, case_filter: Optional[str] = None) -> None:
+    measured = measure(repeats, case_filter)
     cases: Dict[str, Dict[str, object]] = {}
     if BASELINE_PATH.exists():
         # Committed entries keep their place; those not re-measured
-        # (unselected cases, heavy ones without --heavy, and entries
-        # owned by other harnesses such as benchmarks/
-        # attribution_overhead.py) survive regeneration as they are.
+        # (unselected cases, and entries owned by other harnesses such
+        # as benchmarks/attribution_overhead.py) survive regeneration
+        # as they are.
         previous = json.loads(BASELINE_PATH.read_text())["cases"]
         for label, entry in previous.items():
             cases[label] = measured.get(label, entry)
@@ -328,10 +264,9 @@ def write_baseline(
     payload = {
         "_comment": (
             "Engine throughput: per-case old-vs-new engine pairs (frozen "
-            "reference vs the SimState kernel's scalar path; scalar vs "
-            "vector proposal path), best-of-N wall time on identical label-seeded "
-            "workloads. Regenerate with: "
-            "PYTHONPATH=src python benchmarks/engine_perf.py [--heavy]"
+            "reference vs the SimState kernel's vector proposal path), "
+            "best-of-N wall time on identical label-seeded workloads. "
+            "Regenerate with: PYTHONPATH=src python benchmarks/engine_perf.py"
         ),
         "repeats": repeats,
         "cases": cases,
@@ -340,16 +275,12 @@ def write_baseline(
     print(f"wrote {BASELINE_PATH}")
 
 
-def check_against_baseline(
-    repeats: int,
-    case_filter: Optional[str],
-    include_heavy: bool = False,
-) -> int:
+def check_against_baseline(repeats: int, case_filter: Optional[str]) -> int:
     if not BASELINE_PATH.exists():
         print(f"no baseline at {BASELINE_PATH}; run without --check first")
         return 2
     baseline = json.loads(BASELINE_PATH.read_text())["cases"]
-    measured = measure(repeats, case_filter, include_heavy)
+    measured = measure(repeats, case_filter)
     failures = []
     for label, observed_entry in measured.items():
         if label not in baseline:
@@ -358,10 +289,7 @@ def check_against_baseline(
             continue
         committed = baseline[label]["speedup"]
         observed = observed_entry["speedup"]
-        tolerance = (
-            CASES[label].tolerance if label in CASES else REGRESSION_TOLERANCE
-        )
-        floor = committed * tolerance
+        floor = committed * CASES[label].tolerance
         status = "ok" if observed >= floor else "REGRESSION"
         print(
             f"{label}: committed {committed:.2f}x, observed {observed:.2f}x, "
@@ -382,7 +310,8 @@ def main() -> int:
         "--check",
         action="store_true",
         help="compare a fresh measurement against the committed baseline "
-        f"(fail below {REGRESSION_TOLERANCE:.0%} of the committed speedup)",
+        "(fail below each case's tolerance of the committed speedup: "
+        f"{REGRESSION_TOLERANCE:.0%} or {VECTOR_REGRESSION_TOLERANCE:.0%})",
     )
     parser.add_argument(
         "--cases",
@@ -398,16 +327,10 @@ def main() -> int:
         default=5,
         help="best-of-N timing repeats per case (default 5)",
     )
-    parser.add_argument(
-        "--heavy",
-        action="store_true",
-        help="include heavy cases (minutes of scalar wall time); they "
-        "are otherwise skipped unless selected exactly by label",
-    )
     args = parser.parse_args()
     if args.check:
-        return check_against_baseline(args.repeats, args.cases, args.heavy)
-    write_baseline(args.repeats, args.heavy, args.cases)
+        return check_against_baseline(args.repeats, args.cases)
+    write_baseline(args.repeats, args.cases)
     return 0
 
 

@@ -14,7 +14,8 @@ The two variants are different programs (unlike disabled tracing,
 which runs the same instructions either way and is checked by a test,
 not a timing), so only a timing can bound the difference.  They run
 back-to-back within each repeat, in an order that alternates between
-repeats, and the gate compares each variant's best time,
+repeats (``conftest.best_times``), and the gate compares each variant's
+best time,
 ``min(monitored) / min(unmonitored) - 1``.
 Shared-machine noise moves single samples both ways by several percent,
 so a single paired ratio can hide a real cost; each variant's minimum
@@ -31,20 +32,26 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import os
 import random
+import sys
 import tempfile
-import time
+from pathlib import Path
 
-from repro.experiments.sweep import (
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+from conftest import best_times  # noqa: E402
+
+from repro.experiments.sweep import (  # noqa: E402
     Executor,
     ExecutorConfig,
     PointSpec,
     point_function,
 )
-from repro.heuristics import HEURISTIC_FACTORIES
-from repro.sim import run_heuristic
-from repro.topology.generators import random_instance
+from repro.heuristics import HEURISTIC_FACTORIES  # noqa: E402
+from repro.sim import run_heuristic  # noqa: E402
+from repro.topology.generators import random_instance  # noqa: E402
 
 #: Enabled monitoring may slow a sweep by at most this much.
 LEDGER_OVERHEAD_TOLERANCE = 0.02
@@ -85,27 +92,28 @@ def _specs(points: int, size: int, tokens: int) -> list:
 def check_ledger_overhead(repeats: int, points: int, size: int, tokens: int) -> int:
     specs = _specs(points, size, tokens)
     sink = io.StringIO()
-    best = {False: float("inf"), True: float("inf")}
-    results = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for repeat in range(repeats):
-            order = (False, True) if repeat % 2 == 0 else (True, False)
-            for monitored in order:
-                ledger_path = os.path.join(tmp, f"ledger-{repeat}.jsonl")
-                config = ExecutorConfig(
-                    workers=1, ledger_path=ledger_path if monitored else None
-                )
-                t0 = time.perf_counter()
-                results[monitored] = Executor(config, stream=sink).run(specs)
-                best[monitored] = min(best[monitored], time.perf_counter() - t0)
-    if results[True] != results[False]:
+        calls = itertools.count()
+
+        def sweep(monitored: bool) -> list:
+            # A fresh ledger file per monitored call.
+            ledger_path = os.path.join(tmp, f"ledger-{next(calls)}.jsonl")
+            config = ExecutorConfig(
+                workers=1, ledger_path=ledger_path if monitored else None
+            )
+            return Executor(config, stream=sink).run(specs)
+
+        (t_plain, t_monitored), (plain, monitored) = best_times(
+            [lambda: sweep(False), lambda: sweep(True)], repeats
+        )
+    if monitored != plain:
         raise AssertionError("monitoring perturbed sweep results")
-    overhead = best[True] / best[False] - 1.0
+    overhead = t_monitored / t_plain - 1.0
     status = "ok" if overhead <= LEDGER_OVERHEAD_TOLERANCE else "OVERHEAD"
     print(
         f"sweep ledger overhead {overhead:+.1%} over {points} "
-        f"point(s), best of {repeats}: unmonitored {best[False] * 1e3:.1f}ms, "
-        f"monitored {best[True] * 1e3:.1f}ms "
+        f"point(s), best of {repeats}: unmonitored {t_plain * 1e3:.1f}ms, "
+        f"monitored {t_monitored * 1e3:.1f}ms "
         f"(limit {LEDGER_OVERHEAD_TOLERANCE:.0%}) -> {status}"
     )
     return 0 if overhead <= LEDGER_OVERHEAD_TOLERANCE else 1

@@ -76,15 +76,11 @@ def test_committed_baseline_covers_every_perf_case():
     for label, entry in baseline["cases"].items():
         if label == ATTRIBUTION_LABEL:
             continue
-        case = CASES[label]
         assert entry["moves"] > 0, label
         assert entry["old_moves_per_sec"] > 0, label
         assert entry["new_moves_per_sec"] > 0, label
         assert entry["speedup"] > 0, label
-        assert entry["old_engine"] == case.old, label
-        assert entry["new_engine"] == case.new, label
-        assert entry["old_engine"] in ENGINE_SIDES, label
-        assert entry["new_engine"] in ENGINE_SIDES, label
+        assert (entry["old_engine"], entry["new_engine"]) == ENGINE_SIDES, label
     entry = baseline["cases"][ATTRIBUTION_LABEL]
     assert entry["moves"] > 0
     assert entry["timesteps"] > 0
@@ -105,11 +101,18 @@ def test_committed_speedup_meets_incremental_kernel_target():
     assert baseline["cases"]["local/n=200"]["speedup"] >= 3.0
 
 
+#: The kernel's deleted per-arc ``propose`` path ran the n=10^4
+#: round-robin workload 1.415x faster than the frozen reference
+#: (best-of-3, both in one process, 2-core VM).
+SCALAR_OVER_REFERENCE = 1.415
+
+
 def test_committed_speedup_meets_vector_path_target():
     """The vector path's acceptance bar: >= 3x moves/sec over the
-    kernel's scalar path on the n=10^4 round-robin workload."""
+    kernel's old per-arc ``propose`` path on the n=10^4 round-robin
+    workload, i.e. 3x that path's own speedup over the reference."""
     baseline = _baseline()
     entry = baseline["cases"]["round_robin/n=10000"]
-    assert entry["old_engine"] == "scalar"
+    assert entry["old_engine"] == "reference"
     assert entry["new_engine"] == "vector"
-    assert entry["speedup"] >= 3.0
+    assert entry["speedup"] >= 3.0 * SCALAR_OVER_REFERENCE

@@ -12,13 +12,13 @@
 A :class:`CapacitySchedule` maps ``(timestep, arc) -> capacity`` (0 =
 the arc is absent that turn).  :class:`DynamicEngine` runs the standard
 driver loop with the per-step capacities, re-validating every heuristic
-proposal against the *current* turn's graph; heuristics see the current
-capacities through a per-step :class:`repro.core.Problem` view, i.e. they
-are "robust" in the paper's sense of adapting each turn but having no
-future knowledge.  :func:`oracle_makespan` is the network oracle: an
-exact search over the time-expanded instance with full knowledge of
-current *and future* conditions, for comparing online behavior against
-clairvoyance.
+proposal against the *current* turn's graph; heuristics are reset onto
+the current turn's :class:`repro.core.Problem` whenever its arcs change
+and propose on it, i.e. they are "robust" in the paper's sense of
+adapting each turn but having no future knowledge.
+:func:`oracle_makespan` is the network oracle: an exact search over the
+time-expanded instance with full knowledge of current *and future*
+conditions, for comparing online behavior against clairvoyance.
 
 Node arrivals and departures (the paper's third open problem) are the
 special case where all arcs incident to a vertex drop to zero while it
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.problem import Arc, Problem
 from repro.core.schedule import Timestep
@@ -37,11 +37,9 @@ from repro.core.tokenset import TokenSet
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.engine import (
+    HeuristicDriver,
     HeuristicProtocol,
-    Proposal,
     RunResult,
-    StepContext,
-    StepDriver,
     emit_step_event,
 )
 from repro.sim.state import SimState
@@ -172,14 +170,16 @@ def churn_schedule(
     return CapacitySchedule(problem, capacity, name="churn")
 
 
-class DynamicEngine(StepDriver):
+class DynamicEngine(HeuristicDriver):
     """The synchronous simulator under changing network conditions.
 
-    Each turn, the heuristic receives a :class:`StepContext` built on the
-    *current* turn's graph, so it adapts to conditions as they are — an
-    online algorithm with a present-only network view.  Proposals are
-    validated against the current capacities.  There is no stall
-    detection: a dead network may come back next turn.
+    Each turn, the heuristic proposes on the *current* turn's graph
+    (it is reset onto that graph whenever the arc set changes), so it
+    adapts to conditions as they are — an online algorithm with a
+    present-only network view.  Proposals are validated against the
+    current capacities, through the same dispatch as
+    :class:`repro.sim.Engine` (:class:`repro.sim.engine.HeuristicDriver`).
+    There is no stall detection: a dead network may come back next turn.
     """
 
     engine_name = "dynamic"
@@ -209,33 +209,23 @@ class DynamicEngine(StepDriver):
 
     def _start(self, state: SimState) -> str:
         self._arcs: Optional[Set[Arc]] = None
+        super()._start(state)
         return f"{self.heuristic.name}@{self.conditions.name}"
 
-    def _propose(self, state: SimState, step: int) -> Proposal:
+    def _propose(self, state: SimState, step: int) -> Any:
         current = self._turn = self.conditions.problem_at(step)
         # Heuristics keep per-run state keyed to a problem; reset when
-        # the turn's graph changes shape.
+        # the turn's graph changes shape.  An unchanged arc set is the
+        # same arc list in the same order, so the heuristic's arc
+        # indices stay valid on the new turn's graph.
         arcs = set(current.arcs)
         if arcs != self._arcs:
             self.heuristic.reset(current, self.rng)
             self._arcs = arcs
-        ctx = StepContext(
-            current,
-            step,
-            state.possession,
-            state.holder_counts,
-            self.rng,
-            state=state,
-        )
-        return self.heuristic.propose(ctx)
+        return super()._propose(state, step)
 
     def _finish_step(
-        self,
-        state: SimState,
-        timestep: Timestep,
-        arrivals: Dict[int, int],
-        step: int,
-        version_before: int,
+        self, state: SimState, timestep: Timestep, step: int, version_before: int
     ) -> None:
         if self.tracer.enabled:
             emit_step_event(

@@ -1,10 +1,14 @@
 """Shared infrastructure for the Section 5.1 heuristics.
 
-Every heuristic is an object with a ``name``, a per-run ``reset``, and a
-``propose`` that maps a :class:`repro.sim.StepContext` to the sends of one
-timestep.  Heuristics are stateless across runs (``reset`` rebuilds any
-per-run memory, e.g. Round-Robin's queue positions) so one instance can be
-reused across trials.
+Every heuristic is an object with a ``name``, a per-run ``reset``, and
+one proposal path for the sends of a timestep: ``propose_vector``, which
+reads the kernel's :class:`repro.sim.SimState` and returns a
+:class:`repro.sim.state.VectorProposal` (Round-Robin, Random, Local,
+Sequential), or ``propose``, which maps a :class:`repro.sim.StepContext`
+to a ``{(src, dst): tokens}`` dict (Bandwidth, Global).  Heuristics are
+stateless across runs (``reset`` rebuilds any per-run memory, e.g.
+Round-Robin's queue positions) so one instance can be reused across
+trials.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ __all__ = ["Heuristic", "sample_tokens"]
 class Heuristic:
     """Base class: stores the problem and RNG at reset time.
 
-    Subclasses override :meth:`propose`, and :meth:`on_reset` for any
-    per-run precomputation.
+    Subclasses define ``propose_vector(state)`` or override
+    :meth:`propose`, and override :meth:`on_reset` for any per-run
+    precomputation.
 
     Determinism contract (``tests/test_determinism_env.py``): all
     randomness flows through :attr:`rng`, which defaults to a *seeded*

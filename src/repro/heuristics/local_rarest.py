@@ -22,44 +22,35 @@ paper's Figure 4 shows the resulting bandwidth is insensitive to how many
 vertices actually want the file.
 
 The rarest-first ranking is the one overridable step
-(:meth:`LocalRarestHeuristic._request_order`): both paths bind it once
-per step and apply it to each receiver's ascending request list before
-the supplier draws.  :class:`repro.heuristics.SequentialHeuristic`
+(:meth:`LocalRarestHeuristic._request_order`): it is bound once per
+step and applied to each receiver's ascending request list before the
+supplier draws.  :class:`repro.heuristics.SequentialHeuristic`
 overrides it to keep the lists ascending, so it shares every other line
-here.  The aggregate need vector is read from the kernel's live
-``token_deficit`` vector (:meth:`repro.sim.SimState.token_demand`);
-snapshot contexts count it from their possession.  The per-receiver
-supplier arrays (sources, send keys, capacities, in ``in_arcs`` order)
-are the instance's :meth:`repro.core.problem.Problem.suppliers` table,
-built once and shared with Bandwidth and Global.  The assignment loop
-works on raw bitmasks, inverts supplier masks into per-token holder
-lists, and replaces the ``max(key=...)`` supplier scan with an explicit
-loop that consumes the RNG identically, so schedules are byte-identical
-to the pre-rewrite implementation (see
-``tests/sim/test_incremental_equivalence.py``).
+here.  The aggregate need vector is the kernel's live ``token_deficit``
+vector (:meth:`repro.sim.SimState.token_demand`).  The per-receiver
+supplier capacities (in ``in_arcs`` order) are the instance's
+:meth:`repro.core.problem.Problem.suppliers` table, built once and
+shared with Bandwidth and Global.
 
-The vector path (:meth:`LocalRarestHeuristic.propose_vector`) takes its
-request lists and one supplier-slot bitmask per request from the
-batched screen in :mod:`repro.heuristics.vector_common`, shuffles with
-the inlined ``Random.shuffle`` there, and draws only over the suppliers
-that hold the token *and* have budget left (``mask & live``, ascending
-slots), so it makes exactly the scalar loop's draws.  The scalar
-:meth:`LocalRarestHeuristic.propose` stays on ``rng.shuffle`` and the
-holder lists: it is the oracle the vector path is tested against.
-Both paths insert a step's sends in supplier-slot order (receivers
-ascending, in-arc order within each).
+:meth:`LocalRarestHeuristic.propose_vector` takes its request lists
+and one supplier-slot bitmask per request from the batched screen in
+:mod:`repro.heuristics.vector_common`, shuffles with the inlined
+``Random.shuffle`` there, and draws only over the suppliers that hold
+the token *and* have budget left (``mask & live``, ascending slots).
+That is one ``rng.random()`` per eligible supplier in in-arc order, the
+draws of the frozen ``max(key=...)`` loop in :mod:`repro.sim.reference`,
+so schedules and the RNG state after every step match it exactly
+(``tests/heuristics/test_vector_rng_stream.py``).  A step's sends are
+in supplier-slot order: receivers ascending, in-arc order within each.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from repro.core.bitplanes import np
-from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic
-from repro.sim import Proposal, StepContext
 from repro.heuristics.vector_common import (
-    InArcTables,
     build_in_tables,
     empty_vector_proposal,
     grouped_requests,
@@ -80,15 +71,10 @@ class LocalRarestHeuristic(Heuristic):
     name = "local"
 
     def on_reset(self) -> None:
-        problem = self.problem
-        # Reusable per-token holder lists (cleared after each vertex).
-        self._holders: List[List[int]] = [[] for _ in range(problem.num_tokens)]
-        # Per-receiver supplier arrays: in-neighbor ids, arc keys, caps.
-        self._suppliers = problem.suppliers()
-        # Vector-path in-arc tables (global arc ids grouped by dst in
-        # in-arc order); built lazily on the first vector step so scalar
-        # runs never pay for them.
-        self._vec_tables: Optional[InArcTables] = None
+        # Per-receiver supplier capacities and the in-arc tables (global
+        # arc ids grouped by dst), both in in-arc order.
+        self._caps = self.problem.suppliers().caps
+        self._tables = build_in_tables(self.problem)
 
     def _request_order(
         self, shuffle: RequestOrder, ranks: Callable[[], List[int]]
@@ -124,129 +110,24 @@ class LocalRarestHeuristic(Heuristic):
             for t in range(problem.num_tokens)
         ]
 
-    @staticmethod
-    def _need_counts(ctx: StepContext) -> List[int]:
-        """How many vertices still want each token (the per-turn aggregate
-        need the paper distributes): the kernel's live ``token_deficit``
-        vector, or for a snapshot context a count of its outstanding
-        tokens."""
-        if ctx.state is not None:
-            return ctx.state.token_demand()
-        need_counts = [0] * ctx.problem.num_tokens
-        for v in range(ctx.problem.num_vertices):
-            for t in ctx.outstanding(v):
-                need_counts[t] += 1
-        return need_counts
-
-    def propose(self, ctx: StepContext) -> Proposal:
-        problem = ctx.problem
-        rng = ctx.rng
-        rng_random = rng.random
-        state = ctx.state
-        masks = (
-            state.possession_masks
-            if state is not None
-            else [p.mask for p in ctx.possession]
-        )
-        order = self._request_order(
-            rng.shuffle,
-            lambda: self._token_ranks(ctx.holder_counts, self._need_counts(ctx)),
-        )
-        table = self._suppliers
-        sup_srcs = table.srcs
-        holders = self._holders
-        sends: Dict[Tuple[int, int], int] = {}
-        for v in range(problem.num_vertices):
-            srcs = sup_srcs[v]
-            if not srcs:
-                continue
-            available = 0
-            for s in srcs:
-                available |= masks[s]
-            lacking = available & ~masks[v]
-            if not lacking:
-                continue
-            requests: List[int] = []
-            mm = lacking
-            while mm:
-                low = mm & -mm
-                requests.append(low.bit_length() - 1)
-                mm ^= low
-            # Invert supplier masks into per-token holder lists (supplier
-            # indices ascending, i.e. in-arc order) so each request only
-            # visits peers that actually hold it.
-            for i, s in enumerate(srcs):
-                mm = masks[s] & lacking
-                while mm:
-                    low = mm & -mm
-                    holders[low.bit_length() - 1].append(i)
-                    mm ^= low
-            order(requests)
-            keys = table.keys[v]
-            budgets = list(table.caps[v])
-            accum = [0] * len(srcs)
-            remaining = sum(budgets)
-            for token in requests:
-                if not remaining:
-                    # No supplier has budget left: no later request can be
-                    # assigned and none would consume RNG (eligibility
-                    # requires budget), so stopping is stream-identical.
-                    break
-                # Spread requests: ask the peer with the most spare budget.
-                # Explicit max over (budget, rng.random()); first wins ties,
-                # matching max(key=...) which only replaces on strictly
-                # greater keys — and consuming one rng.random() per
-                # eligible supplier in arc order, like the old key calls.
-                best_i = -1
-                best_b = -1
-                best_r = 0.0
-                for i in holders[token]:
-                    b = budgets[i]
-                    if b > 0:
-                        r = rng_random()
-                        if b > best_b or (b == best_b and r > best_r):
-                            best_i = i
-                            best_b = b
-                            best_r = r
-                if best_i < 0:
-                    continue
-                budgets[best_i] -= 1
-                remaining -= 1
-                accum[best_i] |= 1 << token
-            for token in requests:
-                holders[token].clear()
-            for i, acc in enumerate(accum):
-                if acc:
-                    sends[keys[i]] = acc
-        return {key: TokenSet(mask) for key, mask in sends.items()}
-
-    def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
+    def propose_vector(self, state: SimState) -> VectorProposal:
         """The step as batched arrays.
 
         The receiver screen (supply unions, lacking masks, request
         lists, per-request supplier-slot bitmasks) is computed for every
         vertex at once by :mod:`repro.heuristics.vector_common`; the
-        per-candidate assignment core then consumes the engine RNG
-        through the exact scalar call sequence — the request order's
-        draws (for Local one shuffle of the request list: the
-        Fisher–Yates draws depend only on its length, so shuffling group
-        ids is word-identical to shuffling tokens;
-        :func:`~repro.heuristics.vector_common.list_shuffler` makes
-        ``Random.shuffle``'s own ``getrandbits`` calls) and one
-        ``rng.random()`` per eligible supplier in slot order — so
-        schedules, traces, and ``rng.getstate()`` after the step are all
-        byte-identical to :meth:`propose`.  Returns ``None`` (scalar
-        fallback) for a state of another problem or an empty universe.
+        per-candidate assignment core then consumes the engine RNG in a
+        fixed call sequence: the request order's draws (for Local one
+        shuffle of the request list: the Fisher–Yates draws depend only
+        on its length, so shuffling group ids is word-identical to
+        shuffling tokens; :func:`~repro.heuristics.vector_common.list_shuffler`
+        makes ``Random.shuffle``'s own ``getrandbits`` calls) and one
+        ``rng.random()`` per eligible supplier in slot order.
         """
-        problem = self.problem
-        if state.problem is not problem or problem.num_tokens == 0:
-            return None
-        tables = self._vec_tables
-        if tables is None:
-            tables = self._vec_tables = build_in_tables(state)
+        tables = self._tables
         grouped = grouped_requests(state, tables)
         if grouped is None:
-            return empty_vector_proposal()
+            return empty_vector_proposal(state.planes)
         rng = self.rng
         rng_random = rng.random
         tokens_arr = grouped.tokens_arr
@@ -256,14 +137,14 @@ class LocalRarestHeuristic(Heuristic):
             # per-candidate sorts key on group ids, so the shuffle
             # permutes ``range(gs, ge)`` (identical word consumption —
             # the Fisher–Yates stream depends only on length) and the
-            # stable sort sees the same key sequence the scalar token
-            # sort does.
+            # stable sort sees the key sequence a sort of the request
+            # tokens would.
             rank = self._token_ranks(state.holder_counts, state.token_demand())
             grank: List[int] = np.array(rank, dtype=np.int64)[tokens_arr].tolist()
             return grank
 
         order = self._request_order(list_shuffler(rng), group_ranks)
-        sup_caps = self._suppliers.caps
+        sup_caps = self._caps
         starts = tables.starts
         group_ranges = grouped.group_ranges
         g_tok = grouped.tokens
@@ -282,8 +163,8 @@ class LocalRarestHeuristic(Heuristic):
             for g in requests:
                 if not live:
                     break
-                # The scalar supplier-max: one draw per eligible holder
-                # in slot order (the bits of ``mm`` ascend), lexicographic
+                # The supplier max: one draw per eligible holder in slot
+                # order (the bits of ``mm`` ascend), lexicographic
                 # (budget, r) max, first wins ties.
                 mm = suppliers[g] & live
                 if not mm:

@@ -14,12 +14,11 @@ the smarter heuristics try to avoid.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List
 
 from repro.core.bitplanes import masks_to_matrix, matrix_to_masks, np
 from repro.core.tokenset import TokenSet
 from repro.heuristics.base import Heuristic, sample_tokens
-from repro.sim import Proposal, StepContext
 from repro.sim.state import SimState, VectorProposal
 
 __all__ = ["RandomHeuristic"]
@@ -30,31 +29,18 @@ class RandomHeuristic(Heuristic):
 
     name = "random"
 
-    def propose(self, ctx: StepContext) -> Proposal:
-        sends: Dict[Tuple[int, int], TokenSet] = {}
-        for arc in ctx.problem.arcs:
-            useful = ctx.useful(arc.src, arc.dst)
-            if not useful:
-                continue
-            sends[(arc.src, arc.dst)] = sample_tokens(useful, arc.capacity, ctx.rng)
-        return sends
+    def propose_vector(self, state: SimState) -> VectorProposal:
+        """Every arc's useful set in one batched pass, then the samples.
 
-    def propose_vector(self, state: SimState) -> Optional[VectorProposal]:
-        """Every arc's useful set in one batched pass; sampling unchanged.
-
-        The per-arc ``useful = possession[src] - possession[dst]`` scan
-        — the scalar loop's only per-arc work besides sampling — becomes
-        one array expression over the bitplane matrix, and arcs with
-        nothing useful are skipped wholesale.  Arcs whose useful set
-        exceeds the capacity still call ``rng.sample`` through
+        ``useful = possession[src] - possession[dst]`` is one array
+        expression over the bitplane matrix, and arcs with nothing
+        useful are skipped wholesale.  Arcs whose useful set exceeds the
+        capacity call ``rng.sample`` through
         :func:`~repro.heuristics.base.sample_tokens` in ascending arc
-        order, exactly as the scalar loop does, so the RNG stream and
-        the sampled sets are identical by construction (no mirroring
-        needed).
+        order, one call per such arc, which is the RNG stream and the
+        send order of the per-arc loop in :mod:`repro.sim.reference`.
         """
         problem = self.problem
-        if state.problem is not problem:
-            return None
         matrix, arcs = state.matrix, problem.arc_arrays()
         useful = matrix[arcs.src] & ~matrix[arcs.dst]
         active = np.nonzero(useful.any(axis=1))[0]

@@ -13,9 +13,9 @@ minimizes playback startup delay (see
 overall makespan by keeping the token population diverse.
 
 It is that class with one override, the request order: the request
-lists both of Local's paths build are already token-ascending, so it
-leaves them as they are — no shuffle, no rank, and no aggregate need
-vector.  The supplier draws, both paths and the send order are Local's.
+lists Local builds are already token-ascending, so it leaves them as
+they are — no shuffle, no rank, and no aggregate need vector.  The
+supplier draws, the vector path and the send order are Local's.
 """
 
 from __future__ import annotations

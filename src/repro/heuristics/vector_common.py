@@ -1,36 +1,39 @@
 """Shared batched request extraction for the RNG-bound vector paths.
 
 The request-subdividing heuristic (Local, and Sequential, which only
-reorders its requests) runs one receiver-side screen every step: find the vertices whose in-neighbors
-supply tokens they lack, then — per candidate — the ascending list of
-lacking tokens (the request list) and, per request, the supplier slots
-that hold it.  The scalar loops do this with per-vertex big-int bit
-extraction; this module computes it for *every candidate at once* from
-the kernel's bitplane matrices:
+reorders its requests) runs one receiver-side screen every step: find
+the vertices whose in-neighbors supply tokens they lack, then — per
+candidate — the ascending list of lacking tokens (the request list)
+and, per request, the supplier slots that hold it.  This module
+computes it for *every candidate at once* from the kernel's bitplane
+matrix and the heuristic's :class:`InArcTables`:
 
-1. expand each candidate's in-arc segment into (candidate, slot) pairs,
-2. intersect each pair's supplier possession row with the candidate's
+1. OR each vertex's in-arc segment of source rows into its supply
+   union (one gather, one grouped ``reduceat``) and keep the vertices
+   lacking a supplied token as candidates,
+2. expand each candidate's in-arc segment into (candidate, slot) pairs,
+3. intersect each pair's supplier possession row with the candidate's
    lacking row and expand the result to (pair, token) entries with a
    bit scan (``unpackbits`` plus a boolean ``flatnonzero``) over the
    nonzero bytes only, so the work follows the entries that exist,
-3. fold the entries into one supplier-slot bitmask per (candidate,
+4. fold the entries into one supplier-slot bitmask per (candidate,
    token): bit ``i`` is set iff slot ``i`` holds the token.  Each
    (candidate, token, slot) entry is unique, so the grouped OR is an
    exact integer ``add.at`` into a zeroed ``(candidates * width,
    words)`` table — no sort.  The groups are the candidates' lacking
    bits in row-major order, (candidate, token-ascending): per
-   candidate, exactly the scalar request list.
+   candidate, exactly its request list.
 
 The assignment loop then draws only over ``suppliers[g] & live``, where
 ``live`` holds the slots with request budget left; its bits ascend in
-slot order, the order the scalar supplier scan draws in.  Local
-shuffles through :func:`list_shuffler`, which inlines
-``Random.shuffle``, and :func:`pack_assignments` folds the grants into
-sends.
+slot order, the in-arc order the frozen supplier scan in
+:mod:`repro.sim.reference` draws in.  Local shuffles through
+:func:`list_shuffler`, which inlines ``Random.shuffle``, and
+:func:`pack_assignments` folds the grants into sends.
 
 Everything is returned as plain Python lists: the consuming inner loops
 index them at C speed without per-element numpy scalar boxing.  The
-layout is proven against the scalar loops by the batch-equivalence
+layout is proven against the frozen reference by the batch-equivalence
 differential grid and the RNG-stream suite.
 """
 
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.core.bitplanes import matrix_to_masks, np
+from repro.core.problem import Problem
 from repro.sim.state import SimState, VectorProposal
 
 __all__ = [
@@ -62,8 +66,10 @@ class InArcTables:
     sort preserves arc-table order within a destination, which is how
     ``in_arcs`` is built); a position's offset from ``starts[v]`` is its
     supplier *slot*.  ``src_sorted`` carries the matching source vertex
-    per position for the pair gather.  ``slot_words`` is the number of
-    uint64 words a supplier-slot bitmask of the largest in-degree needs.
+    per position for the supply union and the pair gather, and ``fed``
+    lists the vertices with at least one in-arc.  ``slot_words`` is the
+    number of uint64 words a supplier-slot bitmask of the largest
+    in-degree needs.
     """
 
     arc_ids: List[int]
@@ -71,6 +77,7 @@ class InArcTables:
     starts: List[int]
     starts_arr: Any  # (V + 1,) int64 ndarray mirror of ``starts``
     src_sorted: Any  # (A,) int64 ndarray of arc sources, dst-grouped
+    fed: Any  # int64 ndarray of the vertices with in-arcs, ascending
     slot_words: int
 
 
@@ -82,7 +89,7 @@ class GroupedRequests:
     ``group_ranges[r]:group_ranges[r + 1]``; group ``g`` is one request:
     token ``tokens[g]``, held by the supplier slots set in the bitmask
     ``suppliers[g]``.  Groups within a candidate are token-ascending, so
-    ``tokens[gs:ge]`` *is* the scalar request list before shuffling.
+    ``tokens[gs:ge]`` *is* the candidate's request list before ordering.
     ``tokens_arr`` mirrors ``tokens`` as an int64 ndarray so consumers
     can gather per-request attributes (e.g. rarity ranks) in one vector
     op instead of a Python loop per group.
@@ -95,12 +102,12 @@ class GroupedRequests:
     tokens_arr: Any
 
 
-def build_in_tables(state: SimState) -> InArcTables:
-    """Build the dst-grouped in-arc tables for ``state``'s problem."""
-    arcs = state.problem.arc_arrays()
+def build_in_tables(problem: Problem) -> InArcTables:
+    """Build the dst-grouped in-arc tables for ``problem``."""
+    arcs = problem.arc_arrays()
     order = np.argsort(arcs.dst, kind="stable")
     starts_arr = np.searchsorted(
-        arcs.dst[order], np.arange(state.problem.num_vertices + 1)
+        arcs.dst[order], np.arange(problem.num_vertices + 1)
     ).astype(np.int64)
     seg_lens = starts_arr[1:] - starts_arr[:-1]
     max_seg = int(seg_lens.max()) if seg_lens.size else 0
@@ -110,6 +117,7 @@ def build_in_tables(state: SimState) -> InArcTables:
         starts=starts_arr.tolist(),
         starts_arr=starts_arr,
         src_sorted=arcs.src[order],
+        fed=np.flatnonzero(seg_lens),
         slot_words=max(1, (max_seg + 63) // 64),
     )
 
@@ -120,12 +128,20 @@ def grouped_requests(
     """The step's request/supplier structure, or ``None`` with no candidates.
 
     A candidate is a vertex lacking at least one token an in-neighbor
-    holds; every lacking token therefore has at least one holder, so the
-    per-candidate group tokens coincide exactly with the scalar loops'
-    request lists.
+    holds; its lacking tokens are those of its supply union (the OR of
+    its in-neighbors' rows) it does not hold, so every one has at least
+    one holder and the candidate's groups are exactly its request list.
     """
     matrix = state.matrix
-    lacking = state.in_supply_matrix() & ~matrix
+    fed = tables.fed
+    lacking = np.zeros_like(matrix)
+    if fed.size:
+        # Consecutive fed vertices' segments abut, so each reduceat
+        # slice is exactly one vertex's in-arcs.
+        lacking[fed] = np.bitwise_or.reduceat(
+            matrix[tables.src_sorted], tables.starts_arr[fed], axis=0
+        )
+    lacking &= ~matrix
     cand = np.flatnonzero(lacking.any(axis=1))
     if cand.size == 0:
         return None
@@ -215,11 +231,12 @@ def list_shuffler(rng: random.Random) -> Callable[[List[int]], None]:
     return shuffle
 
 
-def empty_vector_proposal() -> VectorProposal:
-    """A zero-send :class:`~repro.sim.state.VectorProposal`."""
+def empty_vector_proposal(planes: int) -> VectorProposal:
+    """A zero-send :class:`~repro.sim.state.VectorProposal` whose masks
+    have the shape of a ``planes``-plane universe."""
     return VectorProposal(
         arc_indices=np.zeros(0, dtype=np.int64),
-        masks=np.zeros(0, dtype=np.uint64),
+        masks=np.zeros(0 if planes == 1 else (0, planes), dtype=np.uint64),
     )
 
 
@@ -235,13 +252,12 @@ def pack_assignments(
     of accumulating per-send bitmasks in Python; this packs them into
     the :class:`VectorProposal` arrays with one stable sort and one
     grouped OR.  Send order is ascending table position — candidates
-    ascending, supplier slots ascending within each — which is exactly
-    the scalar loop's proposal-dict insertion order, whatever order the
-    requests were served in.
+    ascending, supplier slots ascending within each — whatever order
+    the requests were served in.
     """
-    if not asg_pos:
-        return empty_vector_proposal()
     planes = state.planes
+    if not asg_pos:
+        return empty_vector_proposal(planes)
     pos = np.array(asg_pos, dtype=np.int64)
     tok = np.array(asg_tok, dtype=np.int64)
     bit = np.uint64(1) << (tok & 63).astype(np.uint64)

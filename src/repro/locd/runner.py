@@ -119,12 +119,7 @@ class LocalEngine(StepDriver):
         return sends
 
     def _finish_step(
-        self,
-        state: SimState,
-        timestep: Timestep,
-        arrivals: Dict[int, int],
-        step: int,
-        version_before: int,
+        self, state: SimState, timestep: Timestep, step: int, version_before: int
     ) -> None:
         # Gossip: every view now answers for k_{step+1}.  The count
         # leaves out the step's own arrivals, as the materialized oracle

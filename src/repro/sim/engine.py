@@ -11,7 +11,8 @@ cheating), applies it, and checks for success.  That loop is written
 once, in :class:`StepDriver`; :class:`Engine`, the LOCD
 :class:`repro.locd.LocalEngine` and the changing-conditions
 :class:`repro.extensions.dynamic.DynamicEngine` differ only in where
-their proposals come from.
+their proposals come from.  The two heuristic drivers share one
+dispatch, :class:`HeuristicDriver`.
 
 The engine presents a global view of the state.  Heuristics differ in how
 much of that view they are allowed to read — e.g. Round-Robin only reads
@@ -23,12 +24,13 @@ Per-step cost is O(delta), not O(swarm): the success test is a counter
 read, the stall test is one vectorized comparison over the arcs (run
 only after a step that gained nothing), and the :class:`StepContext` is
 a zero-copy view over the kernel's live state (the pre-kernel loop
-snapshotted possession into fresh tuples every step).  A heuristic with
-a ``propose_vector`` skips the per-arc Python proposal and validation
-loops: :class:`Engine` takes that vector path whenever the heuristic has
-one.  Schedules are byte-identical to the frozen pre-kernel loop in
-:mod:`repro.sim.reference` on either path, which the equivalence suite
-enforces.
+snapshotted possession into fresh tuples every step).  A heuristic
+has one proposal path: a ``propose_vector`` (Round-Robin, Random,
+Local, Sequential) proposes as arrays and skips the per-arc Python
+proposal and validation loops; the others (Bandwidth, Global) propose
+a dict through ``propose``.  Schedules are byte-identical to the frozen
+pre-kernel loop in :mod:`repro.sim.reference`, which the equivalence
+suite enforces.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ __all__ = [
     "StallError",
     "RunResult",
     "StepDriver",
+    "HeuristicDriver",
     "Engine",
     "run_heuristic",
     "emit_step_event",
@@ -180,7 +183,12 @@ class StepContext:
 
 
 class HeuristicProtocol(Protocol):
-    """What the engine requires of a heuristic."""
+    """What the engine requires of a heuristic.
+
+    A heuristic defines ``propose_vector(state)`` or ``propose(ctx)``;
+    :class:`HeuristicDriver` calls the first when it exists and the
+    second otherwise, on every step of a run.
+    """
 
     name: str
 
@@ -190,9 +198,9 @@ class HeuristicProtocol(Protocol):
     def propose(self, ctx: StepContext) -> Proposal:
         """Return the sends for this timestep as ``{(src, dst): tokens}``.
 
-        A heuristic may also define ``propose_vector(state)`` returning a
-        :class:`repro.sim.state.VectorProposal`; :class:`Engine` then
-        calls that instead (see its docstring)."""
+        A heuristic that defines ``propose_vector(state)``, returning a
+        :class:`repro.sim.state.VectorProposal`, is never asked for this
+        dict."""
 
 
 @dataclass
@@ -414,7 +422,7 @@ class StepDriver:
                 timestep, arrivals = self._validate(proposal, state, step)
                 state.apply_arrivals(arrivals)
             steps.append(timestep)
-            self._finish_step(state, timestep, arrivals, step, version_before)
+            self._finish_step(state, timestep, step, version_before)
             if metrics is not None:
                 metrics.counter("steps").inc()
                 metrics.gauge("deficit").set(state.total_deficit)
@@ -470,12 +478,7 @@ class StepDriver:
         return Timestep.from_validated(sends), arrivals
 
     def _finish_step(
-        self,
-        state: SimState,
-        timestep: Timestep,
-        arrivals: Dict[int, int],
-        step: int,
-        version_before: int,
+        self, state: SimState, timestep: Timestep, step: int, version_before: int
     ) -> None:
         """React to the applied step and emit its ``step`` event."""
         if self.tracer.enabled:
@@ -484,7 +487,51 @@ class StepDriver:
             )
 
 
-class Engine(StepDriver):
+class HeuristicDriver(StepDriver):
+    """A driver whose proposals come from one §5.1 heuristic.
+
+    The dispatch is written once, here: a heuristic that defines
+    ``propose_vector`` proposes as arrays on every step, validated by
+    :meth:`SimState.validate_vector`; any other proposes a dict through
+    ``propose``, validated by :func:`check_sends`.  Both check against
+    the step's graph ``_turn``: the instance for :class:`Engine`, the
+    current turn for :class:`repro.extensions.dynamic.DynamicEngine`,
+    which sets it (and resets the heuristic) before each proposal.
+    """
+
+    heuristic: HeuristicProtocol
+
+    def _start(self, state: SimState) -> str:
+        self._vector_fn: Optional[Callable[[SimState], Any]] = getattr(
+            self.heuristic, "propose_vector", None
+        )
+        return self.heuristic.name
+
+    def _propose(self, state: SimState, step: int) -> Any:
+        if self._vector_fn is not None:
+            return self._vector_fn(state)
+        ctx = StepContext(
+            self._turn,
+            step,
+            state.possession,
+            state.holder_counts,
+            self.rng,
+            state=state,
+        )
+        return self.heuristic.propose(ctx)
+
+    def _validate(
+        self, proposal: Any, state: SimState, step: int
+    ) -> Tuple[Timestep, Dict[int, int]]:
+        if self._vector_fn is None:
+            return super()._validate(proposal, state, step)
+        try:
+            return state.validate_vector(self._turn, proposal)
+        except MoveError as err:
+            raise violation(self._label, step, err) from None
+
+
+class Engine(HeuristicDriver):
     """Drives one heuristic over one problem to completion.
 
     Parameters
@@ -527,10 +574,10 @@ class Engine(StepDriver):
 
     A heuristic exposing ``propose_vector`` (Round-Robin, local-rarest,
     random and sequential) runs on the vector path, skipping the
-    per-arc Python proposal and validation loops; one returning
-    ``None`` from it falls back to ``propose`` for the rest of the run.
-    Schedules and traces are byte-identical on either path (the
-    batch-equivalence suite enforces this).
+    per-arc Python proposal and validation loops; the others run
+    ``propose`` (:class:`HeuristicDriver`).  Schedules and traces match
+    the frozen reference loop byte for byte (the batch-equivalence
+    suite enforces this).
     """
 
     def __init__(
@@ -558,40 +605,7 @@ class Engine(StepDriver):
 
     def _start(self, state: SimState) -> str:
         self.heuristic.reset(self.problem, self.rng)
-        # Vector path: a heuristic that can propose as arrays.
-        # ``propose_vector`` returning None means the configuration is
-        # unsupported (e.g. an empty universe); the condition is static
-        # per run, so fall back permanently.
-        self._vector_fn: Optional[Callable[[SimState], Any]] = getattr(
-            self.heuristic, "propose_vector", None
-        )
-        return self.heuristic.name
-
-    def _propose(self, state: SimState, step: int) -> Any:
-        if self._vector_fn is not None:
-            vec = self._vector_fn(state)
-            if vec is not None:
-                return vec
-            self._vector_fn = None
-        ctx = StepContext(
-            self.problem,
-            step,
-            state.possession,
-            state.holder_counts,
-            self.rng,
-            state=state,
-        )
-        return self.heuristic.propose(ctx)
-
-    def _validate(
-        self, proposal: Any, state: SimState, step: int
-    ) -> Tuple[Timestep, Dict[int, int]]:
-        if self._vector_fn is None:
-            return super()._validate(proposal, state, step)
-        try:
-            return state.validate_vector(proposal)
-        except MoveError as err:
-            raise violation(self._label, step, err) from None
+        return super()._start(state)
 
 
 def run_heuristic(

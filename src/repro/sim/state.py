@@ -21,24 +21,25 @@ Beside those lists the kernel keeps a lazily synced **bitplane mirror**:
 a dense ``(vertices, planes)`` uint64 matrix (layout:
 :mod:`repro.core.bitplanes`) replayed from the journal on first read, so
 a run that never takes a batched read (the LOCD runner) pays nothing
-for it.  The matrix backs the batched reads:
+for it.  The matrix backs the vector proposal paths, which read it
+directly, and the batched reads:
 
-* :meth:`in_supply_matrix` — the per-vertex union of in-neighbor
-  possession, one gather plus one grouped OR over dst-grouped arcs;
 * :meth:`any_useful_arc` — the stall test as one comparison over all
   arcs, cached per state version;
 * :meth:`token_demand` — per-token demand as column popcounts;
 * :meth:`validate_vector` — batched capacity/possession validation of a
   :class:`VectorProposal`.
 
-A heuristic reaches the kernel through one of two proposal paths.  A
-``propose`` dict is checked by :func:`repro.core.schedule.check_sends`
-and folded gain by gain (:meth:`_apply_gain`); a ``propose_vector``
-array proposal is checked by :meth:`validate_vector` and folded from
-its arrays (:meth:`_apply_fold`).  Both folds apply the same gains in
-the same order, so the journal, every counter, and the schedule are
-identical whichever path ran (``tests/sim/test_batch_equivalence.py``,
-against the frozen oracle in :mod:`repro.sim.reference`).
+A heuristic reaches the kernel through its one proposal path.  A
+``propose`` dict (Bandwidth, Global, and the LOCD runner's per-vertex
+decisions) is checked by :func:`repro.core.schedule.check_sends` and
+folded gain by gain (:meth:`_apply_gain`); a ``propose_vector`` array
+proposal (Round-Robin, Random, Local, Sequential) is checked by
+:meth:`validate_vector` and folded from its arrays
+(:meth:`_apply_fold`).  Both folds apply a step's gains in the order
+its arrivals first appear, so the journal and every counter follow the
+proposal's send order (``tests/sim/test_batch_equivalence.py`` checks
+both paths against the frozen oracle in :mod:`repro.sim.reference`).
 """
 
 from __future__ import annotations
@@ -65,19 +66,19 @@ __all__ = ["SimState", "VectorProposal"]
 class VectorProposal:
     """One timestep's sends as parallel arrays instead of a dict.
 
-    ``arc_indices`` indexes into ``problem.arcs`` in the **order the
-    scalar heuristic inserts sends into its proposal dict** (ascending
-    arc index for Round-Robin and Random; per-vertex supplier order for
-    the request-subdividing heuristics) — the lazy timestep and the
-    arrival fold preserve it, so dict iteration order downstream matches
-    the scalar path exactly.  ``masks`` holds the send bitmasks, either
+    ``arc_indices`` indexes into the arcs of the graph the proposal is
+    validated against, in **send order**: ascending arc index for
+    Round-Robin and Random; supplier-slot order for the
+    request-subdividing heuristics (receivers ascending, in-arc order
+    within each).  The lazy timestep's dict and the arrival fold keep
+    that order.  ``masks`` holds the send bitmasks, either
     a ``(K,)`` uint64 vector for single-plane universes or a
     ``(K, planes)`` uint64 matrix (:mod:`repro.core.bitplanes` layout)
     for universes beyond 64 tokens.  Rows with empty masks must be
     omitted, mirroring the dict path's validation dropping empty sends.
     """
 
-    arc_indices: Any  # (K,) integer ndarray, scalar dict-insertion order
+    arc_indices: Any  # (K,) integer ndarray, in send order
     masks: Any  # (K,) uint64 or (K, planes) uint64 ndarray, rows nonzero
 
 
@@ -187,9 +188,11 @@ class SimState:
     Parameters
     ----------
     problem:
-        The instance being simulated.  Only ``have``/``want`` and the arc
-        list are consulted; dynamic-conditions engines may validate
-        proposals against per-turn graphs while sharing one kernel.
+        The instance being simulated.  Its ``have``/``want`` vectors
+        seed the state and its arcs back the stall test; proposals are
+        validated against the graph the driver passes in, so the
+        dynamic-conditions engine checks per-turn graphs while sharing
+        one kernel.
     possession:
         Optional starting possession (defaults to ``problem.have``).
 
@@ -213,11 +216,6 @@ class SimState:
         "_journal",
         "_matrix",
         "_matrix_version",
-        "_in_gather",
-        "_in_starts",
-        "_in_dsts",
-        "_supply_mat_cache",
-        "_supply_mat_version",
         "_useful_cache",
         "_useful_version",
         "_arrival_fold",
@@ -266,11 +264,6 @@ class SimState:
         self._want_mat: Any = None
         self._matrix: Any = None
         self._matrix_version = 0
-        self._in_gather: Any = None
-        self._in_starts: Any = None
-        self._in_dsts: Any = None
-        self._supply_mat_cache: Any = None
-        self._supply_mat_version = -1
         self._useful_cache = False
         self._useful_version = -1
         # The last validate_vector arrival fold, kept as arrays so
@@ -350,35 +343,6 @@ class SimState:
     # ------------------------------------------------------------------
     # Batched reads
     # ------------------------------------------------------------------
-    def in_supply_matrix(self) -> Any:
-        """Per-vertex union of in-neighbor possession as a ``(V, P)`` matrix.
-
-        Row ``v`` is the plane image of
-        ``OR(possession_masks[src] for arcs src -> v)`` — the supply
-        scan every request-subdividing heuristic runs per vertex per
-        step — computed for all vertices at once with one gather and one
-        grouped-OR reduction.  Cached per state version.  Callers must
-        not mutate the returned array.
-        """
-        version = self.version
-        cached = self._supply_mat_cache
-        if cached is not None and self._supply_mat_version == version:
-            return cached
-        matrix = self.matrix
-        if self._in_dsts is None:
-            arcs = self.problem.arc_arrays()
-            order = np.argsort(arcs.dst, kind="stable")
-            self._in_dsts, self._in_starts = np.unique(arcs.dst[order], return_index=True)
-            self._in_gather = arcs.src[order]
-        out = np.zeros_like(matrix)
-        if len(self._in_dsts):
-            out[self._in_dsts] = np.bitwise_or.reduceat(
-                matrix[self._in_gather], self._in_starts, axis=0
-            )
-        self._supply_mat_cache = out
-        self._supply_mat_version = version
-        return out
-
     def any_useful_arc(self) -> bool:
         """Whether any arc could still deliver a token its head lacks.
 
@@ -448,9 +412,9 @@ class SimState:
         """Apply a validate_vector arrival fold straight from its arrays.
 
         Row ``k`` of ``folded`` is the arrival mask of ``dsts_arr[k]``,
-        in first-encounter order — the exact dict :meth:`_apply_gain`
-        would walk, so journal order and every derived tally match the
-        scalar fold bit for bit.  Gains, wanted counts, and the matrix
+        in first-encounter order — the exact dict :meth:`apply_arrivals`
+        would walk gain by gain, so journal order and every derived
+        tally match that fold bit for bit.  Gains, wanted counts, and the matrix
         scatter are computed vectorized; only the per-destination list
         updates remain Python.
         """
@@ -496,20 +460,23 @@ class SimState:
     # ------------------------------------------------------------------
     # Vector proposal validation
     # ------------------------------------------------------------------
-    def validate_vector(self, vec: VectorProposal) -> Tuple[Timestep, Dict[int, int]]:
+    def validate_vector(
+        self, problem: Problem, vec: VectorProposal
+    ) -> Tuple[Timestep, Dict[int, int]]:
         """Batched equivalent of :func:`repro.core.schedule.check_sends`.
 
-        Checks every send's capacity and sender possession as array ops,
-        then returns the validated :class:`Timestep` and the per-vertex
-        arrival masks.  Raises :class:`MoveError` with the message the
-        scalar validator produces for the same offense (capacity
-        violations are all reported before possession violations; a
-        well-behaved vector heuristic never triggers either).  Arc
-        existence holds by construction, since a vector proposal indexes
-        the problem's arcs; tokens outside the universe fail the
-        possession check, since no vertex holds them.
+        Checks every send's capacity on ``problem`` (this turn's graph)
+        and its sender's possession as array ops, then returns the
+        validated :class:`Timestep` and the per-vertex arrival masks.
+        Raises :class:`MoveError` with the message ``check_sends``
+        produces for the same offense (capacity violations are all
+        reported before possession violations; a well-behaved vector
+        heuristic never triggers either).  Arc existence holds by
+        construction, since a vector proposal indexes ``problem``'s
+        arcs; tokens outside the universe fail the possession check,
+        since no vertex holds them.
         """
-        arcs = self.problem.arc_arrays()
+        arcs = problem.arc_arrays()
         arc_keys = arcs.keys
         idx = vec.arc_indices
         masks = vec.masks
@@ -543,8 +510,8 @@ class SimState:
             # first, so ``order[starts]`` is the proposal position where
             # each destination first appears, and sorting the groups by
             # it reproduces check_sends' dict insertion order exactly —
-            # arrival values *and* order match the scalar validator, so
-            # the journal is bit- and order-identical between paths.
+            # arrival values *and* order, so the journal follows the
+            # proposal's send order as on the dict path.
             dsts = arcs.dst[idx]
             order = np.argsort(dsts, kind="stable")
             udst, starts = np.unique(dsts[order], return_index=True)

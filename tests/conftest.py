@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -12,6 +12,7 @@ from repro.core.problem import Problem
 from repro.core.schedule import Move, Schedule
 from repro.core.tokenset import TokenSet
 from repro.obs.events import EVENT_SCHEMAS, make_event
+from repro.sim.state import SimState
 
 # ----------------------------------------------------------------------
 # Plain fixtures
@@ -83,11 +84,62 @@ def make_random_problem(
     return problem
 
 
-def scalar_only(heuristic: Any) -> Any:
-    """``heuristic`` with its ``propose_vector`` hidden, so the engine
-    runs it on the scalar ``propose`` path of the same kernel."""
-    heuristic.propose_vector = None
-    return heuristic
+def new_heuristic(name: str) -> Any:
+    """A fresh heuristic by name: the paper's five, or ``sequential``."""
+    from repro.heuristics import HEURISTIC_FACTORIES, SequentialHeuristic
+
+    if name == "sequential":
+        return SequentialHeuristic()
+    return HEURISTIC_FACTORIES[name]()
+
+
+def recorded_run(
+    problem: Problem, name: str, seed: int, reference: bool = False
+) -> Tuple[Any, List[Any]]:
+    """One run of heuristic ``name`` and its RNG stream.
+
+    Returns the :class:`~repro.sim.RunResult` and ``rng.getstate()``
+    after every proposal, then once more at the end of the run.  The
+    live heuristic runs under :class:`repro.sim.Engine` on its one
+    proposal path (``propose_vector`` when it has one); with
+    ``reference`` the frozen heuristic runs under the frozen loop of
+    :mod:`repro.sim.reference`.
+    """
+    from repro.sim import Engine
+    from repro.sim.reference import ReferenceEngine, make_reference_heuristic
+
+    states: List[Any] = []
+    base = make_reference_heuristic(name) if reference else new_heuristic(name)
+    method = "propose_vector" if hasattr(base, "propose_vector") else "propose"
+
+    def propose(self: Any, arg: Any) -> Any:
+        proposal = getattr(super(Recording, self), method)(arg)
+        states.append(self.rng.getstate())
+        return proposal
+
+    Recording = type("Recording", (type(base),), {method: propose})
+    rng = random.Random(seed)
+    driver = ReferenceEngine if reference else Engine
+    result = driver(problem, Recording(), rng=rng).run()
+    states.append(rng.getstate())
+    return result, states
+
+
+def vector_sends(
+    heuristic: Any, problem: Problem, possession: Optional[Sequence[TokenSet]] = None
+) -> Dict[Tuple[int, int], TokenSet]:
+    """One ``propose_vector`` step of a reset ``heuristic``.
+
+    Runs it on a fresh ``SimState(problem, possession)`` (possession
+    defaults to ``problem.have``), validates the proposal as the engine
+    does, and decodes the timestep into its ``{(src, dst): tokens}``
+    send dict, in send order.
+    """
+    state = SimState(problem, possession)
+    timestep, _arrivals = state.validate_vector(
+        problem, heuristic.propose_vector(state)
+    )
+    return dict(timestep.sends)
 
 
 @pytest.fixture

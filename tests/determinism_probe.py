@@ -130,7 +130,6 @@ def digests() -> Dict[str, str]:
     from repro.workloads import single_file
 
     sys.path.insert(0, str(HERE.parent))
-    from tests.conftest import scalar_only
     from tests.experiments.test_sweep import TINY
 
     out: Dict[str, str] = {}
@@ -149,14 +148,13 @@ def digests() -> Dict[str, str]:
     problem = random_instance(random.Random(7), max_vertices=16, max_tokens=8)
     factories = dict(HEURISTIC_FACTORIES, sequential=SequentialHeuristic)
     for name in sorted(factories):
-        for path, wrap in (("scalar", scalar_only), ("vector", lambda h: h)):
-            key = f"heuristic/{name}/{path}"
-            out[key] = _traced(
-                key,
-                lambda tracer: run_heuristic(
-                    problem, wrap(factories[name]()), seed=3, tracer=tracer
-                ),
-            )
+        key = f"heuristic/{name}"
+        out[key] = _traced(
+            key,
+            lambda tracer: run_heuristic(
+                problem, factories[name](), seed=3, tracer=tracer
+            ),
+        )
 
     broadcast = single_file(random_graph(14, random.Random(5)), file_tokens=6)
     algorithms = (

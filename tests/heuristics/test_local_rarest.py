@@ -2,21 +2,17 @@
 
 import random
 
+import pytest
+
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import LocalRarestHeuristic
-from repro.sim import StepContext, run_heuristic
+from repro.obs import RecordingTracer
+from repro.sim import StallError, run_heuristic
 from repro.topology import star_topology
 from repro.workloads import single_file
 
-
-def _context(problem, possession=None, seed=0):
-    possession = tuple(possession if possession is not None else problem.have)
-    counts = [0] * problem.num_tokens
-    for tokens in possession:
-        for t in tokens:
-            counts[t] += 1
-    return StepContext(problem, 0, possession, tuple(counts), random.Random(seed))
+from tests.conftest import vector_sends
 
 
 class TestRequestSubdivision:
@@ -28,7 +24,7 @@ class TestRequestSubdivision:
         )
         h = LocalRarestHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         total = sum(len(tokens) for tokens in proposal.values())
         assert total == 1  # exactly one copy requested
 
@@ -40,7 +36,7 @@ class TestRequestSubdivision:
         )
         h = LocalRarestHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert len(proposal) == 2
         received = TokenSet(0)
         for tokens in proposal.values():
@@ -54,7 +50,7 @@ class TestRequestSubdivision:
         )
         h = LocalRarestHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert len(proposal[(0, 1)]) == 2
 
 
@@ -71,7 +67,7 @@ class TestRarestFirst:
         )
         h = LocalRarestHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert proposal[(0, 3)] == TokenSet.of(0)
 
     def test_floods_beyond_wants(self):
@@ -82,7 +78,7 @@ class TestRarestFirst:
         )
         h = LocalRarestHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         # Vertex 1 wants nothing but still requests the token.
         assert proposal.get((0, 1)) == TokenSet.of(0)
 
@@ -93,8 +89,8 @@ class TestDiversity:
         diversifying possession (the rarest-random goal)."""
         problem = single_file(star_topology(5, capacity=1), file_tokens=4)
         h = LocalRarestHeuristic()
-        h.reset(problem, random.Random(0))
-        proposal = h.propose(_context(problem, seed=3))
+        h.reset(problem, random.Random(3))
+        proposal = vector_sends(h, problem)
         sent = [list(tokens)[0] for tokens in proposal.values()]
         # 4 leaves, 4 tokens: at least 3 distinct tokens in flight.
         assert len(set(sent)) >= 3
@@ -107,3 +103,15 @@ class TestDiversity:
         rr = run_heuristic(problem, RoundRobinHeuristic(), seed=1)
         assert local.success and rr.success
         assert local.bandwidth <= rr.bandwidth
+
+
+class TestEmptyStep:
+    def test_traced_empty_step_on_two_planes(self):
+        """A step with no candidate proposes no sends in the two-plane
+        mask shape, so the traced run reaches the stall test."""
+        p = Problem.build(2, 65, [(0, 1, 1), (1, 0, 1)], {0: [1]}, {1: [0]})
+        tracer = RecordingTracer()
+        with pytest.raises(StallError, match="no arc carries a useful token"):
+            run_heuristic(p, LocalRarestHeuristic(), seed=1, tracer=tracer)
+        steps = tracer.of_kind("step")
+        assert [e["moves"] for e in steps] == [1, 0]

@@ -5,16 +5,8 @@ import random
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import RandomHeuristic
-from repro.sim import StepContext
 
-
-def _context(problem, possession=None, seed=0):
-    possession = tuple(possession if possession is not None else problem.have)
-    counts = [0] * problem.num_tokens
-    for tokens in possession:
-        for t in tokens:
-            counts[t] += 1
-    return StepContext(problem, 0, possession, tuple(counts), random.Random(seed))
+from tests.conftest import vector_sends
 
 
 class TestUsefulnessFilter:
@@ -22,38 +14,37 @@ class TestUsefulnessFilter:
         p = Problem.build(2, 3, [(0, 1, 3)], {0: [0, 1, 2], 1: [0, 2]}, {1: [1]})
         h = RandomHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert proposal[(0, 1)] == TokenSet.of(1)
 
     def test_silent_when_peer_has_everything(self):
         p = Problem.build(2, 2, [(0, 1, 2)], {0: [0, 1], 1: [0, 1]}, {})
         h = RandomHeuristic()
         h.reset(p, random.Random(0))
-        assert h.propose(_context(p)) == {}
+        assert vector_sends(h, p) == {}
 
     def test_respects_capacity(self):
         p = Problem.build(2, 6, [(0, 1, 2)], {0: list(range(6))}, {1: list(range(6))})
         h = RandomHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert len(proposal[(0, 1)]) == 2
 
     def test_takes_all_when_under_capacity(self):
         p = Problem.build(2, 2, [(0, 1, 5)], {0: [0, 1]}, {1: [0, 1]})
         h = RandomHeuristic()
         h.reset(p, random.Random(0))
-        assert sorted(h.propose(_context(p))[(0, 1)]) == [0, 1]
+        assert sorted(vector_sends(h, p)[(0, 1)]) == [0, 1]
 
 
 class TestRandomness:
     def test_selection_varies_with_rng(self):
         p = Problem.build(2, 10, [(0, 1, 2)], {0: list(range(10))}, {1: list(range(10))})
         h = RandomHeuristic()
-        h.reset(p, random.Random(0))
-        picks = {
-            tuple(sorted(h.propose(_context(p, seed=s))[(0, 1)]))
-            for s in range(20)
-        }
+        picks = set()
+        for s in range(20):
+            h.reset(p, random.Random(s))
+            picks.add(tuple(sorted(vector_sends(h, p)[(0, 1)])))
         assert len(picks) > 1  # genuinely random subsets
 
     def test_uncoordinated_senders_can_duplicate(self):
@@ -64,6 +55,6 @@ class TestRandomness:
         )
         h = RandomHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert proposal[(0, 2)] == TokenSet.of(0)
         assert proposal[(1, 2)] == TokenSet.of(0)

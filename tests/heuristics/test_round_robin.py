@@ -5,18 +5,11 @@ import random
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import RandomHeuristic, RoundRobinHeuristic
-from repro.sim import StepContext, run_heuristic
+from repro.sim import run_heuristic
 from repro.topology import star_topology
 from repro.workloads import single_file
 
-
-def _context(problem, possession=None, step=0):
-    possession = tuple(possession if possession is not None else problem.have)
-    counts = [0] * problem.num_tokens
-    for tokens in possession:
-        for t in tokens:
-            counts[t] += 1
-    return StepContext(problem, step, possession, tuple(counts), random.Random(0))
+from tests.conftest import vector_sends
 
 
 class TestQueueBehavior:
@@ -26,7 +19,7 @@ class TestQueueBehavior:
         h.reset(p, random.Random(0))
         sent = []
         for _ in range(5):
-            proposal = h.propose(_context(p))
+            proposal = vector_sends(h, p)
             sent.append(list(proposal[(0, 1)])[0])
         assert sent == [0, 1, 2, 3, 0]  # wraps around
 
@@ -34,21 +27,21 @@ class TestQueueBehavior:
         p = Problem.build(2, 4, [(0, 1, 1)], {0: [1, 3]}, {1: [1, 3]})
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        sent = [list(h.propose(_context(p))[(0, 1)])[0] for _ in range(3)]
+        sent = [list(vector_sends(h, p)[(0, 1)])[0] for _ in range(3)]
         assert sent == [1, 3, 1]
 
     def test_fills_capacity(self):
         p = Problem.build(2, 5, [(0, 1, 3)], {0: [0, 1, 2, 3, 4]}, {1: [0]})
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert sorted(proposal[(0, 1)]) == [0, 1, 2]
 
     def test_fewer_tokens_than_capacity(self):
         p = Problem.build(2, 3, [(0, 1, 5)], {0: [1]}, {1: [1]})
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert sorted(proposal[(0, 1)]) == [1]
 
     def test_independent_cursor_per_arc(self):
@@ -57,7 +50,7 @@ class TestQueueBehavior:
         )
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        first = h.propose(_context(p))
+        first = vector_sends(h, p)
         # Both arcs start at token 0 independently.
         assert first[(0, 1)] == TokenSet.of(0)
         assert first[(0, 2)] == TokenSet.of(0)
@@ -66,14 +59,14 @@ class TestQueueBehavior:
         p = Problem.build(2, 2, [(1, 0, 1), (0, 1, 1)], {0: [0, 1]}, {1: [0, 1]})
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert (1, 0) not in proposal
 
     def test_zero_tokens(self):
         p = Problem.build(2, 0, [(0, 1, 1)], {}, {})
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        assert h.propose(_context(p)) == {}
+        assert vector_sends(h, p) == {}
 
 
 class TestPaperCharacteristics:
@@ -94,9 +87,9 @@ class TestPaperCharacteristics:
         )
         h = RoundRobinHeuristic()
         h.reset(p, random.Random(0))
-        real = h.propose(_context(p))
+        real = vector_sends(h, p)
         h.reset(p, random.Random(0))
         blinded = [TokenSet() for _ in range(3)]
         blinded[0] = p.have[0]
-        fake = h.propose(_context(p, possession=blinded))
+        fake = vector_sends(h, p, possession=blinded)
         assert real[(0, 1)] == fake[(0, 1)]

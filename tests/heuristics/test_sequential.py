@@ -5,20 +5,11 @@ import random
 from repro.core.problem import Problem
 from repro.core.tokenset import TokenSet
 from repro.heuristics import SequentialHeuristic
-from repro.sim import Engine, SimState, StepContext, run_heuristic
+from repro.sim import Engine, SimState, run_heuristic
 from repro.topology import path_topology, random_graph, star_topology
 from repro.workloads import single_file
 
-from tests.conftest import scalar_only
-
-
-def _context(problem, possession=None, seed=0):
-    possession = tuple(possession if possession is not None else problem.have)
-    counts = [0] * problem.num_tokens
-    for tokens in possession:
-        for t in tokens:
-            counts[t] += 1
-    return StepContext(problem, 0, possession, tuple(counts), random.Random(seed))
+from tests.conftest import vector_sends
 
 
 class TestOrdering:
@@ -28,14 +19,14 @@ class TestOrdering:
         )
         h = SequentialHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert sorted(proposal[(0, 1)]) == [0, 1]
 
     def test_continues_from_missing_prefix(self):
         p = Problem.build(2, 5, [(0, 1, 2)], {0: [0, 1, 2, 3, 4], 1: [0, 1]}, {1: [2, 3, 4]})
         h = SequentialHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert sorted(proposal[(0, 1)]) == [2, 3]
 
     def test_no_duplicate_pulls(self):
@@ -44,7 +35,7 @@ class TestOrdering:
         )
         h = SequentialHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         total = sum(len(t) for t in proposal.values())
         assert total == 2  # one copy of each token, subdivided
 
@@ -52,7 +43,7 @@ class TestOrdering:
         p = Problem.build(3, 1, [(0, 1, 1), (1, 2, 1)], {0: [0]}, {2: [0]})
         h = SequentialHeuristic()
         h.reset(p, random.Random(0))
-        proposal = h.propose(_context(p))
+        proposal = vector_sends(h, p)
         assert proposal[(0, 1)] == TokenSet.of(0)
 
 
@@ -88,19 +79,15 @@ class TestEndToEnd:
         )
 
     def test_never_reads_the_need_vector(self):
-        """Sequential ranks nothing, so neither path asks the kernel for
-        the per-token demand that Local's rarest-first sort reads."""
+        """Sequential ranks nothing, so it never asks the kernel for the
+        per-token demand that Local's rarest-first sort reads."""
 
         class NoDemand(SimState):
             def token_demand(self):
                 raise AssertionError("token_demand read")
 
         problem = single_file(random_graph(20, random.Random(9)), file_tokens=16)
-        for hide in (False, True):
-            heuristic = SequentialHeuristic()
-            if hide:
-                scalar_only(heuristic)
-            result = Engine(
-                problem, heuristic, rng=random.Random(4), kernel=NoDemand
-            ).run()
-            assert result.success
+        result = Engine(
+            problem, SequentialHeuristic(), rng=random.Random(4), kernel=NoDemand
+        ).run()
+        assert result.success

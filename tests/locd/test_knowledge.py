@@ -157,6 +157,15 @@ def gossip_problems(draw):
     return Problem.build(n, m, arcs, have, want)
 
 
+def step_arrivals(timestep):
+    """Each destination's arrivals in ``timestep``, as the oracle loop
+    folds them: ``{dst: mask}``."""
+    arrivals = {}
+    for (_src, dst), tokens in timestep.sends.items():
+        arrivals[dst] = arrivals.get(dst, 0) | tokens.mask
+    return arrivals
+
+
 def gossip_round(knowledge, problem, arrivals):
     """One round of the materialized gossip, as the oracle loop runs it."""
     snapshots = [k.snapshot() for k in knowledge]
@@ -202,10 +211,10 @@ class OracleCheckedEngine(LocalEngine):
         self.check()
         return label
 
-    def _finish_step(self, state, timestep, arrivals, step, version_before):
+    def _finish_step(self, state, timestep, step, version_before):
         before = self._knowledge_cost
-        super()._finish_step(state, timestep, arrivals, step, version_before)
-        learned = gossip_round(self.oracle, self.problem, arrivals)
+        super()._finish_step(state, timestep, step, version_before)
+        learned = gossip_round(self.oracle, self.problem, step_arrivals(timestep))
         assert self._knowledge_cost - before == learned, step
         self.check()
 
@@ -226,9 +235,9 @@ class MaterializedEngine(LocalEngine):
         self.algorithm.reset(n, self.rng)
         return self.algorithm.name
 
-    def _finish_step(self, state, timestep, arrivals, step, version_before):
+    def _finish_step(self, state, timestep, step, version_before):
         with self._timer("knowledge_flood"):
-            learned = gossip_round(self._knowledge, self.problem, arrivals)
+            learned = gossip_round(self._knowledge, self.problem, step_arrivals(timestep))
         self._knowledge_cost += learned
         if self.metrics is not None:
             self.metrics.counter("facts_learned").inc(learned)

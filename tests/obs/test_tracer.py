@@ -39,7 +39,6 @@ from repro.obs import (
 from repro.sim.engine import Engine, run_heuristic
 from repro.topology import random_graph
 from repro.workloads import single_file
-from tests.conftest import scalar_only
 
 
 def _problem(seed: int = 3, n: int = 10, tokens: int = 6) -> Problem:
@@ -97,24 +96,23 @@ class TestNoOpEquivalence:
         assert traced.knowledge_cost == base.knowledge_cost
 
     def test_dynamic_engine_schedule_identical_traced_or_not(self):
+        """Round-Robin on the vector path, Bandwidth on the dict path."""
         problem = _problem(n=8, tokens=4)
         conditions = constant_conditions(problem)
-        heuristic = next(
-            h for h in standard_heuristics() if h.name == "round_robin"
-        )
-        base = run_dynamic(conditions, heuristic, seed=5)
-        fresh = next(
-            h for h in standard_heuristics() if h.name == "round_robin"
-        )
-        traced = run_dynamic(
-            conditions, fresh, seed=5, tracer=RecordingTracer()
-        )
-        assert traced.schedule == base.schedule
+        for name in ("round_robin", "bandwidth"):
+            factory = HEURISTIC_FACTORIES[name]
+            base = run_dynamic(conditions, factory(), seed=5)
+            traced = run_dynamic(
+                conditions, factory(), seed=5, tracer=RecordingTracer()
+            )
+            assert traced.schedule == base.schedule, name
 
     def test_disabled_tracing_emits_nothing_and_reads_no_clock(self, monkeypatch):
         """Every driver, with a disabled tracer both passed and ambient,
-        builds no event and times nothing.  The 80-token universe puts
-        the vector paths on two bitplanes."""
+        builds no event and times nothing: :class:`Engine` on the vector
+        path (Round-Robin, Random, Local, Sequential) and the dict path
+        (Bandwidth, Global), and :class:`DynamicEngine` on both.  The
+        80-token universe puts the vector paths on two bitplanes."""
         monkeypatch.setattr(repro.obs.metrics, "time", _NoClock)
         problem = _problem(n=12, tokens=80)
         tracer = _EmitFails()
@@ -134,18 +132,20 @@ class TestNoOpEquivalence:
         with activated(tracer):
             factories = {**HEURISTIC_FACTORIES, "sequential": SequentialHeuristic}
             for name, factory in factories.items():
-                for path in (factory(), scalar_only(factory())):
-                    result = run_heuristic(problem, path, seed=5, tracer=tracer)
-                    assert result.success, name
+                result = run_heuristic(problem, factory(), seed=5, tracer=tracer)
+                assert result.success, name
             local = run_local(problem, LocalRarest(), seed=5, tracer=tracer)
-            dynamic = run_dynamic(
-                constant_conditions(problem),
-                HEURISTIC_FACTORIES["round_robin"](),
-                seed=5,
-                tracer=tracer,
-            )
+            dynamic = [
+                run_dynamic(
+                    constant_conditions(problem),
+                    HEURISTIC_FACTORIES[name](),
+                    seed=5,
+                    tracer=tracer,
+                )
+                for name in ("round_robin", "bandwidth")
+            ]
             (outcome,) = Executor().run([point])
-        assert local.success and dynamic.success
+        assert local.success and all(run.success for run in dynamic)
         assert outcome["stats"]["moves"] > 0
 
 

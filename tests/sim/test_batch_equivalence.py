@@ -1,22 +1,22 @@
-"""Differential harness: the vector proposal path changes *nothing* observable.
+"""Differential harness: the live proposal paths against the frozen oracle.
 
-The one step kernel, :class:`repro.sim.SimState`, takes a heuristic's
-sends by two paths: the scalar ``propose`` dict (validated by
-``check_sends`` and folded gain by gain) and the ``propose_vector``
-arrays (validated and folded as bitplane array ops).  :class:`Engine`
-takes the vector path whenever the heuristic has one; the tests force
-the scalar path by hiding ``propose_vector`` (``scalar_only``).  For
-every heuristic and every supported configuration, a ``(problem,
-seed)`` run must be *byte-identical* on both paths and against the
-frozen pre-kernel oracle in :mod:`repro.sim.reference`:
+:class:`Engine` runs each heuristic on its one proposal path: the
+``propose_vector`` arrays (validated and folded as bitplane array ops)
+for Round-Robin, Random, Local and Sequential, the ``propose`` dict for
+Bandwidth and Global.  For every heuristic and every supported
+configuration, a ``(problem, seed)`` run must match the frozen
+pre-kernel loop and ``propose`` bodies in :mod:`repro.sim.reference`:
 
 * identical schedules (same timesteps, arcs, token sets, success flag),
-* byte-identical JSONL traces between the two paths,
-* trace-equivalent (modulo the ``engine`` label) against the oracle.
+* identical ``rng.getstate()`` after every proposal and at the end,
+* a send order fixed by rule: for Round-Robin and Random each step's
+  sends come in the reference's order (ascending arc index); for Local
+  and Sequential in supplier-slot order (receivers ascending, in-arc
+  order within each), where the reference inserts in grant order,
+* JSONL traces byte-identical to a re-trace of the reference schedule.
 
-In the test names, ``batch`` is the vector path and ``state`` the scalar
-path.  The seeded grid sweeps topology families x token-universe sizes
-— including >64-token universes that spill into a second bitplane and
+The seeded grid sweeps topology families x token-universe sizes —
+including >64-token universes that spill into a second bitplane and
 exercise the multi-plane vector proposal path — for well over 100
 instances, and a hypothesis property supplies shrinking when a
 divergence appears.
@@ -24,25 +24,20 @@ divergence appears.
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from repro.heuristics import HEURISTIC_FACTORIES
-from repro.heuristics.sequential import SequentialHeuristic
 from repro.obs import JsonlTracer
-from repro.obs.analyze import diff_traces
+from repro.obs.analyze import diff_traces, retrace_run
 from repro.sim import Engine, run_heuristic
 from repro.sim.engine import resolve_state_factory
-from repro.sim.reference import (
-    make_reference_heuristic,
-    reference_run_heuristic,
-)
+from repro.sim.reference import make_reference_heuristic, reference_run_heuristic
 from repro.sim.state import SimState
 
-from tests.conftest import make_random_problem, problems, scalar_only
+from tests.conftest import make_random_problem, new_heuristic, problems, recorded_run
 
 ALL_HEURISTICS = tuple(HEURISTIC_FACTORIES) + ("sequential",)
 
@@ -56,14 +51,12 @@ GRID = (
     (10, 70, 15),
 )
 
-#: Heuristics with a ``propose_vector`` fast path.
+#: Heuristics with a ``propose_vector`` path.
 VECTOR_HEURISTICS = ("round_robin", "random", "local", "sequential")
 
-
-def new_heuristic(name: str):
-    if name == "sequential":
-        return SequentialHeuristic()
-    return HEURISTIC_FACTORIES[name]()
+#: Vector heuristics that send in the reference's order (ascending arc
+#: index); the request-subdividing ones send in supplier-slot order.
+ARC_ORDER_HEURISTICS = ("round_robin", "random")
 
 
 def signature(schedule):
@@ -79,6 +72,35 @@ def send_order(schedule):
     return [list(ts.sends) for ts in schedule.steps]
 
 
+def supplier_slot_order(problem, schedule):
+    """Whether every step sends in supplier-slot order: receivers
+    ascending, and each receiver's suppliers in ``in_arcs`` order."""
+    slot = {
+        (arc.src, arc.dst): (v, i)
+        for v in range(problem.num_vertices)
+        for i, arc in enumerate(problem.in_arcs(v))
+    }
+    for keys in send_order(schedule):
+        ranks = [slot[key] for key in keys]
+        if ranks != sorted(ranks):
+            return False
+    return True
+
+
+def assert_matches_reference(problem, name, seed):
+    """The live run of ``name`` against the reference run: success,
+    schedule, the RNG stream, and the send order rule."""
+    run, states = recorded_run(problem, name, seed)
+    oracle, oracle_states = recorded_run(problem, name, seed, reference=True)
+    assert oracle.success == run.success, (name, seed)
+    assert signature(oracle.schedule) == signature(run.schedule), (name, seed)
+    assert oracle_states == states, (name, seed)
+    if name in ARC_ORDER_HEURISTICS:
+        assert send_order(oracle.schedule) == send_order(run.schedule), (name, seed)
+    elif name in VECTOR_HEURISTICS:
+        assert supplier_slot_order(problem, run.schedule), (name, seed)
+
+
 def grid_instances():
     """The seeded topology x token-count grid (>100 instances)."""
     for tier, (max_v, max_t, count) in enumerate(GRID):
@@ -90,50 +112,28 @@ def grid_instances():
 
 
 # ----------------------------------------------------------------------
-# Engine: vector vs scalar path vs reference oracle across the full grid
+# Engine: every heuristic's path vs the reference oracle across the grid
 # ----------------------------------------------------------------------
 class TestEngineEquivalence:
-    def test_grid_batch_vs_state_vs_reference(self):
+    def test_grid_vector_vs_reference(self):
         checked = 0
         for tier, i, problem in grid_instances():
             seed = 31_000 + tier * 1000 + i
             # Rotate heuristics across the grid so every (tier, heuristic)
-            # pair is exercised without running all 7 on all instances.
+            # pair is exercised without running all 6 on all instances.
             names = (
                 ALL_HEURISTICS
                 if i < 4
                 else (ALL_HEURISTICS[i % len(ALL_HEURISTICS)],)
             )
             for name in names:
-                scalar_run = run_heuristic(
-                    problem, scalar_only(new_heuristic(name)), seed=seed
-                )
-                vector_run = run_heuristic(problem, new_heuristic(name), seed=seed)
-                assert scalar_run.success == vector_run.success, (name, seed)
-                assert signature(scalar_run.schedule) == signature(
-                    vector_run.schedule
-                ), (name, seed)
-                # ``VectorProposal.arc_indices`` keeps the scalar dict's
-                # insertion order, which ``signature`` sorts away.
-                assert send_order(scalar_run.schedule) == send_order(
-                    vector_run.schedule
-                ), (name, seed)
-                assert json.dumps(scalar_run.schedule.to_dict()) == json.dumps(
-                    vector_run.schedule.to_dict()
-                ), (name, seed)
-                oracle = reference_run_heuristic(
-                    problem, make_reference_heuristic(name), seed=seed
-                )
-                assert oracle.success == vector_run.success, (name, seed)
-                assert signature(oracle.schedule) == signature(
-                    vector_run.schedule
-                ), (name, seed)
+                assert_matches_reference(problem, name, seed)
             checked += 1
         assert checked >= 100  # the grid is the >=100-instance contract
 
     @pytest.mark.parametrize("name", VECTOR_HEURISTICS)
     def test_vector_path_actually_engages(self, name):
-        """Guard against silently falling back to the dict path."""
+        """Every step of the run is a vector proposal."""
         calls = []
 
         base = new_heuristic(name)
@@ -153,51 +153,32 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("name", VECTOR_HEURISTICS)
     def test_vector_path_engages_beyond_one_plane(self, name):
         """>64-token universes ride the vector path on mask matrices."""
-        calls = []
-
-        base = new_heuristic(name)
-
-        class Counting(type(base)):
-            def propose_vector(self, state):
-                vec = super().propose_vector(state)
-                calls.append(vec is not None)
-                return vec
-
         rng = random.Random(6)
         problem = make_random_problem(rng, max_vertices=6, max_tokens=70)
         while problem.num_tokens <= 63:  # the grid draw must really spill
             problem = make_random_problem(rng, max_vertices=6, max_tokens=70)
-        seed = 2
-        ra = random.Random(seed)
-        rb = random.Random(seed)
-        scalar_run = Engine(problem, scalar_only(new_heuristic(name)), rng=ra).run()
-        vector_run = Engine(problem, Counting(), rng=rb).run()
-        assert calls and all(calls), name
-        assert signature(scalar_run.schedule) == signature(vector_run.schedule)
-        # RNG-stream exactness: the vector path consumed the exact same
-        # draws the scalar path did, so the engine RNGs land in the same
-        # final state even on multi-plane universes.
-        assert ra.getstate() == rb.getstate(), name
+        run, states = recorded_run(problem, name, seed=2)
+        # One recorded state per vector proposal, plus the final one.
+        assert len(states) == run.makespan + 1 > 1, name
+        # RNG-stream exactness: the vector path consumed the exact draws
+        # the reference did, so the engine RNGs land in the same states
+        # even on multi-plane universes.
+        oracle, oracle_states = recorded_run(problem, name, seed=2, reference=True)
+        assert signature(oracle.schedule) == signature(run.schedule)
+        assert oracle_states == states, name
 
     @given(problems(max_vertices=8, max_tokens=6))
     @settings(max_examples=30, deadline=None)
     def test_property_schedules_identical(self, problem):
         for name in ALL_HEURISTICS:
-            scalar_run = run_heuristic(
-                problem, scalar_only(new_heuristic(name)), seed=17
-            )
-            vector_run = run_heuristic(problem, new_heuristic(name), seed=17)
-            assert scalar_run.success == vector_run.success, name
-            assert signature(scalar_run.schedule) == signature(
-                vector_run.schedule
-            ), name
+            assert_matches_reference(problem, name, seed=17)
 
 
 # ----------------------------------------------------------------------
-# Traces: byte-identical JSONL between paths, label-equivalent vs oracle
+# Traces: byte-identical to a re-trace of the reference schedule
 # ----------------------------------------------------------------------
 class TestTraceEquivalence:
-    def test_traces_byte_identical_vs_state(self, tmp_path):
+    def test_traces_byte_identical_vs_reference_retrace(self, tmp_path):
         rng = random.Random(21)
         for i in range(12):
             # Every third instance spills past 64 tokens so the
@@ -206,23 +187,20 @@ class TestTraceEquivalence:
                 rng, max_vertices=10, max_tokens=70 if i % 3 == 0 else 10
             )
             for name in ALL_HEURISTICS:
-                traces = {}
-                for path_name, hide in (("scalar", scalar_only), ("vector", None)):
-                    path = str(tmp_path / f"{i}-{name}-{path_name}.jsonl")
-                    heuristic = new_heuristic(name)
-                    with JsonlTracer(path=path) as tracer:
-                        run_heuristic(
-                            problem,
-                            hide(heuristic) if hide else heuristic,
-                            seed=700 + i,
-                            tracer=tracer,
-                        )
-                    traces[path_name] = open(path, "rb").read()
-                assert traces["scalar"] == traces["vector"], (i, name)
+                live = tmp_path / f"{i}-{name}-live.jsonl"
+                with JsonlTracer(path=str(live)) as tracer:
+                    run_heuristic(
+                        problem, new_heuristic(name), seed=700 + i, tracer=tracer
+                    )
+                oracle = reference_run_heuristic(
+                    problem, make_reference_heuristic(name), seed=700 + i
+                )
+                retraced = tmp_path / f"{i}-{name}-reference.jsonl"
+                with JsonlTracer(path=str(retraced)) as tracer:
+                    retrace_run(tracer, problem, oracle.schedule, heuristic_name=name)
+                assert live.read_bytes() == retraced.read_bytes(), (i, name)
 
     def test_trace_diff_vs_reference_oracle(self, tmp_path):
-        from repro.obs.analyze import retrace_run
-
         rng = random.Random(23)
         for i in range(6):
             problem = make_random_problem(rng, max_vertices=8, max_tokens=6)
@@ -269,8 +247,8 @@ class TestLazyTimestepOrder:
         records = []
 
         class Recording(SimState):
-            def validate_vector(self, vec):
-                timestep, arrivals = super().validate_vector(vec)
+            def validate_vector(self, problem, vec):
+                timestep, arrivals = super().validate_vector(problem, vec)
                 # Stream before materialization, tiny chunks on purpose.
                 lazy = list(timestep.iter_sends_masks(chunk=3))
                 eager = {}

@@ -45,16 +45,16 @@ class FaultState(SimState):
         self.fault_step = None
         self.steps = 0
 
-    def validate_vector(self, vec):
+    def validate_vector(self, problem, vec):
         self.steps += 1
-        return super().validate_vector(vec)
+        return super().validate_vector(problem, vec)
 
 
 class MutatedTransferState(FaultState):
     """Fault A: OR an unpossessed token into one validated send."""
 
-    def validate_vector(self, vec):
-        timestep, arrivals = super().validate_vector(vec)
+    def validate_vector(self, problem, vec):
+        timestep, arrivals = super().validate_vector(problem, vec)
         step = self.steps - 1
         if self.fault_step is None and step >= TARGET_STEP:
             full = (1 << self.problem.num_tokens) - 1
@@ -74,8 +74,8 @@ class MutatedTransferState(FaultState):
 class DroppedArrivalState(FaultState):
     """Fault B: discard one destination's possession update."""
 
-    def validate_vector(self, vec):
-        timestep, arrivals = super().validate_vector(vec)
+    def validate_vector(self, problem, vec):
+        timestep, arrivals = super().validate_vector(problem, vec)
         step = self.steps - 1
         if self.fault_step is None and step >= TARGET_STEP:
             for dst, mask in arrivals.items():

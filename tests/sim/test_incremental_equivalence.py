@@ -25,11 +25,10 @@ from repro.core.problem import Problem
 
 from repro.extensions.dynamic import (
     DynamicEngine,
+    churn_schedule,
     periodic_outages,
     random_fluctuations,
 )
-from repro.heuristics import HEURISTIC_FACTORIES
-from repro.heuristics.sequential import SequentialHeuristic
 from repro.locd import (
     FloodThenOptimal,
     LocalRandom,
@@ -49,7 +48,13 @@ from repro.sim.reference import (
     reference_run_local,
 )
 
-from tests.conftest import make_random_problem, problems
+from tests.conftest import make_random_problem, new_heuristic, problems
+from tests.sim.test_batch_equivalence import (
+    ALL_HEURISTICS,
+    ARC_ORDER_HEURISTICS,
+    send_order,
+    supplier_slot_order,
+)
 
 LOCD_ALGORITHMS = {
     "locd_round_robin": LocalRoundRobin,
@@ -59,12 +64,6 @@ LOCD_ALGORITHMS = {
     "locd_global": StaleGreedy,
     "locd_flood_then_greedy": FloodThenOptimal,
 }
-
-
-def new_heuristic(name: str):
-    if name == "sequential":
-        return SequentialHeuristic()
-    return HEURISTIC_FACTORIES[name]()
 
 
 def signature(schedule):
@@ -159,27 +158,59 @@ class TestLocdEquivalence:
 class TestDynamicEquivalence:
     @staticmethod
     def condition_families(problem, seed):
+        # Churn: a third of the vertices leave once, for 1-3 turns
+        # starting in the first 4.
+        draw = random.Random(seed)
+        away = {}
+        for v in draw.sample(range(problem.num_vertices), problem.num_vertices // 3):
+            start = draw.randrange(4)
+            away[v] = [(start, start + draw.randint(1, 3))]
         return {
             "fluctuations": lambda: random_fluctuations(problem, seed=seed),
             "outages": lambda: periodic_outages(problem, 3, 1, seed=seed),
+            "churn": lambda: churn_schedule(problem, away),
         }
 
-    def test_instance_family_all_heuristics(self):
+    @staticmethod
+    def instances():
+        """Six single-plane instances of up to 8 tokens, then three of
+        65-70 tokens, whose vector paths run on two bitplanes, with
+        their step cap.  Fluctuations take capacity-1 arcs down for
+        good, so some runs never succeed; the two-plane runs stop at
+        200 steps instead of thousands."""
         rng = random.Random(13)
         for i in range(6):
-            problem = make_random_problem(rng, max_vertices=10, max_tokens=8)
+            yield i, make_random_problem(rng, max_vertices=10, max_tokens=8), None
+        for i in range(6, 9):
+            problem = make_random_problem(rng, max_vertices=10, max_tokens=70)
+            while problem.num_tokens <= 64:
+                problem = make_random_problem(rng, max_vertices=10, max_tokens=70)
+            yield i, problem, 200
+
+    def test_instance_family_all_heuristics(self):
+        """Schedule, success, send order and the final RNG state of
+        every heuristic on every condition family, against the frozen
+        dynamic loop."""
+        for i, problem, max_steps in self.instances():
             seed = 900 + i
-            for fam in self.condition_families(problem, seed).values():
-                for name in HEURISTIC_FACTORIES:
+            for family, fam in self.condition_families(problem, seed).items():
+                for name in ALL_HEURISTICS:
+                    where = (i, family, name)
+                    frozen = make_reference_heuristic(name)
                     old = reference_run_dynamic(
-                        fam(), make_reference_heuristic(name), seed=seed
+                        fam(), frozen, seed=seed, max_steps=max_steps
                     )
+                    # The frozen loop draws from the RNG it resets the
+                    # heuristic with, at its first step.
+                    old_rng = frozen.rng if old.makespan else random.Random(seed)
+                    rng = random.Random(seed)
                     new = DynamicEngine(
-                        fam(),
-                        HEURISTIC_FACTORIES[name](),
-                        rng=random.Random(seed),
+                        fam(), new_heuristic(name), rng=rng, max_steps=max_steps
                     ).run()
-                    assert old.success == new.success, name
-                    assert signature(old.schedule) == signature(
-                        new.schedule
-                    ), name
+                    assert old.success == new.success, where
+                    assert signature(old.schedule) == signature(new.schedule), where
+                    assert old_rng.getstate() == rng.getstate(), where
+                    if name in ARC_ORDER_HEURISTICS:
+                        assert send_order(old.schedule) == send_order(new.schedule), where
+                    elif name in ("local", "sequential"):
+                        assert supplier_slot_order(problem, new.schedule), where

@@ -4,7 +4,8 @@ The emitter builds those fields from a timestep's send arrays.  Here they
 are rebuilt from the :class:`~repro.core.schedule.Schedule` each driver
 returns, through the timestep's send dict, so a wrong plane, byte order
 or sort in the emitter shows up as a mismatch.  Every driver is covered
-(:class:`Engine` on both proposal paths, :class:`LocalEngine`,
+(:class:`Engine` on both proposal paths — the ``vector`` heuristics and
+the ``scalar`` ``propose`` dict ones —, :class:`LocalEngine`,
 :class:`DynamicEngine`) on 1-, 2- and 3-plane token universes.
 """
 
@@ -25,7 +26,6 @@ from repro.sim import run_heuristic
 from repro.sim.engine import RunResult
 from repro.topology import random_graph
 from repro.workloads import single_file
-from tests.conftest import scalar_only
 
 #: 1, 1, 2 and 3 planes.
 TOKEN_COUNTS = [5, 64, 65, 130]
@@ -64,10 +64,9 @@ def _checked_vector(heuristic: Any, calls: List[int]) -> Any:
 
     def checked(state: Any) -> Any:
         vec = propose(state)
-        if vec is not None:
-            indices = np.asarray(vec.arc_indices)
-            assert len(np.unique(indices)) == len(indices), "an arc is proposed twice"
-            calls.append(len(indices))
+        indices = np.asarray(vec.arc_indices)
+        assert len(np.unique(indices)) == len(indices), "an arc is proposed twice"
+        calls.append(len(indices))
         return vec
 
     heuristic.propose_vector = checked
@@ -77,17 +76,23 @@ def _checked_vector(heuristic: Any, calls: List[int]) -> Any:
 @pytest.mark.parametrize("num_tokens", TOKEN_COUNTS)
 @pytest.mark.parametrize("path", ["vector", "scalar"])
 def test_engine_steps_match_schedule(num_tokens: int, path: str) -> None:
+    """``vector``: the heuristics with ``propose_vector`` (Round-Robin,
+    Random, Local); ``scalar``: those proposing a dict (Bandwidth,
+    Global)."""
     problem = _problem(num_tokens)
     vector_calls: List[int] = []
+    ran = 0
     for heuristic in standard_heuristics():
-        if path == "scalar":
-            scalar_only(heuristic)
-        elif getattr(heuristic, "propose_vector", None) is not None:
+        if hasattr(heuristic, "propose_vector") != (path == "vector"):
+            continue
+        if path == "vector":
             _checked_vector(heuristic, vector_calls)
         tracer = RecordingTracer()
         result = run_heuristic(problem, heuristic, seed=num_tokens, tracer=tracer)
         assert result.success
         _assert_steps_match(tracer.events, result)
+        ran += 1
+    assert ran >= 2
     if path == "vector":
         assert vector_calls, "no heuristic took the vector path"
 
